@@ -7,6 +7,7 @@
 package main
 
 import (
+	"bufio"
 	"flag"
 	"fmt"
 	"os"
@@ -59,11 +60,16 @@ func main() {
 		fmt.Fprintln(os.Stderr, "xmlpub:", err)
 		os.Exit(1)
 	}
-	res, err := xmlpub.Publish(db, q, s, os.Stdout)
+	// The tagger writes once per row; buffer so stdout sees large writes.
+	out := bufio.NewWriter(os.Stdout)
+	res, err := xmlpub.Publish(db, q, s, out)
+	if err == nil {
+		err = out.Flush()
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "xmlpub:", err)
 		os.Exit(1)
 	}
-	fmt.Fprintf(os.Stderr, "published %d rows via %s in %v\n",
-		len(res.Rows), s, res.Elapsed.Round(time.Microsecond))
+	fmt.Fprintf(os.Stderr, "published via %s in %v (%d rows scanned, %d groups)\n",
+		s, res.Elapsed.Round(time.Microsecond), res.Stats.RowsScanned, res.Stats.Groups)
 }

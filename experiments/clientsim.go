@@ -94,20 +94,11 @@ func runClientSim(db *gapplydb.Database, outerQ, pgq string) (int, error) {
 	toRow := func(vals []any) (types.Row, error) {
 		r := make(types.Row, len(vals))
 		for i, v := range vals {
-			switch x := v.(type) {
-			case nil:
-				r[i] = types.Null
-			case int64:
-				r[i] = types.NewInt(x)
-			case float64:
-				r[i] = types.NewFloat(x)
-			case string:
-				r[i] = types.NewString(x)
-			case bool:
-				r[i] = types.NewBool(x)
-			default:
+			tv, ok := types.FromGo(v)
+			if !ok {
 				return nil, fmt.Errorf("experiments: unsupported value %T", v)
 			}
+			r[i] = tv
 		}
 		return r, nil
 	}

@@ -337,22 +337,11 @@ func (db *Database) Insert(table string, rows ...[]any) error {
 }
 
 func toValue(v any) (types.Value, error) {
-	switch x := v.(type) {
-	case nil:
-		return types.Null, nil
-	case int:
-		return types.NewInt(int64(x)), nil
-	case int64:
-		return types.NewInt(x), nil
-	case float64:
-		return types.NewFloat(x), nil
-	case string:
-		return types.NewString(x), nil
-	case bool:
-		return types.NewBool(x), nil
-	default:
+	tv, ok := types.FromGo(v)
+	if !ok {
 		return types.Null, fmt.Errorf("gapplydb: unsupported value type %T", v)
 	}
+	return tv, nil
 }
 
 // Tables lists the table names.
@@ -767,7 +756,7 @@ func (db *Database) execute(ctx context.Context, c *compiled, cfg queryConfig) (
 
 	out := &Result{
 		Columns: make([]string, res.Schema.Len()),
-		Rows:    make([][]any, len(res.Rows)),
+		Rows:    boxRows(nil, res.Rows),
 		Elapsed: elapsed,
 		Stats:   statsOf(ectx.Counters),
 		Trace:   toTrace(c.trace),
@@ -777,13 +766,6 @@ func (db *Database) execute(ctx context.Context, c *compiled, cfg queryConfig) (
 	}
 	for i, c := range res.Schema.Cols {
 		out.Columns[i] = c.QualifiedName()
-	}
-	for i, row := range res.Rows {
-		vals := make([]any, len(row))
-		for j, v := range row {
-			vals[j] = toGo(v)
-		}
-		out.Rows[i] = vals
 	}
 	return out, nil
 }
@@ -847,21 +829,39 @@ func (db *Database) classifyExecError(err error) error {
 	return err
 }
 
-func toGo(v types.Value) any {
-	switch v.K {
-	case types.KindNull:
-		return nil
-	case types.KindInt, types.KindDate:
-		return v.Int()
-	case types.KindFloat:
-		return v.Float()
-	case types.KindString:
-		return v.Str()
-	case types.KindBool:
-		return v.Bool()
-	default:
-		return nil
+// boxRow converts one typed row into the public API's boxed form.
+func boxRow(r types.Row) []any {
+	out := make([]any, len(r))
+	for i, v := range r {
+		out[i] = v.Go()
 	}
+	return out
+}
+
+// boxRows is boxRow over a whole batch or result. All rows are carved
+// from one []any slab (three-index slices, so a row cannot grow into its
+// neighbour), which makes the row containers one allocation per call
+// instead of one per row; the cells themselves are boxed by the runtime
+// as usual. dst's backing array is reused when it is large enough.
+func boxRows(dst [][]any, rows []types.Row) [][]any {
+	cells := 0
+	for _, r := range rows {
+		cells += len(r)
+	}
+	slab := make([]any, cells)
+	if cap(dst) < len(rows) {
+		dst = make([][]any, len(rows))
+	}
+	dst = dst[:len(rows)]
+	for i, r := range rows {
+		vals := slab[:len(r):len(r)]
+		slab = slab[len(r):]
+		for j, v := range r {
+			vals[j] = v.Go()
+		}
+		dst[i] = vals
+	}
+	return dst
 }
 
 // Explain returns a textual report: the optimized plan tree and the

@@ -25,6 +25,7 @@ import (
 	"gapplydb/client"
 	"gapplydb/internal/exchange"
 	"gapplydb/internal/server"
+	"gapplydb/internal/types"
 	"gapplydb/internal/wire"
 )
 
@@ -370,7 +371,7 @@ func (c *Coordinator) statusStream() server.RowStream {
 	c.mu.Unlock()
 
 	cols := []string{"shard", "addr", "healthy", "idle", "in_use", "dials", "dial_failures", "last_rows", "last_strategy"}
-	rows := make([][]any, len(c.pools))
+	rows := make([]types.Row, len(c.pools))
 	for i, p := range c.pools {
 		st := p.Stats()
 		var lastRows int64
@@ -381,10 +382,10 @@ func (c *Coordinator) statusStream() server.RowStream {
 		if last.query != "" {
 			strategy = last.strategy.String()
 		}
-		rows[i] = []any{
-			int64(i), c.addrs[i], p.Healthy(),
-			int64(st.Idle), int64(st.InUse), st.Dials, st.DialFailures,
-			lastRows, strategy,
+		rows[i] = types.Row{
+			types.NewInt(int64(i)), types.NewString(c.addrs[i]), types.NewBool(p.Healthy()),
+			types.NewInt(int64(st.Idle)), types.NewInt(int64(st.InUse)), types.NewInt(st.Dials), types.NewInt(st.DialFailures),
+			types.NewInt(lastRows), types.NewString(strategy),
 		}
 	}
 	return newStaticStream(cols, rows)

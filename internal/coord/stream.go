@@ -9,6 +9,7 @@ import (
 	"gapplydb/client"
 	"gapplydb/internal/exchange"
 	"gapplydb/internal/server"
+	"gapplydb/internal/types"
 )
 
 // batchMaxRows mirrors the session's framing batch size.
@@ -65,6 +66,11 @@ type gatherStream struct {
 	srcs    []*shardSource
 	next    func() ([]any, bool, error)
 	maxRows int64
+	// batch and slab are NextRows' storage, reused call over call: the
+	// shards deliver boxed rows, and this is the one place they are
+	// unboxed for the session's typed tagger and encoder.
+	batch []types.Row
+	slab  types.Row
 
 	start   time.Time
 	elapsed time.Duration
@@ -141,14 +147,14 @@ func (g *gatherStream) aggNext(combines []exchange.CombineFn) func() ([]any, boo
 
 func (g *gatherStream) Columns() []string { return g.cols }
 
-func (g *gatherStream) NextBatch() ([][]any, bool, error) {
+func (g *gatherStream) NextRows() ([]types.Row, bool, error) {
 	if g.err != nil {
 		return nil, false, g.err
 	}
 	if g.done {
 		return nil, false, nil
 	}
-	var batch [][]any
+	batch, slab := g.batch[:0], g.slab[:0]
 	for len(batch) < batchMaxRows {
 		row, ok, err := g.next()
 		if err != nil {
@@ -156,7 +162,7 @@ func (g *gatherStream) NextBatch() ([][]any, bool, error) {
 		}
 		if !ok {
 			g.finish()
-			return batch, len(batch) > 0, nil
+			break
 		}
 		g.emitted++
 		if g.maxRows > 0 && g.emitted > g.maxRows {
@@ -165,9 +171,20 @@ func (g *gatherStream) NextBatch() ([][]any, bool, error) {
 				Max: g.maxRows, Used: g.emitted,
 			})
 		}
-		batch = append(batch, row)
+		start := len(slab)
+		for _, v := range row {
+			tv, ok := types.FromGo(v)
+			if !ok {
+				return nil, false, g.fail(fmt.Errorf("coord: gathered row holds an unsupported value type %T", v))
+			}
+			slab = append(slab, tv)
+		}
+		// When append moves the slab, rows carved earlier keep the old
+		// array; from the second batch on the slab no longer grows.
+		batch = append(batch, slab[start:len(slab):len(slab)])
 	}
-	return batch, true, nil
+	g.batch, g.slab = batch, slab
+	return batch, len(batch) > 0, nil
 }
 
 // fail latches the error and cancels every sibling shard query: one
@@ -235,17 +252,17 @@ func addStats(a, b gapplydb.ExecStats) gapplydb.ExecStats {
 // staticStream serves a prebuilt result (the `show shards` status).
 type staticStream struct {
 	cols []string
-	rows [][]any
+	rows []types.Row
 	sent bool
 }
 
-func newStaticStream(cols []string, rows [][]any) *staticStream {
+func newStaticStream(cols []string, rows []types.Row) *staticStream {
 	return &staticStream{cols: cols, rows: rows}
 }
 
 func (s *staticStream) Columns() []string { return s.cols }
 
-func (s *staticStream) NextBatch() ([][]any, bool, error) {
+func (s *staticStream) NextRows() ([]types.Row, bool, error) {
 	if s.sent {
 		return nil, false, nil
 	}

@@ -6,16 +6,21 @@ import (
 
 	"gapplydb"
 	"gapplydb/internal/trace"
+	"gapplydb/internal/types"
 )
 
 // RowStream is the result stream a session can frame to its client:
 // either the engine's own *gapplydb.Stream (wrapped by engineStream)
 // or a distributed coordinator's gathered stream. The contract mirrors
-// gapplydb.Stream: single consumer, NextBatch until ok=false or error,
+// gapplydb.Stream: single consumer, NextRows until ok=false or error,
 // Close always (idempotent), Stats/Elapsed valid after exhaustion.
+// Rows are typed — the session tags and encodes them without boxing —
+// and a returned batch, rows included, is only valid until the next
+// NextRows call: the session is done with it by then, so a stream may
+// reuse the storage.
 type RowStream interface {
 	Columns() []string
-	NextBatch() ([][]any, bool, error)
+	NextRows() ([]types.Row, bool, error)
 	Close() error
 	Stats() gapplydb.ExecStats
 	Elapsed() time.Duration
@@ -44,6 +49,7 @@ type Distributor interface {
 }
 
 // engineStream adapts *gapplydb.Stream (Columns is a field) to RowStream.
+// The engine's rows are immutable, so it hands them out as they are.
 type engineStream struct{ *gapplydb.Stream }
 
 func (s engineStream) Columns() []string { return s.Stream.Columns }

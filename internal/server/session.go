@@ -533,40 +533,35 @@ func (s *session) runQuery(ctx context.Context, m *wire.QueryMsg) {
 }
 
 // streamRows sends the header, then row batches, then End (or Error).
+// Rows are encoded as they arrive into one buffer reused for every
+// frame of the query, and a frame is flushed at batchMaxRows rows or
+// once its payload really holds batchMaxBytes.
 func (s *session) streamRows(id uint64, stream RowStream, tid trace.ID) {
 	cols := stream.Columns()
 	h := wire.RowHeaderMsg{ID: id, Columns: cols}
 	if err := s.writeFrame(wire.TypeRowHeader, h.Encode()); err != nil {
 		return // connection gone; teardown cancels the stream
 	}
-	ncols := len(cols)
 	var (
-		batch      [][]any
-		batchBytes int
-		total      int64
+		batch wire.RowBatch
+		total int64
 	)
+	batch.Begin(id, len(cols))
 	flush := func() error {
-		if len(batch) == 0 {
+		if batch.Rows() == 0 {
 			return nil
 		}
-		payload, err := wire.EncodeRowBatch(id, ncols, batch)
-		if err != nil {
+		if err := s.writeFrame(wire.TypeRowBatch, batch.Payload()); err != nil {
 			return err
 		}
-		if err := s.writeFrame(wire.TypeRowBatch, payload); err != nil {
-			return err
-		}
-		s.srv.reg.Counter("server_rows_streamed").Add(int64(len(batch)))
-		s.srv.reg.Counter("server_bytes_streamed").Add(int64(len(payload)))
-		batch = batch[:0]
-		batchBytes = 0
+		s.srv.reg.Counter("server_rows_streamed").Add(int64(batch.Rows()))
+		s.srv.reg.Counter("server_bytes_streamed").Add(int64(batch.Size()))
+		total += int64(batch.Rows())
+		batch.Begin(id, len(cols))
 		return nil
 	}
-	// Rows arrive in engine batches; per-row work here is only the frame
-	// bookkeeping. Frame boundaries are still governed by batchMaxRows /
-	// batchMaxBytes, so the wire shape is unchanged.
 	for {
-		rows, ok, err := stream.NextBatch()
+		rows, ok, err := stream.NextRows()
 		if err != nil {
 			s.srv.reg.Counter("server_query_errors").Inc()
 			s.writeErrorTraced(id, errorCode(err), err.Error(), tid)
@@ -576,10 +571,12 @@ func (s *session) streamRows(id uint64, stream RowStream, tid trace.ID) {
 			break
 		}
 		for _, row := range rows {
-			batch = append(batch, row)
-			batchBytes += rowSize(row)
-			total++
-			if len(batch) >= batchMaxRows || batchBytes >= batchMaxBytes {
+			if err := batch.Row(row); err != nil {
+				s.srv.reg.Counter("server_query_errors").Inc()
+				s.writeErrorTraced(id, wire.CodeInternal, err.Error(), tid)
+				return
+			}
+			if batch.Rows() >= batchMaxRows || batch.Size() >= batchMaxBytes {
 				if err := flush(); err != nil {
 					return
 				}
@@ -602,9 +599,22 @@ func (s *session) streamXML(id uint64, stream RowStream, planJSON []byte, tid tr
 		return
 	}
 	cw := &chunkWriter{sess: s, id: id}
+	cw.chunk.Begin(id)
 	tagger := xmlpub.NewTagger(&plan, cw)
+	// tagFailed reports a tagger error — unless it is the chunk writer's
+	// own, which means the connection is gone. The statement itself did
+	// not fail, so nothing has settled the stream yet: close it first, so
+	// the trace the Error frame names is already in the flight recorder
+	// when the client reads the frame.
+	tagFailed := func(err error) {
+		stream.Close()
+		if cw.err == nil {
+			s.srv.reg.Counter("server_query_errors").Inc()
+			s.writeErrorTraced(id, wire.CodeInternal, err.Error(), tid)
+		}
+	}
 	for {
-		rows, ok, err := stream.NextBatch()
+		rows, ok, err := stream.NextRows()
 		if err != nil {
 			s.srv.reg.Counter("server_query_errors").Inc()
 			s.writeErrorTraced(id, errorCode(err), err.Error(), tid)
@@ -614,19 +624,14 @@ func (s *session) streamXML(id uint64, stream RowStream, planJSON []byte, tid tr
 			break
 		}
 		for _, row := range rows {
-			if err := tagger.Row(row); err != nil {
-				if cw.err != nil {
-					return // connection gone
-				}
-				s.writeError(id, wire.CodeInternal, err.Error())
+			if err := tagger.TypedRow(row); err != nil {
+				tagFailed(err)
 				return
 			}
 		}
 	}
 	if err := tagger.Close(); err != nil {
-		if cw.err == nil {
-			s.writeError(id, wire.CodeInternal, err.Error())
-		}
+		tagFailed(err)
 		return
 	}
 	if err := cw.flush(); err != nil {
@@ -636,12 +641,14 @@ func (s *session) streamXML(id uint64, stream RowStream, planJSON []byte, tid tr
 	s.writeFrame(wire.TypeEnd, end.Encode())
 }
 
-// chunkWriter buffers tagger output and emits XMLChunk frames at the
-// chunk threshold. written counts document bytes (not frame overhead).
+// chunkWriter collects tagger output behind an XMLChunk payload header
+// — in one buffer reused for every chunk of the query — and emits a
+// frame at the chunk threshold. written counts document bytes (not
+// frame overhead).
 type chunkWriter struct {
 	sess    *session
 	id      uint64
-	buf     []byte
+	chunk   wire.Chunk
 	written int64
 	err     error
 }
@@ -650,8 +657,8 @@ func (c *chunkWriter) Write(p []byte) (int, error) {
 	if c.err != nil {
 		return 0, c.err
 	}
-	c.buf = append(c.buf, p...)
-	if len(c.buf) >= xmlChunkBytes {
+	c.chunk.Write(p)
+	if c.chunk.Len() >= xmlChunkBytes {
 		if err := c.flush(); err != nil {
 			return 0, err
 		}
@@ -663,30 +670,16 @@ func (c *chunkWriter) flush() error {
 	if c.err != nil {
 		return c.err
 	}
-	if len(c.buf) == 0 {
+	n := c.chunk.Len()
+	if n == 0 {
 		return nil
 	}
-	payload := wire.EncodeChunk(c.id, c.buf)
-	if err := c.sess.writeFrame(wire.TypeXMLChunk, payload); err != nil {
+	if err := c.sess.writeFrame(wire.TypeXMLChunk, c.chunk.Payload()); err != nil {
 		c.err = err
 		return err
 	}
-	c.sess.srv.reg.Counter("server_bytes_streamed").Add(int64(len(c.buf)))
-	c.written += int64(len(c.buf))
-	c.buf = c.buf[:0]
+	c.sess.srv.reg.Counter("server_bytes_streamed").Add(int64(n))
+	c.written += int64(n)
+	c.chunk.Begin(c.id)
 	return nil
-}
-
-// rowSize approximates one row's encoded size for batch flushing.
-func rowSize(row []any) int {
-	n := 0
-	for _, v := range row {
-		switch x := v.(type) {
-		case string:
-			n += 5 + len(x)
-		default:
-			n += 9
-		}
-	}
-	return n
 }

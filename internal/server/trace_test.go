@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -9,6 +10,7 @@ import (
 
 	"gapplydb/client"
 	"gapplydb/internal/trace"
+	"gapplydb/xmlpub"
 )
 
 // TestClientIssuedTraceRoundTrip pins the acceptance criterion: a
@@ -114,6 +116,41 @@ func TestTraceIDOnServerError(t *testing.T) {
 	tr := srv.db.Traces().Get(id)
 	if tr == nil || tr.Status != "error" {
 		t.Fatalf("failed query's trace: %+v", tr)
+	}
+}
+
+// TestTraceIDOnTaggerError: in XML mode the statement can run cleanly
+// and the tagger still reject its rows (here the plan reads a column the
+// result does not have, negative ordinal included). That Error frame
+// must echo the trace ID like every other failure on the path, and the
+// session must survive it.
+func TestTraceIDOnTaggerError(t *testing.T) {
+	srv := startServer(t, Config{})
+	conn := dial(t, srv)
+
+	for _, ord := range []int{9, -1} {
+		plan := &xmlpub.TagPlan{RootTag: "r", ElemTag: "e", KeyTag: "k",
+			Branches: []xmlpub.BranchPlan{{Fields: []xmlpub.FieldSlot{{Ordinal: ord, Tag: "v"}}}}}
+		id := client.NewTraceID()
+		var doc bytes.Buffer
+		_, err := conn.QueryXML(context.Background(),
+			"select p_partkey, 0, p_name from part", plan, &doc, client.WithTraceID(id))
+		var se *client.ServerError
+		if !errors.As(err, &se) {
+			t.Fatalf("ordinal %d: error %v (%T), want *client.ServerError", ord, err, err)
+		}
+		if se.Code != client.CodeInternal || !strings.Contains(se.Message, "out of range") {
+			t.Fatalf("ordinal %d: error %+v, want the tagger's ordinal error", ord, se)
+		}
+		if se.TraceID != id {
+			t.Fatalf("ordinal %d: Error frame echoed %s, want %s", ord, se.TraceID, id)
+		}
+		if srv.db.Traces().Get(id) == nil {
+			t.Fatalf("ordinal %d: the failed request's trace is not in the flight recorder", ord)
+		}
+	}
+	if err := conn.Ping(context.Background()); err != nil {
+		t.Fatalf("session did not survive the tagger error: %v", err)
 	}
 }
 

@@ -131,6 +131,44 @@ func (v Value) String() string {
 	}
 }
 
+// Go returns the value in the Go representation the public API's boxed
+// rows use: nil, int64 (INT and DATE), float64, string or bool.
+func (v Value) Go() any {
+	switch v.K {
+	case KindInt, KindDate:
+		return v.I
+	case KindFloat:
+		return v.F
+	case KindString:
+		return v.S
+	case KindBool:
+		return v.I != 0
+	default:
+		return nil
+	}
+}
+
+// FromGo is the inverse of Go for the dynamic types boxed rows carry
+// (int is accepted alongside int64). ok is false for any other type.
+func FromGo(v any) (Value, bool) {
+	switch x := v.(type) {
+	case nil:
+		return Null, true
+	case int64:
+		return NewInt(x), true
+	case int:
+		return NewInt(int64(x)), true
+	case float64:
+		return NewFloat(x), true
+	case string:
+		return NewString(x), true
+	case bool:
+		return NewBool(x), true
+	default:
+		return Null, false
+	}
+}
+
 // SQLLiteral renders the value as a SQL literal (strings quoted).
 func (v Value) SQLLiteral() string {
 	if v.K == KindString {

@@ -291,3 +291,25 @@ func TestQuickFloatArith(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// Go and FromGo are inverses on everything a boxed row can carry; DATE
+// boxes to its integer, and anything else is refused, not guessed at.
+func TestGoFromGoRoundTrip(t *testing.T) {
+	for _, v := range []Value{Null, NewInt(-3), NewInt(math.MaxInt64), NewFloat(2.5), NewFloat(math.Inf(1)), NewString(""), NewString("x"), NewBool(true), NewBool(false)} {
+		back, ok := FromGo(v.Go())
+		if !ok || !Identical(back, v) || back.K != v.K {
+			t.Errorf("%v: boxed to %#v, back to %v (ok=%v)", v, v.Go(), back, ok)
+		}
+	}
+	if g := NewDate(9000).Go(); g != int64(9000) {
+		t.Errorf("DATE boxed to %#v, want int64(9000)", g)
+	}
+	if v, ok := FromGo(7); !ok || v != NewInt(7) {
+		t.Errorf("int: %v ok=%v", v, ok)
+	}
+	for _, bad := range []any{int32(1), uint(1), []byte("x"), struct{}{}} {
+		if _, ok := FromGo(bad); ok {
+			t.Errorf("FromGo accepted %T", bad)
+		}
+	}
+}

@@ -33,6 +33,7 @@ import (
 	"time"
 
 	"gapplydb/internal/trace"
+	"gapplydb/internal/types"
 )
 
 // ProtocolVersion is bumped on any incompatible change; the handshake
@@ -291,31 +292,68 @@ const (
 	tagFalse = 5
 )
 
-// PutValue appends one tagged scalar. Accepted dynamic types are
-// exactly those of Result.Rows cells: nil, int64, float64, string,
-// bool (int is accepted for convenience and travels as int64).
+// The value encoding is written here and nowhere else: one tag byte,
+// then the payload. Value and PutValue only pick among these by kind.
+
+func (e *Enc) null() { e.U8(tagNull) }
+
+func (e *Enc) tagInt(v int64) {
+	e.U8(tagInt)
+	e.I64(v)
+}
+
+func (e *Enc) tagFloat(v float64) {
+	e.U8(tagFloat)
+	e.F64(v)
+}
+
+func (e *Enc) tagStr(v string) {
+	e.U8(tagStr)
+	e.Str(v)
+}
+
+func (e *Enc) tagBool(v bool) {
+	if v {
+		e.U8(tagTrue)
+	} else {
+		e.U8(tagFalse)
+	}
+}
+
+// Value appends one typed cell as a tagged scalar. DATE travels as its
+// integer, exactly as the boxed API shows it.
+func (e *Enc) Value(v types.Value) {
+	switch v.K {
+	case types.KindInt, types.KindDate:
+		e.tagInt(v.I)
+	case types.KindFloat:
+		e.tagFloat(v.F)
+	case types.KindString:
+		e.tagStr(v.S)
+	case types.KindBool:
+		e.tagBool(v.I != 0)
+	default:
+		e.null()
+	}
+}
+
+// PutValue appends one boxed cell as a tagged scalar. Accepted dynamic
+// types are exactly those of Result.Rows cells: nil, int64, float64,
+// string, bool (int is accepted for convenience and travels as int64).
 func PutValue(e *Enc, v any) error {
 	switch x := v.(type) {
 	case nil:
-		e.U8(tagNull)
+		e.null()
 	case int64:
-		e.U8(tagInt)
-		e.I64(x)
+		e.tagInt(x)
 	case int:
-		e.U8(tagInt)
-		e.I64(int64(x))
+		e.tagInt(int64(x))
 	case float64:
-		e.U8(tagFloat)
-		e.F64(x)
+		e.tagFloat(x)
 	case string:
-		e.U8(tagStr)
-		e.Str(x)
+		e.tagStr(x)
 	case bool:
-		if x {
-			e.U8(tagTrue)
-		} else {
-			e.U8(tagFalse)
-		}
+		e.tagBool(x)
 	default:
 		return fmt.Errorf("wire: unsupported value type %T", v)
 	}
@@ -580,48 +618,159 @@ func DecodeRowHeader(p []byte) (*RowHeaderMsg, error) {
 	return m, d.Err()
 }
 
-// EncodeRowBatch serializes rows (each ncols wide) into a TypeRowBatch
-// payload.
+// A TypeRowBatch payload is [id u64][ncols u32][nrows u32] followed by
+// nrows × ncols tagged values.
+const (
+	rowBatchCountOff = 12 // offset of nrows
+	rowBatchHdrLen   = 16
+)
+
+// RowBatch builds TypeRowBatch payloads row by row in one buffer that
+// Begin reuses, so a stream of frames costs no allocation once the
+// buffer has grown to the largest of them.
+type RowBatch struct {
+	e     Enc
+	ncols int
+	rows  int
+}
+
+// Begin starts a new, empty batch for query id, discarding the last.
+func (b *RowBatch) Begin(id uint64, ncols int) {
+	b.e.B = b.e.B[:0]
+	b.e.U64(id)
+	b.e.U32(uint32(ncols))
+	b.e.U32(0) // nrows, set by Payload
+	b.ncols, b.rows = ncols, 0
+}
+
+// Row appends one typed row.
+func (b *RowBatch) Row(r types.Row) error {
+	if len(r) != b.ncols {
+		return b.widthError(len(r))
+	}
+	for _, v := range r {
+		b.e.Value(v)
+	}
+	b.rows++
+	return nil
+}
+
+func (b *RowBatch) widthError(n int) error {
+	return fmt.Errorf("wire: row has %d columns, batch declares %d", n, b.ncols)
+}
+
+// Rows is the number of rows appended since Begin.
+func (b *RowBatch) Rows() int { return b.rows }
+
+// Size is the payload's current length in bytes.
+func (b *RowBatch) Size() int { return len(b.e.B) }
+
+// Payload completes the batch and returns its payload, which aliases
+// the builder's buffer: it is valid until the next Begin.
+func (b *RowBatch) Payload() []byte {
+	binary.BigEndian.PutUint32(b.e.B[rowBatchCountOff:], uint32(b.rows))
+	return b.e.B
+}
+
+// EncodeRowBatch serializes boxed rows (each ncols wide) into a fresh
+// TypeRowBatch payload.
 func EncodeRowBatch(id uint64, ncols int, rows [][]any) ([]byte, error) {
-	var e Enc
-	e.U64(id)
-	e.U32(uint32(ncols))
-	e.U32(uint32(len(rows)))
+	var b RowBatch
+	b.Begin(id, ncols)
 	for _, r := range rows {
 		if len(r) != ncols {
-			return nil, fmt.Errorf("wire: row has %d columns, batch declares %d", len(r), ncols)
+			return nil, b.widthError(len(r))
 		}
 		for _, v := range r {
-			if err := PutValue(&e, v); err != nil {
+			if err := PutValue(&b.e, v); err != nil {
 				return nil, err
 			}
 		}
+		b.rows++
 	}
-	return e.B, nil
+	return b.Payload(), nil
 }
 
-// DecodeRowBatch parses a TypeRowBatch payload.
+// RowBatchSizeError reports a TypeRowBatch header that declares more
+// cells than its payload can hold. Every value occupies at least one
+// byte, so such a frame is corrupt or hostile; the decoder rejects it
+// before allocating anything sized by the header.
+type RowBatchSizeError struct {
+	NCols, NRows uint32
+	// Remaining is the number of payload bytes after the header.
+	Remaining int
+}
+
+func (e *RowBatchSizeError) Error() string {
+	return fmt.Sprintf("wire: row batch declares %d rows of %d columns in %d payload bytes", e.NRows, e.NCols, e.Remaining)
+}
+
+// DecodeRowBatch parses a TypeRowBatch payload. All rows are carved
+// from one []any slab (three-index slices, so a row cannot grow into
+// its neighbour): two allocations per frame for the containers,
+// whatever the row count.
 func DecodeRowBatch(p []byte) (id uint64, rows [][]any, err error) {
 	d := Dec{B: p}
 	id = d.U64()
 	ncols := d.U32()
 	nrows := d.U32()
-	for i := uint32(0); i < nrows && d.Err() == nil; i++ {
-		row := make([]any, ncols)
+	if err := d.Err(); err != nil {
+		return id, nil, err
+	}
+	// A zero-column row occupies no bytes; it is counted as one so that
+	// the row count, too, is bounded by the payload.
+	if uint64(nrows)*uint64(max(ncols, 1)) > uint64(d.Remaining()) {
+		return id, nil, &RowBatchSizeError{NCols: ncols, NRows: nrows, Remaining: d.Remaining()}
+	}
+	if nrows == 0 {
+		return id, nil, nil
+	}
+	n := int(ncols)
+	slab := make([]any, int(nrows)*n)
+	rows = make([][]any, nrows)
+	for i := range rows {
+		row := slab[:n:n]
+		slab = slab[n:]
 		for j := range row {
 			row[j] = d.Value()
 		}
-		rows = append(rows, row)
+		rows[i] = row
 	}
-	return id, rows, d.Err()
+	if err := d.Err(); err != nil {
+		return id, nil, err
+	}
+	return id, rows, nil
 }
 
-// EncodeChunk serializes an id-tagged byte chunk (XMLChunk payloads).
-func EncodeChunk(id uint64, b []byte) []byte {
-	var e Enc
-	e.U64(id)
-	e.Bytes(b)
-	return e.B
+// chunkHdrLen is an XMLChunk payload's prefix: [id u64][length u32].
+const chunkHdrLen = 12
+
+// Chunk accumulates document bytes directly behind an XMLChunk
+// payload's header, in one buffer that Begin reuses: the bytes a tagger
+// writes are framed where they land, with no per-chunk copy.
+type Chunk struct{ e Enc }
+
+// Begin starts a new, empty chunk for query id, discarding the last.
+func (c *Chunk) Begin(id uint64) {
+	c.e.B = c.e.B[:0]
+	c.e.U64(id)
+	c.e.U32(0) // length, set by Payload
+}
+
+// Write appends document bytes; it never fails.
+func (c *Chunk) Write(p []byte) (int, error) {
+	c.e.B = append(c.e.B, p...)
+	return len(p), nil
+}
+
+// Len is the number of document bytes written since Begin.
+func (c *Chunk) Len() int { return len(c.e.B) - chunkHdrLen }
+
+// Payload completes the chunk and returns its payload, which aliases
+// the builder's buffer: it is valid until the next Begin.
+func (c *Chunk) Payload() []byte {
+	binary.BigEndian.PutUint32(c.e.B[chunkHdrLen-4:], uint32(c.Len()))
+	return c.e.B
 }
 
 // DecodeChunk parses an id-tagged byte chunk.

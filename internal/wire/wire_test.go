@@ -178,7 +178,16 @@ func TestControlMessages(t *testing.T) {
 	if err != nil || !reflect.DeepEqual(gs, s) {
 		t.Fatalf("set: %+v err=%v", gs, err)
 	}
-	cid, chunk, err := DecodeChunk(EncodeChunk(5, []byte("<a/>")))
+	var c Chunk
+	c.Begin(4)
+	c.Write([]byte("stale"))
+	c.Begin(5) // reuses the buffer, discarding the last chunk
+	c.Write([]byte("<a"))
+	c.Write([]byte("/>"))
+	if c.Len() != 4 {
+		t.Fatalf("chunk holds %d document bytes, want 4", c.Len())
+	}
+	cid, chunk, err := DecodeChunk(c.Payload())
 	if err != nil || cid != 5 || string(chunk) != "<a/>" {
 		t.Fatalf("chunk: id=%d b=%q err=%v", cid, chunk, err)
 	}

@@ -8,6 +8,7 @@ import (
 	"gapplydb/internal/exec"
 	"gapplydb/internal/sql"
 	"gapplydb/internal/trace"
+	"gapplydb/internal/types"
 )
 
 // Stream is an incrementally consumed query result: the rows of Query,
@@ -28,8 +29,9 @@ type Stream struct {
 	db       *Database
 	cur      *exec.Cursor  // nil for pre-materialized (EXPLAIN) streams
 	ectx     *exec.Context // execution context, for counters at finish
-	rows     [][]any       // pre-materialized rows (EXPLAIN statements)
+	rows     []types.Row   // pre-materialized rows (EXPLAIN statements)
 	ri       int
+	rowBuf   []types.Row        // NextRows' reused container for selected batches
 	batchBuf [][]any            // NextBatch's reused outer container
 	stop     context.CancelFunc // unwinds lifecycle/timeout contexts
 	release  func()             // db in-flight registration
@@ -83,8 +85,12 @@ func (db *Database) StreamContext(ctx context.Context, query string, options ...
 		db.finishTrace(tb, nil) // plain EXPLAIN never reaches execute
 		res := e.planResult()
 		release()
+		rows := make([]types.Row, len(res.Rows))
+		for i, r := range res.Rows {
+			rows[i] = types.Row{types.NewString(r[0].(string))} // one report line per row
+		}
 		return &Stream{
-			Columns: res.Columns, rows: res.Rows,
+			Columns: res.Columns, rows: rows,
 			stats: res.Stats, elapsed: res.Elapsed,
 			tb: tb,
 		}, nil
@@ -98,6 +104,10 @@ func (db *Database) StreamContext(ctx context.Context, query string, options ...
 	}
 	ectx := db.execContext(ctx, cfg)
 	execSpan := tb.StartSpan("execute", 0)
+	// Start opens the plan, which for a blocking root (a sort, a GApply
+	// partition phase) is most of the execution: the clock covers it, as
+	// Result.Elapsed does.
+	start := time.Now()
 	cur, err := exec.Start(c.plan, ectx)
 	if err != nil {
 		stop()
@@ -112,7 +122,7 @@ func (db *Database) StreamContext(ctx context.Context, query string, options ...
 	s := &Stream{
 		Columns: make([]string, cur.Schema.Len()),
 		db:      db, cur: cur, ectx: ectx,
-		stop: stop, release: release, start: time.Now(),
+		stop: stop, release: release, start: start,
 		tb: tb, execSpan: execSpan, plan: c.plan,
 	}
 	for i, col := range cur.Schema.Cols {
@@ -135,7 +145,7 @@ func (s *Stream) Next() ([]any, bool, error) {
 		}
 		r := s.rows[s.ri]
 		s.ri++
-		return r, true, nil
+		return boxRow(r), true, nil
 	}
 	row, ok, err := s.cur.Next()
 	if err != nil {
@@ -146,22 +156,31 @@ func (s *Stream) Next() ([]any, bool, error) {
 		s.finish(nil)
 		return nil, false, nil
 	}
-	out := make([]any, len(row))
-	for i, v := range row {
-		out[i] = toGo(v)
-	}
-	return out, true, nil
+	return boxRow(row), true, nil
 }
 
 // NextBatch returns the next rows in bulk — up to one engine batch (256
 // rows) per call — in the same Go representations Next uses. ok=false
 // with a nil error marks exhaustion. The returned outer slice is reused
-// by the following NextBatch call; the per-row slices are freshly
-// allocated and may be retained. Mixing Next and NextBatch is allowed:
-// no row is delivered twice. The network server frames results through
-// this path so the engine's batches flow to the wire without a per-row
-// hand-off.
+// by the following NextBatch call; the per-row slices are carved from
+// one fresh allocation per call and may be retained. Mixing Next and
+// NextBatch is allowed: no row is delivered twice.
 func (s *Stream) NextBatch() ([][]any, bool, error) {
+	rows, ok, err := s.NextRows()
+	if !ok {
+		return nil, false, err
+	}
+	s.batchBuf = boxRows(s.batchBuf, rows)
+	return s.batchBuf, true, nil
+}
+
+// NextRows is NextBatch without the boxing: the engine's own typed rows,
+// up to one engine batch per call. The row values are immutable and may
+// be retained; the returned outer slice is only valid until the next
+// call on the stream. The network server and xmlpub.Publish tag and
+// encode results through this path, so a row's cells are never boxed
+// between the executor and the XML or wire bytes.
+func (s *Stream) NextRows() ([]types.Row, bool, error) {
 	if s.done {
 		return nil, false, s.err
 	}
@@ -183,20 +202,11 @@ func (s *Stream) NextBatch() ([][]any, bool, error) {
 		s.finish(nil)
 		return nil, false, nil
 	}
-	n := b.Len()
-	if cap(s.batchBuf) < n {
-		s.batchBuf = make([][]any, n)
+	if b.Sel == nil {
+		return b.Rows, true, nil
 	}
-	out := s.batchBuf[:n]
-	for i := 0; i < n; i++ {
-		row := b.Row(i)
-		vals := make([]any, len(row))
-		for j, v := range row {
-			vals[j] = toGo(v)
-		}
-		out[i] = vals
-	}
-	return out, true, nil
+	s.rowBuf = b.AppendRows(s.rowBuf[:0])
+	return s.rowBuf, true, nil
 }
 
 // finish settles the stream exactly once: metrics, stats, error

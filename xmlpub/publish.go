@@ -37,18 +37,45 @@ func (q *FLWR) SQL(s Strategy) string {
 }
 
 // Publish runs the query against the database with the chosen strategy
-// and streams the published XML to w. It returns the executed result
-// (for timing and counters) alongside any error.
+// and streams the published XML to w: rows go from the engine's batches
+// straight into the tagger, so only one batch is ever held and a write
+// reaches w while the query is still executing. A query that fails
+// midway therefore leaves a truncated document in w.
+//
+// The returned Result carries Columns, Elapsed (execution with the
+// tagging interleaved), Stats and TraceID; Rows is nil — the rows were
+// never materialized.
 func Publish(db *gapplydb.Database, q *FLWR, s Strategy, w io.Writer, opts ...gapplydb.QueryOption) (*gapplydb.Result, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
-	res, err := db.Query(q.SQL(s), opts...)
+	st, err := db.Stream(q.SQL(s), opts...)
 	if err != nil {
 		return nil, fmt.Errorf("xmlpub: %s strategy failed: %w", s, err)
 	}
-	if err := TagAll(q.TagPlan(), res.Rows, w); err != nil {
-		return res, err
+	defer st.Close()
+	tg := NewTagger(q.TagPlan(), w)
+	for {
+		rows, ok, err := st.NextRows()
+		if err != nil {
+			return nil, fmt.Errorf("xmlpub: %s strategy failed: %w", s, err)
+		}
+		if !ok {
+			break
+		}
+		for _, r := range rows {
+			if err := tg.TypedRow(r); err != nil {
+				return nil, err
+			}
+		}
 	}
-	return res, nil
+	if err := tg.Close(); err != nil {
+		return nil, err
+	}
+	return &gapplydb.Result{
+		Columns: st.Columns,
+		Elapsed: st.Elapsed(),
+		Stats:   st.Stats(),
+		TraceID: st.TraceID(),
+	}, nil
 }
