@@ -1,0 +1,259 @@
+package gapplydb_test
+
+import (
+	"math/rand"
+	"strings"
+	"sync"
+	"testing"
+
+	"gapplydb"
+	"gapplydb/xmlpub"
+)
+
+// The access-path differential pins the two index access paths to the
+// plans they replace: a heap-order index seek under a Select must emit
+// exactly the heap Scan+Select rows in heap order, and a merge join
+// probing an index's stored run must emit exactly what the drained run
+// (and the index-free hash join) would. Every case runs with indexes off
+// (the baseline) and on, on both engines at dop 1 and 8: rows and XML
+// byte-identical to the baseline, and the indexed runs' counters
+// identical to each other at every engine and degree — RowsScanned, now
+// counting seek windows and probed entries, included.
+//
+// Left-outer, residual and fused post-filter probes are not reachable
+// from SQL (decorrelation puts a GroupBy on every outer join's right
+// side; pushdown folds cross-table conjuncts into the join condition);
+// internal/exec's probe differential covers those shapes on hand-built
+// plans.
+
+// accessPathCase is one statement and the plan shape it must take with
+// indexes on — asserted, so a planner change cannot quietly turn a case
+// into a heap scan that trivially matches its baseline.
+type accessPathCase struct {
+	name, sql string
+	shape     []string // substrings the indexed EXPLAIN must contain
+	opts      []gapplydb.QueryOption
+}
+
+const heapSeek = "(heap order)"
+
+func accessPathCases() []accessPathCase {
+	ps := "select ps_partkey, ps_suppkey, ps_availqty from partsupp where "
+	ev := "select k, v, seq from events where "
+	probe := "(merge probe)"
+	return []accessPathCase{
+		{name: "eq", sql: ps + "ps_suppkey = 3", shape: []string{heapSeek}},
+		{name: "gt", sql: ps + "ps_suppkey > 7", shape: []string{heapSeek}},
+		{name: "ge", sql: ps + "ps_suppkey >= 8", shape: []string{heapSeek}},
+		{name: "lt", sql: ps + "ps_suppkey < 3", shape: []string{heapSeek}},
+		{name: "le", sql: ps + "3 >= ps_suppkey", shape: []string{heapSeek}},
+		{name: "open-range", sql: ps + "ps_suppkey > 2 and ps_suppkey < 5", shape: []string{heapSeek}},
+		{name: "closed-range", sql: ps + "ps_suppkey >= 2 and ps_suppkey <= 5", shape: []string{heapSeek}},
+		{name: "half-open-range", sql: ps + "ps_suppkey >= 2 and ps_suppkey < 5 and ps_availqty > 1000", shape: []string{heapSeek}},
+		{name: "tightest-eq", sql: ps + "ps_suppkey >= 1 and ps_suppkey = 4", shape: []string{"[ps_suppkey >= 4 AND ps_suppkey <= 4]"}},
+		{name: "tightest-strict", sql: ps + "ps_suppkey >= 3 and ps_suppkey > 3 and ps_suppkey < 6", shape: []string{"[ps_suppkey > 3 AND ps_suppkey < 6]"}},
+		{name: "empty-window", sql: ps + "ps_suppkey > 5 and ps_suppkey < 3", shape: []string{heapSeek}},
+		{name: "null-literal", sql: ps + "ps_suppkey = null"},
+		{name: "null-bound-and-range", sql: ps + "ps_suppkey > null and ps_suppkey < 2", shape: []string{"[ps_suppkey < 2]"}},
+		{name: "cross-type-eq", sql: ps + "ps_suppkey = 3.0", shape: []string{heapSeek}},
+		{name: "cross-type-range", sql: ps + "ps_suppkey > 2.5 and ps_suppkey <= 4.0", shape: []string{heapSeek}},
+		{name: "clustered-range", sql: "select l_orderkey, l_linenumber, l_quantity from lineitem where l_orderkey <= 40", shape: []string{heapSeek}},
+		{name: "point-lookup", sql: "select s_name, s_acctbal from supplier where s_suppkey = 3", shape: []string{heapSeek}},
+		// The custom table is inserted in shuffled key order with
+		// duplicates and NULL keys, so a range window's positions are out
+		// of heap order and the executor must sort them.
+		{name: "shuffled-eq", sql: ev + "k = 17", shape: []string{heapSeek}},
+		{name: "shuffled-range", sql: ev + "k >= 10 and k < 30", shape: []string{heapSeek}},
+		{name: "shuffled-lo", sql: ev + "k > 45", shape: []string{heapSeek}},
+		{name: "probe", sql: "select ps_partkey, p_name, p_retailprice from partsupp, part where ps_partkey = p_partkey and ps_suppkey = 3",
+			shape: []string{heapSeek, probe}},
+		{name: "probe-residual", sql: "select ps_partkey, p_name from partsupp, part where ps_partkey = p_partkey and ps_supplycost < p_retailprice and ps_suppkey = 3",
+			shape: []string{probe}},
+		{name: "probe-customer-orders", sql: "select c_name, o_orderkey, o_totalprice from customer, orders where c_custkey = o_custkey and c_custkey < 20",
+			shape: []string{heapSeek, probe}},
+		{name: "probe-shuffled", sql: "select s_name, k, v from supplier, events where s_suppkey = k and s_suppkey <= 4",
+			shape: []string{heapSeek, probe}},
+		// GApply whose outer takes the seek; its per-group join probes
+		// part per group when the spool is off, and reads the spool when
+		// it is on.
+		{name: "gapply-outer-seek", sql: "select gapply(select p_name, ps_availqty from g, part where ps_partkey = p_partkey and ps_availqty > p_size) from partsupp where ps_suppkey < 4 group by ps_suppkey : g",
+			shape: []string{heapSeek, probe}},
+		{name: "gapply-outer-seek-nospool", sql: "select gapply(select p_name, ps_availqty from g, part where ps_partkey = p_partkey and ps_availqty > p_size) from partsupp where ps_suppkey < 4 group by ps_suppkey : g",
+			shape: []string{heapSeek, probe}, opts: []gapplydb.QueryOption{gapplydb.WithoutSpooling()}},
+		{name: "entity-gapply", sql: entityFLWR().SQL(xmlpub.GApply), shape: []string{heapSeek, probe}},
+		{name: "entity-sorted", sql: entityFLWR().SQL(xmlpub.SortedOuterUnion), shape: []string{heapSeek, probe}},
+	}
+}
+
+// entityFLWR is the one-supplier Q1 document the benchmark's
+// entity_serving workload requests.
+func entityFLWR() *xmlpub.FLWR {
+	q := xmlpub.Q1()
+	q.View.JoinCond += " and ps_suppkey = 3"
+	return q
+}
+
+var (
+	accessOnce sync.Once
+	accessDB   *gapplydb.Database
+)
+
+// accessPathDatabase is the TPC-H sf 0.001 database plus an indexed
+// table inserted in shuffled key order. It is private to the access-path
+// tests so the extra table never shows up in the shared fixture.
+func accessPathDatabase(t *testing.T) *gapplydb.Database {
+	t.Helper()
+	accessOnce.Do(func() {
+		db, err := gapplydb.OpenTPCH(0.001)
+		if err != nil {
+			panic(err)
+		}
+		cols := []gapplydb.Column{{Name: "k", Type: "int"}, {Name: "v", Type: "string"}, {Name: "seq", Type: "int"}}
+		if err := db.CreateTable("events", cols, nil); err != nil {
+			panic(err)
+		}
+		rng := rand.New(rand.NewSource(15))
+		var rows [][]any
+		for i := 0; i < 400; i++ {
+			var k any = rng.Intn(50)
+			if i%37 == 0 {
+				k = nil
+			}
+			rows = append(rows, []any{k, string(rune('a' + i%26)), i})
+		}
+		if err := db.Insert("events", rows...); err != nil {
+			panic(err)
+		}
+		if err := db.CreateIndex("idx_events_k", "events", "k"); err != nil {
+			panic(err)
+		}
+		db.RefreshStats()
+		accessDB = db
+	})
+	return accessDB
+}
+
+// accessEngines are the indexed configurations every case runs under.
+var accessEngines = []struct {
+	name  string
+	extra []gapplydb.QueryOption
+}{
+	{"batch", nil},
+	{"row", []gapplydb.QueryOption{gapplydb.WithRowExecution()}},
+}
+
+func TestAccessPathDifferential(t *testing.T) {
+	db := accessPathDatabase(t)
+	for _, tc := range accessPathCases() {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			e, err := db.ExplainPlan(tc.sql, tc.opts...)
+			if err != nil {
+				t.Fatalf("explain: %v\n%s", err, tc.sql)
+			}
+			for _, want := range tc.shape {
+				if !strings.Contains(e.Plan, want) {
+					t.Fatalf("indexed plan lacks %q:\n%s", want, e.Plan)
+				}
+			}
+			var indexed *gapplydb.ExecStats
+			for _, dop := range []int{1, 8} {
+				baseOpts := append([]gapplydb.QueryOption{gapplydb.WithDOP(dop), gapplydb.WithoutIndexes()}, tc.opts...)
+				base, err := db.Query(tc.sql, baseOpts...)
+				if err != nil {
+					t.Fatalf("no-index dop %d: %v\n%s", dop, err, tc.sql)
+				}
+				for _, eng := range accessEngines {
+					opts := append(append([]gapplydb.QueryOption{gapplydb.WithDOP(dop)}, tc.opts...), eng.extra...)
+					res, err := db.Query(tc.sql, opts...)
+					if err != nil {
+						t.Fatalf("%s dop %d: %v\n%s", eng.name, dop, err, tc.sql)
+					}
+					if d := firstDiff(ordered(base), ordered(res)); d != "" {
+						t.Fatalf("%s dop %d: indexed plan diverged from no-index baseline: %s", eng.name, dop, d)
+					}
+					// Index-independent work is unchanged: the same left rows
+					// probe, the same groups form, the same spool engages.
+					got, want := res.Stats, base.Stats
+					if got.JoinProbes != want.JoinProbes || got.Groups != want.Groups ||
+						got.InnerExecs != want.InnerExecs || got.SpoolBuilds != want.SpoolBuilds ||
+						got.SpoolHits != want.SpoolHits || got.ApplyExecs != want.ApplyExecs {
+						t.Fatalf("%s dop %d: work counters moved:\nindexed: %+v\nbase:    %+v", eng.name, dop, got, want)
+					}
+					if got.RowsScanned > want.RowsScanned {
+						t.Errorf("%s dop %d: indexed plan scanned more (%d) than the heap plan (%d)",
+							eng.name, dop, got.RowsScanned, want.RowsScanned)
+					}
+					// Indexed counters are engine- and degree-invariant.
+					got.PlanCacheHits, got.SerialGroupExecs, got.ParallelGroupExecs = 0, 0, 0
+					if indexed == nil {
+						indexed = &got
+					} else if got != *indexed {
+						t.Fatalf("%s dop %d: indexed counters differ across engines/degrees:\n%+v\n%+v", eng.name, dop, got, *indexed)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestAccessPathXML: the published one-supplier document is byte-
+// identical with and without indexes, in both translations, on both
+// engines at dop 1 and 8.
+func TestAccessPathXML(t *testing.T) {
+	db := accessPathDatabase(t)
+	for _, strategy := range []xmlpub.Strategy{xmlpub.GApply, xmlpub.SortedOuterUnion} {
+		var base stringsBuilder
+		if _, err := xmlpub.Publish(db, entityFLWR(), strategy, &base, gapplydb.WithoutIndexes()); err != nil {
+			t.Fatal(err)
+		}
+		want := base.String()
+		if !strings.Contains(want, "<supplier>") {
+			t.Fatalf("%s: empty document:\n%s", strategy, want)
+		}
+		for _, dop := range []int{1, 8} {
+			for _, eng := range accessEngines {
+				var got stringsBuilder
+				opts := append([]gapplydb.QueryOption{gapplydb.WithDOP(dop)}, eng.extra...)
+				if _, err := xmlpub.Publish(db, entityFLWR(), strategy, &got, opts...); err != nil {
+					t.Fatal(err)
+				}
+				if got.String() != want {
+					t.Fatalf("%s %s dop %d: indexed document differs from the no-index one", strategy, eng.name, dop)
+				}
+			}
+		}
+	}
+}
+
+// TestAccessPathExplainAnalyze: probed entries are credited to the
+// IndexScan node the probe replaced, identically at every degree, and
+// the seek's actual rows are its window.
+func TestAccessPathExplainAnalyze(t *testing.T) {
+	db := accessPathDatabase(t)
+	sql := "select gapply(select p_name, ps_availqty from g, part where ps_partkey = p_partkey and ps_availqty > p_size) from partsupp where ps_suppkey < 4 group by ps_suppkey : g"
+	var first string
+	for _, dop := range []int{1, 8} {
+		e, err := db.ExplainAnalyze(sql, gapplydb.WithDOP(dop), gapplydb.WithoutSpooling())
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := stripTimings(e.String())
+		if first == "" {
+			first = got
+		} else if got != first {
+			t.Fatalf("EXPLAIN ANALYZE differs across dop:\n--- dop 1 ---\n%s--- dop 8 ---\n%s", first, got)
+		}
+		for _, line := range strings.Split(e.Plan, "\n") {
+			if strings.Contains(line, "IndexScan part using") {
+				// 3 groups of 80 left rows, one part per key.
+				if !strings.Contains(line, "actual rows=240 loops=3") {
+					t.Errorf("probed IndexScan actuals: %s", line)
+				}
+			}
+		}
+		if e.Result.Stats.RowsScanned != 240+240 {
+			t.Errorf("RowsScanned = %d, want 240 seek rows + 240 probed entries", e.Result.Stats.RowsScanned)
+		}
+	}
+}

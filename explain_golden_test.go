@@ -75,23 +75,70 @@ func TestExplainGolden(t *testing.T) {
 				t.Errorf("baseline plan scans partsupp %d times, want the redundant joins (>= 2):\n%s", scans, e.Plan)
 			}
 
-			path := filepath.Join("testdata", "explain", tc.file+".golden")
-			if *updateGolden {
-				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-					t.Fatal(err)
-				}
-				return
-			}
-			want, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatalf("missing golden (run: go test -run TestExplainGolden -update ./): %v", err)
-			}
-			if got != string(want) {
-				t.Errorf("EXPLAIN output changed (intended? regenerate with -update):\n--- got ---\n%s--- want ---\n%s", got, want)
-			}
+			checkGolden(t, tc.file, got)
 		})
+	}
+}
+
+// TestExplainGoldenAccessPaths pins the plans of the selective requests
+// the entity_serving workload sends — the one-supplier Q1 document in
+// both translations and the point lookup — beside the Figure 8 goldens:
+// each filter on an indexed key is a heap-order seek under its Select,
+// and the join to part probes part's index run in place.
+func TestExplainGoldenAccessPaths(t *testing.T) {
+	db := integDatabase(t)
+	corpusSQL := func(name string) string {
+		b, err := os.ReadFile(filepath.Join("testdata", "corpus", "sql", name+".sql"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return strings.TrimSpace(string(b))
+	}
+	for _, tc := range []struct {
+		file, sql string
+		seeks     int // heap-order seeks in the plan
+		probes    int // merge joins probing an index run
+	}{
+		{"entity_q1_gapply", corpusSQL("entity_q1_gapply"), 1, 1},
+		{"entity_q1_sorted", corpusSQL("entity_q1_sorted"), 2, 2},
+		{"point_lookup", corpusSQL("point_lookup"), 1, 0},
+	} {
+		tc := tc
+		t.Run(tc.file, func(t *testing.T) {
+			e, err := db.ExplainPlan(tc.sql)
+			if err != nil {
+				t.Fatalf("explain: %v\n%s", err, tc.sql)
+			}
+			if n := strings.Count(e.Plan, "(heap order)"); n != tc.seeks {
+				t.Errorf("%d heap-order seeks, want %d:\n%s", n, tc.seeks, e.Plan)
+			}
+			if n := strings.Count(e.Plan, "(merge probe)"); n != tc.probes {
+				t.Errorf("%d probed merge joins, want %d:\n%s", n, tc.probes, e.Plan)
+			}
+			checkGolden(t, tc.file, e.String())
+		})
+	}
+}
+
+// checkGolden compares an EXPLAIN report with testdata/explain/<file>.golden,
+// or rewrites the golden under -update.
+func checkGolden(t *testing.T, file, got string) {
+	t.Helper()
+	path := filepath.Join("testdata", "explain", file+".golden")
+	if *updateGolden {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden (run: go test -run TestExplainGolden -update ./): %v", err)
+	}
+	if got != string(want) {
+		t.Errorf("EXPLAIN output changed (intended? regenerate with -update):\n--- got ---\n%s--- want ---\n%s", got, want)
 	}
 }

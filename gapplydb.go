@@ -161,8 +161,11 @@ func (db *Database) buildTPCHIndexes() error {
 // CreateIndex registers an ordered secondary index over the named
 // columns of a table. All index orderings are ascending with ties in
 // insertion order; the planner uses indexes to serve ORDER BY without
-// sorting, to run merge joins, and to feed sort-partitioned GApply —
-// never changing a single output byte relative to the index-free plan.
+// sorting, to run merge joins, and to feed sort-partitioned GApply, and
+// a single-column index also serves selective lookups: a filter on its
+// key reads only the matching window (in heap order), and a merge join
+// probes it in place — never changing a single output byte relative to
+// the index-free plan.
 // Creating an index invalidates cached plans implicitly (the cache key
 // carries the catalog version).
 func (db *Database) CreateIndex(name, table string, columns ...string) error {
@@ -680,7 +683,11 @@ func (db *Database) compile(query string, cfg queryConfig) (*compiled, bool, err
 		tb.EndSpan(lookup)
 		if ok {
 			tb.Annotate(lookup, trace.Attr{Key: "verdict", Value: "hit"})
-			tb.SetPlanHash(core.PlanHash(c.plan))
+			if tb != nil {
+				// Guarded: the argument would render the whole plan on every
+				// cache hit, traced or not.
+				tb.SetPlanHash(core.PlanHash(c.plan))
+			}
 			db.reg.Counter("plan_cache_hits").Inc()
 			return c, true, nil
 		}

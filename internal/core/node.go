@@ -53,7 +53,8 @@ func (s *Scan) Describe() string {
 // come out in the index's key order (ascending, ties in heap position
 // order — the stable-sort tie rule), optionally restricted to a key
 // range on the single index column. It is a physical access path placed
-// by the optimizer's order pass; the binder never produces one.
+// by the optimizer's order and access-path passes; the binder never
+// produces one.
 type IndexScan struct {
 	Table string
 	Def   *schema.TableDef
@@ -71,6 +72,37 @@ type IndexScan struct {
 	Lo, Hi         types.Value
 	HasLo, HasHi   bool
 	LoIncl, HiIncl bool
+	// HeapOrder marks a seek placed for a selective filter rather than
+	// for an ordering: the bounded window's rows come out in heap
+	// position order, so the scan emits exactly the rows, in exactly the
+	// order, of the heap Scan its enclosing Select filtered — and
+	// provides no ordering.
+	HeapOrder bool
+}
+
+// KeyBound reports whether conjunct c compares the scan's (single) key
+// column with a non-NULL literal — the shape a seek bound expresses —
+// returning the operator (column on the left) and the literal. A NULL
+// literal never qualifies: the comparison passes no row, but a NULL
+// bound would admit NULL keys, which sort first.
+func (s *IndexScan) KeyBound(c Expr) (string, types.Value, bool) {
+	cmp, ok := c.(*Cmp)
+	if !ok || len(s.Ords) != 1 {
+		return "", types.Null, false
+	}
+	col, lit, op := CmpColLit(cmp)
+	if col == nil || lit.IsNull() {
+		return "", types.Null, false
+	}
+	switch op {
+	case "=", "<", "<=", ">", ">=":
+	default:
+		return "", types.Null, false
+	}
+	if ord, err := s.Schema().Resolve(col.Table, col.Name); err != nil || ord != s.Ords[0] {
+		return "", types.Null, false
+	}
+	return op, lit, true
 }
 
 func (s *IndexScan) Schema() *schema.Schema {
@@ -104,6 +136,9 @@ func (s *IndexScan) Describe() string {
 			parts = append(parts, s.Cols[0]+" "+op+" "+s.Hi.SQLLiteral())
 		}
 		d += " [" + strings.Join(parts, " AND ") + "]"
+	}
+	if s.HeapOrder {
+		d += " (heap order)"
 	}
 	return d
 }
@@ -274,10 +309,40 @@ func (j *Join) Describe() string {
 	// Only the merge method is physically visible in the plan shape (it
 	// requires an order-providing right child); hash/NL stay unlabeled so
 	// their plan hashes are undisturbed.
-	if j.Method == JoinMerge {
+	if _, probe := j.ProbedIndex(); probe {
+		d += " (merge probe)"
+	} else if j.Method == JoinMerge {
 		d += " (merge)"
 	}
 	return d
+}
+
+// ProbedIndex returns the right input of a merge join when that input is
+// a bare, unbounded, key-order IndexScan on the join's single right
+// equi-key column. Such a join searches the index's stored run in place
+// — one seek per left row, rows read through the run's positions —
+// instead of draining the scan into a run of its own. The executor
+// decides the probe from the plan, not from the iterator it built, so
+// the path (and its counters) does not change under EXPLAIN ANALYZE's
+// instrumentation. A right side the invariant-subtree spool
+// materializes (inside a GApply's per-group query) is read from the
+// spool instead; EXPLAIN ANALYZE marks that node as spooled.
+func (j *Join) ProbedIndex() (*IndexScan, bool) {
+	if j.Method != JoinMerge {
+		return nil, false
+	}
+	is, ok := j.Right.(*IndexScan)
+	if !ok || is.HeapOrder || is.HasLo || is.HasHi || len(is.Ords) != 1 {
+		return nil, false
+	}
+	pairs := j.EquiPairs()
+	if len(pairs) != 1 {
+		return nil, false
+	}
+	if ord, err := is.Schema().Resolve(pairs[0].Right.Table, pairs[0].Right.Name); err != nil || ord != is.Ords[0] {
+		return nil, false
+	}
+	return is, true
 }
 
 // EquiPairs extracts the equality column pairs (left-side, right-side)

@@ -93,6 +93,11 @@ func RequiredOrdering(keys []OrderKey, in *schema.Schema) ([]OrderedCol, bool) {
 func ProvidedOrdering(n Node) []OrderedCol {
 	switch x := n.(type) {
 	case *IndexScan:
+		if x.HeapOrder {
+			// A heap-order seek emits its window in heap position order:
+			// the rows of Scan+Select, which claim no ordering either.
+			return nil
+		}
 		sch := x.Schema()
 		out := make([]OrderedCol, len(x.Ords))
 		for i, ord := range x.Ords {

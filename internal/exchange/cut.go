@@ -287,7 +287,8 @@ func (a *analyzer) visit(n core.Node) info {
 		// An ordered index scan preserves (P): the index orders rows by
 		// key then heap position (stable), and a stable sort of the
 		// restricted heap is the restriction of the stably sorted
-		// global heap. Range bounds are a row-wise filter on top.
+		// global heap. Range bounds are a row-wise filter on top; a
+		// heap-order seek is exactly that filter over the heap scan.
 		return a.scanInfo(x.Table, x.Schema())
 
 	case *core.Select:

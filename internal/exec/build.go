@@ -55,7 +55,7 @@ func buildNode(n core.Node, ctx *Context, env compileEnv) (Iterator, error) {
 		if err := checkIndexScan(x, ctx); err != nil {
 			return nil, err
 		}
-		return &indexScan{plan: x, ctx: ctx}, nil
+		return &indexScan{indexCursor{plan: x, ctx: ctx}}, nil
 
 	case *core.GroupScan:
 		return &groupScan{varName: x.Var, ctx: ctx}, nil

@@ -95,7 +95,7 @@ func buildBatchNode(n core.Node, ctx *Context, env compileEnv) (BatchIterator, e
 		if err := checkIndexScan(x, ctx); err != nil {
 			return nil, err
 		}
-		return &bIndexScan{plan: x, ctx: ctx}, nil
+		return &bIndexScan{indexCursor: indexCursor{plan: x, ctx: ctx}}, nil
 
 	case *core.GroupScan:
 		return &bGroupScan{varName: x.Var, ctx: ctx}, nil
@@ -299,9 +299,15 @@ func buildBatchJoin(j *core.Join, postCond core.Expr, ctx *Context, env compileE
 	if err != nil {
 		return nil, err
 	}
-	right, err := buildBatch(j.Right, ctx, env)
+	probe, err := probedRight(j, ctx)
 	if err != nil {
 		return nil, err
+	}
+	var right BatchIterator
+	if probe == nil {
+		if right, err = buildBatch(j.Right, ctx, env); err != nil {
+			return nil, err
+		}
 	}
 	outSchema := j.Schema()
 	pred, err := compilePredicate(j.Cond, outSchema, env)
@@ -343,7 +349,7 @@ func buildBatchJoin(j *core.Join, postCond core.Expr, ctx *Context, env compileE
 			pred = nil
 		}
 		return &bMergeJoin{
-			left: left, right: right, pred: pred, post: post, ctx: ctx,
+			left: left, right: right, probe: probe, pred: pred, post: post, ctx: ctx,
 			leftOrd: lo, rightOrd: ro,
 			outerJoin: j.Kind == core.LeftOuterJoin, rightArity: rightArity,
 			width: leftArity + rightArity,

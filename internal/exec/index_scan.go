@@ -2,6 +2,8 @@ package exec
 
 import (
 	"fmt"
+	"slices"
+	"time"
 
 	"gapplydb/internal/core"
 	"gapplydb/internal/storage"
@@ -9,30 +11,30 @@ import (
 )
 
 // Index-scan operators: read a base table through an ordered secondary
-// index, emitting rows in key order (ascending, equal keys in heap
-// position order — the stable-sort tie rule the planner's sort elision
-// relies on), optionally restricted to a key range resolved to a run
-// window by two binary searches.
+// index, optionally restricted to a key range resolved to a run window
+// by two binary searches. A key-order scan emits the window in key
+// order (ascending, equal keys in heap position order — the stable-sort
+// tie rule the planner's sort elision relies on); a heap-order scan (a
+// seek placed for a selective filter) emits the same rows in heap
+// position order, i.e. exactly the heap scan's rows its bounds admit.
 //
-// An index scan emits exactly the rows a heap scan plus a stable sort
+// An index scan emits exactly the rows a heap scan (plus a stable sort)
 // would, so RowsScanned counts every emitted row, as tableScan does; a
 // bounded scan counts only the rows inside the window — the rows it
 // actually produced.
 
 // openIndexRun resolves the plan's table and index and returns the
-// current sorted run with the [lo, hi) window its bounds select.
-func openIndexRun(p *core.IndexScan, ctx *Context) (*storage.Table, *storage.IndexRun, int, int, error) {
+// index's current sorted run.
+func openIndexRun(p *core.IndexScan, ctx *Context) (*storage.Table, *storage.IndexRun, error) {
 	tab, err := ctx.Catalog.Lookup(p.Table)
 	if err != nil {
-		return nil, nil, 0, 0, err
+		return nil, nil, err
 	}
 	ix, err := ctx.Catalog.LookupIndex(p.Index)
 	if err != nil {
-		return nil, nil, 0, 0, err
+		return nil, nil, err
 	}
-	run := ix.Run(tab)
-	lo, hi := indexWindow(run, p)
-	return tab, run, lo, hi, nil
+	return tab, ix.Run(tab), nil
 }
 
 // indexWindow computes the run-offset window [lo, hi) selected by the
@@ -40,15 +42,16 @@ func openIndexRun(p *core.IndexScan, ctx *Context) (*storage.Table, *storage.Ind
 // none of them, and NULL keys sort first — so the presence of any bound
 // starts the window past the NULL prefix. The planner only places
 // bounds on single-column indexes, where a probe key compares whole-key
-// (not prefix), making SeekGE/SeekGT exact brackets.
-func indexWindow(run *storage.IndexRun, p *core.IndexScan) (int, int) {
+// (not prefix), making SeekGE/SeekGT exact brackets. Each bound is
+// encoded into scratch in turn.
+func indexWindow(run *storage.IndexRun, p *core.IndexScan, scratch []byte) (int, int) {
 	lo, hi := 0, run.Len()
 	if !p.HasLo && !p.HasHi {
 		return lo, hi
 	}
-	lo = run.SeekGT(storage.EncodeIndexKey(nil, types.Null))
+	lo = run.SeekGT(storage.EncodeIndexKey(scratch[:0], types.Null))
 	if p.HasLo {
-		k := storage.EncodeIndexKey(nil, p.Lo)
+		k := storage.EncodeIndexKey(scratch[:0], p.Lo)
 		var s int
 		if p.LoIncl {
 			s = run.SeekGE(k)
@@ -60,7 +63,7 @@ func indexWindow(run *storage.IndexRun, p *core.IndexScan) (int, int) {
 		}
 	}
 	if p.HasHi {
-		k := storage.EncodeIndexKey(nil, p.Hi)
+		k := storage.EncodeIndexKey(scratch[:0], p.Hi)
 		if p.HiIncl {
 			hi = run.SeekGT(k)
 		} else {
@@ -73,24 +76,58 @@ func indexWindow(run *storage.IndexRun, p *core.IndexScan) (int, int) {
 	return lo, hi
 }
 
-// indexScan is the row engine's index scan.
-type indexScan struct {
+// indexCursor is the state both engines' index scans share: the heap
+// positions to emit, in emission order, resolved once per run snapshot.
+// The bounds are constants of the plan, so the window is a function of
+// the run alone; re-Opens against the same snapshot (a per-group query
+// re-opened once per group) only re-resolve the catalog entries.
+type indexCursor struct {
 	plan *core.IndexScan
 	ctx  *Context
 
-	table    *storage.Table
-	run      *storage.IndexRun
-	pos, end int
+	table *storage.Table
+	run   *storage.IndexRun // snapshot pos was resolved against
+	pos   []int32           // the window's positions, in emission order
+	// contig marks pos as one ascending run of adjacent heap positions,
+	// which the batch scan serves by aliasing the table's row slice.
+	contig bool
+	sorted []int32 // reused buffer for an out-of-order heap-order window
+	next   int
+	// key holds an encoded bound while the window is resolved; a numeric
+	// key fits, so resolving allocates nothing.
+	key [24]byte
 }
 
-func (s *indexScan) Open() error {
-	tab, run, lo, hi, err := openIndexRun(s.plan, s.ctx)
+func (c *indexCursor) open() error {
+	tab, run, err := openIndexRun(c.plan, c.ctx)
 	if err != nil {
 		return err
 	}
-	s.table, s.run, s.pos, s.end = tab, run, lo, hi
+	if run != c.run {
+		c.run = run
+		lo, hi := indexWindow(run, c.plan, c.key[:])
+		c.pos = run.Pos[lo:hi]
+		ascending := slices.IsSorted(c.pos)
+		if c.plan.HeapOrder && !ascending {
+			// A stable run keeps equal keys in heap order, so an
+			// equality window never lands here; a range window spanning
+			// several keys does when the heap is not clustered on them.
+			c.sorted = append(c.sorted[:0], c.pos...)
+			slices.Sort(c.sorted)
+			c.pos, ascending = c.sorted, true
+		}
+		c.contig = ascending && (len(c.pos) == 0 || int(c.pos[len(c.pos)-1]-c.pos[0]) == len(c.pos)-1)
+	}
+	c.table, c.next = tab, 0
 	return nil
 }
+
+// indexScan is the row engine's index scan.
+type indexScan struct {
+	indexCursor
+}
+
+func (s *indexScan) Open() error { return s.open() }
 
 func (s *indexScan) Next() (types.Row, bool, error) {
 	// Leaf scans are the engine's universal cancellation point, exactly
@@ -98,63 +135,57 @@ func (s *indexScan) Next() (types.Row, bool, error) {
 	if err := s.ctx.tick(); err != nil {
 		return nil, false, err
 	}
-	if s.pos >= s.end {
+	if s.next >= len(s.pos) {
 		return nil, false, nil
 	}
-	r := s.table.Rows[s.run.Pos[s.pos]]
-	s.pos++
+	r := s.table.Rows[s.pos[s.next]]
+	s.next++
 	s.ctx.Counters.RowsScanned++
 	return r, true, nil
 }
 
 func (s *indexScan) Close() error { return nil }
 
-// bIndexScan is the batch engine's index scan. Unlike bScan it cannot
-// alias a window of the table's row slice — the run permutes positions —
-// so each batch gathers up to batchSize row headers into a reused
-// container. Row values stay untouched and stable; only the container
-// is transient, per the batch ownership contract.
+// bIndexScan is the batch engine's index scan. When the window is a run
+// of adjacent heap positions (a clustered key, or any equality window
+// of one row) it aliases the table's row slice exactly as bScan does;
+// otherwise each batch gathers up to batchSize row headers into a
+// reused container. Row values stay untouched and stable; only the
+// container is transient, per the batch ownership contract.
 type bIndexScan struct {
-	plan *core.IndexScan
-	ctx  *Context
-
-	table    *storage.Table
-	run      *storage.IndexRun
-	pos, end int
-	buf      []types.Row
-	out      Batch
+	indexCursor
+	buf []types.Row
+	out Batch
 }
 
-func (s *bIndexScan) Open() error {
-	tab, run, lo, hi, err := openIndexRun(s.plan, s.ctx)
-	if err != nil {
-		return err
-	}
-	s.table, s.run, s.pos, s.end = tab, run, lo, hi
-	return nil
-}
+func (s *bIndexScan) Open() error { return s.open() }
 
 func (s *bIndexScan) NextBatch() (*Batch, error) {
-	if s.pos >= s.end {
+	if s.next >= len(s.pos) {
 		return nil, nil
 	}
-	n := s.end - s.pos
+	n := len(s.pos) - s.next
 	if n > batchSize {
 		n = batchSize
 	}
 	if err := s.ctx.tickN(n); err != nil {
 		return nil, err
 	}
-	if cap(s.buf) < n {
-		s.buf = make([]types.Row, 0, batchSize)
+	if s.contig {
+		first := int(s.pos[s.next])
+		s.out = Batch{Rows: s.table.Rows[first : first+n]}
+	} else {
+		if cap(s.buf) < n {
+			s.buf = make([]types.Row, 0, batchSize)
+		}
+		s.buf = s.buf[:n]
+		for i, p := range s.pos[s.next : s.next+n] {
+			s.buf[i] = s.table.Rows[p]
+		}
+		s.out = Batch{Rows: s.buf}
 	}
-	s.buf = s.buf[:n]
-	for i := 0; i < n; i++ {
-		s.buf[i] = s.table.Rows[s.run.Pos[s.pos+i]]
-	}
-	s.pos += n
+	s.next += n
 	s.ctx.Counters.RowsScanned += int64(n)
-	s.out = Batch{Rows: s.buf}
 	return &s.out, nil
 }
 
@@ -172,4 +203,71 @@ func checkIndexScan(p *core.IndexScan, ctx *Context) error {
 		return fmt.Errorf("exec: index %q: range bounds require a single-column index", p.Index)
 	}
 	return nil
+}
+
+// indexProbe is a merge join's right side when the plan makes it a
+// bare key-order IndexScan (core.Join.ProbedIndex): the join searches
+// the index's stored run in place — one SeekGE/SeekGT per left row,
+// rows read through the run's positions — so nothing is drained,
+// encoded or allocated per Open. Both engines use it; RowsScanned counts
+// the probed entries (each equal range once), which are the same at
+// every engine and degree, and EXPLAIN ANALYZE credits them, with one
+// loop per join Open, to the IndexScan node the probe replaced.
+type indexProbe struct {
+	plan  *core.IndexScan
+	stats *NodeStats // the IndexScan's profile cell; nil unless profiling
+}
+
+// probedRight returns the join's right side as an index probe when the
+// plan calls for one, deciding from the plan at build time — never from
+// the iterator built for the right input, which a Profile wraps — so
+// the path and its counters are identical with and without
+// instrumentation. A right side the GApply spool holds stays drained:
+// the spool already shares one materialization across groups.
+func probedRight(j *core.Join, ctx *Context) (*indexProbe, error) {
+	is, ok := j.ProbedIndex()
+	if !ok || (ctx.spools != nil && ctx.spools.holders[is] != nil) {
+		return nil, nil
+	}
+	if err := checkIndexScan(is, ctx); err != nil {
+		return nil, err
+	}
+	p := &indexProbe{plan: is}
+	if ctx.Prof != nil {
+		p.stats = ctx.Prof.node(is)
+	}
+	return p, nil
+}
+
+// open resolves the index's current run as the join's merge run.
+func (p *indexProbe) open(ctx *Context) (mergeRun, error) {
+	var start time.Time
+	if p.stats != nil {
+		start = time.Now()
+	}
+	tab, run, err := openIndexRun(p.plan, ctx)
+	if err != nil {
+		return mergeRun{}, err
+	}
+	if p.stats != nil {
+		p.stats.Opens++
+		p.stats.Time += time.Since(start)
+	}
+	return mergeRun{run: run, rows: tab.Rows}, nil
+}
+
+// seek returns the run window of entries whose key is k, counting them
+// as scanned.
+func (p *indexProbe) seek(m *mergeRun, k []byte, ctx *Context) (int, int) {
+	var start time.Time
+	if p.stats != nil {
+		start = time.Now()
+	}
+	lo, hi := m.run.EqualRange(k)
+	ctx.Counters.RowsScanned += int64(hi - lo)
+	if p.stats != nil {
+		p.stats.Rows += int64(hi - lo)
+		p.stats.Time += time.Since(start)
+	}
+	return lo, hi
 }

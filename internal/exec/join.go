@@ -10,9 +10,15 @@ func buildJoin(j *core.Join, ctx *Context, env compileEnv) (Iterator, error) {
 	if err != nil {
 		return nil, err
 	}
-	right, err := build(j.Right, ctx, env)
+	probe, err := probedRight(j, ctx)
 	if err != nil {
 		return nil, err
+	}
+	var right Iterator
+	if probe == nil {
+		if right, err = build(j.Right, ctx, env); err != nil {
+			return nil, err
+		}
 	}
 	outSchema := j.Schema()
 	pred, err := compilePredicate(j.Cond, outSchema, env)
@@ -40,7 +46,7 @@ func buildJoin(j *core.Join, ctx *Context, env compileEnv) (Iterator, error) {
 			return nil, err
 		}
 		return &mergeJoin{
-			left: left, right: right, pred: pred, ctx: ctx,
+			left: left, right: right, probe: probe, pred: pred, ctx: ctx,
 			leftOrd: lo, rightOrd: ro,
 			outerJoin: j.Kind == core.LeftOuterJoin, rightArity: rightArity,
 		}, nil

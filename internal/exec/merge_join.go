@@ -2,7 +2,7 @@ package exec
 
 import (
 	"bytes"
-	"sort"
+	"slices"
 
 	"gapplydb/internal/storage"
 	"gapplydb/internal/types"
@@ -10,8 +10,11 @@ import (
 
 // Merge join: the right input arrives in equi-key order (an IndexScan
 // placed by the optimizer's order pass), so instead of building a hash
-// table the join materializes the right rows with their order-encoded
-// keys and binary-searches the equal range for each streaming left row.
+// table the join binary-searches a key-ordered run for the equal range
+// of each streaming left row. When the right input is a bare key-order
+// IndexScan the run is the index's own stored run, probed in place
+// (indexProbe); otherwise — a Select or Project over the scan, or a
+// spooled scan — the join drains the input and builds a run over it.
 //
 // Output is byte-identical to the hash join by construction: the left
 // streams in its original order (never reordered), and within a left
@@ -21,68 +24,52 @@ import (
 // equality (cross-type numerics, -0.0, NaN), so the equal range brackets
 // exactly the rows a hash bucket would hold.
 
-// mergeRun is the materialized right side: rows in key order with their
-// encoded keys, sharing one backing buffer.
+// mergeRun is the right side a merge join searches: a sorted run of
+// encoded keys and the rows its positions index (row i of the run is
+// rows[run.Pos[i]]). A probed join points it at the index's run and the
+// table's heap; a drained join builds a run over the rows it drained.
 type mergeRun struct {
+	run  *storage.IndexRun
 	rows []types.Row
-	keys [][]byte
 }
 
-// newMergeRun encodes the key column of each row and verifies the
-// stream's ordering. The planner guarantees key order; if the check ever
-// fails (a planner bug, or an order-providing input that lied), the run
-// re-establishes it with a stable sort — identical tie order — rather
-// than emit misjoined output.
-func newMergeRun(rows []types.Row, ord int) *mergeRun {
+// newMergeRun encodes the key column of each drained row and verifies
+// the stream's ordering. The planner guarantees key order; if the check
+// ever fails (a planner bug, or an order-providing input that lied), the
+// run re-establishes it with a stable sort of the positions — identical
+// tie order — rather than emit misjoined output.
+func newMergeRun(rows []types.Row, ord int) mergeRun {
 	keys := make([][]byte, len(rows))
+	pos := make([]int32, len(rows))
 	buf := make([]byte, 0, len(rows)*16)
 	for i, r := range rows {
 		start := len(buf)
 		buf = r[ord].AppendOrderKey(buf)
 		keys[i] = buf[start:len(buf):len(buf)]
+		pos[i] = int32(i)
 	}
-	sorted := true
-	for i := 1; i < len(keys); i++ {
-		if bytes.Compare(keys[i-1], keys[i]) > 0 {
-			sorted = false
-			break
+	if !slices.IsSortedFunc(keys, bytes.Compare) {
+		heapKeys := keys
+		slices.SortStableFunc(pos, func(a, b int32) int { return bytes.Compare(heapKeys[a], heapKeys[b]) })
+		keys = make([][]byte, len(rows))
+		for i, p := range pos {
+			keys[i] = heapKeys[p]
 		}
 	}
-	if !sorted {
-		idx := make([]int, len(rows))
-		for i := range idx {
-			idx[i] = i
-		}
-		sort.SliceStable(idx, func(a, b int) bool {
-			return bytes.Compare(keys[idx[a]], keys[idx[b]]) < 0
-		})
-		srows := make([]types.Row, len(rows))
-		skeys := make([][]byte, len(rows))
-		for i, p := range idx {
-			srows[i], skeys[i] = rows[p], keys[p]
-		}
-		rows, keys = srows, skeys
-	}
-	return &mergeRun{rows: rows, keys: keys}
+	return mergeRun{run: &storage.IndexRun{Keys: keys, Pos: pos}, rows: rows}
 }
 
-// equalRange returns the window [lo, hi) of entries whose key equals k.
-func (m *mergeRun) equalRange(k []byte) (int, int) {
-	lo := sort.Search(len(m.keys), func(i int) bool { return bytes.Compare(m.keys[i], k) >= 0 })
-	hi := lo
-	for hi < len(m.keys) && bytes.Equal(m.keys[hi], k) {
-		hi++
-	}
-	return lo, hi
-}
+// row returns the run's i-th row.
+func (m *mergeRun) row(i int) types.Row { return m.rows[m.run.Pos[i]] }
 
 // mergeJoin is the row engine's merge join. It mirrors hashJoin's
 // Open/Next/Close structure, counters (JoinProbes once per left row),
 // NULL-key probe skip, residual predicate over the concatenated row,
 // left-outer padding, and the spool-fed rebuild skip via
-// contentVersioned.
+// contentVersioned. right is nil when probe is set.
 type mergeJoin struct {
 	left, right Iterator
+	probe       *indexProbe
 	pred        func(types.Row, *Context) (bool, error)
 	ctx         *Context
 	leftOrd     int
@@ -90,7 +77,7 @@ type mergeJoin struct {
 	outerJoin   bool
 	rightArity  int
 
-	run     *mergeRun
+	run     mergeRun
 	runGen  uint64
 	hasGen  bool
 	keyBuf  []byte
@@ -101,22 +88,26 @@ type mergeJoin struct {
 }
 
 func (m *mergeJoin) Open() error {
+	if m.probe != nil {
+		run, err := m.probe.open(m.ctx)
+		if err != nil {
+			return err
+		}
+		m.run = run
+	} else if err := m.drainRight(); err != nil {
+		return err
+	}
+	m.cur, m.bpos, m.bend = nil, 0, 0
+	return m.left.Open()
+}
+
+// drainRight materializes the right input as a merge run, skipping the
+// rebuild when a spool reports the content the run was built from.
+func (m *mergeJoin) drainRight() error {
 	if err := m.right.Open(); err != nil {
 		return err
 	}
-	rebuild := true
-	if cv, ok := m.right.(contentVersioned); ok {
-		if gen, stable := cv.contentGen(); stable {
-			if m.hasGen && m.run != nil && gen == m.runGen {
-				rebuild = false
-			} else {
-				m.runGen, m.hasGen = gen, true
-			}
-		} else {
-			m.hasGen = false
-		}
-	}
-	if rebuild {
+	if !reuseRun(m.right, m.run.run != nil, &m.runGen, &m.hasGen) {
 		var rows []types.Row
 		for {
 			if err := m.ctx.tick(); err != nil {
@@ -133,11 +124,37 @@ func (m *mergeJoin) Open() error {
 		}
 		m.run = newMergeRun(rows, m.rightOrd)
 	}
-	if err := m.right.Close(); err != nil {
-		return err
+	return m.right.Close()
+}
+
+// reuseRun reports whether a join's materialized right side is still
+// current: the right input is a stable materialization (a spool) whose
+// content generation matches the one the run was built from. It
+// records the generation for the rebuild that follows a false result.
+func reuseRun(right any, built bool, gen *uint64, hasGen *bool) bool {
+	cv, ok := right.(contentVersioned)
+	if !ok {
+		return false
 	}
-	m.cur, m.bpos, m.bend = nil, 0, 0
-	return m.left.Open()
+	g, stable := cv.contentGen()
+	if !stable {
+		*hasGen = false
+		return false
+	}
+	if *hasGen && built && g == *gen {
+		return true
+	}
+	*gen, *hasGen = g, true
+	return false
+}
+
+// equalRange brackets the run entries whose key is k — a left row's
+// encoded join key — counting them as scanned when probing.
+func equalRange(probe *indexProbe, run *mergeRun, k []byte, ctx *Context) (int, int) {
+	if probe != nil {
+		return probe.seek(run, k, ctx)
+	}
+	return run.run.EqualRange(k)
 }
 
 func (m *mergeJoin) Next() (types.Row, bool, error) {
@@ -155,12 +172,12 @@ func (m *mergeJoin) Next() (types.Row, bool, error) {
 				m.bpos, m.bend = 0, 0
 			} else {
 				m.keyBuf = storage.EncodeIndexKey(m.keyBuf[:0], r[m.leftOrd])
-				m.bpos, m.bend = m.run.equalRange(m.keyBuf)
+				m.bpos, m.bend = equalRange(m.probe, &m.run, m.keyBuf, m.ctx)
 			}
 			m.matched = false
 		}
 		for m.bpos < m.bend {
-			rr := m.run.rows[m.bpos]
+			rr := m.run.row(m.bpos)
 			m.bpos++
 			out := m.cur.Concat(rr)
 			pass, err := m.pred(out, m.ctx)
@@ -183,7 +200,7 @@ func (m *mergeJoin) Next() (types.Row, bool, error) {
 
 func (m *mergeJoin) Close() error {
 	if !m.hasGen {
-		m.run = nil
+		m.run = mergeRun{}
 	}
 	return m.left.Close()
 }
@@ -192,9 +209,11 @@ func (m *mergeJoin) Close() error {
 // cursor structure, reused probe row, fused post-filter, residual-free
 // fast path (pred == nil when the equi-key covers the whole condition),
 // and output slab discipline — with the hash table replaced by the
-// key-ordered run and bucket lookups by binary search.
+// key-ordered run and bucket lookups by binary search. right is nil
+// when probe is set.
 type bMergeJoin struct {
 	left, right BatchIterator
+	probe       *indexProbe
 	pred        func(types.Row, *Context) (bool, error)
 	post        func(types.Row, *Context) (bool, error)
 	ctx         *Context
@@ -204,7 +223,7 @@ type bMergeJoin struct {
 	rightArity  int
 	width       int
 
-	run    *mergeRun
+	run    mergeRun
 	runGen uint64
 	hasGen bool
 	keyBuf []byte
@@ -212,8 +231,8 @@ type bMergeJoin struct {
 	lb       *Batch
 	li       int
 	cur      types.Row
-	bucket   []types.Row
-	bpos     int
+	bpos     int // current left row's equal range of run offsets
+	bend     int
 	matched  bool
 	nulls    types.Row
 	probeRow types.Row
@@ -223,22 +242,33 @@ type bMergeJoin struct {
 }
 
 func (m *bMergeJoin) Open() error {
+	if m.probe != nil {
+		run, err := m.probe.open(m.ctx)
+		if err != nil {
+			return err
+		}
+		m.run = run
+	} else if err := m.drainRight(); err != nil {
+		return err
+	}
+	m.lb, m.li = nil, 0
+	m.cur, m.bpos, m.bend = nil, 0, 0
+	if m.nulls == nil {
+		m.nulls = make(types.Row, m.rightArity)
+	}
+	if (m.pred != nil || m.post != nil) && m.probeRow == nil {
+		m.probeRow = make(types.Row, m.width)
+	}
+	m.outBuf.width = m.width
+	return m.left.Open()
+}
+
+// drainRight is mergeJoin.drainRight over batches.
+func (m *bMergeJoin) drainRight() error {
 	if err := m.right.Open(); err != nil {
 		return err
 	}
-	rebuild := true
-	if cv, ok := m.right.(contentVersioned); ok {
-		if gen, stable := cv.contentGen(); stable {
-			if m.hasGen && m.run != nil && gen == m.runGen {
-				rebuild = false
-			} else {
-				m.runGen, m.hasGen = gen, true
-			}
-		} else {
-			m.hasGen = false
-		}
-	}
-	if rebuild {
+	if !reuseRun(m.right, m.run.run != nil, &m.runGen, &m.hasGen) {
 		var rows []types.Row
 		for {
 			b, err := m.right.NextBatch()
@@ -255,19 +285,7 @@ func (m *bMergeJoin) Open() error {
 		}
 		m.run = newMergeRun(rows, m.rightOrd)
 	}
-	if err := m.right.Close(); err != nil {
-		return err
-	}
-	m.lb, m.li = nil, 0
-	m.cur, m.bucket, m.bpos = nil, nil, 0
-	if m.nulls == nil {
-		m.nulls = make(types.Row, m.rightArity)
-	}
-	if (m.pred != nil || m.post != nil) && m.probeRow == nil {
-		m.probeRow = make(types.Row, m.width)
-	}
-	m.outBuf.width = m.width
-	return m.left.Open()
+	return m.right.Close()
 }
 
 func (m *bMergeJoin) advanceLeft() (bool, error) {
@@ -289,13 +307,12 @@ func (m *bMergeJoin) advanceLeft() (bool, error) {
 		copy(m.probeRow, r)
 	}
 	if r[m.leftOrd].IsNull() {
-		m.bucket = nil
+		m.bpos, m.bend = 0, 0
 	} else {
 		m.keyBuf = storage.EncodeIndexKey(m.keyBuf[:0], r[m.leftOrd])
-		lo, hi := m.run.equalRange(m.keyBuf)
-		m.bucket = m.run.rows[lo:hi]
+		m.bpos, m.bend = equalRange(m.probe, &m.run, m.keyBuf, m.ctx)
 	}
-	m.bpos, m.matched = 0, false
+	m.matched = false
 	return true, nil
 }
 
@@ -313,20 +330,20 @@ func (m *bMergeJoin) NextBatch() (*Batch, error) {
 		}
 		if m.pred == nil && m.post == nil {
 			// Residual-free: every row in the equal range is a match.
-			n := len(m.bucket) - m.bpos
+			n := m.bend - m.bpos
 			if room := batchSize - len(m.outBuf.rows); n > room {
 				n = room
 			}
 			for i := 0; i < n; i++ {
-				m.outBuf.add(m.cur, m.bucket[m.bpos+i])
+				m.outBuf.add(m.cur, m.run.row(m.bpos+i))
 			}
 			m.bpos += n
 			if n > 0 {
 				m.matched = true
 			}
 		} else {
-			for m.bpos < len(m.bucket) && len(m.outBuf.rows) < batchSize {
-				rr := m.bucket[m.bpos]
+			for m.bpos < m.bend && len(m.outBuf.rows) < batchSize {
+				rr := m.run.row(m.bpos)
 				m.bpos++
 				copy(m.probeRow[len(m.cur):], rr)
 				if m.pred != nil {
@@ -351,7 +368,7 @@ func (m *bMergeJoin) NextBatch() (*Batch, error) {
 				m.outBuf.add(m.cur, rr)
 			}
 		}
-		if m.bpos >= len(m.bucket) {
+		if m.bpos >= m.bend {
 			if m.outerJoin && !m.matched {
 				if m.post != nil {
 					copy(m.probeRow, m.cur)
@@ -379,7 +396,7 @@ func (m *bMergeJoin) NextBatch() (*Batch, error) {
 
 func (m *bMergeJoin) Close() error {
 	if !m.hasGen {
-		m.run = nil
+		m.run = mergeRun{}
 	}
 	m.lb = nil
 	return m.left.Close()

@@ -37,8 +37,9 @@ type Options struct {
 	// SkipOptimization returns the bound plan untouched except for
 	// physical hints — the "no optimizer" baseline.
 	SkipOptimization bool
-	// DisableIndexes turns the order-placement pass off: no IndexScans,
-	// no sort elision, no merge joins, no ordered GApply outers. The
+	// DisableIndexes turns the order-placement and access-path passes
+	// off: no IndexScans, no sort elision, no merge joins, no ordered
+	// GApply outers, no seeks. The
 	// differential harness compares against this baseline; outputs must
 	// be byte-identical either way.
 	DisableIndexes bool
@@ -159,7 +160,7 @@ func (o *Optimizer) OptimizeTraced(plan core.Node, opts Options) (core.Node, []R
 
 // physical assigns physical strategies: the GApply partitioning (hash vs
 // sort, §3's two Partition-phase implementations) and join methods, then
-// the order-placement pass. The ordering between the two halves is a
+// the order-placement and access-path passes. The ordering between the two halves is a
 // correctness property, not a convenience: partitioning and join-method
 // decisions are made over index-free plans, so enabling indexes can
 // never flip hash↔sort or change which rows flow where — it only swaps
@@ -204,6 +205,7 @@ func (o *Optimizer) physical(plan core.Node, opts Options) core.Node {
 	})
 	if !opts.DisableIndexes {
 		plan = o.placeOrder(plan)
+		plan = o.placeSeeks(plan)
 	}
 	return plan
 }
@@ -285,6 +287,37 @@ func (o *Optimizer) placeOrder(plan core.Node) core.Node {
 		default:
 			return n
 		}
+	})
+}
+
+// placeSeeks is the access-path pass for selective filters, run after
+// placeOrder so order-serving index scans are placed first: a Select
+// directly over a heap Scan whose condition bounds a single-column
+// indexed key becomes the same Select over a bounded heap-order
+// IndexScan, when the cost model prefers reading the window to reading
+// the table. The heap-order scan emits exactly the Scan's rows the
+// bounds admit, in heap order, and the Select stays on top with every
+// conjunct — so the output is the Scan+Select output byte for byte, and
+// the node provides no ordering any consumer placed above could rely on.
+// Among several indexed keys the cheapest seek wins.
+func (o *Optimizer) placeSeeks(plan core.Node) core.Node {
+	return core.Transform(plan, func(n core.Node) core.Node {
+		sel, ok := n.(*core.Select)
+		if !ok {
+			return n
+		}
+		scan, ok := sel.Input.(*core.Scan)
+		if !ok {
+			return n
+		}
+		best, bestCost := n, o.est.Estimate(n).Cost
+		for _, seek := range rules.HeapOrderSeeks(scan, sel.Cond, o.cat) {
+			cand := &core.Select{Input: seek, Cond: sel.Cond}
+			if c := o.est.Estimate(cand).Cost; c < bestCost {
+				best, bestCost = cand, c
+			}
+		}
+		return best
 	})
 }
 

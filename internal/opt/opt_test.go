@@ -311,3 +311,54 @@ func TestOptimizeTraced(t *testing.T) {
 		t.Errorf("traced plan differs:\n%s\nvs\n%s", got, want)
 	}
 }
+
+// TestPlaceSeeks: a selective filter over an indexed key takes a
+// heap-order seek — the Select stays on top, the rows and their order
+// are the heap plan's — while an unselective one keeps the heap scan,
+// and DisableIndexes places no seek at all.
+func TestPlaceSeeks(t *testing.T) {
+	cat, o := setup(t)
+	for _, c := range []string{"ps_suppkey", "ps_partkey"} {
+		if _, err := cat.CreateIndex("ix_"+c, "partsupp", c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tc := range []struct {
+		sql  string
+		seek string // index the seek must use; "" = none
+	}{
+		{"select ps_partkey, ps_availqty from partsupp where ps_suppkey = 3", "ix_ps_suppkey"},
+		{"select ps_partkey, ps_availqty from partsupp where ps_suppkey >= 2 and ps_suppkey < 4 and ps_partkey > 10", "ix_ps_suppkey"},
+		// Both keys bounded: the narrower window wins.
+		{"select ps_partkey from partsupp where ps_suppkey < 19 and ps_partkey = 7", "ix_ps_partkey"},
+		{"select ps_partkey from partsupp where ps_suppkey >= 1", ""},
+		{"select ps_partkey from partsupp where ps_availqty = 3", ""},
+	} {
+		bound := bindQ(t, cat, tc.sql)
+		base := o.Optimize(bound, Options{DisableIndexes: true})
+		if n := core.CountOps(base, func(n core.Node) bool { _, ok := n.(*core.IndexScan); return ok }); n != 0 {
+			t.Fatalf("%s: DisableIndexes placed %d index scans", tc.sql, n)
+		}
+		plan := o.Optimize(bound, Options{})
+		seek := ""
+		core.Walk(plan, func(n core.Node) {
+			if is, ok := n.(*core.IndexScan); ok && is.HeapOrder {
+				seek = is.Index
+			}
+		})
+		if seek != tc.seek {
+			t.Errorf("%s: seek on %q, want %q:\n%s", tc.sql, seek, tc.seek, core.Format(plan))
+		}
+		// Output identical, in order: the heap-order seek emits the heap
+		// plan's rows in heap order.
+		want, have := runP(t, cat, base), runP(t, cat, plan)
+		if len(want) != len(have) {
+			t.Fatalf("%s: %d rows vs %d", tc.sql, len(have), len(want))
+		}
+		for i := range want {
+			if want[i].KeyAll() != have[i].KeyAll() {
+				t.Fatalf("%s: row %d differs: %v vs %v", tc.sql, i, have[i], want[i])
+			}
+		}
+	}
+}

@@ -1,10 +1,12 @@
 package rules
 
 import (
+	"bytes"
 	"strings"
 
 	"gapplydb/internal/core"
 	"gapplydb/internal/storage"
+	"gapplydb/internal/types"
 )
 
 // Order placement substrate: given an ordering some consumer is
@@ -124,53 +126,71 @@ func projectProvideOrdering(p *core.Project, want []core.OrderedCol, cat *storag
 	return &core.Project{Input: in, Exprs: p.Exprs, Names: p.Names, Qualifier: p.Qualifier}, true
 }
 
-// pushKeyBounds copies col-vs-literal range conjuncts of cond that
-// constrain the index's leading key column onto the scan as seek bounds.
-// The conjuncts themselves are NOT removed from the enclosing Select —
-// the bounds are deliberately redundant, so the scan may only skip rows
-// the filter was guaranteed to drop. NULL literals are skipped: a SQL
-// comparison with NULL passes no row, but a NULL *bound* would admit
-// NULL keys (they sort first).
+// pushKeyBounds copies the col-vs-literal conjuncts of cond that
+// constrain the index's key column onto the scan as seek bounds. The
+// conjuncts themselves are NOT removed from the enclosing Select — the
+// bounds are deliberately redundant, so the scan may only skip rows the
+// filter was guaranteed to drop. Each side keeps its tightest bound,
+// compared in the order-key encoding the run is sorted by (an equality
+// bounds both sides; at equal keys an exclusive bound is the tighter),
+// so the window is the intersection of every such conjunct — which is
+// what lets the cost model treat all of them as applied by the seek.
 func pushKeyBounds(is *core.IndexScan, cond core.Expr) *core.IndexScan {
 	cp := *is
-	// Bounds only make sense on a single-column index: with a composite
-	// key the encoded leading-column bound is a prefix, and the seek
-	// primitives (SeekGE/SeekGT on full keys) would mis-handle inclusive
-	// upper bounds against longer keys sharing the prefix.
-	if len(is.Ords) != 1 {
-		return &cp
-	}
-	sch := is.Schema()
+	// Bounds only make sense on a single-column index (KeyBound refuses
+	// others): with a composite key the encoded leading-column bound is a
+	// prefix, and the seek primitives (SeekGE/SeekGT on full keys) would
+	// mis-handle inclusive upper bounds against longer keys sharing it.
 	for _, c := range core.ConjunctsOf(cond) {
-		cmp, ok := c.(*core.Cmp)
+		op, lit, ok := is.KeyBound(c)
 		if !ok {
 			continue
 		}
-		col, lit, op := core.CmpColLit(cmp)
-		if col == nil || lit.IsNull() {
-			continue
+		if op == "=" || op == ">" || op == ">=" {
+			incl := op != ">"
+			if !cp.HasLo || tighter(lit, incl, cp.Lo, cp.LoIncl, 1) {
+				cp.Lo, cp.HasLo, cp.LoIncl = lit, true, incl
+			}
 		}
-		ord, err := sch.Resolve(col.Table, col.Name)
-		if err != nil || ord != is.Ords[0] {
-			continue
-		}
-		switch op {
-		case "=":
-			if !cp.HasLo {
-				cp.Lo, cp.HasLo, cp.LoIncl = lit, true, true
-			}
-			if !cp.HasHi {
-				cp.Hi, cp.HasHi, cp.HiIncl = lit, true, true
-			}
-		case ">", ">=":
-			if !cp.HasLo {
-				cp.Lo, cp.HasLo, cp.LoIncl = lit, true, op == ">="
-			}
-		case "<", "<=":
-			if !cp.HasHi {
-				cp.Hi, cp.HasHi, cp.HiIncl = lit, true, op == "<="
+		if op == "=" || op == "<" || op == "<=" {
+			incl := op != "<"
+			if !cp.HasHi || tighter(lit, incl, cp.Hi, cp.HiIncl, -1) {
+				cp.Hi, cp.HasHi, cp.HiIncl = lit, true, incl
 			}
 		}
 	}
 	return &cp
+}
+
+// tighter reports whether bound (v, incl) narrows the window more than
+// the current bound (cur, curIncl) on the side given by dir: +1 for a
+// lower bound (larger is tighter), -1 for an upper bound (smaller is).
+func tighter(v types.Value, incl bool, cur types.Value, curIncl bool, dir int) bool {
+	c := bytes.Compare(v.AppendOrderKey(nil), cur.AppendOrderKey(nil))
+	return c*dir > 0 || c == 0 && !incl && curIncl
+}
+
+// HeapOrderSeeks returns the bounded heap-order index scans that could
+// replace the heap scan s under a Select with condition cond: one per
+// single-column index of the table whose key column cond bounds, in
+// index-name order. Each emits exactly the rows and order of the Scan
+// its Select filters — a superset of the Select's output, in heap
+// order — so swapping one in never changes a byte; whether it pays is
+// the optimizer's cost decision.
+func HeapOrderSeeks(s *core.Scan, cond core.Expr, cat *storage.Catalog) []*core.IndexScan {
+	var out []*core.IndexScan
+	for _, ix := range cat.Indexes() {
+		if !strings.EqualFold(ix.Table, s.Table) || len(ix.Cols) != 1 {
+			continue
+		}
+		is := pushKeyBounds(&core.IndexScan{
+			Table: s.Table, Def: s.Def, Alias: s.Alias,
+			Index: ix.Name, Cols: append([]string(nil), ix.Cols...), Ords: ix.Ords(),
+			HeapOrder: true,
+		}, cond)
+		if is.HasLo || is.HasHi {
+			out = append(out, is)
+		}
+	}
+	return out
 }

@@ -112,32 +112,11 @@ func (s *Stats) ColumnDistinct(table, column string, fallbackRows float64) float
 // unknown (the classic Selinger default).
 func (s *Stats) RangeSelectivity(table, column, op string, lit types.Value) float64 {
 	const def = 1.0 / 3
-	find := func(ts TableStats) (ColumnStats, bool) {
-		cs, ok := ts.Columns[strings.ToLower(column)]
-		return cs, ok
-	}
-	var cs ColumnStats
-	found := false
-	if table != "" {
-		if ts, ok := s.Tables[strings.ToLower(table)]; ok {
-			cs, found = find(ts)
-		}
-	}
-	if !found {
-		for _, ts := range s.Tables {
-			if c, ok := find(ts); ok {
-				cs, found = c, true
-				break
-			}
-		}
-	}
-	if !found || cs.Min.IsNull() || cs.Max.IsNull() || lit.IsNull() {
+	cs, ok := s.interpolable(table, column)
+	if !ok || lit.IsNull() {
 		return def
 	}
 	lo, hi, v := cs.Min.Float(), cs.Max.Float(), lit.Float()
-	if hi <= lo {
-		return def
-	}
 	frac := (v - lo) / (hi - lo)
 	if frac < 0 {
 		frac = 0
@@ -153,6 +132,24 @@ func (s *Stats) RangeSelectivity(table, column, op string, lit types.Value) floa
 	default:
 		return def
 	}
+}
+
+// interpolable returns table.column's statistics when they carry a
+// non-empty min/max range for RangeSelectivity to interpolate over. An unknown table
+// (derived columns) falls back to any table with the column.
+func (s *Stats) interpolable(table, column string) (ColumnStats, bool) {
+	column = strings.ToLower(column)
+	cs, found := s.Tables[strings.ToLower(table)].Columns[column]
+	if table == "" || !found {
+		found = false
+		for _, ts := range s.Tables {
+			if c, ok := ts.Columns[column]; ok {
+				cs, found = c, true
+				break
+			}
+		}
+	}
+	return cs, found && !cs.Min.IsNull() && !cs.Max.IsNull() && cs.Max.Float() > cs.Min.Float()
 }
 
 func clampSel(x float64) float64 {

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"math"
 	"testing"
 
 	"gapplydb/internal/core"
@@ -209,5 +210,62 @@ func TestEstimateSelectivityCombinators(t *testing.T) {
 	}
 	if not <= 0.5 {
 		t.Errorf("NOT of selective pred = %v", not)
+	}
+}
+
+// TestIndexWindowQError pins the bounded-IndexScan cardinality: an
+// equality window is one key (1/ndv), a range window the interpolated
+// distance between its bounds, and a Select over the window does not
+// re-apply the conjuncts the bounds came from. Before, [17, 17] on
+// ps_suppkey was estimated as the product of two one-sided
+// selectivities (1 084 of 8 000 rows where 80 qualify) and the Select
+// above it applied the same conjuncts again (1.6 rows).
+func TestIndexWindowQError(t *testing.T) {
+	cat := storage.NewCatalog()
+	if err := tpch.Load(cat, 0.01); err != nil {
+		t.Fatal(err)
+	}
+	est := NewEstimator(Collect(cat))
+	ps := scanOf(t, cat, "partsupp")
+	ord, err := ps.Def.Schema.Resolve("partsupp", "ps_suppkey")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tab, _ := cat.Lookup("partsupp")
+	actual := func(lo, hi int64, hiIncl bool) float64 {
+		n := 0
+		for _, r := range tab.Rows {
+			k := r[ord].Int()
+			if k >= lo && (k < hi || hiIncl && k == hi) {
+				n++
+			}
+		}
+		return float64(n)
+	}
+	cmp := func(op string, v int64) core.Expr {
+		return &core.Cmp{Op: op, L: core.Col("ps_suppkey"), R: core.LitInt(v)}
+	}
+	for _, tc := range []struct {
+		name   string
+		lo, hi int64
+		hiIncl bool
+		cond   core.Expr
+	}{
+		{"equality", 17, 17, true, cmp("=", 17)},
+		{"two-sided", 17, 41, false, core.AndAll([]core.Expr{cmp(">=", 17), cmp("<", 41)})},
+		{"narrow", 60, 62, true, core.AndAll([]core.Expr{cmp(">=", 60), cmp("<=", 62)})},
+	} {
+		is := &core.IndexScan{
+			Table: "partsupp", Def: ps.Def, Index: "idx", Cols: []string{"ps_suppkey"}, Ords: []int{ord},
+			Lo: types.NewInt(tc.lo), HasLo: true, LoIncl: true,
+			Hi: types.NewInt(tc.hi), HasHi: true, HiIncl: tc.hiIncl,
+		}
+		want := actual(tc.lo, tc.hi, tc.hiIncl)
+		for _, n := range []core.Node{is, &core.Select{Input: is, Cond: tc.cond}} {
+			got := est.Estimate(n).Rows
+			if q := math.Max(got/want, want/got); q > 2 {
+				t.Errorf("%s %s: estimated %.0f rows, actual %.0f (q-error %.1f)", tc.name, core.Summary(n), got, want, q)
+			}
+		}
 	}
 }

@@ -37,7 +37,9 @@ type Index struct {
 
 // IndexRun is an immutable snapshot of a sorted run: Keys[i] is the
 // encoded key of the row at heap position Pos[i], and Keys is
-// non-decreasing. Safe for concurrent readers.
+// non-decreasing. Safe for concurrent readers. Besides an ordered scan
+// it is an access path in its own right: a bounded window of it serves
+// a selective filter, and a merge join probes it in place.
 type IndexRun struct {
 	Keys [][]byte
 	Pos  []int32
@@ -54,6 +56,24 @@ func (r *IndexRun) SeekGE(k []byte) int {
 // SeekGT returns the first run offset whose key is > k (Len if none).
 func (r *IndexRun) SeekGT(k []byte) int {
 	return sort.Search(len(r.Keys), func(i int) bool { return bytes.Compare(r.Keys[i], k) > 0 })
+}
+
+// EqualRange returns the run window [lo, hi) of entries whose key is k:
+// SeekGE for its start, then a short forward scan — most ranges are a
+// few entries (one, on a key column) — falling back to a search for the
+// first greater key over the rest of the run when the range is long.
+func (r *IndexRun) EqualRange(k []byte) (int, int) {
+	const scan = 8
+	lo := r.SeekGE(k)
+	hi := lo
+	for hi < len(r.Keys) && hi-lo < scan && bytes.Equal(r.Keys[hi], k) {
+		hi++
+	}
+	if hi-lo < scan {
+		return lo, hi
+	}
+	rest := r.Keys[hi:]
+	return lo, hi + sort.Search(len(rest), func(i int) bool { return bytes.Compare(rest[i], k) > 0 })
 }
 
 // Ords returns the key columns' ordinals in the table schema.

@@ -20,16 +20,33 @@ func TestInstrumentationNeutral(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential battery skipped in -short mode")
 	}
-	db := integDatabase(t)
+	type stmt struct {
+		db   *gapplydb.Database
+		name string
+		sql  string
+		opts []gapplydb.QueryOption
+	}
+	var stmts []stmt
 	for _, sq := range experiments.SuiteQueries() {
+		stmts = append(stmts, stmt{integDatabase(t), sq.Name, sq.SQL, nil})
+	}
+	// The access-path shapes: heap-order seeks and probed merge joins,
+	// whose probe path is decided from the plan so a Profile cannot
+	// change it (or RowsScanned).
+	for _, c := range accessPathCases() {
+		stmts = append(stmts, stmt{accessPathDatabase(t), "access/" + c.name, c.sql, c.opts})
+	}
+	for _, sq := range stmts {
 		sq := sq
-		t.Run(sq.Name, func(t *testing.T) {
+		db := sq.db
+		t.Run(sq.name, func(t *testing.T) {
 			for _, dop := range []int{1, 8} {
-				plain, err := db.Query(sq.SQL, gapplydb.WithDOP(dop))
+				opts := append([]gapplydb.QueryOption{gapplydb.WithDOP(dop)}, sq.opts...)
+				plain, err := db.Query(sq.sql, opts...)
 				if err != nil {
 					t.Fatalf("dop %d: %v", dop, err)
 				}
-				inst, err := db.Query(sq.SQL, gapplydb.WithDOP(dop), gapplydb.WithInstrumentation())
+				inst, err := db.Query(sq.sql, append(opts, gapplydb.WithInstrumentation())...)
 				if err != nil {
 					t.Fatalf("dop %d instrumented: %v", dop, err)
 				}
