@@ -10,24 +10,32 @@ import (
 // stay defined in exactly one place.
 
 // bHashGroupBy materializes groups in first-seen order and emits one
-// row per group, in batches.
+// row per group, in batches. Each row's key is encoded into a reused
+// scratch buffer and looked up without allocating; only a group's first
+// row allocates (its key string, key row and accumulators).
 type bHashGroupBy struct {
 	input BatchIterator
 	ords  []int
 	aggs  []compiledAgg
 	ctx   *Context
 
-	keys   []types.Row
-	states [][]*accum
-	pos    int
-	out    Batch
+	index   map[string]int
+	scratch []byte
+	keys    []types.Row
+	states  [][]*accum
+	pos     int
+	out     Batch
 }
 
 func (h *bHashGroupBy) Open() error {
 	if err := h.input.Open(); err != nil {
 		return err
 	}
-	index := make(map[string]int)
+	if h.index == nil {
+		h.index = make(map[string]int)
+	} else {
+		clear(h.index)
+	}
 	h.keys, h.states = nil, nil
 	for {
 		b, err := h.input.NextBatch()
@@ -43,15 +51,15 @@ func (h *bHashGroupBy) Open() error {
 		}
 		for i := 0; i < n; i++ {
 			r := b.Row(i)
-			k := r.Key(h.ords)
-			idx, exists := index[k]
+			h.scratch = r.AppendKey(h.scratch[:0], h.ords)
+			idx, exists := h.index[string(h.scratch)]
 			if !exists {
 				st, err := newStates(h.aggs)
 				if err != nil {
 					return err
 				}
 				idx = len(h.keys)
-				index[k] = idx
+				h.index[string(h.scratch)] = idx
 				h.keys = append(h.keys, r.Project(h.ords))
 				h.states = append(h.states, st)
 			}

@@ -39,7 +39,6 @@ func (a *bApply) Open() error {
 	if a.nulls == nil {
 		a.nulls = make(types.Row, a.innerArity)
 	}
-	a.outBuf.width = a.width
 	return a.outer.Open()
 }
 

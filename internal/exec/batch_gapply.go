@@ -70,7 +70,6 @@ func (g *bgapply) Open() error {
 	g.gpos = 0
 	g.started = false
 	g.win.reset(nil)
-	g.outBuf.width = len(g.ords) + g.innerArity
 	if dop := g.degree(); dop > 1 {
 		g.par = g.startWorkers(dop)
 	}

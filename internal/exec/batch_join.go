@@ -10,46 +10,68 @@ import (
 // reaches a cancellation point once per output batch, matching the row
 // engine's per-output-row polling to within one batch.
 
-// joinOut assembles concatenated output rows into shared slabs. Every
-// emitted row is a three-index slice of the slab (slab[start:end:end]),
-// so the slab's unused tail is never aliased — which lets one slab
-// serve many batches: reset only rewinds the rows container, and a
-// fresh slab is allocated (geometrically, capped at one full batch's
-// worth) only when the current one fills. Tiny outputs — the per-group
-// inners GApply re-opens thousands of times — therefore cost a few
-// small allocations total instead of a 256-row slab per batch.
+// joinOut assembles output rows into shared slabs. Each output row is
+// the left row's columns at ordinals left, then the right row's at
+// ordinals right: a join's narrowed emission (build_batch.go). A nil
+// ordinal list stands for every column of that side, so the zero value
+// concatenates whole rows, as Apply and GApply do. Every emitted row is
+// a three-index slice of the slab (slab[start:end:end]), so the slab's
+// unused tail is never aliased — which lets one slab serve many batches:
+// reset only rewinds the rows container, and a fresh slab is allocated
+// (geometrically, capped at one full batch's worth) only when the
+// current one fills. Tiny outputs — the per-group inners GApply
+// re-opens thousands of times — therefore cost a few small allocations
+// total instead of a 256-row slab per batch.
 type joinOut struct {
-	rows  []types.Row
-	slab  types.Row
-	width int
+	rows        []types.Row
+	slab        types.Row
+	left, right []int
 }
 
 func (o *joinOut) reset() {
 	o.rows = o.rows[:0]
 }
 
-// add appends the concatenation a++b as one output row.
+// add appends the emission of the pair (a, b) as one output row.
 func (o *joinOut) add(a, b types.Row) {
-	need := len(a) + len(b)
-	if len(o.slab)+need > cap(o.slab) {
+	lw, rw := len(o.left), len(o.right)
+	if o.left == nil {
+		lw = len(a)
+	}
+	if o.right == nil {
+		rw = len(b)
+	}
+	width := lw + rw
+	if o.slab == nil || len(o.slab)+width > cap(o.slab) {
 		// Rows already emitted keep pointing into the old slab; only new
-		// rows land in the fresh one.
+		// rows land in the fresh one. A zero-width emission still gets a
+		// (zero-capacity) slab, so its rows are empty but never nil.
 		c := 2 * cap(o.slab)
-		if c < 8*need {
-			c = 8 * need
+		if c < 8*width {
+			c = 8 * width
 		}
-		if c > batchSize*o.width {
-			c = batchSize * o.width
-		}
-		if c < need {
-			c = need
+		if c > batchSize*width {
+			c = batchSize * width
 		}
 		o.slab = make(types.Row, 0, c)
 	}
 	start := len(o.slab)
-	o.slab = append(o.slab, a...)
-	o.slab = append(o.slab, b...)
-	o.rows = append(o.rows, o.slab[start:len(o.slab):len(o.slab)])
+	o.slab = o.slab[:start+width]
+	row := o.slab[start : start+width : start+width]
+	gather(row[:lw], a, o.left)
+	gather(row[lw:], b, o.right)
+	o.rows = append(o.rows, row)
+}
+
+// gather copies the columns ords of src into dst; nil ords copies all.
+func gather(dst, src types.Row, ords []int) {
+	if ords == nil {
+		copy(dst, src)
+		return
+	}
+	for i, c := range ords {
+		dst[i] = src[c]
+	}
 }
 
 // bHashJoin builds a hash table on the right input's equi-columns and
@@ -148,7 +170,6 @@ func (h *bHashJoin) Open() error {
 	if (h.pred != nil || h.post != nil) && h.probeRow == nil {
 		h.probeRow = make(types.Row, h.width)
 	}
-	h.outBuf.width = h.width
 	return h.left.Open()
 }
 
@@ -317,7 +338,6 @@ func (n *bNLJoin) Open() error {
 	if n.probeRow == nil {
 		n.probeRow = make(types.Row, n.width)
 	}
-	n.outBuf.width = n.width
 	return n.left.Open()
 }
 

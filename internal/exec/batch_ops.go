@@ -1,8 +1,6 @@
 package exec
 
 import (
-	"sort"
-
 	"gapplydb/internal/storage"
 	"gapplydb/internal/types"
 )
@@ -309,16 +307,22 @@ func (f *bFused) NextBatch() (*Batch, error) {
 
 func (f *bFused) Close() error { return f.input.Close() }
 
-// bDistinct narrows each batch to first-seen rows.
+// bDistinct narrows each batch to first-seen rows. Keys are encoded into
+// a reused scratch buffer; only a first-seen key is copied into the map.
 type bDistinct struct {
-	input BatchIterator
-	seen  map[string]bool
-	sel   []int
-	out   Batch
+	input   BatchIterator
+	seen    map[string]bool
+	scratch []byte
+	sel     []int
+	out     Batch
 }
 
 func (d *bDistinct) Open() error {
-	d.seen = make(map[string]bool)
+	if d.seen == nil {
+		d.seen = make(map[string]bool)
+	} else {
+		clear(d.seen)
+	}
 	return d.input.Open()
 }
 
@@ -338,11 +342,11 @@ func (d *bDistinct) NextBatch() (*Batch, error) {
 		}
 		out := d.sel[:0]
 		for _, i := range d.sel {
-			k := b.Rows[i].KeyAll()
-			if d.seen[k] {
+			d.scratch = b.Rows[i].AppendKeyAll(d.scratch[:0])
+			if d.seen[string(d.scratch)] {
 				continue
 			}
-			d.seen[k] = true
+			d.seen[string(d.scratch)] = true
 			out = append(out, i)
 		}
 		if len(out) == 0 {
@@ -402,12 +406,17 @@ func (u *bUnionAll) Close() error {
 }
 
 // bSort materializes its input, sorts stably by the compiled keys, and
-// emits the sorted rows in aliased windows.
+// emits the sorted rows in aliased windows. Each row's keys are encoded
+// once into the sort kernel (types.OrderKeys), which orders a
+// permutation by byte comparison; the key buffer and both row buffers
+// are reused across Opens.
 type bSort struct {
 	input BatchIterator
 	keys  []compiledKey
 	ctx   *Context
-	rows  []types.Row
+	enc   types.OrderKeys
+	in    []types.Row // input rows, in arrival order
+	rows  []types.Row // the same rows, sorted
 	win   rowWindow
 }
 
@@ -415,11 +424,8 @@ func (s *bSort) Open() error {
 	if err := s.input.Open(); err != nil {
 		return err
 	}
-	type keyed struct {
-		row  types.Row
-		keys types.Row
-	}
-	var data []keyed
+	s.enc.Reset()
+	s.in, s.rows = s.in[:0], s.rows[:0]
 	for {
 		b, err := s.input.NextBatch()
 		if err != nil {
@@ -432,40 +438,24 @@ func (s *bSort) Open() error {
 		if err := s.ctx.tickN(n); err != nil {
 			return err
 		}
-		// One key slab per batch, mirroring the output-row slabs.
-		slab := make(types.Row, n*len(s.keys))
 		for i := 0; i < n; i++ {
 			r := b.Row(i)
-			kv := slab[i*len(s.keys) : (i+1)*len(s.keys) : (i+1)*len(s.keys)]
-			for j, k := range s.keys {
+			for _, k := range s.keys {
 				v, err := k.fn(r, s.ctx)
 				if err != nil {
 					return err
 				}
-				kv[j] = v
+				s.enc.Append(v, k.desc)
 			}
-			data = append(data, keyed{row: r, keys: kv})
+			s.enc.EndRow()
+			s.in = append(s.in, r)
 		}
 	}
 	if err := s.input.Close(); err != nil {
 		return err
 	}
-	sort.SliceStable(data, func(i, j int) bool {
-		for k := range s.keys {
-			c := types.SortCompare(data[i].keys[k], data[j].keys[k])
-			if c == 0 {
-				continue
-			}
-			if s.keys[k].desc {
-				return c > 0
-			}
-			return c < 0
-		}
-		return false
-	})
-	s.rows = make([]types.Row, len(data))
-	for i, d := range data {
-		s.rows[i] = d.row
+	for _, p := range s.enc.Sort() {
+		s.rows = append(s.rows, s.in[p])
 	}
 	s.win.reset(s.rows)
 	return nil
@@ -475,8 +465,9 @@ func (s *bSort) NextBatch() (*Batch, error) {
 	return s.win.next(), nil
 }
 
+// Close keeps the buffers for the next Open, untouched: a cursor may
+// still deliver the last batch after closing the tree under it.
 func (s *bSort) Close() error {
-	s.rows = nil
 	s.win.reset(nil)
 	return nil
 }

@@ -42,7 +42,7 @@ func TestRowSlabCarveStability(t *testing.T) {
 }
 
 func TestJoinOutSlabPersistsAcrossResets(t *testing.T) {
-	o := joinOut{width: 4}
+	o := joinOut{}
 	a := types.Row{types.NewInt(1), types.NewString("left")}
 	b := types.Row{types.NewInt(2), types.NewString("right")}
 	var emitted []types.Row

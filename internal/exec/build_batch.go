@@ -2,8 +2,10 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 
 	"gapplydb/internal/core"
+	"gapplydb/internal/schema"
 	"gapplydb/internal/types"
 )
 
@@ -18,19 +20,150 @@ func BuildBatch(n core.Node, ctx *Context) (BatchIterator, error) {
 }
 
 func buildBatch(n core.Node, ctx *Context, env compileEnv) (BatchIterator, error) {
-	it, err := buildBatchNode(n, ctx, env)
+	it, _, err := buildBatchNeed(n, nil, ctx, env)
+	return it, err
+}
+
+// Narrow join emission. A join copies every row it emits into its
+// output slab, so emitting columns nobody reads is pure waste: the
+// sorted outer union's joins emit partsupp ++ part (14 values) to a
+// Project or GroupBy that reads two to five of them. The build threads
+// a need down the tree instead — the ordinals of a node's output its
+// consumer reads, ascending; nil means every column — and a join emits
+// exactly its need.
+//
+//   - Project, GroupBy and AggOp originate needs: the columns their
+//     expressions, group columns and aggregate arguments read (none, for
+//     count(*)).
+//   - A Select passes its need through plus its condition's columns. A
+//     Select fused into its join adds none: the post-filter reads the
+//     join's probe row, not its output.
+//   - A join adds its condition's and fused post-filter's columns and
+//     splits the union between its sides, so nested joins narrow too.
+//   - Every other consumer reads whole rows, and so does a spool holder:
+//     its materialization and byte accounting stay full-width.
+//
+// A consumer compiles against its input's emitted schema, the full
+// schema projected to the emission. Needs resolve against the full
+// schema; a reference that does not resolve there (unknown or
+// ambiguous) turns narrowing off for that consumer, so compile errors
+// are exactly the unnarrowed build's, and a reference that does resolve
+// finds the same column in the projection. Probes and spools wrap
+// narrowed iterators like any other, so unlike Select fusion narrowing
+// does not depend on ctx.Prof: EXPLAIN ANALYZE measures the plan that
+// runs. The row engine keeps full-width rows; it is the oracle.
+
+// buildBatchNeed builds n for a consumer that reads only the columns
+// need of n's schema (nil: all of them). It returns the ordinals of n's
+// schema its rows carry: nil for full rows, otherwise a superset of
+// need.
+func buildBatchNeed(n core.Node, need []int, ctx *Context, env compileEnv) (BatchIterator, []int, error) {
+	var h *spoolHolder
+	if ctx.spools != nil {
+		if h = ctx.spools.holders[n]; h != nil {
+			need = nil
+		}
+	}
+	var it BatchIterator
+	var emit []int
+	var err error
+	switch x := n.(type) {
+	case *core.Join:
+		it, emit, err = buildBatchJoin(x, nil, need, ctx, env)
+	case *core.Select:
+		it, emit, err = buildBatchSelect(x, need, ctx, env)
+	default:
+		it, err = buildBatchNode(n, ctx, env)
+	}
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if ctx.Prof != nil {
 		it = ctx.Prof.wrapBatch(n, it)
 	}
-	if ctx.spools != nil {
-		if h, ok := ctx.spools.holders[n]; ok {
-			it = &bspool{inner: it, node: n, h: h, ctx: ctx}
+	if h != nil {
+		it = &bspool{inner: it, node: n, h: h, ctx: ctx}
+	}
+	return it, emit, nil
+}
+
+// narrowable reports whether building n for a need can narrow it: n is
+// a join, or a Select over one. Needs are computed only for such
+// inputs, so plans without joins build exactly as before.
+func narrowable(n core.Node) bool {
+	for {
+		switch x := n.(type) {
+		case *core.Join:
+			return true
+		case *core.Select:
+			n = x.Input
+		default:
+			return false
 		}
 	}
-	return it, nil
+}
+
+// readNeed is the need a Project, GroupBy or AggOp originates for its
+// input in: the columns exprs read, or nil when in is not narrowable
+// or a reference does not resolve.
+func readNeed(in core.Node, exprs ...core.Expr) []int {
+	if !narrowable(in) {
+		return nil
+	}
+	return addNeed([]int{}, in, exprs...)
+}
+
+// aggNeed is readNeed for group columns and aggregate arguments.
+func aggNeed(in core.Node, cols []*core.ColRef, aggs []core.AggSpec) []int {
+	if !narrowable(in) {
+		return nil
+	}
+	read := make([]core.Expr, 0, len(cols)+len(aggs))
+	for _, c := range cols {
+		read = append(read, c)
+	}
+	for _, a := range aggs {
+		read = append(read, a.Arg)
+	}
+	return addNeed([]int{}, in, read...)
+}
+
+// addNeed returns need extended with the columns of n's schema that
+// exprs reference, ascending and without duplicates. A nil need stays
+// nil (every column is needed already), and a reference that does not
+// resolve turns narrowing off: the result is nil.
+func addNeed(need []int, n core.Node, exprs ...core.Expr) []int {
+	if need == nil {
+		return nil
+	}
+	in := n.Schema()
+	out := append(make([]int, 0, len(need)+4), need...)
+	resolved := true
+	visit := func(e core.Expr) {
+		if c, ok := e.(*core.ColRef); ok && resolved {
+			ord, err := in.Resolve(c.Table, c.Name)
+			out = append(out, ord)
+			resolved = err == nil
+		}
+	}
+	for _, e := range exprs {
+		if e != nil {
+			e.Walk(visit)
+		}
+	}
+	if !resolved {
+		return nil
+	}
+	slices.Sort(out)
+	return slices.Compact(out)
+}
+
+// emitted returns the schema of rows that carry the columns emit of s.
+func emitted(s *schema.Schema, emit []int) *schema.Schema {
+	if emit == nil {
+		return s
+	}
+	return s.Project(emit)
 }
 
 // fusable reports whether a Select node may be fused into its parent
@@ -48,18 +181,18 @@ func fusable(sel *core.Select, ctx *Context) bool {
 	return true
 }
 
-// joinFusable reports whether a Join node may absorb its parent Select
-// as a post-filter: like fusable, the join's node identity must be
-// unobserved (no per-operator probe, no spool holder), since the fused
-// build bypasses buildBatch's wrapping of the join node.
-func joinFusable(j *core.Join, ctx *Context) bool {
-	if ctx.Prof != nil {
-		return false
+// fusedJoin returns the join a Select fuses into as a post-filter: its
+// input, when neither node's identity is observed (see fusable) — the
+// fused build bypasses the wrapping of both.
+func fusedJoin(sel *core.Select, ctx *Context) (*core.Join, bool) {
+	j, ok := sel.Input.(*core.Join)
+	if !ok || !fusable(sel, ctx) {
+		return nil, false
 	}
 	if ctx.spools != nil && ctx.spools.holders[j] != nil {
-		return false
+		return nil, false
 	}
-	return true
+	return j, true
 }
 
 // pureColOrds resolves a projection list that is purely column refs to
@@ -82,6 +215,31 @@ func pureColOrds(exprs []core.Expr, in interface {
 	return ords, true
 }
 
+// buildBatchSelect compiles a filter. Select-over-Join fuses the filter
+// into the join as a post predicate: candidates are rejected on the
+// reused probe row before they are ever copied into the output slab.
+// High-reject filters directly over joins (the sorted-outer-union
+// shape) are where the copy-then-discard churn was worst.
+func buildBatchSelect(x *core.Select, need []int, ctx *Context, env compileEnv) (BatchIterator, []int, error) {
+	if j, ok := fusedJoin(x, ctx); ok {
+		return buildBatchJoin(j, x.Cond, need, ctx, env)
+	}
+	in, emit, err := buildBatchNeed(x.Input, addNeed(need, x.Input, x.Cond), ctx, env)
+	if err != nil {
+		return nil, nil, err
+	}
+	inSchema := emitted(x.Input.Schema(), emit)
+	pred, err := compilePredicate(x.Cond, inSchema, env)
+	if err != nil {
+		return nil, nil, err
+	}
+	f := &bFilter{input: in, pred: pred, ctx: ctx}
+	if kernels, ok := compileFilterKernels(x.Cond, inSchema); ok {
+		f.kernels = kernels
+	}
+	return f, emit, nil
+}
+
 func buildBatchNode(n core.Node, ctx *Context, env compileEnv) (BatchIterator, error) {
 	switch x := n.(type) {
 	case *core.Scan:
@@ -100,87 +258,54 @@ func buildBatchNode(n core.Node, ctx *Context, env compileEnv) (BatchIterator, e
 	case *core.GroupScan:
 		return &bGroupScan{varName: x.Var, ctx: ctx}, nil
 
-	case *core.Select:
-		// Select-over-Join fuses the filter into the join as a post
-		// predicate: candidates are rejected on the reused probe row
-		// before they are ever copied into the output slab. High-reject
-		// filters directly over joins (the sorted-outer-union shape) are
-		// where the copy-then-discard churn was worst.
-		if j, ok := x.Input.(*core.Join); ok && fusable(x, ctx) && joinFusable(j, ctx) {
-			return buildBatchJoin(j, x.Cond, ctx, env)
-		}
-		in, err := buildBatch(x.Input, ctx, env)
-		if err != nil {
-			return nil, err
-		}
-		inSchema := x.Input.Schema()
-		pred, err := compilePredicate(x.Cond, inSchema, env)
-		if err != nil {
-			return nil, err
-		}
-		f := &bFilter{input: in, pred: pred, ctx: ctx}
-		if kernels, ok := compileFilterKernels(x.Cond, inSchema); ok {
-			f.kernels = kernels
-		}
-		return f, nil
-
 	case *core.Project:
+		need := readNeed(x.Input, x.Exprs...)
 		// Fused filter+project: when the input is a Select whose node
-		// identity nothing observes, compile one operator that narrows
-		// the selection and gathers the survivors in a single pass.
+		// identity nothing observes (and that does not fuse into a join
+		// below it instead), compile one operator that narrows the
+		// selection and gathers the survivors in a single pass.
 		if sel, ok := x.Input.(*core.Select); ok && fusable(sel, ctx) {
-			// Select-over-Join below the projection: prefer pushing the
-			// filter into the join (reject before copy) and projecting on
-			// top over fusing filter+project above a join that copies
-			// every candidate.
-			if j, ok := sel.Input.(*core.Join); ok && joinFusable(j, ctx) {
-				in, err := buildBatchJoin(j, sel.Cond, ctx, env)
+			if _, intoJoin := fusedJoin(sel, ctx); !intoJoin {
+				in, emit, err := buildBatchNeed(sel.Input, addNeed(need, sel.Input, sel.Cond), ctx, env)
 				if err != nil {
 					return nil, err
 				}
-				if ords, ok := pureColOrds(x.Exprs, x.Input.Schema()); ok {
-					return &bProjectCols{input: in, ords: ords}, nil
-				}
-				fns, err := compileAll(x.Exprs, x.Input.Schema(), env)
+				// The Select's output schema is its input's, row for row.
+				inSchema := emitted(sel.Input.Schema(), emit)
+				pred, err := compilePredicate(sel.Cond, inSchema, env)
 				if err != nil {
 					return nil, err
 				}
-				return &bProject{input: in, exprs: fns, ctx: ctx}, nil
-			}
-			in, err := buildBatch(sel.Input, ctx, env)
-			if err != nil {
-				return nil, err
-			}
-			selSchema := sel.Input.Schema()
-			pred, err := compilePredicate(sel.Cond, selSchema, env)
-			if err != nil {
-				return nil, err
-			}
-			fu := &bFused{input: in, pred: pred, ctx: ctx}
-			if kernels, ok := compileFilterKernels(sel.Cond, selSchema); ok {
-				fu.kernels = kernels
-			}
-			// The projection compiles against the Select's output schema,
-			// which row-for-row is the Select input's schema.
-			if ords, ok := pureColOrds(x.Exprs, x.Input.Schema()); ok {
-				fu.ords = ords
+				fu := &bFused{input: in, pred: pred, ctx: ctx}
+				if kernels, ok := compileFilterKernels(sel.Cond, inSchema); ok {
+					fu.kernels = kernels
+				}
+				if ords, ok := pureColOrds(x.Exprs, inSchema); ok {
+					fu.ords = ords
+					return fu, nil
+				}
+				fns, err := compileAll(x.Exprs, inSchema, env)
+				if err != nil {
+					return nil, err
+				}
+				fu.exprs = fns
 				return fu, nil
 			}
-			fns, err := compileAll(x.Exprs, x.Input.Schema(), env)
-			if err != nil {
-				return nil, err
-			}
-			fu.exprs = fns
-			return fu, nil
 		}
-		in, err := buildBatch(x.Input, ctx, env)
+		in, emit, err := buildBatchNeed(x.Input, need, ctx, env)
 		if err != nil {
 			return nil, err
 		}
-		if ords, ok := pureColOrds(x.Exprs, x.Input.Schema()); ok {
+		inSchema := emitted(x.Input.Schema(), emit)
+		if ords, ok := pureColOrds(x.Exprs, inSchema); ok {
+			// A narrowed input that emits exactly this column list, in
+			// this order, already is the projection.
+			if emit != nil && isIdentity(ords, len(emit)) {
+				return in, nil
+			}
 			return &bProjectCols{input: in, ords: ords}, nil
 		}
-		fns, err := compileAll(x.Exprs, x.Input.Schema(), env)
+		fns, err := compileAll(x.Exprs, inSchema, env)
 		if err != nil {
 			return nil, err
 		}
@@ -193,15 +318,12 @@ func buildBatchNode(n core.Node, ctx *Context, env compileEnv) (BatchIterator, e
 		}
 		return &bDistinct{input: in}, nil
 
-	case *core.Join:
-		return buildBatchJoin(x, nil, ctx, env)
-
 	case *core.GroupBy:
-		in, err := buildBatch(x.Input, ctx, env)
+		in, emit, err := buildBatchNeed(x.Input, aggNeed(x.Input, x.GroupCols, x.Aggs), ctx, env)
 		if err != nil {
 			return nil, err
 		}
-		inSchema := x.Input.Schema()
+		inSchema := emitted(x.Input.Schema(), emit)
 		ords, err := resolveCols(x.GroupCols, inSchema)
 		if err != nil {
 			return nil, err
@@ -213,11 +335,11 @@ func buildBatchNode(n core.Node, ctx *Context, env compileEnv) (BatchIterator, e
 		return &bHashGroupBy{input: in, ords: ords, aggs: aggs, ctx: ctx}, nil
 
 	case *core.AggOp:
-		in, err := buildBatch(x.Input, ctx, env)
+		in, emit, err := buildBatchNeed(x.Input, aggNeed(x.Input, nil, x.Aggs), ctx, env)
 		if err != nil {
 			return nil, err
 		}
-		aggs, err := compileAggs(x.Aggs, x.Input.Schema(), env)
+		aggs, err := compileAggs(x.Aggs, emitted(x.Input.Schema(), emit), env)
 		if err != nil {
 			return nil, err
 		}
@@ -291,35 +413,71 @@ func buildBatchNode(n core.Node, ctx *Context, env compileEnv) (BatchIterator, e
 	}
 }
 
-// buildBatchJoin compiles a join; postCond, when non-nil, is a parent
-// Select's condition fused in as a post-filter over the join's output
-// schema (see bHashJoin.post).
-func buildBatchJoin(j *core.Join, postCond core.Expr, ctx *Context, env compileEnv) (BatchIterator, error) {
-	left, err := buildBatch(j.Left, ctx, env)
+// buildBatchJoin compiles a join that emits need (ordinals of j's
+// schema; nil for all of them) and returns its emission, as
+// buildBatchNeed does. postCond, when non-nil, is a parent Select's
+// condition fused in as a post-filter (see bHashJoin.post). Predicates
+// evaluate over the concatenation of the two input rows as built, which
+// carry the emission plus the columns the condition and post-filter
+// read.
+func buildBatchJoin(j *core.Join, postCond core.Expr, need []int, ctx *Context, env compileEnv) (BatchIterator, []int, error) {
+	lfull, rfull := j.Left.Schema(), j.Right.Schema()
+	leftArity := lfull.Len()
+	// A side that can narrow is told its share of the emission plus
+	// what the condition and post-filter read.
+	var lneed, rneed []int
+	if need != nil && (narrowable(j.Left) || narrowable(j.Right)) {
+		sides := addNeed(need, j, j.Cond, postCond)
+		if sides == nil {
+			need = nil
+		} else {
+			split, _ := slices.BinarySearch(sides, leftArity)
+			lneed, rneed = sides[:split:split], make([]int, 0, len(sides)-split)
+			for _, o := range sides[split:] {
+				rneed = append(rneed, o-leftArity)
+			}
+		}
+	}
+	left, lemit, err := buildBatchNeed(j.Left, lneed, ctx, env)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	probe, err := probedRight(j, ctx)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	var right BatchIterator
+	var remit []int
 	if probe == nil {
-		if right, err = buildBatch(j.Right, ctx, env); err != nil {
-			return nil, err
+		if right, remit, err = buildBatchNeed(j.Right, rneed, ctx, env); err != nil {
+			return nil, nil, err
 		}
 	}
-	outSchema := j.Schema()
-	pred, err := compilePredicate(j.Cond, outSchema, env)
+	ls, rs := emitted(lfull, lemit), emitted(rfull, remit)
+	inSchema := ls.Concat(rs)
+	pred, err := compilePredicate(j.Cond, inSchema, env)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	var post func(types.Row, *Context) (bool, error)
 	if postCond != nil {
-		post, err = compilePredicate(postCond, outSchema, env)
+		post, err = compilePredicate(postCond, inSchema, env)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
+	}
+	var out joinOut
+	if need != nil {
+		ords := make([]int, len(need))
+		split, _ := slices.BinarySearch(need, leftArity)
+		for i, o := range need {
+			if i < split {
+				ords[i] = emittedOrd(lemit, o)
+			} else {
+				ords[i] = emittedOrd(remit, o-leftArity)
+			}
+		}
+		out.left, out.right = ords[:split:split], ords[split:]
 	}
 	pairs := j.EquiPairs()
 	method := j.Method
@@ -330,17 +488,15 @@ func buildBatchJoin(j *core.Join, postCond core.Expr, ctx *Context, env compileE
 			method = core.JoinNestedLoops
 		}
 	}
-	leftArity := j.Left.Schema().Len()
-	rightArity := j.Right.Schema().Len()
+	outerJoin := j.Kind == core.LeftOuterJoin
 	if method == core.JoinMerge && len(pairs) == 1 {
-		ls, rs := j.Left.Schema(), j.Right.Schema()
 		lo, err := ls.Resolve(pairs[0].Left.Table, pairs[0].Left.Name)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		ro, err := rs.Resolve(pairs[0].Right.Table, pairs[0].Right.Name)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		// Same residual-free proof as the hash path below: the order-key
 		// encoding is canonical over value equality, so an equal-range hit
@@ -351,22 +507,21 @@ func buildBatchJoin(j *core.Join, postCond core.Expr, ctx *Context, env compileE
 		return &bMergeJoin{
 			left: left, right: right, probe: probe, pred: pred, post: post, ctx: ctx,
 			leftOrd: lo, rightOrd: ro,
-			outerJoin: j.Kind == core.LeftOuterJoin, rightArity: rightArity,
-			width: leftArity + rightArity,
-		}, nil
+			outerJoin: outerJoin, rightArity: rs.Len(),
+			width: inSchema.Len(), outBuf: out,
+		}, need, nil
 	}
 	if (method == core.JoinHash || method == core.JoinMerge) && len(pairs) > 0 {
 		leftOrds := make([]int, len(pairs))
 		rightOrds := make([]int, len(pairs))
-		ls, rs := j.Left.Schema(), j.Right.Schema()
 		for i, p := range pairs {
 			lo, err := ls.Resolve(p.Left.Table, p.Left.Name)
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 			ro, err := rs.Resolve(p.Right.Table, p.Right.Name)
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 			leftOrds[i], rightOrds[i] = lo, ro
 		}
@@ -382,15 +537,38 @@ func buildBatchJoin(j *core.Join, postCond core.Expr, ctx *Context, env compileE
 		return &bHashJoin{
 			left: left, right: right, pred: pred, post: post, ctx: ctx,
 			leftOrds: leftOrds, rightOrds: rightOrds,
-			outerJoin: j.Kind == core.LeftOuterJoin, rightArity: rightArity,
-			width: leftArity + rightArity,
-		}, nil
+			outerJoin: outerJoin, rightArity: rs.Len(),
+			width: inSchema.Len(), outBuf: out,
+		}, need, nil
 	}
 	return &bNLJoin{
 		left: left, right: right, pred: pred, post: post, ctx: ctx,
-		outerJoin: j.Kind == core.LeftOuterJoin, rightArity: rightArity,
-		width: leftArity + rightArity,
-	}, nil
+		outerJoin: outerJoin, rightArity: rs.Len(),
+		width: inSchema.Len(), outBuf: out,
+	}, need, nil
+}
+
+// emittedOrd maps ordinal o of a node's full schema to its position in
+// rows that carry the columns emit (nil: every column). o is in emit.
+func emittedOrd(emit []int, o int) int {
+	if emit == nil {
+		return o
+	}
+	i, _ := slices.BinarySearch(emit, o)
+	return i
+}
+
+// isIdentity reports whether ords is 0, 1, …, n-1.
+func isIdentity(ords []int, n int) bool {
+	if len(ords) != n {
+		return false
+	}
+	for i, o := range ords {
+		if o != i {
+			return false
+		}
+	}
+	return true
 }
 
 func buildBatchGApply(g *core.GApply, ctx *Context, env compileEnv) (BatchIterator, error) {

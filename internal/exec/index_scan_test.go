@@ -177,7 +177,7 @@ func TestProbeDecidedFromPlan(t *testing.T) {
 		if prof {
 			ctx.Prof = NewProfile()
 		}
-		it, err := buildBatchJoin(j, nil, ctx, nil)
+		it, _, err := buildBatchJoin(j, nil, nil, ctx, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -285,7 +285,7 @@ func TestProbeAllocsPerLeftRow(t *testing.T) {
 			Cond: &core.Cmp{Op: "=", L: core.QCol(tc.left, tc.left+"_k"), R: core.QCol("r", "r_k")},
 		}
 		ctx := NewContext(cat)
-		it, err := buildBatchJoin(j, nil, ctx, nil)
+		it, _, err := buildBatchJoin(j, nil, nil, ctx, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

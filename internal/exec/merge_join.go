@@ -1,9 +1,6 @@
 package exec
 
 import (
-	"bytes"
-	"slices"
-
 	"gapplydb/internal/storage"
 	"gapplydb/internal/types"
 )
@@ -33,30 +30,18 @@ type mergeRun struct {
 	rows []types.Row
 }
 
-// newMergeRun encodes the key column of each drained row and verifies
-// the stream's ordering. The planner guarantees key order; if the check
-// ever fails (a planner bug, or an order-providing input that lied), the
-// run re-establishes it with a stable sort of the positions — identical
-// tie order — rather than emit misjoined output.
+// newMergeRun encodes the key column of each drained row and sorts the
+// run. The planner guarantees key order, which the sort confirms in
+// linear time; if the order ever fails (a planner bug, or an
+// order-providing input that lied), the stable sort re-establishes it
+// with identical tie order rather than emit misjoined output.
 func newMergeRun(rows []types.Row, ord int) mergeRun {
-	keys := make([][]byte, len(rows))
-	pos := make([]int32, len(rows))
-	buf := make([]byte, 0, len(rows)*16)
-	for i, r := range rows {
-		start := len(buf)
-		buf = r[ord].AppendOrderKey(buf)
-		keys[i] = buf[start:len(buf):len(buf)]
-		pos[i] = int32(i)
+	var keys types.OrderKeys
+	for _, r := range rows {
+		keys.Append(r[ord], false)
+		keys.EndRow()
 	}
-	if !slices.IsSortedFunc(keys, bytes.Compare) {
-		heapKeys := keys
-		slices.SortStableFunc(pos, func(a, b int32) int { return bytes.Compare(heapKeys[a], heapKeys[b]) })
-		keys = make([][]byte, len(rows))
-		for i, p := range pos {
-			keys[i] = heapKeys[p]
-		}
-	}
-	return mergeRun{run: &storage.IndexRun{Keys: keys, Pos: pos}, rows: rows}
+	return mergeRun{run: storage.NewIndexRun(&keys), rows: rows}
 }
 
 // row returns the run's i-th row.
@@ -259,7 +244,6 @@ func (m *bMergeJoin) Open() error {
 	if (m.pred != nil || m.post != nil) && m.probeRow == nil {
 		m.probeRow = make(types.Row, m.width)
 	}
-	m.outBuf.width = m.width
 	return m.left.Open()
 }
 

@@ -81,7 +81,13 @@ func TestAdmissionBurstMetrics(t *testing.T) {
 	if got := snap.Counters["server_queries_queued"]; got == 0 {
 		t.Fatal("server_queries_queued = 0, want > 0 (burst exceeded the slot count)")
 	}
-	if got := snap.Counters["server_queries_active"]; got != 0 {
+	// The server lowers the gauge after it has sent a query's final
+	// frame, so a client can see its answer a moment before that: wait
+	// for the gauge to settle rather than read it once.
+	for deadline := time.Now().Add(10 * time.Second); srv.Metrics().Counters["server_queries_active"] != 0 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	if got := srv.Metrics().Counters["server_queries_active"]; got != 0 {
 		t.Fatalf("server_queries_active = %d after the burst settled, want 0", got)
 	}
 }

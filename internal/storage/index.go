@@ -12,8 +12,8 @@ import (
 
 // Index is an ordered secondary index: a sorted run over one table's
 // rows. The run holds the order-preserving encoding of the key columns
-// (types.AppendOrderKeys) and the heap positions sorted by those bytes —
-// a stable sort, so rows with equal keys stay in heap order. That tie
+// (types.OrderKeys) and the heap positions sorted by those bytes — a
+// stable sort, so rows with equal keys stay in heap order. That tie
 // rule is load-bearing: it makes an index scan byte-identical to the
 // executor's stable in-memory sort of a heap scan, which is what lets
 // the planner elide sorts without changing output.
@@ -89,29 +89,29 @@ func (ix *Index) Run(t *Table) *IndexRun {
 	if ix.run != nil && ix.built == n {
 		return ix.run
 	}
-	heapKeys := make([][]byte, n)
-	// One backing buffer for all keys keeps the build allocation-light;
-	// the per-row keys are three-index subslices so they never alias.
-	buf := make([]byte, 0, n*16)
-	for i, r := range t.Rows {
-		start := len(buf)
-		buf = r.AppendOrderKeys(buf, ix.ords)
-		heapKeys[i] = buf[start:len(buf):len(buf)]
+	var keys types.OrderKeys
+	for _, r := range t.Rows {
+		for _, c := range ix.ords {
+			keys.Append(r[c], false)
+		}
+		keys.EndRow()
 	}
-	pos := make([]int32, n)
-	for i := range pos {
-		pos[i] = int32(i)
-	}
-	sort.SliceStable(pos, func(a, b int) bool {
-		return bytes.Compare(heapKeys[pos[a]], heapKeys[pos[b]]) < 0
-	})
-	keys := make([][]byte, n)
-	for i, p := range pos {
-		keys[i] = heapKeys[p]
-	}
-	ix.run = &IndexRun{Keys: keys, Pos: pos}
+	ix.run = NewIndexRun(&keys)
 	ix.built = n
 	return ix.run
+}
+
+// NewIndexRun sorts encoded keys (all ascending) into a run: Pos is the
+// stable key order of the rows keys encodes, and Keys[i] is the key of
+// row Pos[i]. The run takes ownership of keys' buffers; keys must not be
+// reused.
+func NewIndexRun(keys *types.OrderKeys) *IndexRun {
+	pos := keys.Sort()
+	sorted := make([][]byte, len(pos))
+	for i, p := range pos {
+		sorted[i] = keys.Key(int(p))
+	}
+	return &IndexRun{Keys: sorted, Pos: pos}
 }
 
 // lockedIndexes returns the catalog's index map, creating it on first

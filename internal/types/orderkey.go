@@ -1,8 +1,10 @@
 package types
 
 import (
+	"bytes"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Order-preserving key encoding: AppendOrderKey(a) and AppendOrderKey(b)
@@ -132,14 +134,80 @@ func (v Value) AppendOrderKey(dst []byte) []byte {
 	}
 }
 
-// AppendOrderKeys appends the order-preserving encoding of the selected
-// columns, in order. Byte order of the concatenation is exactly
-// CompareRows order over cols (all ascending).
-func (r Row) AppendOrderKeys(dst []byte, cols []int) []byte {
-	for _, c := range cols {
-		dst = r[c].AppendOrderKey(dst)
+// OrderKeys is the stable sort kernel: it encodes each row's sort keys
+// once, into one reused buffer, and sorts a permutation of the rows by
+// plain byte comparison of those encodings. A descending key's bytes are
+// complemented. The encoding is prefix-free, so two different encodings
+// of one key first differ at a byte both contain; complementing flips
+// that comparison and leaves the keys after it unread. Byte order is
+// therefore exactly SortCompare order, key by key with descending keys
+// reversed, and ties on the whole key break by input position: the
+// permutation is what a stable sort by SortCompare produces.
+//
+// The zero value is ready for use. Reset keeps every buffer's capacity,
+// so a sort re-run on each Open allocates nothing once warm.
+type OrderKeys struct {
+	buf  []byte
+	off  []int // row i's key is buf[off[i]:off[i+1]]
+	perm []int32
+}
+
+// Reset drops every encoded row, keeping the buffers.
+func (k *OrderKeys) Reset() {
+	k.buf, k.off, k.perm = k.buf[:0], k.off[:0], k.perm[:0]
+}
+
+// Append encodes v as the next key of the row being built.
+func (k *OrderKeys) Append(v Value, desc bool) {
+	start := len(k.buf)
+	k.buf = v.AppendOrderKey(k.buf)
+	if desc {
+		for i := start; i < len(k.buf); i++ {
+			k.buf[i] = ^k.buf[i]
+		}
 	}
-	return dst
+}
+
+// EndRow closes the row being built; the next Append starts a new one.
+func (k *OrderKeys) EndRow() {
+	if len(k.off) == 0 {
+		k.off = append(k.off, 0)
+	}
+	k.off = append(k.off, len(k.buf))
+}
+
+// Len returns the number of rows encoded.
+func (k *OrderKeys) Len() int {
+	if len(k.off) == 0 {
+		return 0
+	}
+	return len(k.off) - 1
+}
+
+// Key returns row i's encoded key. It aliases the buffer, capped so an
+// append never writes through it, and is valid until Reset.
+func (k *OrderKeys) Key(i int) []byte {
+	return k.buf[k.off[i]:k.off[i+1]:k.off[i+1]]
+}
+
+// Sort returns the stable order of the rows: perm[j] is the input
+// position of the j-th row in key order. The slice is reused by the
+// next Sort after a Reset. Input already in key order sorts in linear
+// time (pattern-defeating quicksort detects the run).
+func (k *OrderKeys) Sort() []int32 {
+	n := k.Len()
+	perm := k.perm[:0]
+	for i := 0; i < n; i++ {
+		perm = append(perm, int32(i))
+	}
+	slices.SortFunc(perm, func(a, b int32) int {
+		if c := bytes.Compare(k.Key(int(a)), k.Key(int(b))); c != 0 {
+			return c
+		}
+		return int(a - b)
+	})
+	k.perm = perm
+	return perm
 }
 
 // DecodeOrderKey decodes one value from the front of b, returning it and

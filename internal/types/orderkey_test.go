@@ -3,6 +3,9 @@ package types
 import (
 	"bytes"
 	"math"
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 )
 
@@ -134,14 +137,16 @@ func TestOrderKeysMultiColumn(t *testing.T) {
 		{NewInt(7), NewFloat(7.5)},
 	}
 	cols := []int{0, 1}
-	keys := make([][]byte, len(rows))
-	for i, r := range rows {
-		keys[i] = r.AppendOrderKeys(nil, cols)
+	var keys OrderKeys
+	for _, r := range rows {
+		keys.Append(r[0], false)
+		keys.Append(r[1], false)
+		keys.EndRow()
 	}
 	for i := range rows {
 		for j := range rows {
 			want := CompareRows(rows[i], rows[j], cols, nil)
-			got := bytes.Compare(keys[i], keys[j])
+			got := bytes.Compare(keys.Key(i), keys.Key(j))
 			if got != want {
 				t.Errorf("rows %v vs %v: CompareRows=%d keys=%d", rows[i], rows[j], want, got)
 			}
@@ -200,4 +205,111 @@ func FuzzOrderKeyString(f *testing.F) {
 			t.Fatalf("round trip %q → %v (err=%v, rest=%d)", a, got, err, len(rest))
 		}
 	})
+}
+
+// TestOrderKeyDescComplement: complemented encodings order exactly as
+// SortCompare reversed, over every pair of the corpus — strings that are
+// prefixes of each other, embedded NULs, NULL, NaN, ±0.0 and integers
+// beyond 2^53 included — and a complemented key followed by another key
+// still compares key by key (the encoding is prefix-free, so the first
+// differing byte lies inside the first key whenever the first keys
+// differ).
+func TestOrderKeyDescComplement(t *testing.T) {
+	vals := orderKeyCorpus()
+	second := []Value{Null, NewInt(-1), NewString("")}
+	var rows []Row
+	for _, v := range vals {
+		for _, w := range second {
+			rows = append(rows, Row{v, w})
+		}
+	}
+	for _, desc := range [][]bool{{true, false}, {false, true}, {true, true}} {
+		var k OrderKeys
+		for _, r := range rows {
+			k.Append(r[0], desc[0])
+			k.Append(r[1], desc[1])
+			k.EndRow()
+		}
+		for i, a := range rows {
+			for j, b := range rows {
+				want := CompareRows(a, b, []int{0, 1}, desc)
+				if got := bytes.Compare(k.Key(i), k.Key(j)); got != want {
+					t.Fatalf("desc=%v: CompareRows(%v, %v) = %d but keys compare %d\n a=%x\n b=%x",
+						desc, a, b, want, got, k.Key(i), k.Key(j))
+				}
+			}
+		}
+	}
+}
+
+// FuzzStableOrder checks the sort kernel against the definition it
+// replaces: sort.SliceStable with SortCompare, over random rows of up to
+// three keys with mixed directions, mixed kinds and many ties.
+func FuzzStableOrder(f *testing.F) {
+	f.Add(int64(1), uint16(300), uint8(0b010))
+	f.Add(int64(2), uint16(2), uint8(0b111))
+	f.Add(int64(3), uint16(1000), uint8(0b101))
+	f.Fuzz(func(t *testing.T, seed int64, n uint16, descBits uint8) {
+		rng := rand.New(rand.NewSource(seed))
+		pool := []Value{
+			Null, NewInt(0), NewInt(1), NewInt(-7), NewInt(1 << 60), NewInt(1<<53 + 1),
+			NewFloat(0), NewFloat(math.Copysign(0, -1)), NewFloat(1), NewFloat(math.NaN()), NewFloat(0.5),
+			NewString(""), NewString("a"), NewString("a\x00"), NewString("ab"),
+			NewBool(true), NewDate(3),
+		}
+		keys := 1 + int(descBits>>3)%3
+		desc := make([]bool, keys)
+		cols := make([]int, keys)
+		for c := range desc {
+			desc[c] = descBits&(1<<c) != 0
+			cols[c] = c
+		}
+		rows := make([]Row, int(n)%2000)
+		for i := range rows {
+			r := make(Row, keys)
+			for c := range r {
+				r[c] = pool[rng.Intn(len(pool))]
+			}
+			rows[i] = r
+		}
+		var k OrderKeys
+		for _, r := range rows {
+			for c, v := range r {
+				k.Append(v, desc[c])
+			}
+			k.EndRow()
+		}
+		got := k.Sort()
+		want := make([]int32, len(rows))
+		for i := range want {
+			want[i] = int32(i)
+		}
+		sort.SliceStable(want, func(a, b int) bool {
+			return CompareRows(rows[want[a]], rows[want[b]], cols, desc) < 0
+		})
+		if !slices.Equal(got, want) {
+			t.Fatalf("keys=%d desc=%v: kernel order %v, stable sort %v", keys, desc, got, want)
+		}
+	})
+}
+
+// BenchmarkAppendOrderKey: encoding one value of each kind the sort and
+// index builds encode most, per value.
+func BenchmarkAppendOrderKey(b *testing.B) {
+	for _, tc := range []struct {
+		name string
+		v    Value
+	}{
+		{"int", NewInt(4567)},
+		{"int-inexact", NewInt(1<<53 + 1)},
+		{"float", NewFloat(4567.25)},
+		{"string", NewString("Supplier#000000001")},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			buf := make([]byte, 0, 64)
+			for i := 0; i < b.N; i++ {
+				buf = tc.v.AppendOrderKey(buf[:0])
+			}
+		})
+	}
 }

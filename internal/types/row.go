@@ -75,37 +75,49 @@ func (r Row) Key(cols []int) string {
 // AppendKey(buf[:0], cols) and look up with m[string(buf)] — a pattern
 // the compiler turns into an allocation-free lookup.
 func (r Row) AppendKey(dst []byte, cols []int) []byte {
-	var buf [9]byte
 	for _, c := range cols {
-		v := r[c]
-		switch v.K {
-		case KindNull:
-			dst = append(dst, 0)
-		case KindInt:
-			if f, ok := exactFloatImage(v.I); ok {
-				buf[0] = 1
-				binary.LittleEndian.PutUint64(buf[1:], math.Float64bits(f))
-			} else {
-				buf[0] = 5
-				binary.LittleEndian.PutUint64(buf[1:], uint64(v.I))
-			}
-			dst = append(dst, buf[:9]...)
-		case KindFloat:
+		dst = appendKeyValue(dst, r[c])
+	}
+	return dst
+}
+
+// AppendKeyAll is AppendKey over every column (KeyAll's encoding).
+func (r Row) AppendKeyAll(dst []byte) []byte {
+	for _, v := range r {
+		dst = appendKeyValue(dst, v)
+	}
+	return dst
+}
+
+func appendKeyValue(dst []byte, v Value) []byte {
+	var buf [9]byte
+	switch v.K {
+	case KindNull:
+		return append(dst, 0)
+	case KindInt:
+		if f, ok := exactFloatImage(v.I); ok {
 			buf[0] = 1
-			binary.LittleEndian.PutUint64(buf[1:], math.Float64bits(canonFloat(v.F)))
-			dst = append(dst, buf[:9]...)
-		case KindString:
-			buf[0] = 2
-			binary.LittleEndian.PutUint64(buf[1:], uint64(len(v.S)))
-			dst = append(dst, buf[:9]...)
-			dst = append(dst, v.S...)
-		case KindBool:
-			dst = append(dst, 3, byte(v.I))
-		case KindDate:
-			buf[0] = 4
+			binary.LittleEndian.PutUint64(buf[1:], math.Float64bits(f))
+		} else {
+			buf[0] = 5
 			binary.LittleEndian.PutUint64(buf[1:], uint64(v.I))
-			dst = append(dst, buf[:9]...)
 		}
+		return append(dst, buf[:9]...)
+	case KindFloat:
+		buf[0] = 1
+		binary.LittleEndian.PutUint64(buf[1:], math.Float64bits(canonFloat(v.F)))
+		return append(dst, buf[:9]...)
+	case KindString:
+		buf[0] = 2
+		binary.LittleEndian.PutUint64(buf[1:], uint64(len(v.S)))
+		dst = append(dst, buf[:9]...)
+		return append(dst, v.S...)
+	case KindBool:
+		return append(dst, 3, byte(v.I))
+	case KindDate:
+		buf[0] = 4
+		binary.LittleEndian.PutUint64(buf[1:], uint64(v.I))
+		return append(dst, buf[:9]...)
 	}
 	return dst
 }
@@ -127,11 +139,7 @@ func (r Row) Bytes() int {
 
 // KeyAll renders every column; used when whole rows must be deduplicated.
 func (r Row) KeyAll() string {
-	cols := make([]int, len(r))
-	for i := range cols {
-		cols[i] = i
-	}
-	return r.Key(cols)
+	return string(r.AppendKeyAll(nil))
 }
 
 // String renders the row for debugging and the result printer.

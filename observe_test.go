@@ -36,6 +36,12 @@ func TestInstrumentationNeutral(t *testing.T) {
 	for _, c := range accessPathCases() {
 		stmts = append(stmts, stmt{accessPathDatabase(t), "access/" + c.name, c.sql, c.opts})
 	}
+	// The narrowing shapes: joins emit only what their consumer reads
+	// whether or not a Profile wraps them, so the rows, counters and
+	// (unfused under profiling) Select-over-join shapes agree.
+	for _, c := range narrowCases() {
+		stmts = append(stmts, stmt{accessPathDatabase(t), "narrow/" + c.name, c.sql, c.opts})
+	}
 	for _, sq := range stmts {
 		sq := sq
 		db := sq.db
