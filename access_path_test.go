@@ -1,6 +1,7 @@
 package gapplydb_test
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"sync"
@@ -15,10 +16,12 @@ import (
 // exactly the heap Scan+Select rows in heap order, and a merge join
 // probing an index's stored run must emit exactly what the drained run
 // (and the index-free hash join) would. Every case runs with indexes off
-// (the baseline) and on, on both engines at dop 1 and 8: rows and XML
-// byte-identical to the baseline, and the indexed runs' counters
-// identical to each other at every engine and degree — RowsScanned, now
-// counting seek windows and probed entries, included.
+// (the baseline) and on at dop 1 and 8: rows and XML byte-identical to
+// the baseline, the indexed rows matching the reference interpreter's
+// evaluation of the indexed plan (a heap scan, a filter and a sort where
+// the engine seeks or probes), and the indexed runs' counters identical
+// at every degree — RowsScanned, now counting seek windows and probed
+// entries, included.
 //
 // Left-outer, residual and fused post-filter probes are not reachable
 // from SQL (decorrelation puts a GroupBy on every outer join's right
@@ -133,15 +136,6 @@ func accessPathDatabase(t *testing.T) *gapplydb.Database {
 	return accessDB
 }
 
-// accessEngines are the indexed configurations every case runs under.
-var accessEngines = []struct {
-	name  string
-	extra []gapplydb.QueryOption
-}{
-	{"batch", nil},
-	{"row", []gapplydb.QueryOption{gapplydb.WithRowExecution()}},
-}
-
 func TestAccessPathDifferential(t *testing.T) {
 	db := accessPathDatabase(t)
 	for _, tc := range accessPathCases() {
@@ -156,6 +150,7 @@ func TestAccessPathDifferential(t *testing.T) {
 					t.Fatalf("indexed plan lacks %q:\n%s", want, e.Plan)
 				}
 			}
+			ref := expectOracle(t, db, tc.sql, tc.opts...)
 			var indexed *gapplydb.ExecStats
 			for _, dop := range []int{1, 8} {
 				baseOpts := append([]gapplydb.QueryOption{gapplydb.WithDOP(dop), gapplydb.WithoutIndexes()}, tc.opts...)
@@ -163,34 +158,33 @@ func TestAccessPathDifferential(t *testing.T) {
 				if err != nil {
 					t.Fatalf("no-index dop %d: %v\n%s", dop, err, tc.sql)
 				}
-				for _, eng := range accessEngines {
-					opts := append(append([]gapplydb.QueryOption{gapplydb.WithDOP(dop)}, tc.opts...), eng.extra...)
-					res, err := db.Query(tc.sql, opts...)
-					if err != nil {
-						t.Fatalf("%s dop %d: %v\n%s", eng.name, dop, err, tc.sql)
-					}
-					if d := firstDiff(ordered(base), ordered(res)); d != "" {
-						t.Fatalf("%s dop %d: indexed plan diverged from no-index baseline: %s", eng.name, dop, d)
-					}
-					// Index-independent work is unchanged: the same left rows
-					// probe, the same groups form, the same spool engages.
-					got, want := res.Stats, base.Stats
-					if got.JoinProbes != want.JoinProbes || got.Groups != want.Groups ||
-						got.InnerExecs != want.InnerExecs || got.SpoolBuilds != want.SpoolBuilds ||
-						got.SpoolHits != want.SpoolHits || got.ApplyExecs != want.ApplyExecs {
-						t.Fatalf("%s dop %d: work counters moved:\nindexed: %+v\nbase:    %+v", eng.name, dop, got, want)
-					}
-					if got.RowsScanned > want.RowsScanned {
-						t.Errorf("%s dop %d: indexed plan scanned more (%d) than the heap plan (%d)",
-							eng.name, dop, got.RowsScanned, want.RowsScanned)
-					}
-					// Indexed counters are engine- and degree-invariant.
-					got.PlanCacheHits, got.SerialGroupExecs, got.ParallelGroupExecs = 0, 0, 0
-					if indexed == nil {
-						indexed = &got
-					} else if got != *indexed {
-						t.Fatalf("%s dop %d: indexed counters differ across engines/degrees:\n%+v\n%+v", eng.name, dop, got, *indexed)
-					}
+				opts := append([]gapplydb.QueryOption{gapplydb.WithDOP(dop)}, tc.opts...)
+				res, err := db.Query(tc.sql, opts...)
+				if err != nil {
+					t.Fatalf("dop %d: %v\n%s", dop, err, tc.sql)
+				}
+				if d := firstDiff(ordered(base), ordered(res)); d != "" {
+					t.Fatalf("dop %d: indexed plan diverged from no-index baseline: %s", dop, d)
+				}
+				checkOracle(t, ref, res, fmt.Sprintf("dop %d", dop))
+				// Index-independent work is unchanged: the same left rows
+				// probe, the same groups form, the same spool engages.
+				got, want := res.Stats, base.Stats
+				if got.JoinProbes != want.JoinProbes || got.Groups != want.Groups ||
+					got.InnerExecs != want.InnerExecs || got.SpoolBuilds != want.SpoolBuilds ||
+					got.SpoolHits != want.SpoolHits || got.ApplyExecs != want.ApplyExecs {
+					t.Fatalf("dop %d: work counters moved:\nindexed: %+v\nbase:    %+v", dop, got, want)
+				}
+				if got.RowsScanned > want.RowsScanned {
+					t.Errorf("dop %d: indexed plan scanned more (%d) than the heap plan (%d)",
+						dop, got.RowsScanned, want.RowsScanned)
+				}
+				// Indexed counters are degree-invariant.
+				got.PlanCacheHits, got.SerialGroupExecs, got.ParallelGroupExecs = 0, 0, 0
+				if indexed == nil {
+					indexed = &got
+				} else if got != *indexed {
+					t.Fatalf("dop %d: indexed counters differ across degrees:\n%+v\n%+v", dop, got, *indexed)
 				}
 			}
 		})
@@ -198,8 +192,8 @@ func TestAccessPathDifferential(t *testing.T) {
 }
 
 // TestAccessPathXML: the published one-supplier document is byte-
-// identical with and without indexes, in both translations, on both
-// engines at dop 1 and 8.
+// identical with and without indexes, in both translations, at dop 1
+// and 8.
 func TestAccessPathXML(t *testing.T) {
 	db := accessPathDatabase(t)
 	for _, strategy := range []xmlpub.Strategy{xmlpub.GApply, xmlpub.SortedOuterUnion} {
@@ -212,15 +206,12 @@ func TestAccessPathXML(t *testing.T) {
 			t.Fatalf("%s: empty document:\n%s", strategy, want)
 		}
 		for _, dop := range []int{1, 8} {
-			for _, eng := range accessEngines {
-				var got stringsBuilder
-				opts := append([]gapplydb.QueryOption{gapplydb.WithDOP(dop)}, eng.extra...)
-				if _, err := xmlpub.Publish(db, entityFLWR(), strategy, &got, opts...); err != nil {
-					t.Fatal(err)
-				}
-				if got.String() != want {
-					t.Fatalf("%s %s dop %d: indexed document differs from the no-index one", strategy, eng.name, dop)
-				}
+			var got stringsBuilder
+			if _, err := xmlpub.Publish(db, entityFLWR(), strategy, &got, gapplydb.WithDOP(dop)); err != nil {
+				t.Fatal(err)
+			}
+			if got.String() != want {
+				t.Fatalf("%s dop %d: indexed document differs from the no-index one", strategy, dop)
 			}
 		}
 	}

@@ -51,8 +51,6 @@ func main() {
 	dop := flag.Int("dop", 0, "GApply degree of parallelism (0 = GOMAXPROCS, 1 = serial)")
 	timeout := flag.Duration("timeout", 0, "per-query wall-clock limit (0 = unlimited); a query past it fails instead of hanging the run")
 	jsonPath := flag.String("json", "", "write per-query JSON reports (plan hash, trace, operator timings) to this file")
-	comparePath := flag.String("compare", "", "measure the row vs batch execution engines at dop 1 and write the comparison artifact (e.g. BENCH_8.json) to this file")
-	compareBaseline := flag.String("compare-baseline", "", "with -compare: JSON file of per-query minimum speedups; exit non-zero if any measured speedup falls below its floor")
 	orderPath := flag.String("order", "", "measure ordered-index plans against WithoutIndexes at dop 1 and write the comparison artifact (e.g. BENCH_9.json) to this file")
 	orderBaseline := flag.String("order-baseline", "", "with -order: JSON file of per-query minimum speedups; exit non-zero if any measured speedup falls below its floor")
 	remote := flag.String("remote", "", "differential smoke against a gapplyd server at host:port: run the whole suite in-process and over the wire, fail on any byte difference")
@@ -140,11 +138,6 @@ func main() {
 
 	if *jsonPath != "" {
 		if err := writeReports(db, *jsonPath); err != nil {
-			fatal(err)
-		}
-	}
-	if *comparePath != "" {
-		if err := writeCompare(db, *comparePath, *compareBaseline); err != nil {
 			fatal(err)
 		}
 	}
@@ -238,78 +231,6 @@ func writeOrder(db *gapplydb.Database, path, baselinePath string) error {
 			fmt.Fprintln(os.Stderr, "order regression:", f)
 		}
 		return fmt.Errorf("%d ordered-index regression(s) against %s", len(failures), baselinePath)
-	}
-	fmt.Printf("all %d baseline floors in %s hold\n", len(base.MinSpeedup), baselinePath)
-	return nil
-}
-
-// compareJSON is a CompareRow with its derived speedup serialized.
-type compareJSON struct {
-	experiments.CompareRow
-	Speedup float64
-}
-
-// writeCompare measures both execution engines, prints the comparison,
-// writes the artifact, and — when a baseline of per-query minimum
-// speedups is supplied — fails the run on any regression below a floor.
-func writeCompare(db *gapplydb.Database, path, baselinePath string) error {
-	fmt.Println("== Execution engines: row-at-a-time vs vectorized batch (dop 1) ==")
-	fmt.Println("(speedup = row-engine elapsed ÷ batch-engine elapsed; outputs are")
-	fmt.Println(" verified identical before either timing is reported)")
-	fmt.Println()
-	rows, err := experiments.Compare(db)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("%-10s %14s %14s %10s %10s\n", "query", "row engine", "batch engine", "speedup", "rows")
-	var out struct{ Compare []compareJSON }
-	for _, r := range rows {
-		fmt.Printf("%-10s %14v %14v %9.2fx %10d\n",
-			r.Query, r.Row.Round(time.Microsecond), r.Batch.Round(time.Microsecond), r.Speedup(), r.Rows)
-		out.Compare = append(out.Compare, compareJSON{CompareRow: r, Speedup: r.Speedup()})
-	}
-	fmt.Println()
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %d engine comparisons to %s\n", len(rows), path)
-	if baselinePath == "" {
-		return nil
-	}
-	raw, err := os.ReadFile(baselinePath)
-	if err != nil {
-		return err
-	}
-	var base struct {
-		MinSpeedup map[string]float64 `json:"min_speedup"`
-	}
-	if err := json.Unmarshal(raw, &base); err != nil {
-		return fmt.Errorf("compare baseline %s: %w", baselinePath, err)
-	}
-	byName := make(map[string]experiments.CompareRow, len(rows))
-	for _, r := range rows {
-		byName[r.Query] = r
-	}
-	var failures []string
-	for name, floor := range base.MinSpeedup {
-		r, ok := byName[name]
-		if !ok {
-			failures = append(failures, fmt.Sprintf("%s: in baseline but not measured", name))
-			continue
-		}
-		if r.Speedup() < floor {
-			failures = append(failures, fmt.Sprintf("%s: speedup %.2fx below floor %.2fx", name, r.Speedup(), floor))
-		}
-	}
-	if len(failures) > 0 {
-		for _, f := range failures {
-			fmt.Fprintln(os.Stderr, "compare regression:", f)
-		}
-		return fmt.Errorf("%d engine-comparison regression(s) against %s", len(failures), baselinePath)
 	}
 	fmt.Printf("all %d baseline floors in %s hold\n", len(base.MinSpeedup), baselinePath)
 	return nil

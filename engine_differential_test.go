@@ -7,16 +7,21 @@ import (
 
 	"gapplydb"
 	"gapplydb/experiments"
+	"gapplydb/internal/oracle"
 	"gapplydb/replay"
 )
 
-// The engine differential pins the batch engine to its oracle: the
-// row-at-a-time engine (selected via WithRowExecution) and the default
-// vectorized engine must produce byte-identical ordered output for the
-// whole evaluation workload and the whole replay corpus, at serial and
-// parallel degrees, with the same group/spool accounting and the same
-// failure taxonomy. Any batch-engine bug that changes results, order,
-// NULL handling, budget enforcement or spool reuse shows up here.
+// The engine differential pins the executor to an independent oracle:
+// the reference interpreter in internal/oracle, which evaluates the same
+// optimized plan naively (nested loops, sort-and-scan grouping, no
+// spool, no index runs, no hints). For the whole evaluation workload and
+// the whole replay corpus, at serial and parallel degrees, the engine's
+// rows must match the oracle's as multisets, in a valid order wherever
+// the statement orders its output; group and spool accounting must not
+// depend on the degree; and the corpus's failure taxonomy and goldens
+// must hold. Any engine bug that changes results, order, NULL handling
+// or grouping — an unsound elided sort, index seek or merge probe
+// included — shows up here.
 
 func TestEngineDifferentialSuite(t *testing.T) {
 	if testing.Short() {
@@ -26,31 +31,30 @@ func TestEngineDifferentialSuite(t *testing.T) {
 	for _, sq := range experiments.SuiteQueries() {
 		sq := sq
 		t.Run(sq.Name, func(t *testing.T) {
+			want := expectOracle(t, db, sq.SQL)
+			// Work accounting every degree shares. (Counters fed by
+			// speculative batch pulls — RowsScanned under EXISTS, join
+			// probes inside a short-circuited subtree — are not compared.)
+			type parity struct {
+				groups, inner, builds, hits int64
+			}
+			var first *parity
 			for _, dop := range []int{1, 2, 8} {
-				row, err := db.Query(sq.SQL, gapplydb.WithDOP(dop), gapplydb.WithRowExecution())
+				res, err := db.Query(sq.SQL, gapplydb.WithDOP(dop))
 				if err != nil {
-					t.Fatalf("row engine dop %d: %v\n%s", dop, err, sq.SQL)
+					t.Fatalf("dop %d: %v\n%s", dop, err, sq.SQL)
 				}
-				batch, err := db.Query(sq.SQL, gapplydb.WithDOP(dop))
-				if err != nil {
-					t.Fatalf("batch engine dop %d: %v\n%s", dop, err, sq.SQL)
+				checkOracle(t, want, res, fmt.Sprintf("dop %d", dop))
+				s := res.Stats
+				if s.SerialGroupExecs+s.ParallelGroupExecs != s.InnerExecs || dop == 1 && s.ParallelGroupExecs != 0 {
+					t.Fatalf("dop %d: serial/parallel split %d+%d of %d inner executions",
+						dop, s.SerialGroupExecs, s.ParallelGroupExecs, s.InnerExecs)
 				}
-				if d := firstDiff(ordered(row), ordered(batch)); d != "" {
-					t.Fatalf("dop %d: engines diverged: %s", dop, d)
-				}
-				// Work accounting the engines share by contract. (Counters fed
-				// by speculative batch pulls — RowsScanned under EXISTS, join
-				// probes inside a short-circuited subtree — may legitimately
-				// run ahead by part of one batch and are not compared.)
-				type parity struct {
-					groups, inner, serial, parallel, builds, hits int64
-				}
-				rp := parity{row.Stats.Groups, row.Stats.InnerExecs, row.Stats.SerialGroupExecs,
-					row.Stats.ParallelGroupExecs, row.Stats.SpoolBuilds, row.Stats.SpoolHits}
-				bp := parity{batch.Stats.Groups, batch.Stats.InnerExecs, batch.Stats.SerialGroupExecs,
-					batch.Stats.ParallelGroupExecs, batch.Stats.SpoolBuilds, batch.Stats.SpoolHits}
-				if rp != bp {
-					t.Fatalf("dop %d: counter parity broken:\nrow:   %+v\nbatch: %+v", dop, rp, bp)
+				p := parity{s.Groups, s.InnerExecs, s.SpoolBuilds, s.SpoolHits}
+				if first == nil {
+					first = &p
+				} else if p != *first {
+					t.Fatalf("dop %d: counter parity broken:\ndop 1: %+v\ndop %d: %+v", dop, *first, dop, p)
 				}
 			}
 		})
@@ -70,40 +74,41 @@ func TestEngineDifferentialCorpus(t *testing.T) {
 		if q.CancelAfterRows > 0 {
 			continue // wire-level cancel has no embedded execution
 		}
+		var want *oracle.Expected
+		if q.Expect.Error == "" {
+			want = expectOracle(t, db, q.SQL)
+		}
 		for _, dop := range []int{1, 2, 8} {
 			dop := dop
 			if q.DOP > 0 && dop != 1 {
 				continue // degree-pinned queries run once
 			}
 			t.Run(fmt.Sprintf("%s/dop%d", q.Name, dop), func(t *testing.T) {
-				row, err := replay.RunLocalOpts(ctx, db, q, dop, gapplydb.WithRowExecution())
+				got, err := replay.RunLocal(ctx, db, q, dop)
 				if err != nil {
-					t.Fatalf("row engine: %v", err)
-				}
-				batch, err := replay.RunLocalOpts(ctx, db, q, dop)
-				if err != nil {
-					t.Fatalf("batch engine: %v", err)
-				}
-				if row.Code != batch.Code {
-					t.Fatalf("divergent outcome: row %q (%v) vs batch %q (%v)",
-						row.Code, row.Err, batch.Code, batch.Err)
+					t.Fatal(err)
 				}
 				if q.Expect.Error != "" {
-					if batch.Code != q.Expect.Error {
-						t.Fatalf("code = %q, want %q", batch.Code, q.Expect.Error)
+					if got.Code != q.Expect.Error {
+						t.Fatalf("code = %q (%v), want %q", got.Code, got.Err, q.Expect.Error)
 					}
 					return
 				}
-				if err := replay.DiffRendered(batch.Rendered, row.Rendered); err != nil {
-					t.Fatalf("batch vs row: %v", err)
+				if got.Code != "" {
+					t.Fatalf("failed: %s: %v", got.Code, got.Err)
 				}
+				res, err := db.QueryContext(ctx, q.SQL, q.LocalOptions(dop)...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkOracle(t, want, res, "engine vs oracle")
 				if q.Expect.Golden {
-					want, err := c.Golden(q)
+					golden, err := c.Golden(q)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if err := replay.DiffRendered(row.Rendered, want); err != nil {
-						t.Fatalf("row engine vs golden: %v", err)
+					if err := replay.DiffRendered(got.Rendered, golden); err != nil {
+						t.Fatalf("engine vs golden: %v", err)
 					}
 				}
 			})

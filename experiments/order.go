@@ -1,6 +1,9 @@
 package experiments
 
 import (
+	"fmt"
+	"reflect"
+	"runtime"
 	"time"
 
 	"gapplydb"
@@ -87,4 +90,45 @@ func Order(db *gapplydb.Database) ([]OrderRow, error) {
 		out = append(out, OrderRow{Query: q.name, NoIndex: nt, Indexed: it, Rows: len(ires.Rows)})
 	}
 	return out, nil
+}
+
+// CompareRepeats is how many times each side of a comparison runs; the
+// minimum is kept. Plan deltas can be fractions of a GC pause, so this
+// is deliberately higher than the suite-wide Repeats: with a collection
+// landing inside roughly every other run, min-of-3 measures which side
+// got lucky, not which is faster.
+var CompareRepeats = 9
+
+// timeEngine is timeQuery with the comparison's noise controls: more
+// repeats, and a forced collection before each timed run so one side's
+// garbage doesn't land as a pause inside the other's window.
+func timeEngine(db *gapplydb.Database, q string, opts ...gapplydb.QueryOption) (time.Duration, *gapplydb.Result, error) {
+	best := time.Duration(0)
+	var last *gapplydb.Result
+	for i := 0; i < CompareRepeats; i++ {
+		runtime.GC()
+		res, err := db.Query(q, opts...)
+		if err != nil {
+			return 0, nil, fmt.Errorf("experiments: %w\nquery: %s", err, q)
+		}
+		if i == 0 || res.Elapsed < best {
+			best = res.Elapsed
+		}
+		last = res
+	}
+	return best, last, nil
+}
+
+// sameResult rejects a timing pair whose plans disagree — a comparison
+// between different computations measures nothing.
+func sameResult(name string, a, b *gapplydb.Result) error {
+	if len(a.Rows) != len(b.Rows) {
+		return fmt.Errorf("experiments: %s: plans disagree: %d rows vs %d", name, len(a.Rows), len(b.Rows))
+	}
+	for i := range a.Rows {
+		if !reflect.DeepEqual(a.Rows[i], b.Rows[i]) {
+			return fmt.Errorf("experiments: %s: plans disagree at row %d: %v vs %v", name, i, a.Rows[i], b.Rows[i])
+		}
+	}
+	return nil
 }

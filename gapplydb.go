@@ -370,7 +370,6 @@ type queryConfig struct {
 	budget       Budget
 	noPlanCache  bool
 	noSpool      bool
-	rowExec      bool
 	planCacheHit bool // set after compile; not a user option
 
 	// Tracing (see tracing.go). traceBuilder is either supplied via
@@ -463,16 +462,6 @@ func WithoutSpooling() QueryOption {
 // and for before/after benchmarking, not for production use.
 func WithoutIndexes() QueryOption {
 	return func(c *queryConfig) { c.optOpts.DisableIndexes = true }
-}
-
-// WithRowExecution runs the query on the row-at-a-time (Volcano)
-// engine instead of the default vectorized batch engine. The two
-// engines produce identical rows, errors, counters and profiles; the
-// row engine is kept as the differential-testing oracle and for
-// before/after benchmarking. There is no reason to set this in
-// production.
-func WithRowExecution() QueryOption {
-	return func(c *queryConfig) { c.rowExec = true }
 }
 
 // WithoutRule disables one optimizer rule (see RuleNames) for the query.
@@ -784,7 +773,6 @@ func (db *Database) execContext(ctx context.Context, cfg queryConfig) *exec.Cont
 	ectx.DOP = cfg.dop
 	ectx.Ctx = ctx
 	ectx.NoSpool = cfg.noSpool
-	ectx.RowExec = cfg.rowExec
 	if cfg.planCacheHit {
 		ectx.Counters.PlanCacheHits = 1
 	}

@@ -3,16 +3,15 @@ package exec
 import "gapplydb/internal/types"
 
 // This file is the spine of the batch-at-a-time engine: the Batch
-// container, the BatchIterator operator interface, and the adapters and
-// drain helpers the operators share. The engine keeps the Volcano
-// shape — a pull-based operator tree — but each pull moves a batch of
-// up to batchSize rows, so the per-row interface call, cancellation
-// poll, and allocation that dominate the row engine's hot paths are
-// paid once per batch instead of once per row.
+// container, the BatchIterator operator interface, and the drain
+// helpers the operators share. The engine keeps the Volcano shape — a
+// pull-based operator tree — but each pull moves a batch of up to
+// batchSize rows, so the per-row interface call, cancellation poll, and
+// allocation a row-at-a-time tree pays are paid once per batch instead.
 //
 // Layout. A Batch is row-major: Rows holds the row data (each row a
-// types.Row, the same representation the storage layer and the row
-// engine use), and Sel is the selection vector — the indexes of the
+// types.Row, the same representation the storage layer uses), and Sel
+// is the selection vector — the indexes of the
 // live rows, in order. Filters narrow Sel without moving row data;
 // column-oriented kernels (vector.go) traverse one column of the live
 // rows in a tight loop. Row-major with a selection vector, rather than
@@ -31,8 +30,8 @@ import "gapplydb/internal/types"
 
 // batchSize is the target number of rows per batch. It matches
 // cancelBatch, so one batch of work is also one cancellation window:
-// batch-grained polling has the same worst-case cancellation latency
-// the row engine's per-row tick amortization had.
+// batch-grained polling has the same worst-case cancellation latency as
+// a per-row tick amortized over cancelBatch rows.
 const batchSize = 256
 
 // Batch is a set of rows flowing between batch operators.
@@ -151,7 +150,7 @@ func identitySel(sel []int, n int) []int {
 // BatchIterator is the batch-engine operator interface. NextBatch
 // returns a nil Batch at end of stream; a returned Batch has at least
 // one live row. After Close, Open may be called again to re-execute the
-// subtree (Apply and GApply rely on this, exactly as with Iterator).
+// subtree (Apply and GApply rely on this).
 type BatchIterator interface {
 	Open() error
 	NextBatch() (*Batch, error)
@@ -159,8 +158,10 @@ type BatchIterator interface {
 }
 
 // drainBatchRows opens the iterator, copies every live row's header
-// out, and closes it, polling cancellation once per batch. It is the
-// batch engine's drainWith.
+// out, and closes it, polling cancellation once per batch — the engine's
+// internal materializations (apply inners, join builds, GApply outer
+// and per-group drains) use it so a blocking materialization stops
+// within one row batch of the query being cancelled.
 func drainBatchRows(it BatchIterator, c *Context) ([]types.Row, error) {
 	if err := it.Open(); err != nil {
 		return nil, err
@@ -209,39 +210,4 @@ func (w *rowWindow) next() *Batch {
 	w.out = Batch{Rows: w.rows[w.pos:end]}
 	w.pos = end
 	return &w.out
-}
-
-// rowAdapter exposes a batch tree through the row Iterator interface,
-// so row-level consumers (and the exec package's own tests) can drive
-// either engine.
-type rowAdapter struct {
-	inner BatchIterator
-	buf   *Batch
-	pos   int
-}
-
-func (a *rowAdapter) Open() error {
-	a.buf, a.pos = nil, 0
-	return a.inner.Open()
-}
-
-func (a *rowAdapter) Next() (types.Row, bool, error) {
-	for a.buf == nil || a.pos >= a.buf.Len() {
-		b, err := a.inner.NextBatch()
-		if err != nil {
-			return nil, false, err
-		}
-		if b == nil {
-			return nil, false, nil
-		}
-		a.buf, a.pos = b, 0
-	}
-	r := a.buf.Row(a.pos)
-	a.pos++
-	return r, true, nil
-}
-
-func (a *rowAdapter) Close() error {
-	a.buf = nil
-	return a.inner.Close()
 }

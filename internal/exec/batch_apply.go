@@ -4,11 +4,15 @@ import (
 	"gapplydb/internal/types"
 )
 
-// bApply is the batch counterpart of apply: it re-executes (or serves
-// from the uncorrelated cache) the inner tree once per outer row,
-// emitting concatenated rows in batches capped at batchSize. The outer
-// stack push/pop around the inner drain is identical to the row engine,
-// so correlated expressions compiled with OuterRefs work unchanged.
+// bApply re-executes the inner tree once per outer row — the correlated
+// subquery execution model the paper builds GApply's physical
+// implementation on — emitting concatenated rows in batches capped at
+// batchSize. The outer row is pushed on the context's outer stack
+// around the inner drain, where compiled OuterRefs read it. When the
+// inner has no outer references its result cannot change across the
+// outer loop (it may still change when a group binding changes), so it
+// is materialized once per binding version — the standard
+// cached-subquery optimization.
 type bApply struct {
 	outer, inner BatchIterator
 	ctx          *Context

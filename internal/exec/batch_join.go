@@ -75,9 +75,9 @@ func gather(dst, src types.Row, ords []int) {
 }
 
 // bHashJoin builds a hash table on the right input's equi-columns and
-// probes it with left batches. It mirrors hashJoin: the spool-backed
-// rebuild skip via contentVersioned, NULL-key probe skip, residual
-// predicate over the concatenated row, left-outer NULL padding. A nil
+// probes it with left batches, with a spool-backed rebuild skip via
+// contentVersioned, a NULL-key probe skip, a residual predicate over
+// the concatenated row, and left-outer NULL padding. A nil
 // pred means the build proved the condition residual-free (the hash
 // key covers every conjunct), so bucket hits emit without evaluation.
 //

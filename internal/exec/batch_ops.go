@@ -5,10 +5,8 @@ import (
 	"gapplydb/internal/types"
 )
 
-// Batch counterparts of the basic operators in iterators.go. Each
-// mirrors its row twin's Open/Close structure and counter effects
-// exactly — the differential suite holds the two engines byte-identical
-// — but moves batchSize rows per interface call.
+// The basic operators: scans, filter, projections, distinct, sort,
+// union and exists. Each moves up to batchSize rows per interface call.
 
 // bScan produces a base table in zero-copy batches: each batch aliases
 // a window of the table's row slice.
@@ -473,10 +471,10 @@ func (s *bSort) Close() error {
 }
 
 // bExists consumes its input and emits a single zero-column row when
-// the input is nonempty (or empty, when negated). It pulls one batch
-// where the row engine pulls one row; the upstream may therefore do up
-// to one batch of extra work — outputs are identical, and the
-// differential suite compares outputs, not work counters.
+// the input is nonempty (or empty, when negated). It pulls one batch to
+// decide, so the upstream may do up to one batch more work than the
+// answer needs — counters fed by that work (RowsScanned, JoinProbes)
+// can run ahead by part of a batch.
 type bExists struct {
 	input   BatchIterator
 	negated bool

@@ -119,8 +119,10 @@ func TestJoinFusionGatedByProfile(t *testing.T) {
 	}
 }
 
+// TestBatchEngineParityOnJoinFusionShapes checks the Select-over-Join
+// shapes, fused (no profile) and unfused (profiled), against the
+// reference interpreter.
 func TestBatchEngineParityOnJoinFusionShapes(t *testing.T) {
-	mk := func() (*Context, *Context) { return fixture(t), fixture(t) }
 	outerJoin := func(ctx *Context) *core.Join {
 		return &core.Join{
 			Kind:  core.LeftOuterJoin,
@@ -157,17 +159,13 @@ func TestBatchEngineParityOnJoinFusionShapes(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			bctx, rctx := mk()
-			rctx.RowExec = true
-			batch := mustRun(t, tc.plan(bctx), bctx)
-			row := mustRun(t, tc.plan(rctx), rctx)
-			if len(batch.Rows) != len(row.Rows) {
-				t.Fatalf("engines disagree: batch %d rows, row %d rows", len(batch.Rows), len(row.Rows))
-			}
-			for i := range row.Rows {
-				if !reflect.DeepEqual(batch.Rows[i], row.Rows[i]) {
-					t.Fatalf("row %d: batch %v vs row %v", i, batch.Rows[i], row.Rows[i])
+			for _, prof := range []bool{false, true} {
+				ctx := fixture(t)
+				if prof {
+					ctx.Prof = NewProfile()
 				}
+				plan := tc.plan(ctx)
+				checkOracle(t, plan, ctx.Catalog, mustRun(t, plan, ctx).Rows)
 			}
 		})
 	}
@@ -243,21 +241,5 @@ func TestRunBatchCancellation(t *testing.T) {
 	ctx.Ctx = cctx
 	if _, err := Run(joined(ctx), ctx); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Run on a cancelled context = %v, want context.Canceled", err)
-	}
-}
-
-func TestRowAdapterRoundTrip(t *testing.T) {
-	ctx := fixture(t)
-	it, err := BuildBatch(joined(ctx), ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := &rowAdapter{inner: it}
-	rows, err := drainWith(a, ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 5 {
-		t.Fatalf("adapter drained %d rows, want 5", len(rows))
 	}
 }

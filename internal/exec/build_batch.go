@@ -10,11 +10,15 @@ import (
 )
 
 // BuildBatch compiles a logical plan into a batch-iterator tree bound
-// to ctx — the batch engine's Build. Physical choices honor the same
-// optimizer hints, and probe/spool wrapping follows the same discipline
-// as build: the probe sits inside the spool, so replays bypass the
-// subtree's instrumentation and EXPLAIN ANALYZE actuals stay
-// dop-invariant and engine-invariant (rows are counted, not batches).
+// to ctx. Physical choices honor the hints the optimizer set on the
+// logical nodes (join method, GApply partition strategy), defaulting
+// sensibly. When the context carries a Profile every compiled iterator
+// is wrapped in an instrumented probe keyed by its plan node; a
+// registered invariant root of the enclosing GApply's inner plan is
+// additionally wrapped in a spool sharing the registry's holder. The
+// probe sits inside the spool, so replays bypass the subtree's
+// instrumentation and EXPLAIN ANALYZE actuals stay dop-invariant (rows
+// are counted, not batches).
 func BuildBatch(n core.Node, ctx *Context) (BatchIterator, error) {
 	return buildBatch(n, ctx, nil)
 }
@@ -51,7 +55,7 @@ func buildBatch(n core.Node, ctx *Context, env compileEnv) (BatchIterator, error
 // finds the same column in the projection. Probes and spools wrap
 // narrowed iterators like any other, so unlike Select fusion narrowing
 // does not depend on ctx.Prof: EXPLAIN ANALYZE measures the plan that
-// runs. The row engine keeps full-width rows; it is the oracle.
+// runs.
 
 // buildBatchNeed builds n for a consumer that reads only the columns
 // need of n's schema (nil: all of them). It returns the ordinals of n's
@@ -347,9 +351,10 @@ func buildBatchNode(n core.Node, ctx *Context, env compileEnv) (BatchIterator, e
 
 	case *core.OrderBy:
 		if x.Elided {
-			// Pass-through, mirroring build: the input already provides
-			// this exact ordering, the probe wrapper keeps the operator's
-			// EXPLAIN ANALYZE line.
+			// The optimizer proved the input provides exactly this
+			// ordering; the node compiles to a pass-through. Its probe
+			// wrapper still counts rows, so EXPLAIN ANALYZE keeps the
+			// operator's line with sort work elided.
 			return buildBatch(x.Input, ctx, env)
 		}
 		in, err := buildBatch(x.Input, ctx, env)
@@ -608,4 +613,35 @@ func buildBatchGApply(g *core.GApply, ctx *Context, env compileEnv) (BatchIterat
 		ordered:    core.GApplyOuterOrdered(g),
 		correlated: len(core.OuterRefsIn(g.Inner)) > 0,
 	}, nil
+}
+
+// compiledKey is a sort key with its evaluator.
+type compiledKey struct {
+	fn   evalFn
+	desc bool
+}
+
+func compileOrderKeys(keys []core.OrderKey, in *schema.Schema, env compileEnv) ([]compiledKey, error) {
+	out := make([]compiledKey, len(keys))
+	for i, k := range keys {
+		fn, err := compileExpr(k.Expr, in, env)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = compiledKey{fn: fn, desc: k.Desc}
+	}
+	return out, nil
+}
+
+// resolveCols maps column refs to ordinals in a schema.
+func resolveCols(cols []*core.ColRef, in *schema.Schema) ([]int, error) {
+	out := make([]int, len(cols))
+	for i, c := range cols {
+		ord, err := in.Resolve(c.Table, c.Name)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = ord
+	}
+	return out, nil
 }

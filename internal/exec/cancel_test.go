@@ -110,8 +110,9 @@ func TestCancelBeforeExecution(t *testing.T) {
 
 // TestCancelMidExecutionParallel is the acceptance check for the
 // cancellation path: a parallel GApply at dop 8, cancelled after its
-// first output row, must surface context.Canceled within 100ms —
-// workers mid-group included — and leak no goroutines.
+// first output batch, must surface context.Canceled within 100ms —
+// workers mid-group included — and leak no goroutines. Groups a worker
+// finished before the cancel may still be delivered first.
 func TestCancelMidExecutionParallel(t *testing.T) {
 	cat := groupedCatalog(t, 64, 150)
 	base := runtime.NumGoroutine()
@@ -120,26 +121,26 @@ func TestCancelMidExecutionParallel(t *testing.T) {
 	ctx := NewContext(cat)
 	ctx.DOP = 8
 	ctx.Ctx = cctx
-	it, err := Build(heavySelfJoin(ctx), ctx)
+	it, err := BuildBatch(heavySelfJoin(ctx), ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := it.Open(); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok, err := it.Next(); err != nil || !ok {
-		t.Fatalf("first row: ok=%v err=%v", ok, err)
+	if b, err := it.NextBatch(); err != nil || b == nil {
+		t.Fatalf("first batch: %v err=%v", b, err)
 	}
 	cancel()
 	start := time.Now()
 	var nextErr error
 	for {
-		_, ok, err := it.Next()
+		b, err := it.NextBatch()
 		if err != nil {
 			nextErr = err
 			break
 		}
-		if !ok {
+		if b == nil {
 			break
 		}
 	}
@@ -165,21 +166,23 @@ func TestCancelAfterLastRow(t *testing.T) {
 		ctx := fixture(t)
 		ctx.DOP = dop
 		ctx.Ctx = cctx
-		it, err := Build(gapplyQ1(ctx, core.PartitionHash), ctx)
+		it, err := BuildBatch(gapplyQ1(ctx, core.PartitionHash), ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := it.Open(); err != nil {
 			t.Fatal(err)
 		}
-		for i := 0; i < 7; i++ { // Q1 over the fixture emits exactly 7 rows
-			if _, ok, err := it.Next(); err != nil || !ok {
-				t.Fatalf("dop=%d row %d: ok=%v err=%v", dop, i, ok, err)
+		for n := 0; n < 7; { // Q1 over the fixture emits exactly 7 rows
+			b, err := it.NextBatch()
+			if err != nil || b == nil {
+				t.Fatalf("dop=%d after %d rows: %v err=%v", dop, n, b, err)
 			}
+			n += b.Len()
 		}
 		cancel()
-		if _, _, err := it.Next(); !errorsIsCanceled(err) {
-			t.Errorf("dop=%d: Next after last row with cancel = %v, want context.Canceled", dop, err)
+		if _, err := it.NextBatch(); !errorsIsCanceled(err) {
+			t.Errorf("dop=%d: NextBatch after last row with cancel = %v, want context.Canceled", dop, err)
 		}
 		it.Close()
 	}
@@ -240,19 +243,19 @@ func TestCancelReopenAfterCancel(t *testing.T) {
 	ctx := NewContext(cat)
 	ctx.DOP = 4
 	ctx.Ctx = cctx
-	it, err := Build(heavySelfJoin(ctx), ctx)
+	it, err := BuildBatch(heavySelfJoin(ctx), ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := it.Open(); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok, err := it.Next(); err != nil || !ok {
-		t.Fatalf("first row: ok=%v err=%v", ok, err)
+	if b, err := it.NextBatch(); err != nil || b == nil {
+		t.Fatalf("first batch: %v err=%v", b, err)
 	}
 	cancel()
 	for {
-		if _, ok, err := it.Next(); err != nil || !ok {
+		if b, err := it.NextBatch(); err != nil || b == nil {
 			break
 		}
 	}
@@ -261,24 +264,7 @@ func TestCancelReopenAfterCancel(t *testing.T) {
 	}
 	// Clear the cancellation and re-execute: full results this time.
 	ctx.Ctx = context.Background()
-	if err := it.Open(); err != nil {
-		t.Fatal(err)
-	}
-	n := 0
-	for {
-		_, ok, err := it.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			break
-		}
-		n++
-	}
-	if err := it.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if n != 16 { // one count row per group
+	if n := drainCount(t, it); n != 16 { // one count row per group
 		t.Errorf("re-opened run = %d rows, want 16", n)
 	}
 }

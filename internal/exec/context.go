@@ -67,18 +67,11 @@ type Context struct {
 	// harness to verify plan shapes (e.g. "the baseline joins twice").
 	Counters Counters
 
-	// Prof, when non-nil, makes Build wrap every iterator in an
+	// Prof, when non-nil, makes BuildBatch wrap every iterator in an
 	// instrumented probe recording per-operator rows, loops and wall
 	// time — the data EXPLAIN ANALYZE renders. Nil (the default) keeps
 	// execution completely uninstrumented.
 	Prof *Profile
-
-	// RowExec selects the reference row-at-a-time engine instead of the
-	// default batch-at-a-time engine. The two produce byte-identical
-	// results (the differential suite pins this); the row engine is kept
-	// as the oracle the batch engine is checked against, and for
-	// benchmark comparisons.
-	RowExec bool
 
 	// NoSpool disables GApply's invariant-subtree spooling, forcing the
 	// pre-spool behavior of re-executing the whole inner tree per group.
@@ -86,10 +79,10 @@ type Context struct {
 	NoSpool bool
 
 	// spools is the spool registry of the GApply whose inner tree is
-	// currently being compiled: build wraps every registered invariant
-	// root in a spool iterator sharing that registry's materializations.
-	// buildGApply swaps it in around the inner compile; it is nil while
-	// any other part of the plan compiles.
+	// currently being compiled: buildBatchNeed wraps every registered
+	// invariant root in a spool iterator sharing that registry's
+	// materializations. buildBatchGApply swaps it in around the inner
+	// compile; it is nil while any other part of the plan compiles.
 	spools *spoolRegistry
 }
 
@@ -128,7 +121,7 @@ func (c *Context) fork() *Context {
 		groups[k] = v
 	}
 	child := &Context{Catalog: c.Catalog, DOP: c.DOP, groups: groups,
-		Ctx: c.Ctx, Budget: c.Budget, NoSpool: c.NoSpool, RowExec: c.RowExec}
+		Ctx: c.Ctx, Budget: c.Budget, NoSpool: c.NoSpool}
 	child.outer = append(child.outer, c.outer...)
 	if c.Prof != nil {
 		child.Prof = NewProfile()
@@ -236,65 +229,4 @@ func (c *Context) popOuter() {
 // outerAt returns the row depth levels below the top of the outer stack.
 func (c *Context) outerAt(depth int) types.Row {
 	return c.outer[len(c.outer)-1-depth]
-}
-
-// Iterator is the Volcano operator interface. After Close, Open may be
-// called again to re-execute the subtree (Apply and GApply rely on this).
-type Iterator interface {
-	Open() error
-	Next() (types.Row, bool, error)
-	Close() error
-}
-
-// Drain opens the iterator, collects every row, and closes it.
-func Drain(it Iterator) ([]types.Row, error) {
-	if err := it.Open(); err != nil {
-		return nil, err
-	}
-	var rows []types.Row
-	for {
-		r, ok, err := it.Next()
-		if err != nil {
-			it.Close()
-			return nil, err
-		}
-		if !ok {
-			break
-		}
-		rows = append(rows, r)
-	}
-	if err := it.Close(); err != nil {
-		return nil, err
-	}
-	return rows, nil
-}
-
-// drainWith is Drain with a cancellation point per collected row; the
-// engine's internal materializations (apply inners, join builds, GApply
-// outer and per-group drains) use it so a blocking materialization stops
-// within one row batch of the query being cancelled.
-func drainWith(it Iterator, c *Context) ([]types.Row, error) {
-	if err := it.Open(); err != nil {
-		return nil, err
-	}
-	var rows []types.Row
-	for {
-		if err := c.tick(); err != nil {
-			it.Close()
-			return nil, err
-		}
-		r, ok, err := it.Next()
-		if err != nil {
-			it.Close()
-			return nil, err
-		}
-		if !ok {
-			break
-		}
-		rows = append(rows, r)
-	}
-	if err := it.Close(); err != nil {
-		return nil, err
-	}
-	return rows, nil
 }

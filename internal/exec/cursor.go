@@ -14,8 +14,6 @@ import (
 // network server streams results through one of these so a large result
 // never exists in full on the server side.
 //
-// Like Run, Start compiles for the batch engine unless Context.RowExec
-// selects the row engine; the Cursor surface is identical either way.
 // NextBatch is the bulk form — the server's framing loop uses it to
 // move 256 rows per call — and may be mixed freely with Next: a batch
 // never re-delivers rows Next already returned.
@@ -28,42 +26,29 @@ type Cursor struct {
 	Schema *schema.Schema
 
 	node   core.Node
-	it     Iterator      // row engine (nil in batch mode)
-	bit    BatchIterator // batch engine (nil in row mode)
+	bit    BatchIterator
 	ctx    *Context
 	n      int64
 	closed bool
 
-	cur     *Batch // batch mode: current batch being row-stepped by Next
+	cur     *Batch // current batch being row-stepped by Next
 	pos     int    // live-row position within cur
 	rem     Batch  // scratch for NextBatch remainders and truncations
-	scratch Batch  // row mode: batch assembled by NextBatch
-	pendErr error  // error to deliver on the NextBatch after a partial batch
+	pendErr error  // error to deliver on the NextBatch after a truncated batch
 }
 
 // Start compiles the plan and opens the iterator tree, returning a
 // cursor positioned before the first row.
 func Start(n core.Node, ctx *Context) (*Cursor, error) {
-	if !ctx.RowExec {
-		bit, err := BuildBatch(n, ctx)
-		if err != nil {
-			return nil, err
-		}
-		if err := bit.Open(); err != nil {
-			bit.Close()
-			return nil, err
-		}
-		return &Cursor{Schema: n.Schema(), node: n, bit: bit, ctx: ctx}, nil
-	}
-	it, err := Build(n, ctx)
+	bit, err := BuildBatch(n, ctx)
 	if err != nil {
 		return nil, err
 	}
-	if err := it.Open(); err != nil {
-		it.Close()
+	if err := bit.Open(); err != nil {
+		bit.Close()
 		return nil, err
 	}
-	return &Cursor{Schema: n.Schema(), node: n, it: it, ctx: ctx}, nil
+	return &Cursor{Schema: n.Schema(), node: n, bit: bit, ctx: ctx}, nil
 }
 
 // Next returns the next output row. ok=false with a nil error marks
@@ -81,43 +66,26 @@ func (c *Cursor) Next() (types.Row, bool, error) {
 		c.close()
 		return nil, false, err
 	}
-	var r types.Row
-	if c.bit != nil {
-		for c.cur == nil || c.pos >= c.cur.Len() {
-			b, err := c.bit.NextBatch()
-			if err != nil {
-				c.close()
-				return nil, false, err
-			}
-			if b == nil {
-				err := c.close()
-				if cerr := c.ctx.checkCancel(); cerr != nil {
-					err = cerr
-				}
-				return nil, false, err
-			}
-			c.cur, c.pos = b, 0
-		}
-		r = c.cur.Row(c.pos)
-		c.pos++
-	} else {
-		row, ok, err := c.it.Next()
+	for c.cur == nil || c.pos >= c.cur.Len() {
+		b, err := c.bit.NextBatch()
 		if err != nil {
 			c.close()
 			return nil, false, err
 		}
-		if !ok {
-			// A cancel that lands after the last row still cancels the query,
-			// mirroring Run: the consumer must not mistake a raced result for
-			// a committed success.
+		if b == nil {
+			// A cancel that lands after the last row still cancels the
+			// query, as in Run: the consumer must not mistake a raced
+			// result for a committed success.
 			err := c.close()
 			if cerr := c.ctx.checkCancel(); cerr != nil {
 				err = cerr
 			}
 			return nil, false, err
 		}
-		r = row
+		c.cur, c.pos = b, 0
 	}
+	r := c.cur.Row(c.pos)
+	c.pos++
 	c.n++
 	if b := c.ctx.Budget; b != nil && b.MaxOutputRows > 0 && c.n > b.MaxOutputRows {
 		c.close()
@@ -142,9 +110,6 @@ func (c *Cursor) NextBatch() (*Batch, error) {
 	}
 	if c.closed {
 		return nil, nil
-	}
-	if c.bit == nil {
-		return c.rowAssembleBatch()
 	}
 	var b *Batch
 	if c.cur != nil && c.pos < c.cur.Len() {
@@ -204,34 +169,6 @@ func (c *Cursor) NextBatch() (*Batch, error) {
 	return b, nil
 }
 
-// rowAssembleBatch is NextBatch over the row engine: up to batchSize
-// Next calls folded into one owned batch, with any mid-batch error
-// deferred so already-produced rows are still delivered first.
-func (c *Cursor) rowAssembleBatch() (*Batch, error) {
-	if c.scratch.Rows == nil {
-		c.scratch.Rows = make([]types.Row, 0, batchSize)
-	}
-	c.scratch.Rows = c.scratch.Rows[:0]
-	for len(c.scratch.Rows) < batchSize {
-		r, ok, err := c.Next()
-		if err != nil {
-			if len(c.scratch.Rows) == 0 {
-				return nil, err
-			}
-			c.pendErr = err
-			break
-		}
-		if !ok {
-			break
-		}
-		c.scratch.Rows = append(c.scratch.Rows, r)
-	}
-	if len(c.scratch.Rows) == 0 {
-		return nil, nil
-	}
-	return &c.scratch, nil
-}
-
 // Rows reports how many rows the cursor has produced so far.
 func (c *Cursor) Rows() int64 { return c.n }
 
@@ -244,8 +181,5 @@ func (c *Cursor) close() error {
 	}
 	c.closed = true
 	c.cur = nil
-	if c.bit != nil {
-		return c.bit.Close()
-	}
-	return c.it.Close()
+	return c.bit.Close()
 }

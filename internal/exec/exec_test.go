@@ -5,7 +5,9 @@ import (
 	"testing"
 
 	"gapplydb/internal/core"
+	"gapplydb/internal/oracle"
 	"gapplydb/internal/schema"
+	"gapplydb/internal/storage"
 	"gapplydb/internal/types"
 )
 
@@ -51,6 +53,19 @@ func mustRun(t *testing.T, n core.Node, ctx *Context) *Result {
 		t.Fatalf("Run: %v\nplan:\n%s", err, core.Format(n))
 	}
 	return res
+}
+
+// checkOracle fails the test unless rows match the reference
+// interpreter's evaluation of plan over cat (see internal/oracle).
+func checkOracle(t *testing.T, plan core.Node, cat *storage.Catalog, rows []types.Row) {
+	t.Helper()
+	want, err := oracle.Expect(plan, cat)
+	if err != nil {
+		t.Fatalf("oracle: %v\nplan:\n%s", err, core.Format(plan))
+	}
+	if err := want.Check(rows); err != nil {
+		t.Fatalf("%v\nplan:\n%s", err, core.Format(plan))
+	}
 }
 
 func TestTableScan(t *testing.T) {

@@ -19,7 +19,7 @@ import (
 // position order, i.e. exactly the heap scan's rows its bounds admit.
 //
 // An index scan emits exactly the rows a heap scan (plus a stable sort)
-// would, so RowsScanned counts every emitted row, as tableScan does; a
+// would, so RowsScanned counts every emitted row, as bScan does; a
 // bounded scan counts only the rows inside the window — the rows it
 // actually produced.
 
@@ -76,8 +76,8 @@ func indexWindow(run *storage.IndexRun, p *core.IndexScan, scratch []byte) (int,
 	return lo, hi
 }
 
-// indexCursor is the state both engines' index scans share: the heap
-// positions to emit, in emission order, resolved once per run snapshot.
+// indexCursor is the index scan's resolved window: the heap positions
+// to emit, in emission order, resolved once per run snapshot.
 // The bounds are constants of the plan, so the window is a function of
 // the run alone; re-Opens against the same snapshot (a per-group query
 // re-opened once per group) only re-resolve the catalog entries.
@@ -121,30 +121,6 @@ func (c *indexCursor) open() error {
 	c.table, c.next = tab, 0
 	return nil
 }
-
-// indexScan is the row engine's index scan.
-type indexScan struct {
-	indexCursor
-}
-
-func (s *indexScan) Open() error { return s.open() }
-
-func (s *indexScan) Next() (types.Row, bool, error) {
-	// Leaf scans are the engine's universal cancellation point, exactly
-	// as in tableScan.
-	if err := s.ctx.tick(); err != nil {
-		return nil, false, err
-	}
-	if s.next >= len(s.pos) {
-		return nil, false, nil
-	}
-	r := s.table.Rows[s.pos[s.next]]
-	s.next++
-	s.ctx.Counters.RowsScanned++
-	return r, true, nil
-}
-
-func (s *indexScan) Close() error { return nil }
 
 // bIndexScan is the batch engine's index scan. When the window is a run
 // of adjacent heap positions (a clustered key, or any equality window
@@ -209,10 +185,10 @@ func checkIndexScan(p *core.IndexScan, ctx *Context) error {
 // bare key-order IndexScan (core.Join.ProbedIndex): the join searches
 // the index's stored run in place — one SeekGE/SeekGT per left row,
 // rows read through the run's positions — so nothing is drained,
-// encoded or allocated per Open. Both engines use it; RowsScanned counts
-// the probed entries (each equal range once), which are the same at
-// every engine and degree, and EXPLAIN ANALYZE credits them, with one
-// loop per join Open, to the IndexScan node the probe replaced.
+// encoded or allocated per Open. RowsScanned counts the probed entries
+// (each equal range once), which are the same at every degree, and
+// EXPLAIN ANALYZE credits them, with one loop per join Open, to the
+// IndexScan node the probe replaced.
 type indexProbe struct {
 	plan  *core.IndexScan
 	stats *NodeStats // the IndexScan's profile cell; nil unless profiling

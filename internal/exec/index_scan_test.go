@@ -127,38 +127,34 @@ func TestProbedMergeJoinMatchesHashJoin(t *testing.T) {
 			}
 			cat := probeCatalog(t)
 			want := mustRun(t, plan(cat, false), NewContext(cat)).Rows
+			checkOracle(t, plan(cat, true), cat, want)
 			var scanned []int64
-			for _, rowExec := range []bool{false, true} {
-				for _, prof := range []bool{false, true} {
-					ctx := NewContext(cat)
-					ctx.RowExec = rowExec
-					if prof {
-						ctx.Prof = NewProfile()
-					}
-					p := plan(cat, true)
-					got := mustRun(t, p, ctx).Rows
-					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("row=%t prof=%t: probed join diverged from the hash join:\ngot  %v\nwant %v", rowExec, prof, got, want)
-					}
-					scanned = append(scanned, ctx.Counters.RowsScanned)
-					if prof {
-						var j *core.Join
-						core.Walk(p, func(n core.Node) {
-							if x, ok := n.(*core.Join); ok {
-								j = x
-							}
-						})
-						st := ctx.Prof.Stats(j.Right)
-						if st.Opens != 1 || st.Rows != ctx.Counters.RowsScanned-60 {
-							t.Errorf("row=%t: probed IndexScan stats %+v, want 1 loop and %d rows", rowExec, st, ctx.Counters.RowsScanned-60)
+			for _, prof := range []bool{false, true} {
+				ctx := NewContext(cat)
+				if prof {
+					ctx.Prof = NewProfile()
+				}
+				p := plan(cat, true)
+				got := mustRun(t, p, ctx).Rows
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("prof=%t: probed join diverged from the hash join:\ngot  %v\nwant %v", prof, got, want)
+				}
+				scanned = append(scanned, ctx.Counters.RowsScanned)
+				if prof {
+					var j *core.Join
+					core.Walk(p, func(n core.Node) {
+						if x, ok := n.(*core.Join); ok {
+							j = x
 						}
+					})
+					st := ctx.Prof.Stats(j.Right)
+					if st.Opens != 1 || st.Rows != ctx.Counters.RowsScanned-60 {
+						t.Errorf("probed IndexScan stats %+v, want 1 loop and %d rows", st, ctx.Counters.RowsScanned-60)
 					}
 				}
 			}
-			for _, n := range scanned[1:] {
-				if n != scanned[0] {
-					t.Fatalf("RowsScanned differs across engines/instrumentation: %v", scanned)
-				}
+			if scanned[1] != scanned[0] {
+				t.Fatalf("RowsScanned differs with instrumentation: %v", scanned)
 			}
 		})
 	}
@@ -184,19 +180,13 @@ func TestProbeDecidedFromPlan(t *testing.T) {
 		if m, ok := it.(*bMergeJoin); !ok || m.probe == nil || m.right != nil {
 			t.Fatalf("prof=%t: built %T without an index probe", prof, it)
 		}
-		rit, err := buildJoin(j, ctx, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if m, ok := rit.(*mergeJoin); !ok || m.probe == nil || m.right != nil {
-			t.Fatalf("prof=%t: row engine built %T without an index probe", prof, rit)
-		}
 	}
 }
 
 // TestHeapOrderWindowSorted: a heap-order range window over a shuffled
-// heap comes out in heap position order, on both engines, and a re-Open
-// against the same run reuses the resolved window.
+// heap comes out in heap position order — the heap scan's filtered rows
+// and the reference interpreter's — and a re-Open against the same run
+// reuses the resolved window.
 func TestHeapOrderWindowSorted(t *testing.T) {
 	cat := probeCatalog(t)
 	is := keyIndexScan(t, cat, "r")
@@ -211,17 +201,15 @@ func TestHeapOrderWindowSorted(t *testing.T) {
 	if len(want) < 10 {
 		t.Fatalf("window too small to exercise the sort: %d rows", len(want))
 	}
-	for _, rowExec := range []bool{false, true} {
-		ctx := NewContext(cat)
-		ctx.RowExec = rowExec
-		got := mustRun(t, is, ctx).Rows
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("row=%t: heap-order window\ngot  %v\nwant %v", rowExec, got, want)
-		}
-		if ctx.Counters.RowsScanned != int64(len(want)) {
-			t.Errorf("row=%t: RowsScanned = %d, want the window's %d rows", rowExec, ctx.Counters.RowsScanned, len(want))
-		}
+	ctx := NewContext(cat)
+	got := mustRun(t, is, ctx).Rows
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("heap-order window\ngot  %v\nwant %v", got, want)
 	}
+	if ctx.Counters.RowsScanned != int64(len(want)) {
+		t.Errorf("RowsScanned = %d, want the window's %d rows", ctx.Counters.RowsScanned, len(want))
+	}
+	checkOracle(t, is, cat, got)
 	c := &indexCursor{plan: is, ctx: NewContext(cat)}
 	if err := c.open(); err != nil {
 		t.Fatal(err)

@@ -47,71 +47,6 @@ func newMergeRun(rows []types.Row, ord int) mergeRun {
 // row returns the run's i-th row.
 func (m *mergeRun) row(i int) types.Row { return m.rows[m.run.Pos[i]] }
 
-// mergeJoin is the row engine's merge join. It mirrors hashJoin's
-// Open/Next/Close structure, counters (JoinProbes once per left row),
-// NULL-key probe skip, residual predicate over the concatenated row,
-// left-outer padding, and the spool-fed rebuild skip via
-// contentVersioned. right is nil when probe is set.
-type mergeJoin struct {
-	left, right Iterator
-	probe       *indexProbe
-	pred        func(types.Row, *Context) (bool, error)
-	ctx         *Context
-	leftOrd     int
-	rightOrd    int
-	outerJoin   bool
-	rightArity  int
-
-	run     mergeRun
-	runGen  uint64
-	hasGen  bool
-	keyBuf  []byte
-	cur     types.Row
-	bpos    int
-	bend    int
-	matched bool
-}
-
-func (m *mergeJoin) Open() error {
-	if m.probe != nil {
-		run, err := m.probe.open(m.ctx)
-		if err != nil {
-			return err
-		}
-		m.run = run
-	} else if err := m.drainRight(); err != nil {
-		return err
-	}
-	m.cur, m.bpos, m.bend = nil, 0, 0
-	return m.left.Open()
-}
-
-// drainRight materializes the right input as a merge run, skipping the
-// rebuild when a spool reports the content the run was built from.
-func (m *mergeJoin) drainRight() error {
-	if err := m.right.Open(); err != nil {
-		return err
-	}
-	if !reuseRun(m.right, m.run.run != nil, &m.runGen, &m.hasGen) {
-		var rows []types.Row
-		for {
-			if err := m.ctx.tick(); err != nil {
-				return err
-			}
-			r, ok, err := m.right.Next()
-			if err != nil {
-				return err
-			}
-			if !ok {
-				break
-			}
-			rows = append(rows, r)
-		}
-		m.run = newMergeRun(rows, m.rightOrd)
-	}
-	return m.right.Close()
-}
-
 // reuseRun reports whether a join's materialized right side is still
 // current: the right input is a stable materialization (a spool) whose
 // content generation matches the one the run was built from. It
@@ -142,58 +77,10 @@ func equalRange(probe *indexProbe, run *mergeRun, k []byte, ctx *Context) (int, 
 	return run.run.EqualRange(k)
 }
 
-func (m *mergeJoin) Next() (types.Row, bool, error) {
-	for {
-		if m.cur == nil {
-			r, ok, err := m.left.Next()
-			if err != nil || !ok {
-				return nil, false, err
-			}
-			m.ctx.Counters.JoinProbes++
-			m.cur = r
-			// NULL join keys never match (predicate equality), so skip
-			// the probe; outer join still pads.
-			if r[m.leftOrd].IsNull() {
-				m.bpos, m.bend = 0, 0
-			} else {
-				m.keyBuf = storage.EncodeIndexKey(m.keyBuf[:0], r[m.leftOrd])
-				m.bpos, m.bend = equalRange(m.probe, &m.run, m.keyBuf, m.ctx)
-			}
-			m.matched = false
-		}
-		for m.bpos < m.bend {
-			rr := m.run.row(m.bpos)
-			m.bpos++
-			out := m.cur.Concat(rr)
-			pass, err := m.pred(out, m.ctx)
-			if err != nil {
-				return nil, false, err
-			}
-			if pass {
-				m.matched = true
-				return out, true, nil
-			}
-		}
-		if m.outerJoin && !m.matched {
-			out := m.cur.Concat(make(types.Row, m.rightArity))
-			m.cur = nil
-			return out, true, nil
-		}
-		m.cur = nil
-	}
-}
-
-func (m *mergeJoin) Close() error {
-	if !m.hasGen {
-		m.run = mergeRun{}
-	}
-	return m.left.Close()
-}
-
-// bMergeJoin is the batch engine's merge join, mirroring bHashJoin's
-// cursor structure, reused probe row, fused post-filter, residual-free
-// fast path (pred == nil when the equi-key covers the whole condition),
-// and output slab discipline — with the hash table replaced by the
+// bMergeJoin is the merge join. It mirrors bHashJoin's cursor
+// structure, reused probe row, fused post-filter, residual-free fast
+// path (pred == nil when the equi-key covers the whole condition), and
+// output slab discipline — with the hash table replaced by the
 // key-ordered run and bucket lookups by binary search. right is nil
 // when probe is set.
 type bMergeJoin struct {
@@ -247,7 +134,8 @@ func (m *bMergeJoin) Open() error {
 	return m.left.Open()
 }
 
-// drainRight is mergeJoin.drainRight over batches.
+// drainRight materializes the right input as a merge run, skipping the
+// rebuild when a spool reports the content the run was built from.
 func (m *bMergeJoin) drainRight() error {
 	if err := m.right.Open(); err != nil {
 		return err

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"gapplydb/internal/core"
+	"gapplydb/internal/oracle"
 	"gapplydb/internal/schema"
 	"gapplydb/internal/storage"
 	"gapplydb/internal/types"
@@ -124,8 +125,9 @@ func TestProjectOfEmissionIsTheJoin(t *testing.T) {
 // TestNarrowingKeepsCompileErrors: a reference that does not resolve
 // against the full join schema — here an unqualified column both sides
 // of a self-join carry — turns narrowing off, so the build fails with
-// the row engine's error rather than compiling against a projection
-// where the name happens to be unique.
+// the error resolving against the full schema gives (the reference
+// interpreter's) rather than compiling against a projection where the
+// name happens to be unique.
 func TestNarrowingKeepsCompileErrors(t *testing.T) {
 	cat := probeCatalog(t)
 	l, err := cat.Lookup("l")
@@ -143,9 +145,9 @@ func TestNarrowingKeepsCompileErrors(t *testing.T) {
 		&core.AggOp{Input: self, Aggs: []core.AggSpec{{Fn: "sum", Arg: core.Col("l_v")}}},
 	} {
 		_, berr := BuildBatch(plan, NewContext(cat))
-		_, rerr := Build(plan, NewContext(cat))
-		if berr == nil || rerr == nil || berr.Error() != rerr.Error() {
-			t.Errorf("%s: batch error %v, row error %v", core.Summary(plan), berr, rerr)
+		_, oerr := oracle.Eval(plan, cat)
+		if berr == nil || oerr == nil || berr.Error() != oerr.Error() {
+			t.Errorf("%s: build error %v, reference error %v", core.Summary(plan), berr, oerr)
 		}
 	}
 }

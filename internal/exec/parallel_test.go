@@ -167,14 +167,14 @@ func TestGApplyCorrelatedInnerFallsBackSerial(t *testing.T) {
 		Cond:  &core.Cmp{Op: "=", L: core.Col("ps_suppkey"), R: &core.OuterRef{Name: "s_suppkey"}},
 	}
 	ga := core.NewGApply(scan(ctx, "partsupp"), []*core.ColRef{core.Col("ps_partkey")}, "g", pgq)
-	it, err := buildGApply(ga, ctx, compileEnv{}.push(scan(ctx, "supplier").Schema()))
+	it, err := buildBatchGApply(ga, ctx, compileEnv{}.push(scan(ctx, "supplier").Schema()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !it.(*gapply).correlated {
+	if !it.(*bgapply).correlated {
 		t.Fatal("OuterRef in the per-group query must mark the GApply correlated")
 	}
-	if it.(*gapply).degree() != 1 {
+	if it.(*bgapply).degree() != 1 {
 		t.Error("correlated GApply must fall back to serial execution")
 	}
 
@@ -214,38 +214,21 @@ func TestGApplyParallelEarlyClose(t *testing.T) {
 	gs := &core.GroupScan{Var: "g"}
 	pgq := &core.AggOp{Input: gs, Aggs: []core.AggSpec{{Fn: "count", Star: true, As: "n"}}}
 	ga := core.NewGApply(scan(ctx, "partsupp"), []*core.ColRef{core.Col("ps_suppkey")}, "g", pgq)
-	it, err := Build(ga, ctx)
+	it, err := BuildBatch(ga, ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := it.Open(); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok, err := it.Next(); err != nil || !ok {
-		t.Fatalf("first row: ok=%v err=%v", ok, err)
+	if b, err := it.NextBatch(); err != nil || b == nil {
+		t.Fatalf("first batch: %v err=%v", b, err)
 	}
 	if err := it.Close(); err != nil {
 		t.Fatal(err)
 	}
 	// Re-execution after Close must still work (Apply relies on this).
-	if err := it.Open(); err != nil {
-		t.Fatal(err)
-	}
-	n := 0
-	for {
-		_, ok, err := it.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			break
-		}
-		n++
-	}
-	if err := it.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if n != 100 {
+	if n := drainCount(t, it); n != 100 {
 		t.Errorf("re-opened run = %d rows, want 100", n)
 	}
 }

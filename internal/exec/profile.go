@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"gapplydb/internal/core"
-	"gapplydb/internal/types"
 )
 
 // NodeStats is the runtime profile of one plan operator: what EXPLAIN
@@ -23,7 +22,7 @@ type NodeStats struct {
 	Time time.Duration
 	// SpoolBuilds/SpoolHits/SpoolBytes are set only on a node GApply
 	// spooled: how often its materialization was built (once per
-	// gapply.Open) vs. replayed, and the materialization's estimated
+	// bgapply.Open) vs. replayed, and the materialization's estimated
 	// size. Rows/Opens/Time above then describe the real executions
 	// only — replays bypass the probe.
 	SpoolBuilds int64
@@ -47,8 +46,8 @@ func (s *NodeStats) add(o NodeStats) {
 // group's delta back in partition order, exactly as Counters are merged,
 // so totals are race-free and identical at every degree of parallelism.
 //
-// Instrumentation is strictly opt-in: when Context.Prof is nil, build
-// inserts no probes and execution runs the same iterators as before —
+// Instrumentation is strictly opt-in: when Context.Prof is nil,
+// BuildBatch inserts no probes and execution runs the same iterators as before —
 // the disabled path costs nothing.
 type Profile struct {
 	stats map[core.Node]*NodeStats
@@ -81,15 +80,10 @@ func (p *Profile) Stats(n core.Node) NodeStats {
 	return NodeStats{}
 }
 
-// wrap instruments an iterator compiled from plan node n.
-func (p *Profile) wrap(n core.Node, it Iterator) Iterator {
-	return &probe{inner: it, stats: p.node(n)}
-}
-
 // wrapBatch instruments a batch iterator compiled from plan node n.
 // Rows is advanced by the batch's live-row count — actuals count rows,
-// never batches — so EXPLAIN ANALYZE output is identical across the
-// two engines and at every degree of parallelism.
+// never batches — so EXPLAIN ANALYZE output is identical at every
+// degree of parallelism.
 func (p *Profile) wrapBatch(n core.Node, it BatchIterator) BatchIterator {
 	return &batchProbe{inner: it, stats: p.node(n)}
 }
@@ -128,39 +122,6 @@ func (p *Profile) merge(delta map[core.Node]NodeStats) {
 	for n, d := range delta {
 		p.node(n).add(d)
 	}
-}
-
-// probe is the instrumented-iterator wrapper: it forwards every call to
-// the wrapped operator, timing it and counting produced rows and Open
-// loops. Probes nest, so a parent's Time includes its children's.
-type probe struct {
-	inner Iterator
-	stats *NodeStats
-}
-
-func (p *probe) Open() error {
-	start := time.Now()
-	err := p.inner.Open()
-	p.stats.Time += time.Since(start)
-	p.stats.Opens++
-	return err
-}
-
-func (p *probe) Next() (types.Row, bool, error) {
-	start := time.Now()
-	r, ok, err := p.inner.Next()
-	p.stats.Time += time.Since(start)
-	if ok {
-		p.stats.Rows++
-	}
-	return r, ok, err
-}
-
-func (p *probe) Close() error {
-	start := time.Now()
-	err := p.inner.Close()
-	p.stats.Time += time.Since(start)
-	return err
 }
 
 // batchProbe is the probe's batch twin: one timing sample per batch

@@ -44,11 +44,11 @@ func TestCountersAddSubCoverEveryField(t *testing.T) {
 // wrappers at all.
 func TestProfileDisabledInsertsNoProbes(t *testing.T) {
 	ctx := fixture(t)
-	it, err := Build(gapplyQ1(ctx, core.PartitionHash), ctx)
+	it, err := BuildBatch(gapplyQ1(ctx, core.PartitionHash), ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, isProbe := it.(*probe); isProbe {
+	if _, isProbe := it.(*batchProbe); isProbe {
 		t.Fatal("nil Profile still produced an instrumented iterator")
 	}
 }

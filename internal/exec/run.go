@@ -18,63 +18,10 @@ type Result struct {
 // Execution honors the Context's cancellation signal (ctx.Ctx) and
 // resource budget: cancellation surfaces as context.Canceled or
 // context.DeadlineExceeded within one row batch, and a blown budget as
-// a *ResourceError naming the offending operator.
-//
-// The batch engine runs by default; Context.RowExec selects the
-// row-at-a-time engine. Both produce the same rows, the same errors
-// (budget kills included, with identical Used values) and the same
-// counters.
+// a *ResourceError naming the offending operator. The output-row budget
+// error is raised once max+1 rows have been produced, with Used =
+// max+1, wherever in a batch the limit falls.
 func Run(n core.Node, ctx *Context) (*Result, error) {
-	if !ctx.RowExec {
-		return runBatch(n, ctx)
-	}
-	it, err := Build(n, ctx)
-	if err != nil {
-		return nil, err
-	}
-	if err := it.Open(); err != nil {
-		return nil, err
-	}
-	var rows []types.Row
-	for {
-		if err := ctx.tick(); err != nil {
-			it.Close()
-			return nil, err
-		}
-		r, ok, err := it.Next()
-		if err != nil {
-			it.Close()
-			return nil, err
-		}
-		if !ok {
-			break
-		}
-		rows = append(rows, r)
-		if b := ctx.Budget; b != nil && b.MaxOutputRows > 0 && int64(len(rows)) > b.MaxOutputRows {
-			it.Close()
-			return nil, &ResourceError{
-				Limit: LimitOutputRows, Operator: core.Summary(n),
-				Max: b.MaxOutputRows, Used: int64(len(rows)),
-			}
-		}
-	}
-	if err := it.Close(); err != nil {
-		return nil, err
-	}
-	// A cancel that lands after the last row still cancels the query:
-	// callers must never mistake a result raced by cancellation for a
-	// committed success.
-	if err := ctx.checkCancel(); err != nil {
-		return nil, err
-	}
-	return &Result{Schema: n.Schema(), Rows: rows}, nil
-}
-
-// runBatch is Run over the batch engine. The output-row budget error is
-// raised at the same logical point as the row engine's — after max+1
-// rows have been produced, with Used = max+1 — so the two engines are
-// indistinguishable to a caller even on the failure path.
-func runBatch(n core.Node, ctx *Context) (*Result, error) {
 	it, err := BuildBatch(n, ctx)
 	if err != nil {
 		return nil, err
@@ -108,8 +55,9 @@ func runBatch(n core.Node, ctx *Context) (*Result, error) {
 	if err := it.Close(); err != nil {
 		return nil, err
 	}
-	// A cancel that lands after the last batch still cancels, exactly as
-	// in the row engine.
+	// A cancel that lands after the last batch still cancels the query:
+	// callers must never mistake a result raced by cancellation for a
+	// committed success.
 	if err := ctx.checkCancel(); err != nil {
 		return nil, err
 	}

@@ -1,28 +1,31 @@
 package gapplydb_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"gapplydb"
+	"gapplydb/internal/oracle"
 	"gapplydb/xmlpub"
 )
 
-// The narrowing differential pins narrow join emission to the full-width
-// plans it replaces. The batch engine emits only the join columns a
-// consumer reads; the row engine, its oracle, always emits whole rows.
-// Every case runs on both engines, with and without indexes, at dop 1
-// and 8, with profiling off and on (profiling keeps a Select over a join
-// unfused, so each Select shape runs fused and unfused):
+// The narrowing differential pins narrow join emission to the reference
+// interpreter (internal/oracle), which always evaluates whole rows: the
+// engine emits only the join columns a consumer reads. Every case runs
+// with and without indexes, at dop 1 and 8, with profiling off and on
+// (profiling keeps a Select over a join unfused, so each Select shape
+// runs fused and unfused):
 //
-//   - rows are byte-identical to the row engine's index-free rows;
+//   - rows match the oracle's evaluation of the plan, and are
+//     byte-identical across every configuration;
 //   - within one index setting, executor counters are identical across
-//     engine, degree and profiling;
+//     degree and profiling;
 //   - EXPLAIN ANALYZE (per-operator rows, loops and spool bytes) is
-//     identical across the engines.
+//     identical at dop 1 and 8.
 //
 // The published sorted-outer-union documents, whose joins narrow the
-// most, are compared the same way.
+// most, are compared across the same configurations.
 
 type narrowCase struct {
 	name, sql string
@@ -73,17 +76,12 @@ func narrowCases() []narrowCase {
 func narrowConfigs() [][]gapplydb.QueryOption {
 	var out [][]gapplydb.QueryOption
 	for _, dop := range []int{1, 8} {
-		for _, row := range []bool{false, true} {
-			for _, prof := range []bool{false, true} {
-				opts := []gapplydb.QueryOption{gapplydb.WithDOP(dop)}
-				if row {
-					opts = append(opts, gapplydb.WithRowExecution())
-				}
-				if prof {
-					opts = append(opts, gapplydb.WithInstrumentation())
-				}
-				out = append(out, opts)
+		for _, prof := range []bool{false, true} {
+			opts := []gapplydb.QueryOption{gapplydb.WithDOP(dop)}
+			if prof {
+				opts = append(opts, gapplydb.WithInstrumentation())
 			}
+			out = append(out, opts)
 		}
 	}
 	return out
@@ -103,51 +101,46 @@ func TestNarrowingDifferential(t *testing.T) {
 					t.Fatalf("plan lacks %q:\n%s", want, e.Plan)
 				}
 			}
-			refOpts := append([]gapplydb.QueryOption{gapplydb.WithRowExecution(), gapplydb.WithoutIndexes()}, tc.opts...)
-			ref, err := db.Query(tc.sql, refOpts...)
-			if err != nil {
-				t.Fatalf("row engine: %v\n%s", err, tc.sql)
-			}
-			want := ordered(ref)
-			if tc.padded && len(want) == 0 {
-				t.Fatal("no NULL-padded rows: the case no longer exercises padding")
-			}
+			var want []string
 			for _, indexes := range []bool{true, false} {
+				noIdx := []gapplydb.QueryOption{}
+				if !indexes {
+					noIdx = append(noIdx, gapplydb.WithoutIndexes())
+				}
+				ref := expectOracle(t, db, tc.sql, append(noIdx, tc.opts...)...)
 				var stats *gapplydb.ExecStats
 				for _, cfg := range narrowConfigs() {
-					opts := append(append([]gapplydb.QueryOption{}, cfg...), tc.opts...)
-					if !indexes {
-						opts = append(opts, gapplydb.WithoutIndexes())
-					}
+					opts := append(append(append([]gapplydb.QueryOption{}, cfg...), tc.opts...), noIdx...)
 					res, err := db.Query(tc.sql, opts...)
 					if err != nil {
 						t.Fatalf("indexes=%t %d options: %v", indexes, len(cfg), err)
 					}
-					if d := firstDiff(want, ordered(res)); d != "" {
-						t.Fatalf("indexes=%t %d options: diverged from the row engine: %s", indexes, len(cfg), d)
+					checkOracle(t, ref, res, fmt.Sprintf("indexes=%t %d options", indexes, len(cfg)))
+					if want == nil {
+						if want = ordered(res); tc.padded && len(want) == 0 {
+							t.Fatal("no NULL-padded rows: the case no longer exercises padding")
+						}
+					} else if d := firstDiff(want, ordered(res)); d != "" {
+						t.Fatalf("indexes=%t %d options: diverged from the first configuration: %s", indexes, len(cfg), d)
 					}
 					got := res.Stats
 					got.PlanCacheHits, got.SerialGroupExecs, got.ParallelGroupExecs = 0, 0, 0
 					if stats == nil {
 						stats = &got
 					} else if got != *stats {
-						t.Fatalf("indexes=%t: counters differ across engine/degree/profile:\n%+v\n%+v", indexes, got, *stats)
+						t.Fatalf("indexes=%t: counters differ across degree/profile:\n%+v\n%+v", indexes, got, *stats)
 					}
 				}
-				noIdx := []gapplydb.QueryOption{}
-				if !indexes {
-					noIdx = append(noIdx, gapplydb.WithoutIndexes())
+				var analyzed []string
+				for _, dop := range []int{1, 8} {
+					e, err := db.ExplainAnalyze(tc.sql, append(append([]gapplydb.QueryOption{gapplydb.WithDOP(dop)}, noIdx...), tc.opts...)...)
+					if err != nil {
+						t.Fatal(err)
+					}
+					analyzed = append(analyzed, stripTimings(e.String()))
 				}
-				batch, err := db.ExplainAnalyze(tc.sql, append(noIdx, tc.opts...)...)
-				if err != nil {
-					t.Fatal(err)
-				}
-				row, err := db.ExplainAnalyze(tc.sql, append(append(noIdx, gapplydb.WithRowExecution()), tc.opts...)...)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if a, b := stripTimings(batch.String()), stripTimings(row.String()); a != b {
-					t.Fatalf("indexes=%t: EXPLAIN ANALYZE differs across engines:\n--- batch ---\n%s--- row ---\n%s", indexes, a, b)
+				if analyzed[0] != analyzed[1] {
+					t.Fatalf("indexes=%t: EXPLAIN ANALYZE differs across degrees:\n--- dop 1 ---\n%s--- dop 8 ---\n%s", indexes, analyzed[0], analyzed[1])
 				}
 			}
 		})
@@ -155,25 +148,29 @@ func TestNarrowingDifferential(t *testing.T) {
 }
 
 // TestNarrowingKeepsErrors: an unqualified column both sides of a
-// self-join carry is ambiguous whatever the batch engine would narrow
-// to, and both engines report it identically.
+// self-join carry is ambiguous whatever the engine would narrow to, and
+// the engine reports it exactly as planning the statement or evaluating
+// the plan with the reference interpreter does.
 func TestNarrowingKeepsErrors(t *testing.T) {
 	db := accessPathDatabase(t)
 	const sql = "select ps_partkey from partsupp a, partsupp b where a.ps_partkey = b.ps_partkey"
 	_, berr := db.Query(sql)
-	_, rerr := db.Query(sql, gapplydb.WithRowExecution())
-	if berr == nil || rerr == nil || berr.Error() != rerr.Error() || !strings.Contains(berr.Error(), "ambiguous") {
-		t.Fatalf("batch error %v, row error %v", berr, rerr)
+	plan, oerr := db.Plan(sql)
+	if oerr == nil {
+		_, oerr = oracle.Eval(plan, gapplydb.CatalogOf(db))
+	}
+	if berr == nil || oerr == nil || berr.Error() != oerr.Error() || !strings.Contains(berr.Error(), "ambiguous") {
+		t.Fatalf("engine error %v, reference error %v", berr, oerr)
 	}
 }
 
 // TestNarrowingXML: the sorted-outer-union documents are byte-identical
-// on both engines, with and without profiling, at dop 1 and 8.
+// with and without indexes and profiling, at dop 1 and 8.
 func TestNarrowingXML(t *testing.T) {
 	db := accessPathDatabase(t)
 	for _, q := range []*xmlpub.FLWR{xmlpub.Q1(), xmlpub.Q2(), xmlpub.Q3(0.9, 1.1)} {
 		var ref stringsBuilder
-		if _, err := xmlpub.Publish(db, q, xmlpub.SortedOuterUnion, &ref, gapplydb.WithRowExecution(), gapplydb.WithoutIndexes()); err != nil {
+		if _, err := xmlpub.Publish(db, q, xmlpub.SortedOuterUnion, &ref, gapplydb.WithDOP(1), gapplydb.WithoutIndexes()); err != nil {
 			t.Fatal(err)
 		}
 		if !strings.Contains(ref.String(), "<supplier>") {
@@ -185,7 +182,7 @@ func TestNarrowingXML(t *testing.T) {
 				t.Fatal(err)
 			}
 			if got.String() != ref.String() {
-				t.Fatalf("%d options: document differs from the row engine's", len(cfg))
+				t.Fatalf("%d options: document differs from the no-index one", len(cfg))
 			}
 		}
 	}

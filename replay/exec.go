@@ -94,14 +94,9 @@ func RunLocal(ctx context.Context, db *gapplydb.Database, q *Query, dop int) (*O
 	return RunLocalOpts(ctx, db, q, dop)
 }
 
-// RunLocalOpts is RunLocal with extra query options appended after the
-// corpus-derived ones. The row-vs-batch engine differential uses it to
-// pin the execution engine (gapplydb.WithRowExecution) while keeping
-// the corpus's own DOP/timeout/budget semantics intact.
-func RunLocalOpts(ctx context.Context, db *gapplydb.Database, q *Query, dop int, extra ...gapplydb.QueryOption) (*Outcome, error) {
-	if q.CancelAfterRows > 0 {
-		return nil, fmt.Errorf("replay: %s: cancel-after-rows queries only run remotely", q.Name)
-	}
+// LocalOptions are the query options an embedded run of q at the given
+// degree uses: the corpus's own DOP, timeout, budget and partitioning.
+func (q *Query) LocalOptions(dop int) []gapplydb.QueryOption {
 	var opts []gapplydb.QueryOption
 	if d := q.effectiveDOP(dop); d > 0 {
 		opts = append(opts, gapplydb.WithDOP(d))
@@ -115,7 +110,18 @@ func RunLocalOpts(ctx context.Context, db *gapplydb.Database, q *Query, dop int,
 	if q.Partition != "" {
 		opts = append(opts, gapplydb.WithPartition(q.Partition))
 	}
-	opts = append(opts, extra...)
+	return opts
+}
+
+// RunLocalOpts is RunLocal with extra query options appended after the
+// corpus-derived ones (LocalOptions) — the differentials use it to plan
+// without indexes while keeping the corpus's own DOP/timeout/budget
+// semantics intact.
+func RunLocalOpts(ctx context.Context, db *gapplydb.Database, q *Query, dop int, extra ...gapplydb.QueryOption) (*Outcome, error) {
+	if q.CancelAfterRows > 0 {
+		return nil, fmt.Errorf("replay: %s: cancel-after-rows queries only run remotely", q.Name)
+	}
+	opts := append(q.LocalOptions(dop), extra...)
 	start := time.Now()
 	res, err := db.QueryContext(ctx, q.SQL, opts...)
 	if err != nil {
