@@ -3,6 +3,7 @@ package gapplydb
 import (
 	"context"
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -153,7 +154,9 @@ func TestExplainAnalyzeContextCancelled(t *testing.T) {
 
 // TestParallelCancellationThroughAPI is the end-to-end acceptance check:
 // a parallel (dop 8) groupwise query cancelled mid-execution returns
-// context.Canceled promptly and the metrics record the cancellation.
+// context.Canceled promptly, leaks no worker, and the metrics record the
+// cancellation. The consumer cancels once the first batch has streamed,
+// so the cancel lands mid-execution however fast the machine is.
 func TestParallelCancellationThroughAPI(t *testing.T) {
 	db := Open()
 	if err := db.CreateTable("obs", []Column{{"k", "int"}, {"v", "float"}}, nil); err != nil {
@@ -168,22 +171,33 @@ func TestParallelCancellationThroughAPI(t *testing.T) {
 	}
 	db.RefreshStats()
 
+	base := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	go func() {
-		time.Sleep(5 * time.Millisecond)
-		cancel()
-	}()
-	start := time.Now()
 	// 20000 groups, each evaluating a union of subquery-filtered scans:
-	// far more than 5ms of work, so the cancel lands mid-execution.
-	_, err := db.QueryContext(ctx, `select gapply(select count(*), null from g
+	// 40000 output rows, of which the first batch holds 256.
+	st, err := db.StreamContext(ctx, `select gapply(select count(*), null from g
 			where v >= (select avg(v) from g)
 			union all
 			select null, count(*) from g
 			where v < (select avg(v) from g)
 		) as (above, below) from obs group by k : g`, WithDOP(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, err := st.NextRows(); !ok || err != nil {
+		t.Fatalf("first batch: ok=%v err=%v", ok, err)
+	}
+	cancel()
+	start := time.Now()
+	for {
+		_, ok, nerr := st.NextRows()
+		if err = nerr; !ok || err != nil {
+			break
+		}
+	}
 	elapsed := time.Since(start)
+	st.Close()
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled (elapsed %v)", err, elapsed)
 	}
@@ -192,5 +206,11 @@ func TestParallelCancellationThroughAPI(t *testing.T) {
 	}
 	if got := db.Metrics().Counters["queries_cancelled"]; got != 1 {
 		t.Errorf("queries_cancelled = %d, want 1", got)
+	}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutine leak: %d at baseline, %d after", base, runtime.NumGoroutine())
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }

@@ -176,9 +176,18 @@ func drainBatchRows(it BatchIterator, c *Context) ([]types.Row, error) {
 		if b == nil {
 			break
 		}
-		if err := c.tickN(b.Len()); err != nil {
+		n := b.Len()
+		if err := c.tickN(n); err != nil {
 			it.Close()
 			return nil, err
+		}
+		if len(rows)+n > cap(rows) {
+			// Double, rather than append's gentler growth for large
+			// slices, whose successive copies of a drain of n rows add
+			// up to about 5n headers.
+			grown := make([]types.Row, len(rows), 2*cap(rows)+n)
+			copy(grown, rows)
+			rows = grown
 		}
 		rows = b.AppendRows(rows)
 	}

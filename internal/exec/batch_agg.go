@@ -42,6 +42,14 @@ func newAccum(spec core.AggSpec) (*accum, error) {
 	return a, nil
 }
 
+// reset returns the accumulator to its empty state, keeping the
+// DISTINCT set's storage.
+func (a *accum) reset() {
+	seen := a.seen
+	clear(seen)
+	*a = accum{fn: a.fn, star: a.star, distinct: a.distinct, seen: seen}
+}
+
 func (a *accum) add(v types.Value) error {
 	a.rows++
 	if a.star {

@@ -12,9 +12,10 @@ import (
 
 // joinOut assembles output rows into shared slabs. Each output row is
 // the left row's columns at ordinals left, then the right row's at
-// ordinals right: a join's narrowed emission (build_batch.go). A nil
-// ordinal list stands for every column of that side, so the zero value
-// concatenates whole rows, as Apply and GApply do. Every emitted row is
+// ordinals right: a join's narrowed emission (build_batch.go), or
+// GApply's grouping columns ahead of a per-group row. A nil ordinal
+// list stands for every column of that side, so the zero value
+// concatenates whole rows, as Apply does. Every emitted row is
 // a three-index slice of the slab (slab[start:end:end]), so the slab's
 // unused tail is never aliased — which lets one slab serve many batches:
 // reset only rewinds the rows container, and a fresh slab is allocated

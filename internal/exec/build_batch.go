@@ -585,34 +585,36 @@ func buildBatchGApply(g *core.GApply, ctx *Context, env compileEnv) (BatchIterat
 	if err != nil {
 		return nil, err
 	}
-	var spools *spoolRegistry
-	if !ctx.NoSpool {
-		if roots := core.InvariantRoots(g.Inner); len(roots) > 0 {
-			spools = newSpoolRegistry(roots)
-		}
-	}
-	prevSpools := ctx.spools
-	ctx.spools = spools
-	inner, err := buildBatch(g.Inner, ctx, env)
-	ctx.spools = prevSpools
-	if err != nil {
-		return nil, err
-	}
-	return &bgapply{
+	correlated := len(core.OuterRefsIn(g.Inner)) > 0
+	ga := &bgapply{
 		outer:      outer,
-		inner:      inner,
-		spools:     spools,
+		lowered:    !correlated && segLowerable(g.Inner, g.GroupVar),
 		innerPlan:  g.Inner,
 		plan:       g,
-		innerArity: g.Inner.Schema().Len(),
 		env:        env,
 		ctx:        ctx,
 		ords:       ords,
 		groupVar:   g.GroupVar,
 		sortPart:   g.Partition == core.PartitionSort,
 		ordered:    core.GApplyOuterOrdered(g),
-		correlated: len(core.OuterRefsIn(g.Inner)) > 0,
-	}, nil
+		correlated: correlated,
+		out:        joinOut{left: ords},
+	}
+	// A lowered inner has only GroupScan leaves, so nothing in it is
+	// invariant: no spools, and no iterator tree at all.
+	if !ga.lowered && !ctx.NoSpool {
+		if roots := core.InvariantRoots(g.Inner); len(roots) > 0 {
+			ga.spools = newSpoolRegistry(roots)
+		}
+	}
+	prevSpools := ctx.spools
+	ctx.spools = ga.spools
+	ga.exec, err = ga.buildExec(ctx)
+	ctx.spools = prevSpools
+	if err != nil {
+		return nil, err
+	}
+	return ga, nil
 }
 
 // compiledKey is a sort key with its evaluator.

@@ -53,9 +53,17 @@ func waitNoExtraGoroutines(t *testing.T, base int) {
 	t.Fatalf("goroutine leak: %d at baseline, %d after\n%s", base, n, buf[:runtime.Stack(buf, true)])
 }
 
+// partitioners are the partition phase's three strategies, by name.
+var partitioners = map[string]func([]types.Row, []int, *Context, *core.GApply) (partition, error){
+	"hash":    partitionByHash,
+	"sort":    partitionBySort,
+	"ordered": partitionOrdered,
+}
+
 // TestCancelDuringPartitionPhase drives the partition functions directly
-// with an already-cancelled context: both strategies must abandon the
-// phase with context.Canceled instead of materializing every group.
+// with an already-cancelled context: every strategy must abandon the
+// phase with context.Canceled instead of materializing every group, at
+// its first poll: within cancelBatch rows.
 func TestCancelDuringPartitionPhase(t *testing.T) {
 	rows := make([]types.Row, 4096)
 	for i := range rows {
@@ -63,14 +71,14 @@ func TestCancelDuringPartitionPhase(t *testing.T) {
 	}
 	cctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for name, part := range map[string]func([]types.Row, []int, *Context, *core.GApply) ([][]types.Row, error){
-		"hash": partitionByHash,
-		"sort": partitionBySort,
-	} {
+	for name, part := range partitioners {
 		ctx := NewContext(buildFixtureCatalog())
 		ctx.Ctx = cctx
 		if _, err := part(rows, []int{0}, ctx, nil); !errors.Is(err, context.Canceled) {
 			t.Errorf("%s partition with cancelled ctx: err = %v, want context.Canceled", name, err)
+		}
+		if ctx.ticks > cancelBatch {
+			t.Errorf("%s partition polled %d rows before stopping, want ≤ %d", name, ctx.ticks, cancelBatch)
 		}
 	}
 }

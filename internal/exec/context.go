@@ -21,9 +21,9 @@ import (
 //
 // A Context (and the iterator tree bound to it) belongs to a single
 // goroutine. Parallel GApply gives every worker its own fork()ed
-// Context and its own iterator tree, then merges the workers' Counters
-// back deterministically — shared mutable state never crosses a
-// goroutine boundary.
+// Context and its own per-group executor, then merges the workers'
+// Counters back deterministically — shared mutable state never crosses
+// a goroutine boundary.
 type Context struct {
 	Catalog *storage.Catalog
 
@@ -51,8 +51,9 @@ type Context struct {
 
 	// groups binds group variables to materialized partitions. GApply's
 	// execution phase sets the binding before each per-group evaluation
-	// ("binding a relation-valued parameter $group to each group in
-	// succession", paper §3).
+	// of an inner iterator tree ("binding a relation-valued parameter
+	// $group to each group in succession", paper §3); a segment program
+	// reads the group's rows directly and binds nothing.
 	groups map[string][]types.Row
 
 	// outer is the stack of rows pushed by Apply; compiled OuterRefs

@@ -54,6 +54,24 @@ func compileExpr(e core.Expr, in *schema.Schema, env compileEnv) (evalFn, error)
 		return func(types.Row, *Context) (types.Value, error) { return v, nil }, nil
 
 	case *core.BinOp:
+		// Column and literal operands are read in place, without a call;
+		// they cannot fail to compile, so the operator is the first error.
+		lo, lv, lok := kernelOperand(x.L, in)
+		ro, rv, rok := kernelOperand(x.R, in)
+		if lok && rok && (lo >= 0 || ro >= 0) {
+			op, err := arithOp(x.Op)
+			if err != nil {
+				return nil, err
+			}
+			switch {
+			case lo >= 0 && ro >= 0:
+				return func(row types.Row, _ *Context) (types.Value, error) { return op(row[lo], row[ro]) }, nil
+			case lo >= 0:
+				return func(row types.Row, _ *Context) (types.Value, error) { return op(row[lo], rv) }, nil
+			default:
+				return func(row types.Row, _ *Context) (types.Value, error) { return op(lv, row[ro]) }, nil
+			}
+		}
 		l, err := compileExpr(x.L, in, env)
 		if err != nil {
 			return nil, err
@@ -62,18 +80,9 @@ func compileExpr(e core.Expr, in *schema.Schema, env compileEnv) (evalFn, error)
 		if err != nil {
 			return nil, err
 		}
-		var op func(a, b types.Value) (types.Value, error)
-		switch x.Op {
-		case "+":
-			op = types.Add
-		case "-":
-			op = types.Sub
-		case "*":
-			op = types.Mul
-		case "/":
-			op = types.Div
-		default:
-			return nil, fmt.Errorf("exec: unknown arithmetic operator %q", x.Op)
+		op, err := arithOp(x.Op)
+		if err != nil {
+			return nil, err
 		}
 		return func(row types.Row, ctx *Context) (types.Value, error) {
 			a, err := l(row, ctx)
@@ -238,6 +247,21 @@ func compileExpr(e core.Expr, in *schema.Schema, env compileEnv) (evalFn, error)
 	}
 }
 
+// arithOp returns the arithmetic operator's implementation.
+func arithOp(op string) (func(a, b types.Value) (types.Value, error), error) {
+	switch op {
+	case "+":
+		return types.Add, nil
+	case "-":
+		return types.Sub, nil
+	case "*":
+		return types.Mul, nil
+	case "/":
+		return types.Div, nil
+	}
+	return nil, fmt.Errorf("exec: unknown arithmetic operator %q", op)
+}
+
 func compileAll(exprs []core.Expr, in *schema.Schema, env compileEnv) ([]evalFn, error) {
 	out := make([]evalFn, len(exprs))
 	for i, e := range exprs {
@@ -265,6 +289,11 @@ func compilePredicate(e core.Expr, in *schema.Schema, env compileEnv) (func(type
 	if e == nil {
 		return func(types.Row, *Context) (bool, error) { return true, nil }, nil
 	}
+	if cmp, ok := e.(*core.Cmp); ok {
+		if test, ok := cmpTest(cmp.Op); ok {
+			return compileCmpPredicate(cmp, test, in, env)
+		}
+	}
 	f, err := compileExpr(e, in, env)
 	if err != nil {
 		return nil, err
@@ -275,5 +304,53 @@ func compilePredicate(e core.Expr, in *schema.Schema, env compileEnv) (func(type
 			return false, err
 		}
 		return triOf(v) == types.True, nil
+	}, nil
+}
+
+// compileCmpPredicate is compilePredicate for a comparison with a known
+// operator (test): it is True exactly when the operands compare and the
+// outcome passes the operator, which the predicate tests directly,
+// without building the comparison's Tri value, reading column and
+// literal operands without a closure call. Operands compile in
+// compileExpr's order, so a bad one fails with the same error.
+func compileCmpPredicate(x *core.Cmp, test func(int) bool, in *schema.Schema, env compileEnv) (func(types.Row, *Context) (bool, error), error) {
+	lo, lv, lok := kernelOperand(x.L, in)
+	ro, rv, rok := kernelOperand(x.R, in)
+	switch {
+	case lok && lo >= 0 && rok && ro >= 0: // column <op> column
+		return func(row types.Row, _ *Context) (bool, error) {
+			c, ok := types.Compare(row[lo], row[ro])
+			return ok && test(c), nil
+		}, nil
+	case lok && lo >= 0 && rok: // column <op> literal
+		return func(row types.Row, _ *Context) (bool, error) {
+			c, ok := types.Compare(row[lo], rv)
+			return ok && test(c), nil
+		}, nil
+	case lok && rok && ro >= 0: // literal <op> column
+		return func(row types.Row, _ *Context) (bool, error) {
+			c, ok := types.Compare(lv, row[ro])
+			return ok && test(c), nil
+		}, nil
+	}
+	l, err := compileExpr(x.L, in, env)
+	if err != nil {
+		return nil, err
+	}
+	r, err := compileExpr(x.R, in, env)
+	if err != nil {
+		return nil, err
+	}
+	return func(row types.Row, ctx *Context) (bool, error) {
+		a, err := l(row, ctx)
+		if err != nil {
+			return false, err
+		}
+		b, err := r(row, ctx)
+		if err != nil {
+			return false, err
+		}
+		c, ok := types.Compare(a, b)
+		return ok && test(c), nil
 	}, nil
 }

@@ -43,7 +43,7 @@ func (s *NodeStats) add(o NodeStats) {
 // keyed by the logical plan node the iterator was compiled from. Like
 // the Context that owns it, a Profile belongs to a single goroutine:
 // parallel GApply forks a private Profile per worker and merges each
-// group's delta back in partition order, exactly as Counters are merged,
+// task's delta back in range order, exactly as Counters are merged,
 // so totals are race-free and identical at every degree of parallelism.
 //
 // Instrumentation is strictly opt-in: when Context.Prof is nil,

@@ -113,17 +113,20 @@ func stripTimings(s string) string {
 // EXPLAIN ANALYZE report — actual per-operator row and loop counts
 // included — is identical at dop 1 and dop 8 except for wall times,
 // because the parallel execution phase merges worker profiles node-by-
-// node in partition order.
+// node in partition order. Q2 and the orders view run their per-group
+// queries as segment programs, which credit the same actuals.
 func TestExplainAnalyzeDOPInvariant(t *testing.T) {
 	db := integDatabase(t)
-	queries := []struct{ name, suite string }{
-		{"Q1", "figure8/Q1/with"},
-		{"Q4", "figure8/Q4/with"},
+	queries := []struct{ name, sql string }{
+		{"Q1", figure8Query(t, "figure8/Q1/with")},
+		{"Q2", figure8Query(t, "figure8/Q2/with")},
+		{"Q4", figure8Query(t, "figure8/Q4/with")},
+		{"orders", corpusSQL(t, "orders_small_groups")},
 	}
 	for _, q := range queries {
 		q := q
 		t.Run(q.name, func(t *testing.T) {
-			sql := figure8Query(t, q.suite)
+			sql := q.sql
 			serial, err := db.ExplainAnalyze(sql, gapplydb.WithDOP(1))
 			if err != nil {
 				t.Fatal(err)
