@@ -7,15 +7,9 @@ import (
 )
 
 // Row is a tuple of values. Operators share backing arrays where safe;
-// Clone when a row outlives its producer (e.g. materialized partitions).
+// a row that outlives its producer is copied (GApply's partitions copy
+// theirs into one slab).
 type Row []Value
-
-// Clone returns a copy of the row with fresh backing storage.
-func (r Row) Clone() Row {
-	out := make(Row, len(r))
-	copy(out, r)
-	return out
-}
 
 // Concat returns the concatenation of r and s in a fresh row, the tuple
 // shape produced by joins and by GApply's cross product of grouping

@@ -9,18 +9,6 @@ func sampleRow() Row {
 	return Row{NewInt(1), NewString("a"), NewFloat(2.5), Null}
 }
 
-func TestRowCloneIndependence(t *testing.T) {
-	r := sampleRow()
-	c := r.Clone()
-	c[0] = NewInt(99)
-	if r[0].Int() != 1 {
-		t.Error("Clone must not alias the original")
-	}
-	if !r.Identical(sampleRow()) {
-		t.Error("original mutated")
-	}
-}
-
 func TestRowConcat(t *testing.T) {
 	a := Row{NewInt(1)}
 	b := Row{NewInt(2), NewInt(3)}
