@@ -1,8 +1,9 @@
 // Package experiments regenerates the paper's evaluation (§5): Figure 8
 // (speedup from GApply on queries Q1–Q4) and Table 1 (effect of each
 // transformation rule), plus the §5.1.1 client-side-simulation
-// comparison. Both the root benchmark suite (bench_test.go) and
-// cmd/bench drive this package.
+// comparison. It owns the statements; the root benchmark suite
+// (bench_test.go) times them and reports the paper's ratios, and the
+// differential suites execute the same list (SuiteQueries).
 //
 // Absolute times differ from the paper's 2003 testbed (5 GB TPC-H on a
 // 1 GHz server); the shapes — who wins, by roughly what factor, where a
@@ -20,28 +21,9 @@ import (
 // elapsed time is kept (steady-state, least-noise estimator).
 var Repeats = 3
 
-// DOP caps GApply parallelism for every measured query. 0 keeps the
-// engine default (runtime.GOMAXPROCS(0)); 1 reproduces the paper's
-// serial execution phase. cmd/bench's -dop flag sets this.
-var DOP = 0
-
-// Timeout caps each measured query's wall clock; a run that exceeds it
-// fails with context.DeadlineExceeded instead of hanging the suite.
-// 0 (the default) means unlimited. cmd/bench's -timeout flag sets this.
-var Timeout time.Duration = 0
-
 // timeQuery returns the minimum execution time of the query across
 // Repeats runs, and the result of the last run.
 func timeQuery(db *gapplydb.Database, q string, opts ...gapplydb.QueryOption) (time.Duration, *gapplydb.Result, error) {
-	if DOP != 0 || Timeout != 0 {
-		opts = append([]gapplydb.QueryOption{}, opts...)
-		if DOP != 0 {
-			opts = append(opts, gapplydb.WithDOP(DOP))
-		}
-		if Timeout != 0 {
-			opts = append(opts, gapplydb.WithTimeout(Timeout))
-		}
-	}
 	best := time.Duration(0)
 	var last *gapplydb.Result
 	for i := 0; i < Repeats; i++ {

@@ -23,6 +23,25 @@ type Figure8Row struct {
 // Speedup is the Figure 8 y-axis value.
 func (r Figure8Row) Speedup() float64 { return Ratio(r.Without, r.With) }
 
+// Figure8Query is one bar pair of Figure 8: the statement without GApply
+// and the statement with it.
+type Figure8Query struct {
+	Name          string
+	Without, With string
+}
+
+// Figure8Queries returns Q1–Q4 in Figure 8's order. The "without"
+// statements are the sorted-outer-union translations (Q1–Q3) and the
+// paper's §5.2 flat SQL formulation (Q4).
+func Figure8Queries() []Figure8Query {
+	return []Figure8Query{
+		{"Q1", xmlpub.Q1().SortedOuterUnionSQL(), xmlpub.Q1().GApplySQL()},
+		{"Q2", xmlpub.Q2().SortedOuterUnionSQL(), xmlpub.Q2().GApplySQL()},
+		{"Q3", xmlpub.Q3(0.9, 1.1).SortedOuterUnionSQL(), xmlpub.Q3(0.9, 1.1).GApplySQL()},
+		{"Q4", q4Flat, q4GApply},
+	}
+}
+
 // q4GApply is the paper's Q4 in the extended syntax: per (supplier,
 // size), the parts priced above that group's average.
 const q4GApply = `
@@ -47,34 +66,23 @@ const q4Flat = `
 	  and p_retailprice > tmp.avgprice
 	order by tmp.k1`
 
-// Figure8 measures Q1–Q4 with and without GApply. The "without" plans
-// are the sorted-outer-union translations (Q1–Q3) and the flat SQL
-// formulation (Q4), run through the full optimizer — including
-// decorrelation, so the baseline is what a production engine without
-// GApply would execute, not a naive per-row re-evaluation.
+// Figure8 measures Q1–Q4 with and without GApply, through the full
+// optimizer — including decorrelation, so the baseline is what a
+// production engine without GApply would execute, not a naive per-row
+// re-evaluation.
 func Figure8(db *gapplydb.Database) ([]Figure8Row, error) {
-	type pair struct {
-		name          string
-		without, with string
-	}
-	pairs := []pair{
-		{"Q1", xmlpub.Q1().SortedOuterUnionSQL(), xmlpub.Q1().GApplySQL()},
-		{"Q2", xmlpub.Q2().SortedOuterUnionSQL(), xmlpub.Q2().GApplySQL()},
-		{"Q3", xmlpub.Q3(0.9, 1.1).SortedOuterUnionSQL(), xmlpub.Q3(0.9, 1.1).GApplySQL()},
-		{"Q4", q4Flat, q4GApply},
-	}
 	var out []Figure8Row
-	for _, p := range pairs {
-		tw, resW, err := timeQuery(db, p.without)
+	for _, q := range Figure8Queries() {
+		tw, resW, err := timeQuery(db, q.Without)
 		if err != nil {
 			return nil, err
 		}
-		tg, resG, err := timeQuery(db, p.with)
+		tg, resG, err := timeQuery(db, q.With)
 		if err != nil {
 			return nil, err
 		}
 		out = append(out, Figure8Row{
-			Query: p.name, Without: tw, With: tg,
+			Query: q.Name, Without: tw, With: tg,
 			RowsWithout: len(resW.Rows), RowsWith: len(resG.Rows),
 		})
 	}

@@ -1,149 +1,21 @@
 package experiments
 
-import (
-	"time"
-
-	"gapplydb"
-)
-
-// SpoolRow is one row of the spooling experiment: a join-heavy GApply
-// query's execution time with the invariant-subtree spool disabled and
-// enabled, plus the counters that prove the spool engaged.
-type SpoolRow struct {
-	Query    string
-	Off, On  time.Duration
-	RowsOff  int
-	RowsOn   int
-	Builds   int64 // spool materializations (one per invariant subtree)
-	Hits     int64 // replays served from the materialization
-	ScansOff int64 // RowsScanned without the spool (per-group re-scans)
-	ScansOn  int64 // RowsScanned with it (each base table read once)
-}
-
-// Speedup is elapsed-off over elapsed-on, the experiment's headline.
-func (r SpoolRow) Speedup() float64 { return Ratio(r.Off, r.On) }
-
-// spoolPairs are per-group plans that join the group variable against a
-// base table: after selection pushdown the base-table side is
-// group-invariant, so without spooling it is re-scanned (and the join
-// table rebuilt) for every group.
-func spoolPairs() []struct{ name, sql string } {
-	return []struct{ name, sql string }{
-		{"Q2j", `select gapply(select p_name, p_retailprice from g, part
+// SpoolQueries returns the join-heavy per-group plans that exercise the
+// invariant-subtree spool: each joins the group variable against a base
+// table, so after selection pushdown the base-table side is
+// group-invariant, and without spooling it is re-scanned (and the join
+// table rebuilt) for every group. They are part of the evaluation suite,
+// so the differential and instrumentation batteries cover them.
+func SpoolQueries() []SuiteQuery {
+	return []SuiteQuery{
+		{Name: "spool/Q2j", SQL: `select gapply(select p_name, p_retailprice from g, part
 				where ps_partkey = p_partkey and p_retailprice > 1200)
 			from partsupp group by ps_suppkey : g`},
-		{"Q3j", `select gapply(select p_name, ps_availqty from g, part
+		{Name: "spool/Q3j", SQL: `select gapply(select p_name, ps_availqty from g, part
 				where ps_partkey = p_partkey)
 			from partsupp group by ps_suppkey : g`},
-		{"Q4j", `select gapply(select min(p_retailprice), count(*) from g, part
+		{Name: "spool/Q4j", SQL: `select gapply(select min(p_retailprice), count(*) from g, part
 				where ps_partkey = p_partkey and p_size < 30)
 			from partsupp group by ps_suppkey : g`},
 	}
-}
-
-// SpoolQueries exposes the spooling experiment's statements to the
-// evaluation suite, so the differential and instrumentation batteries
-// cover exactly what the harness measures.
-func SpoolQueries() []SuiteQuery {
-	var out []SuiteQuery
-	for _, p := range spoolPairs() {
-		out = append(out, SuiteQuery{Name: "spool/" + p.name, SQL: p.sql})
-	}
-	return out
-}
-
-// Spool measures each join-heavy query with the spool off and on.
-func Spool(db *gapplydb.Database) ([]SpoolRow, error) {
-	var out []SpoolRow
-	for _, p := range spoolPairs() {
-		tOff, resOff, err := timeQuery(db, p.sql, gapplydb.WithoutSpooling())
-		if err != nil {
-			return nil, err
-		}
-		tOn, resOn, err := timeQuery(db, p.sql)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, SpoolRow{
-			Query: p.name, Off: tOff, On: tOn,
-			RowsOff: len(resOff.Rows), RowsOn: len(resOn.Rows),
-			Builds: resOn.Stats.SpoolBuilds, Hits: resOn.Stats.SpoolHits,
-			ScansOff: resOff.Stats.RowsScanned, ScansOn: resOn.Stats.RowsScanned,
-		})
-	}
-	return out, nil
-}
-
-// PlanCacheRow is one statement's cold-versus-warm comparison: total
-// wall time (parse + bind + optimize + execute) when the statement plan
-// cache misses and when it hits.
-type PlanCacheRow struct {
-	Query string
-	Cold  time.Duration // cache invalidated before each run
-	Warm  time.Duration // plan served from the cache
-}
-
-// Benefit is cold over warm: how much of a repeated statement's latency
-// the compile phase was.
-func (r PlanCacheRow) Benefit() float64 { return Ratio(r.Cold, r.Warm) }
-
-// PlanCache measures compile amortization: a point lookup (the compile-
-// dominated shape repeated publishing templates have) and the
-// evaluation's GApply statements (compile is a small, fixed share of a
-// multi-ms execution). Times are wall clock around the whole Query call
-// — the execution cost is identical in both arms, so the difference is
-// the compile phase the cache elides.
-func PlanCache(db *gapplydb.Database) ([]PlanCacheRow, error) {
-	qs := []struct{ name, sql string }{
-		{"point", `select s_name, s_acctbal from supplier where s_suppkey = 42`},
-		{"Q2j", spoolPairs()[0].sql},
-		{"Q4", q4GApply},
-	}
-	var opts []gapplydb.QueryOption
-	if DOP != 0 {
-		opts = append(opts, gapplydb.WithDOP(DOP))
-	}
-	if Timeout != 0 {
-		opts = append(opts, gapplydb.WithTimeout(Timeout))
-	}
-	// Isolating a sub-millisecond compile under multi-millisecond
-	// execution noise needs a converged minimum, so this experiment runs
-	// at least 20 iterations per arm regardless of Repeats.
-	iters := Repeats
-	if iters < 20 {
-		iters = 20
-	}
-	measure := func(sql string, cold bool) (time.Duration, error) {
-		best := time.Duration(0)
-		for i := 0; i < iters; i++ {
-			if cold {
-				db.InvalidatePlanCache()
-			}
-			start := time.Now()
-			if _, err := db.Query(sql, opts...); err != nil {
-				return 0, err
-			}
-			if d := time.Since(start); i == 0 || d < best {
-				best = d
-			}
-		}
-		return best, nil
-	}
-	var out []PlanCacheRow
-	for _, q := range qs {
-		cold, err := measure(q.sql, true)
-		if err != nil {
-			return nil, err
-		}
-		// Prime once, then every measured run hits.
-		if _, err := db.Query(q.sql, opts...); err != nil {
-			return nil, err
-		}
-		warm, err := measure(q.sql, false)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, PlanCacheRow{Query: q.name, Cold: cold, Warm: warm})
-	}
-	return out, nil
 }

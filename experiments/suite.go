@@ -1,10 +1,6 @@
 package experiments
 
-import (
-	"strings"
-
-	"gapplydb/xmlpub"
-)
+import "strings"
 
 // SuiteQuery is one statement of the evaluation workload, with the
 // execution-feasibility flag differential tests need.
@@ -23,33 +19,32 @@ type SuiteQuery struct {
 // differential and regression tests cover exactly what the harness
 // measures.
 func SuiteQueries() []SuiteQuery {
-	out := []SuiteQuery{
-		{Name: "figure8/Q1/without", SQL: xmlpub.Q1().SortedOuterUnionSQL()},
-		{Name: "figure8/Q1/with", SQL: xmlpub.Q1().GApplySQL()},
-		{Name: "figure8/Q2/without", SQL: xmlpub.Q2().SortedOuterUnionSQL(), Heavy: true},
-		{Name: "figure8/Q2/with", SQL: xmlpub.Q2().GApplySQL()},
-		{Name: "figure8/Q3/without", SQL: xmlpub.Q3(0.9, 1.1).SortedOuterUnionSQL(), Heavy: true},
-		{Name: "figure8/Q3/with", SQL: xmlpub.Q3(0.9, 1.1).GApplySQL()},
-		{Name: "figure8/Q4/without", SQL: q4Flat, Heavy: true},
-		{Name: "figure8/Q4/with", SQL: q4GApply},
+	var out []SuiteQuery
+	for _, q := range Figure8Queries() {
+		out = append(out,
+			// Every baseline but Q1's repeats a join per branch (or, for Q4,
+			// joins the grouped averages back to another copy of the join).
+			SuiteQuery{Name: "figure8/" + q.Name + "/without", SQL: q.Without, Heavy: q.Name != "Q1"},
+			SuiteQuery{Name: "figure8/" + q.Name + "/with", SQL: q.With},
+		)
 	}
 	out = append(out, SpoolQueries()...)
 	seen := map[string]bool{}
 	for _, q := range out {
 		seen[q.SQL] = true
 	}
-	for _, sweep := range table1Sweeps() {
+	for _, sweep := range Table1Sweeps() {
 		for _, pt := range sweep.points {
 			if seen[pt.query] {
 				continue
 			}
 			seen[pt.query] = true
 			out = append(out, SuiteQuery{
-				Name: "table1/" + sweep.ruleName + "/" + pt.param,
+				Name: "table1/" + sweep.RuleName + "/" + pt.param,
 				SQL:  pt.query,
 				// The invariant-grouping sweep and the wider projection
 				// sweeps put 3-4 tables in FROM.
-				Heavy: sweep.ruleName == "invariant-grouping" ||
+				Heavy: sweep.RuleName == "invariant-grouping" ||
 					strings.Contains(pt.param, "3 tables") ||
 					strings.Contains(pt.param, "4 tables"),
 			})

@@ -64,11 +64,12 @@ func (r Table1Row) AvgOverWins() float64 {
 	return s / float64(n)
 }
 
-// ruleSweep defines one Table 1 row: the rule, its parameterized query,
-// and the option sets for the two arms.
-type ruleSweep struct {
-	class, rule, ruleName string
-	points                []sweepQuery
+// RuleSweep is one Table 1 row's experiment: the rule, and the
+// parameterized statements its benefit is measured over.
+type RuleSweep struct {
+	Class, Rule string // Table 1's row labels
+	RuleName    string // the optimizer's name for the rule (WithoutRule, ForceRule)
+	points      []sweepQuery
 }
 
 type sweepQuery struct {
@@ -81,15 +82,16 @@ type sweepQuery struct {
 
 // forced reports whether the rule is cost-based and must be forced in
 // the "with" arm to measure its effect across the whole sweep.
-func (r ruleSweep) forced() bool {
-	switch r.ruleName {
+func (r RuleSweep) forced() bool {
+	switch r.RuleName {
 	case "group-selection-exists", "group-selection-aggregate", "invariant-grouping":
 		return true
 	}
 	return false
 }
 
-func table1Sweeps() []ruleSweep {
+// Table1Sweeps returns every rule sweep in Table 1's row order.
+func Table1Sweeps() []RuleSweep {
 	selQ := func(x float64) string {
 		return fmt.Sprintf(`select gapply(select p_name, p_retailprice from g where p_retailprice > %g)
 			from partsupp, part where ps_partkey = p_partkey
@@ -126,9 +128,9 @@ func table1Sweeps() []ruleSweep {
 	}
 	// The price domain is 900.00..2099.00 (dbgen's polynomial);
 	// thresholds below sweep selectivity from ~100% down to ~1%.
-	return []ruleSweep{
+	return []RuleSweep{
 		{
-			class: "Basic Rules", rule: "Placing Selection Before GApply", ruleName: "selection-before-gapply",
+			Class: "Basic Rules", Rule: "Placing Selection Before GApply", RuleName: "selection-before-gapply",
 			points: []sweepQuery{
 				{param: "sel≈100%", query: selQ(900)},
 				{param: "sel≈50%", query: selQ(1500)},
@@ -138,7 +140,7 @@ func table1Sweeps() []ruleSweep {
 			},
 		},
 		{
-			class: "Basic Rules", rule: "Placing Projection Before GApply", ruleName: "projection-before-gapply",
+			Class: "Basic Rules", Rule: "Placing Projection Before GApply", RuleName: "projection-before-gapply",
 			points: []sweepQuery{
 				{param: "2 tables (9 cols)", query: projQ["2 tables (9 cols)"]},
 				{param: "3 tables (13 cols)", query: projQ["3 tables (13 cols)"]},
@@ -146,7 +148,7 @@ func table1Sweeps() []ruleSweep {
 			},
 		},
 		{
-			class: "Basic Rules", rule: "Converting GApply To groupby", ruleName: "gapply-to-groupby",
+			Class: "Basic Rules", Rule: "Converting GApply To groupby", RuleName: "gapply-to-groupby",
 			points: []sweepQuery{
 				{param: "group by suppkey", query: gbQ("ps_suppkey")},
 				{param: "group by size", query: gbQ("p_size")},
@@ -154,21 +156,21 @@ func table1Sweeps() []ruleSweep {
 			},
 		},
 		{
-			class: "Group Selection", rule: "Exists", ruleName: "group-selection-exists",
+			Class: "Group Selection", Rule: "Exists", RuleName: "group-selection-exists",
 			points: existsSweep(),
 		},
 		{
 			// Both arms disable projection pruning so the sweep isolates
 			// what this rule changes: materializing whole groups versus a
 			// pipelined sum/count per group (§4.2's memory argument).
-			class: "Group Selection", rule: "Aggregate Selection", ruleName: "group-selection-aggregate",
+			Class: "Group Selection", Rule: "Aggregate Selection", RuleName: "group-selection-aggregate",
 			points: aggSelSweep(),
 		},
 		{
 			// Isolated from projection pruning for the same reason: the
 			// rule's gain is partitioning narrower pre-join rows and
 			// joining per-group results instead of raw rows (§4.3).
-			class: "GApply and Joins", rule: "Invariant Grouping", ruleName: "invariant-grouping",
+			Class: "GApply and Joins", Rule: "Invariant Grouping", RuleName: "invariant-grouping",
 			points: []sweepQuery{
 				{param: "filter 0%", query: invQ(900), extraOpts: noPrune()},
 				{param: "filter 50%", query: invQ(1500), extraOpts: noPrune()},
@@ -219,34 +221,40 @@ func noPrune() []gapplydb.QueryOption {
 // Table1 runs every rule sweep and returns one row per rule.
 func Table1(db *gapplydb.Database) ([]Table1Row, error) {
 	var out []Table1Row
-	for _, sweep := range table1Sweeps() {
-		row := Table1Row{RuleClass: sweep.class, Rule: sweep.rule}
-		for _, pt := range sweep.points {
-			withoutOpts := append([]gapplydb.QueryOption{gapplydb.WithoutRule(sweep.ruleName)}, pt.extraOpts...)
-			withOpts := append([]gapplydb.QueryOption{}, pt.extraOpts...)
-			if sweep.forced() {
-				withOpts = append(withOpts, gapplydb.ForceRule(sweep.ruleName))
-			}
-			if sweep.ruleName == "projection-before-gapply" || sweep.ruleName == "gapply-to-groupby" {
-				// Keep the GApply alive in the measured arm where needed:
-				// converting to groupby would short-circuit the projection
-				// measurement.
-				if sweep.ruleName == "projection-before-gapply" {
-					withoutOpts = append(withoutOpts, gapplydb.WithoutRule("gapply-to-groupby"))
-					withOpts = append(withOpts, gapplydb.WithoutRule("gapply-to-groupby"))
-				}
-			}
-			tw, _, err := timeQuery(db, pt.query, withoutOpts...)
-			if err != nil {
-				return nil, err
-			}
-			tg, _, err := timeQuery(db, pt.query, withOpts...)
-			if err != nil {
-				return nil, err
-			}
-			row.Points = append(row.Points, SweepPoint{Param: pt.param, Without: tw, With: tg})
+	for _, sweep := range Table1Sweeps() {
+		row, err := sweep.Measure(db)
+		if err != nil {
+			return nil, err
 		}
 		out = append(out, row)
 	}
 	return out, nil
+}
+
+// Measure times every point of the sweep with the rule off and on.
+func (r RuleSweep) Measure(db *gapplydb.Database) (Table1Row, error) {
+	row := Table1Row{RuleClass: r.Class, Rule: r.Rule}
+	for _, pt := range r.points {
+		both := pt.extraOpts
+		if r.RuleName == "projection-before-gapply" {
+			// Keep the GApply alive in both arms: converting it to a
+			// groupby would short-circuit the projection measurement.
+			both = append(both[:len(both):len(both)], gapplydb.WithoutRule("gapply-to-groupby"))
+		}
+		withoutOpts := append([]gapplydb.QueryOption{gapplydb.WithoutRule(r.RuleName)}, both...)
+		withOpts := append([]gapplydb.QueryOption{}, both...)
+		if r.forced() {
+			withOpts = append(withOpts, gapplydb.ForceRule(r.RuleName))
+		}
+		tw, _, err := timeQuery(db, pt.query, withoutOpts...)
+		if err != nil {
+			return Table1Row{}, err
+		}
+		tg, _, err := timeQuery(db, pt.query, withOpts...)
+		if err != nil {
+			return Table1Row{}, err
+		}
+		row.Points = append(row.Points, SweepPoint{Param: pt.param, Without: tw, With: tg})
+	}
+	return row, nil
 }

@@ -13,8 +13,9 @@ import (
 var updateGolden = flag.Bool("update", false, "rewrite the EXPLAIN golden files under testdata/explain")
 
 // figure8Query fetches one Figure 8 statement from the evaluation suite
-// by name, so the golden battery explains exactly what bench measures.
-func figure8Query(t *testing.T, name string) string {
+// by name, so the golden battery explains exactly what the benchmarks
+// measure.
+func figure8Query(t testing.TB, name string) string {
 	t.Helper()
 	for _, q := range experiments.SuiteQueries() {
 		if q.Name == name {

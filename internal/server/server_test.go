@@ -11,6 +11,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -134,22 +135,31 @@ func fetchAll(t *testing.T, rows *client.Rows) [][]any {
 // representations Result.Rows uses, so equality must be exact.
 func requireSameRows(t *testing.T, name string, local *gapplydb.Result, cols []string, remote [][]any) {
 	t.Helper()
+	if err := sameRows(local, cols, remote); err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+}
+
+// sameRows is requireSameRows' comparison, for goroutines that may not
+// call t.Fatal.
+func sameRows(local *gapplydb.Result, cols []string, remote [][]any) error {
 	if strings.Join(local.Columns, ",") != strings.Join(cols, ",") {
-		t.Fatalf("%s: columns differ: local %v remote %v", name, local.Columns, cols)
+		return fmt.Errorf("columns differ: local %v remote %v", local.Columns, cols)
 	}
 	if len(local.Rows) != len(remote) {
-		t.Fatalf("%s: row counts differ: local %d remote %d", name, len(local.Rows), len(remote))
+		return fmt.Errorf("row counts differ: local %d remote %d", len(local.Rows), len(remote))
 	}
 	for i := range local.Rows {
 		if len(local.Rows[i]) != len(remote[i]) {
-			t.Fatalf("%s: row %d widths differ", name, i)
+			return fmt.Errorf("row %d widths differ", i)
 		}
 		for j := range local.Rows[i] {
 			if local.Rows[i][j] != remote[i][j] {
-				t.Fatalf("%s: row %d col %d: local %#v remote %#v", name, i, j, local.Rows[i][j], remote[i][j])
+				return fmt.Errorf("row %d col %d: local %#v remote %#v", i, j, local.Rows[i][j], remote[i][j])
 			}
 		}
 	}
+	return nil
 }
 
 // TestRemoteDifferentialSuite is the acceptance gate: every statement
@@ -209,6 +219,87 @@ func TestRemoteDifferentialSuite(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestConcurrentClientsSoak runs four times more client connections
+// than the server admits or queues, each issuing a rotating mix of suite
+// statements. A busy fast-reject is admission control shedding load as
+// designed: it is counted and retried with backoff. Every successful
+// result must equal the in-process one, and any other error fails.
+func TestConcurrentClientsSoak(t *testing.T) {
+	const clients, statements = 16, 10
+	db := testDB(t)
+	srv := startServer(t, Config{MaxConcurrent: 2, MaxQueued: 2})
+	ctx := context.Background()
+
+	suite := experiments.SuiteQueries()[:4] // concurrency, not coverage
+	refs := make([]*gapplydb.Result, len(suite))
+	for i, q := range suite {
+		res, err := db.QueryContext(ctx, q.SQL)
+		if err != nil {
+			t.Fatalf("%s: local: %v", q.Name, err)
+		}
+		refs[i] = res
+	}
+
+	var busy atomic.Int64
+	errs := make(chan error, clients)
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs <- func() error {
+				conn, err := client.Dial(srv.Addr().String())
+				if err != nil {
+					return fmt.Errorf("client %d: dial: %w", c, err)
+				}
+				defer conn.Close()
+				for it := 0; it < statements; it++ {
+					qi := (c + it) % len(suite)
+					rows, err := conn.Query(ctx, suite[qi].SQL)
+					for attempt := 0; isBusy(err) && attempt < 1000; attempt++ {
+						busy.Add(1)
+						// Back off harder as contention persists, staggered
+						// by client.
+						time.Sleep(min(time.Duration(5+attempt), time.Duration(50+c)) * time.Millisecond)
+						rows, err = conn.Query(ctx, suite[qi].SQL)
+					}
+					if err != nil {
+						return fmt.Errorf("client %d: %s: %w", c, suite[qi].Name, err)
+					}
+					var got [][]any
+					for {
+						row, ok, err := rows.Next()
+						if err != nil {
+							return fmt.Errorf("client %d: %s: stream: %w", c, suite[qi].Name, err)
+						}
+						if !ok {
+							break
+						}
+						got = append(got, row)
+					}
+					if err := sameRows(refs[qi], rows.Columns, got); err != nil {
+						return fmt.Errorf("client %d: %s: %w", c, suite[qi].Name, err)
+					}
+				}
+				return nil
+			}()
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Error(err)
+		}
+	}
+	t.Logf("%d statements verified, %d busy rejections retried", clients*statements, busy.Load())
+}
+
+func isBusy(err error) bool {
+	var se *client.ServerError
+	return errors.As(err, &se) && se.Code == client.CodeBusy
 }
 
 // TestSessionOptions: session-scoped defaults apply to subsequent

@@ -2,58 +2,23 @@ package replay
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"math/rand"
-	"net/http"
-	"sort"
-	"strings"
-	"sync"
-	"time"
 
 	"gapplydb/client"
-	"gapplydb/internal/metrics"
 )
 
 // DriverConfig configures one replay run against a live gapplyd.
 type DriverConfig struct {
 	// Addr is the server's wire-protocol address.
 	Addr string
-	// Mode selects the load phase's arrival discipline: "open" fires
-	// Poisson arrivals at Rate regardless of completions (the honest way
-	// to measure latency under load), "closed" runs Clients workers
-	// back-to-back (the honest way to measure capacity).
-	Mode string
-	// Rate is the open-loop arrival rate in queries/second.
-	Rate float64
-	// Clients is the connection count (open) or worker count (closed).
-	Clients int
-	// Duration bounds the load phase; 0 runs conformance only.
-	Duration time.Duration
-	// Seed makes the workload mix reproducible.
-	Seed int64
-	// MetricsURL, when set, is the server's /metrics endpoint; the driver
-	// scrapes admission counters around the load phase and asserts the
-	// manifest's queued/rejected bounds against the deltas.
-	MetricsURL string
 	// Trace runs the conformance pass with a client-issued trace ID per
 	// execution and asserts the server echoes it on the terminating
 	// frame. Goldens are still compared byte-exactly — tracing must not
 	// perturb results.
 	Trace bool
-	// TracesURL, when set with Trace, is the server's /debug/traces
-	// endpoint; after conformance the driver fetches the slowest
-	// successful run's Chrome trace into Report.SlowestTrace.
-	TracesURL string
 	// Logf receives progress lines; nil discards them.
 	Logf func(format string, args ...any)
 }
-
-// Modes of the load phase.
-const (
-	ModeOpen   = "open"
-	ModeClosed = "closed"
-)
 
 func (cfg *DriverConfig) logf(format string, args ...any) {
 	if cfg.Logf != nil {
@@ -61,47 +26,16 @@ func (cfg *DriverConfig) logf(format string, args ...any) {
 	}
 }
 
-func (cfg *DriverConfig) defaults() error {
-	if cfg.Addr == "" {
-		return fmt.Errorf("replay: driver needs a server address")
-	}
-	if cfg.Mode == "" {
-		cfg.Mode = ModeOpen
-	}
-	if cfg.Mode != ModeOpen && cfg.Mode != ModeClosed {
-		return fmt.Errorf("replay: bad mode %q (want %q or %q)", cfg.Mode, ModeOpen, ModeClosed)
-	}
-	if cfg.Clients <= 0 {
-		cfg.Clients = 8
-	}
-	if cfg.Mode == ModeOpen && cfg.Rate <= 0 && cfg.Duration > 0 {
-		return fmt.Errorf("replay: open-loop mode needs a positive -rate")
-	}
-	if cfg.Seed == 0 {
-		cfg.Seed = 1
-	}
-	return nil
-}
-
 // Run replays the corpus against a live server: a data guard, then the
 // conformance pass (every query at every matrix degree, twice, with the
-// manifest's expectations asserted), then — when Duration > 0 — the
-// mixed load phase under arrival-rate control. The report is always
-// returned, even on assertion failure, so the caller can persist it;
-// the error is non-nil iff any assertion failed or the harness itself
-// broke.
+// manifest's expectations asserted). The report is returned even on
+// assertion failure, so the caller can inspect it; the error is non-nil
+// iff any assertion failed or the harness itself broke.
 func Run(ctx context.Context, c *Corpus, cfg DriverConfig) (*Report, error) {
-	if err := cfg.defaults(); err != nil {
-		return nil, err
+	if cfg.Addr == "" {
+		return nil, fmt.Errorf("replay: driver needs a server address")
 	}
-	rep := &Report{
-		Corpus:      c.Dir,
-		ScaleFactor: c.ScaleFactor,
-		Mode:        cfg.Mode,
-		Seed:        cfg.Seed,
-		Started:     time.Now().UTC().Format(time.RFC3339),
-	}
-
+	rep := &Report{}
 	conn, err := client.Dial(cfg.Addr)
 	if err != nil {
 		return nil, fmt.Errorf("replay: dial %s: %w", cfg.Addr, err)
@@ -116,15 +50,6 @@ func Run(ctx context.Context, c *Corpus, cfg DriverConfig) (*Report, error) {
 		return rep, err
 	}
 	cfg.logf("conformance: %d runs, %d assertions", len(rep.Conformance), len(rep.Asserts))
-	if cfg.Trace {
-		captureSlowestTrace(&cfg, rep)
-	}
-
-	if cfg.Duration > 0 {
-		if err := runLoad(ctx, c, &cfg, rep); err != nil {
-			return rep, err
-		}
-	}
 
 	failed := 0
 	for _, a := range rep.Asserts {
@@ -210,8 +135,7 @@ func runConformance(ctx context.Context, conn *client.Conn, c *Corpus, cfg *Driv
 				}
 				runs[i] = out
 				cr := ConformanceRun{
-					Query: q.Name, DOP: eff, Run: i + 1, Code: out.Code,
-					Rows: out.Rows, ElapsedMS: ms(out.Elapsed),
+					Query: q.Name, DOP: eff, Run: i + 1, Code: out.Code, Rows: out.Rows,
 					SpoolBuilds: out.Stats.SpoolBuilds, SpoolHits: out.Stats.SpoolHits,
 					PlanCacheHit: out.Stats.PlanCacheHits > 0,
 				}
@@ -261,363 +185,8 @@ func runConformance(ctx context.Context, conn *client.Conn, c *Corpus, cfg *Driv
 	return nil
 }
 
-// captureSlowestTrace finds the slowest successful traced conformance
-// run and, when TracesURL is set, pulls its Chrome export from the
-// server's flight recorder into the report. A fetch failure is logged,
-// not fatal: the trace may legitimately have been evicted under churn.
-func captureSlowestTrace(cfg *DriverConfig, rep *Report) {
-	var slow *ConformanceRun
-	for i := range rep.Conformance {
-		cr := &rep.Conformance[i]
-		if cr.Code != "" || cr.TraceID == "" {
-			continue
-		}
-		if slow == nil || cr.ElapsedMS > slow.ElapsedMS {
-			slow = cr
-		}
-	}
-	if slow == nil {
-		return
-	}
-	rep.SlowestTrace = &SlowestTrace{
-		Query: slow.Query, DOP: slow.DOP, TraceID: slow.TraceID, ElapsedMS: slow.ElapsedMS,
-	}
-	if cfg.TracesURL == "" {
-		return
-	}
-	url := strings.TrimRight(cfg.TracesURL, "/") + "/" + slow.TraceID + "?format=chrome"
-	cl := http.Client{Timeout: 5 * time.Second}
-	resp, err := cl.Get(url)
-	if err != nil {
-		cfg.logf("slowest trace: fetch %s: %v", url, err)
-		return
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		cfg.logf("slowest trace: fetch %s: HTTP %d", url, resp.StatusCode)
-		return
-	}
-	var chrome json.RawMessage
-	if err := json.NewDecoder(resp.Body).Decode(&chrome); err != nil {
-		cfg.logf("slowest trace: %s: %v", url, err)
-		return
-	}
-	rep.SlowestTrace.Chrome = chrome
-	cfg.logf("slowest trace: %s (%s@dop=%d, %.2fms), chrome export %d bytes",
-		slow.TraceID, slow.Query, slow.DOP, slow.ElapsedMS, len(chrome))
-}
-
 // assertOK is assert + a usable boolean for gating dependent checks.
 func assertOK(assert func(string, bool, string, ...any), name string, ok bool, format string, args ...any) bool {
 	assert(name, ok, format, args...)
 	return ok
 }
-
-// loadAgg accumulates load-phase outcomes across client goroutines.
-type loadAgg struct {
-	mu        sync.Mutex
-	reg       *metrics.Registry
-	overall   *metrics.Histogram
-	perQuery  map[string]*metrics.Histogram
-	counts    map[string]int64
-	errors    map[string]int64            // taxonomy code -> count
-	qErrors   map[string]map[string]int64 // query -> code -> count
-	issued    int64
-	completed int64
-	planHits  int64
-	successes int64
-}
-
-func newLoadAgg() *loadAgg {
-	reg := metrics.NewRegistry()
-	return &loadAgg{
-		reg:      reg,
-		overall:  reg.HistogramWith("overall", metrics.FineLatencyBuckets),
-		perQuery: map[string]*metrics.Histogram{},
-		counts:   map[string]int64{},
-		errors:   map[string]int64{},
-		qErrors:  map[string]map[string]int64{},
-	}
-}
-
-func (a *loadAgg) record(q *Query, out *Outcome) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.completed++
-	a.counts[q.Name]++
-	expected := out.Code == q.Expect.Error // "" == "" for success queries
-	if expected {
-		h := a.perQuery[q.Name]
-		if h == nil {
-			h = a.reg.HistogramWith("q:"+q.Name, metrics.FineLatencyBuckets)
-			a.perQuery[q.Name] = h
-		}
-		h.Observe(out.Elapsed)
-		a.overall.Observe(out.Elapsed)
-	}
-	if out.Code == "" {
-		a.successes++
-		a.planHits += out.Stats.PlanCacheHits
-		return
-	}
-	a.errors[out.Code]++
-	qe := a.qErrors[q.Name]
-	if qe == nil {
-		qe = map[string]int64{}
-		a.qErrors[q.Name] = qe
-	}
-	qe[out.Code]++
-}
-
-// picker is the seeded weighted query selector with a deterministic
-// degree rotation.
-type picker struct {
-	mu      sync.Mutex
-	rng     *rand.Rand
-	queries []*Query
-	cum     []int
-	total   int
-	dops    []int
-	next    int
-}
-
-func newPicker(c *Corpus, seed int64) (*picker, error) {
-	p := &picker{rng: rand.New(rand.NewSource(seed)), dops: c.Workload.Dops}
-	for _, q := range c.LoadQueries() {
-		p.total += q.Weight
-		p.queries = append(p.queries, q)
-		p.cum = append(p.cum, p.total)
-	}
-	if p.total == 0 {
-		return nil, fmt.Errorf("replay: no queries carry load weight")
-	}
-	return p, nil
-}
-
-func (p *picker) pick() (*Query, int) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	n := p.rng.Intn(p.total)
-	i := sort.SearchInts(p.cum, n+1)
-	dop := p.dops[p.next%len(p.dops)]
-	p.next++
-	return p.queries[i], dop
-}
-
-// interarrival draws the next open-loop gap from the exponential
-// distribution at the configured rate.
-func (p *picker) interarrival(rate float64) time.Duration {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return time.Duration(p.rng.ExpFloat64() / rate * float64(time.Second))
-}
-
-// runLoad fires the weighted mix at the server for cfg.Duration and
-// appends the workload-level assertions.
-func runLoad(ctx context.Context, c *Corpus, cfg *DriverConfig, rep *Report) error {
-	before, scraped := scrape(cfg.MetricsURL)
-
-	conns := make([]*client.Conn, cfg.Clients)
-	for i := range conns {
-		cn, err := client.Dial(cfg.Addr)
-		if err != nil {
-			return fmt.Errorf("replay: dial %s: %w", cfg.Addr, err)
-		}
-		defer cn.Close()
-		conns[i] = cn
-	}
-	pick, err := newPicker(c, cfg.Seed)
-	if err != nil {
-		return err
-	}
-	agg := newLoadAgg()
-	cfg.logf("load: mode=%s rate=%g clients=%d duration=%s seed=%d",
-		cfg.Mode, cfg.Rate, cfg.Clients, cfg.Duration, cfg.Seed)
-
-	lctx, cancel := context.WithTimeout(ctx, cfg.Duration)
-	defer cancel()
-	start := time.Now()
-	var wg sync.WaitGroup
-	fire := func(cn *client.Conn, q *Query, dop int) error {
-		out, err := RunRemote(lctx, cn, q, dop)
-		if err != nil {
-			// A transport error racing shutdown at the deadline is expected;
-			// mid-run it is a harness failure.
-			if lctx.Err() != nil {
-				return nil
-			}
-			return err
-		}
-		if out.Code == client.CodeCancelled && q.CancelAfterRows == 0 && lctx.Err() != nil {
-			return nil // deadline-cancelled tail query, not a workload outcome
-		}
-		agg.record(q, out)
-		return nil
-	}
-
-	errCh := make(chan error, cfg.Clients+1)
-	if cfg.Mode == ModeOpen {
-		var inFlight sync.WaitGroup
-	arrivals:
-		for i := 0; ; i++ {
-			select {
-			case <-lctx.Done():
-				break arrivals
-			case <-time.After(pick.interarrival(cfg.Rate)):
-			}
-			q, dop := pick.pick()
-			cn := conns[i%len(conns)]
-			agg.mu.Lock()
-			agg.issued++
-			agg.mu.Unlock()
-			inFlight.Add(1)
-			go func() {
-				defer inFlight.Done()
-				if err := fire(cn, q, dop); err != nil {
-					select {
-					case errCh <- err:
-					default:
-					}
-				}
-			}()
-		}
-		inFlight.Wait()
-	} else {
-		for w := 0; w < cfg.Clients; w++ {
-			wg.Add(1)
-			cn := conns[w]
-			go func() {
-				defer wg.Done()
-				for lctx.Err() == nil {
-					q, dop := pick.pick()
-					agg.mu.Lock()
-					agg.issued++
-					agg.mu.Unlock()
-					if err := fire(cn, q, dop); err != nil {
-						select {
-						case errCh <- err:
-						default:
-						}
-						return
-					}
-				}
-			}()
-		}
-		wg.Wait()
-	}
-	elapsed := time.Since(start)
-	select {
-	case err := <-errCh:
-		return fmt.Errorf("replay: load phase: %w", err)
-	default:
-	}
-
-	after, _ := scrape(cfg.MetricsURL)
-	buildLoadReport(c, cfg, rep, agg, elapsed, before, after, scraped)
-	return nil
-}
-
-// buildLoadReport folds the aggregates into the report and appends the
-// workload-level assertions from the manifest.
-func buildLoadReport(c *Corpus, cfg *DriverConfig, rep *Report, agg *loadAgg,
-	elapsed time.Duration, before, after map[string]int64, scraped bool) {
-
-	assert := func(name string, ok bool, format string, args ...any) {
-		a := Assertion{Name: name, OK: ok}
-		if !ok {
-			a.Detail = fmt.Sprintf(format, args...)
-			cfg.logf("FAIL %s: %s", name, a.Detail)
-		}
-		rep.Asserts = append(rep.Asserts, a)
-	}
-
-	agg.mu.Lock()
-	defer agg.mu.Unlock()
-	l := &LoadReport{
-		Rate: cfg.Rate, Clients: cfg.Clients, DurationS: elapsed.Seconds(),
-		Issued: agg.issued, Completed: agg.completed,
-		ThroughputQPS: float64(agg.completed) / elapsed.Seconds(),
-		Errors:        agg.errors,
-		Overall:       latencySummary(agg.overall),
-	}
-	if agg.successes > 0 {
-		l.PlanCacheHitRatio = float64(agg.planHits) / float64(agg.successes)
-	}
-	if agg.issued > 0 {
-		l.BusyRatio = float64(agg.errors[client.CodeBusy]) / float64(agg.issued)
-	}
-	names := make([]string, 0, len(agg.counts))
-	for n := range agg.counts {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		qs := QueryLoadStats{Query: n, Count: agg.counts[n], Errors: agg.qErrors[n]}
-		if h := agg.perQuery[n]; h != nil {
-			qs.Latency = latencySummary(h)
-		}
-		l.PerQuery = append(l.PerQuery, qs)
-	}
-	if scraped {
-		l.Admission = &AdmissionDeltas{
-			Queued:   after["server_queries_queued"] - before["server_queries_queued"],
-			Rejected: after["server_queries_rejected"] - before["server_queries_rejected"],
-		}
-	}
-	rep.Load = l
-
-	w := c.Workload
-	assert("load/completed", agg.completed > 0, "no queries completed")
-	if w.MaxBusyRatio > 0 {
-		assert("load/busy_ratio", l.BusyRatio <= w.MaxBusyRatio,
-			"busy ratio %.3f > max %.3f", l.BusyRatio, w.MaxBusyRatio)
-	}
-	if w.MinPlanCacheHitRatio > 0 && agg.successes > 0 {
-		assert("load/plan_cache_hit_ratio", l.PlanCacheHitRatio >= w.MinPlanCacheHitRatio,
-			"plan cache hit ratio %.3f < min %.3f (hits %d / successes %d)",
-			l.PlanCacheHitRatio, w.MinPlanCacheHitRatio, agg.planHits, agg.successes)
-	}
-	if l.Admission != nil {
-		if w.MaxQueuedDelta != nil {
-			assert("load/admission_queued", l.Admission.Queued <= *w.MaxQueuedDelta,
-				"queued delta %d > max %d", l.Admission.Queued, *w.MaxQueuedDelta)
-		}
-		if w.MaxRejectedDelta != nil {
-			assert("load/admission_rejected", l.Admission.Rejected <= *w.MaxRejectedDelta,
-				"rejected delta %d > max %d", l.Admission.Rejected, *w.MaxRejectedDelta)
-		}
-		// Consistency: the server's rejected counter must account for at
-		// least every busy fast-reject this driver observed (it is the
-		// only client during the phase).
-		assert("load/admission_consistency", l.Admission.Rejected >= agg.errors[client.CodeBusy],
-			"server rejected counter grew %d but driver saw %d busy rejections",
-			l.Admission.Rejected, agg.errors[client.CodeBusy])
-	}
-}
-
-// scrape fetches the server's metrics registry snapshot; absence is not
-// an error (the endpooint is optional), just a reason to skip the
-// admission assertions.
-func scrape(url string) (map[string]int64, bool) {
-	if url == "" {
-		return nil, false
-	}
-	cl := http.Client{Timeout: 5 * time.Second}
-	resp, err := cl.Get(url)
-	if err != nil {
-		return nil, false
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, false
-	}
-	var s struct {
-		Counters map[string]int64
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&s); err != nil {
-		return nil, false
-	}
-	return s.Counters, true
-}
-
-func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }

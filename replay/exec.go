@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"time"
 
 	"gapplydb"
 	"gapplydb/client"
@@ -30,9 +29,6 @@ type Outcome struct {
 	Err error
 	// Stats carries the engine's work counters (spool, plan cache, …).
 	Stats gapplydb.ExecStats
-	// Elapsed is the caller-observed wall time for the whole execution,
-	// stream drain included.
-	Elapsed time.Duration
 	// TraceID identifies the execution's server-side trace (zero when
 	// untraced). Remote runs populate it from the End/Error frame echo.
 	TraceID gapplydb.TraceID
@@ -122,12 +118,11 @@ func RunLocalOpts(ctx context.Context, db *gapplydb.Database, q *Query, dop int,
 		return nil, fmt.Errorf("replay: %s: cancel-after-rows queries only run remotely", q.Name)
 	}
 	opts := append(q.LocalOptions(dop), extra...)
-	start := time.Now()
 	res, err := db.QueryContext(ctx, q.SQL, opts...)
 	if err != nil {
-		return &Outcome{Code: localCode(err), Err: err, Elapsed: time.Since(start)}, nil
+		return &Outcome{Code: localCode(err), Err: err}, nil
 	}
-	out := &Outcome{Stats: res.Stats, Elapsed: time.Since(start)}
+	out := &Outcome{Stats: res.Stats}
 	if q.Kind == KindXML {
 		var doc bytes.Buffer
 		if err := xmlpub.TagAll(q.TagPlan, res.Rows, &doc); err != nil {
@@ -169,17 +164,13 @@ func runRemote(ctx context.Context, conn *client.Conn, q *Query, dop int, opts [
 		opts = append(opts, client.WithMaxOutputRows(q.MaxOutputRows))
 	}
 
-	start := time.Now()
 	if q.Kind == KindXML {
 		var doc bytes.Buffer
 		st, err := conn.QueryXML(ctx, q.SQL, q.TagPlan, &doc, opts...)
 		if err != nil {
-			return remoteFailure(err, start)
+			return remoteFailure(err)
 		}
-		return &Outcome{
-			Rendered: doc.Bytes(), Rows: st.Rows, Stats: st.Exec,
-			Elapsed: time.Since(start), TraceID: st.TraceID,
-		}, nil
+		return &Outcome{Rendered: doc.Bytes(), Rows: st.Rows, Stats: st.Exec, TraceID: st.TraceID}, nil
 	}
 
 	qctx := ctx
@@ -190,7 +181,7 @@ func runRemote(ctx context.Context, conn *client.Conn, q *Query, dop int, opts [
 	}
 	rows, err := conn.Query(qctx, q.SQL, opts...)
 	if err != nil {
-		return remoteFailure(err, start)
+		return remoteFailure(err)
 	}
 	var got [][]any
 	var n int64
@@ -198,7 +189,7 @@ func runRemote(ctx context.Context, conn *client.Conn, q *Query, dop int, opts [
 		row, ok, err := rows.Next()
 		if err != nil {
 			rows.Close()
-			return remoteFailure(err, start)
+			return remoteFailure(err)
 		}
 		if !ok {
 			break
@@ -214,7 +205,7 @@ func runRemote(ctx context.Context, conn *client.Conn, q *Query, dop int, opts [
 		}
 		got = append(got, row)
 	}
-	out := &Outcome{Rows: n, Stats: rows.Stats().Exec, Elapsed: time.Since(start), TraceID: rows.Stats().TraceID}
+	out := &Outcome{Rows: n, Stats: rows.Stats().Exec, TraceID: rows.Stats().TraceID}
 	if q.CancelAfterRows == 0 {
 		out.Rendered = RenderRows(rows.Columns, got)
 	}
@@ -224,10 +215,10 @@ func runRemote(ctx context.Context, conn *client.Conn, q *Query, dop int, opts [
 // remoteFailure folds a remote error into an Outcome with its taxonomy
 // code. Transport-level failures (connection death) are returned as
 // hard errors — they are harness failures, not query outcomes.
-func remoteFailure(err error, start time.Time) (*Outcome, error) {
+func remoteFailure(err error) (*Outcome, error) {
 	var se *client.ServerError
 	if errors.As(err, &se) {
-		return &Outcome{Code: se.Code, Err: err, Elapsed: time.Since(start), TraceID: se.TraceID}, nil
+		return &Outcome{Code: se.Code, Err: err, TraceID: se.TraceID}, nil
 	}
 	return nil, err
 }

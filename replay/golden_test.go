@@ -3,6 +3,7 @@ package replay
 import (
 	"bytes"
 	"context"
+	"flag"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -14,6 +15,8 @@ import (
 
 // corpusDir is the checked-in corpus relative to this package.
 const corpusDir = "../testdata/corpus"
+
+var update = flag.Bool("update", false, "rewrite the corpus goldens under testdata/corpus/golden")
 
 var (
 	goldenOnce sync.Once
@@ -103,8 +106,22 @@ func TestUpdateGoldensDeterministic(t *testing.T) {
 
 // TestCheckedInGoldensFresh regenerates into a clone and verifies the
 // repository's goldens are byte-identical — i.e. nobody changed the
-// engine (or the corpus) without rerunning -update.
+// engine (or the corpus) without rerunning -update. With -update it
+// regenerates the checked-in goldens in place instead; the diff is the
+// review artifact.
 func TestCheckedInGoldensFresh(t *testing.T) {
+	if *update {
+		c, err := Load(corpusDir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		changed, err := UpdateGoldens(context.Background(), goldenDatabase(t), c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("regenerated %d golden(s): %v", len(changed), changed)
+		return
+	}
 	dir := copyCorpus(t, true)
 	c, err := Load(dir)
 	if err != nil {
@@ -115,7 +132,7 @@ func TestCheckedInGoldensFresh(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(changed) != 0 {
-		t.Fatalf("checked-in goldens are stale: %v (regenerate with bench -replay testdata/corpus -update)", changed)
+		t.Fatalf("checked-in goldens are stale: %v (regenerate with go test ./replay -run TestCheckedInGoldensFresh -update)", changed)
 	}
 	// And the clone really matches the originals byte for byte.
 	for _, q := range c.Queries {

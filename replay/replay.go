@@ -1,23 +1,24 @@
 // Package replay is the server-scale regression harness: a checked-in
 // corpus of publishing queries with golden row/XML outputs and declared
-// per-query expectations, plus a driver that fires the corpus at a live
-// gapplyd — once sequentially for conformance (goldens, error taxonomy,
-// spool and plan-cache counters), then as a mixed workload under
-// arrival-rate control (open-loop Poisson or closed-loop clients),
-// reporting latency percentiles, throughput, and an error taxonomy.
+// per-query expectations, plus a conformance driver (Run) that fires the
+// corpus at a live gapplyd and asserts the goldens, error taxonomy,
+// spool and plan-cache counters at every degree in the manifest's
+// matrix. Timing lives elsewhere: the publishing-request benchmark
+// (benchmark/) measures, this package only checks.
 //
 // The corpus lives in a directory:
 //
 //	corpus/
-//	  manifest.json          query list, expectations, workload bounds
+//	  manifest.json          query list, expectations, dop matrix
 //	  sql/<name>.sql         one statement per file
 //	  tagplan/<name>.json    xmlpub tag plan for XML-mode queries
 //	  golden/<name>.rows     golden rendered rows
 //	  golden/<name>.xml      golden published document
 //
-// Goldens are regenerated with UpdateGoldens (cmd/bench -replay DIR
-// -update); regeneration is deterministic, so a second pass is a no-op
-// — a property the test suite asserts.
+// Goldens are regenerated with UpdateGoldens, which
+// `go test ./replay -run TestCheckedInGoldensFresh -update` runs over
+// the checked-in corpus; regeneration is deterministic, so a second pass
+// is a no-op — a property the test suite asserts.
 package replay
 
 import (
@@ -64,9 +65,6 @@ type Query struct {
 	Name string `json:"name"`
 	// Kind is "rows" or "xml".
 	Kind string `json:"kind"`
-	// Weight is the query's share of the mixed load phase; 0 keeps it
-	// conformance-only.
-	Weight int `json:"weight,omitempty"`
 	// DOP pins the query to one degree of parallelism; 0 runs it at every
 	// degree in the driver's matrix.
 	DOP int `json:"dop,omitempty"`
@@ -96,24 +94,11 @@ type Query struct {
 	TagPlan *xmlpub.TagPlan `json:"-"`
 }
 
-// Workload bounds the mixed load phase as a whole.
+// Workload is the corpus-wide run configuration.
 type Workload struct {
-	// Dops is the degree-of-parallelism mix arrivals rotate through
-	// (default [1, 8]); also the conformance matrix.
+	// Dops is the degree-of-parallelism matrix every query runs at
+	// (default [1, 8]).
 	Dops []int `json:"dops,omitempty"`
-	// MaxBusyRatio bounds admission fast-rejections over issued queries
-	// (shedding is expected under open-loop overload, but not this much).
-	MaxBusyRatio float64 `json:"max_busy_ratio"`
-	// MinPlanCacheHitRatio bounds the statement-plan-cache hit ratio over
-	// the load phase's successful queries from below: a replayed workload
-	// of fixed statements must be almost entirely cache-served.
-	MinPlanCacheHitRatio float64 `json:"min_plan_cache_hit_ratio"`
-	// MaxQueuedDelta / MaxRejectedDelta bound the server's admission
-	// queued/rejected counter growth across the load phase; they are
-	// asserted only when the driver can scrape the server's /metrics
-	// endpoint. nil = unchecked.
-	MaxQueuedDelta   *int64 `json:"max_queued_delta,omitempty"`
-	MaxRejectedDelta *int64 `json:"max_rejected_delta,omitempty"`
 }
 
 // Manifest is the corpus description checked in as manifest.json.
@@ -175,9 +160,6 @@ func Load(dir string) (*Corpus, error) {
 		if q.Expect.Error != "" && q.Expect.Golden {
 			return nil, fmt.Errorf("replay: %s: an error-expecting query cannot also expect a golden", q.Name)
 		}
-		if q.Weight < 0 {
-			return nil, fmt.Errorf("replay: %s: negative weight", q.Name)
-		}
 		if q.Partition != "" && q.Partition != "hash" && q.Partition != "sort" {
 			return nil, fmt.Errorf("replay: %s: bad partition %q (want hash or sort)", q.Name, q.Partition)
 		}
@@ -227,20 +209,8 @@ func (c *Corpus) GoldenPath(q *Query) string {
 func (c *Corpus) Golden(q *Query) ([]byte, error) {
 	b, err := os.ReadFile(c.GoldenPath(q))
 	if err != nil {
-		return nil, fmt.Errorf("replay: %s: missing golden (regenerate with bench -replay %s -update): %w",
-			q.Name, c.Dir, err)
+		return nil, fmt.Errorf("replay: %s: missing golden (regenerate with go test ./replay -run TestCheckedInGoldensFresh -update): %w",
+			q.Name, err)
 	}
 	return b, nil
-}
-
-// LoadQueries returns the subset of corpus queries carrying positive
-// weight — the mixed-workload population.
-func (c *Corpus) LoadQueries() []*Query {
-	var out []*Query
-	for _, q := range c.Queries {
-		if q.Weight > 0 {
-			out = append(out, q)
-		}
-	}
-	return out
 }

@@ -29,9 +29,8 @@ func writeCorpus(t *testing.T, manifest string, sqls map[string]string) string {
 const validManifest = `{
   "version": 1, "scale_factor": 0.001, "partsupp_rows": 800,
   "queries": [
-    {"name": "a", "kind": "rows", "weight": 1, "expect": {"golden": true}}
-  ],
-  "workload": {"max_busy_ratio": 0.9, "min_plan_cache_hit_ratio": 0.5}
+    {"name": "a", "kind": "rows", "expect": {"golden": true}}
+  ]
 }`
 
 func TestLoadValid(t *testing.T) {
@@ -62,56 +61,56 @@ func TestLoadRejects(t *testing.T) {
 		{
 			name: "bad version",
 			manifest: `{"version": 2, "scale_factor": 0.001, "partsupp_rows": 800,
-				"queries": [{"name": "a", "kind": "rows", "expect": {}}], "workload": {"max_busy_ratio": 1, "min_plan_cache_hit_ratio": 0}}`,
+				"queries": [{"name": "a", "kind": "rows", "expect": {}}]}`,
 			sqls: map[string]string{"a": "select 1"},
 			want: "version",
 		},
 		{
 			name: "bad kind",
 			manifest: `{"version": 1, "scale_factor": 0.001, "partsupp_rows": 800,
-				"queries": [{"name": "a", "kind": "csv", "expect": {}}], "workload": {"max_busy_ratio": 1, "min_plan_cache_hit_ratio": 0}}`,
+				"queries": [{"name": "a", "kind": "csv", "expect": {}}]}`,
 			sqls: map[string]string{"a": "select 1"},
 			want: "bad kind",
 		},
 		{
 			name: "duplicate name",
 			manifest: `{"version": 1, "scale_factor": 0.001, "partsupp_rows": 800,
-				"queries": [{"name": "a", "kind": "rows", "expect": {}}, {"name": "a", "kind": "rows", "expect": {}}], "workload": {"max_busy_ratio": 1, "min_plan_cache_hit_ratio": 0}}`,
+				"queries": [{"name": "a", "kind": "rows", "expect": {}}, {"name": "a", "kind": "rows", "expect": {}}]}`,
 			sqls: map[string]string{"a": "select 1"},
 			want: "duplicate",
 		},
 		{
 			name: "uppercase name",
 			manifest: `{"version": 1, "scale_factor": 0.001, "partsupp_rows": 800,
-				"queries": [{"name": "Bad", "kind": "rows", "expect": {}}], "workload": {"max_busy_ratio": 1, "min_plan_cache_hit_ratio": 0}}`,
+				"queries": [{"name": "Bad", "kind": "rows", "expect": {}}]}`,
 			sqls: map[string]string{"Bad": "select 1"},
 			want: "bad query name",
 		},
 		{
 			name: "error plus golden",
 			manifest: `{"version": 1, "scale_factor": 0.001, "partsupp_rows": 800,
-				"queries": [{"name": "a", "kind": "rows", "expect": {"golden": true, "error": "timeout"}}], "workload": {"max_busy_ratio": 1, "min_plan_cache_hit_ratio": 0}}`,
+				"queries": [{"name": "a", "kind": "rows", "expect": {"golden": true, "error": "timeout"}}]}`,
 			sqls: map[string]string{"a": "select 1"},
 			want: "cannot also expect a golden",
 		},
 		{
 			name: "missing sql file",
 			manifest: `{"version": 1, "scale_factor": 0.001, "partsupp_rows": 800,
-				"queries": [{"name": "a", "kind": "rows", "expect": {}}], "workload": {"max_busy_ratio": 1, "min_plan_cache_hit_ratio": 0}}`,
+				"queries": [{"name": "a", "kind": "rows", "expect": {}}]}`,
 			sqls: map[string]string{},
 			want: "a.sql",
 		},
 		{
 			name: "unknown manifest field",
 			manifest: `{"version": 1, "scale_factor": 0.001, "partsupp_rows": 800, "bogus": 1,
-				"queries": [{"name": "a", "kind": "rows", "expect": {}}], "workload": {"max_busy_ratio": 1, "min_plan_cache_hit_ratio": 0}}`,
+				"queries": [{"name": "a", "kind": "rows", "expect": {}}]}`,
 			sqls: map[string]string{"a": "select 1"},
 			want: "bogus",
 		},
 		{
 			name: "missing tag plan",
 			manifest: `{"version": 1, "scale_factor": 0.001, "partsupp_rows": 800,
-				"queries": [{"name": "a", "kind": "xml", "expect": {}}], "workload": {"max_busy_ratio": 1, "min_plan_cache_hit_ratio": 0}}`,
+				"queries": [{"name": "a", "kind": "xml", "expect": {}}]}`,
 			sqls: map[string]string{"a": "select 1"},
 			want: "a.json",
 		},
@@ -152,16 +151,5 @@ func TestDiffRendered(t *testing.T) {
 	err := DiffRendered([]byte("a\nX\n"), []byte("a\nb\n"))
 	if err == nil || !strings.Contains(err.Error(), "line 2") {
 		t.Fatalf("diff = %v, want line-2 report", err)
-	}
-}
-
-func TestLoadQueriesWeightFilter(t *testing.T) {
-	c := &Corpus{Manifest: Manifest{Queries: []*Query{
-		{Name: "hot", Weight: 3},
-		{Name: "conformance_only"},
-	}}}
-	lq := c.LoadQueries()
-	if len(lq) != 1 || lq[0].Name != "hot" {
-		t.Fatalf("LoadQueries = %+v", lq)
 	}
 }

@@ -1,133 +1,29 @@
 package replay
 
-import (
-	"encoding/json"
-	"fmt"
-	"os"
-
-	"gapplydb/internal/metrics"
-)
-
-// Report is the replay run's full result, serialized as BENCH_6.json.
+// Report is the result of one conformance run.
 type Report struct {
-	Corpus      string  `json:"corpus"`
-	ScaleFactor float64 `json:"scale_factor"`
-	Mode        string  `json:"mode"`
-	Seed        int64   `json:"seed"`
-	Started     string  `json:"started"`
 	// Passed is true when every assertion held.
-	Passed bool `json:"passed"`
-
-	Conformance []ConformanceRun `json:"conformance"`
-	Load        *LoadReport      `json:"load,omitempty"`
-	Asserts     []Assertion      `json:"asserts"`
-
-	// SlowestTrace is the slowest successful conformance run's full
-	// server-side trace, fetched from /debug/traces when the driver runs
-	// with tracing on and a TracesURL — the flight-recorder artifact CI
-	// uploads so a slow conformance pass ships its own timeline.
-	SlowestTrace *SlowestTrace `json:"slowest_trace,omitempty"`
-}
-
-// SlowestTrace names the worst conformance run and carries its Chrome
-// trace_event export (loadable in chrome://tracing or Perfetto).
-type SlowestTrace struct {
-	Query     string          `json:"query"`
-	DOP       int             `json:"dop"`
-	TraceID   string          `json:"trace_id"`
-	ElapsedMS float64         `json:"elapsed_ms"`
-	Chrome    json.RawMessage `json:"chrome,omitempty"`
-}
-
-// WriteChrome persists the slowest trace's Chrome JSON on its own (the
-// TRACE_*.json artifact); a nil receiver or absent export is an error.
-func (s *SlowestTrace) WriteChrome(path string) error {
-	if s == nil || len(s.Chrome) == 0 {
-		return fmt.Errorf("replay: no chrome trace captured (need -trace and -traces-http against a reachable server)")
-	}
-	return os.WriteFile(path, append([]byte(s.Chrome), '\n'), 0o644)
+	Passed      bool
+	Conformance []ConformanceRun
+	Asserts     []Assertion
 }
 
 // ConformanceRun is one execution of the sequential conformance pass.
 type ConformanceRun struct {
-	Query        string  `json:"query"`
-	DOP          int     `json:"dop"`
-	Run          int     `json:"run"`
-	Code         string  `json:"code,omitempty"`
-	Rows         int64   `json:"rows"`
-	ElapsedMS    float64 `json:"elapsed_ms"`
-	SpoolBuilds  int64   `json:"spool_builds,omitempty"`
-	SpoolHits    int64   `json:"spool_hits,omitempty"`
-	PlanCacheHit bool    `json:"plan_cache_hit"`
-	TraceID      string  `json:"trace_id,omitempty"`
+	Query        string
+	DOP          int
+	Run          int
+	Code         string
+	Rows         int64
+	SpoolBuilds  int64
+	SpoolHits    int64
+	PlanCacheHit bool
+	TraceID      string
 }
 
 // Assertion is one checked expectation, from the manifest or built in.
 type Assertion struct {
-	Name   string `json:"name"`
-	OK     bool   `json:"ok"`
-	Detail string `json:"detail,omitempty"`
-}
-
-// LoadReport summarizes the mixed-workload phase.
-type LoadReport struct {
-	Rate              float64          `json:"rate,omitempty"`
-	Clients           int              `json:"clients"`
-	DurationS         float64          `json:"duration_s"`
-	Issued            int64            `json:"issued"`
-	Completed         int64            `json:"completed"`
-	ThroughputQPS     float64          `json:"throughput_qps"`
-	BusyRatio         float64          `json:"busy_ratio"`
-	PlanCacheHitRatio float64          `json:"plan_cache_hit_ratio"`
-	Errors            map[string]int64 `json:"errors"`
-	Overall           LatencySummary   `json:"overall"`
-	PerQuery          []QueryLoadStats `json:"per_query"`
-	Admission         *AdmissionDeltas `json:"admission,omitempty"`
-}
-
-// QueryLoadStats is one corpus query's share of the load phase.
-type QueryLoadStats struct {
-	Query   string           `json:"query"`
-	Count   int64            `json:"count"`
-	Latency LatencySummary   `json:"latency"`
-	Errors  map[string]int64 `json:"errors,omitempty"`
-}
-
-// LatencySummary is the percentile digest of one latency histogram.
-type LatencySummary struct {
-	Count  int64   `json:"count"`
-	MeanMS float64 `json:"mean_ms"`
-	P50MS  float64 `json:"p50_ms"`
-	P95MS  float64 `json:"p95_ms"`
-	P99MS  float64 `json:"p99_ms"`
-	MaxMS  float64 `json:"max_ms"`
-}
-
-// AdmissionDeltas is the growth of the server's admission counters
-// across the load phase (present only when /metrics was scrapeable).
-type AdmissionDeltas struct {
-	Queued   int64 `json:"queued"`
-	Rejected int64 `json:"rejected"`
-}
-
-// latencySummary digests a histogram into the report form.
-func latencySummary(h *metrics.Histogram) LatencySummary {
-	s := h.Snapshot()
-	return LatencySummary{
-		Count:  s.Count,
-		MeanMS: ms(s.Mean()),
-		P50MS:  ms(s.Quantile(0.50)),
-		P95MS:  ms(s.Quantile(0.95)),
-		P99MS:  ms(s.Quantile(0.99)),
-		MaxMS:  ms(s.Max),
-	}
-}
-
-// WriteJSON persists the report, pretty-printed, creating the file.
-func (r *Report) WriteJSON(path string) error {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
+	Name   string
+	OK     bool
+	Detail string
 }

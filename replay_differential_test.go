@@ -4,10 +4,6 @@ import (
 	"context"
 	"fmt"
 	"net"
-	"net/http/httptest"
-	"os"
-	"path/filepath"
-	"strings"
 	"testing"
 	"time"
 
@@ -20,7 +16,7 @@ import (
 // in it must produce byte-identical output embedded (Database.Query)
 // and over the wire (client → gapplyd), at every matrix degree, and
 // both must match the checked-in goldens. This test is what makes the
-// goldens trustworthy for the standalone replay driver: any divergence
+// goldens trustworthy for the conformance driver: any divergence
 // between engine, server, client, or corpus shows up here first.
 
 func startCorpusServer(t *testing.T) (*server.Server, *client.Conn) {
@@ -123,8 +119,9 @@ func TestReplayCorpusDifferential(t *testing.T) {
 // TestReplayTracedConformance pins two acceptance criteria at once:
 // the corpus goldens stay byte-identical with tracing forced on (at
 // every matrix degree — tracing must not perturb results), and the
-// full traced driver run echoes every issued trace ID and captures the
-// slowest conformance trace's Chrome export through /debug/traces.
+// traced conformance driver — goldens, error taxonomy, row floors,
+// spool and plan-cache expectations — passes with every issued trace ID
+// echoed.
 func TestReplayTracedConformance(t *testing.T) {
 	c, err := replay.Load("testdata/corpus")
 	if err != nil {
@@ -168,14 +165,8 @@ func TestReplayTracedConformance(t *testing.T) {
 	}
 
 	// The full driver with tracing on: every assertion (goldens, error
-	// taxonomy, trace echo) holds, and the slowest trace is exported.
-	ts := httptest.NewServer(srv.HTTPHandler())
-	defer ts.Close()
-	rep, err := replay.Run(ctx, c, replay.DriverConfig{
-		Addr:      srv.Addr().String(),
-		Trace:     true,
-		TracesURL: ts.URL + "/debug/traces",
-	})
+	// taxonomy, manifest expectations, trace echo) holds.
+	rep, err := replay.Run(ctx, c, replay.DriverConfig{Addr: srv.Addr().String(), Trace: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,19 +177,5 @@ func TestReplayTracedConformance(t *testing.T) {
 		if cr.TraceID == "" {
 			t.Fatalf("conformance run %s@dop=%d run %d has no trace id", cr.Query, cr.DOP, cr.Run)
 		}
-	}
-	st := rep.SlowestTrace
-	if st == nil || st.TraceID == "" || len(st.Chrome) == 0 {
-		t.Fatalf("slowest trace not captured: %+v", st)
-	}
-	if !strings.Contains(string(st.Chrome), "traceEvents") {
-		t.Fatalf("chrome export malformed: %.120s", st.Chrome)
-	}
-	path := filepath.Join(t.TempDir(), "TRACE_7.json")
-	if err := st.WriteChrome(path); err != nil {
-		t.Fatal(err)
-	}
-	if data, err := os.ReadFile(path); err != nil || !strings.Contains(string(data), "traceEvents") {
-		t.Fatalf("trace artifact: err=%v", err)
 	}
 }

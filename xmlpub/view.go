@@ -191,8 +191,8 @@ func Q3(hi, lo float64) *FLWR {
 
 // Q4 is the paper's fourth example restated over the two-level view:
 // for each (supplier, size) element, parts priced above that group's
-// average. It uses a composite key; see cmd/bench for the exact SQL the
-// harness uses.
+// average. It uses a composite key, so it has no FLWR form here; the
+// exact SQL the harness uses is experiments.Figure8Queries' Q4.
 //
 // ExpensiveSuppliers is §4.2's existential group selection: suppliers
 // supplying some part above the threshold, returned whole.
