@@ -1,8 +1,9 @@
 // Package experiments regenerates the paper's evaluation (§5): Figure 8
 // (speedup from GApply on queries Q1–Q4) and Table 1 (effect of each
 // transformation rule), plus the §5.1.1 client-side-simulation
-// comparison. It owns the statements; the root benchmark suite
-// (bench_test.go) times them and reports the paper's ratios, and the
+// comparison. It owns the statements and the one estimator the paper's
+// ratios use (minimum execution time of Repeats runs); the root
+// benchmark suite (bench_test.go) reports those ratios, and the
 // differential suites execute the same list (SuiteQueries).
 //
 // Absolute times differ from the paper's 2003 testbed (5 GB TPC-H on a
@@ -19,7 +20,7 @@ import (
 
 // Repeats is how many times each query runs per measurement; the minimum
 // elapsed time is kept (steady-state, least-noise estimator).
-var Repeats = 3
+const Repeats = 3
 
 // timeQuery returns the minimum execution time of the query across
 // Repeats runs, and the result of the last run.

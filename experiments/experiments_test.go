@@ -13,9 +13,6 @@ import (
 // — those are exercised by the benchmarks.
 func testDB(t *testing.T) *gapplydb.Database {
 	t.Helper()
-	old := Repeats
-	Repeats = 1
-	t.Cleanup(func() { Repeats = old })
 	db, err := gapplydb.OpenTPCH(0.001)
 	if err != nil {
 		t.Fatal(err)
@@ -25,9 +22,13 @@ func testDB(t *testing.T) *gapplydb.Database {
 
 func TestFigure8Harness(t *testing.T) {
 	db := testDB(t)
-	rows, err := Figure8(db)
-	if err != nil {
-		t.Fatal(err)
+	var rows []Figure8Row
+	for _, q := range Figure8Queries() {
+		r, err := q.Measure(db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows = append(rows, r)
 	}
 	if len(rows) != 4 {
 		t.Fatalf("rows = %d", len(rows))
@@ -58,9 +59,13 @@ func TestFigure8Harness(t *testing.T) {
 
 func TestTable1Harness(t *testing.T) {
 	db := testDB(t)
-	rows, err := Table1(db)
-	if err != nil {
-		t.Fatal(err)
+	var rows []Table1Row
+	for _, sweep := range Table1Sweeps() {
+		r, err := sweep.Measure(db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows = append(rows, r)
 	}
 	if len(rows) != 6 {
 		t.Fatalf("rules = %d, want 6 (the paper's Table 1 rows)", len(rows))

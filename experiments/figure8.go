@@ -66,25 +66,21 @@ const q4Flat = `
 	  and p_retailprice > tmp.avgprice
 	order by tmp.k1`
 
-// Figure8 measures Q1–Q4 with and without GApply, through the full
+// Measure times the bar pair with and without GApply, through the full
 // optimizer — including decorrelation, so the baseline is what a
 // production engine without GApply would execute, not a naive per-row
 // re-evaluation.
-func Figure8(db *gapplydb.Database) ([]Figure8Row, error) {
-	var out []Figure8Row
-	for _, q := range Figure8Queries() {
-		tw, resW, err := timeQuery(db, q.Without)
-		if err != nil {
-			return nil, err
-		}
-		tg, resG, err := timeQuery(db, q.With)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, Figure8Row{
-			Query: q.Name, Without: tw, With: tg,
-			RowsWithout: len(resW.Rows), RowsWith: len(resG.Rows),
-		})
+func (q Figure8Query) Measure(db *gapplydb.Database) (Figure8Row, error) {
+	tw, resW, err := timeQuery(db, q.Without)
+	if err != nil {
+		return Figure8Row{}, err
 	}
-	return out, nil
+	tg, resG, err := timeQuery(db, q.With)
+	if err != nil {
+		return Figure8Row{}, err
+	}
+	return Figure8Row{
+		Query: q.Name, Without: tw, With: tg,
+		RowsWithout: len(resW.Rows), RowsWith: len(resG.Rows),
+	}, nil
 }

@@ -218,19 +218,6 @@ func noPrune() []gapplydb.QueryOption {
 	return []gapplydb.QueryOption{gapplydb.WithoutRule("projection-before-gapply")}
 }
 
-// Table1 runs every rule sweep and returns one row per rule.
-func Table1(db *gapplydb.Database) ([]Table1Row, error) {
-	var out []Table1Row
-	for _, sweep := range Table1Sweeps() {
-		row, err := sweep.Measure(db)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, row)
-	}
-	return out, nil
-}
-
 // Measure times every point of the sweep with the rule off and on.
 func (r RuleSweep) Measure(db *gapplydb.Database) (Table1Row, error) {
 	row := Table1Row{RuleClass: r.Class, Rule: r.Rule}
