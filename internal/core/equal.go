@@ -23,13 +23,7 @@ func ExprEqual(a, b Expr) bool {
 		return ok && strings.EqualFold(x.Table, y.Table) && strings.EqualFold(x.Name, y.Name)
 	case *Lit:
 		y, ok := b.(*Lit)
-		if !ok {
-			return false
-		}
-		if x.V.IsNull() || y.V.IsNull() {
-			return x.V.IsNull() && y.V.IsNull()
-		}
-		return (types.Row{x.V}).KeyAll() == (types.Row{y.V}).KeyAll()
+		return ok && types.Identical(x.V, y.V)
 	case *BinOp:
 		y, ok := b.(*BinOp)
 		return ok && x.Op == y.Op && ExprEqual(x.L, y.L) && ExprEqual(x.R, y.R)

@@ -159,42 +159,47 @@ type BatchIterator interface {
 
 // drainBatchRows opens the iterator, copies every live row's header
 // out, and closes it, polling cancellation once per batch — the engine's
-// internal materializations (apply inners, join builds, GApply outer
-// and per-group drains) use it so a blocking materialization stops
-// within one row batch of the query being cancelled.
+// internal materializations (apply inners, nested-loops join builds,
+// GApply outer and per-group drains) use it so a blocking
+// materialization stops within one row batch of the query being
+// cancelled.
 func drainBatchRows(it BatchIterator, c *Context) ([]types.Row, error) {
 	if err := it.Open(); err != nil {
 		return nil, err
 	}
-	var rows []types.Row
-	for {
-		b, err := it.NextBatch()
-		if err != nil {
-			it.Close()
-			return nil, err
-		}
-		if b == nil {
-			break
-		}
-		n := b.Len()
-		if err := c.tickN(n); err != nil {
-			it.Close()
-			return nil, err
-		}
-		if len(rows)+n > cap(rows) {
-			// Double, rather than append's gentler growth for large
-			// slices, whose successive copies of a drain of n rows add
-			// up to about 5n headers.
-			grown := make([]types.Row, len(rows), 2*cap(rows)+n)
-			copy(grown, rows)
-			rows = grown
-		}
-		rows = b.AppendRows(rows)
+	rows, err := appendDrained(nil, it, c)
+	if err != nil {
+		it.Close()
+		return nil, err
 	}
 	if err := it.Close(); err != nil {
 		return nil, err
 	}
 	return rows, nil
+}
+
+// appendDrained appends the header of every live row an open iterator
+// has left to dst, polling cancellation once per batch.
+func appendDrained(dst []types.Row, it BatchIterator, c *Context) ([]types.Row, error) {
+	for {
+		b, err := it.NextBatch()
+		if err != nil || b == nil {
+			return dst, err
+		}
+		n := b.Len()
+		if err := c.tickN(n); err != nil {
+			return dst, err
+		}
+		if len(dst)+n > cap(dst) {
+			// Double, rather than append's gentler growth for large
+			// slices, whose successive copies of a drain of n rows add
+			// up to about 5n headers.
+			grown := make([]types.Row, len(dst), 2*cap(dst)+n)
+			copy(grown, dst)
+			dst = grown
+		}
+		dst = b.AppendRows(dst)
+	}
 }
 
 // rowWindow emits a stable row slice as a sequence of batches without

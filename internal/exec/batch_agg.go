@@ -14,30 +14,28 @@ import (
 // every other aggregate is NULL — the behaviour the paper's emptyOnEmpty
 // analysis reasons about.
 type accum struct {
-	fn       string
-	star     bool
-	distinct bool
-	seen     map[string]bool
+	fn   string
+	star bool
+	seen *valueSet // DISTINCT only
 
 	rows     int64 // rows seen (count(*))
 	n        int64 // non-null inputs
 	sumI     int64
 	sumF     float64
 	anyFloat bool
-	minV     types.Value
-	maxV     types.Value
+	best     types.Value // min or max so far
 }
 
-func newAccum(spec core.AggSpec) (*accum, error) {
+func newAccum(spec core.AggSpec) (accum, error) {
 	fn := strings.ToLower(spec.Fn)
 	switch fn {
 	case "count", "sum", "avg", "min", "max":
 	default:
-		return nil, fmt.Errorf("exec: unknown aggregate %q", spec.Fn)
+		return accum{}, fmt.Errorf("exec: unknown aggregate %q", spec.Fn)
 	}
-	a := &accum{fn: fn, star: spec.Star, distinct: spec.Distinct}
+	a := accum{fn: fn, star: spec.Star}
 	if spec.Distinct {
-		a.seen = make(map[string]bool)
+		a.seen = &valueSet{}
 	}
 	return a, nil
 }
@@ -45,9 +43,10 @@ func newAccum(spec core.AggSpec) (*accum, error) {
 // reset returns the accumulator to its empty state, keeping the
 // DISTINCT set's storage.
 func (a *accum) reset() {
-	seen := a.seen
-	clear(seen)
-	*a = accum{fn: a.fn, star: a.star, distinct: a.distinct, seen: seen}
+	if a.seen != nil {
+		a.seen.reset()
+	}
+	*a = accum{fn: a.fn, star: a.star, seen: a.seen}
 }
 
 func (a *accum) add(v types.Value) error {
@@ -58,12 +57,8 @@ func (a *accum) add(v types.Value) error {
 	if v.IsNull() {
 		return nil
 	}
-	if a.distinct {
-		k := (types.Row{v}).KeyAll()
-		if a.seen[k] {
-			return nil
-		}
-		a.seen[k] = true
+	if a.seen != nil && !a.seen.add(v) {
+		return nil
 	}
 	a.n++
 	switch a.fn {
@@ -80,19 +75,51 @@ func (a *accum) add(v types.Value) error {
 			return fmt.Errorf("exec: %s over non-numeric %s", a.fn, v.K)
 		}
 	case "min":
-		if a.minV.IsNull() {
-			a.minV = v
-		} else if c, ok := types.Compare(v, a.minV); ok && c < 0 {
-			a.minV = v
+		if a.best.IsNull() {
+			a.best = v
+		} else if c, ok := types.Compare(v, a.best); ok && c < 0 {
+			a.best = v
 		}
 	case "max":
-		if a.maxV.IsNull() {
-			a.maxV = v
-		} else if c, ok := types.Compare(v, a.maxV); ok && c > 0 {
-			a.maxV = v
+		if a.best.IsNull() {
+			a.best = v
+		} else if c, ok := types.Compare(v, a.best); ok && c > 0 {
+			a.best = v
 		}
 	}
 	return nil
+}
+
+// valueSet is a DISTINCT aggregate's set of the values it has counted.
+// Each candidate is appended to one slab as a single-column row and
+// keyed by the hash kernel, which keeps it only when its key is new.
+type valueSet struct {
+	keys types.KeyTable
+	rows []types.Row // one single-value row per distinct value
+	slab types.Row
+}
+
+var valueCol = []int{0}
+
+// add reports whether v is new to the set, adding it if so.
+func (s *valueSet) add(v types.Value) bool {
+	if len(s.slab) == cap(s.slab) {
+		// Earlier rows keep pointing into the old slab.
+		s.slab = make(types.Row, 0, max(8, 2*cap(s.slab)))
+	}
+	s.slab = append(s.slab, v)
+	n := len(s.slab)
+	_, isNew := s.keys.Add(&s.rows, s.slab[n-1:n:n], valueCol)
+	if !isNew {
+		s.slab = s.slab[:n-1]
+	}
+	return isNew
+}
+
+// reset empties the set, keeping its storage.
+func (s *valueSet) reset() {
+	s.keys.Reset()
+	s.rows, s.slab = s.rows[:0], s.slab[:0]
 }
 
 func (a *accum) result() types.Value {
@@ -115,10 +142,8 @@ func (a *accum) result() types.Value {
 			return types.Null
 		}
 		return types.NewFloat(a.sumF / float64(a.n))
-	case "min":
-		return a.minV
-	case "max":
-		return a.maxV
+	case "min", "max":
+		return a.best
 	}
 	return types.Null
 }
@@ -148,7 +173,7 @@ func compileAggs(specs []core.AggSpec, in *schema.Schema, env compileEnv) ([]com
 	return out, nil
 }
 
-func feed(aggs []compiledAgg, states []*accum, r types.Row, ctx *Context) error {
+func feed(aggs []compiledAgg, states []accum, r types.Row, ctx *Context) error {
 	for i, a := range aggs {
 		var v types.Value
 		if a.arg != nil {
@@ -165,46 +190,44 @@ func feed(aggs []compiledAgg, states []*accum, r types.Row, ctx *Context) error 
 	return nil
 }
 
-func newStates(aggs []compiledAgg) ([]*accum, error) {
-	states := make([]*accum, len(aggs))
-	for i, a := range aggs {
+// appendStates appends one fresh accumulator per aggregate to states.
+func appendStates(states []accum, aggs []compiledAgg) ([]accum, error) {
+	for _, a := range aggs {
 		st, err := newAccum(a.spec)
 		if err != nil {
 			return nil, err
 		}
-		states[i] = st
+		states = append(states, st)
 	}
 	return states, nil
 }
 
 // bHashGroupBy materializes groups in first-seen order and emits one
-// row per group, in batches. Each row's key is encoded into a reused
-// scratch buffer and looked up without allocating; only a group's first
-// row allocates (its key string, key row and accumulators).
+// row per group, in batches. The hash kernel (grouping mode) gives each
+// input row its group's id; the group's key columns are read from its
+// first row, and its accumulators are a stretch of one flat slab, so
+// after warm-up nothing is allocated per input row, nor per group but a
+// DISTINCT aggregate's value set.
 type bHashGroupBy struct {
 	input BatchIterator
 	ords  []int
 	aggs  []compiledAgg
 	ctx   *Context
 
-	index   map[string]int
-	scratch []byte
-	keys    []types.Row
-	states  [][]*accum
-	pos     int
-	out     Batch
+	keys   types.KeyTable
+	firsts []types.Row // per group: its first row
+	states []accum     // group g's: states[g*len(aggs):(g+1)*len(aggs)]
+	pos    int
+	out    Batch
 }
 
 func (h *bHashGroupBy) Open() error {
 	if err := h.input.Open(); err != nil {
 		return err
 	}
-	if h.index == nil {
-		h.index = make(map[string]int)
-	} else {
-		clear(h.index)
-	}
-	h.keys, h.states = nil, nil
+	h.keys.Reset()
+	h.firsts, h.states = h.firsts[:0], h.states[:0]
+	na := len(h.aggs)
 	for {
 		b, err := h.input.NextBatch()
 		if err != nil {
@@ -219,19 +242,13 @@ func (h *bHashGroupBy) Open() error {
 		}
 		for i := 0; i < n; i++ {
 			r := b.Row(i)
-			h.scratch = r.AppendKey(h.scratch[:0], h.ords)
-			idx, exists := h.index[string(h.scratch)]
-			if !exists {
-				st, err := newStates(h.aggs)
-				if err != nil {
+			g, isNew := h.keys.Add(&h.firsts, r, h.ords)
+			if isNew {
+				if h.states, err = appendStates(h.states, h.aggs); err != nil {
 					return err
 				}
-				idx = len(h.keys)
-				h.index[string(h.scratch)] = idx
-				h.keys = append(h.keys, r.Project(h.ords))
-				h.states = append(h.states, st)
 			}
-			if err := feed(h.aggs, h.states[idx], r, h.ctx); err != nil {
+			if err := feed(h.aggs, h.states[g*na:(g+1)*na], r, h.ctx); err != nil {
 				return err
 			}
 		}
@@ -244,22 +261,22 @@ func (h *bHashGroupBy) Open() error {
 }
 
 func (h *bHashGroupBy) NextBatch() (*Batch, error) {
-	if h.pos >= len(h.keys) {
+	if h.pos >= len(h.firsts) {
 		return nil, nil
 	}
-	end := h.pos + batchSize
-	if end > len(h.keys) {
-		end = len(h.keys)
-	}
+	end := min(h.pos+batchSize, len(h.firsts))
 	n := end - h.pos
-	width := len(h.ords) + len(h.aggs)
+	na := len(h.aggs)
+	width := len(h.ords) + na
 	slab := make(types.Row, 0, n*width)
 	rows := make([]types.Row, 0, n)
-	for i := h.pos; i < end; i++ {
+	for g := h.pos; g < end; g++ {
 		start := len(slab)
-		slab = append(slab, h.keys[i]...)
-		for _, st := range h.states[i] {
-			slab = append(slab, st.result())
+		for _, o := range h.ords {
+			slab = append(slab, h.firsts[g][o])
+		}
+		for i := g * na; i < (g+1)*na; i++ {
+			slab = append(slab, h.states[i].result())
 		}
 		rows = append(rows, slab[start:len(slab):len(slab)])
 	}
@@ -268,29 +285,33 @@ func (h *bHashGroupBy) NextBatch() (*Batch, error) {
 	return &h.out, nil
 }
 
-func (h *bHashGroupBy) Close() error {
-	h.keys, h.states = nil, nil
-	return nil
-}
+// Close keeps the table and slabs for the next Open.
+func (h *bHashGroupBy) Close() error { return nil }
 
 // bScalarAgg aggregates the whole input into exactly one row —
 // including on empty input (count(*)=0, other aggregates NULL).
 type bScalarAgg struct {
-	input BatchIterator
-	aggs  []compiledAgg
-	ctx   *Context
-	done  bool
-	outR  types.Row
-	out   Batch
+	input  BatchIterator
+	aggs   []compiledAgg
+	ctx    *Context
+	states []accum // reset, not reallocated, per Open
+	done   bool
+	outR   types.Row
+	out    Batch
 }
 
 func (s *bScalarAgg) Open() error {
 	if err := s.input.Open(); err != nil {
 		return err
 	}
-	states, err := newStates(s.aggs)
-	if err != nil {
-		return err
+	if len(s.states) == 0 {
+		var err error
+		if s.states, err = appendStates(nil, s.aggs); err != nil {
+			return err
+		}
+	}
+	for i := range s.states {
+		s.states[i].reset()
 	}
 	for {
 		b, err := s.input.NextBatch()
@@ -305,7 +326,7 @@ func (s *bScalarAgg) Open() error {
 			return err
 		}
 		for i := 0; i < n; i++ {
-			if err := feed(s.aggs, states, b.Row(i), s.ctx); err != nil {
+			if err := feed(s.aggs, s.states, b.Row(i), s.ctx); err != nil {
 				return err
 			}
 		}
@@ -313,9 +334,9 @@ func (s *bScalarAgg) Open() error {
 	if err := s.input.Close(); err != nil {
 		return err
 	}
-	s.outR = make(types.Row, len(states))
-	for i, st := range states {
-		s.outR[i] = st.result()
+	s.outR = make(types.Row, len(s.states))
+	for i := range s.states {
+		s.outR[i] = s.states[i].result()
 	}
 	s.done = false
 	return nil

@@ -328,70 +328,13 @@ func chargePartition(ctx *Context, plan *core.GApply, r types.Row) error {
 	return ctx.Budget.chargePartition(int64(r.Bytes()), operator)
 }
 
-// groupKeyEqual reports whether two rows' grouping columns are
-// Identical — the exact comparison behind the hash partitioner's
-// buckets, so hash collisions can never merge distinct grouping keys.
-func groupKeyEqual(a, b types.Row, ords []int) bool {
-	for _, o := range ords {
-		if !types.Identical(a[o], b[o]) {
-			return false
-		}
-	}
-	return true
-}
-
-// groupTable finds a row's group by the 64-bit hash of its grouping
-// columns: open addressing over group ids, every candidate checked
-// against its group's first row with groupKeyEqual.
-type groupTable struct {
-	slots  []int32  // group id + 1; 0 marks an empty slot
-	hashes []uint64 // per group
-	firsts []int32  // per group: the index of its first row
-}
-
-// group returns the group of rows[i], adding a group — numbered by first
-// appearance — when its key is new.
-func (t *groupTable) group(rows []types.Row, i int, ords []int) int {
-	r := rows[i]
-	h := r.Hash(ords)
-	if 2*(len(t.hashes)+1) > len(t.slots) {
-		t.grow()
-	}
-	mask := len(t.slots) - 1
-	for s := int(h) & mask; ; s = (s + 1) & mask {
-		g := int(t.slots[s]) - 1
-		if g < 0 {
-			t.slots[s] = int32(len(t.hashes) + 1)
-			t.hashes = append(t.hashes, h)
-			t.firsts = append(t.firsts, int32(i))
-			return len(t.hashes) - 1
-		}
-		if t.hashes[g] == h && groupKeyEqual(rows[t.firsts[g]], r, ords) {
-			return g
-		}
-	}
-}
-
-// grow doubles the slot array and re-inserts every group by its hash.
-func (t *groupTable) grow() {
-	n := max(64, 2*len(t.slots))
-	t.slots = make([]int32, n)
-	mask := n - 1
-	for g, h := range t.hashes {
-		s := int(h) & mask
-		for t.slots[s] != 0 {
-			s = (s + 1) & mask
-		}
-		t.slots[s] = int32(g + 1)
-	}
-}
-
-// partitionByHash groups rows by hashing the grouping columns; group
-// order is first appearance in the input, so output is deterministic.
-// Rows whose keys merely collide are split into distinct groups, so
-// hash- and sort-based partitioning always produce identical groups. A
-// first pass assigns every row its group, polling cancellation and
-// charging the budget per row; a counting sort then places the rows
+// partitionByHash groups rows by hashing the grouping columns with the
+// hash kernel (types.KeyTable, grouping mode, so NULLs form one group);
+// group order is first appearance in the input, so output is
+// deterministic. Rows whose keys merely collide are split into distinct
+// groups, so hash- and sort-based partitioning always produce identical
+// groups. A first pass assigns every row its group, polling cancellation
+// and charging the budget per row; a counting sort then places the rows
 // group by group, and they are copied into the partition's slab: each
 // group is a temporary relation (paper §3), so the partition phase pays
 // memory traffic proportional to row width — the cost the
@@ -399,36 +342,21 @@ func (t *groupTable) grow() {
 // partition budget is charged against.
 func partitionByHash(rows []types.Row, ords []int, ctx *Context, plan *core.GApply) (partition, error) {
 	gids := make([]int32, len(rows))
-	var tab groupTable
-	var sizes []int
+	var tab types.KeyTable
 	for i, r := range rows {
 		if err := ctx.tick(); err != nil {
 			return partition{}, err
 		}
-		g := tab.group(rows, i, ords)
-		if g == len(sizes) {
-			sizes = append(sizes, 0)
-		}
+		g, _ := tab.Insert(rows, i, ords)
 		if err := chargePartition(ctx, plan, r); err != nil {
 			return partition{}, err
 		}
 		gids[i] = int32(g)
-		sizes[g]++
 	}
 	if len(rows) == 0 {
 		return partition{}, nil
 	}
-	bounds := make([]int, len(sizes)+1)
-	for g, n := range sizes {
-		bounds[g+1] = bounds[g] + n
-	}
-	at := sizes // reused: the next free position of each group
-	copy(at, bounds)
-	clustered := make([]types.Row, len(rows))
-	for i, g := range gids {
-		clustered[at[g]] = rows[i]
-		at[g]++
-	}
+	clustered, bounds := types.Cluster(nil, nil, rows, gids, tab.Len())
 	copyRows(clustered)
 	return partition{rows: clustered, bounds: bounds}, nil
 }

@@ -4,11 +4,10 @@ import (
 	"gapplydb/internal/types"
 )
 
-// Batch counterparts of join.go. The probe side advances through left
+// The hash and nested-loops joins. The probe side advances through left
 // batches with an explicit cursor (batch, live index, bucket position)
 // so output batches are capped at batchSize: a high-fan-out join still
-// reaches a cancellation point once per output batch, matching the row
-// engine's per-output-row polling to within one batch.
+// reaches a cancellation point once per output batch.
 
 // joinOut assembles output rows into shared slabs. Each output row is
 // the left row's columns at ordinals left, then the right row's at
@@ -77,10 +76,11 @@ func gather(dst, src types.Row, ords []int) {
 
 // bHashJoin builds a hash table on the right input's equi-columns and
 // probes it with left batches, with a spool-backed rebuild skip via
-// contentVersioned, a NULL-key probe skip, a residual predicate over
-// the concatenated row, and left-outer NULL padding. A nil
-// pred means the build proved the condition residual-free (the hash
-// key covers every conjunct), so bucket hits emit without evaluation.
+// contentVersioned, a residual predicate over the concatenated row, and
+// left-outer NULL padding. The table is the hash kernel in join mode, so
+// a NULL key is neither built nor probed. A nil pred means the build
+// proved the condition residual-free (the hash key covers every
+// conjunct), so bucket hits emit without evaluation.
 //
 // post is a fused parent filter (Select-over-Join): it runs after the
 // join semantics — residual evaluation, matched tracking, and outer
@@ -98,13 +98,22 @@ type bHashJoin struct {
 	rightArity  int
 	width       int // left arity + right arity
 
-	table    map[string][]types.Row
+	// The build: the right rows in input order (in), each one's key id
+	// (ids; -1 for a NULL key), and the same rows laid out key by key
+	// (runs), key k's being runs[bounds[k]:bounds[k+1]]. Every buffer is
+	// reused across re-Opens.
+	keys     types.KeyTable
+	in       []types.Row
+	ids      []int32
+	runs     []types.Row
+	bounds   []int
+	built    bool
 	tableGen uint64
 	hasGen   bool
-	scratch  []byte
 
-	lb      *Batch // current left batch (valid until we pull the next)
-	li      int    // next live index within lb
+	lrows   []types.Row // the current left batch's live rows
+	lids    []int32     // per row of lrows: its key's id, or -1
+	li      int         // next row of lrows
 	cur     types.Row
 	bucket  []types.Row
 	bpos    int
@@ -129,7 +138,7 @@ func (h *bHashJoin) Open() error {
 	rebuild := true
 	if cv, ok := h.right.(contentVersioned); ok {
 		if gen, stable := cv.contentGen(); stable {
-			if h.hasGen && h.table != nil && gen == h.tableGen {
+			if h.hasGen && h.built && gen == h.tableGen {
 				rebuild = false
 			} else {
 				h.tableGen, h.hasGen = gen, true
@@ -139,31 +148,24 @@ func (h *bHashJoin) Open() error {
 		}
 	}
 	if rebuild {
-		h.table = make(map[string][]types.Row)
-		for {
-			b, err := h.right.NextBatch()
-			if err != nil {
-				return err
-			}
-			if b == nil {
-				break
-			}
-			n := b.Len()
-			if err := h.ctx.tickN(n); err != nil {
-				return err
-			}
-			for i := 0; i < n; i++ {
-				r := b.Row(i)
-				h.scratch = r.AppendKey(h.scratch[:0], h.rightOrds)
-				k := string(h.scratch) // the map key must own its bytes
-				h.table[k] = append(h.table[k], r)
-			}
+		h.built = false
+		var err error
+		if h.in, err = appendDrained(h.in[:0], h.right, h.ctx); err != nil {
+			return err
 		}
+		h.keys.Reset()
+		h.ids = h.ids[:0]
+		for i := range h.in {
+			id, _ := h.keys.Insert(h.in, i, h.rightOrds)
+			h.ids = append(h.ids, int32(id))
+		}
+		h.runs, h.bounds = types.Cluster(h.runs, h.bounds, h.in, h.ids, h.keys.Len())
+		h.built = true
 	}
 	if err := h.right.Close(); err != nil {
 		return err
 	}
-	h.lb, h.li = nil, 0
+	h.lrows, h.li = h.lrows[:0], 0
 	h.cur, h.bucket, h.bpos = nil, nil, 0
 	if h.nulls == nil {
 		h.nulls = make(types.Row, h.rightArity)
@@ -177,7 +179,7 @@ func (h *bHashJoin) Open() error {
 // advanceLeft claims the next live left row, pulling left batches as
 // needed. ok=false means the left input is exhausted.
 func (h *bHashJoin) advanceLeft() (bool, error) {
-	for h.lb == nil || h.li >= h.lb.Len() {
+	for h.li >= len(h.lrows) {
 		b, err := h.left.NextBatch()
 		if err != nil {
 			return false, err
@@ -185,29 +187,20 @@ func (h *bHashJoin) advanceLeft() (bool, error) {
 		if b == nil {
 			return false, nil
 		}
-		h.lb, h.li = b, 0
+		h.lrows, h.li = b.AppendRows(h.lrows[:0]), 0
+		h.lids = h.keys.FindAll(h.lids[:0], h.in, h.rightOrds, h.lrows, h.leftOrds)
 	}
-	r := h.lb.Row(h.li)
+	id := h.lids[h.li]
+	r := h.lrows[h.li]
 	h.li++
 	h.ctx.Counters.JoinProbes++
 	h.cur = r
 	if h.pred != nil || h.post != nil {
 		copy(h.probeRow, r)
 	}
-	// NULL join keys never match (predicate equality), so skip the
-	// probe; outer join still pads.
-	hasNull := false
-	for _, o := range h.leftOrds {
-		if r[o].IsNull() {
-			hasNull = true
-			break
-		}
-	}
-	if hasNull {
-		h.bucket = nil
-	} else {
-		h.scratch = r.AppendKey(h.scratch[:0], h.leftOrds)
-		h.bucket = h.table[string(h.scratch)]
+	h.bucket = nil
+	if id >= 0 {
+		h.bucket = h.runs[h.bounds[id]:h.bounds[id+1]]
 	}
 	h.bpos, h.matched = 0, false
 	return true, nil
@@ -292,12 +285,9 @@ func (h *bHashJoin) NextBatch() (*Batch, error) {
 }
 
 func (h *bHashJoin) Close() error {
-	// Keep a generation-stable table across re-Opens (spool-fed rebuild
-	// skip); drop tables built from unstable inputs.
-	if !h.hasGen {
-		h.table = nil
-	}
-	h.lb = nil
+	// The build stays for the next Open: probed again when its input's
+	// generation is stable and unchanged (spool-fed rebuild skip), else
+	// its buffers are refilled.
 	return h.left.Close()
 }
 

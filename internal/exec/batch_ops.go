@@ -305,22 +305,21 @@ func (f *bFused) NextBatch() (*Batch, error) {
 
 func (f *bFused) Close() error { return f.input.Close() }
 
-// bDistinct narrows each batch to first-seen rows. Keys are encoded into
-// a reused scratch buffer; only a first-seen key is copied into the map.
+// bDistinct narrows each batch to first-seen rows: the hash kernel
+// (grouping mode) keys every column, and a row is kept only when its key
+// is new.
 type bDistinct struct {
-	input   BatchIterator
-	seen    map[string]bool
-	scratch []byte
-	sel     []int
-	out     Batch
+	input BatchIterator
+	cols  []int // every column
+	keys  types.KeyTable
+	kept  []types.Row // the rows kept, the kernel's first rows
+	sel   []int
+	out   Batch
 }
 
 func (d *bDistinct) Open() error {
-	if d.seen == nil {
-		d.seen = make(map[string]bool)
-	} else {
-		clear(d.seen)
-	}
+	d.keys.Reset()
+	d.kept = d.kept[:0]
 	return d.input.Open()
 }
 
@@ -340,12 +339,9 @@ func (d *bDistinct) NextBatch() (*Batch, error) {
 		}
 		out := d.sel[:0]
 		for _, i := range d.sel {
-			d.scratch = b.Rows[i].AppendKeyAll(d.scratch[:0])
-			if d.seen[string(d.scratch)] {
-				continue
+			if _, isNew := d.keys.Add(&d.kept, b.Rows[i], d.cols); isNew {
+				out = append(out, i)
 			}
-			d.seen[string(d.scratch)] = true
-			out = append(out, i)
 		}
 		if len(out) == 0 {
 			continue
@@ -358,9 +354,9 @@ func (d *bDistinct) NextBatch() (*Batch, error) {
 
 func (d *bDistinct) Close() error { return d.input.Close() }
 
-// bUnionAll concatenates its inputs, forwarding their batches. Like the
-// row unionAll, inputs past the first are opened lazily during
-// NextBatch and closed as they exhaust.
+// bUnionAll concatenates its inputs, forwarding their batches. Inputs
+// past the first are opened lazily during NextBatch and closed as they
+// exhaust.
 type bUnionAll struct {
 	inputs []BatchIterator
 	cur    int

@@ -320,7 +320,11 @@ func buildBatchNode(n core.Node, ctx *Context, env compileEnv) (BatchIterator, e
 		if err != nil {
 			return nil, err
 		}
-		return &bDistinct{input: in}, nil
+		cols := make([]int, x.Input.Schema().Len())
+		for i := range cols {
+			cols[i] = i
+		}
+		return &bDistinct{input: in, cols: cols}, nil
 
 	case *core.GroupBy:
 		in, emit, err := buildBatchNeed(x.Input, aggNeed(x.Input, x.GroupCols, x.Aggs), ctx, env)
@@ -532,16 +536,18 @@ func buildBatchJoin(j *core.Join, postCond core.Expr, need []int, ctx *Context, 
 		}
 		// When every conjunct of the join condition is one of the
 		// extracted equi-pairs, the hash probe already guarantees the
-		// whole predicate: the key encoding is canonical (key equality is
-		// exactly Compare equality, including cross-type numerics, -0.0
-		// and NaN), so a bucket hit cannot fail the condition. Drop the
-		// residual and let the probe emit whole buckets in a tight loop.
+		// whole predicate: the kernel confirms every hit column by column
+		// with Identical, which on non-NULL values is exactly Compare
+		// equality (cross-type numerics, -0.0 and NaN included), and join
+		// mode never matches a NULL. A bucket hit cannot fail the
+		// condition, so drop the residual and let the probe emit whole
+		// buckets in a tight loop.
 		if len(core.ConjunctsOf(j.Cond)) == len(pairs) {
 			pred = nil
 		}
 		return &bHashJoin{
 			left: left, right: right, pred: pred, post: post, ctx: ctx,
-			leftOrds: leftOrds, rightOrds: rightOrds,
+			keys: types.KeyTable{Join: true}, leftOrds: leftOrds, rightOrds: rightOrds,
 			outerJoin: outerJoin, rightArity: rs.Len(),
 			width: inSchema.Len(), outBuf: out,
 		}, need, nil

@@ -285,6 +285,38 @@ func TestProbeAllocsPerLeftRow(t *testing.T) {
 	}
 }
 
+// TestHashJoinBuildAllocs pins the hash join's build after warm-up: a
+// re-Opened join drains its 10 000-row build side, keys it and lays it
+// out in buffers kept from the last Open, so it allocates nothing per
+// build row — only the probe's output slab.
+func TestHashJoinBuildAllocs(t *testing.T) {
+	const build = 10000
+	cat := storage.NewCatalog()
+	var left, right []any
+	for i := 0; i < 64; i++ {
+		left = append(left, i*131%build)
+	}
+	for i := 0; i < build; i++ {
+		right = append(right, (i*7919)%(build/2)) // two build rows per key
+	}
+	right[5] = nil // a NULL key, never built
+	addTable(t, cat, "l", left)
+	addTable(t, cat, "r", right)
+	j := &core.Join{
+		Left: heapScan(t, cat, "l"), Right: heapScan(t, cat, "r"), Method: core.JoinHash,
+		Cond: &core.Cmp{Op: "=", L: core.QCol("l", "l_k"), R: core.QCol("r", "r_k")},
+	}
+	it, _, err := buildBatchJoin(j, nil, nil, NewContext(cat), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	drainCount(t, it)
+	allocs := testing.AllocsPerRun(20, func() { drainCount(t, it) })
+	if perRow := allocs / build; perRow > 0.01 {
+		t.Errorf("%.0f allocs per run = %.4f per build row, want ≤ 0.01", allocs, perRow)
+	}
+}
+
 // benchCatalog is the entity_serving shape at sf 0.05: a 40 000-row
 // fact table whose 500 keys each own 80 scattered rows, a 10 000-row
 // dimension, and probe tables of 80 and 40 000 rows.
@@ -309,14 +341,18 @@ func benchCatalog(b *testing.B) *storage.Catalog {
 }
 
 // benchRun drains plan once per iteration on the batch engine and
-// reports ns and allocations per output row.
-func benchRun(b *testing.B, cat *storage.Catalog, plan core.Node) {
+// reports ns and allocations per row: per output row, or per input row
+// when inputRows is set.
+func benchRun(b *testing.B, cat *storage.Catalog, plan core.Node, inputRows int) {
 	ctx := NewContext(cat)
 	it, err := BuildBatch(plan, ctx)
 	if err != nil {
 		b.Fatal(err)
 	}
 	rows := drainCount(b, it)
+	if inputRows > 0 {
+		rows = inputRows
+	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	b.ResetTimer()
@@ -339,8 +375,8 @@ func BenchmarkSelectiveScan(b *testing.B) {
 	seek := keyIndexScan(b, cat, "fact")
 	seek.HeapOrder = true
 	seek.Lo, seek.Hi, seek.HasLo, seek.HasHi, seek.LoIncl, seek.HiIncl = types.NewInt(17), types.NewInt(17), true, true, true, true
-	b.Run("scan", func(b *testing.B) { benchRun(b, cat, &core.Select{Input: heapScan(b, cat, "fact"), Cond: cond}) })
-	b.Run("seek", func(b *testing.B) { benchRun(b, cat, &core.Select{Input: seek, Cond: cond}) })
+	b.Run("scan", func(b *testing.B) { benchRun(b, cat, &core.Select{Input: heapScan(b, cat, "fact"), Cond: cond}, 0) })
+	b.Run("seek", func(b *testing.B) { benchRun(b, cat, &core.Select{Input: seek, Cond: cond}, 0) })
 }
 
 // BenchmarkJoinProbe: a probe table joined to the 10 000-row dimension
@@ -352,7 +388,49 @@ func BenchmarkJoinProbe(b *testing.B) {
 		cond := &core.Cmp{Op: "=", L: core.QCol(left, left+"_k"), R: core.QCol("dim", "dim_k")}
 		hash := &core.Join{Left: heapScan(b, cat, left), Right: heapScan(b, cat, "dim"), Cond: cond, Method: core.JoinHash}
 		probe := &core.Join{Left: heapScan(b, cat, left), Right: keyIndexScan(b, cat, "dim"), Cond: cond, Method: core.JoinMerge}
-		b.Run(fmt.Sprintf("hash/%s", left), func(b *testing.B) { benchRun(b, cat, hash) })
-		b.Run(fmt.Sprintf("probe/%s", left), func(b *testing.B) { benchRun(b, cat, probe) })
+		b.Run(fmt.Sprintf("hash/%s", left), func(b *testing.B) { benchRun(b, cat, hash, 0) })
+		b.Run(fmt.Sprintf("probe/%s", left), func(b *testing.B) { benchRun(b, cat, probe, 0) })
+	}
+}
+
+// keyedScan is a scan of a 40 000-row table whose rows (k, 3k) take
+// keys distinct values, interleaved, for the grouping benchmarks.
+func keyedScan(b *testing.B, keys int) (*storage.Catalog, core.Node) {
+	cat := storage.NewCatalog()
+	tab, err := cat.Create(&schema.TableDef{Name: "x", Schema: schema.New(
+		schema.Column{Name: "x_k", Type: types.KindInt},
+		schema.Column{Name: "x_v", Type: types.KindInt},
+	)})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < 40000; i++ {
+		k := int64((i * 7919) % keys)
+		if err := tab.Append(types.Row{types.NewInt(k), types.NewInt(3 * k)}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return cat, heapScan(b, cat, "x")
+}
+
+// BenchmarkGroupBy: hash grouping of 40 000 rows into 500 and 2 000
+// keys, count(*) and sum per group, per input row.
+func BenchmarkGroupBy(b *testing.B) {
+	for _, keys := range []int{500, 2000} {
+		cat, scan := keyedScan(b, keys)
+		plan := &core.GroupBy{Input: scan, GroupCols: []*core.ColRef{core.Col("x_k")},
+			Aggs: []core.AggSpec{{Fn: "count", Star: true}, {Fn: "sum", Arg: core.Col("x_v")}}}
+		b.Run(fmt.Sprintf("k%d", keys), func(b *testing.B) { benchRun(b, cat, plan, 40000) })
+	}
+}
+
+// BenchmarkDistinct: SELECT DISTINCT over 40 000 rows holding 500 and
+// 2 000 distinct rows, and count(DISTINCT k) over them, per input row.
+func BenchmarkDistinct(b *testing.B) {
+	for _, keys := range []int{500, 2000} {
+		cat, scan := keyedScan(b, keys)
+		count := &core.AggOp{Input: scan, Aggs: []core.AggSpec{{Fn: "count", Distinct: true, Arg: core.Col("x_k")}}}
+		b.Run(fmt.Sprintf("rows/k%d", keys), func(b *testing.B) { benchRun(b, cat, &core.Distinct{Input: scan}, 40000) })
+		b.Run(fmt.Sprintf("count/k%d", keys), func(b *testing.B) { benchRun(b, cat, count, 40000) })
 	}
 }

@@ -20,8 +20,8 @@ import (
 // under every join method, outer padding and fused post-filter. The
 // root package's narrowing differential covers the SQL-reachable shapes
 // end to end. BenchmarkSort and BenchmarkJoinEmit measure the sort
-// kernel and narrow emission per row; GroupBy's allocation pin is here
-// too.
+// kernel and narrow emission per row; the GroupBy and Distinct
+// allocation pins are here too.
 
 // narrowJoins are l ⋈ r (probeCatalog: duplicate and NULL keys on both
 // sides, r shuffled) under every join method, and (l ⋈ r) ⋈ r2, whose
@@ -153,29 +153,73 @@ func TestNarrowingKeepsCompileErrors(t *testing.T) {
 }
 
 // TestGroupByAllocsPerInputRow: after warm-up, grouping allocates per
-// group and per output batch, never per input row.
+// output batch, never per input row, and — the key table and the
+// accumulator slab being reused — not per group either.
 func TestGroupByAllocsPerInputRow(t *testing.T) {
+	for _, groups := range []int{10, 2000} {
+		cat := storage.NewCatalog()
+		keys := make([]any, 10000)
+		for i := range keys {
+			keys[i] = i % groups
+		}
+		addTable(t, cat, "g", keys)
+		plan := &core.GroupBy{
+			Input:     heapScan(t, cat, "g"),
+			GroupCols: []*core.ColRef{core.Col("g_k")},
+			Aggs:      []core.AggSpec{{Fn: "count", Star: true}, {Fn: "sum", Arg: core.Col("g_v")}},
+		}
+		it, err := BuildBatch(plan, NewContext(cat))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := drainCount(t, it); n != groups {
+			t.Fatalf("%d groups, want %d", n, groups)
+		}
+		allocs := testing.AllocsPerRun(20, func() { drainCount(t, it) })
+		if perRow := allocs / float64(len(keys)); perRow > 0.01 {
+			t.Errorf("%d groups: %.0f allocs per run = %.4f per input row, want ≤ 0.01", groups, allocs, perRow)
+		}
+	}
+}
+
+// TestDistinctAllocsPerInputRow: after warm-up, SELECT DISTINCT and
+// count(DISTINCT …) allocate nothing per input row — neither encodes a
+// key per row.
+func TestDistinctAllocsPerInputRow(t *testing.T) {
+	const rows, distinct = 10000, 2000
 	cat := storage.NewCatalog()
-	keys := make([]any, 10000)
-	for i := range keys {
-		keys[i] = i % 10
-	}
-	addTable(t, cat, "g", keys)
-	plan := &core.GroupBy{
-		Input:     heapScan(t, cat, "g"),
-		GroupCols: []*core.ColRef{core.Col("g_k")},
-		Aggs:      []core.AggSpec{{Fn: "count", Star: true}, {Fn: "sum", Arg: core.Col("g_v")}},
-	}
-	it, err := BuildBatch(plan, NewContext(cat))
+	tab, err := cat.Create(&schema.TableDef{Name: "d", Schema: schema.New(
+		schema.Column{Name: "d_k", Type: types.KindInt},
+		schema.Column{Name: "d_s", Type: types.KindString},
+	)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := drainCount(t, it); n != 10 {
-		t.Fatalf("%d groups, want 10", n)
+	for i := 0; i < rows; i++ {
+		k := i % distinct
+		if err := tab.Append(types.Row{types.NewInt(int64(k)), types.NewString(fmt.Sprintf("s%d", k))}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	allocs := testing.AllocsPerRun(20, func() { drainCount(t, it) })
-	if perRow := allocs / float64(len(keys)); perRow > 0.01 {
-		t.Errorf("%.0f allocs per run = %.4f per input row, want ≤ 0.01", allocs, perRow)
+	scan := heapScan(t, cat, "d")
+	for _, tc := range []struct {
+		plan core.Node
+		out  int
+	}{
+		{&core.Distinct{Input: scan}, distinct},
+		{&core.AggOp{Input: scan, Aggs: []core.AggSpec{{Fn: "count", Distinct: true, Arg: core.Col("d_s")}}}, 1},
+	} {
+		it, err := BuildBatch(tc.plan, NewContext(cat))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := drainCount(t, it); n != tc.out {
+			t.Fatalf("%s: %d rows, want %d", core.Summary(tc.plan), n, tc.out)
+		}
+		allocs := testing.AllocsPerRun(20, func() { drainCount(t, it) })
+		if perRow := allocs / rows; perRow > 0.01 {
+			t.Errorf("%s: %.0f allocs per run = %.4f per input row, want ≤ 0.01", core.Summary(tc.plan), allocs, perRow)
+		}
 	}
 }
 

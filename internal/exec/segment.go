@@ -173,7 +173,7 @@ func compileSegNode(n core.Node, ctx *Context) (segNode, error) {
 		a := &segAgg{in: in, aggs: aggs, row: make(types.Row, len(aggs)), stats: segStats(n, ctx)}
 		// The iterator tree creates its accumulators when it opens, so an
 		// aggregate it cannot create fails at run time, not at build.
-		a.states, a.err = newStates(aggs)
+		a.states, a.err = appendStates(nil, aggs)
 		return a, nil
 
 	case *core.UnionAll:
@@ -361,7 +361,7 @@ func (s *segProject) next(p *segProgram) (types.Row, bool, error) {
 type segAgg struct {
 	in     segNode
 	aggs   []compiledAgg
-	states []*accum
+	states []accum
 	err    error // accumulator creation failed; reported on open
 	row    types.Row
 	done   bool
@@ -375,8 +375,8 @@ func (a *segAgg) open(p *segProgram) error {
 	if a.err != nil {
 		return a.err
 	}
-	for _, st := range a.states {
-		st.reset()
+	for i := range a.states {
+		a.states[i].reset()
 	}
 	if err := a.in.open(p); err != nil {
 		return err
@@ -393,8 +393,8 @@ func (a *segAgg) open(p *segProgram) error {
 			return err
 		}
 	}
-	for i, st := range a.states {
-		a.row[i] = st.result()
+	for i := range a.states {
+		a.row[i] = a.states[i].result()
 	}
 	a.done = false
 	return nil

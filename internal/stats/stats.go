@@ -37,6 +37,7 @@ type Stats struct {
 // sample instead, with the same interface.
 func Collect(cat *storage.Catalog) *Stats {
 	s := &Stats{Tables: make(map[string]TableStats)}
+	var distinct types.KeyTable
 	for _, name := range cat.Names() {
 		tab, err := cat.Lookup(name)
 		if err != nil {
@@ -44,16 +45,17 @@ func Collect(cat *storage.Catalog) *Stats {
 		}
 		ts := TableStats{Rows: int64(tab.Cardinality()), Columns: make(map[string]ColumnStats)}
 		for i, col := range tab.Def.Schema.Cols {
-			seen := make(map[string]bool)
+			distinct.Reset()
+			cols := []int{i}
 			var nulls int64
 			var minV, maxV types.Value
-			for _, r := range tab.Rows {
+			for j, r := range tab.Rows {
 				v := r[i]
 				if v.IsNull() {
 					nulls++
 					continue
 				}
-				seen[(types.Row{v}).KeyAll()] = true
+				distinct.Insert(tab.Rows, j, cols)
 				if v.K.Numeric() || v.K == types.KindDate {
 					if minV.IsNull() {
 						minV, maxV = v, v
@@ -67,7 +69,7 @@ func Collect(cat *storage.Catalog) *Stats {
 					}
 				}
 			}
-			cs := ColumnStats{Distinct: int64(len(seen)), Min: minV, Max: maxV}
+			cs := ColumnStats{Distinct: int64(distinct.Len()), Min: minV, Max: maxV}
 			if tab.Cardinality() > 0 {
 				cs.NullFrac = float64(nulls) / float64(tab.Cardinality())
 			}

@@ -79,6 +79,52 @@ func TestNullFraction(t *testing.T) {
 	}
 }
 
+// TestDistinctMatchesKeyReference: Distinct counts Identical classes, as
+// a map of Row.Key strings does, over a numeric column mixing INT and
+// FLOAT images of one value, signed zeros, NaN payloads, NULLs and
+// integers a float64 cannot tell apart, and a string column holding
+// the same digits.
+func TestDistinctMatchesKeyReference(t *testing.T) {
+	const big = int64(1) << 53
+	cat := storage.NewCatalog()
+	tab, err := cat.Create(&schema.TableDef{Name: "t", Schema: schema.New(
+		schema.Column{Name: "n", Type: types.KindFloat},
+		schema.Column{Name: "s", Type: types.KindString},
+	)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []types.Value{
+		types.NewInt(2), types.NewFloat(2), types.NewFloat(0), types.NewFloat(math.Copysign(0, -1)),
+		types.NewFloat(math.NaN()), types.NewFloat(-math.NaN()), types.NewFloat(math.Float64frombits(0x7ff8000000000001)),
+		types.Null, types.Null, types.NewInt(big), types.NewInt(big + 1), types.NewFloat(float64(big)), types.NewInt(2),
+	} {
+		s := types.NewString(n.String())
+		if n.IsNull() {
+			s = types.Null
+		}
+		if err := tab.Append(types.Row{n, s}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := Collect(cat).Tables["t"]
+	for i, name := range []string{"n", "s"} {
+		ref := map[string]bool{}
+		for _, r := range tab.Rows {
+			if !r[i].IsNull() {
+				ref[r.Key([]int{i})] = true
+			}
+		}
+		if d := got.Columns[name].Distinct; d != int64(len(ref)) {
+			t.Errorf("column %s: Distinct = %d, reference %d", name, d, len(ref))
+		}
+	}
+	// 2 (twice as INT, once as FLOAT), ±0, NaN, 2^53 (INT and FLOAT), 2^53+1.
+	if d := got.Columns["n"].Distinct; d != 5 {
+		t.Errorf("numeric Distinct = %d, want 5", d)
+	}
+}
+
 func TestRangeSelectivity(t *testing.T) {
 	cat := tinyCatalog(t)
 	s := Collect(cat)

@@ -53,34 +53,19 @@ func (r Row) Hash(cols []int) uint64 {
 }
 
 // Key renders the listed columns into a canonical string usable as a Go
-// map key for grouping and duplicate elimination. Values that are
-// Identical produce identical keys: numeric values whose float64 image
-// is exact are canonicalized to that image (so INT 2 and FLOAT 2.0
-// agree), while integers beyond the float64-exact range get an exact
-// integer encoding — two distinct int64 grouping keys must never merge,
-// however large (hash- and sort-based partitioning both rely on this).
+// map key. Values that are Identical produce identical keys: numeric
+// values whose float64 image is exact are canonicalized to that image
+// (so INT 2 and FLOAT 2.0 agree), while integers beyond the float64-exact
+// range get an exact integer encoding — two distinct int64 keys never
+// merge, however large. The engine keys through KeyTable; Key is the
+// independent reference encoding tests check it, and row multisets,
+// against.
 func (r Row) Key(cols []int) string {
-	return string(r.AppendKey(nil, cols))
-}
-
-// AppendKey appends the canonical key encoding of the listed columns
-// (exactly Key's encoding) to dst and returns the extended slice. Hot
-// paths that probe a map per row reuse one scratch buffer with
-// AppendKey(buf[:0], cols) and look up with m[string(buf)] — a pattern
-// the compiler turns into an allocation-free lookup.
-func (r Row) AppendKey(dst []byte, cols []int) []byte {
+	var dst []byte
 	for _, c := range cols {
 		dst = appendKeyValue(dst, r[c])
 	}
-	return dst
-}
-
-// AppendKeyAll is AppendKey over every column (KeyAll's encoding).
-func (r Row) AppendKeyAll(dst []byte) []byte {
-	for _, v := range r {
-		dst = appendKeyValue(dst, v)
-	}
-	return dst
+	return string(dst)
 }
 
 func appendKeyValue(dst []byte, v Value) []byte {
@@ -131,9 +116,13 @@ func (r Row) Bytes() int {
 	return n
 }
 
-// KeyAll renders every column; used when whole rows must be deduplicated.
+// KeyAll is Key over every column.
 func (r Row) KeyAll() string {
-	return string(r.AppendKeyAll(nil))
+	var dst []byte
+	for _, v := range r {
+		dst = appendKeyValue(dst, v)
+	}
+	return string(dst)
 }
 
 // String renders the row for debugging and the result printer.

@@ -419,7 +419,7 @@ func Identical(a, b Value) bool {
 // equal, so both hash through the float image; an integer beyond the
 // float64-exact range (which no float64 can equal) hashes its exact
 // bits; -0.0 hashes like +0.0. Distinct values may collide — the hash
-// partitioner resolves buckets by comparing actual key values.
+// kernel (KeyTable) confirms every hit by comparing actual key values.
 func (v Value) Hash(h uint64) uint64 {
 	const prime = 1099511628211
 	mix := func(h uint64, b byte) uint64 { return (h ^ uint64(b)) * prime }
