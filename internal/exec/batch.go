@@ -1,6 +1,10 @@
 package exec
 
-import "gapplydb/internal/types"
+import (
+	"math/bits"
+
+	"gapplydb/internal/types"
+)
 
 // This file is the spine of the batch-at-a-time engine: the Batch
 // container, the BatchIterator operator interface, and the drain
@@ -159,10 +163,9 @@ type BatchIterator interface {
 
 // drainBatchRows opens the iterator, copies every live row's header
 // out, and closes it, polling cancellation once per batch — the engine's
-// internal materializations (apply inners, nested-loops join builds,
-// GApply outer and per-group drains) use it so a blocking
-// materialization stops within one row batch of the query being
-// cancelled.
+// internal materializations (apply inners, nested-loops join builds) use
+// it so a blocking materialization stops within one row batch of the
+// query being cancelled.
 func drainBatchRows(it BatchIterator, c *Context) ([]types.Row, error) {
 	if err := it.Open(); err != nil {
 		return nil, err
@@ -199,6 +202,62 @@ func appendDrained(dst []types.Row, it BatchIterator, c *Context) ([]types.Row, 
 			dst = grown
 		}
 		dst = b.AppendRows(dst)
+	}
+}
+
+// chunked is an append-only store for a materializing operator that
+// lays its input out anew (GApply's partition, sort): row headers, or a
+// value per row. Chunk k holds batchSize<<min(k, chunkLog) values: the
+// chunks grow geometrically from one batch, so a small input costs one
+// small chunk, up to a cap, and a full chunk is never copied — unlike a
+// doubling slice, whose growth copies add up to about one more value per
+// value stored. Two stores filled in step have the same chunk bounds.
+// reset keeps the chunks for the next fill.
+type chunked[T any] struct {
+	chunks [][]T // every chunk but the last is full
+	n      int
+}
+
+const chunkLog = 4 // chunks stop growing at 16 batches
+
+func (c *chunked[T]) reset() { c.chunks, c.n = c.chunks[:0], 0 }
+
+func (c *chunked[T]) add(v T) {
+	k := len(c.chunks) - 1
+	if k < 0 || len(c.chunks[k]) == cap(c.chunks[k]) {
+		k++
+		var next []T // chunk k of an earlier fill, if any
+		if k < cap(c.chunks) {
+			next = c.chunks[:k+1][k][:0]
+		}
+		if cap(next) == 0 {
+			next = make([]T, 0, batchSize<<min(k, chunkLog))
+		}
+		c.chunks = append(c.chunks, next)
+	}
+	c.chunks[k] = append(c.chunks[k], v)
+	c.n++
+}
+
+// at returns the i-th value added.
+func (c *chunked[T]) at(i int) T {
+	// Chunks 0 … chunkLog-1 hold batchSize·(2^chunkLog − 1) values,
+	// chunk k starting at batchSize·(2^k − 1); every later chunk is full
+	// size.
+	const grown, full = batchSize<<chunkLog - batchSize, batchSize << chunkLog
+	if i >= grown {
+		i -= grown
+		return c.chunks[chunkLog+i/full][i%full]
+	}
+	k := bits.Len(uint(i/batchSize+1)) - 1
+	return c.chunks[k][i-batchSize*(1<<k-1)]
+}
+
+// gather writes the values in perm order (perm[j] is the index of the
+// j-th) into dst, which must have room for them all.
+func (c *chunked[T]) gather(dst []T, perm []int32) {
+	for j, i := range perm {
+		dst[j] = c.at(int(i))
 	}
 }
 

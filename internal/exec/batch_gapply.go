@@ -13,8 +13,8 @@ import (
 )
 
 // bgapply is the paper's physical GApply (§3): a Partition phase that
-// copies the drained outer rows into one slab clustered by group (by
-// hashing or sorting the grouping columns), then an Execution phase
+// consumes the outer and clusters its row headers by group (by hashing
+// or sorting the grouping columns), then an Execution phase
 // that evaluates the per-group query over each group's run and emits
 // its rows prefixed with the group's grouping columns. Both partition
 // strategies emit results clustered by group, which is what lets the
@@ -29,14 +29,14 @@ import (
 // on the consumer, or — the groups being independent by construction —
 // across a bounded worker pool (parRun). Workers claim tasks, contiguous
 // ranges of groups holding at least batchSize input rows (a larger group
-// is a task of its own); every worker owns a private Context and a
-// private program or tree, writes a task's output into a private slab,
-// and the consumer emits the tasks in range order, merging each task's
-// counters and profile once. Output is therefore identical to serial
-// execution, clustering included.
+// is a task of its own); every worker owns a private Context, a private
+// program or tree and an output slab it keeps across its tasks, and the
+// consumer emits the tasks in range order, merging each task's counters
+// and profile once. Output is therefore identical to serial execution,
+// clustering included.
 //
 // Both phases are cancellation points: the partition phase polls the
-// query context per outer row and charges materialized bytes against
+// query context per outer batch and charges the rows it keeps against
 // the resource budget; the execution phase polls per row of group work,
 // and parallel workers stop promptly — without goroutine leaks or dropped
 // counter merges — when the query is cancelled or a group fails.
@@ -50,15 +50,15 @@ type bgapply struct {
 	ctx        *Context
 	ords       []int
 	groupVar   string
-	sortPart   bool
-	ordered    bool // outer provides the group-key ordering (index path)
+	strategy   partStrategy
 	correlated bool
 	spools     *spoolRegistry
 
-	part partition
-	at   groupCursor // serial: the execution phase's position
-	task int         // parallel: the next task to emit
-	par  *parRun
+	parts partitioner // the partition phase's scratch, kept across Opens
+	part  partition
+	at    groupCursor // serial: the execution phase's position
+	task  int         // parallel: the next task to emit
+	par   *parRun
 
 	out joinOut   // serial output slab, rows prefixed with the grouping columns
 	win rowWindow // batch windows over the output being emitted
@@ -178,19 +178,8 @@ func (g *bgapply) Open() error {
 	if g.spools != nil {
 		g.spools.reset()
 	}
-	rows, err := drainBatchRows(g.outer, g.ctx)
-	if err != nil {
-		return err
-	}
-	switch {
-	case g.sortPart && g.ordered:
-		g.part, err = partitionOrdered(rows, g.ords, g.ctx, g.plan)
-	case g.sortPart:
-		g.part, err = partitionBySort(rows, g.ords, g.ctx, g.plan)
-	default:
-		g.part, err = partitionByHash(rows, g.ords, g.ctx, g.plan)
-	}
-	if err != nil {
+	var err error
+	if g.part, err = g.parts.run(g.outer, g.strategy, g.ords, g.ctx, g.plan); err != nil {
 		return err
 	}
 	g.ctx.Counters.Groups += int64(g.part.groups())
@@ -271,9 +260,11 @@ func (g *bgapply) Close() error {
 
 // ------------------------------------------------------ partition phase
 
-// partition is the output of the partition phase: the outer rows copied
-// into one value slab, clustered by group. Group i is
-// rows[bounds[i]:bounds[i+1]], its rows in input order.
+// partition is the output of the partition phase: the outer's row
+// headers clustered by group. Group i is rows[bounds[i]:bounds[i+1]],
+// its rows in input order. The rows are the outer's own — the batch
+// ownership contract makes row values immutable, so a group is a view
+// of them and the phase moves headers, never values.
 type partition struct {
 	rows   []types.Row
 	bounds []int
@@ -315,6 +306,152 @@ func (p partition) tasks() []int {
 	return cuts
 }
 
+// partStrategy is how the partition phase forms groups.
+type partStrategy uint8
+
+const (
+	// partHash numbers groups by first appearance with the hash kernel
+	// (types.KeyTable, grouping mode, so NULLs form one group) and places
+	// rows by its counting sort: groups in first-appearance order, so
+	// output is deterministic. Rows whose keys merely collide are split
+	// into distinct groups, so hash- and sort-based partitioning always
+	// produce identical groups.
+	partHash partStrategy = iota
+	// partSort orders rows by their grouping columns with the sort kernel
+	// (types.OrderKeys: SortCompare order, ties in input order) and cuts
+	// a group wherever the encoded key changes.
+	partSort
+	// partOrdered cuts group runs from an outer the optimizer proved
+	// already arrives in ascending group-key order (an ordered index
+	// access path): the groups of partSort — an ordered input is a fixed
+	// point of the stable sort — minus the sort itself. A violated order
+	// expectation (a planner bug, not a data property) falls back to the
+	// sort rather than emit misgrouped output; the check is one key
+	// comparison per row.
+	partOrdered
+)
+
+// partitionStrategy is the strategy g's hint and outer ordering select.
+func partitionStrategy(g *core.GApply) partStrategy {
+	switch {
+	case g.Partition != core.PartitionSort:
+		return partHash
+	case core.GApplyOuterOrdered(g):
+		return partOrdered
+	}
+	return partSort
+}
+
+// partitioner is the partition phase's scratch, reused by every Open:
+// the outer's row headers in arrival order and, per row, its group id
+// (hash) or its encoded group key (the sort family).
+type partitioner struct {
+	in     chunked[types.Row]
+	tab    types.KeyTable
+	firsts []types.Row // each group's first row: the hash kernel's key rows
+	gids   chunked[int32]
+	keys   types.OrderKeys
+}
+
+// run is the partition phase. It consumes outer batch by batch — one
+// cancellation poll per batch, one budget charge per row in arrival
+// order — keeping each row's header and its group id or key, then lays
+// the headers out group by group in one counting-sort or permutation
+// pass. Each group is a temporary relation (paper §3) of the outer's own
+// rows, so the phase's memory traffic is row headers, not row width; the
+// byte meter the partition budget is charged against still counts the
+// rows' footprint, r.Bytes(), which is what the group relations hold.
+func (p *partitioner) run(outer BatchIterator, how partStrategy, ords []int, ctx *Context, plan *core.GApply) (partition, error) {
+	p.in.reset()
+	p.tab.Reset()
+	p.gids.reset()
+	p.firsts = p.firsts[:0]
+	p.keys.Reset()
+	if err := outer.Open(); err != nil {
+		return partition{}, err
+	}
+	if err := p.consume(outer, how, ords, ctx, plan); err != nil {
+		outer.Close()
+		return partition{}, err
+	}
+	if err := outer.Close(); err != nil {
+		return partition{}, err
+	}
+	if p.in.n == 0 {
+		return partition{}, nil
+	}
+	switch how {
+	case partHash:
+		rows, bounds := types.Cluster(nil, nil, p.tab.Len(), p.gids.chunks, p.in.chunks)
+		return partition{rows: rows, bounds: bounds}, nil
+	case partOrdered:
+		for i := 1; i < p.keys.Len(); i++ {
+			if bytes.Compare(p.keys.Key(i-1), p.keys.Key(i)) > 0 {
+				return p.clusterByKey(p.keys.Sort()), nil
+			}
+		}
+		return p.clusterByKey(nil), nil
+	}
+	return p.clusterByKey(p.keys.Sort()), nil
+}
+
+// consume drains the open outer into the scratch.
+func (p *partitioner) consume(outer BatchIterator, how partStrategy, ords []int, ctx *Context, plan *core.GApply) error {
+	for {
+		b, err := outer.NextBatch()
+		if err != nil || b == nil {
+			return err
+		}
+		n := b.Len()
+		if err := ctx.tickN(n); err != nil {
+			return err
+		}
+		for i := 0; i < n; i++ {
+			r := b.Row(i)
+			p.in.add(r)
+			if how == partHash {
+				id, _ := p.tab.Add(&p.firsts, r, ords)
+				p.gids.add(int32(id))
+			} else {
+				for _, o := range ords {
+					p.keys.Append(r[o], false)
+				}
+				p.keys.EndRow()
+			}
+			if err := chargePartition(ctx, plan, r); err != nil {
+				return err
+			}
+		}
+	}
+}
+
+// clusterByKey lays the headers out in perm order (nil: input order),
+// cutting a group wherever the encoded key changes. Equal encodings are
+// exactly SortCompare-equal keys.
+func (p *partitioner) clusterByKey(perm []int32) partition {
+	n := p.in.n
+	rows := make([]types.Row, n)
+	if perm == nil {
+		i := 0
+		for _, c := range p.in.chunks {
+			i += copy(rows[i:], c)
+		}
+	} else {
+		p.in.gather(rows, perm)
+	}
+	bounds := []int{0}
+	for j := 1; j < n; j++ {
+		prev, cur := j-1, j
+		if perm != nil {
+			prev, cur = int(perm[j-1]), int(perm[j])
+		}
+		if !bytes.Equal(p.keys.Key(prev), p.keys.Key(cur)) {
+			bounds = append(bounds, j)
+		}
+	}
+	return partition{rows: rows, bounds: append(bounds, n)}
+}
+
 // chargePartition bills the budget for one row materialized into a
 // partition, labelling a blown budget with the GApply's plan shape.
 func chargePartition(ctx *Context, plan *core.GApply, r types.Row) error {
@@ -326,131 +463,6 @@ func chargePartition(ctx *Context, plan *core.GApply, r types.Row) error {
 		operator = core.Summary(plan)
 	}
 	return ctx.Budget.chargePartition(int64(r.Bytes()), operator)
-}
-
-// partitionByHash groups rows by hashing the grouping columns with the
-// hash kernel (types.KeyTable, grouping mode, so NULLs form one group);
-// group order is first appearance in the input, so output is
-// deterministic. Rows whose keys merely collide are split into distinct
-// groups, so hash- and sort-based partitioning always produce identical
-// groups. A first pass assigns every row its group, polling cancellation
-// and charging the budget per row; a counting sort then places the rows
-// group by group, and they are copied into the partition's slab: each
-// group is a temporary relation (paper §3), so the partition phase pays
-// memory traffic proportional to row width — the cost the
-// projection-before-GApply rule exists to shrink, and the byte meter the
-// partition budget is charged against.
-func partitionByHash(rows []types.Row, ords []int, ctx *Context, plan *core.GApply) (partition, error) {
-	gids := make([]int32, len(rows))
-	var tab types.KeyTable
-	for i, r := range rows {
-		if err := ctx.tick(); err != nil {
-			return partition{}, err
-		}
-		g, _ := tab.Insert(rows, i, ords)
-		if err := chargePartition(ctx, plan, r); err != nil {
-			return partition{}, err
-		}
-		gids[i] = int32(g)
-	}
-	if len(rows) == 0 {
-		return partition{}, nil
-	}
-	clustered, bounds := types.Cluster(nil, nil, rows, gids, tab.Len())
-	copyRows(clustered)
-	return partition{rows: clustered, bounds: bounds}, nil
-}
-
-// partitionBySort orders rows by their grouping columns with the sort
-// kernel (types.OrderKeys: SortCompare order, ties in input order) and
-// cuts a group wherever the encoded key changes.
-func partitionBySort(rows []types.Row, ords []int, ctx *Context, plan *core.GApply) (partition, error) {
-	var keys types.OrderKeys
-	if err := encodeGroupKeys(&keys, rows, ords, ctx, plan); err != nil {
-		return partition{}, err
-	}
-	return clusterByKey(rows, &keys, keys.Sort()), nil
-}
-
-// partitionOrdered cuts group runs from an outer stream the optimizer
-// proved already arrives in ascending group-key order (an ordered index
-// access path): identical copies, budget charges, cancellation points
-// and resulting groups to partitionBySort — an already-ordered input is
-// a fixed point of the stable sort — minus the sort itself. A violated
-// order expectation (a planner bug, not a data property) falls back to
-// the sort rather than emit misgrouped output; the check is one key
-// comparison per row.
-func partitionOrdered(rows []types.Row, ords []int, ctx *Context, plan *core.GApply) (partition, error) {
-	var keys types.OrderKeys
-	if err := encodeGroupKeys(&keys, rows, ords, ctx, plan); err != nil {
-		return partition{}, err
-	}
-	var perm []int32 // nil: input order
-	for i := 1; i < keys.Len(); i++ {
-		if bytes.Compare(keys.Key(i-1), keys.Key(i)) > 0 {
-			perm = keys.Sort()
-			break
-		}
-	}
-	return clusterByKey(rows, &keys, perm), nil
-}
-
-// encodeGroupKeys encodes every row's grouping columns into keys,
-// polling cancellation and charging the budget per row in input order —
-// the front half of both sort-family partitioners.
-func encodeGroupKeys(keys *types.OrderKeys, rows []types.Row, ords []int, ctx *Context, plan *core.GApply) error {
-	for _, r := range rows {
-		if err := ctx.tick(); err != nil {
-			return err
-		}
-		if err := chargePartition(ctx, plan, r); err != nil {
-			return err
-		}
-		for _, o := range ords {
-			keys.Append(r[o], false)
-		}
-		keys.EndRow()
-	}
-	return nil
-}
-
-// clusterByKey places rows in perm order (nil: input order), cutting a
-// group wherever the encoded key changes, and copies them into the
-// partition's slab. Equal encodings are exactly SortCompare-equal keys.
-func clusterByKey(rows []types.Row, keys *types.OrderKeys, perm []int32) partition {
-	if len(rows) == 0 {
-		return partition{}
-	}
-	clustered := make([]types.Row, len(rows))
-	bounds := []int{0}
-	prev := -1
-	for j := range clustered {
-		i := j
-		if perm != nil {
-			i = int(perm[j])
-		}
-		if prev >= 0 && !bytes.Equal(keys.Key(prev), keys.Key(i)) {
-			bounds = append(bounds, j)
-		}
-		clustered[j] = rows[i]
-		prev = i
-	}
-	copyRows(clustered)
-	return partition{rows: clustered, bounds: append(bounds, len(rows))}
-}
-
-// copyRows replaces every row with a copy of its values in one slab.
-func copyRows(rows []types.Row) {
-	n := 0
-	for _, r := range rows {
-		n += len(r)
-	}
-	slab := make(types.Row, 0, n)
-	for i, r := range rows {
-		start := len(slab)
-		slab = append(slab, r...)
-		rows[i] = slab[start:len(slab):len(slab)]
-	}
 }
 
 // ---------------------------------------------- parallel execution phase
@@ -475,9 +487,9 @@ type parTask struct {
 // worker even mid-task. Each worker compiles its private per-group query
 // — a segment program, or an inner tree over the GApply's spool
 // registry, whose spools share the holders (and materializations) of
-// every other tree. After any task fails the outcome is decided (the
-// consumer stops at the first error in range order), so later tasks
-// complete empty.
+// every other tree — and keeps one output slab across its tasks. After
+// any task fails the outcome is decided (the consumer stops at the first
+// error in range order), so later tasks complete empty.
 func (g *bgapply) startWorkers(dop int) *parRun {
 	part := g.part
 	cuts := part.tasks()
@@ -499,6 +511,7 @@ func (g *bgapply) startWorkers(dop int) *parRun {
 			wctx := g.ctx.fork()
 			wctx.Ctx = wctxCtx
 			wctx.spools = g.spools
+			out := joinOut{left: g.ords}
 			var ex groupExec
 			for {
 				select {
@@ -512,42 +525,44 @@ func (g *bgapply) startWorkers(dop int) *parRun {
 				if t >= n {
 					return
 				}
+				slot := p.slot(t)
 				if failed.Load() {
-					close(p.ready[t])
+					p.publish(slot, parTask{})
 					continue
 				}
 				if ex == nil {
 					var err error
 					if ex, err = g.buildExec(wctx); err != nil {
-						p.results[t] = parTask{err: err}
 						failed.Store(true)
-						close(p.ready[t])
+						p.publish(slot, parTask{err: err})
 						continue
 					}
 				}
-				res := g.runTask(wctx, ex, part, cuts[t], cuts[t+1])
+				// The slot's container last held task t - len(slots)'s rows,
+				// which the consumer has moved past: the window guarantees it.
+				out.rows = slot.res.rows[:0]
+				res := g.runTask(wctx, ex, part, cuts[t], cuts[t+1], &out)
 				if res.err != nil {
 					failed.Store(true)
 				}
-				p.results[t] = res
-				close(p.ready[t])
+				p.publish(slot, res)
 			}
 		}()
 	}
 	return p
 }
 
-// runTask evaluates groups [from, to) on a worker's private context into
-// a private slab, with the counter and profile deltas the consumer merges.
-func (g *bgapply) runTask(wctx *Context, ex groupExec, part partition, from, to int) parTask {
-	before := wctx.Counters
+// runTask evaluates groups [from, to) on a worker's private context,
+// appending their rows to out, and returns them with the task's counters
+// and profile delta, which the consumer merges.
+func (g *bgapply) runTask(wctx *Context, ex groupExec, part partition, from, to int, out *joinOut) parTask {
+	wctx.Counters = Counters{}
 	var profBefore map[core.Node]NodeStats
 	if wctx.Prof != nil {
 		profBefore = wctx.Prof.snapshot()
 	}
-	out := joinOut{left: g.ords}
-	err := runGroups(ex, wctx, part, &groupCursor{next: from}, to, math.MaxInt, &out, true)
-	res := parTask{rows: out.rows, err: err, delta: wctx.Counters.Sub(before)}
+	err := runGroups(ex, wctx, part, &groupCursor{next: from}, to, math.MaxInt, out, true)
+	res := parTask{rows: out.rows, err: err, delta: wctx.Counters}
 	if wctx.Prof != nil {
 		res.prof = wctx.Prof.since(profBefore)
 	}
@@ -556,32 +571,38 @@ func (g *bgapply) runTask(wctx *Context, ex groupExec, part partition, from, to 
 
 // nextTask waits for the next task in range order and hands its rows to
 // the consumer, merging its counter and profile deltas into the parent
-// context. The first task error — in range order, matching what serial
-// execution would surface — shuts the pool down and is returned; a
-// cancelled query stops the wait immediately rather than blocking on a
-// ready channel its worker may never close.
+// context. Taking a task first releases the previous one: the consumer
+// has moved past every batch aliasing its rows, so its window place and
+// container may go to the next task claimed. The first task error — in
+// range order, matching what serial execution would surface — shuts the
+// pool down and is returned; a cancelled query stops the wait
+// immediately rather than blocking on a task its worker may never
+// publish.
 func (g *bgapply) nextTask() ([]types.Row, bool, error) {
 	p := g.par
-	if g.task >= len(p.ready) {
+	if p.holding {
+		p.holding = false
+		<-p.window
+	}
+	if g.task >= p.tasks {
 		// A cancel that lands after the last task still cancels.
 		return nil, false, g.ctx.checkCancel()
 	}
-	t := g.task
+	slot := p.slot(g.task)
 	g.task++
 	var done <-chan struct{}
 	if g.ctx.Ctx != nil {
 		done = g.ctx.Ctx.Done()
 	}
 	select {
-	case <-p.ready[t]:
+	case <-slot.ready:
 	case <-done:
 		p.shutdown()
 		return nil, false, context.Cause(g.ctx.Ctx)
 	}
-	res := p.results[t]
-	p.results[t] = parTask{}
-	<-p.window
-	g.ctx.Counters.Add(res.delta)
+	p.holding = true
+	res := slot.res
+	g.ctx.Counters.Add(&slot.res.delta)
 	if g.ctx.Prof != nil && res.prof != nil {
 		g.ctx.Prof.merge(res.prof)
 	}
@@ -594,25 +615,30 @@ func (g *bgapply) nextTask() ([]types.Row, bool, error) {
 
 // parRun is the state of one parallel execution phase. Workers claim
 // task indexes from a shared counter, evaluate each claimed task with
-// their private per-group query, publish into results[t], and close
-// ready[t]; the consumer (the goroutine driving NextBatch) waits on the
-// ready channels in range order. The channel close is the only
-// synchronization a result needs: the worker's writes happen before the
-// close, which happens before the consumer's read.
+// their private per-group query, and publish it into its slot; the
+// consumer (the goroutine driving NextBatch) takes the tasks in range
+// order.
 //
-// window bounds how many tasks may be claimed but not yet consumed, so
+// window bounds how many tasks may be claimed but not yet released, so
 // a fast worker cannot buffer an unbounded prefix of the output: workers
-// acquire a window slot before claiming an index and the consumer
-// releases the slot when it takes the task.
+// acquire a window place before claiming an index, and the consumer
+// releases it when it moves past the task's rows. Claimed indexes form a
+// contiguous prefix, so the tasks in flight are at most len(slots)
+// consecutive ones, and task t owns slots[t % len(slots)]:
+// its result, its row container, recycled from task to task, and its
+// ready signal, a one-place channel the worker sends on after writing
+// the result, which the consumer receives before reading it. The window
+// orders a container's reuse after the consumer's last read of it.
 //
 // Shutdown — from Close, from the first task error, or from query
 // cancellation — closes stop and cancels the workers' derived context,
 // so a worker deep inside a task stops within one batch of rows; the
-// consumer never waits on a ready channel no worker will close, because
-// it selects on the query context alongside every ready wait.
+// consumer never waits on a task no worker will publish, because it
+// selects on the query context alongside every ready wait.
 type parRun struct {
-	results []parTask
-	ready   []chan struct{}
+	slots   []parSlot
+	tasks   int
+	holding bool // the consumer holds the window place of the task it last took
 	window  chan struct{}
 	stop    chan struct{}
 	cancel  context.CancelFunc // cancels the workers' derived context
@@ -620,18 +646,32 @@ type parRun struct {
 	wg      sync.WaitGroup
 }
 
+// parSlot is the hand-off of one task in flight.
+type parSlot struct {
+	res   parTask
+	ready chan struct{}
+}
+
 // newParRun allocates the pool state for n tasks at the given degree.
 func newParRun(n, dop int) *parRun {
 	p := &parRun{
-		results: make([]parTask, n),
-		ready:   make([]chan struct{}, n),
-		window:  make(chan struct{}, 2*dop),
-		stop:    make(chan struct{}),
+		slots:  make([]parSlot, 2*dop),
+		tasks:  n,
+		window: make(chan struct{}, 2*dop),
+		stop:   make(chan struct{}),
 	}
-	for i := range p.ready {
-		p.ready[i] = make(chan struct{})
+	for i := range p.slots {
+		p.slots[i].ready = make(chan struct{}, 1)
 	}
 	return p
+}
+
+func (p *parRun) slot(t int) *parSlot { return &p.slots[t%len(p.slots)] }
+
+// publish hands a finished task to the consumer.
+func (p *parRun) publish(s *parSlot, res parTask) {
+	s.res = res
+	s.ready <- struct{}{}
 }
 
 // shutdown stops the pool — closing the claim gate and cancelling the

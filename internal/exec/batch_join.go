@@ -159,7 +159,7 @@ func (h *bHashJoin) Open() error {
 			id, _ := h.keys.Insert(h.in, i, h.rightOrds)
 			h.ids = append(h.ids, int32(id))
 		}
-		h.runs, h.bounds = types.Cluster(h.runs, h.bounds, h.in, h.ids, h.keys.Len())
+		h.runs, h.bounds = types.Cluster(h.runs, h.bounds, h.keys.Len(), [][]int32{h.ids}, [][]types.Row{h.in})
 		h.built = true
 	}
 	if err := h.right.Close(); err != nil {

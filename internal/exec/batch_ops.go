@@ -402,15 +402,16 @@ func (u *bUnionAll) Close() error {
 // bSort materializes its input, sorts stably by the compiled keys, and
 // emits the sorted rows in aliased windows. Each row's keys are encoded
 // once into the sort kernel (types.OrderKeys), which orders a
-// permutation by byte comparison; the key buffer and both row buffers
-// are reused across Opens.
+// permutation by byte comparison; the input's headers go into a chunk
+// store, and the sorted ones into a slice sized once. The key buffer and
+// both row buffers are reused across Opens.
 type bSort struct {
 	input BatchIterator
 	keys  []compiledKey
 	ctx   *Context
 	enc   types.OrderKeys
-	in    []types.Row // input rows, in arrival order
-	rows  []types.Row // the same rows, sorted
+	in    chunked[types.Row] // input rows, in arrival order
+	rows  []types.Row        // the same rows, sorted
 	win   rowWindow
 }
 
@@ -419,7 +420,7 @@ func (s *bSort) Open() error {
 		return err
 	}
 	s.enc.Reset()
-	s.in, s.rows = s.in[:0], s.rows[:0]
+	s.in.reset()
 	for {
 		b, err := s.input.NextBatch()
 		if err != nil {
@@ -442,15 +443,17 @@ func (s *bSort) Open() error {
 				s.enc.Append(v, k.desc)
 			}
 			s.enc.EndRow()
-			s.in = append(s.in, r)
+			s.in.add(r)
 		}
 	}
 	if err := s.input.Close(); err != nil {
 		return err
 	}
-	for _, p := range s.enc.Sort() {
-		s.rows = append(s.rows, s.in[p])
+	if cap(s.rows) < s.in.n {
+		s.rows = make([]types.Row, s.in.n)
 	}
+	s.rows = s.rows[:s.in.n]
+	s.in.gather(s.rows, s.enc.Sort())
 	s.win.reset(s.rows)
 	return nil
 }

@@ -69,6 +69,41 @@ func TestJoinOutSlabPersistsAcrossResets(t *testing.T) {
 	}
 }
 
+// TestChunkedStore: values come back by index across the growing chunks
+// and past the cap, chunk sizes follow the geometric schedule, and a
+// refill after reset reuses the chunks instead of allocating.
+func TestChunkedStore(t *testing.T) {
+	const full = batchSize << chunkLog
+	var c chunked[int32]
+	for _, n := range []int{0, 1, batchSize + 1, 3*full + 7, 200} {
+		c.reset()
+		for i := 0; i < n; i++ {
+			c.add(int32(i))
+		}
+		if c.n != n {
+			t.Fatalf("n = %d after %d adds", c.n, n)
+		}
+		for i := 0; i < n; i++ {
+			if got := c.at(i); got != int32(i) {
+				t.Fatalf("%d values: at(%d) = %d", n, i, got)
+			}
+		}
+		for k, ch := range c.chunks {
+			if want := batchSize << min(k, chunkLog); cap(ch) != want {
+				t.Fatalf("%d values: chunk %d has capacity %d, want %d", n, k, cap(ch), want)
+			}
+		}
+	}
+	if allocs := testing.AllocsPerRun(5, func() {
+		c.reset()
+		for i := 0; i < 3*full; i++ {
+			c.add(int32(i))
+		}
+	}); allocs != 0 {
+		t.Errorf("a refill allocates %.0f times, want 0", allocs)
+	}
+}
+
 // priceFilter returns a Select over in with cond p_retailprice > 15.
 func priceFilter(in core.Node) *core.Select {
 	return &core.Select{

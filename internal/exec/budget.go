@@ -13,9 +13,12 @@ import (
 type Budget struct {
 	// MaxOutputRows caps how many rows the root of the plan may emit.
 	MaxOutputRows int64
-	// MaxPartitionBytes caps the total bytes of rows materialized into
-	// GApply partitions (both hash and sort strategies), the engine's
-	// dominant memory consumer on groupwise plans.
+	// MaxPartitionBytes caps the total footprint (types.Row.Bytes) of
+	// the rows GApply's partition phase holds as group relations, under
+	// every partition strategy, charged row by row in arrival order. A
+	// group is a view of the outer's own rows rather than a copy, so the
+	// meter counts the rows the phase keeps alive, the engine's dominant
+	// memory consumer on groupwise plans.
 	MaxPartitionBytes int64
 
 	partitionBytes atomic.Int64

@@ -601,8 +601,7 @@ func buildBatchGApply(g *core.GApply, ctx *Context, env compileEnv) (BatchIterat
 		ctx:        ctx,
 		ords:       ords,
 		groupVar:   g.GroupVar,
-		sortPart:   g.Partition == core.PartitionSort,
-		ordered:    core.GApplyOuterOrdered(g),
+		strategy:   partitionStrategy(g),
 		correlated: correlated,
 		out:        joinOut{left: ords},
 	}

@@ -55,9 +55,19 @@ func waitNoExtraGoroutines(t *testing.T, base int) {
 
 // partitioners are the partition phase's three strategies, by name.
 var partitioners = map[string]func([]types.Row, []int, *Context, *core.GApply) (partition, error){
-	"hash":    partitionByHash,
-	"sort":    partitionBySort,
-	"ordered": partitionOrdered,
+	"hash":    partitionWith(partHash),
+	"sort":    partitionWith(partSort),
+	"ordered": partitionWith(partOrdered),
+}
+
+// partitionWith runs the partition phase over rows, delivered in batches.
+func partitionWith(how partStrategy) func([]types.Row, []int, *Context, *core.GApply) (partition, error) {
+	return func(rows []types.Row, ords []int, ctx *Context, plan *core.GApply) (partition, error) {
+		src := &sliceSource{}
+		src.win.reset(rows)
+		var p partitioner
+		return p.run(src, how, ords, ctx, plan)
+	}
 }
 
 // TestCancelDuringPartitionPhase drives the partition functions directly

@@ -88,9 +88,9 @@ type Context struct {
 }
 
 // Counters tallies work done during execution. Every field must be an
-// int64 tally: Add and Sub merge them field-generically (via reflection)
-// so a newly added counter can never be silently dropped from the
-// parallel merge path.
+// int64 tally: Add merges them field-generically (via reflection) so a
+// newly added counter can never be silently dropped from the parallel
+// merge path.
 type Counters struct {
 	RowsScanned        int64 // base-table rows produced by scans
 	GroupScanRows      int64 // rows produced by group-variable scans
@@ -176,26 +176,14 @@ func (c *Context) checkCancel() error {
 	return context.Cause(c.Ctx)
 }
 
-// Sub returns the per-field difference c - o: the work done since the
-// snapshot o was taken.
-func (c Counters) Sub(o Counters) Counters {
-	out := c
-	dv := reflect.ValueOf(&out).Elem()
-	sv := reflect.ValueOf(o)
-	for i := 0; i < dv.NumField(); i++ {
-		dv.Field(i).SetInt(dv.Field(i).Int() - sv.Field(i).Int())
-	}
-	return out
-}
-
 // Add merges another tally into c, field by field over the whole struct.
 // Parallel GApply calls this from the consuming goroutine only, once per
-// finished group, so counter totals are exact and race-free without
+// finished task, so counter totals are exact and race-free without
 // atomics — plan-shape assertions see the same values as under serial
-// execution.
-func (c *Counters) Add(o Counters) {
+// execution. o is a pointer so that the merge allocates nothing.
+func (c *Counters) Add(o *Counters) {
 	dv := reflect.ValueOf(c).Elem()
-	sv := reflect.ValueOf(o)
+	sv := reflect.ValueOf(o).Elem()
 	for i := 0; i < dv.NumField(); i++ {
 		dv.Field(i).SetInt(dv.Field(i).Int() + sv.Field(i).Int())
 	}

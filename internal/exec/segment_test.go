@@ -407,7 +407,7 @@ func TestSegmentOutputRowsTruncation(t *testing.T) {
 }
 
 // TestPartitionStrategiesAgree: hash, sort and ordered partitioning
-// copy every row once and form the same groups (hash in first-appearance
+// hold every input row itself, not a copy, and form the same groups (hash in first-appearance
 // order, the sort family in key order), over hostile keys.
 func TestPartitionStrategiesAgree(t *testing.T) {
 	cat := edgeCatalog(t)
@@ -436,8 +436,10 @@ func TestPartitionStrategiesAgree(t *testing.T) {
 		if n != len(rows) {
 			t.Fatalf("%s: %d rows partitioned, want %d", name, n, len(rows))
 		}
-		if &p.rows[0][0] == &rows[0][0] {
-			t.Fatalf("%s: partition aliases its input instead of copying it", name)
+		for _, r := range p.rows {
+			if !aliases(r, rows) {
+				t.Fatalf("%s: partition holds a copy of row %v instead of the row itself", name, r)
+			}
 		}
 		return out
 	}
@@ -450,13 +452,146 @@ func TestPartitionStrategiesAgree(t *testing.T) {
 	// An outer that really is key-ordered takes the ordered path's
 	// fast cut and still agrees.
 	ctx := NewContext(cat)
-	sorted, err := partitionBySort(in, []int{0}, ctx, nil)
+	sorted, err := partitioners["sort"](in, []int{0}, ctx, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := groupsOf("ordered", sorted.rows); !reflect.DeepEqual(got, hash) {
 		t.Error("ordered partitioning of sorted input forms different groups")
 	}
+}
+
+// joinedCatalog is itemsCatalog's 500 keys of 80 items plus tags(t,
+// label), one row per key, so that joinedOuter, items ⋈ tags on k = t,
+// is a 40 000-row hash-join emission in 500 groups: Q2's outer at sf
+// 0.05.
+func joinedCatalog(tb testing.TB) *storage.Catalog {
+	tb.Helper()
+	cat := itemsCatalog(tb, 500, 80)
+	tags, err := cat.Create(&schema.TableDef{Name: "tags", Schema: schema.New(
+		schema.Column{Name: "t", Type: types.KindInt},
+		schema.Column{Name: "label", Type: types.KindString},
+	)})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for i := 0; i < 500; i++ {
+		if err := tags.Append(types.Row{types.NewInt(int64(i)), types.NewString(fmt.Sprintf("tag#%d", i))}); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return cat
+}
+
+func joinedOuter(cat *storage.Catalog) core.Node {
+	scan := func(name string) core.Node {
+		tab, err := cat.Lookup(name)
+		if err != nil {
+			panic(err)
+		}
+		return &core.Scan{Table: name, Def: tab.Def}
+	}
+	return &core.Join{Left: scan("items"), Right: scan("tags"), Cond: &core.Cmp{Op: "=", L: core.Col("k"), R: core.Col("t")}}
+}
+
+// allocated returns the bytes and the allocation count of one run,
+// averaged over a few runs after a warm-up.
+func allocated(run func()) (bytes, count float64) {
+	const runs = 4
+	run()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		run()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / runs, float64(after.Mallocs-before.Mallocs) / runs
+}
+
+// TestPartitionAllocsPerRow pins what the hash partition phase of a
+// GApply over a 40 000-row join allocates beyond the join's own
+// emission: the row headers and group ids, never the row values.
+func TestPartitionAllocsPerRow(t *testing.T) {
+	const rows, perRow = 40000, 64
+	cat := joinedCatalog(t)
+	join, _ := allocated(func() {
+		it, err := BuildBatch(joinedOuter(cat), NewContext(cat))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := drainCount(t, it); n != rows {
+			t.Fatalf("join emits %d rows, want %d", n, rows)
+		}
+	})
+	gapply, _ := allocated(func() {
+		ctx := NewContext(cat)
+		ctx.DOP = 1
+		count := &core.AggOp{Input: &core.GroupScan{Var: "g"}, Aggs: []core.AggSpec{{Fn: "count", Star: true, As: "n"}}}
+		it, err := BuildBatch(core.NewGApply(joinedOuter(cat), []*core.ColRef{core.Col("k")}, "g", count), ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := it.Open(); err != nil { // the partition phase, at dop 1
+			t.Fatal(err)
+		}
+		if err := it.Close(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	per := (gapply - join) / rows
+	if per > perRow {
+		t.Errorf("partition phase allocates %.0f B per outer row beyond the join's emission, want ≤ %d", per, perRow)
+	}
+	t.Logf("%.1f B per outer row", per)
+}
+
+// TestParallelPhaseAllocs pins the parallel execution phase's cost to
+// per-worker state: a Q2-shaped GApply (40 000 rows, 500 groups, 125
+// tasks) allocates at dop 2 what it does at dop 1, plus each worker's
+// compile of its private per-group program, plus a few dozen
+// allocations for the pool — nothing per task.
+func TestParallelPhaseAllocs(t *testing.T) {
+	const slack = 64
+	cat := joinedCatalog(t)
+	q2 := func() *core.GApply {
+		return core.NewGApply(joinedOuter(cat), []*core.ColRef{core.Col("k")}, "g", ordersInner(nil))
+	}
+	mallocs := func(dop int) float64 {
+		_, n := allocated(func() {
+			ctx := NewContext(cat)
+			ctx.DOP = dop
+			if res := mustRun(t, q2(), ctx); len(res.Rows) != 1000 {
+				t.Fatalf("dop %d: %d rows, want 1000", dop, len(res.Rows))
+			}
+		})
+		return n
+	}
+	it, err := BuildBatch(q2(), NewContext(cat))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, build := allocated(func() {
+		if _, err := it.(*bgapply).buildExec(NewContext(cat)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	one, two := mallocs(1), mallocs(2)
+	if two > one+2*build+slack {
+		t.Errorf("dop 2 makes %.0f allocations, dop 1 %.0f and a worker's program %.0f: want at most %d more than dop 1 and two programs",
+			two, one, build, slack)
+	}
+	t.Logf("dop 1: %.0f allocations, dop 2: %.0f, one program: %.0f", one, two, build)
+}
+
+// aliases reports whether r is one of rows: the same values, not equal
+// ones.
+func aliases(r types.Row, rows []types.Row) bool {
+	for _, in := range rows {
+		if len(r) > 0 && len(in) > 0 && &r[0] == &in[0] {
+			return true
+		}
+	}
+	return false
 }
 
 // itemsCatalog holds items(k, name, price): groups keys of perGroup rows
@@ -497,6 +632,16 @@ func itemsCatalog(tb testing.TB, groups, perGroup int) *storage.Catalog {
 // joined into each branch's Apply outer, which keeps the rows but stops
 // the inner lowering.
 func ordersGApply(cat *storage.Catalog, extra func() core.Node) *core.GApply {
+	tab, err := cat.Lookup("items")
+	if err != nil {
+		panic(err)
+	}
+	return core.NewGApply(&core.Scan{Table: "items", Def: tab.Def}, []*core.ColRef{core.Col("k")}, "g", ordersInner(extra))
+}
+
+// ordersInner is ordersGApply's per-group query over $g, which needs
+// only a price column.
+func ordersInner(extra func() core.Node) core.Node {
 	gs := func() core.Node { return &core.GroupScan{Var: "g"} }
 	branch := func(tag int64, op string) core.Node {
 		var outer core.Node = gs()
@@ -517,12 +662,7 @@ func ordersGApply(cat *storage.Catalog, extra func() core.Node) *core.GApply {
 		}
 		return core.NewProject(agg, cols, []string{"tag", "above", "below"})
 	}
-	inner := &core.UnionAll{Inputs: []core.Node{branch(0, ">="), branch(1, "<")}}
-	tab, err := cat.Lookup("items")
-	if err != nil {
-		panic(err)
-	}
-	return core.NewGApply(&core.Scan{Table: "items", Def: tab.Def}, []*core.ColRef{core.Col("k")}, "g", inner)
+	return &core.UnionAll{Inputs: []core.Node{branch(0, ">="), branch(1, "<")}}
 }
 
 func unitScan(cat *storage.Catalog) func() core.Node {
@@ -536,19 +676,21 @@ func unitScan(cat *storage.Catalog) func() core.Node {
 }
 
 // BenchmarkGApplyGroups runs the orders shape over 10 000 groups of 4
-// rows at dop 1 — scan, partition and execution phase — with the inner
-// lowered to a segment program and, joined to a one-row table, as the
-// iterator tree re-opened per group, per group.
+// rows — scan, partition and execution phase — with the inner lowered to
+// a segment program, at dop 1 and on two workers, and, joined to a
+// one-row table, as the iterator tree re-opened per group at dop 1; per
+// group.
 func BenchmarkGApplyGroups(b *testing.B) {
 	const groups = 10000
 	cat := itemsCatalog(b, groups, 4)
 	for _, tc := range []struct {
 		name  string
 		extra func() core.Node
-	}{{"lowered", nil}, {"fallback", unitScan(cat)}} {
+		dop   int
+	}{{"lowered", nil, 1}, {"dop2", nil, 2}, {"fallback", unitScan(cat), 1}} {
 		b.Run(tc.name, func(b *testing.B) {
 			ctx := NewContext(cat)
-			ctx.DOP = 1
+			ctx.DOP = tc.dop
 			it, err := BuildBatch(ordersGApply(cat, tc.extra), ctx)
 			if err != nil {
 				b.Fatal(err)
@@ -568,12 +710,14 @@ func BenchmarkGApplyGroups(b *testing.B) {
 			total := float64(b.N * groups)
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/total, "ns/group")
 			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/total, "allocs/group")
+			b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/total, "B/group")
 		})
 	}
 }
 
 // BenchmarkPartition partitions 40 000 interleaved rows into 10 000
-// groups by hashing and by sorting, per row.
+// groups by hashing and by sorting, per row, each run with fresh
+// scratch, as a query's first Open has.
 func BenchmarkPartition(b *testing.B) {
 	cat := itemsCatalog(b, 10000, 4)
 	tab, err := cat.Lookup("items")
@@ -598,6 +742,7 @@ func BenchmarkPartition(b *testing.B) {
 			total := float64(b.N * len(rows))
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/total, "ns/row")
 			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/total, "allocs/row")
+			b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/total, "B/row")
 		})
 	}
 }

@@ -194,20 +194,24 @@ func hasNull(r Row, cols []int) bool {
 }
 
 // Cluster lays rows out key by key, a stable counting sort on their ids:
-// ids[i] is rows[i]'s key id in [0, keys), or negative for a row to leave
-// out. It returns the laid-out rows and the bounds: key k's rows are
+// the rows are the concatenation of the row chunks, their ids that of
+// the id chunks, chunk for chunk the same lengths, and a row's id is its
+// key in [0, keys), or negative for a row to leave out. It returns the
+// laid-out rows and the bounds: key k's rows are
 // laid[bounds[k]:bounds[k+1]], in input order. Only row headers move; the
 // storage of dst and of the bounds passed in is reused when large enough.
-func Cluster(dst []Row, bounds []int, rows []Row, ids []int32, keys int) ([]Row, []int) {
+func Cluster(dst []Row, bounds []int, keys int, ids [][]int32, rows [][]Row) ([]Row, []int) {
 	if cap(bounds) < keys+1 {
 		bounds = make([]int, keys+1)
 	} else {
 		bounds = bounds[:keys+1]
 		clear(bounds)
 	}
-	for _, id := range ids {
-		if id >= 0 {
-			bounds[id+1]++
+	for _, c := range ids {
+		for _, id := range c {
+			if id >= 0 {
+				bounds[id+1]++
+			}
 		}
 	}
 	for k := 0; k < keys; k++ {
@@ -220,10 +224,12 @@ func Cluster(dst []Row, bounds []int, rows []Row, ids []int32, keys int) ([]Row,
 	dst = dst[:n]
 	// bounds[k] is key k's next free position; once every row is placed
 	// it is key k's end, so shifting by one restores the starts.
-	for i, id := range ids {
-		if id >= 0 {
-			dst[bounds[id]] = rows[i]
-			bounds[id]++
+	for k, c := range rows {
+		for i, id := range ids[k][:len(c)] {
+			if id >= 0 {
+				dst[bounds[id]] = c[i]
+				bounds[id]++
+			}
 		}
 	}
 	copy(bounds[1:], bounds[:keys])

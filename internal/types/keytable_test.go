@@ -97,11 +97,19 @@ func checkKeyTable(t *testing.T, rows []Row, cols []int, join, collide bool) {
 	checkCluster(t, rows, ids, tab.Len())
 }
 
-// checkCluster checks Cluster's layout: key k's rows, and only they, in
-// input order, with rows of negative id left out.
+// checkCluster checks Cluster's layout over chunked input: key k's
+// rows, and only they, in input order, with rows of negative id left
+// out.
 func checkCluster(t *testing.T, rows []Row, ids []int32, keys int) {
 	t.Helper()
-	laid, bounds := Cluster(nil, nil, rows, ids, keys)
+	// Cut the input into chunks of 1, 2, 3, … rows.
+	var idChunks [][]int32
+	var rowChunks [][]Row
+	for lo, n := 0, 1; lo < len(rows); lo, n = lo+n, n+1 {
+		hi := min(lo+n, len(rows))
+		idChunks, rowChunks = append(idChunks, ids[lo:hi]), append(rowChunks, rows[lo:hi])
+	}
+	laid, bounds := Cluster(nil, nil, keys, idChunks, rowChunks)
 	if len(bounds) != keys+1 || bounds[0] != 0 || bounds[keys] != len(laid) {
 		t.Fatalf("Cluster bounds %v over %d rows", bounds, len(laid))
 	}

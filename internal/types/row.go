@@ -6,9 +6,10 @@ import (
 	"strings"
 )
 
-// Row is a tuple of values. Operators share backing arrays where safe;
-// a row that outlives its producer is copied (GApply's partitions copy
-// theirs into one slab).
+// Row is a tuple of values. A row's values never change once it is
+// produced, so operators share rows freely: a consumer that keeps a row
+// past its producer's next batch keeps the row itself (GApply's groups
+// are views of the outer's rows), never a copy.
 type Row []Value
 
 // Concat returns the concatenation of r and s in a fresh row, the tuple
