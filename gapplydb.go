@@ -317,7 +317,9 @@ func kindOf(t string) (types.Kind, error) {
 }
 
 // Insert appends rows to a table. Accepted Go values per cell: nil,
-// int, int64, float64, string, bool.
+// int, int64, float64, string, bool. A row whose indexed key sorts below
+// the table's last row ends that index's claim that the heap is in key
+// order, and retires the cached plans built on it.
 func (db *Database) Insert(table string, rows ...[]any) error {
 	tab, err := db.cat.Lookup(table)
 	if err != nil {
@@ -332,7 +334,7 @@ func (db *Database) Insert(table string, rows ...[]any) error {
 			}
 			row[i] = tv
 		}
-		if err := tab.Append(row); err != nil {
+		if err := db.cat.Insert(tab, row); err != nil {
 			return err
 		}
 	}

@@ -76,8 +76,14 @@ type IndexScan struct {
 	// for an ordering: the bounded window's rows come out in heap
 	// position order, so the scan emits exactly the rows, in exactly the
 	// order, of the heap Scan its enclosing Select filtered — and
-	// provides no ordering.
+	// provides no ordering, unless HeapSorted.
 	HeapOrder bool
+	// HeapSorted records that the table's heap was in this index's key
+	// order when the plan was compiled (storage.Index.HeapSorted): heap
+	// order is then key order, ties in heap order, so a heap-order seek
+	// provides its key ordering. EXPLAIN shows it as the provided
+	// ordering, not on the operator line.
+	HeapSorted bool
 }
 
 // KeyBound reports whether conjunct c compares the scan's (single) key
@@ -673,5 +679,9 @@ func (g *GApply) Describe() string {
 	for i, c := range g.GroupCols {
 		cols[i] = c.String()
 	}
-	return fmt.Sprintf("GApply [%s] $%s (partition=%s)", strings.Join(cols, ", "), g.GroupVar, g.Partition)
+	d := fmt.Sprintf("GApply [%s] $%s (partition=%s)", strings.Join(cols, ", "), g.GroupVar, g.Partition)
+	if GApplyOuterOrdered(g) {
+		d += " (streaming)"
+	}
+	return d
 }

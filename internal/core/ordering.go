@@ -93,9 +93,10 @@ func RequiredOrdering(keys []OrderKey, in *schema.Schema) ([]OrderedCol, bool) {
 func ProvidedOrdering(n Node) []OrderedCol {
 	switch x := n.(type) {
 	case *IndexScan:
-		if x.HeapOrder {
+		if x.HeapOrder && !x.HeapSorted {
 			// A heap-order seek emits its window in heap position order:
 			// the rows of Scan+Select, which claim no ordering either.
+			// Over a heap already in key order that is the key order.
 			return nil
 		}
 		sch := x.Schema()
@@ -115,6 +116,15 @@ func ProvidedOrdering(n Node) []OrderedCol {
 	case *Select:
 		// Filtering preserves relative order.
 		return ProvidedOrdering(x.Input)
+	case *Join:
+		// Hash and merge joins stream their left (probe) input and emit
+		// each probe row's matches — or, left outer, its NULL-padded row —
+		// before the next probe row's: the output is in left-input order,
+		// so it keeps the left input's ordering. Nested loops claims none.
+		if x.Method == JoinHash || x.Method == JoinMerge {
+			return ProvidedOrdering(x.Left)
+		}
+		return nil
 	case *Project:
 		return projectOrdering(x)
 	case *GApply:
@@ -183,13 +193,19 @@ func projectOrdering(p *Project) []OrderedCol {
 
 // GApplyOuterOrdered reports whether g's outer input already provides
 // exactly the ascending group-column order a sort partitioning would
-// impose. When true, partitioning degenerates to cutting runs at group
-// boundaries in one linear pass — the sort is free — and the output is
-// unchanged because sort partitioning's stable sort would have left an
-// already-ordered input exactly as is. Shared by the cost model and both
-// executors so they agree on when the fast path applies.
+// impose. Its groups then arrive as runs of equal keys, in key order,
+// which is also their first-appearance order: sort partitioning's stable
+// sort and hash partitioning's first-appearance numbering would both
+// leave the outer exactly as it is. The executor therefore streams such
+// a GApply under either hint — it cuts each run as it closes and runs
+// its group at once — and EXPLAIN marks it "(streaming)". Shared by the
+// cost model, the executor and EXPLAIN so they agree on when it applies.
 func GApplyOuterOrdered(g *GApply) bool {
-	if g.Partition != PartitionSort || len(g.GroupCols) == 0 {
+	if len(g.GroupCols) == 0 {
+		return false
+	}
+	have := ProvidedOrdering(g.Outer)
+	if len(have) != len(g.GroupCols) {
 		return false
 	}
 	sch := g.Outer.Schema()
@@ -201,7 +217,7 @@ func GApplyOuterOrdered(g *GApply) bool {
 		}
 		want = append(want, oc)
 	}
-	return OrderingEquals(ProvidedOrdering(g.Outer), want)
+	return OrderingEquals(have, want)
 }
 
 // FormatOrdering renders an ordering for EXPLAIN annotations.

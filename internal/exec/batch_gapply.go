@@ -3,6 +3,7 @@ package exec
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"math"
 	"runtime"
 	"sync"
@@ -35,8 +36,21 @@ import (
 // and profile once. Output is therefore identical to serial execution,
 // clustering included.
 //
+// When the outer already arrives in group-key order
+// (core.GApplyOuterOrdered: an index scan, or a heap-order seek over a
+// heap in key order, carried through filters, projections and join probe
+// sides) the two phases interleave instead — SQL Server's SegmentApply
+// over segmented input. Open only opens the outer; NextBatch cuts a group
+// wherever the encoded key changes (runCutter), runs it as soon as its
+// run closes and emits its rows at once, on the consumer at every dop.
+// Under either hint those are the same groups in the same order, because
+// on a key-ordered outer first-appearance order, key order and run order
+// coincide; memory is the open group plus one outer batch. The order is
+// a planner claim, checked once per group: a key that sorts below its
+// predecessor fails the query with an *OrderError.
+//
 // Both phases are cancellation points: the partition phase polls the
-// query context per outer batch and charges the rows it keeps against
+// query context per outer batch and charges the rows it takes in against
 // the resource budget; the execution phase polls per row of group work,
 // and parallel workers stop promptly — without goroutine leaks or dropped
 // counter merges — when the query is cancelled or a group fails.
@@ -51,11 +65,13 @@ type bgapply struct {
 	ords       []int
 	groupVar   string
 	strategy   partStrategy
+	streaming  bool // the outer is in group-key order: cut groups as it arrives
 	correlated bool
 	spools     *spoolRegistry
 
 	parts partitioner // the partition phase's scratch, kept across Opens
 	part  partition
+	cut   runCutter   // streaming: the outer's cursor and the open group
 	at    groupCursor // serial: the execution phase's position
 	task  int         // parallel: the next task to emit
 	par   *parRun
@@ -141,18 +157,23 @@ func (t *treeExec) close() error {
 	return t.inner.Close()
 }
 
+// startGroup counts the start of one group's execution.
+func startGroup(ctx *Context, parallel bool) {
+	ctx.Counters.InnerExecs++
+	if parallel {
+		ctx.Counters.ParallelGroupExecs++
+	} else {
+		ctx.Counters.SerialGroupExecs++
+	}
+}
+
 // runGroups evaluates the groups of part from at up to to on ctx,
 // appending their output to out, until out holds limit rows; at is left
 // on the group to continue with.
 func runGroups(ex groupExec, ctx *Context, part partition, at *groupCursor, to, limit int, out *joinOut, parallel bool) error {
 	for at.next < to {
 		if !at.started {
-			ctx.Counters.InnerExecs++
-			if parallel {
-				ctx.Counters.ParallelGroupExecs++
-			} else {
-				ctx.Counters.SerialGroupExecs++
-			}
+			startGroup(ctx, parallel)
 			at.started = true
 		}
 		done, err := ex.run(part.group(at.next), out, limit)
@@ -178,13 +199,16 @@ func (g *bgapply) Open() error {
 	if g.spools != nil {
 		g.spools.reset()
 	}
+	g.at, g.task = groupCursor{}, 0
+	g.win.reset(nil)
+	if g.streaming {
+		return g.cut.start()
+	}
 	var err error
 	if g.part, err = g.parts.run(g.outer, g.strategy, g.ords, g.ctx, g.plan); err != nil {
 		return err
 	}
 	g.ctx.Counters.Groups += int64(g.part.groups())
-	g.at, g.task = groupCursor{}, 0
-	g.win.reset(nil)
 	if dop := g.degree(); dop > 1 {
 		g.par = g.startWorkers(dop)
 	}
@@ -219,9 +243,12 @@ func (g *bgapply) NextBatch() (*Batch, error) {
 		var rows []types.Row
 		var more bool
 		var err error
-		if g.par != nil {
+		switch {
+		case g.streaming:
+			rows, more, err = g.nextStreamed()
+		case g.par != nil:
 			rows, more, err = g.nextTask()
-		} else {
+		default:
 			rows, more, err = g.nextGroups()
 		}
 		if err != nil || !more {
@@ -248,6 +275,40 @@ func (g *bgapply) nextGroups() ([]types.Row, bool, error) {
 	return g.out.rows, true, err
 }
 
+// nextStreamed runs the streaming execution phase until the output
+// slab holds a batch, the outer ends, or the rows cut so far are spent:
+// once output is in hand no further outer batch is read, so each group's
+// rows go out as soon as the outer batch that closes it has been cut.
+func (g *bgapply) nextStreamed() ([]types.Row, bool, error) {
+	if err := g.ctx.checkCancel(); err != nil {
+		return nil, false, err
+	}
+	g.out.reset()
+	for len(g.out.rows) < batchSize {
+		if !g.at.started {
+			closed, err := g.cut.cutGroup(g, len(g.out.rows) == 0)
+			if err != nil {
+				return nil, false, err
+			}
+			if !closed {
+				break
+			}
+			g.ctx.Counters.Groups++
+			startGroup(g.ctx, false)
+			g.at.started = true
+		}
+		done, err := g.exec.run(g.cut.rows, &g.out, batchSize)
+		if done || err != nil {
+			g.at.started = false
+			g.cut.rows = g.cut.rows[:0]
+		}
+		if err != nil {
+			return nil, false, err
+		}
+	}
+	return g.out.rows, len(g.out.rows) > 0, nil
+}
+
 func (g *bgapply) Close() error {
 	if g.par != nil {
 		g.par.shutdown()
@@ -255,7 +316,145 @@ func (g *bgapply) Close() error {
 	}
 	g.part = partition{}
 	g.win.reset(nil)
-	return g.exec.close()
+	err := g.cut.stop()
+	if cerr := g.exec.close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// ------------------------------------------------------ streaming phase
+
+// runCutter is the partition phase of a streaming GApply: it cuts an
+// outer that arrives in group-key order into its groups while the
+// outer's batches arrive. A group is a run of rows with equal encoded
+// keys (equal encodings are exactly SortCompare-equal keys, as for
+// partSort) and closes when the first row of the next run arrives, or
+// the outer ends. Only the open group's row headers are kept, so memory
+// is O(largest group + one batch), and once the buffers have grown
+// nothing is allocated per row.
+type runCutter struct {
+	outer   BatchIterator
+	open    bool        // outer is open and not yet exhausted
+	cur     *Batch      // the outer batch being cut, valid until the next pull
+	pos     int         // the next row of cur to cut
+	rows    []types.Row // the open group's row headers
+	key     []byte      // the open group's encoded key
+	rowKey  []byte      // the encoded key of cur's row at pos
+	pending bool        // rowKey holds the key of the row at pos
+}
+
+// start opens the outer for a new pass.
+func (c *runCutter) start() error {
+	if err := c.stop(); err != nil {
+		return err
+	}
+	c.cur, c.pos, c.rows, c.pending = nil, 0, c.rows[:0], false
+	if err := c.outer.Open(); err != nil {
+		return err
+	}
+	c.open = true
+	return nil
+}
+
+// stop closes the outer if it is still open.
+func (c *runCutter) stop() error {
+	c.cur = nil
+	if !c.open {
+		return nil
+	}
+	c.open = false
+	return c.outer.Close()
+}
+
+// cutGroup cuts rows into the open group until it closes and reports whether
+// it has; the caller runs the group and empties rows before the next
+// call. The outer is read further only when pull is set, each batch
+// polled for cancellation once and charged to the budget row by row as
+// it arrives. A run whose key sorts below the open group's breaks the
+// order the plan claimed for the outer: that is an *OrderError, raised
+// before the open group runs.
+func (c *runCutter) cutGroup(g *bgapply, pull bool) (bool, error) {
+	for {
+		for c.cur != nil && c.pos < c.cur.Len() {
+			r := c.cur.Row(c.pos)
+			if !c.pending {
+				c.rowKey = appendGroupKey(c.rowKey[:0], r, g.ords)
+			}
+			c.pending = false
+			if len(c.rows) > 0 && !bytes.Equal(c.rowKey, c.key) {
+				c.pending = true
+				if bytes.Compare(c.rowKey, c.key) < 0 {
+					return false, &OrderError{Operator: gapplyOperator(g.plan), Prev: keyOf(c.rows[0], g.ords), Next: keyOf(r, g.ords)}
+				}
+				return true, nil
+			}
+			if len(c.rows) == 0 {
+				c.key, c.rowKey = c.rowKey, c.key
+			}
+			c.rows = append(c.rows, r)
+			c.pos++
+		}
+		if !c.open {
+			return len(c.rows) > 0, nil
+		}
+		if !pull {
+			return false, nil
+		}
+		b, err := c.outer.NextBatch()
+		if err != nil {
+			return false, err
+		}
+		if b == nil {
+			if err := c.stop(); err != nil {
+				return false, err
+			}
+			continue
+		}
+		n := b.Len()
+		if err := g.ctx.tickN(n); err != nil {
+			return false, err
+		}
+		for i := 0; i < n; i++ {
+			if err := chargePartition(g.ctx, g.plan, b.Row(i)); err != nil {
+				return false, err
+			}
+		}
+		c.cur, c.pos = b, 0
+	}
+}
+
+// appendGroupKey appends the order-key encoding of r's grouping columns.
+func appendGroupKey(dst []byte, r types.Row, ords []int) []byte {
+	for _, o := range ords {
+		dst = r[o].AppendOrderKey(dst)
+	}
+	return dst
+}
+
+// keyOf copies r's grouping columns out.
+func keyOf(r types.Row, ords []int) types.Row {
+	k := make(types.Row, len(ords))
+	gather(k, r, ords)
+	return k
+}
+
+// OrderError reports an outer that broke the group-key order its plan
+// claimed: a streaming GApply met a group whose key sorts below the
+// group before it. That is an internal error — a planner or storage bug,
+// never a property of the data — and the query fails with it, before
+// the group the descent closed is run, instead of emitting the groups
+// a stream can no longer re-sort.
+type OrderError struct {
+	// Operator is the GApply's plan shape.
+	Operator string
+	// Prev and Next are the grouping values of the group the descent
+	// closed and of the row that broke the order.
+	Prev, Next types.Row
+}
+
+func (e *OrderError) Error() string {
+	return fmt.Sprintf("exec: internal error: %s outer is not in group-key order: %v follows %v", e.Operator, e.Next, e.Prev)
 }
 
 // ------------------------------------------------------ partition phase
@@ -321,30 +520,19 @@ const (
 	// (types.OrderKeys: SortCompare order, ties in input order) and cuts
 	// a group wherever the encoded key changes.
 	partSort
-	// partOrdered cuts group runs from an outer the optimizer proved
-	// already arrives in ascending group-key order (an ordered index
-	// access path): the groups of partSort — an ordered input is a fixed
-	// point of the stable sort — minus the sort itself. A violated order
-	// expectation (a planner bug, not a data property) falls back to the
-	// sort rather than emit misgrouped output; the check is one key
-	// comparison per row.
-	partOrdered
 )
 
-// partitionStrategy is the strategy g's hint and outer ordering select.
+// partitionStrategy is the strategy g's hint selects.
 func partitionStrategy(g *core.GApply) partStrategy {
-	switch {
-	case g.Partition != core.PartitionSort:
-		return partHash
-	case core.GApplyOuterOrdered(g):
-		return partOrdered
+	if g.Partition == core.PartitionSort {
+		return partSort
 	}
-	return partSort
+	return partHash
 }
 
 // partitioner is the partition phase's scratch, reused by every Open:
 // the outer's row headers in arrival order and, per row, its group id
-// (hash) or its encoded group key (the sort family).
+// (hash) or its encoded group key (sort).
 type partitioner struct {
 	in     chunked[types.Row]
 	tab    types.KeyTable
@@ -380,17 +568,9 @@ func (p *partitioner) run(outer BatchIterator, how partStrategy, ords []int, ctx
 	if p.in.n == 0 {
 		return partition{}, nil
 	}
-	switch how {
-	case partHash:
+	if how == partHash {
 		rows, bounds := types.Cluster(nil, nil, p.tab.Len(), p.gids.chunks, p.in.chunks)
 		return partition{rows: rows, bounds: bounds}, nil
-	case partOrdered:
-		for i := 1; i < p.keys.Len(); i++ {
-			if bytes.Compare(p.keys.Key(i-1), p.keys.Key(i)) > 0 {
-				return p.clusterByKey(p.keys.Sort()), nil
-			}
-		}
-		return p.clusterByKey(nil), nil
 	}
 	return p.clusterByKey(p.keys.Sort()), nil
 }
@@ -425,44 +605,34 @@ func (p *partitioner) consume(outer BatchIterator, how partStrategy, ords []int,
 	}
 }
 
-// clusterByKey lays the headers out in perm order (nil: input order),
-// cutting a group wherever the encoded key changes. Equal encodings are
-// exactly SortCompare-equal keys.
+// clusterByKey lays the headers out in perm order, cutting a group
+// wherever the encoded key changes. Equal encodings are exactly
+// SortCompare-equal keys.
 func (p *partitioner) clusterByKey(perm []int32) partition {
 	n := p.in.n
 	rows := make([]types.Row, n)
-	if perm == nil {
-		i := 0
-		for _, c := range p.in.chunks {
-			i += copy(rows[i:], c)
-		}
-	} else {
-		p.in.gather(rows, perm)
-	}
+	p.in.gather(rows, perm)
 	bounds := []int{0}
 	for j := 1; j < n; j++ {
-		prev, cur := j-1, j
-		if perm != nil {
-			prev, cur = int(perm[j-1]), int(perm[j])
-		}
-		if !bytes.Equal(p.keys.Key(prev), p.keys.Key(cur)) {
+		if !bytes.Equal(p.keys.Key(int(perm[j-1])), p.keys.Key(int(perm[j]))) {
 			bounds = append(bounds, j)
 		}
 	}
 	return partition{rows: rows, bounds: append(bounds, n)}
 }
 
-// chargePartition bills the budget for one row materialized into a
-// partition, labelling a blown budget with the GApply's plan shape.
+// chargePartition bills the budget for one outer row the partition phase
+// takes in, labelling a blown budget with the GApply's plan shape.
 func chargePartition(ctx *Context, plan *core.GApply, r types.Row) error {
-	if ctx.Budget == nil {
-		return nil
+	return ctx.Budget.chargePartition(int64(r.Bytes()), func() string { return gapplyOperator(plan) })
+}
+
+// gapplyOperator names a GApply in an error: its plan shape.
+func gapplyOperator(plan *core.GApply) string {
+	if plan == nil {
+		return "GApply"
 	}
-	operator := "GApply"
-	if plan != nil {
-		operator = core.Summary(plan)
-	}
-	return ctx.Budget.chargePartition(int64(r.Bytes()), operator)
+	return core.Summary(plan)
 }
 
 // ---------------------------------------------- parallel execution phase

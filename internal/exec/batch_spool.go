@@ -133,6 +133,9 @@ func (s *bspool) Open() error {
 	return nil
 }
 
+// operator names the spool in a budget error.
+func (s *bspool) operator() string { return "Spool: " + core.Summary(s.node) }
+
 // materialize drains the inner subtree, charging the budget per row so
 // a runaway invariant subtree is killed at the limit, not after filling
 // memory. Rows are stored as produced (no clone): everything upstream
@@ -161,7 +164,7 @@ func (s *bspool) materialize() ([]types.Row, int64, error) {
 		for i := 0; i < bn; i++ {
 			r := b.Row(i)
 			n := int64(r.Bytes())
-			if err := s.ctx.Budget.chargePartition(n, "Spool: "+core.Summary(s.node)); err != nil {
+			if err := s.ctx.Budget.chargePartition(n, s.operator); err != nil {
 				s.inner.Close()
 				return nil, bytes, err
 			}

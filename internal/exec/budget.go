@@ -14,11 +14,15 @@ type Budget struct {
 	// MaxOutputRows caps how many rows the root of the plan may emit.
 	MaxOutputRows int64
 	// MaxPartitionBytes caps the total footprint (types.Row.Bytes) of
-	// the rows GApply's partition phase holds as group relations, under
-	// every partition strategy, charged row by row in arrival order. A
-	// group is a view of the outer's own rows rather than a copy, so the
-	// meter counts the rows the phase keeps alive, the engine's dominant
-	// memory consumer on groupwise plans.
+	// the outer rows GApply's partition phase takes in, under every
+	// partition strategy, charged row by row in arrival order. A group is
+	// a view of the outer's own rows rather than a copy, so for a hash or
+	// sort partition the meter counts the rows the phase keeps alive, the
+	// engine's dominant memory consumer on groupwise plans. A streaming
+	// GApply (over an outer already in group-key order) holds only its
+	// open group, yet is charged for every row on arrival all the same:
+	// the meter is cumulative, so one budget caps a query's outer volume
+	// whichever way the executor runs it.
 	MaxPartitionBytes int64
 
 	partitionBytes atomic.Int64
@@ -26,13 +30,15 @@ type Budget struct {
 
 // chargePartition adds n bytes to the materialized-partition meter and
 // returns a *ResourceError naming the operator when the budget is blown.
-func (b *Budget) chargePartition(n int64, operator string) error {
+// operator renders the name; it runs only then, so charging a row costs
+// no plan rendering.
+func (b *Budget) chargePartition(n int64, operator func() string) error {
 	if b == nil {
 		return nil
 	}
 	used := b.partitionBytes.Add(n)
 	if b.MaxPartitionBytes > 0 && used > b.MaxPartitionBytes {
-		return &ResourceError{Limit: LimitPartitionBytes, Operator: operator, Max: b.MaxPartitionBytes, Used: used}
+		return &ResourceError{Limit: LimitPartitionBytes, Operator: operator(), Max: b.MaxPartitionBytes, Used: used}
 	}
 	return nil
 }

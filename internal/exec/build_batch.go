@@ -602,9 +602,11 @@ func buildBatchGApply(g *core.GApply, ctx *Context, env compileEnv) (BatchIterat
 		ords:       ords,
 		groupVar:   g.GroupVar,
 		strategy:   partitionStrategy(g),
+		streaming:  core.GApplyOuterOrdered(g),
 		correlated: correlated,
 		out:        joinOut{left: ords},
 	}
+	ga.cut.outer = outer
 	// A lowered inner has only GroupScan leaves, so nothing in it is
 	// invariant: no spools, and no iterator tree at all.
 	if !ga.lowered && !ctx.NoSpool {

@@ -53,11 +53,11 @@ func waitNoExtraGoroutines(t *testing.T, base int) {
 	t.Fatalf("goroutine leak: %d at baseline, %d after\n%s", base, n, buf[:runtime.Stack(buf, true)])
 }
 
-// partitioners are the partition phase's three strategies, by name.
+// partitioners are the partition phase's materializing strategies, by
+// name.
 var partitioners = map[string]func([]types.Row, []int, *Context, *core.GApply) (partition, error){
-	"hash":    partitionWith(partHash),
-	"sort":    partitionWith(partSort),
-	"ordered": partitionWith(partOrdered),
+	"hash": partitionWith(partHash),
+	"sort": partitionWith(partSort),
 }
 
 // partitionWith runs the partition phase over rows, delivered in batches.
@@ -73,7 +73,8 @@ func partitionWith(how partStrategy) func([]types.Row, []int, *Context, *core.GA
 // TestCancelDuringPartitionPhase drives the partition functions directly
 // with an already-cancelled context: every strategy must abandon the
 // phase with context.Canceled instead of materializing every group, at
-// its first poll: within cancelBatch rows.
+// its first poll: within cancelBatch rows. The streaming cutter, over
+// the same rows in key order, must stop as promptly.
 func TestCancelDuringPartitionPhase(t *testing.T) {
 	rows := make([]types.Row, 4096)
 	for i := range rows {
@@ -90,6 +91,18 @@ func TestCancelDuringPartitionPhase(t *testing.T) {
 		if ctx.ticks > cancelBatch {
 			t.Errorf("%s partition polled %d rows before stopping, want ≤ %d", name, ctx.ticks, cancelBatch)
 		}
+	}
+	sorted := make([]types.Row, len(rows))
+	for i := range sorted {
+		sorted[i] = types.Row{types.NewInt(int64(i / 128)), types.NewInt(int64(i))}
+	}
+	ctx := NewContext(buildFixtureCatalog())
+	ctx.Ctx = cctx
+	if _, err := cutGroups(sorted, []int{0}, ctx, nil); !errors.Is(err, context.Canceled) {
+		t.Errorf("streamed partition with cancelled ctx: err = %v, want context.Canceled", err)
+	}
+	if ctx.ticks > cancelBatch {
+		t.Errorf("streamed partition polled %d rows before stopping, want ≤ %d", ctx.ticks, cancelBatch)
 	}
 }
 

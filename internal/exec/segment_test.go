@@ -406,9 +406,10 @@ func TestSegmentOutputRowsTruncation(t *testing.T) {
 	}
 }
 
-// TestPartitionStrategiesAgree: hash, sort and ordered partitioning
-// hold every input row itself, not a copy, and form the same groups (hash in first-appearance
-// order, the sort family in key order), over hostile keys.
+// TestPartitionStrategiesAgree: hash and sort partitioning hold every
+// input row itself, not a copy, and form the same groups (hash in
+// first-appearance order, sort in key order), over hostile keys; so
+// does the streaming cutter over the rows in key order.
 func TestPartitionStrategiesAgree(t *testing.T) {
 	cat := edgeCatalog(t)
 	tab, err := cat.Lookup("edge")
@@ -444,20 +445,29 @@ func TestPartitionStrategiesAgree(t *testing.T) {
 		return out
 	}
 	hash := groupsOf("hash", in)
-	for _, name := range []string{"sort", "ordered"} {
-		if got := groupsOf(name, in); !reflect.DeepEqual(got, hash) {
-			t.Errorf("%s and hash partitioning form different groups", name)
-		}
+	if got := groupsOf("sort", in); !reflect.DeepEqual(got, hash) {
+		t.Error("sort and hash partitioning form different groups")
 	}
-	// An outer that really is key-ordered takes the ordered path's
-	// fast cut and still agrees.
 	ctx := NewContext(cat)
 	sorted, err := partitioners["sort"](in, []int{0}, ctx, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := groupsOf("ordered", sorted.rows); !reflect.DeepEqual(got, hash) {
-		t.Error("ordered partitioning of sorted input forms different groups")
+	cut, err := cutGroups(sorted.rows, []int{0}, ctx, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	streamed := make(map[string][]string)
+	for _, g := range cut {
+		streamed[g[0].Key([]int{0})] = renderRows(g)
+		for _, r := range g {
+			if !aliases(r, in) {
+				t.Fatalf("stream holds a copy of row %v instead of the row itself", r)
+			}
+		}
+	}
+	if !reflect.DeepEqual(streamed, hash) {
+		t.Error("the stream over sorted input forms different groups than hash partitioning")
 	}
 }
 
@@ -716,18 +726,26 @@ func BenchmarkGApplyGroups(b *testing.B) {
 }
 
 // BenchmarkPartition partitions 40 000 interleaved rows into 10 000
-// groups by hashing and by sorting, per row, each run with fresh
-// scratch, as a query's first Open has.
+// groups by hashing and by sorting, and cuts a clustered copy of them
+// into the same groups as a streaming GApply does, per row, each run
+// with fresh scratch, as a query's first Open has.
 func BenchmarkPartition(b *testing.B) {
 	cat := itemsCatalog(b, 10000, 4)
 	tab, err := cat.Lookup("items")
 	if err != nil {
 		b.Fatal(err)
 	}
-	rows := tab.Rows
-	for _, name := range []string{"hash", "sort"} {
+	clustered := clusteredRows(cat)
+	for _, name := range []string{"hash", "sort", "streamed"} {
 		b.Run(name, func(b *testing.B) {
+			rows := tab.Rows
 			part := partitioners[name]
+			if name == "streamed" {
+				rows = clustered
+				part = func(rows []types.Row, ords []int, ctx *Context, plan *core.GApply) (partition, error) {
+					return partition{}, eachCut(cutter(rows, ords, ctx, plan), func([]types.Row) {})
+				}
+			}
 			ctx := NewContext(cat)
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)

@@ -297,9 +297,11 @@ func (o *Optimizer) placeOrder(plan core.Node) core.Node {
 // IndexScan, when the cost model prefers reading the window to reading
 // the table. The heap-order scan emits exactly the Scan's rows the
 // bounds admit, in heap order, and the Select stays on top with every
-// conjunct — so the output is the Scan+Select output byte for byte, and
-// the node provides no ordering any consumer placed above could rely on.
-// Among several indexed keys the cheapest seek wins.
+// conjunct — so the output is the Scan+Select output byte for byte.
+// Over a heap already in key order the seek provides that order (the
+// sorts above were placed already; a GApply above streams its groups);
+// otherwise it provides none. Among several indexed keys the cheapest
+// seek wins.
 func (o *Optimizer) placeSeeks(plan core.Node) core.Node {
 	return core.Transform(plan, func(n core.Node) core.Node {
 		sel, ok := n.(*core.Select)

@@ -176,7 +176,8 @@ func tighter(v types.Value, incl bool, cur types.Value, curIncl bool, dir int) b
 // index-name order. Each emits exactly the rows and order of the Scan
 // its Select filters — a superset of the Select's output, in heap
 // order — so swapping one in never changes a byte; whether it pays is
-// the optimizer's cost decision.
+// the optimizer's cost decision. A seek over a heap the index found
+// already in key order is stamped HeapSorted: it provides that order.
 func HeapOrderSeeks(s *core.Scan, cond core.Expr, cat *storage.Catalog) []*core.IndexScan {
 	var out []*core.IndexScan
 	for _, ix := range cat.Indexes() {
@@ -186,7 +187,7 @@ func HeapOrderSeeks(s *core.Scan, cond core.Expr, cat *storage.Catalog) []*core.
 		is := pushKeyBounds(&core.IndexScan{
 			Table: s.Table, Def: s.Def, Alias: s.Alias,
 			Index: ix.Name, Cols: append([]string(nil), ix.Cols...), Ords: ix.Ords(),
-			HeapOrder: true,
+			HeapOrder: true, HeapSorted: ix.HeapSorted(),
 		}, cond)
 		if is.HasLo || is.HasHi {
 			out = append(out, is)

@@ -1,9 +1,11 @@
 package rules
 
 import (
+	"slices"
 	"testing"
 
 	"gapplydb/internal/core"
+	"gapplydb/internal/storage"
 	"gapplydb/internal/types"
 )
 
@@ -11,14 +13,27 @@ import (
 // tightest bound, compared in the order-key encoding (so 4 and 4.0 are
 // one key), an equality bounds both sides, and at equal keys an
 // exclusive bound beats an inclusive one. Conjuncts on other columns,
-// NULL literals and non-range operators contribute nothing.
+// NULL literals and non-range operators contribute nothing. A seek
+// provides the key order exactly when the heap is in key order: the
+// fixture's partsupp is, by ps_suppkey; a shuffled copy is not.
 func TestPushKeyBoundsTightest(t *testing.T) {
-	cat := fixtureCatalog(t)
-	if _, err := cat.CreateIndex("ix_ps_supp", "partsupp", "ps_suppkey"); err != nil {
-		t.Fatal(err)
+	heap := func(sorted bool) *storage.Catalog {
+		cat := fixtureCatalog(t)
+		ix, err := cat.CreateIndex("ix_ps_supp", "partsupp", "ps_suppkey")
+		if err != nil {
+			t.Fatal(err)
+		}
+		tab, _ := cat.Lookup("partsupp")
+		if !sorted {
+			slices.Reverse(tab.Rows)
+		}
+		ix.Run(tab)
+		return cat
 	}
-	tab, _ := cat.Lookup("partsupp")
+	sorted, shuffled := heap(true), heap(false)
+	tab, _ := sorted.Lookup("partsupp")
 	scan := &core.Scan{Table: "partsupp", Def: tab.Def}
+	keyOrder := []core.OrderedCol{{Table: "partsupp", Name: "ps_suppkey"}}
 	c := func(op string, v types.Value) core.Expr {
 		return &core.Cmp{Op: op, L: core.Col("ps_suppkey"), R: &core.Lit{V: v}}
 	}
@@ -40,7 +55,7 @@ func TestPushKeyBoundsTightest(t *testing.T) {
 		{"null and others ignored", []core.Expr{c("=", types.Null), other, c("<>", i(3))}, ""},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			seeks := HeapOrderSeeks(scan, core.AndAll(tc.conds), cat)
+			seeks := HeapOrderSeeks(scan, core.AndAll(tc.conds), sorted)
 			if tc.want == "" {
 				if len(seeks) != 0 {
 					t.Fatalf("got seek %s, want none", seeks[0].Describe())
@@ -54,8 +69,15 @@ func TestPushKeyBoundsTightest(t *testing.T) {
 			if got := seeks[0].Describe(); got != want {
 				t.Errorf("seek = %s\nwant   %s", got, want)
 			}
-			if core.ProvidedOrdering(seeks[0]) != nil {
-				t.Error("a heap-order seek must provide no ordering")
+			if got := core.ProvidedOrdering(seeks[0]); !core.OrderingEquals(got, keyOrder) {
+				t.Errorf("a heap-order seek over a heap in key order provides %v, want %v", got, keyOrder)
+			}
+			other := HeapOrderSeeks(scan, core.AndAll(tc.conds), shuffled)
+			if len(other) != 1 || other[0].Describe() != want {
+				t.Fatalf("the shuffled heap offers %d seeks, want the same one", len(other))
+			}
+			if core.ProvidedOrdering(other[0]) != nil {
+				t.Error("a heap-order seek over a heap out of key order must provide no ordering")
 			}
 		})
 	}

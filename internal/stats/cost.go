@@ -231,14 +231,16 @@ func (e *Estimator) estimateGApply(g *core.GApply) Estimate {
 	sub.groupRows = avgGroup
 	perGroup := sub.Estimate(g.Inner)
 
-	partition := outer.Rows * cHashRow
-	if g.Partition == core.PartitionSort {
+	var partition float64
+	switch {
+	case core.GApplyOuterOrdered(g):
+		// The outer streams in group order already: under either hint,
+		// partitioning is a single linear run-cutting pass.
+		partition = outer.Rows * cFilterRow
+	case g.Partition == core.PartitionSort:
 		partition = sortCost(outer.Rows)
-		if core.GApplyOuterOrdered(g) {
-			// The outer streams in group order already: partitioning is a
-			// single linear run-cutting pass, no sort.
-			partition = outer.Rows * cFilterRow
-		}
+	default:
+		partition = outer.Rows * cHashRow
 	}
 	return Estimate{
 		Rows: groups * math.Max(perGroup.Rows, 1),

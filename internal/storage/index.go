@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"gapplydb/internal/types"
 )
@@ -21,6 +22,14 @@ import (
 // The store is append-only, so a run is valid as long as the table's
 // cardinality matches the cardinality it was built at; Run rebuilds
 // lazily when the table has grown (or shrunk, impossible today) since.
+//
+// Each build also records whether the run is the identity permutation —
+// the heap is already in key order (HeapSorted). The planner reads that
+// fact at compile time and claims key order for a heap-order seek, so it
+// may only ever go from true to false together with a catalog version
+// bump: Catalog.Insert clears it when an appended key sorts below the
+// heap's last one, and a rebuild that finds the heap out of order bumps
+// the version itself.
 type Index struct {
 	Name  string
 	Table string
@@ -33,6 +42,9 @@ type Index struct {
 	mu    sync.Mutex
 	built int // table cardinality the current run was built at
 	run   *IndexRun
+
+	heapSorted atomic.Bool
+	cat        *Catalog // whose version a lost heap order bumps
 }
 
 // IndexRun is an immutable snapshot of a sorted run: Keys[i] is the
@@ -79,6 +91,21 @@ func (r *IndexRun) EqualRange(k []byte) (int, int) {
 // Ords returns the key columns' ordinals in the table schema.
 func (ix *Index) Ords() []int { return ix.ords }
 
+// HeapSorted reports whether the table's heap is in this index's key
+// order: its last built run was the identity permutation, and no row
+// appended through Catalog.Insert since has broken the order. False
+// until the run is first built. Safe for concurrent use; it reads one
+// atomic flag, so compiling a plan against it allocates nothing.
+func (ix *Index) HeapSorted() bool { return ix.heapSorted.Load() }
+
+// key appends the encoded key of row r to dst.
+func (ix *Index) key(dst []byte, r types.Row) []byte {
+	for _, c := range ix.ords {
+		dst = r[c].AppendOrderKey(dst)
+	}
+	return dst
+}
+
 // Run returns the current sorted run for t, rebuilding it first if the
 // table has grown since the last build. Concurrent queries may race to
 // rebuild; the mutex makes the rebuild happen once.
@@ -98,6 +125,18 @@ func (ix *Index) Run(t *Table) *IndexRun {
 	}
 	ix.run = NewIndexRun(&keys)
 	ix.built = n
+	sorted := true
+	for i, p := range ix.run.Pos {
+		if int(p) != i {
+			sorted = false
+			break
+		}
+	}
+	if ix.heapSorted.Swap(sorted) && !sorted {
+		// Rows reached the heap out of order without Catalog.Insert:
+		// retire every plan compiled under the old claim.
+		ix.cat.version.Add(1)
+	}
 	return ix.run
 }
 
@@ -112,6 +151,33 @@ func NewIndexRun(keys *types.OrderKeys) *IndexRun {
 		sorted[i] = keys.Key(int(p))
 	}
 	return &IndexRun{Keys: sorted, Pos: pos}
+}
+
+// Insert appends a row to t, as Table.Append does, and keeps the
+// heap-order facts of t's indexes true: an index whose heap was in key
+// order stops claiming it when the new row's key sorts below the last
+// row's, and the catalog version moves on so that no cached plan keeps
+// the stale claim. Appending to an empty heap keeps its (vacuous) order.
+func (c *Catalog) Insert(t *Table, r types.Row) error {
+	n := len(t.Rows)
+	if err := t.Append(r); err != nil {
+		return err
+	}
+	if n == 0 {
+		return nil
+	}
+	last := t.Rows[n-1]
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	for _, ix := range c.indexes {
+		if !strings.EqualFold(ix.Table, t.Def.Name) || !ix.heapSorted.Load() {
+			continue
+		}
+		if bytes.Compare(ix.key(nil, r), ix.key(nil, last)) < 0 && ix.heapSorted.Swap(false) {
+			c.version.Add(1)
+		}
+	}
+	return nil
 }
 
 // lockedIndexes returns the catalog's index map, creating it on first
@@ -152,7 +218,7 @@ func (c *Catalog) CreateIndex(name, table string, cols ...string) (*Index, error
 		}
 		ords[i] = ord
 	}
-	ix := &Index{Name: name, Table: t.Def.Name, Cols: append([]string(nil), cols...), ords: ords}
+	ix := &Index{Name: name, Table: t.Def.Name, Cols: append([]string(nil), cols...), ords: ords, cat: c}
 	idxs[key] = ix
 	c.version.Add(1)
 	return ix, nil

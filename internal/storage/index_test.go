@@ -187,3 +187,67 @@ func TestCatalogIndexAPI(t *testing.T) {
 		t.Fatalf("table drop must cascade to its indexes, still have %v", got)
 	}
 }
+
+// TestIndexHeapSortedFact: a build records whether the heap is in key
+// order; appends through Catalog.Insert keep that fact true, and the
+// first key that sorts below the heap's last clears it and bumps the
+// catalog version, so no cached plan keeps the stale claim. An empty
+// heap is vacuously in order. A heap put out of order behind the
+// catalog's back loses the fact, with a version bump, at its next build.
+func TestIndexHeapSortedFact(t *testing.T) {
+	cat, tbl := indexTestTable(t)
+	ix, err := cat.CreateIndex("obs_k", "obs", "k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ix.HeapSorted() {
+		t.Fatal("an index never built must claim nothing")
+	}
+	ix.Run(tbl)
+	if !ix.HeapSorted() {
+		t.Fatal("an empty heap is in key order")
+	}
+	row := func(k int64) types.Row { return types.Row{types.NewInt(k), types.NewString("x")} }
+	v := cat.Version()
+	for _, k := range []int64{3, 3, 5} {
+		if err := cat.Insert(tbl, row(k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !ix.HeapSorted() || cat.Version() != v {
+		t.Fatalf("in-order inserts: HeapSorted %v, version %d → %d; want true, unchanged", ix.HeapSorted(), v, cat.Version())
+	}
+	if run := ix.Run(tbl); run.Len() != 3 || !ix.HeapSorted() {
+		t.Fatalf("rebuilt over an in-order heap: %d entries, HeapSorted %v", run.Len(), ix.HeapSorted())
+	}
+	if err := cat.Insert(tbl, row(4)); err != nil {
+		t.Fatal(err)
+	}
+	if ix.HeapSorted() || cat.Version() == v {
+		t.Fatal("a key below the heap's last must clear the fact and bump the version")
+	}
+	v = cat.Version()
+	if err := cat.Insert(tbl, row(1)); err != nil || cat.Version() != v {
+		t.Fatalf("a second descent: err %v, version %d → %d; want one bump only", err, v, cat.Version())
+	}
+	if err := cat.Insert(tbl, types.Row{types.NewInt(1)}); err == nil {
+		t.Fatal("Insert must validate the row as Append does")
+	}
+
+	cat2, tbl2 := indexTestTable(t)
+	ix2, _ := cat2.CreateIndex("obs_k", "obs", "k")
+	for _, k := range []int64{1, 2} {
+		if err := tbl2.Append(row(k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ix2.Run(tbl2)
+	v2 := cat2.Version()
+	if err := tbl2.Append(row(0)); err != nil {
+		t.Fatal(err)
+	}
+	ix2.Run(tbl2)
+	if ix2.HeapSorted() || cat2.Version() == v2 {
+		t.Fatal("a rebuild that finds the heap out of order must clear the fact and bump the version")
+	}
+}

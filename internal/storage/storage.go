@@ -52,9 +52,10 @@ type Catalog struct {
 	// indexes maps lowercase index name → ordered secondary index
 	// (index.go); nil until the first CreateIndex.
 	indexes map[string]*Index
-	// version counts schema changes (Create/Drop, CreateIndex/DropIndex).
-	// Plans compiled against one version are invalid under another; the
-	// statement plan cache keys on it.
+	// version counts schema changes (Create/Drop, CreateIndex/DropIndex)
+	// and lost heap-order facts (Insert, Index.Run). Plans compiled
+	// against one version are invalid under another; the statement plan
+	// cache keys on it.
 	version atomic.Uint64
 }
 
