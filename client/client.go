@@ -491,6 +491,8 @@ func (c *Conn) QueryXML(ctx context.Context, query string, plan *xmlpub.TagPlan,
 		}
 		switch f.t {
 		case wire.TypeXMLChunk:
+			// chunk aliases the frame's payload, which is this call's to
+			// hand on: an io.Writer may not retain it.
 			_, chunk, err := wire.DecodeChunk(f.payload)
 			if err != nil {
 				return Stats{}, err

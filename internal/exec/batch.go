@@ -25,12 +25,18 @@ import (
 // column-stride traversal saves.
 //
 // Ownership contract. Row values (types.Row headers and the Values they
-// point at) are immutable and stable: holding one past the next pull is
-// always safe. The Batch container itself — the Rows and Sel slices —
-// is transient: it is valid only until the next NextBatch call on the
-// producer, which may reuse the backing arrays. An operator that keeps
-// rows across pulls (sort, join build, partition, spool) must copy the
-// row headers out; none needs to copy row data.
+// point at) are immutable and stable for the whole execution: holding
+// one past the next pull is always safe, and no operator ever overwrites
+// a row it has emitted. They are not stable beyond it. A streamed
+// execution carves its rows from a pooled arena (arena.go) whose storage
+// goes to a later execution when the Stream is closed, so its rows are
+// valid until then and a consumer that keeps one longer must copy it; a
+// materialized one (Run) allocates its rows, which live while referenced.
+// The Batch container itself — the Rows and Sel slices — is transient:
+// it is valid only until the next NextBatch call on the producer, which
+// may reuse the backing arrays. An operator that keeps rows across pulls
+// (sort, join build, partition, spool) must copy the row headers out;
+// none needs to copy row data.
 
 // batchSize is the target number of rows per batch. It matches
 // cancelBatch, so one batch of work is also one cancellation window:
@@ -113,13 +119,15 @@ func (b *Batch) AppendRows(dst []types.Row) []types.Row {
 // rowSlab carves stable row storage out of shared slabs. Every carve is
 // a three-index slice (slab[start:end:end]), so a carved row can never
 // grow into its neighbor or the slab's unused tail — which is what lets
-// one slab serve many batches: a fresh slab is allocated (geometrically,
-// capped at one full batch's worth of rows) only when the current one
-// fills. The carved values are stable forever, as the ownership
-// contract requires; only the *unused* slab capacity is recycled.
+// one slab serve many batches: a fresh slab is taken from the arena
+// (geometrically, capped at one full batch's worth of rows) only when the
+// current one fills. The carved values are stable for the execution, as
+// the ownership contract requires; only the *unused* slab capacity is
+// recycled.
 type rowSlab struct {
 	slab  types.Row
-	width int // output arity, for the full-batch cap
+	width int    // output arity, for the full-batch cap
+	arena *arena // where fresh slabs come from
 }
 
 // carve returns stable, contiguous storage for n values.
@@ -135,7 +143,7 @@ func (s *rowSlab) carve(n int) types.Row {
 		if c < n {
 			c = n
 		}
-		s.slab = make(types.Row, 0, c)
+		s.slab = s.arena.values(c)
 	}
 	start := len(s.slab)
 	s.slab = s.slab[:start+n]
@@ -197,7 +205,7 @@ func appendDrained(dst []types.Row, it BatchIterator, c *Context) ([]types.Row, 
 			// Double, rather than append's gentler growth for large
 			// slices, whose successive copies of a drain of n rows add
 			// up to about 5n headers.
-			grown := make([]types.Row, len(dst), 2*cap(dst)+n)
+			grown := c.arena.headers(2*cap(dst) + n)[:len(dst)]
 			copy(grown, dst)
 			dst = grown
 		}
@@ -216,6 +224,7 @@ func appendDrained(dst []types.Row, it BatchIterator, c *Context) ([]types.Row, 
 type chunked[T any] struct {
 	chunks [][]T // every chunk but the last is full
 	n      int
+	arena  *arena // where a row-header store's chunks come from
 }
 
 const chunkLog = 4 // chunks stop growing at 16 batches
@@ -231,7 +240,7 @@ func (c *chunked[T]) add(v T) {
 			next = c.chunks[:k+1][k][:0]
 		}
 		if cap(next) == 0 {
-			next = make([]T, 0, batchSize<<min(k, chunkLog))
+			next = newChunk[T](c.arena, batchSize<<min(k, chunkLog))
 		}
 		c.chunks = append(c.chunks, next)
 	}

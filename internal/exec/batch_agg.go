@@ -268,8 +268,8 @@ func (h *bHashGroupBy) NextBatch() (*Batch, error) {
 	n := end - h.pos
 	na := len(h.aggs)
 	width := len(h.ords) + na
-	slab := make(types.Row, 0, n*width)
-	rows := make([]types.Row, 0, n)
+	slab := h.ctx.arena.values(n * width)
+	rows := h.ctx.arena.headers(n)
 	for g := h.pos; g < end; g++ {
 		start := len(slab)
 		for _, o := range h.ords {

@@ -462,8 +462,8 @@ func (e *OrderError) Error() string {
 // partition is the output of the partition phase: the outer's row
 // headers clustered by group. Group i is rows[bounds[i]:bounds[i+1]],
 // its rows in input order. The rows are the outer's own — the batch
-// ownership contract makes row values immutable, so a group is a view
-// of them and the phase moves headers, never values.
+// ownership contract keeps row values immutable for the execution, so a
+// group is a view of them and the phase moves headers, never values.
 type partition struct {
 	rows   []types.Row
 	bounds []int
@@ -551,6 +551,7 @@ type partitioner struct {
 // rows' footprint, r.Bytes(), which is what the group relations hold.
 func (p *partitioner) run(outer BatchIterator, how partStrategy, ords []int, ctx *Context, plan *core.GApply) (partition, error) {
 	p.in.reset()
+	p.in.arena = ctx.arena
 	p.tab.Reset()
 	p.gids.reset()
 	p.firsts = p.firsts[:0]
@@ -569,10 +570,10 @@ func (p *partitioner) run(outer BatchIterator, how partStrategy, ords []int, ctx
 		return partition{}, nil
 	}
 	if how == partHash {
-		rows, bounds := types.Cluster(nil, nil, p.tab.Len(), p.gids.chunks, p.in.chunks)
+		rows, bounds := types.Cluster(ctx.arena.headers(p.in.n), nil, p.tab.Len(), p.gids.chunks, p.in.chunks)
 		return partition{rows: rows, bounds: bounds}, nil
 	}
-	return p.clusterByKey(p.keys.Sort()), nil
+	return p.clusterByKey(ctx.arena, p.keys.Sort()), nil
 }
 
 // consume drains the open outer into the scratch.
@@ -608,9 +609,9 @@ func (p *partitioner) consume(outer BatchIterator, how partStrategy, ords []int,
 // clusterByKey lays the headers out in perm order, cutting a group
 // wherever the encoded key changes. Equal encodings are exactly
 // SortCompare-equal keys.
-func (p *partitioner) clusterByKey(perm []int32) partition {
+func (p *partitioner) clusterByKey(a *arena, perm []int32) partition {
 	n := p.in.n
-	rows := make([]types.Row, n)
+	rows := a.headers(n)[:n]
 	p.in.gather(rows, perm)
 	bounds := []int{0}
 	for j := 1; j < n; j++ {
@@ -675,13 +676,20 @@ func (g *bgapply) startWorkers(dop int) *parRun {
 	var next atomic.Int64
 	var failed atomic.Bool
 	p.wg.Add(dop)
+	a := g.ctx.arena
+	if a != nil {
+		a.workers.Add(dop)
+	}
 	for w := 0; w < dop; w++ {
 		go func() {
 			defer p.wg.Done()
+			if a != nil {
+				defer a.workers.Done()
+			}
 			wctx := g.ctx.fork()
 			wctx.Ctx = wctxCtx
 			wctx.spools = g.spools
-			out := joinOut{left: g.ords}
+			out := joinOut{left: g.ords, arena: wctx.arena}
 			var ex groupExec
 			for {
 				select {

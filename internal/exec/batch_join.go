@@ -17,15 +17,16 @@ import (
 // concatenates whole rows, as Apply does. Every emitted row is
 // a three-index slice of the slab (slab[start:end:end]), so the slab's
 // unused tail is never aliased — which lets one slab serve many batches:
-// reset only rewinds the rows container, and a fresh slab is allocated
-// (geometrically, capped at one full batch's worth) only when the
-// current one fills. Tiny outputs — the per-group inners GApply
+// reset only rewinds the rows container, and a fresh slab is taken from
+// the arena (geometrically, capped at one full batch's worth) only when
+// the current one fills. Tiny outputs — the per-group inners GApply
 // re-opens thousands of times — therefore cost a few small allocations
 // total instead of a 256-row slab per batch.
 type joinOut struct {
 	rows        []types.Row
 	slab        types.Row
 	left, right []int
+	arena       *arena // where fresh slabs come from
 }
 
 func (o *joinOut) reset() {
@@ -53,7 +54,7 @@ func (o *joinOut) add(a, b types.Row) {
 		if c > batchSize*width {
 			c = batchSize * width
 		}
-		o.slab = make(types.Row, 0, c)
+		o.slab = o.arena.values(c)
 	}
 	start := len(o.slab)
 	o.slab = o.slab[:start+width]
@@ -158,6 +159,9 @@ func (h *bHashJoin) Open() error {
 		for i := range h.in {
 			id, _ := h.keys.Insert(h.in, i, h.rightOrds)
 			h.ids = append(h.ids, int32(id))
+		}
+		if cap(h.runs) < len(h.in) {
+			h.runs = h.ctx.arena.headers(len(h.in))
 		}
 		h.runs, h.bounds = types.Cluster(h.runs, h.bounds, h.keys.Len(), [][]int32{h.ids}, [][]types.Row{h.in})
 		h.built = true

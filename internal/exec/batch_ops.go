@@ -450,7 +450,7 @@ func (s *bSort) Open() error {
 		return err
 	}
 	if cap(s.rows) < s.in.n {
-		s.rows = make([]types.Row, s.in.n)
+		s.rows = s.ctx.arena.headers(s.in.n)
 	}
 	s.rows = s.rows[:s.in.n]
 	s.in.gather(s.rows, s.enc.Sort())

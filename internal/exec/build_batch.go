@@ -280,7 +280,7 @@ func buildBatchNode(n core.Node, ctx *Context, env compileEnv) (BatchIterator, e
 				if err != nil {
 					return nil, err
 				}
-				fu := &bFused{input: in, pred: pred, ctx: ctx}
+				fu := &bFused{input: in, pred: pred, ctx: ctx, slab: rowSlab{arena: ctx.arena}}
 				if kernels, ok := compileFilterKernels(sel.Cond, inSchema); ok {
 					fu.kernels = kernels
 				}
@@ -307,13 +307,13 @@ func buildBatchNode(n core.Node, ctx *Context, env compileEnv) (BatchIterator, e
 			if emit != nil && isIdentity(ords, len(emit)) {
 				return in, nil
 			}
-			return &bProjectCols{input: in, ords: ords}, nil
+			return &bProjectCols{input: in, ords: ords, slab: rowSlab{arena: ctx.arena}}, nil
 		}
 		fns, err := compileAll(x.Exprs, inSchema, env)
 		if err != nil {
 			return nil, err
 		}
-		return &bProject{input: in, exprs: fns, ctx: ctx}, nil
+		return &bProject{input: in, exprs: fns, ctx: ctx, slab: rowSlab{arena: ctx.arena}}, nil
 
 	case *core.Distinct:
 		in, err := buildBatch(x.Input, ctx, env)
@@ -369,7 +369,7 @@ func buildBatchNode(n core.Node, ctx *Context, env compileEnv) (BatchIterator, e
 		if err != nil {
 			return nil, err
 		}
-		return &bSort{input: in, keys: keys, ctx: ctx}, nil
+		return &bSort{input: in, keys: keys, ctx: ctx, in: chunked[types.Row]{arena: ctx.arena}}, nil
 
 	case *core.UnionAll:
 		arity := x.Inputs[0].Schema().Len()
@@ -405,6 +405,7 @@ func buildBatchNode(n core.Node, ctx *Context, env compileEnv) (BatchIterator, e
 			innerArity:   innerArity,
 			width:        outerSchema.Len() + innerArity,
 			uncorrelated: len(core.OuterRefsIn(x.Inner)) == 0,
+			outBuf:       joinOut{arena: ctx.arena},
 		}, nil
 
 	case *core.Exists:
@@ -475,7 +476,7 @@ func buildBatchJoin(j *core.Join, postCond core.Expr, need []int, ctx *Context, 
 			return nil, nil, err
 		}
 	}
-	var out joinOut
+	out := joinOut{arena: ctx.arena}
 	if need != nil {
 		ords := make([]int, len(need))
 		split, _ := slices.BinarySearch(need, leftArity)
@@ -604,7 +605,7 @@ func buildBatchGApply(g *core.GApply, ctx *Context, env compileEnv) (BatchIterat
 		strategy:   partitionStrategy(g),
 		streaming:  core.GApplyOuterOrdered(g),
 		correlated: correlated,
-		out:        joinOut{left: ords},
+		out:        joinOut{left: ords, arena: ctx.arena},
 	}
 	ga.cut.outer = outer
 	// A lowered inner has only GroupScan leaves, so nothing in it is

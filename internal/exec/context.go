@@ -22,8 +22,8 @@ import (
 // A Context (and the iterator tree bound to it) belongs to a single
 // goroutine. Parallel GApply gives every worker its own fork()ed
 // Context and its own per-group executor, then merges the workers'
-// Counters back deterministically — shared mutable state never crosses
-// a goroutine boundary.
+// Counters back deterministically. The only mutable state workers share
+// is synchronized: the Budget's atomic meters and the arena's mutex.
 type Context struct {
 	Catalog *storage.Catalog
 
@@ -37,6 +37,10 @@ type Context struct {
 	// and every leaf scan polls it at row-batch granularity via tick;
 	// nil means "never cancelled" and costs nothing.
 	Ctx context.Context
+
+	// arena, when non-nil, is the pooled storage the execution's rows are
+	// carved from (arena.go); forked worker contexts share it.
+	arena *arena
 
 	// Budget, when non-nil, meters resource consumption (output rows,
 	// materialized partition bytes). It is shared — not copied — by
@@ -111,18 +115,18 @@ func NewContext(cat *storage.Catalog) *Context {
 	return &Context{Catalog: cat, groups: make(map[string][]types.Row)}
 }
 
-// fork returns a child context for a GApply worker: the same catalog and
-// DOP, a snapshot of the current bindings (so inners referencing an
-// enclosing group variable keep resolving), and zeroed Counters (plus a
-// private Profile when the parent is instrumented) that the spawning
-// GApply merges back in partition order.
+// fork returns a child context for a GApply worker: the same catalog,
+// DOP and arena, a snapshot of the current bindings (so inners
+// referencing an enclosing group variable keep resolving), and zeroed
+// Counters (plus a private Profile when the parent is instrumented) that
+// the spawning GApply merges back in partition order.
 func (c *Context) fork() *Context {
 	groups := make(map[string][]types.Row, len(c.groups))
 	for k, v := range c.groups {
 		groups[k] = v
 	}
 	child := &Context{Catalog: c.Catalog, DOP: c.DOP, groups: groups,
-		Ctx: c.Ctx, Budget: c.Budget, NoSpool: c.NoSpool}
+		Ctx: c.Ctx, Budget: c.Budget, NoSpool: c.NoSpool, arena: c.arena}
 	child.outer = append(child.outer, c.outer...)
 	if c.Prof != nil {
 		child.Prof = NewProfile()

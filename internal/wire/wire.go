@@ -773,7 +773,9 @@ func (c *Chunk) Payload() []byte {
 	return c.e.B
 }
 
-// DecodeChunk parses an id-tagged byte chunk.
+// DecodeChunk parses an id-tagged byte chunk. The document bytes alias
+// p: they are valid as long as p is, and a caller that keeps them past
+// p's reuse must copy them.
 func DecodeChunk(p []byte) (uint64, []byte, error) {
 	d := Dec{B: p}
 	id := d.U64()
@@ -781,7 +783,7 @@ func DecodeChunk(p []byte) (uint64, []byte, error) {
 	if err := d.Err(); err != nil {
 		return 0, nil, err
 	}
-	return id, append([]byte(nil), b...), nil
+	return id, b, nil
 }
 
 // EndMsg completes a query: total rows, elapsed execution wall time,

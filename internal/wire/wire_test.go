@@ -187,9 +187,14 @@ func TestControlMessages(t *testing.T) {
 	if c.Len() != 4 {
 		t.Fatalf("chunk holds %d document bytes, want 4", c.Len())
 	}
-	cid, chunk, err := DecodeChunk(c.Payload())
+	payload := c.Payload()
+	cid, chunk, err := DecodeChunk(payload)
 	if err != nil || cid != 5 || string(chunk) != "<a/>" {
 		t.Fatalf("chunk: id=%d b=%q err=%v", cid, chunk, err)
+	}
+	// The document bytes alias the payload: decoding copies nothing.
+	if &chunk[0] != &payload[len(payload)-len(chunk)] {
+		t.Fatal("DecodeChunk copied the document bytes")
 	}
 }
 

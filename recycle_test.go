@@ -1,0 +1,296 @@
+package gapplydb_test
+
+import (
+	"bytes"
+	"context"
+	"fmt"
+	"runtime"
+	"runtime/debug"
+	"testing"
+
+	"gapplydb"
+	"gapplydb/internal/types"
+	"gapplydb/replay"
+	"gapplydb/xmlpub"
+)
+
+// A stream's rows are carved from pooled storage that its Close recycles
+// for later queries. With that storage poisoned on release, and the
+// poison left in place when it is reused, every document xmlpub.Publish
+// streams and every result read through db.Stream must still match the
+// materializing path byte for byte: nothing — the engine, the tagger,
+// Publish — may read a row after its stream is closed or a slot before
+// it is written, and two live executions may not share storage.
+// It runs in CI's -race step, which covers the parallel GApply workers
+// taking storage from their query's arena.
+func TestPoisonedStreamsMatchQuery(t *testing.T) {
+	gapplydb.PoisonReleasedRows(t)
+	t.Run("views", func(t *testing.T) {
+		db, err := gapplydb.OpenTPCH(0.002)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer db.Close()
+		type view struct {
+			name       string
+			q          *xmlpub.FLWR
+			strategies []xmlpub.Strategy
+		}
+		both := []xmlpub.Strategy{xmlpub.GApply, xmlpub.SortedOuterUnion}
+		views := []view{
+			{"Q1", xmlpub.Q1(), both},
+			{"Q2", xmlpub.Q2(), both},
+			{"Q3", xmlpub.Q3(0.9, 1.1), both},
+			{"orders", ordersView(400), []xmlpub.Strategy{xmlpub.GApply}},
+		}
+		for _, dop := range []int{1, 2, 8} {
+			for _, v := range views {
+				for _, s := range v.strategies {
+					t.Run(fmt.Sprintf("%s/%s/dop%d", v.name, s, dop), func(t *testing.T) {
+						opt := gapplydb.WithDOP(dop)
+						res, err := db.Query(v.q.SQL(s), opt)
+						if err != nil {
+							t.Fatal(err)
+						}
+						var want, got bytes.Buffer
+						if err := xmlpub.TagAll(v.q.TagPlan(), res.Rows, &want); err != nil {
+							t.Fatal(err)
+						}
+						if _, err := xmlpub.Publish(db, v.q, s, &got, opt); err != nil {
+							t.Fatal(err)
+						}
+						if !bytes.Equal(got.Bytes(), want.Bytes()) {
+							t.Fatalf("Publish wrote %d bytes, Query + TagAll %d, or they differ", got.Len(), want.Len())
+						}
+					})
+				}
+			}
+		}
+	})
+	t.Run("corpus", func(t *testing.T) {
+		c, err := replay.Load("testdata/corpus")
+		if err != nil {
+			t.Fatal(err)
+		}
+		db := integDatabase(t)
+		ctx := context.Background()
+		for _, q := range c.Queries {
+			if q.CancelAfterRows > 0 || q.Expect.Error != "" {
+				continue // no complete result to compare
+			}
+			for _, dop := range []int{1, 2, 8} {
+				if q.DOP > 0 && dop != 1 {
+					continue
+				}
+				t.Run(fmt.Sprintf("%s/dop%d", q.Name, dop), func(t *testing.T) {
+					opts := q.LocalOptions(dop)
+					want, err := replay.RunLocal(ctx, db, q, dop)
+					if err != nil || want.Code != "" {
+						t.Fatalf("Query: %v %v", err, want.Err)
+					}
+					// Two executions of the statement at once, pulled in
+					// turn, their rows all kept until both have ended.
+					a, err := db.StreamContext(ctx, q.SQL, opts...)
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer a.Close()
+					b, err := db.StreamContext(ctx, q.SQL, opts...)
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer b.Close()
+					for i, rows := range drainTogether(t, a, b) {
+						var got []byte
+						if q.Kind == replay.KindXML {
+							var doc bytes.Buffer
+							tg := xmlpub.NewTagger(q.TagPlan, &doc)
+							for _, r := range rows {
+								if err := tg.TypedRow(r); err != nil {
+									t.Fatal(err)
+								}
+							}
+							if err := tg.Close(); err != nil {
+								t.Fatal(err)
+							}
+							got = doc.Bytes()
+						} else {
+							got = replay.RenderRows(a.Columns, boxed(rows))
+						}
+						if err := replay.DiffRendered(got, want.Rendered); err != nil {
+							t.Fatalf("stream %d vs Query: %v", i, err)
+						}
+					}
+				})
+			}
+		}
+	})
+}
+
+// drainTogether pulls the streams in turn, one batch each, until all are
+// exhausted, and returns every stream's rows: headers kept, values not
+// copied, which the ownership contract allows until the stream is closed.
+func drainTogether(t *testing.T, streams ...*gapplydb.Stream) [][]types.Row {
+	t.Helper()
+	out := make([][]types.Row, len(streams))
+	done := make([]bool, len(streams))
+	for left := len(streams); left > 0; {
+		for i, s := range streams {
+			if done[i] {
+				continue
+			}
+			rows, ok, err := s.NextRows()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ok {
+				done[i] = true
+				left--
+				continue
+			}
+			out[i] = append(out[i], rows...)
+		}
+	}
+	return out
+}
+
+// boxed converts typed rows to the public API's boxed form.
+func boxed(rows []types.Row) [][]any {
+	out := make([][]any, len(rows))
+	for i, r := range rows {
+		out[i] = make([]any, len(r))
+		for j, v := range r {
+			out[i][j] = v.Go()
+		}
+	}
+	return out
+}
+
+// A row kept past its stream's Close reads as poison: the storage went
+// back to the pool, and the poison switch makes that visible.
+func TestRowKeptPastCloseReadsAsPoison(t *testing.T) {
+	gapplydb.PoisonReleasedRows(t)
+	db := integDatabase(t)
+	// A join's output rows are carved from the execution's storage, not
+	// the table's.
+	st, err := db.Stream("select p_partkey, p_name, ps_suppkey from part, partsupp where p_partkey = ps_partkey")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, ok, err := st.NextRows()
+	if err != nil || !ok {
+		t.Fatalf("first batch: ok=%v err=%v", ok, err)
+	}
+	kept := rows[0]
+	before := append(types.Row(nil), kept...)
+	for _, v := range before {
+		if v.IsNull() {
+			t.Fatalf("fixture row has a NULL before Close: %v", before)
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range kept {
+		if undefined := v.K.String() == fmt.Sprintf("Kind(%d)", uint8(v.K)); !undefined {
+			t.Fatalf("column %d read %v before Close and %v (%s) after, want poison: an undefined kind", i, before[i], v, v.K)
+		}
+	}
+}
+
+// raceEnabled is set under the race detector, which makes sync.Pool drop
+// what it is handed at random: the allocation pins skip there.
+var raceEnabled bool
+
+// Steady-state streams reuse their row storage instead of allocating
+// it: with the GC off, so the pool keeps what Close hands back, a repeat
+// of a GApply and a sorted outer union publishing query allocates a
+// fraction of its first run's bytes — the first run pays the compile,
+// the plan-cache miss and the storage; later ones pay neither storage
+// nor compile. The sorted outer union keeps its sort-key buffers
+// (types.OrderKeys), which are not pooled: a quarter of its first run.
+func TestStreamRecyclesRowStorage(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	db, err := gapplydb.OpenTPCH(0.01)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	for _, tc := range []struct {
+		name  string
+		sql   string
+		share float64
+	}{
+		{"Q3/gapply", xmlpub.Q3(0.9, 1.1).SQL(xmlpub.GApply), 0.25},
+		{"Q1/sorted", xmlpub.Q1().SQL(xmlpub.SortedOuterUnion), 1.0 / 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// Two collections empty the pools: the first run starts cold.
+			// One P: what a Put leaves in its private slot the next Get
+			// sees, whichever thread the test goroutine runs on.
+			runtime.GC()
+			runtime.GC()
+			defer debug.SetGCPercent(debug.SetGCPercent(-1))
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+			first := streamBytes(t, db, tc.sql)
+			streamBytes(t, db, tc.sql)
+			steady := streamBytes(t, db, tc.sql)
+			t.Logf("first run %d B, steady state %d B (%.2f)", first, steady, float64(steady)/float64(first))
+			if float64(steady) > tc.share*float64(first) {
+				t.Fatalf("steady-state run allocated %d B, over %.0f%% of the first run's %d B", steady, 100*tc.share, first)
+			}
+		})
+	}
+}
+
+// streamBytes drains a serial stream of sql and returns the bytes the
+// process allocated meanwhile.
+func streamBytes(t *testing.T, db *gapplydb.Database, sql string) uint64 {
+	t.Helper()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	before := ms.TotalAlloc
+	drainStream(t, db, sql, gapplydb.WithDOP(1))
+	runtime.ReadMemStats(&ms)
+	return ms.TotalAlloc - before
+}
+
+// drainStream runs sql through db.Stream to exhaustion and closes it.
+func drainStream(t testing.TB, db *gapplydb.Database, sql string, opts ...gapplydb.QueryOption) {
+	t.Helper()
+	st, err := db.Stream(sql, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	for {
+		_, ok, err := st.NextRows()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			return
+		}
+	}
+}
+
+// A point lookup's stream allocates no more objects than before its row
+// storage was pooled (30 per lookup): taking and returning the storage
+// costs nothing per request.
+func TestPointLookupStreamAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	db, err := gapplydb.OpenTPCH(0.01)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	const point = "select s_name, s_acctbal from supplier where s_suppkey = 7"
+	drainStream(t, db, point) // compile and cache the plan
+	if n := testing.AllocsPerRun(100, func() { drainStream(t, db, point) }); n > 30 {
+		t.Fatalf("point lookup stream: %.1f allocations, want ≤ 30", n)
+	}
+}

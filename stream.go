@@ -18,8 +18,9 @@ import (
 // only ever exists in full on the client.
 //
 // A Stream belongs to a single goroutine. Close must always be called;
-// it is idempotent and releases the execution (and the database's
-// in-flight registration, which Database.Close waits on). Draining a
+// it is idempotent and releases the execution (its row storage, which
+// later queries reuse, and the database's in-flight registration, which
+// Database.Close waits on). Draining a
 // stream to completion yields exactly the rows, errors and statistics
 // the materializing path would have produced.
 type Stream struct {
@@ -103,6 +104,7 @@ func (db *Database) StreamContext(ctx context.Context, query string, options ...
 		ctx, stop = inner, func() { cancel(); outerStop() }
 	}
 	ectx := db.execContext(ctx, cfg)
+	ectx.AttachArena()
 	execSpan := tb.StartSpan("execute", 0)
 	// Start opens the plan, which for a blocking root (a sort, a GApply
 	// partition phase) is most of the execution: the clock covers it, as
@@ -111,6 +113,7 @@ func (db *Database) StreamContext(ctx context.Context, query string, options ...
 	cur, err := exec.Start(c.plan, ectx)
 	if err != nil {
 		stop()
+		ectx.ReleaseArena()
 		release()
 		db.reg.Counter("queries").Inc()
 		err = db.classifyExecError(err)
@@ -175,9 +178,11 @@ func (s *Stream) NextBatch() ([][]any, bool, error) {
 }
 
 // NextRows is NextBatch without the boxing: the engine's own typed rows,
-// up to one engine batch per call. The row values are immutable and may
-// be retained; the returned outer slice is only valid until the next
-// call on the stream. The network server and xmlpub.Publish tag and
+// up to one engine batch per call. The rows are valid until the stream
+// is closed: Close recycles their storage for later queries, so a caller
+// that keeps rows past it must copy them (Values are plain structs, so
+// copying a row's cells copies everything it holds). The returned outer
+// slice is only valid until the next call on the stream. The network server and xmlpub.Publish tag and
 // encode results through this path, so a row's cells are never boxed
 // between the executor and the XML or wire bytes.
 func (s *Stream) NextRows() ([]types.Row, bool, error) {
@@ -241,6 +246,9 @@ func (s *Stream) Close() error {
 		s.finish(nil)
 	}
 	s.done = true
+	if s.ectx != nil {
+		s.ectx.ReleaseArena()
+	}
 	return s.err
 }
 

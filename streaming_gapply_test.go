@@ -9,14 +9,14 @@ import (
 	"gapplydb/xmlpub"
 )
 
-// ordersSQL is the publishing benchmark's orders view over the orders
+// ordersView is the publishing benchmark's orders view over the orders
 // with key ≤ maxKey: per order, how many of its items cost at least, and
-// less than, the order's average. Its outer is lineitem ⋈ part through
-// a heap-order seek on l_orderkey, over a heap written in l_orderkey
-// order.
-func ordersSQL(maxKey int) string {
+// less than, the order's average. Its GApply translation's outer is
+// lineitem ⋈ part through a heap-order seek on l_orderkey, over a heap
+// written in l_orderkey order.
+func ordersView(maxKey int) *xmlpub.FLWR {
 	avg := &xmlpub.AggRef{Fn: "avg", Col: "l_extendedprice"}
-	q := &xmlpub.FLWR{
+	return &xmlpub.FLWR{
 		View: &xmlpub.View{
 			RootTag: "orders", ElemTag: "order", Tables: []string{"lineitem", "part"},
 			JoinCond: fmt.Sprintf("l_partkey = p_partkey and l_orderkey <= %d", maxKey),
@@ -28,8 +28,10 @@ func ordersSQL(maxKey int) string {
 			{Kind: xmlpub.ItemFilteredCount, Tag: "count_below", FilterCol: "l_extendedprice", FilterOp: "<", FilterAgg: avg},
 		},
 	}
-	return q.SQL(xmlpub.GApply)
 }
+
+// ordersSQL is the orders view's GApply translation.
+func ordersSQL(maxKey int) string { return ordersView(maxKey).SQL(xmlpub.GApply) }
 
 // TestStreamingGApplyFollowsHeapOrder: the orders view streams its
 // groups while lineitem's heap is in l_orderkey order, in agreement with

@@ -219,7 +219,8 @@ func figure8() (qs []*FLWR, names []string) {
 }
 
 // typedAndBoxed runs the statement twice: once for the engine's typed
-// rows, once for the public API's boxed ones.
+// rows, once for the public API's boxed ones. The typed rows are copied
+// out, since a stream's rows are only valid until it is closed.
 func typedAndBoxed(tb testing.TB, db *gapplydb.Database, sqlText string) ([]types.Row, [][]any) {
 	tb.Helper()
 	st, err := db.Stream(sqlText)
@@ -236,7 +237,9 @@ func typedAndBoxed(tb testing.TB, db *gapplydb.Database, sqlText string) ([]type
 		if !ok {
 			break
 		}
-		typed = append(typed, rows...)
+		for _, r := range rows {
+			typed = append(typed, append(types.Row(nil), r...))
+		}
 	}
 	res, err := db.Query(sqlText)
 	if err != nil {
