@@ -38,8 +38,8 @@ func (s *Scan) Schema() *schema.Schema {
 	}
 	return s.Def.Schema
 }
-func (s *Scan) Children() []Node          { return nil }
-func (s *Scan) WithChildren([]Node) Node  { c := *s; return &c }
+func (s *Scan) Children() []Node         { return nil }
+func (s *Scan) WithChildren([]Node) Node { c := *s; return &c }
 func (s *Scan) Describe() string {
 	if s.Alias != "" && s.Alias != s.Table {
 		return "Scan " + s.Table + " AS " + s.Alias
@@ -160,10 +160,10 @@ type GroupScan struct {
 	Sch *schema.Schema
 }
 
-func (g *GroupScan) Schema() *schema.Schema  { return g.Sch }
-func (g *GroupScan) Children() []Node        { return nil }
+func (g *GroupScan) Schema() *schema.Schema   { return g.Sch }
+func (g *GroupScan) Children() []Node         { return nil }
 func (g *GroupScan) WithChildren([]Node) Node { c := *g; return &c }
-func (g *GroupScan) Describe() string        { return "GroupScan $" + g.Var }
+func (g *GroupScan) Describe() string         { return "GroupScan $" + g.Var }
 
 // -------------------------------------------------------------- Select
 
@@ -210,8 +210,12 @@ func ProjectCols(in Node, cols []*ColRef) *Project {
 	return NewProject(in, exprs, nil)
 }
 
-func (p *Project) Schema() *schema.Schema {
-	in := p.Input.Schema()
+func (p *Project) Schema() *schema.Schema { return p.SchemaOver(p.Input.Schema()) }
+
+// SchemaOver is the projection's output schema over an input whose
+// schema is in — Schema's derivation, for callers that already hold the
+// input's schema and would otherwise derive it again.
+func (p *Project) SchemaOver(in *schema.Schema) *schema.Schema {
 	cols := make([]schema.Column, len(p.Exprs))
 	for i, e := range p.Exprs {
 		name := ""
@@ -484,8 +488,11 @@ type AggOp struct {
 	Aggs  []AggSpec
 }
 
-func (a *AggOp) Schema() *schema.Schema {
-	in := a.Input.Schema()
+func (a *AggOp) Schema() *schema.Schema { return a.SchemaOver(a.Input.Schema()) }
+
+// SchemaOver is the aggregate's output schema over an input whose schema
+// is in, as Project.SchemaOver is the projection's.
+func (a *AggOp) SchemaOver(in *schema.Schema) *schema.Schema {
 	cols := make([]schema.Column, len(a.Aggs))
 	for i, g := range a.Aggs {
 		cols[i] = schema.Column{Name: g.OutName(), Type: g.OutType(in)}

@@ -10,7 +10,8 @@ import (
 )
 
 // arena is one execution's row storage: every Value slab the operators
-// carve rows from and every row-header slab they lay rows out in. A
+// carve rows from and every row-header slab they lay rows out in, and
+// the selection vectors segment programs narrow. A
 // streamed execution takes one from a package pool (Context.AttachArena)
 // and hands it back when its Stream is closed (Context.ReleaseArena).
 // The slabs themselves come from package pools, one per element type and
@@ -42,6 +43,7 @@ type arena struct {
 	mu   sync.Mutex
 	vals []*[]types.Value // Value slabs taken this execution
 	hdrs []*[]types.Row   // row-header slabs taken this execution
+	sels []*[]int         // selection-vector slabs taken this execution
 	held int              // their bytes
 
 	// workers counts GApply workers that may still take storage: release
@@ -57,6 +59,7 @@ const arenaMaxBytes = 64 << 20
 const (
 	valueBytes  = int(unsafe.Sizeof(types.Value{}))
 	headerBytes = int(unsafe.Sizeof(types.Row(nil)))
+	selBytes    = int(unsafe.Sizeof(0))
 )
 
 var (
@@ -64,7 +67,7 @@ var (
 	// Free slabs by size class: class k's have capacity 1<<k. A slab is
 	// pooled as a pointer allocated once with it, so Put allocates
 	// nothing.
-	valuePools, headerPools [bits.UintSize]sync.Pool
+	valuePools, headerPools, selPools [bits.UintSize]sync.Pool
 )
 
 // poisonOnRelease makes release fill recycled slabs with poison, left
@@ -109,6 +112,15 @@ func (a *arena) headers(n int) []types.Row {
 		return make([]types.Row, 0, n)
 	}
 	return take(a, &a.hdrs, &headerPools, n, headerBytes)
+}
+
+// sel returns an empty selection-vector slab with room for at least n
+// indexes.
+func (a *arena) sel(n int) []int {
+	if a == nil {
+		return make([]int, 0, n)
+	}
+	return take(a, &a.sels, &selPools, n, selBytes)
 }
 
 // take hands out a pooled slab of n's class, cleared, or makes one, and
@@ -161,6 +173,7 @@ func (a *arena) reset() {
 	a.mu.Lock()
 	a.vals = recycle(a.vals, &valuePools, poison, poisonValue)
 	a.hdrs = recycle(a.hdrs, &headerPools, poison, poisonRow)
+	a.sels = recycle(a.sels, &selPools, false, 0)
 	a.held = 0
 	a.mu.Unlock()
 }

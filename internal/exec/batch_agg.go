@@ -2,6 +2,8 @@ package exec
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"strings"
 
 	"gapplydb/internal/core"
@@ -14,7 +16,7 @@ import (
 // every other aggregate is NULL — the behaviour the paper's emptyOnEmpty
 // analysis reasons about.
 type accum struct {
-	fn   string
+	fn   aggFn
 	star bool
 	seen *valueSet // DISTINCT only
 
@@ -26,14 +28,28 @@ type accum struct {
 	best     types.Value // min or max so far
 }
 
+// aggFn is an aggregate function, decided once when its accumulator is
+// made rather than by name on every value.
+type aggFn uint8
+
+const (
+	aggCount aggFn = iota
+	aggSum
+	aggAvg
+	aggMin
+	aggMax
+)
+
+var aggNames = [...]string{"count", "sum", "avg", "min", "max"}
+
+func (f aggFn) String() string { return aggNames[f] }
+
 func newAccum(spec core.AggSpec) (accum, error) {
-	fn := strings.ToLower(spec.Fn)
-	switch fn {
-	case "count", "sum", "avg", "min", "max":
-	default:
+	fn := slices.Index(aggNames[:], strings.ToLower(spec.Fn))
+	if fn < 0 {
 		return accum{}, fmt.Errorf("exec: unknown aggregate %q", spec.Fn)
 	}
-	a := accum{fn: fn, star: spec.Star}
+	a := accum{fn: aggFn(fn), star: spec.Star}
 	if spec.Distinct {
 		a.seen = &valueSet{}
 	}
@@ -46,7 +62,10 @@ func (a *accum) reset() {
 	if a.seen != nil {
 		a.seen.reset()
 	}
-	*a = accum{fn: a.fn, star: a.star, seen: a.seen}
+	a.rows, a.n, a.sumI, a.sumF, a.anyFloat = 0, 0, 0, 0, false
+	if !a.best.IsNull() {
+		a.best = types.Null
+	}
 }
 
 func (a *accum) add(v types.Value) error {
@@ -62,8 +81,8 @@ func (a *accum) add(v types.Value) error {
 	}
 	a.n++
 	switch a.fn {
-	case "count":
-	case "sum", "avg":
+	case aggCount:
+	case aggSum, aggAvg:
 		switch v.K {
 		case types.KindInt:
 			a.sumI += v.I
@@ -74,13 +93,13 @@ func (a *accum) add(v types.Value) error {
 		default:
 			return fmt.Errorf("exec: %s over non-numeric %s", a.fn, v.K)
 		}
-	case "min":
+	case aggMin:
 		if a.best.IsNull() {
 			a.best = v
 		} else if c, ok := types.Compare(v, a.best); ok && c < 0 {
 			a.best = v
 		}
-	case "max":
+	case aggMax:
 		if a.best.IsNull() {
 			a.best = v
 		} else if c, ok := types.Compare(v, a.best); ok && c > 0 {
@@ -88,6 +107,69 @@ func (a *accum) add(v types.Value) error {
 		}
 	}
 	return nil
+}
+
+// fold adds column ord of b's live rows, in order, exactly as add would
+// one row at a time, for an aggregate without DISTINCT: the function is
+// decided once per batch, not once per value, and each value's kind is
+// still switched on, since a column's declared type does not bound the
+// kinds it holds. count(*) reads no column. It stops at the first value
+// add rejects and returns that row's live index with the error.
+func (a *accum) fold(b *Batch, ord int) (int, error) {
+	n := b.Len()
+	a.rows += int64(n)
+	if a.star {
+		return n, nil
+	}
+	switch a.fn {
+	case aggCount:
+		for i := 0; i < n; i++ {
+			if !b.Row(i)[ord].IsNull() {
+				a.n++
+			}
+		}
+	case aggSum, aggAvg:
+		for i := 0; i < n; i++ {
+			switch v := &b.Row(i)[ord]; v.K {
+			case types.KindNull:
+			case types.KindInt:
+				a.n++
+				a.sumI += v.I
+				a.sumF += float64(v.I)
+			case types.KindFloat:
+				a.n++
+				a.anyFloat = true
+				a.sumF += v.F
+			default:
+				return i, fmt.Errorf("exec: %s over non-numeric %s", a.fn, v.K)
+			}
+		}
+	case aggMin, aggMax:
+		sign := -1
+		if a.fn == aggMax {
+			sign = 1
+		}
+		for i := 0; i < n; i++ {
+			v := &b.Row(i)[ord]
+			if v.IsNull() {
+				continue
+			}
+			a.n++
+			switch {
+			case a.best.IsNull():
+				a.best = *v
+			case v.K == types.KindFloat && a.best.K == types.KindFloat && !math.IsNaN(v.F) && !math.IsNaN(a.best.F):
+				if sign > 0 && v.F > a.best.F || sign < 0 && v.F < a.best.F {
+					a.best = *v
+				}
+			default:
+				if c, ok := types.Compare(*v, a.best); ok && c*sign > 0 {
+					a.best = *v
+				}
+			}
+		}
+	}
+	return n, nil
 }
 
 // valueSet is a DISTINCT aggregate's set of the values it has counted.
@@ -124,12 +206,12 @@ func (s *valueSet) reset() {
 
 func (a *accum) result() types.Value {
 	switch a.fn {
-	case "count":
+	case aggCount:
 		if a.star {
 			return types.NewInt(a.rows)
 		}
 		return types.NewInt(a.n)
-	case "sum":
+	case aggSum:
 		if a.n == 0 {
 			return types.Null
 		}
@@ -137,12 +219,12 @@ func (a *accum) result() types.Value {
 			return types.NewFloat(a.sumF)
 		}
 		return types.NewInt(a.sumI)
-	case "avg":
+	case aggAvg:
 		if a.n == 0 {
 			return types.Null
 		}
 		return types.NewFloat(a.sumF / float64(a.n))
-	case "min", "max":
+	case aggMin, aggMax:
 		return a.best
 	}
 	return types.Null

@@ -35,12 +35,19 @@ func (o *joinOut) reset() {
 
 // add appends the emission of the pair (a, b) as one output row.
 func (o *joinOut) add(a, b types.Row) {
-	lw, rw := len(o.left), len(o.right)
-	if o.left == nil {
-		lw = len(a)
-	}
+	rw := len(o.right)
 	if o.right == nil {
 		rw = len(b)
+	}
+	gather(o.carve(a, rw), b, o.right)
+}
+
+// carve appends one output row of a's emission followed by rw values
+// and returns those rw values for the caller to fill.
+func (o *joinOut) carve(a types.Row, rw int) types.Row {
+	lw := len(o.left)
+	if o.left == nil {
+		lw = len(a)
 	}
 	width := lw + rw
 	if o.slab == nil || len(o.slab)+width > cap(o.slab) {
@@ -60,8 +67,8 @@ func (o *joinOut) add(a, b types.Row) {
 	o.slab = o.slab[:start+width]
 	row := o.slab[start : start+width : start+width]
 	gather(row[:lw], a, o.left)
-	gather(row[lw:], b, o.right)
 	o.rows = append(o.rows, row)
+	return row[lw:]
 }
 
 // gather copies the columns ords of src into dst; nil ords copies all.

@@ -3,6 +3,7 @@ package exec
 import (
 	"context"
 	"errors"
+	"math"
 	"reflect"
 	"testing"
 
@@ -276,5 +277,41 @@ func TestRunBatchCancellation(t *testing.T) {
 	ctx.Ctx = cctx
 	if _, err := Run(joined(ctx), ctx); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Run on a cancelled context = %v, want context.Canceled", err)
+	}
+}
+
+// TestSelectCmpConstMatchesCompare: the column-against-constant kernel,
+// its inline FLOAT comparison included, keeps exactly the rows
+// types.Compare passes, for every operator and either operand order,
+// over NULLs, NaN, signed zeros, infinities, INTs beside FLOATs and text.
+func TestSelectCmpConstMatchesCompare(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	vals := []types.Value{types.Null, types.NewFloat(nan), types.NewFloat(0), types.NewFloat(math.Copysign(0, -1)),
+		types.NewFloat(inf), types.NewFloat(-inf), types.NewFloat(2.5), types.NewFloat(3), types.NewInt(3),
+		types.NewInt(-7), types.NewInt(1 << 60), types.NewString("3")}
+	var rows []types.Row
+	for _, v := range vals {
+		rows = append(rows, types.Row{types.NewInt(0), v})
+	}
+	for _, op := range []string{"=", "<>", "<", "<=", ">", ">="} {
+		test, _ := cmpTest(op)
+		for _, flip := range []bool{false, true} {
+			for _, c := range vals {
+				got := selectCmpConst(rows, identitySel(nil, len(rows)), 1, c, outcomeMask(test, flip))
+				var want []int
+				for i, r := range rows {
+					a, b := r[1], c
+					if flip {
+						a, b = b, a
+					}
+					if cmp, ok := types.Compare(a, b); ok && test(cmp) {
+						want = append(want, i)
+					}
+				}
+				if len(got) != len(want) || len(want) > 0 && !reflect.DeepEqual(got, want) {
+					t.Errorf("%v %s %v (flipped %v): kept %v, want %v", vals, op, c, flip, got, want)
+				}
+			}
+		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"gapplydb/internal/core"
+	"gapplydb/internal/schema"
 	"gapplydb/internal/types"
 )
 
@@ -18,22 +19,31 @@ import (
 // an iterator tree per group costs a dozen Open/Close calls, a drain, an
 // Apply cache fill and a key projection, which on groups of a few rows
 // is most of the work. A segment program evaluates the same operators
-// directly over the group's slice: a scalar aggregate folds the run in
-// one pass when it is opened, and filters and projections then pull the
-// run row by row, writing each surviving output row, prefixed with the
-// grouping columns, straight into the GApply's output slab. Nothing is
-// allocated per group: every node's scratch (its output row, its
-// accumulators) is reset, not reallocated.
+// directly over the group's slice, a window of up to batchSize rows per
+// call: a filter narrows the window's selection vector, a scalar
+// aggregate folds whole windows (accum.fold), and a projection at the
+// root writes its rows, prefixed with the grouping columns, straight
+// into the GApply's output slab. An Apply binds its scalar's columns as
+// per-group parameters instead of widening every outer row; a filter
+// comparing a column with an expression over parameters and literals
+// evaluates that expression once per window and runs a
+// column-against-constant kernel. Rows are widened, parameters appended,
+// only where a consumer needs them whole: a union input, the root, or an
+// expression reading parameters row by row.
 //
-// The program keeps the iterator tree's evaluation order exactly: a
-// node opens when its consumer would open it, a union opens its inputs
-// in turn, and an Apply evaluates its scalar inner for the first outer
-// row and serves the rest from that result. So the counters the tree
-// would tally come out identical (GroupScanRows per row read,
-// ApplyExecs once per Apply whose outer yields rows, ApplyCacheHits for
-// the rest), and under a Profile every node is credited the Rows and
-// Opens its probe would record; the program's wall time is credited to
-// the inner root.
+// The iterator tree is itself window-at-a-time — a filter, projection or
+// Apply takes a whole batch before its parent sees a row, an Apply
+// evaluates its inner after its outer's first batch and regathers outer
+// rows into full batches, a scalar aggregate drains its input when
+// opened, a union opens each input when the previous one ends — and the
+// program makes the same windows in the same order. So it fails with the
+// tree's first error, and tallies the tree's counters (GroupScanRows per
+// row read, ApplyExecs once per Apply whose outer yields rows,
+// ApplyCacheHits for the rest); under a Profile every node is credited
+// the Rows and Opens its probe would record, and the program's wall time
+// is credited to the inner root. Nothing is allocated per group or per
+// window: node scratch comes from the execution's arena when first
+// needed and is rewritten per window.
 //
 // Any other shape — joins, GROUP BY, DISTINCT, ORDER BY, EXISTS, a
 // nested GApply, an OuterRef anywhere in the inner, or an Apply whose
@@ -96,15 +106,50 @@ type segProgram struct {
 	rootStats *NodeStats // the inner root's profile cell; nil when not profiling
 	ctx       *Context
 	group     []types.Row // the group being evaluated, read by segScan
+	params    types.Row   // the Applies' scalars, one slot per column
 }
 
 // segNode is one lowered operator. open prepares it for an evaluation
 // over the program's current group, as Open prepares an iterator; next
-// returns its next row, valid until the following next call on the
-// same node, or ok=false once the node is exhausted.
+// returns its next window, with at least one live row, valid until the
+// following next call on the same node, or nil once it is exhausted.
 type segNode interface {
 	open(p *segProgram) error
-	next(p *segProgram) (types.Row, bool, error)
+	next(p *segProgram) (*Batch, error)
+}
+
+// segBase is a node's input and its profile cell (nil when not
+// profiling).
+type segBase struct {
+	in    segNode
+	stats *NodeStats
+}
+
+func (b *segBase) open(p *segProgram) error {
+	if b.stats != nil {
+		b.stats.Opens++
+	}
+	return b.in.open(p)
+}
+
+// emitted credits the node with n rows.
+func (b *segBase) emitted(n int) {
+	if b.stats != nil {
+		b.stats.Rows += int64(n)
+	}
+}
+
+// segShape describes a compiled node's windows to its consumer: the
+// node's schema (nil when no consumer reads it), how many leading columns
+// its rows hold — the rest are parameter slots — the most rows a window
+// holds, and whether rows outlive their window (group rows, or the one
+// row of an aggregate).
+type segShape struct {
+	sch    *schema.Schema
+	phys   int
+	slots  []int
+	rows   int
+	stable bool
 }
 
 // buildSegment compiles a lowerable inner plan (segLowerable, and free
@@ -112,11 +157,13 @@ type segNode interface {
 // in the order buildBatch would, so a plan that does not compile fails
 // with the error the iterator tree's build reports.
 func buildSegment(inner core.Node, ctx *Context) (*segProgram, error) {
-	root, err := compileSegNode(inner, ctx)
+	p := &segProgram{ctx: ctx, rootStats: segStats(inner, ctx)}
+	root, sh, err := p.compile(inner, false)
 	if err != nil {
 		return nil, err
 	}
-	return &segProgram{root: root, rootStats: segStats(inner, ctx), ctx: ctx}, nil
+	p.root, _ = p.physical(root, sh, true)
+	return p, nil
 }
 
 // segStats is n's profile cell under ctx, or nil when not profiling.
@@ -127,87 +174,239 @@ func segStats(n core.Node, ctx *Context) *NodeStats {
 	return ctx.Prof.node(n)
 }
 
-func compileSegNode(n core.Node, ctx *Context) (segNode, error) {
+// compile lowers n, deriving its schema from its input's, and only when
+// want says n's consumer reads it.
+func (p *segProgram) compile(n core.Node, want bool) (segNode, segShape, error) {
+	stats := segStats(n, p.ctx)
+	var in segNode
+	var sh segShape
+	var err error
+	switch x := n.(type) {
+	case *core.Select:
+		in, sh, err = p.compile(x.Input, true)
+	case *core.Project:
+		in, sh, err = p.compile(x.Input, true)
+	case *core.AggOp:
+		in, sh, err = p.compile(x.Input, true)
+	}
+	if err != nil {
+		return nil, sh, err
+	}
 	switch x := n.(type) {
 	case *core.GroupScan:
-		return &segScan{stats: segStats(n, ctx)}, nil
+		sh := segShape{sch: x.Sch, rows: batchSize, stable: true}
+		if x.Sch != nil {
+			sh.phys = x.Sch.Len()
+		}
+		return &segScan{segBase: segBase{stats: stats}}, sh, nil
 
 	case *core.Select:
-		in, err := compileSegNode(x.Input, ctx)
-		if err != nil {
-			return nil, err
+		s := &segSelect{segBase: segBase{in, stats}, rows: sh.rows}
+		if ok, err := s.compileConst(x.Cond, sh); ok || err != nil {
+			return s, sh, err
 		}
-		pred, err := compilePredicate(x.Cond, x.Input.Schema(), nil)
-		if err != nil {
-			return nil, err
+		_, params := segReads(x.Cond, sh)
+		s.in, sh = p.physical(in, sh, params)
+		if ks, ok := compileFilterKernels(x.Cond, sh.sch); ok && len(ks) > 0 {
+			s.kernels = ks
+		} else if s.pred, err = compilePredicate(x.Cond, sh.sch, nil); err != nil {
+			return nil, sh, err
 		}
-		return &segSelect{in: in, pred: pred, stats: segStats(n, ctx)}, nil
+		return s, sh, nil
 
 	case *core.Project:
-		in, err := compileSegNode(x.Input, ctx)
-		if err != nil {
-			return nil, err
+		params := false
+		for _, e := range x.Exprs {
+			if _, ok := e.(*core.ColRef); !ok {
+				_, pe := segReads(e, sh)
+				params = params || pe
+			}
 		}
-		p := &segProject{in: in, cols: make([]segCol, len(x.Exprs)), row: make(types.Row, len(x.Exprs)), stats: segStats(n, ctx)}
-		inSchema := x.Input.Schema()
+		in, sh = p.physical(in, sh, params)
+		s := &segProject{segBase: segBase{in, stats}, cols: make([]segCol, len(x.Exprs))}
+		s.scratch = segRows{width: len(x.Exprs), rows: sh.rows}
 		for i, e := range x.Exprs {
-			ord, lit, ok := kernelOperand(e, inSchema)
-			p.cols[i] = segCol{ord: ord, lit: lit}
-			if !ok {
-				if p.cols[i].fn, err = compileExpr(e, inSchema, nil); err != nil {
-					return nil, err
+			c := &s.cols[i]
+			var ok bool
+			c.ord, c.lit, ok = kernelOperand(e, sh.sch)
+			if c.slot = -1; c.ord >= sh.phys {
+				c.ord, c.slot = -1, sh.slots[c.ord-sh.phys]
+			} else if !ok {
+				if c.fn, err = compileExpr(e, sh.sch, nil); err != nil {
+					return nil, sh, err
 				}
 			}
 		}
-		return p, nil
+		out := segShape{phys: len(x.Exprs), rows: sh.rows}
+		if want {
+			out.sch = x.SchemaOver(sh.sch)
+		}
+		return s, out, nil
 
 	case *core.AggOp:
-		in, err := compileSegNode(x.Input, ctx)
-		if err != nil {
-			return nil, err
+		a := &segAgg{segBase: segBase{in, stats}, ords: foldOrds(x.Aggs, sh), row: make(types.Row, len(x.Aggs))}
+		a.one[0] = a.row
+		a.out.Rows = a.one[:]
+		if a.ords == nil { // bare columns that resolve need no compiling
+			for _, g := range x.Aggs {
+				if _, params := segReads(g.Arg, sh); params {
+					a.in, sh = p.physical(in, sh, true)
+				}
+			}
+			if a.aggs, err = compileAggs(x.Aggs, sh.sch, nil); err != nil {
+				return nil, sh, err
+			}
 		}
-		aggs, err := compileAggs(x.Aggs, x.Input.Schema(), nil)
-		if err != nil {
-			return nil, err
-		}
-		a := &segAgg{in: in, aggs: aggs, row: make(types.Row, len(aggs)), stats: segStats(n, ctx)}
 		// The iterator tree creates its accumulators when it opens, so an
 		// aggregate it cannot create fails at run time, not at build.
-		a.states, a.err = appendStates(nil, aggs)
-		return a, nil
+		a.states = make([]accum, len(x.Aggs))
+		for i, g := range x.Aggs {
+			if a.states[i], a.err = newAccum(g); a.err != nil {
+				break
+			}
+		}
+		out := segShape{phys: len(x.Aggs), rows: 1, stable: true}
+		if want {
+			out.sch = x.SchemaOver(sh.sch)
+		}
+		return a, out, nil
 
 	case *core.UnionAll:
-		arity := x.Inputs[0].Schema().Len()
-		u := &segUnion{ins: make([]segNode, len(x.Inputs)), stats: segStats(n, ctx)}
+		arity := segArity(x.Inputs[0])
+		u := &segUnion{segBase: segBase{stats: stats}, ins: make([]segNode, len(x.Inputs))}
+		out := segShape{phys: arity, stable: true}
 		for i, c := range x.Inputs {
-			if c.Schema().Len() != arity {
-				return nil, fmt.Errorf("exec: union input %d has %d columns, want %d", i, c.Schema().Len(), arity)
+			if w := segArity(c); w != arity {
+				return nil, out, fmt.Errorf("exec: union input %d has %d columns, want %d", i, w, arity)
 			}
-			in, err := compileSegNode(c, ctx)
-			if err != nil {
-				return nil, err
+			if in, sh, err = p.compile(c, want && i == 0); err != nil {
+				return nil, out, err
 			}
-			u.ins[i] = in
+			u.ins[i], sh = p.physical(in, sh, true)
+			if i == 0 {
+				out.sch = sh.sch
+			}
+			out.rows, out.stable = max(out.rows, sh.rows), out.stable && sh.stable
 		}
-		return u, nil
+		return u, out, nil
 
 	case *core.Apply:
-		outer, err := compileSegNode(x.Outer, ctx)
-		if err != nil {
-			return nil, err
+		if in, sh, err = p.compile(x.Outer, want); err != nil {
+			return nil, sh, err
 		}
-		inner, err := compileSegNode(x.Inner, ctx)
+		inner, ish, err := p.compile(x.Inner, want)
 		if err != nil {
-			return nil, err
+			return nil, ish, err
 		}
-		width := x.Outer.Schema().Len()
-		return &segApply{
-			in: outer, inner: inner, outerWidth: width,
-			row:   make(types.Row, width+x.Inner.Schema().Len()),
-			stats: segStats(n, ctx),
-		}, nil
+		a := &segApply{segBase: segBase{in, stats}, inner: inner, stable: sh.stable}
+		a.copies = segRows{width: sh.phys, rows: batchSize}
+		out := segShape{phys: sh.phys, slots: sh.slots[:len(sh.slots):len(sh.slots)], rows: batchSize, stable: sh.stable}
+		for range ish.phys {
+			out.slots = append(out.slots, len(p.params))
+			p.params = append(p.params, types.Null)
+		}
+		a.slots = out.slots[len(sh.slots):]
+		if want {
+			out.sch = sh.sch.Concat(ish.sch)
+		}
+		return a, out, nil
 	}
-	return nil, fmt.Errorf("exec: %T does not lower to a segment program", n)
+	return nil, segShape{}, fmt.Errorf("exec: %T does not lower to a segment program", n)
+}
+
+// physical hands on in's windows with their rows at full width — their
+// columns, then the parameters — when reads says a consumer reads them
+// whole and sh has parameters: a projection of every column.
+func (p *segProgram) physical(in segNode, sh segShape, reads bool) (segNode, segShape) {
+	if !reads || len(sh.slots) == 0 {
+		return in, sh
+	}
+	width := sh.phys + len(sh.slots)
+	w := &segProject{segBase: segBase{in: in}, cols: make([]segCol, width), scratch: segRows{width: width, rows: sh.rows}}
+	for i := range w.cols {
+		w.cols[i] = segCol{ord: i, slot: -1}
+		if i >= sh.phys {
+			w.cols[i] = segCol{ord: -1, slot: sh.slots[i-sh.phys]}
+		}
+	}
+	return w, segShape{sch: sh.sch, phys: width, rows: sh.rows}
+}
+
+// segArity is n's output width, read off the plan without deriving its
+// schema.
+func segArity(n core.Node) int {
+	switch x := n.(type) {
+	case *core.Project:
+		return len(x.Exprs)
+	case *core.AggOp:
+		return len(x.Aggs)
+	case *core.Select:
+		return segArity(x.Input)
+	case *core.Apply:
+		return segArity(x.Outer) + segArity(x.Inner)
+	case *core.UnionAll:
+		return segArity(x.Inputs[0])
+	}
+	return n.Schema().Len()
+}
+
+// segReads reports whether e reads columns the rows of sh's windows
+// hold, and whether it reads parameters. A reference that does not
+// resolve counts as a row column: compiling it reports the error.
+func segReads(e core.Expr, sh segShape) (rows, params bool) {
+	var ops []core.Expr
+	switch x := e.(type) {
+	case nil, *core.Lit:
+		return false, false
+	case *core.ColRef:
+		ord, err := sh.sch.Resolve(x.Table, x.Name)
+		params = err == nil && ord >= sh.phys
+		return !params, params
+	case *core.BinOp:
+		ops = []core.Expr{x.L, x.R}
+	case *core.Cmp:
+		ops = []core.Expr{x.L, x.R}
+	case *core.And:
+		ops = x.Ops
+	case *core.Or:
+		ops = x.Ops
+	case *core.Not:
+		ops = []core.Expr{x.Op}
+	case *core.Func:
+		ops = x.Args
+	default:
+		return true, false
+	}
+	for _, op := range ops {
+		r, p := segReads(op, sh)
+		rows, params = rows || r, params || p
+	}
+	return rows, params
+}
+
+// foldOrds is, per aggregate, the row column it folds (-1 for
+// count(*)), or nil when any aggregate is fed row by row: DISTINCT, or
+// an argument other than a bare row column.
+func foldOrds(specs []core.AggSpec, sh segShape) []int {
+	ords := make([]int, len(specs))
+	for i, g := range specs {
+		ords[i] = -1
+		c, isCol := g.Arg.(*core.ColRef)
+		switch {
+		case g.Distinct:
+			return nil
+		case g.Star:
+			continue
+		case !isCol:
+			return nil
+		}
+		ord, err := sh.sch.Resolve(c.Table, c.Name)
+		if err != nil || ord >= sh.phys {
+			return nil
+		}
+		ords[i] = ord
+	}
+	return ords
 }
 
 // run evaluates the program over one group, appending each output row,
@@ -232,21 +431,86 @@ func (p *segProgram) eval(group []types.Row, out *joinOut) error {
 	if err := p.root.open(p); err != nil {
 		return err
 	}
-	for {
-		r, ok, err := p.root.next(p)
-		if err != nil || !ok {
-			return err
+	_, err := p.emit(p.root, out)
+	return err
+}
+
+// emit drains the open node n into out and returns how many rows it
+// wrote: a projection computes its rows there, and a union has its
+// inputs write theirs in turn.
+func (p *segProgram) emit(n segNode, out *joinOut) (int, error) {
+	total := 0
+	switch x := n.(type) {
+	case *segProject:
+		dst := func() types.Row { return out.carve(p.group[0], len(x.cols)) }
+		for {
+			k, err := x.project(p, dst)
+			if total += k; k == 0 {
+				return total, err
+			}
 		}
-		out.add(group[0], r)
+	case *segUnion:
+		for i, in := range x.ins {
+			if i > 0 {
+				if err := in.open(p); err != nil {
+					return total, err
+				}
+			}
+			k, err := p.emit(in, out)
+			if total += k; err != nil {
+				return total, err
+			}
+		}
+		x.emitted(total)
+		return total, nil
+	}
+	for {
+		b, err := n.next(p)
+		if err != nil || b == nil {
+			return total, err
+		}
+		for i := 0; i < b.Len(); i++ {
+			r := b.Row(i)
+			copy(out.carve(p.group[0], len(r)), r)
+		}
+		total += b.Len()
 	}
 }
 
-// segScan reads the group's run: the lowered GroupScan. It polls
-// cancellation per row, so a program that works through many small
-// groups still reaches a poll every cancelBatch rows.
+// segRows is a node's scratch for the rows it computes: one window of
+// width-wide rows, taken from the execution's arena when the node first
+// fills one, and rewritten per window.
+type segRows struct {
+	width, rows int
+	slab        types.Row
+	hdrs        []types.Row
+}
+
+// reset starts a window.
+func (s *segRows) reset(a *arena) {
+	if s.hdrs == nil {
+		s.slab = a.values(s.width * s.rows)[:s.width*s.rows]
+		s.hdrs = a.headers(s.rows)
+	}
+	s.hdrs = s.hdrs[:0]
+}
+
+// add appends a row to the window and returns it, for the caller to
+// fill.
+func (s *segRows) add() types.Row {
+	start := len(s.hdrs) * s.width
+	r := s.slab[start : start+s.width : start+s.width]
+	s.hdrs = append(s.hdrs, r)
+	return r
+}
+
+// segScan reads the group's run, the lowered GroupScan, a window of
+// batchSize rows at a time, polling cancellation per window as the
+// tree's GroupScan does per batch.
 type segScan struct {
-	stats *NodeStats
-	pos   int
+	segBase // no input
+	pos     int
+	out     Batch
 }
 
 func (s *segScan) open(*segProgram) error {
@@ -257,120 +521,197 @@ func (s *segScan) open(*segProgram) error {
 	return nil
 }
 
-func (s *segScan) next(p *segProgram) (types.Row, bool, error) {
+func (s *segScan) next(p *segProgram) (*Batch, error) {
 	if s.pos >= len(p.group) {
-		return nil, false, nil
+		return nil, nil
 	}
-	if err := p.ctx.tick(); err != nil {
-		return nil, false, err
+	end := min(s.pos+batchSize, len(p.group))
+	n := end - s.pos
+	if err := p.ctx.tickN(n); err != nil {
+		return nil, err
 	}
-	r := p.group[s.pos]
-	s.pos++
-	p.ctx.Counters.GroupScanRows++
-	if s.stats != nil {
-		s.stats.Rows++
-	}
-	return r, true, nil
+	s.out.Rows = p.group[s.pos:end]
+	s.pos = end
+	p.ctx.Counters.GroupScanRows += int64(n)
+	s.emitted(n)
+	return &s.out, nil
 }
 
-// segSelect passes the input rows its predicate accepts.
+// segSelect narrows its input windows' selection and passes on those
+// with a row left. Its predicate runs as a column-against-constant
+// kernel when it compares a row column with an expression over
+// parameters and literals, evaluated once per window; as vector kernels
+// when it kernelizes; and otherwise as the compiled predicate, row by
+// row in order.
 type segSelect struct {
-	in    segNode
-	pred  func(types.Row, *Context) (bool, error)
-	stats *NodeStats
+	segBase
+	ord     int    // the constant comparison's row column…
+	mask    uint8  // …its accepted outcomes (outcomeMask)…
+	konst   evalFn // …and its constant, over krow: kwidth wide, its tail the parameters kslots
+	krow    types.Row
+	kwidth  int
+	kslots  []int
+	kernels []selKernel
+	pred    func(types.Row, *Context) (bool, error)
+	rows    int
+	sel     []int
+	out     Batch
 }
 
-func (s *segSelect) open(p *segProgram) error {
-	if s.stats != nil {
-		s.stats.Opens++
+// compileConst compiles cond as a column-against-constant comparison,
+// if it is one, reporting whether it is.
+func (s *segSelect) compileConst(cond core.Expr, sh segShape) (bool, error) {
+	cmp, ok := cond.(*core.Cmp)
+	if !ok {
+		return false, nil
 	}
-	return s.in.open(p)
+	test, ok := cmpTest(cmp.Op)
+	col, konst, flip := cmp.L, cmp.R, false
+	if r, _ := segReads(col, sh); !r {
+		col, konst, flip = konst, col, true
+	}
+	ord, _, isCol := kernelOperand(col, sh.sch)
+	kr, kp := segReads(konst, sh)
+	if !ok || !isCol || ord < 0 || ord >= sh.phys || kr || !kp {
+		return false, nil
+	}
+	s.ord, s.mask = ord, outcomeMask(test, flip)
+	s.kwidth, s.kslots = sh.phys+len(sh.slots), sh.slots
+	var err error
+	s.konst, err = compileExpr(konst, sh.sch, nil)
+	return true, err
 }
 
-func (s *segSelect) next(p *segProgram) (types.Row, bool, error) {
+func (s *segSelect) next(p *segProgram) (*Batch, error) {
 	for {
-		r, ok, err := s.in.next(p)
-		if err != nil || !ok {
-			return nil, false, err
+		b, err := s.in.next(p)
+		if err != nil || b == nil {
+			return nil, err
 		}
-		pass, err := s.pred(r, p.ctx)
-		if err != nil {
-			return nil, false, err
+		if s.sel == nil {
+			s.sel = p.ctx.arena.sel(s.rows)
 		}
-		if pass {
-			if s.stats != nil {
-				s.stats.Rows++
+		// Start from the input's selection, copied into scratch we own:
+		// the kernels narrow in place.
+		if b.Sel != nil {
+			s.sel = append(s.sel[:0], b.Sel...)
+		} else {
+			s.sel = identitySel(s.sel, len(b.Rows))
+		}
+		switch {
+		case s.konst != nil:
+			if s.krow == nil {
+				s.krow = p.ctx.arena.values(s.kwidth)[:s.kwidth]
 			}
-			return r, true, nil
+			tail := s.krow[s.kwidth-len(s.kslots):]
+			for j, slot := range s.kslots {
+				tail[j] = p.params[slot]
+			}
+			c, err := s.konst(s.krow, p.ctx)
+			if err != nil {
+				return nil, err
+			}
+			s.sel = selectCmpConst(b.Rows, s.sel, s.ord, c, s.mask)
+		case s.kernels != nil:
+			s.sel = runKernels(s.kernels, b.Rows, s.sel)
+		default:
+			kept := s.sel[:0]
+			for _, i := range s.sel {
+				pass, err := s.pred(b.Rows[i], p.ctx)
+				if err != nil {
+					return nil, err
+				}
+				if pass {
+					kept = append(kept, i)
+				}
+			}
+			s.sel = kept
+		}
+		if len(s.sel) > 0 {
+			s.emitted(len(s.sel))
+			s.out.Rows, s.out.Sel = b.Rows, s.sel
+			return &s.out, nil
 		}
 	}
 }
 
-// segProject computes its output into one reused row.
+// segProject computes its rows a window at a time into scratch, or, at
+// the root, straight into the GApply's output slab.
 type segProject struct {
-	in    segNode
-	cols  []segCol
-	row   types.Row
-	stats *NodeStats
+	segBase
+	cols    []segCol
+	scratch segRows
+	out     Batch
 }
 
 // segCol is one projected column: a column of the input row (ord ≥ 0),
-// a literal, or any other expression, compiled (fn).
+// a parameter (slot ≥ 0), a literal, or any other expression, compiled
+// (fn).
 type segCol struct {
-	ord int
-	lit types.Value
-	fn  evalFn
+	ord, slot int
+	lit       types.Value
+	fn        evalFn
 }
 
-func (s *segProject) open(p *segProgram) error {
-	if s.stats != nil {
-		s.stats.Opens++
+// project computes each live row of the input's next window into the
+// row dst returns for it, and reports how many it computed: 0 once the
+// input is exhausted.
+func (s *segProject) project(p *segProgram, dst func() types.Row) (int, error) {
+	b, err := s.in.next(p)
+	if err != nil || b == nil {
+		return 0, err
 	}
-	return s.in.open(p)
-}
-
-func (s *segProject) next(p *segProgram) (types.Row, bool, error) {
-	r, ok, err := s.in.next(p)
-	if err != nil || !ok {
-		return nil, false, err
-	}
-	for j := range s.cols {
-		switch c := &s.cols[j]; {
-		case c.fn != nil:
-			v, err := c.fn(r, p.ctx)
-			if err != nil {
-				return nil, false, err
+	for i := 0; i < b.Len(); i++ {
+		r, row := b.Row(i), dst()
+		for j := range s.cols {
+			switch c := &s.cols[j]; {
+			case c.fn != nil:
+				if row[j], err = c.fn(r, p.ctx); err != nil {
+					return 0, err
+				}
+			case c.ord >= 0:
+				row[j] = r[c.ord]
+			case c.slot >= 0:
+				row[j] = p.params[c.slot]
+			default:
+				row[j] = c.lit
 			}
-			s.row[j] = v
-		case c.ord >= 0:
-			s.row[j] = r[c.ord]
-		default:
-			s.row[j] = c.lit
 		}
 	}
-	if s.stats != nil {
-		s.stats.Rows++
+	s.emitted(b.Len())
+	return b.Len(), nil
+}
+
+func (s *segProject) next(p *segProgram) (*Batch, error) {
+	s.scratch.reset(p.ctx.arena)
+	if n, err := s.project(p, s.scratch.add); n == 0 {
+		return nil, err
 	}
-	return s.row, true, nil
+	s.out.Rows = s.scratch.hdrs
+	return &s.out, nil
 }
 
 // segAgg is a scalar aggregate: opening it folds its whole input into
 // the accumulators, which are reset, not reallocated, per evaluation.
-// Rows are fed in the group's order, so float sums and averages are
-// bit-identical to the iterator tree's.
+// Aggregates of bare row columns fold a window a column at a time
+// (accum.fold); any other set is fed row by row. Rows go in the group's
+// order either way, so float sums and averages are bit-identical to the
+// iterator tree's.
 type segAgg struct {
-	in     segNode
+	segBase
 	aggs   []compiledAgg
+	ords   []int // per aggregate, the column it folds; nil: feed rows
 	states []accum
 	err    error // accumulator creation failed; reported on open
 	row    types.Row
+	one    [1]types.Row // out's rows: row
 	done   bool
-	stats  *NodeStats
+	out    Batch
 }
 
 func (a *segAgg) open(p *segProgram) error {
-	if a.stats != nil {
-		a.stats.Opens++
+	if err := a.segBase.open(p); err != nil {
+		return err
 	}
 	if a.err != nil {
 		return a.err
@@ -378,18 +719,15 @@ func (a *segAgg) open(p *segProgram) error {
 	for i := range a.states {
 		a.states[i].reset()
 	}
-	if err := a.in.open(p); err != nil {
-		return err
-	}
 	for {
-		r, ok, err := a.in.next(p)
+		b, err := a.in.next(p)
 		if err != nil {
 			return err
 		}
-		if !ok {
+		if b == nil {
 			break
 		}
-		if err := feed(a.aggs, a.states, r, p.ctx); err != nil {
+		if err := a.add(p, b); err != nil {
 			return err
 		}
 	}
@@ -400,104 +738,162 @@ func (a *segAgg) open(p *segProgram) error {
 	return nil
 }
 
-func (a *segAgg) next(*segProgram) (types.Row, bool, error) {
+// add accumulates one window. Folding a column at a time changes no
+// result, only which error is met first: each fold stops at its first
+// bad value, and the window's error is the one row by row order meets
+// first — the earliest row, and on it the first aggregate.
+func (a *segAgg) add(p *segProgram, b *Batch) error {
+	if a.ords == nil {
+		for i := 0; i < b.Len(); i++ {
+			if err := feed(a.aggs, a.states, b.Row(i), p.ctx); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	first, firstErr := b.Len(), error(nil)
+	for j, ord := range a.ords {
+		if i, err := a.states[j].fold(b, ord); err != nil && i < first {
+			first, firstErr = i, err
+		}
+	}
+	return firstErr
+}
+
+func (a *segAgg) next(*segProgram) (*Batch, error) {
 	if a.done {
-		return nil, false, nil
+		return nil, nil
 	}
 	a.done = true
-	if a.stats != nil {
-		a.stats.Rows++
-	}
-	return a.row, true, nil
+	a.emitted(1)
+	return &a.out, nil
 }
 
 // segUnion concatenates its inputs, opening each when the previous one
 // is exhausted.
 type segUnion struct {
-	ins   []segNode
-	cur   int
-	stats *NodeStats
+	segBase // in is the input open
+	ins     []segNode
+	cur     int
 }
 
 func (u *segUnion) open(p *segProgram) error {
-	if u.stats != nil {
-		u.stats.Opens++
-	}
-	u.cur = 0
-	return u.ins[0].open(p)
+	u.cur, u.in = 0, u.ins[0]
+	return u.segBase.open(p)
 }
 
-func (u *segUnion) next(p *segProgram) (types.Row, bool, error) {
+func (u *segUnion) next(p *segProgram) (*Batch, error) {
 	for u.cur < len(u.ins) {
-		r, ok, err := u.ins[u.cur].next(p)
-		if err != nil {
-			return nil, false, err
-		}
-		if ok {
-			if u.stats != nil {
-				u.stats.Rows++
+		b, err := u.ins[u.cur].next(p)
+		if err != nil || b != nil {
+			if b != nil {
+				u.emitted(b.Len())
 			}
-			return r, true, nil
+			return b, err
 		}
-		u.cur++
-		if u.cur < len(u.ins) {
+		if u.cur++; u.cur < len(u.ins) {
 			if err := u.ins[u.cur].open(p); err != nil {
-				return nil, false, err
+				return nil, err
 			}
 		}
 	}
-	return nil, false, nil
+	return nil, nil
 }
 
-// segApply is a cross Apply whose inner is uncorrelated: it evaluates
-// the inner once, for the first outer row, and extends every outer row
-// with that result — the Apply cache, whose validity is one evaluation
-// of the enclosing node. An inner that yields no row rejects every
-// outer row, as a cross Apply does.
+// segApply is a cross Apply whose inner is an uncorrelated scalar. It
+// evaluates the inner once, after its outer's first window, into its
+// parameter slots — the Apply cache, valid for one evaluation of the
+// enclosing node — and hands on its outer's rows, regathered like the
+// tree's Apply into windows of batchSize: a full outer window, or a
+// scan's last, goes on as it is; others have their row headers gathered,
+// or their values copied when the outer's rows do not outlive its window.
 type segApply struct {
-	in, inner  segNode
-	outerWidth int
-	row        types.Row // outer row ++ inner row
-	have       bool      // inner evaluated for this open
-	empty      bool      // …and it yielded no row
-	stats      *NodeStats
+	segBase
+	inner    segNode
+	slots    []int // the parameters the inner's row binds
+	stable   bool  // the outer's rows outlive its window
+	cur      *Batch
+	ci       int  // cur's next live row
+	have     bool // the inner is bound for this open
+	gathered []types.Row
+	copies   segRows
+	out      Batch
 }
 
 func (a *segApply) open(p *segProgram) error {
-	if a.stats != nil {
-		a.stats.Opens++
-	}
-	a.have = false
-	return a.in.open(p)
+	a.have, a.cur = false, nil
+	return a.segBase.open(p)
 }
 
-func (a *segApply) next(p *segProgram) (types.Row, bool, error) {
-	for {
-		r, ok, err := a.in.next(p)
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		if a.have {
-			p.ctx.Counters.ApplyCacheHits++
-		} else {
-			p.ctx.Counters.ApplyExecs++
-			if err := a.inner.open(p); err != nil {
-				return nil, false, err
-			}
-			sc, ok, err := a.inner.next(p)
-			if err != nil {
-				return nil, false, err
-			}
-			copy(a.row[a.outerWidth:], sc)
-			a.have, a.empty = true, !ok
-		}
-		if a.empty {
-			continue
-		}
-		copy(a.row[:a.outerWidth], r)
-		if a.stats != nil {
-			a.stats.Rows++
-		}
-		return a.row, true, nil
+// bind evaluates the inner, which yields exactly one row (segScalar),
+// into the parameters, counting the outer row that asked for it as the
+// execution and every other row as a cache hit.
+func (a *segApply) bind(p *segProgram) error {
+	p.ctx.Counters.ApplyExecs++
+	p.ctx.Counters.ApplyCacheHits--
+	if err := a.inner.open(p); err != nil {
+		return err
 	}
+	b, err := a.inner.next(p)
+	if err != nil {
+		return err
+	}
+	for i, s := range a.slots {
+		p.params[s] = b.Row(0)[i]
+	}
+	a.have = true
+	return nil
+}
+
+func (a *segApply) next(p *segProgram) (*Batch, error) {
+	n := 0
+	for n < batchSize {
+		if a.cur == nil || a.ci == a.cur.Len() {
+			b, err := a.in.next(p)
+			if err != nil {
+				return nil, err
+			}
+			if a.cur, a.ci = b, 0; b == nil {
+				break
+			}
+			if !a.have {
+				if err := a.bind(p); err != nil {
+					return nil, err
+				}
+			}
+			// A full window, or the group's last, goes on as it stands.
+			if scan, ok := a.in.(*segScan); n == 0 && (b.Len() == batchSize || ok && scan.pos == len(p.group)) {
+				a.ci = b.Len()
+				return a.emit(p, b), nil
+			}
+		}
+		if n == 0 {
+			if a.gathered == nil {
+				a.gathered = p.ctx.arena.headers(batchSize)
+			}
+			a.gathered = a.gathered[:0]
+			if !a.stable {
+				a.copies.reset(p.ctx.arena)
+			}
+		}
+		for ; n < batchSize && a.ci < a.cur.Len(); n, a.ci = n+1, a.ci+1 {
+			r := a.cur.Row(a.ci)
+			if !a.stable {
+				r = append(a.copies.add()[:0], r...)
+			}
+			a.gathered = append(a.gathered, r)
+		}
+	}
+	if n == 0 {
+		return nil, nil
+	}
+	a.out.Rows = a.gathered
+	return a.emit(p, &a.out), nil
+}
+
+// emit counts the window b the Apply hands on.
+func (a *segApply) emit(p *segProgram, b *Batch) *Batch {
+	p.ctx.Counters.ApplyCacheHits += int64(b.Len())
+	a.emitted(b.Len())
+	return b
 }

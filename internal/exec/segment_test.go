@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
+	"time"
 
 	"gapplydb/internal/core"
 	"gapplydb/internal/schema"
@@ -205,6 +206,19 @@ func edgeShapes() map[string]func() core.Node {
 				{Fn: "max", Arg: core.Col("s"), As: "hi"},
 			}}
 		},
+		// The same without DISTINCT: every aggregate folds its column a
+		// window at a time.
+		"folded aggregates": func() core.Node {
+			return &core.AggOp{Input: gs(), Aggs: []core.AggSpec{
+				{Fn: "count", Star: true, As: "n"},
+				{Fn: "count", Arg: v, As: "nv"},
+				{Fn: "sum", Arg: v, As: "sv"},
+				{Fn: "avg", Arg: v, As: "av"},
+				{Fn: "min", Arg: v, As: "lo"},
+				{Fn: "max", Arg: v, As: "hi"},
+				{Fn: "min", Arg: core.Col("s"), As: "first"},
+			}}
+		},
 		// A filter that rejects every row still counts 0.
 		"empty branch count": func() core.Node {
 			return count(&core.Select{Input: gs(), Cond: &core.Cmp{Op: ">", L: v, R: core.LitInt(1000)}})
@@ -219,15 +233,127 @@ func edgeShapes() map[string]func() core.Node {
 			return core.NewProject(&core.Select{Input: gs(), Cond: &core.Cmp{Op: ">", L: v, R: core.LitInt(2)}},
 				[]core.Expr{core.Col("s"), &core.BinOp{Op: "*", L: v, R: core.LitInt(2)}}, []string{"s", "v2"})
 		},
+		// A union input that is not a projection carries the Apply's
+		// column as a row column, widened.
+		"widened union input": func() core.Node {
+			return &core.UnionAll{Inputs: []core.Node{
+				against(gs(), "avg", ">=", 1),
+				core.NewProject(gs(), []core.Expr{core.Col("k"), v, core.Col("s"), null}, []string{"k", "v", "s", "x"}),
+			}}
+		},
+		// An Apply over a filtered projection regathers rows whose values
+		// do not outlive their window; the projection above reads the
+		// scalar and computes with it.
+		"projected apply outer": func() core.Node {
+			outer := core.NewProject(&core.Select{Input: gs(), Cond: &core.Cmp{Op: ">", L: v, R: core.LitInt(1)}},
+				[]core.Expr{core.Col("s"), &core.BinOp{Op: "*", L: v, R: core.LitInt(2)}}, []string{"s", "v"})
+			return core.NewProject(against(outer, "max", "<", 1.5),
+				[]core.Expr{core.Col("s"), core.Col("x"), &core.BinOp{Op: "-", L: core.Col("x"), R: v}}, []string{"s", "x", "gap"})
+		},
+	}
+}
+
+// edgeErrorShapes are lowered per-group queries over edge's $g that
+// fail, some in more than one node of the same group, so the error
+// reported first shows the evaluation order.
+func edgeErrorShapes() map[string]func() core.Node {
+	gs := func() core.Node { return &core.GroupScan{Var: "g"} }
+	v := core.Col("v")
+	return map[string]func() core.Node{
+		// A window's filter runs over the whole window before the
+		// projection sees a row: 1/(v-1) divides by zero in the NULL-keyed
+		// group and in k=2 before abs meets a VARCHAR.
+		"filter then projection": func() core.Node {
+			return core.NewProject(&core.Select{Input: gs(),
+				Cond: &core.Cmp{Op: "<>", L: &core.BinOp{Op: "/", L: core.LitInt(1), R: &core.BinOp{Op: "-", L: v, R: core.LitInt(1)}}, R: core.LitInt(0)}},
+				[]core.Expr{&core.Func{Name: "abs", Args: []core.Expr{core.Col("s")}}}, []string{"a"})
+		},
+		// sum(s) fails on its first non-NULL row, count(*) never; min(v)
+		// never, sum(v) never.
+		"aggregate over text": func() core.Node {
+			return &core.AggOp{Input: gs(), Aggs: []core.AggSpec{
+				{Fn: "count", Star: true, As: "n"},
+				{Fn: "min", Arg: v, As: "lo"},
+				{Fn: "sum", Arg: core.Col("s"), As: "bad"},
+				{Fn: "sum", Arg: v, As: "sv"},
+			}}
+		},
+	}
+}
+
+// windowCatalog holds edge(k, v, s): one 600-row group (k=2) in row
+// order, v its position, and a 3-row group (k=0), so a shape can place
+// a failure in a chosen window.
+func windowCatalog(t testing.TB) *storage.Catalog {
+	t.Helper()
+	cat := storage.NewCatalog()
+	tab, err := cat.Create(&schema.TableDef{Name: "edge", Schema: schema.New(
+		schema.Column{Name: "k", Type: types.KindInt},
+		schema.Column{Name: "v", Type: types.KindFloat},
+		schema.Column{Name: "s", Type: types.KindString},
+	)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		tab.Rows = append(tab.Rows, types.Row{types.NewInt(0), types.NewInt(int64(i)), types.NewString(fmt.Sprintf("r%d", i))})
+	}
+	for i := 0; i < 600; i++ {
+		tab.Rows = append(tab.Rows, types.Row{types.NewInt(2), types.NewInt(int64(i)), types.NewString(fmt.Sprintf("w%03d", i))})
+	}
+	return cat
+}
+
+// windowShapes read windowCatalog's run: an Apply whose outer keeps
+// rows 201 on, so its first outer window has 55 rows and it regathers
+// rows from the next window before its consumer sees any. The outer
+// divides by zero at row 300 — in its second window — when fail is set.
+func windowShapes(fail bool) map[string]func() core.Node {
+	gs := func() core.Node { return &core.GroupScan{Var: "g"} }
+	v := core.Col("v")
+	outer := func() core.Node {
+		var cond core.Expr = &core.Cmp{Op: ">", L: v, R: core.LitInt(200)}
+		if fail {
+			cond = &core.And{Ops: []core.Expr{cond, &core.Cmp{Op: "<>",
+				L: &core.BinOp{Op: "/", L: core.LitFloat(1), R: &core.BinOp{Op: "-", L: v, R: core.LitInt(300)}}, R: core.LitInt(0)}}}
+		}
+		return &core.Select{Input: gs(), Cond: cond}
+	}
+	scalar := func(fn, col string) core.Node {
+		return core.NewProject(&core.AggOp{Input: gs(), Aggs: []core.AggSpec{{Fn: fn, Arg: core.Col(col), As: "a"}}},
+			[]core.Expr{core.Col("a")}, []string{"x"})
+	}
+	abs := &core.Func{Name: "abs", Args: []core.Expr{core.Col("s")}}
+	if !fail {
+		return map[string]func() core.Node{
+			"regathered apply outer": func() core.Node {
+				return core.NewProject(&core.Select{Input: &core.Apply{Outer: outer(), Inner: scalar("avg", "v")},
+					Cond: &core.Cmp{Op: "<", L: v, R: &core.BinOp{Op: "*", L: core.LitFloat(1.2), R: core.Col("x")}}},
+					[]core.Expr{core.Col("s"), core.Col("x")}, []string{"s", "x"})
+			},
+		}
+	}
+	return map[string]func() core.Node{
+		// The tree reads the outer's second window, and fails there, before
+		// the projection sees a row.
+		"apply outer fails past its first window": func() core.Node {
+			return core.NewProject(&core.Apply{Outer: outer(), Inner: scalar("avg", "v")}, []core.Expr{abs}, []string{"a"})
+		},
+		// The inner runs after the outer's first window, before its
+		// second: sum(s) fails first.
+		"inner fails before the outer": func() core.Node {
+			return core.NewProject(&core.Apply{Outer: outer(), Inner: scalar("sum", "s")}, []core.Expr{abs}, []string{"a"})
+		},
 	}
 }
 
 // segRun is one execution of a GApply: its rows, counters and the
-// inner nodes' (describe, rows, opens), in plan order.
+// inner nodes' (describe, rows, opens), in plan order, or its error.
 type segRun struct {
 	rows     []string
 	counters Counters
 	nodes    []string
+	err      string
 }
 
 // runGApply executes ga at dop, with its inner forced onto the iterator
@@ -255,7 +381,7 @@ func runGApply(t *testing.T, cat *storage.Catalog, ga *core.GApply, dop int, tre
 	}
 	rows, err := drainBatchRows(it, ctx)
 	if err != nil {
-		t.Fatal(err)
+		return segRun{err: err.Error()}
 	}
 	out := segRun{rows: renderRows(rows), counters: ctx.Counters}
 	if prof {
@@ -270,37 +396,56 @@ func runGApply(t *testing.T, cat *storage.Catalog, ga *core.GApply, dop int, tre
 // TestSegmentMatchesTree is the segment program's differential: over
 // the edge cases, at dop 1, 2 and 8 under both partition strategies, it
 // produces the iterator tree's rows in the same order, the same
-// counters, and — profiled — the same per-operator rows and loops; and
-// the rows match the reference interpreter.
+// counters, and — profiled — the same per-operator rows and loops, or
+// fails with the tree's error; and the rows match the reference
+// interpreter.
 func TestSegmentMatchesTree(t *testing.T) {
-	cat := edgeCatalog(t)
-	tab, err := cat.Lookup("edge")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, inner := range edgeShapes() {
-		for _, hint := range []core.PartitionHint{core.PartitionHash, core.PartitionSort} {
-			mk := func() *core.GApply {
-				ga := core.NewGApply(&core.Scan{Table: "edge", Def: tab.Def}, []*core.ColRef{core.Col("k")}, "g", inner())
-				ga.Partition = hint
-				return ga
-			}
-			plan := mk()
-			res := mustRun(t, plan, NewContext(cat))
-			checkOracle(t, plan, cat, res.Rows)
-			for _, dop := range []int{1, 2, 8} {
-				for _, prof := range []bool{false, true} {
-					seg := runGApply(t, cat, mk(), dop, false, prof)
-					tree := runGApply(t, cat, mk(), dop, true, prof)
-					what := fmt.Sprintf("%s/%v/dop %d/profiled %v", name, hint, dop, prof)
-					if !reflect.DeepEqual(seg.rows, tree.rows) {
-						t.Fatalf("%s: rows differ:\nsegment %v\ntree    %v", what, seg.rows, tree.rows)
-					}
-					if seg.counters != tree.counters {
-						t.Errorf("%s: counters differ:\nsegment %+v\ntree    %+v", what, seg.counters, tree.counters)
-					}
-					if !reflect.DeepEqual(seg.nodes, tree.nodes) {
-						t.Errorf("%s: profiles differ:\nsegment %v\ntree    %v", what, seg.nodes, tree.nodes)
+	edge, window := edgeCatalog(t), windowCatalog(t)
+	for _, c := range []struct {
+		cat    *storage.Catalog
+		shapes map[string]func() core.Node
+		fails  bool
+	}{
+		{edge, edgeShapes(), false},
+		{edge, edgeErrorShapes(), true},
+		{window, windowShapes(false), false},
+		{window, windowShapes(true), true},
+	} {
+		tab, err := c.cat.Lookup("edge")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, inner := range c.shapes {
+			for _, hint := range []core.PartitionHint{core.PartitionHash, core.PartitionSort} {
+				mk := func() *core.GApply {
+					ga := core.NewGApply(&core.Scan{Table: "edge", Def: tab.Def}, []*core.ColRef{core.Col("k")}, "g", inner())
+					ga.Partition = hint
+					return ga
+				}
+				if !c.fails {
+					plan := mk()
+					checkOracle(t, plan, c.cat, mustRun(t, plan, NewContext(c.cat)).Rows)
+				}
+				for _, dop := range []int{1, 2, 8} {
+					for _, prof := range []bool{false, true} {
+						seg := runGApply(t, c.cat, mk(), dop, false, prof)
+						tree := runGApply(t, c.cat, mk(), dop, true, prof)
+						what := fmt.Sprintf("%s/%v/dop %d/profiled %v", name, hint, dop, prof)
+						if seg.err != tree.err {
+							t.Fatalf("%s: errors differ:\nsegment %q\ntree    %q", what, seg.err, tree.err)
+						}
+						if (seg.err != "") != c.fails {
+							t.Fatalf("%s: error %q, want failure %v", what, seg.err, c.fails)
+						}
+						if !reflect.DeepEqual(seg.rows, tree.rows) {
+							t.Fatalf("%s: rows differ:\nsegment %v\ntree    %v", what, seg.rows, tree.rows)
+						}
+						if seg.counters != tree.counters {
+							t.Errorf("%s: counters differ:\nsegment %+v\ntree    %+v", what, seg.counters, tree.counters)
+						}
+						if !reflect.DeepEqual(seg.nodes, tree.nodes) {
+							t.Errorf("%s: profiles differ:\nsegment %v\ntree    %v", what, seg.nodes, tree.nodes)
+						}
 					}
 				}
 			}
@@ -559,9 +704,10 @@ func TestPartitionAllocsPerRow(t *testing.T) {
 // per-worker state: a Q2-shaped GApply (40 000 rows, 500 groups, 125
 // tasks) allocates at dop 2 what it does at dop 1, plus each worker's
 // compile of its private per-group program, plus a few dozen
-// allocations for the pool — nothing per task.
+// allocations for the pool — nothing per task. A program's compile is
+// itself bounded: each node's schema is derived once, from its input's.
 func TestParallelPhaseAllocs(t *testing.T) {
-	const slack = 64
+	const slack, perProgram = 64, 60
 	cat := joinedCatalog(t)
 	q2 := func() *core.GApply {
 		return core.NewGApply(joinedOuter(cat), []*core.ColRef{core.Col("k")}, "g", ordersInner(nil))
@@ -585,6 +731,9 @@ func TestParallelPhaseAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
+	if build > perProgram {
+		t.Errorf("compiling a worker's program makes %.0f allocations, want at most %d", build, perProgram)
+	}
 	one, two := mallocs(1), mallocs(2)
 	if two > one+2*build+slack {
 		t.Errorf("dop 2 makes %.0f allocations, dop 1 %.0f and a worker's program %.0f: want at most %d more than dop 1 and two programs",
@@ -688,37 +837,66 @@ func unitScan(cat *storage.Catalog) func() core.Node {
 // BenchmarkGApplyGroups runs the orders shape over 10 000 groups of 4
 // rows — scan, partition and execution phase — with the inner lowered to
 // a segment program, at dop 1 and on two workers, and, joined to a
-// one-row table, as the iterator tree re-opened per group at dop 1; per
-// group.
+// one-row table, as the iterator tree re-opened per group at dop 1; and
+// the same shape over 500 groups of 80 rows (wide), Q2's groups at sf
+// 0.05, lowered at dop 1. Per group: ns end to end, and exec-ns the
+// execution phase alone, the drain after Open has partitioned the outer.
 func BenchmarkGApplyGroups(b *testing.B) {
-	const groups = 10000
-	cat := itemsCatalog(b, groups, 4)
 	for _, tc := range []struct {
-		name  string
-		extra func() core.Node
-		dop   int
-	}{{"lowered", nil, 1}, {"dop2", nil, 2}, {"fallback", unitScan(cat), 1}} {
+		name        string
+		groups, per int
+		fallback    bool
+		dop         int
+	}{
+		{"lowered", 10000, 4, false, 1},
+		{"dop2", 10000, 4, false, 2},
+		{"fallback", 10000, 4, true, 1},
+		{"wide", 500, 80, false, 1},
+	} {
 		b.Run(tc.name, func(b *testing.B) {
+			cat := itemsCatalog(b, tc.groups, tc.per)
+			var extra func() core.Node
+			if tc.fallback {
+				extra = unitScan(cat)
+			}
 			ctx := NewContext(cat)
 			ctx.DOP = tc.dop
-			it, err := BuildBatch(ordersGApply(cat, tc.extra), ctx)
+			it, err := BuildBatch(ordersGApply(cat, extra), ctx)
 			if err != nil {
 				b.Fatal(err)
 			}
-			if lowered := it.(*bgapply).lowered; lowered != (tc.extra == nil) {
+			if lowered := it.(*bgapply).lowered; lowered == tc.fallback {
 				b.Fatalf("lowered = %v", lowered)
 			}
 			drainCount(b, it)
+			var exec time.Duration
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
 			b.ResetTimer()
 			for n := 0; n < b.N; n++ {
-				drainCount(b, it)
+				if err := it.Open(); err != nil {
+					b.Fatal(err)
+				}
+				start := time.Now()
+				for {
+					out, err := it.NextBatch()
+					if err != nil {
+						b.Fatal(err)
+					}
+					if out == nil {
+						break
+					}
+				}
+				exec += time.Since(start)
+				if err := it.Close(); err != nil {
+					b.Fatal(err)
+				}
 			}
 			b.StopTimer()
 			runtime.ReadMemStats(&after)
-			total := float64(b.N * groups)
+			total := float64(b.N * tc.groups)
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/total, "ns/group")
+			b.ReportMetric(float64(exec.Nanoseconds())/total, "exec-ns/group")
 			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/total, "allocs/group")
 			b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/total, "B/group")
 		})

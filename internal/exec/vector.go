@@ -1,6 +1,9 @@
 package exec
 
 import (
+	"cmp"
+	"math"
+
 	"gapplydb/internal/core"
 	"gapplydb/internal/schema"
 	"gapplydb/internal/types"
@@ -99,25 +102,11 @@ func compileCmpKernel(x *core.Cmp, in *schema.Schema) (selKernel, bool) {
 			return out
 		}, true
 	case lo >= 0: // column <op> literal
-		return func(rows []types.Row, sel []int) []int {
-			out := sel[:0]
-			for _, i := range sel {
-				if c, ok := types.Compare(rows[i][lo], rv); ok && test(c) {
-					out = append(out, i)
-				}
-			}
-			return out
-		}, true
+		mask := outcomeMask(test, false)
+		return func(rows []types.Row, sel []int) []int { return selectCmpConst(rows, sel, lo, rv, mask) }, true
 	case ro >= 0: // literal <op> column
-		return func(rows []types.Row, sel []int) []int {
-			out := sel[:0]
-			for _, i := range sel {
-				if c, ok := types.Compare(lv, rows[i][ro]); ok && test(c) {
-					out = append(out, i)
-				}
-			}
-			return out
-		}, true
+		mask := outcomeMask(test, true)
+		return func(rows []types.Row, sel []int) []int { return selectCmpConst(rows, sel, ro, lv, mask) }, true
 	default: // literal <op> literal: decided once, keep all or none
 		keep := false
 		if c, ok := types.Compare(lv, rv); ok && test(c) {
@@ -158,4 +147,47 @@ func runKernels(kernels []selKernel, rows []types.Row, sel []int) []int {
 		sel = k(rows, sel)
 	}
 	return sel
+}
+
+// outcomeMask encodes a comparison test as the outcomes it accepts:
+// bit c+1 is set when test passes result c (-1, 0 or 1). flip gives the
+// mask of the comparison with its operands swapped.
+func outcomeMask(test func(int) bool, flip bool) (m uint8) {
+	for c := -1; c <= 1; c++ {
+		if flip && test(-c) || !flip && test(c) {
+			m |= 1 << (c + 1)
+		}
+	}
+	return m
+}
+
+// selectCmpConst narrows sel, in place, to the rows whose column ord
+// compares with c to an outcome mask accepts (outcomeMask): the
+// column-against-constant kernel. An INT against an INT constant, and a
+// FLOAT against a FLOAT constant, neither NaN, compare inline; any other
+// pair goes through types.Compare, whose Unknown rejects.
+func selectCmpConst(rows []types.Row, sel []int, ord int, c types.Value, mask uint8) []int {
+	out := sel[:0]
+	if c.IsNull() {
+		return out
+	}
+	fast := c.K == types.KindInt || c.K == types.KindFloat && !math.IsNaN(c.F)
+	for _, i := range sel {
+		v := &rows[i][ord]
+		r, ok := 0, true
+		switch {
+		case !fast || v.K != c.K:
+			r, ok = types.Compare(*v, c)
+		case v.K == types.KindInt:
+			r = cmp.Compare(v.I, c.I)
+		case !math.IsNaN(v.F):
+			r = cmp.Compare(v.F, c.F)
+		default:
+			r, ok = types.Compare(*v, c)
+		}
+		if ok && mask>>(r+1)&1 != 0 {
+			out = append(out, i)
+		}
+	}
+	return out
 }

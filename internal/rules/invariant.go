@@ -114,7 +114,7 @@ func (InvariantGrouping) Apply(n core.Node, ctx *Context) (core.Node, bool) {
 // right side onto its equal left-side column.
 func remapThroughPairs(gc *core.ColRef, pairs []core.EquiPair, rightSchema interface {
 	Resolve(string, string) (int, error)
-}, ) *core.ColRef {
+}) *core.ColRef {
 	gcOrd, err := rightSchema.Resolve(gc.Table, gc.Name)
 	if err != nil {
 		return nil
