@@ -135,25 +135,6 @@ func WithTracing() QueryOption {
 // NewTraceID mints a random trace ID for WithTraceID.
 func NewTraceID() gapplydb.TraceID { return gapplydb.NewTraceID() }
 
-// WithPartition pins the GApply partitioning strategy server-side
-// ("hash", "sort"; "" restores the engine's cost-based choice). The
-// distributed coordinator uses it to make every shard partition the
-// way the coordinating plan did.
-func WithPartition(strategy string) QueryOption {
-	return func(o *queryOpts) { o.w.Partition = strategy }
-}
-
-// WithForceRules forces the named cost-based optimizer rules to fire
-// for this query (see gapplydb.RuleNames).
-func WithForceRules(names ...string) QueryOption {
-	return func(o *queryOpts) { o.w.ForceRules = append(o.w.ForceRules, names...) }
-}
-
-// WithDisableRules disables the named optimizer rules for this query.
-func WithDisableRules(names ...string) QueryOption {
-	return func(o *queryOpts) { o.w.DisableRules = append(o.w.DisableRules, names...) }
-}
-
 // Stats summarizes one completed remote query.
 type Stats struct {
 	// Rows is the total row count (or, for XML, document bytes see
@@ -183,9 +164,8 @@ type Conn struct {
 	bw   *bufio.Writer
 	wmu  sync.Mutex
 
-	banner   string
-	maxFrame int
-	nextID   atomic.Uint64
+	banner string
+	nextID atomic.Uint64
 
 	mu      sync.Mutex
 	pending map[uint64]chan frame
@@ -196,59 +176,35 @@ type Conn struct {
 	closing   chan struct{} // closed when Close begins
 }
 
-// DialOption tunes connection establishment.
-type DialOption func(*dialConfig)
-
-type dialConfig struct {
-	maxFrame int
-}
-
-// WithMaxFrame proposes a per-frame payload limit for the session. The
-// handshake negotiates the smaller of the client's and server's limits;
-// a proposal the server cannot honor fails Dial with a
-// *wire.FrameSizeError. 0 keeps wire.DefaultMaxFrame.
-func WithMaxFrame(n int) DialOption {
-	return func(c *dialConfig) { c.maxFrame = n }
-}
-
 // Dial connects with no deadline. See DialContext.
-func Dial(addr string, opts ...DialOption) (*Conn, error) {
-	return DialContext(context.Background(), addr, opts...)
+func Dial(addr string) (*Conn, error) {
+	return DialContext(context.Background(), addr)
 }
 
 // DialContext connects to a gapplyd server and performs the protocol
 // handshake. The context bounds connection establishment only.
-func DialContext(ctx context.Context, addr string, opts ...DialOption) (*Conn, error) {
-	var dc dialConfig
-	for _, o := range opts {
-		o(&dc)
-	}
-	offer := dc.maxFrame
-	if offer <= 0 {
-		offer = wire.DefaultMaxFrame
-	}
+func DialContext(ctx context.Context, addr string) (*Conn, error) {
 	var d net.Dialer
 	nc, err := d.DialContext(ctx, "tcp", addr)
 	if err != nil {
 		return nil, err
 	}
 	c := &Conn{
-		conn:     nc,
-		bw:       bufio.NewWriterSize(nc, 64<<10),
-		maxFrame: offer,
-		pending:  make(map[uint64]chan frame),
-		done:     make(chan struct{}),
-		closing:  make(chan struct{}),
+		conn:    nc,
+		bw:      bufio.NewWriterSize(nc, 64<<10),
+		pending: make(map[uint64]chan frame),
+		done:    make(chan struct{}),
+		closing: make(chan struct{}),
 	}
 	if deadline, ok := ctx.Deadline(); ok {
 		nc.SetDeadline(deadline)
 	}
-	if err := c.writeFrame(wire.TypeHello, wire.EncodeHelloMax(dc.maxFrame)); err != nil {
+	if err := c.writeFrame(wire.TypeHello, wire.EncodeHello()); err != nil {
 		nc.Close()
 		return nil, err
 	}
 	br := bufio.NewReaderSize(nc, 64<<10)
-	t, payload, err := wire.ReadFrame(br, c.maxFrame)
+	t, payload, err := wire.ReadFrame(br, wire.DefaultMaxFrame)
 	if err != nil {
 		nc.Close()
 		return nil, err
@@ -265,18 +221,10 @@ func DialContext(ctx context.Context, addr string, opts ...DialOption) (*Conn, e
 		nc.Close()
 		return nil, fmt.Errorf("client: unexpected handshake frame %v", t)
 	}
-	var negotiated int
-	if _, c.banner, negotiated, err = wire.DecodeWelcome(payload); err != nil {
+	if _, c.banner, err = wire.DecodeWelcome(payload); err != nil {
 		nc.Close()
 		return nil, err
 	}
-	if negotiated > offer {
-		// A server that predates negotiation confirms DefaultMaxFrame; a
-		// client that offered less cannot safely read the frames it may send.
-		nc.Close()
-		return nil, &wire.FrameSizeError{Proposed: negotiated, Limit: offer}
-	}
-	c.maxFrame = negotiated
 	nc.SetDeadline(time.Time{})
 	go c.readLoop(br)
 	return c, nil
@@ -284,25 +232,6 @@ func DialContext(ctx context.Context, addr string, opts ...DialOption) (*Conn, e
 
 // Banner returns the server identification from the handshake.
 func (c *Conn) Banner() string { return c.banner }
-
-// MaxFrame returns the session's negotiated per-frame payload limit.
-func (c *Conn) MaxFrame() int { return c.maxFrame }
-
-// Healthy reports whether the connection is still usable: not closed
-// and with a live read loop. It is a cheap local check — Ping for an
-// end-to-end probe.
-func (c *Conn) Healthy() bool {
-	select {
-	case <-c.closing:
-		return false
-	case <-c.done:
-		return false
-	default:
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.failErr == nil
-}
 
 // Close tears the connection down; every in-flight call fails with
 // ErrConnClosed. Safe even with abandoned (un-Closed) Rows iterators
@@ -331,7 +260,7 @@ func (c *Conn) readLoop(br *bufio.Reader) {
 	for {
 		var t wire.Type
 		var payload []byte
-		t, payload, err = wire.ReadFrame(br, c.maxFrame)
+		t, payload, err = wire.ReadFrame(br, wire.DefaultMaxFrame)
 		if err != nil {
 			break
 		}

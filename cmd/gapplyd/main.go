@@ -10,18 +10,6 @@
 //	gapplyd -max-concurrent 8 -max-queued 16 -session-inflight 8
 //	gapplyd -drain 8s            # force-cancel queries still running then
 //
-// A distributed deployment runs worker shards and a coordinator:
-//
-//	gapplyd -shard-index 0 -shard-count 3 -addr :7745   # worker 0
-//	gapplyd -shard-index 1 -shard-count 3 -addr :7746   # worker 1
-//	gapplyd -shard-index 2 -shard-count 3 -addr :7747   # worker 2
-//	gapplyd -coordinator -shards localhost:7745,localhost:7746,localhost:7747
-//
-// A worker loads only its hash partition of the TPC-H tables; the
-// coordinator keeps a full replica, fans distributable queries out to
-// the workers, and merges the streams order-preservingly. -shard-wait
-// makes the coordinator block until every worker answers a ping.
-//
 // On the first SIGINT/SIGTERM the server stops accepting work, drains
 // in-flight queries (force-cancelling them through the engine's context
 // machinery if -drain expires), closes the database, and exits 0. A
@@ -35,12 +23,10 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
 	"gapplydb"
-	"gapplydb/internal/coord"
 	"gapplydb/internal/server"
 )
 
@@ -54,37 +40,12 @@ func main() {
 	drain := flag.Duration("drain", 8*time.Second, "graceful-shutdown drain budget before in-flight queries are force-cancelled")
 	traceSampling := flag.Float64("trace-sampling", 0, "head-sample this fraction (0..1) of un-ID'd queries into the trace flight recorder; client-issued trace IDs are always traced")
 	verbose := flag.Bool("v", false, "log per-connection events")
-	coordinator := flag.Bool("coordinator", false, "run as cluster coordinator: keep a full replica, fan distributable queries out to -shards")
-	shardAddrs := flag.String("shards", "", "comma-separated worker addresses for -coordinator (shard i of n must run with -shard-index i -shard-count n)")
-	shardIndex := flag.Int("shard-index", -1, "run as worker shard i: load only this hash partition of the TPC-H tables")
-	shardCount := flag.Int("shard-count", 0, "total shards in the cluster (required with -shard-index)")
-	shardWait := flag.Duration("shard-wait", 0, "with -coordinator, block up to this long for every worker to answer a ping before serving")
 	flag.Parse()
 
 	logger := log.New(os.Stderr, "gapplyd: ", log.LstdFlags)
 
-	if *coordinator && *shardIndex >= 0 {
-		logger.Fatal("-coordinator and -shard-index are mutually exclusive")
-	}
-	if *shardIndex >= 0 && *shardCount <= *shardIndex {
-		logger.Fatal("-shard-index requires -shard-count > shard-index")
-	}
-	if *coordinator && *shardAddrs == "" {
-		logger.Fatal("-coordinator requires -shards")
-	}
-
 	var db *gapplydb.Database
-	switch {
-	case *shardIndex >= 0 && *sf > 0:
-		logger.Printf("loading TPC-H shard %d/%d at scale factor %g...", *shardIndex, *shardCount, *sf)
-		start := time.Now()
-		var err error
-		db, err = gapplydb.OpenTPCHShard(*sf, *shardIndex, *shardCount)
-		if err != nil {
-			logger.Fatal(err)
-		}
-		logger.Printf("loaded in %v", time.Since(start).Round(time.Millisecond))
-	case *sf > 0:
+	if *sf > 0 {
 		logger.Printf("loading TPC-H at scale factor %g...", *sf)
 		start := time.Now()
 		var err error
@@ -93,7 +54,7 @@ func main() {
 			logger.Fatal(err)
 		}
 		logger.Printf("loaded in %v", time.Since(start).Round(time.Millisecond))
-	default:
+	} else {
 		db = gapplydb.Open()
 	}
 
@@ -107,29 +68,6 @@ func main() {
 		cfg.Logf = logger.Printf
 	}
 
-	var co *coord.Coordinator
-	if *coordinator {
-		addrs := strings.Split(*shardAddrs, ",")
-		for i := range addrs {
-			addrs[i] = strings.TrimSpace(addrs[i])
-		}
-		var err error
-		co, err = coord.New(coord.Config{DB: db, Shards: addrs})
-		if err != nil {
-			logger.Fatal(err)
-		}
-		if *shardWait > 0 {
-			logger.Printf("waiting up to %v for %d shards...", *shardWait, len(addrs))
-			ctx, cancel := context.WithTimeout(context.Background(), *shardWait)
-			err := co.WaitReady(ctx)
-			cancel()
-			if err != nil {
-				logger.Fatal(err)
-			}
-			logger.Printf("all shards ready")
-		}
-		cfg.Distributor = co
-	}
 	srv := server.New(db, cfg)
 
 	var httpSrv *http.Server
@@ -162,9 +100,6 @@ func main() {
 		}
 		if httpSrv != nil {
 			httpSrv.Close()
-		}
-		if co != nil {
-			co.Close()
 		}
 		db.Close()
 		logger.Printf("bye")

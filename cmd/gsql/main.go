@@ -14,8 +14,6 @@
 // sets a per-statement wall-clock limit (\timeout off clears it),
 // \trace last|slow|<id> inspects the flight recorder (the last trace,
 // the slowest retained traces, or one full trace by ID), \q quits.
-// Against a coordinator (-connect), \shards shows per-worker health,
-// connection-pool counters and the last distributed query's fan-out.
 // Ctrl-C while a statement runs cancels just that statement.
 //
 // Usage:

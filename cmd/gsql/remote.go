@@ -89,11 +89,6 @@ func (s *shell) metaRemote(cmd string, w io.Writer) bool {
 	case strings.HasPrefix(cmd, `\explain `):
 		q := strings.TrimSuffix(strings.TrimSpace(cmd[len(`\explain `):]), ";")
 		s.runRemote("explain "+q, w)
-	case cmd == `\shards`:
-		// A coordinator answers `show shards` with one row per worker
-		// (health, pool counters, last fan-out); a plain server reports
-		// it as an unknown statement.
-		s.runRemote("show shards", w)
 	default:
 		fmt.Fprintf(w, "unknown command %s\n", cmd)
 	}

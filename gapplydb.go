@@ -108,25 +108,6 @@ func OpenTPCH(scaleFactor float64) (*Database, error) {
 	return db, nil
 }
 
-// OpenTPCHShard creates a database holding shard `shard` of a
-// totalShards-way hash-partitioned TPC-H load: fact tables (partsupp,
-// lineitem, orders) restricted to the rows tpch.ShardOf assigns to the
-// shard, dimension tables replicated in full. The shard sees the exact
-// global generation order restricted to its rows, which is the invariant
-// the distributed coordinator's order-preserving gather relies on.
-// OpenTPCHShard(sf, 0, 1) is identical to OpenTPCH(sf).
-func OpenTPCHShard(scaleFactor float64, shard, totalShards int) (*Database, error) {
-	db := newDatabase()
-	if err := tpch.LoadShard(db.cat, scaleFactor, shard, totalShards); err != nil {
-		return nil, err
-	}
-	if err := db.buildTPCHIndexes(); err != nil {
-		return nil, err
-	}
-	db.RefreshStats()
-	return db, nil
-}
-
 // buildTPCHIndexes creates the single-column ordered indexes on the
 // TPC-H key and foreign-key columns — the access paths the planner's
 // order pass uses to serve ORDER BY, merge joins and sort-partitioned
@@ -630,18 +611,6 @@ func (db *Database) Plan(query string, options ...QueryOption) (core.Node, error
 		return nil, err
 	}
 	return c.plan, nil
-}
-
-// PlanTrace compiles a statement and returns the optimized plan together
-// with the optimizer's full rule trace and whether the statement carries
-// an EXPLAIN prefix. The distributed coordinator uses the trace to pin
-// the cost-based decisions it needs every shard to reproduce.
-func (db *Database) PlanTrace(query string, options ...QueryOption) (core.Node, []RuleApplication, bool, error) {
-	c, _, err := db.compile(query, makeConfig(options))
-	if err != nil {
-		return nil, nil, false, err
-	}
-	return c.plan, toTrace(c.trace), c.mode != sql.ExplainNone, nil
 }
 
 // compiled is a statement after parse/bind/optimize: the plan, the

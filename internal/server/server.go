@@ -44,10 +44,6 @@ type Config struct {
 	// client-issued trace IDs are traced). Sessions override it with
 	// `Set trace_sampling`.
 	TraceSampling float64
-	// Distributor, when set, is offered every plain (non-EXPLAIN,
-	// unpinned) query before local execution; a coordinator uses this
-	// hook to fan queries out across shards. Nil = always local.
-	Distributor Distributor
 	// Registry receives the server_* metrics. Default: a fresh registry
 	// per server, so parallel servers (and parallel tests) never share
 	// counters.
@@ -272,7 +268,6 @@ func statPairs(st gapplydb.ExecStats) []wire.StatPair {
 func errorCode(err error) string {
 	var re *gapplydb.ResourceError
 	var pe *sql.ParseError
-	var wc interface{ WireCode() string }
 	switch {
 	case errors.Is(err, context.Canceled):
 		return wire.CodeCancelled
@@ -284,10 +279,6 @@ func errorCode(err error) string {
 		return wire.CodeShutdown
 	case errors.As(err, &pe):
 		return wire.CodeParse
-	case errors.As(err, &wc):
-		// Errors that know their own code — a coordinator's ShardError
-		// passes its shard's original taxonomy through the fan-in.
-		return wc.WireCode()
 	default:
 		return wire.CodeInternal
 	}

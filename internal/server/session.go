@@ -48,10 +48,6 @@ type session struct {
 	ctx    context.Context // session root; cancel tears down every query
 	cancel context.CancelFunc
 
-	// maxFrame is the session's frame limit: the server's configured
-	// maximum until the handshake, the negotiated value after.
-	maxFrame int
-
 	mu       sync.Mutex
 	opts     sessionOptions
 	inflight map[uint64]context.CancelFunc
@@ -65,8 +61,6 @@ func newSession(s *Server, conn net.Conn) *session {
 		srv: s, conn: conn,
 		br: bufio.NewReaderSize(conn, 64<<10),
 		bw: bufio.NewWriterSize(conn, 64<<10),
-
-		maxFrame: s.cfg.MaxFrame,
 
 		ctx: ctx, cancel: cancel,
 		inflight: make(map[uint64]context.CancelFunc),
@@ -119,7 +113,7 @@ func (s *session) serve() {
 		return
 	}
 	for {
-		t, payload, err := wire.ReadFrame(s.br, s.maxFrame)
+		t, payload, err := wire.ReadFrame(s.br, s.srv.cfg.MaxFrame)
 		if err != nil {
 			if errors.Is(err, wire.ErrFrameTooLarge) {
 				// The stream position is unrecoverable past an oversized
@@ -148,7 +142,7 @@ func (s *session) handshake() error {
 		s.writeError(0, wire.CodeProtocol, "expected hello")
 		return fmt.Errorf("expected hello, got %v", t)
 	}
-	version, clientMax, err := wire.DecodeHello(payload)
+	version, err := wire.DecodeHello(payload)
 	if err != nil {
 		s.writeError(0, wire.CodeProtocol, err.Error())
 		return err
@@ -158,13 +152,7 @@ func (s *session) handshake() error {
 			fmt.Sprintf("protocol version %d unsupported (want %d)", version, wire.ProtocolVersion))
 		return fmt.Errorf("version mismatch: %d", version)
 	}
-	negotiated, err := wire.NegotiateFrame(s.srv.cfg.MaxFrame, clientMax)
-	if err != nil {
-		s.writeError(0, wire.CodeProtocol, err.Error())
-		return err
-	}
-	s.maxFrame = negotiated
-	return s.writeFrame(wire.TypeWelcome, wire.EncodeWelcomeMax(s.srv.cfg.Banner, negotiated))
+	return s.writeFrame(wire.TypeWelcome, wire.EncodeWelcome(s.srv.cfg.Banner))
 }
 
 // dispatch routes one frame. A returned error poisons the session.
@@ -335,16 +323,6 @@ type effOpts struct {
 	maxOutputRows     int64
 	maxPartitionBytes int64
 	dop               int
-	partition         string
-	forceRules        []string
-	disableRules      []string
-	explain           bool // statement is (or became) an EXPLAIN
-}
-
-// pinned reports whether the client pinned planner decisions —
-// distribution is skipped so the pins take effect literally.
-func (e *effOpts) pinned() bool {
-	return e.partition != "" || len(e.forceRules) > 0 || len(e.disableRules) > 0
 }
 
 // engineOptions renders the resolved options for the embedded engine.
@@ -357,15 +335,6 @@ func (e *effOpts) engineOptions() []gapplydb.QueryOption {
 	}
 	if e.dop != 0 {
 		opts = append(opts, gapplydb.WithDOP(e.dop))
-	}
-	if e.partition != "" {
-		opts = append(opts, gapplydb.WithPartition(e.partition))
-	}
-	for _, r := range e.forceRules {
-		opts = append(opts, gapplydb.ForceRule(r))
-	}
-	for _, r := range e.disableRules {
-		opts = append(opts, gapplydb.WithoutRule(r))
 	}
 	return opts
 }
@@ -383,9 +352,6 @@ func (s *session) effectiveOptions(m *wire.QueryMsg) (string, effOpts) {
 		maxOutputRows:     so.maxOutputRows,
 		maxPartitionBytes: so.maxPartitionBytes,
 		dop:               so.dop,
-		partition:         m.Opts.Partition,
-		forceRules:        m.Opts.ForceRules,
-		disableRules:      m.Opts.DisableRules,
 	}
 	if m.Opts.Timeout > 0 {
 		eff.timeout = m.Opts.Timeout
@@ -411,7 +377,6 @@ func (s *session) effectiveOptions(m *wire.QueryMsg) (string, effOpts) {
 			query = "explain " + query
 		}
 	}
-	eff.explain = hasExplainPrefix(query)
 	return query, eff
 }
 
@@ -477,41 +442,6 @@ func (s *session) runQuery(ctx context.Context, m *wire.QueryMsg) {
 
 	query, eff := s.effectiveOptions(m)
 
-	// Distributed path: a coordinator gets first claim on every plain
-	// query. EXPLAIN and client-pinned queries stay local (the local
-	// database is the coordinator's full replica, so local is always
-	// correct); a declined query falls through for the same reason.
-	if d := s.srv.cfg.Distributor; d != nil && !eff.explain && !eff.pinned() {
-		ds, handled, err := d.Distribute(ctx, query, DistOptions{
-			Timeout:           eff.timeout,
-			MaxOutputRows:     eff.maxOutputRows,
-			MaxPartitionBytes: eff.maxPartitionBytes,
-			DOP:               eff.dop,
-			TraceID:           tid,
-		})
-		if err != nil {
-			s.srv.reg.Counter("server_query_errors").Inc()
-			s.writeErrorTraced(m.ID, errorCode(err), err.Error(), tid)
-			if tb != nil {
-				s.srv.db.Traces().Record(tb.Finish("error", err.Error()))
-			}
-			return
-		}
-		if handled {
-			defer ds.Close()
-			if tb != nil {
-				tb.SetQuery(query)
-				defer func() { s.srv.db.Traces().Record(tb.Finish("ok", "")) }()
-			}
-			if m.Opts.XML {
-				s.streamXML(m.ID, ds, m.Opts.TagPlan, tid)
-				return
-			}
-			s.streamRows(m.ID, ds, tid)
-			return
-		}
-	}
-
 	opts := eff.engineOptions()
 	if tb != nil {
 		tb.SetQuery(query) // session explain mode may have prefixed it
@@ -526,18 +456,18 @@ func (s *session) runQuery(ctx context.Context, m *wire.QueryMsg) {
 	defer stream.Close()
 
 	if m.Opts.XML {
-		s.streamXML(m.ID, engineStream{stream}, m.Opts.TagPlan, tid)
+		s.streamXML(m.ID, stream, m.Opts.TagPlan, tid)
 		return
 	}
-	s.streamRows(m.ID, engineStream{stream}, tid)
+	s.streamRows(m.ID, stream, tid)
 }
 
 // streamRows sends the header, then row batches, then End (or Error).
 // Rows are encoded as they arrive into one buffer reused for every
 // frame of the query, and a frame is flushed at batchMaxRows rows or
 // once its payload really holds batchMaxBytes.
-func (s *session) streamRows(id uint64, stream RowStream, tid trace.ID) {
-	cols := stream.Columns()
+func (s *session) streamRows(id uint64, stream *gapplydb.Stream, tid trace.ID) {
+	cols := stream.Columns
 	h := wire.RowHeaderMsg{ID: id, Columns: cols}
 	if err := s.writeFrame(wire.TypeRowHeader, h.Encode()); err != nil {
 		return // connection gone; teardown cancels the stream
@@ -592,7 +522,7 @@ func (s *session) streamRows(id uint64, stream RowStream, tid trace.ID) {
 
 // streamXML pipes the result through the constant-space tagger into
 // XMLChunk frames — the whole document never exists server-side.
-func (s *session) streamXML(id uint64, stream RowStream, planJSON []byte, tid trace.ID) {
+func (s *session) streamXML(id uint64, stream *gapplydb.Stream, planJSON []byte, tid trace.ID) {
 	var plan xmlpub.TagPlan
 	if err := json.Unmarshal(planJSON, &plan); err != nil {
 		s.writeErrorTraced(id, wire.CodeProtocol, "bad tag plan: "+err.Error(), tid)

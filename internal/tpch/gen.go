@@ -49,7 +49,6 @@ func (r *rng) float() float64 { return float64(r.next()>>11) / (1 << 53) }
 // fixed by the spec.
 const (
 	baseSuppliers    = 10_000
-	basePfarts       = 0 // placeholder to keep the constant block aligned
 	baseParts        = 200_000
 	baseCustomers    = 150_000
 	baseOrders       = 1_500_000
@@ -106,18 +105,6 @@ func SizesFor(sf float64) Sizes {
 // given scale factor. It is the single entry point used by the engine's
 // LoadTPCH, the examples and the benchmark harness.
 func Load(cat *storage.Catalog, sf float64) error {
-	return load(cat, sf, keepAll)
-}
-
-// keepFunc decides whether a generated row is stored. The generator
-// always draws the full deterministic row stream and applies keep only
-// at the Append, so a filtered load (a shard) sees the exact global
-// generation order restricted to its rows.
-type keepFunc func(table string, row types.Row) bool
-
-func keepAll(string, types.Row) bool { return true }
-
-func load(cat *storage.Catalog, sf float64, keep keepFunc) error {
 	sz := SizesFor(sf)
 	if err := loadRegion(cat); err != nil {
 		return err
@@ -131,16 +118,16 @@ func load(cat *storage.Catalog, sf float64, keep keepFunc) error {
 	if err := loadPart(cat, sz); err != nil {
 		return err
 	}
-	if err := loadPartSupp(cat, sz, keep); err != nil {
+	if err := loadPartSupp(cat, sz); err != nil {
 		return err
 	}
 	if err := loadCustomer(cat, sz); err != nil {
 		return err
 	}
-	if err := loadOrders(cat, sz, keep); err != nil {
+	if err := loadOrders(cat, sz); err != nil {
 		return err
 	}
-	return loadLineitem(cat, sz, keep)
+	return loadLineitem(cat, sz)
 }
 
 func col(name string, k types.Kind) schema.Column { return schema.Column{Name: name, Type: k} }
@@ -262,7 +249,7 @@ func loadPart(cat *storage.Catalog, sz Sizes) error {
 	return nil
 }
 
-func loadPartSupp(cat *storage.Catalog, sz Sizes, keep keepFunc) error {
+func loadPartSupp(cat *storage.Catalog, sz Sizes) error {
 	t, err := cat.Create(&schema.TableDef{
 		Name: "partsupp",
 		Schema: schema.New(
@@ -294,9 +281,6 @@ func loadPartSupp(cat *storage.Catalog, sz Sizes, keep keepFunc) error {
 				types.NewInt(supp),
 				types.NewInt(r.rangeInt(1, 9999)),
 				types.NewFloat(float64(r.rangeInt(100, 100000)) / 100),
-			}
-			if !keep("partsupp", row) {
-				continue
 			}
 			if err := t.Append(row); err != nil {
 				return err
@@ -341,7 +325,7 @@ func loadCustomer(cat *storage.Catalog, sz Sizes) error {
 	return nil
 }
 
-func loadOrders(cat *storage.Catalog, sz Sizes, keep keepFunc) error {
+func loadOrders(cat *storage.Catalog, sz Sizes) error {
 	t, err := cat.Create(&schema.TableDef{
 		Name: "orders",
 		Schema: schema.New(
@@ -369,9 +353,6 @@ func loadOrders(cat *storage.Catalog, sz Sizes, keep keepFunc) error {
 			types.NewFloat(float64(r.rangeInt(90000, 50000000)) / 100),
 			types.NewDate(r.rangeInt(8035, 10591)), // 1992-01-01 .. 1998-12-31 as day numbers
 		}
-		if !keep("orders", row) {
-			continue
-		}
 		if err := t.Append(row); err != nil {
 			return err
 		}
@@ -379,7 +360,7 @@ func loadOrders(cat *storage.Catalog, sz Sizes, keep keepFunc) error {
 	return nil
 }
 
-func loadLineitem(cat *storage.Catalog, sz Sizes, keep keepFunc) error {
+func loadLineitem(cat *storage.Catalog, sz Sizes) error {
 	t, err := cat.Create(&schema.TableDef{
 		Name: "lineitem",
 		Schema: schema.New(
@@ -415,9 +396,6 @@ func loadLineitem(cat *storage.Catalog, sz Sizes, keep keepFunc) error {
 				types.NewInt(qty),
 				types.NewFloat(partPrice(part) * float64(qty)),
 				types.NewFloat(float64(r.rangeInt(0, 10)) / 100),
-			}
-			if !keep("lineitem", row) {
-				continue
 			}
 			if err := t.Append(row); err != nil {
 				return err

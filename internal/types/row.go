@@ -136,7 +136,9 @@ func (r Row) String() string {
 }
 
 // CompareRows orders two rows by the listed columns with per-column
-// direction (true = descending). Used by Sort and merge paths.
+// direction (true = descending), value by value with SortCompare. The
+// executor sorts on encoded order keys instead; the order-key tests
+// use CompareRows as the reference those keys must agree with.
 func CompareRows(a, b Row, cols []int, desc []bool) int {
 	for i, c := range cols {
 		cmp := SortCompare(a[c], b[c])

@@ -127,8 +127,8 @@ func TestDecodeRowBatchRejectsOversizedHeader(t *testing.T) {
 }
 
 // FuzzDecodeRowBatch feeds the decoder arbitrary payloads — it is the
-// client's and the coordinator's worker-facing decoder — and holds what
-// it returns and allocates to a multiple of the payload's size.
+// client's decoder — and holds what it returns and allocates to a
+// multiple of the payload's size.
 func FuzzDecodeRowBatch(f *testing.F) {
 	_, boxed := sampleRows(5)
 	good, _ := EncodeRowBatch(1, len(boxed[0]), boxed)

@@ -49,46 +49,6 @@ const Magic = 0x47415044
 // that a corrupt length prefix cannot balloon memory.
 const DefaultMaxFrame = 4 << 20
 
-// MinFrame is the smallest negotiable frame limit. Below this the
-// server could not fit an ordinary row batch or error message, so the
-// handshake rejects it rather than let the session wedge mid-stream.
-const MinFrame = 64 << 10
-
-// FrameSizeError reports an unnegotiable frame-size pairing: one side
-// proposed a limit the other cannot honor. It ends the handshake.
-type FrameSizeError struct {
-	// Proposed is the rejected limit; Min the floor it fell under, or
-	// Limit the ceiling it exceeded (one of the two is set).
-	Proposed, Min, Limit int
-}
-
-func (e *FrameSizeError) Error() string {
-	if e.Limit > 0 {
-		return fmt.Sprintf("wire: negotiated max frame %d exceeds peer limit %d", e.Proposed, e.Limit)
-	}
-	return fmt.Sprintf("wire: proposed max frame %d below minimum %d", e.Proposed, e.Min)
-}
-
-// NegotiateFrame folds the two sides' frame-size offers (0 or negative
-// means DefaultMaxFrame) into the session limit: the smaller of the
-// two. An offer below MinFrame is a *FrameSizeError.
-func NegotiateFrame(a, b int) (int, error) {
-	if a <= 0 {
-		a = DefaultMaxFrame
-	}
-	if b <= 0 {
-		b = DefaultMaxFrame
-	}
-	n := a
-	if b < n {
-		n = b
-	}
-	if n < MinFrame {
-		return 0, &FrameSizeError{Proposed: n, Min: MinFrame}
-	}
-	return n, nil
-}
-
 // Type identifies a frame's message.
 type Type byte
 
@@ -400,20 +360,6 @@ type QueryOptions struct {
 	XML bool
 	// TagPlan is the JSON-encoded xmlpub.TagPlan for XML mode.
 	TagPlan []byte
-	// Partition pins GApply's partitioning strategy ("hash", "sort";
-	// "" = engine default). ForceRules / DisableRules pin individual
-	// optimizer rules. The distributed coordinator uses all three to
-	// make every shard reproduce the exact plan it chose; they travel
-	// as optional trailing fields older peers simply omit or ignore.
-	Partition    string
-	ForceRules   []string
-	DisableRules []string
-}
-
-// distributed reports whether any plan-pinning field is set (and the
-// optional trailing extension block therefore must be encoded).
-func (o *QueryOptions) distributed() bool {
-	return o.Partition != "" || len(o.ForceRules) > 0 || len(o.DisableRules) > 0
 }
 
 // QueryMsg is one query submission.
@@ -453,24 +399,6 @@ func (d *Dec) traceID() trace.ID {
 	return id
 }
 
-// putStrList appends a count-prefixed string list.
-func putStrList(e *Enc, ss []string) {
-	e.U32(uint32(len(ss)))
-	for _, s := range ss {
-		e.Str(s)
-	}
-}
-
-// strList reads a count-prefixed string list.
-func (d *Dec) strList() []string {
-	n := d.U32()
-	var ss []string
-	for i := uint32(0); i < n && d.Err() == nil; i++ {
-		ss = append(ss, d.Str())
-	}
-	return ss
-}
-
 // Encode serializes the message as a TypeQuery payload.
 func (m *QueryMsg) Encode() []byte {
 	var e Enc
@@ -486,19 +414,7 @@ func (m *QueryMsg) Encode() []byte {
 		e.U8(0)
 	}
 	e.Bytes(m.Opts.TagPlan)
-	ext := m.Opts.distributed()
-	if ext && m.Trace.IsZero() {
-		// The trace field is positional: when the extension block
-		// follows, an absent trace must still occupy its presence byte.
-		e.U8(0)
-	}
 	putTraceID(&e, m.Trace)
-	if ext {
-		e.U8(1)
-		e.Str(m.Opts.Partition)
-		putStrList(&e, m.Opts.ForceRules)
-		putStrList(&e, m.Opts.DisableRules)
-	}
 	return e.B
 }
 
@@ -515,79 +431,46 @@ func DecodeQuery(p []byte) (*QueryMsg, error) {
 		m.Opts.TagPlan = append([]byte(nil), b...)
 	}
 	m.Trace = d.traceID()
-	if d.Remaining() > 0 && d.U8() == 1 {
-		m.Opts.Partition = d.Str()
-		m.Opts.ForceRules = d.strList()
-		m.Opts.DisableRules = d.strList()
-	}
 	return m, d.Err()
 }
 
-// EncodeHello builds the client's opening frame payload with the
-// default frame limit (byte-identical to the pre-negotiation format).
-func EncodeHello() []byte { return EncodeHelloMax(0) }
-
-// EncodeHelloMax builds the client's opening frame payload, proposing
-// maxFrame as the session's frame limit. 0 (or DefaultMaxFrame itself)
-// keeps the old two-word payload, so peers that predate negotiation
-// see exactly the frames they always did.
-func EncodeHelloMax(maxFrame int) []byte {
+// EncodeHello builds the client's opening frame payload.
+func EncodeHello() []byte {
 	var e Enc
 	e.U32(Magic)
 	e.U32(ProtocolVersion)
-	if maxFrame > 0 && maxFrame != DefaultMaxFrame {
-		e.U32(uint32(maxFrame))
-	}
 	return e.B
 }
 
-// DecodeHello validates a Hello payload and returns the peer's version
-// and proposed frame limit (DefaultMaxFrame when the peer predates
-// negotiation and omitted the field).
-func DecodeHello(p []byte) (version uint32, maxFrame int, err error) {
+// DecodeHello validates a Hello payload and returns the peer's
+// version. Trailing bytes are ignored: older clients append a proposed
+// frame limit there, and each side reads with its own limit instead.
+func DecodeHello(p []byte) (version uint32, err error) {
 	d := Dec{B: p}
 	magic, version := d.U32(), d.U32()
-	maxFrame = DefaultMaxFrame
-	if d.Remaining() >= 4 {
-		maxFrame = int(d.U32())
-	}
 	if err := d.Err(); err != nil {
-		return 0, 0, err
+		return 0, err
 	}
 	if magic != Magic {
-		return 0, 0, fmt.Errorf("wire: bad magic %#x", magic)
+		return 0, fmt.Errorf("wire: bad magic %#x", magic)
 	}
-	return version, maxFrame, nil
+	return version, nil
 }
 
-// EncodeWelcome builds the server's handshake reply with the default
-// frame limit (byte-identical to the pre-negotiation format).
-func EncodeWelcome(banner string) []byte { return EncodeWelcomeMax(banner, 0) }
-
-// EncodeWelcomeMax builds the server's handshake reply, confirming
-// maxFrame as the session's negotiated frame limit. 0 (or
-// DefaultMaxFrame) keeps the old payload shape.
-func EncodeWelcomeMax(banner string, maxFrame int) []byte {
+// EncodeWelcome builds the server's handshake reply.
+func EncodeWelcome(banner string) []byte {
 	var e Enc
 	e.U32(ProtocolVersion)
 	e.Str(banner)
-	if maxFrame > 0 && maxFrame != DefaultMaxFrame {
-		e.U32(uint32(maxFrame))
-	}
 	return e.B
 }
 
-// DecodeWelcome parses the handshake reply; maxFrame is the limit the
-// server confirmed (DefaultMaxFrame when the server predates
-// negotiation and omitted the field).
-func DecodeWelcome(p []byte) (version uint32, banner string, maxFrame int, err error) {
+// DecodeWelcome parses the handshake reply, ignoring trailing bytes
+// (older servers confirm a frame limit there).
+func DecodeWelcome(p []byte) (version uint32, banner string, err error) {
 	d := Dec{B: p}
 	version, banner = d.U32(), d.Str()
-	maxFrame = DefaultMaxFrame
-	if d.Remaining() >= 4 {
-		maxFrame = int(d.U32())
-	}
-	return version, banner, maxFrame, d.Err()
+	return version, banner, d.Err()
 }
 
 // RowHeaderMsg announces a query's output columns.
@@ -844,7 +727,6 @@ const (
 	CodeShutdown  = "shutdown"      // server draining, no new queries
 	CodeSession   = "session-limit" // per-session in-flight cap reached
 	CodeProtocol  = "protocol"      // malformed frame or bad handshake
-	CodeShard     = "shard"         // a distributed query's shard failed
 	CodeInternal  = "internal"      // anything else
 )
 

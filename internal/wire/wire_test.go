@@ -136,19 +136,102 @@ func TestRowBatchRoundTrip(t *testing.T) {
 }
 
 func TestHandshakeMessages(t *testing.T) {
-	v, mf, err := DecodeHello(EncodeHello())
-	if err != nil || v != ProtocolVersion || mf != DefaultMaxFrame {
-		t.Fatalf("hello: v=%d maxFrame=%d err=%v", v, mf, err)
+	v, err := DecodeHello(EncodeHello())
+	if err != nil || v != ProtocolVersion {
+		t.Fatalf("hello: v=%d err=%v", v, err)
 	}
 	var bad Enc
 	bad.U32(0xdeadbeef)
 	bad.U32(ProtocolVersion)
-	if _, _, err := DecodeHello(bad.B); err == nil {
+	if _, err := DecodeHello(bad.B); err == nil {
 		t.Fatal("bad magic accepted")
 	}
-	v, banner, mf, err := DecodeWelcome(EncodeWelcome("gapplyd test"))
-	if err != nil || v != ProtocolVersion || banner != "gapplyd test" || mf != DefaultMaxFrame {
-		t.Fatalf("welcome: v=%d banner=%q maxFrame=%d err=%v", v, banner, mf, err)
+	v, banner, err := DecodeWelcome(EncodeWelcome("gapplyd test"))
+	if err != nil || v != ProtocolVersion || banner != "gapplyd test" {
+		t.Fatalf("welcome: v=%d banner=%q err=%v", v, banner, err)
+	}
+}
+
+// TestHelloWelcomeByteCompat pins the handshake payloads to their
+// original format: magic and version for Hello, version and banner for
+// Welcome.
+func TestHelloWelcomeByteCompat(t *testing.T) {
+	var oldHello Enc
+	oldHello.U32(Magic)
+	oldHello.U32(ProtocolVersion)
+	if !bytes.Equal(EncodeHello(), oldHello.B) {
+		t.Errorf("EncodeHello changed: %x != %x", EncodeHello(), oldHello.B)
+	}
+	var oldWelcome Enc
+	oldWelcome.U32(ProtocolVersion)
+	oldWelcome.Str("b")
+	if !bytes.Equal(EncodeWelcome("b"), oldWelcome.B) {
+		t.Errorf("EncodeWelcome changed")
+	}
+}
+
+// TestQueryOptionsExtension hand-builds the Query frame that older
+// peers put on the wire — a Query followed by a block of plan pins
+// (partition, forced and disabled rule lists) — and checks that it
+// decodes to the same message with the pins ignored.
+func TestQueryOptionsExtension(t *testing.T) {
+	strList := func(e *Enc, ss ...string) {
+		e.U32(uint32(len(ss)))
+		for _, s := range ss {
+			e.Str(s)
+		}
+	}
+	var tid [16]byte
+	tid[0], tid[15] = 0xaa, 0x55
+	for _, traced := range []bool{false, true} {
+		want := &QueryMsg{ID: 9, SQL: "select * from partsupp", Opts: QueryOptions{
+			Timeout: time.Second, MaxOutputRows: 10, MaxPartitionBytes: 1 << 20,
+			DOP: 2, XML: true, TagPlan: []byte(`{"root":"r"}`),
+		}}
+		var e Enc
+		e.U64(want.ID)
+		e.Str(want.SQL)
+		e.I64(int64(want.Opts.Timeout))
+		e.I64(want.Opts.MaxOutputRows)
+		e.I64(want.Opts.MaxPartitionBytes)
+		e.U32(uint32(want.Opts.DOP))
+		e.U8(1)
+		e.Bytes(want.Opts.TagPlan)
+		if traced {
+			want.Trace = tid
+			e.U8(1)
+			e.B = append(e.B, tid[:]...)
+		} else {
+			e.U8(0) // the trace field's presence byte, held open for the pins
+		}
+		e.U8(1)
+		e.Str("sort")
+		strList(&e, "gapply-to-groupby")
+		strList(&e, "invariant-grouping", "push-down-selections")
+		got, err := DecodeQuery(e.B)
+		if err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("query with pins (traced=%v): %+v err=%v, want %+v", traced, got, err, want)
+		}
+	}
+}
+
+// TestHelloMaxRoundTrip checks that a Hello and a Welcome from older
+// peers, followed by a proposed frame limit, decode to the same
+// version and banner with the limit ignored.
+func TestHelloMaxRoundTrip(t *testing.T) {
+	var hello Enc
+	hello.U32(Magic)
+	hello.U32(ProtocolVersion)
+	hello.U32(256 << 10)
+	if v, err := DecodeHello(hello.B); err != nil || v != ProtocolVersion {
+		t.Fatalf("hello with frame limit: v=%d err=%v", v, err)
+	}
+	var welcome Enc
+	welcome.U32(ProtocolVersion)
+	welcome.Str("srv")
+	welcome.U32(256 << 10)
+	if v, banner, err := DecodeWelcome(welcome.B); err != nil || v != ProtocolVersion || banner != "srv" {
+		t.Fatalf("welcome with frame limit: v=%d banner=%q err=%v", v, banner, err)
 	}
 }
 
