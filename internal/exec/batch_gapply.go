@@ -552,6 +552,7 @@ type partitioner struct {
 func (p *partitioner) run(outer BatchIterator, how partStrategy, ords []int, ctx *Context, plan *core.GApply) (partition, error) {
 	p.in.reset()
 	p.in.arena = ctx.arena
+	p.tab.Storage = ctx.arena
 	p.tab.Reset()
 	p.gids.reset()
 	p.firsts = p.firsts[:0]

@@ -341,15 +341,30 @@ func benchCatalog(b *testing.B) *storage.Catalog {
 }
 
 // benchRun drains plan once per iteration on the batch engine and
-// reports ns and allocations per row: per output row, or per input row
-// when inputRows is set.
-func benchRun(b *testing.B, cat *storage.Catalog, plan core.Node, inputRows int) {
-	ctx := NewContext(cat)
-	it, err := BuildBatch(plan, ctx)
-	if err != nil {
-		b.Fatal(err)
+// reports ns, allocations and bytes per row: per output row, or per input
+// row when inputRows is set. A plain run re-opens one tree, whose storage
+// the GC reclaims; a recycled run is a streamed request's life — attach
+// an arena, build, drain, release — so its storage comes back each
+// iteration.
+func benchRun(b *testing.B, cat *storage.Catalog, plan core.Node, inputRows int, recycled bool) {
+	build := func(ctx *Context) BatchIterator {
+		it, err := BuildBatch(plan, ctx)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return it
 	}
-	rows := drainCount(b, it)
+	it := build(NewContext(cat))
+	drain := func() int { return drainCount(b, it) }
+	if recycled {
+		drain = func() int {
+			ctx := NewContext(cat)
+			ctx.AttachArena()
+			defer ctx.ReleaseArena()
+			return drainCount(b, build(ctx))
+		}
+	}
+	rows := drain()
 	if inputRows > 0 {
 		rows = inputRows
 	}
@@ -357,13 +372,14 @@ func benchRun(b *testing.B, cat *storage.Catalog, plan core.Node, inputRows int)
 	runtime.ReadMemStats(&before)
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
-		drainCount(b, it)
+		drain()
 	}
 	b.StopTimer()
 	runtime.ReadMemStats(&after)
 	total := float64(b.N * rows)
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/total, "ns/row")
 	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/total, "allocs/row")
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/total, "B/row")
 }
 
 // BenchmarkSelectiveScan: the one-supplier filter over the fact table,
@@ -375,21 +391,25 @@ func BenchmarkSelectiveScan(b *testing.B) {
 	seek := keyIndexScan(b, cat, "fact")
 	seek.HeapOrder = true
 	seek.Lo, seek.Hi, seek.HasLo, seek.HasHi, seek.LoIncl, seek.HiIncl = types.NewInt(17), types.NewInt(17), true, true, true, true
-	b.Run("scan", func(b *testing.B) { benchRun(b, cat, &core.Select{Input: heapScan(b, cat, "fact"), Cond: cond}, 0) })
-	b.Run("seek", func(b *testing.B) { benchRun(b, cat, &core.Select{Input: seek, Cond: cond}, 0) })
+	b.Run("scan", func(b *testing.B) {
+		benchRun(b, cat, &core.Select{Input: heapScan(b, cat, "fact"), Cond: cond}, 0, false)
+	})
+	b.Run("seek", func(b *testing.B) { benchRun(b, cat, &core.Select{Input: seek, Cond: cond}, 0, false) })
 }
 
 // BenchmarkJoinProbe: a probe table joined to the 10 000-row dimension
-// by a hash join (build + probe per execution) and by a merge join
-// probing the dimension's index in place, per output row.
+// by a hash join (build + probe per execution), also with its storage
+// recycled, and by a merge join probing the dimension's index in place,
+// per output row.
 func BenchmarkJoinProbe(b *testing.B) {
 	cat := benchCatalog(b)
 	for _, left := range []string{"p80", "p40000"} {
 		cond := &core.Cmp{Op: "=", L: core.QCol(left, left+"_k"), R: core.QCol("dim", "dim_k")}
 		hash := &core.Join{Left: heapScan(b, cat, left), Right: heapScan(b, cat, "dim"), Cond: cond, Method: core.JoinHash}
 		probe := &core.Join{Left: heapScan(b, cat, left), Right: keyIndexScan(b, cat, "dim"), Cond: cond, Method: core.JoinMerge}
-		b.Run(fmt.Sprintf("hash/%s", left), func(b *testing.B) { benchRun(b, cat, hash, 0) })
-		b.Run(fmt.Sprintf("probe/%s", left), func(b *testing.B) { benchRun(b, cat, probe, 0) })
+		b.Run(fmt.Sprintf("hash/%s", left), func(b *testing.B) { benchRun(b, cat, hash, 0, false) })
+		b.Run(fmt.Sprintf("hash/%s/recycled", left), func(b *testing.B) { benchRun(b, cat, hash, 0, true) })
+		b.Run(fmt.Sprintf("probe/%s", left), func(b *testing.B) { benchRun(b, cat, probe, 0, false) })
 	}
 }
 
@@ -414,13 +434,15 @@ func keyedScan(b *testing.B, keys int) (*storage.Catalog, core.Node) {
 }
 
 // BenchmarkGroupBy: hash grouping of 40 000 rows into 500 and 2 000
-// keys, count(*) and sum per group, per input row.
+// keys, count(*) and sum per group, per input row, re-opened and with
+// its storage recycled.
 func BenchmarkGroupBy(b *testing.B) {
 	for _, keys := range []int{500, 2000} {
 		cat, scan := keyedScan(b, keys)
 		plan := &core.GroupBy{Input: scan, GroupCols: []*core.ColRef{core.Col("x_k")},
 			Aggs: []core.AggSpec{{Fn: "count", Star: true}, {Fn: "sum", Arg: core.Col("x_v")}}}
-		b.Run(fmt.Sprintf("k%d", keys), func(b *testing.B) { benchRun(b, cat, plan, 40000) })
+		b.Run(fmt.Sprintf("k%d", keys), func(b *testing.B) { benchRun(b, cat, plan, 40000, false) })
+		b.Run(fmt.Sprintf("k%d/recycled", keys), func(b *testing.B) { benchRun(b, cat, plan, 40000, true) })
 	}
 }
 
@@ -430,7 +452,7 @@ func BenchmarkDistinct(b *testing.B) {
 	for _, keys := range []int{500, 2000} {
 		cat, scan := keyedScan(b, keys)
 		count := &core.AggOp{Input: scan, Aggs: []core.AggSpec{{Fn: "count", Distinct: true, Arg: core.Col("x_k")}}}
-		b.Run(fmt.Sprintf("rows/k%d", keys), func(b *testing.B) { benchRun(b, cat, &core.Distinct{Input: scan}, 40000) })
-		b.Run(fmt.Sprintf("count/k%d", keys), func(b *testing.B) { benchRun(b, cat, count, 40000) })
+		b.Run(fmt.Sprintf("rows/k%d", keys), func(b *testing.B) { benchRun(b, cat, &core.Distinct{Input: scan}, 40000, false) })
+		b.Run(fmt.Sprintf("count/k%d", keys), func(b *testing.B) { benchRun(b, cat, count, 40000, false) })
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -906,7 +907,9 @@ func BenchmarkGApplyGroups(b *testing.B) {
 // BenchmarkPartition partitions 40 000 interleaved rows into 10 000
 // groups by hashing and by sorting, and cuts a clustered copy of them
 // into the same groups as a streaming GApply does, per row, each run
-// with fresh scratch, as a query's first Open has.
+// with fresh scratch, as a query's first Open has. The recycled arm
+// hashes with an arena attached and released each run, as a streamed
+// request does.
 func BenchmarkPartition(b *testing.B) {
 	cat := itemsCatalog(b, 10000, 4)
 	tab, err := cat.Lookup("items")
@@ -914,10 +917,10 @@ func BenchmarkPartition(b *testing.B) {
 		b.Fatal(err)
 	}
 	clustered := clusteredRows(cat)
-	for _, name := range []string{"hash", "sort", "streamed"} {
+	for _, name := range []string{"hash", "hash/recycled", "sort", "streamed"} {
 		b.Run(name, func(b *testing.B) {
 			rows := tab.Rows
-			part := partitioners[name]
+			part := partitioners[strings.TrimSuffix(name, "/recycled")]
 			if name == "streamed" {
 				rows = clustered
 				part = func(rows []types.Row, ords []int, ctx *Context, plan *core.GApply) (partition, error) {
@@ -929,9 +932,13 @@ func BenchmarkPartition(b *testing.B) {
 			runtime.ReadMemStats(&before)
 			b.ResetTimer()
 			for n := 0; n < b.N; n++ {
+				if name == "hash/recycled" {
+					ctx.AttachArena()
+				}
 				if _, err := part(rows, []int{0}, ctx, nil); err != nil {
 					b.Fatal(err)
 				}
+				ctx.ReleaseArena()
 			}
 			b.StopTimer()
 			runtime.ReadMemStats(&after)

@@ -10,6 +10,7 @@ package types
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"strconv"
 )
 
@@ -414,45 +415,59 @@ func Identical(a, b Value) bool {
 	return ok && c == 0
 }
 
-// Hash folds the value into an FNV-1a style hash, seeding with h. Values
-// that are Identical hash identically: INT 2 and FLOAT 2.0 compare
-// equal, so both hash through the float image; an integer beyond the
-// float64-exact range (which no float64 can equal) hashes its exact
-// bits; -0.0 hashes like +0.0. Distinct values may collide — the hash
-// kernel (KeyTable) confirms every hit by comparing actual key values.
+// Hash folds the value into h a word at a time: a number, BOOL, DATE or
+// NULL in one fold (a multiply spreads the word, a rotate and a multiply
+// mix it into h), a string in one fold per 8 bytes plus one for its tail
+// and length. Values that are Identical hash identically: INT 2 and
+// FLOAT 2.0 compare equal, so both hash through the float image; an
+// integer beyond the float64-exact range (which no float64 can equal)
+// hashes its exact bits under a tag of its own; -0.0 hashes like +0.0
+// and every NaN like every other. For a given h and tag each fold is a
+// bijection of the word, so distinct one-word values of one tag never
+// collide; other keys may — the hash kernel (KeyTable) confirms every
+// hit by comparing actual key values.
 func (v Value) Hash(h uint64) uint64 {
-	const prime = 1099511628211
-	mix := func(h uint64, b byte) uint64 { return (h ^ uint64(b)) * prime }
-	mix64 := func(h uint64, x uint64) uint64 {
-		for i := 0; i < 8; i++ {
-			h = mix(h, byte(x>>(8*i)))
-		}
-		return h
-	}
 	switch v.K {
 	case KindNull:
-		return mix(h, 1)
+		return fold(h^1*hashTag, 0)
 	case KindInt:
 		if f, ok := exactFloatImage(v.I); ok {
-			return mix64(mix(h, 2), math.Float64bits(f))
+			return fold(h^2*hashTag, math.Float64bits(f))
 		}
-		return mix64(mix(h, 6), uint64(v.I))
+		return fold(h^6*hashTag, uint64(v.I))
 	case KindFloat:
-		return mix64(mix(h, 2), math.Float64bits(canonFloat(v.F)))
+		return fold(h^2*hashTag, math.Float64bits(canonFloat(v.F)))
 	case KindString:
-		h = mix(h, 3)
-		for i := 0; i < len(v.S); i++ {
-			h = mix(h, v.S[i])
+		h ^= 3 * hashTag
+		s := v.S
+		for ; len(s) >= 8; s = s[8:] {
+			h = fold(h, uint64(s[0])|uint64(s[1])<<8|uint64(s[2])<<16|uint64(s[3])<<24|
+				uint64(s[4])<<32|uint64(s[5])<<40|uint64(s[6])<<48|uint64(s[7])<<56)
 		}
-		return h
+		w := uint64(len(v.S)) << 56
+		for i := 0; i < len(s); i++ {
+			w |= uint64(s[i]) << (8 * i)
+		}
+		return fold(h, w)
 	case KindBool:
-		return mix64(mix(h, 4), uint64(v.I))
+		return fold(h^4*hashTag, uint64(v.I))
 	case KindDate:
-		return mix64(mix(h, 5), uint64(v.I))
+		return fold(h^5*hashTag, uint64(v.I))
 	default:
-		return mix(h, 0xff)
+		return fold(h^7*hashTag, 0)
 	}
 }
+
+// The multipliers are xxHash64's primes: hashTag separates the kinds,
+// hashSpread spreads a word over its high bits, hashMix mixes it into h.
+const (
+	hashTag    = 1609587929392839161
+	hashSpread = 14029467366897019727
+	hashMix    = 11400714785074694791
+)
+
+// fold mixes the word x into h: an xxHash64 round.
+func fold(h, x uint64) uint64 { return bits.RotateLeft64(h^x*hashSpread, 31) * hashMix }
 
 // Add returns a+b with SQL NULL propagation and numeric widening.
 func Add(a, b Value) (Value, error) { return arith(a, b, '+') }
