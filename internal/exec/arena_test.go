@@ -101,6 +101,36 @@ func TestArenaPoison(t *testing.T) {
 	a.reset()
 }
 
+// TestArenaHoldsOnlyCurrentTable: a hash table built through an arena
+// hands every array it outgrows back, so what the arena holds is its
+// final arrays alone, and leaving INT mode hands back the INT keys.
+func TestArenaHoldsOnlyCurrentTable(t *testing.T) {
+	const keys = 50000
+	a := new(arena)
+	defer a.reset()
+	tab := types.KeyTable{Storage: a}
+	var firsts []types.Row
+	for i := range keys {
+		tab.Add(&firsts, types.Row{types.NewInt(int64(i))}, []int{0})
+	}
+	if len(a.slots) != 1 || len(a.ids) != 1 || len(a.ints) != 1 {
+		t.Fatalf("after %d INT keys the arena holds %d slot, %d first-row and %d INT arrays, want 1 each",
+			keys, len(a.slots), len(a.ids), len(a.ints))
+	}
+	// 2·keys rounded up to a power of two slots, half as many ids.
+	const slots = 1 << 17
+	if want := 8*slots + (4+8)*slots/2; a.held != want {
+		t.Fatalf("the arena holds %d bytes, want the final table's %d", a.held, want)
+	}
+	if _, isNew := tab.Add(&firsts, types.Row{types.NewString("x")}, []int{0}); !isNew || len(a.ints) != 0 {
+		t.Fatalf("a string key: new %v, %d INT arrays held; want a new key and none", isNew, len(a.ints))
+	}
+	probes := []types.Row{{types.NewInt(keys - 1)}, {types.NewString("x")}, {types.NewInt(keys)}}
+	if ids := tab.FindAll(nil, firsts, []int{0}, probes, []int{0}); ids[0] != keys-1 || ids[1] != keys || ids[2] != -1 {
+		t.Fatalf("probes found ids %v, want [%d %d -1]", ids, keys-1, keys)
+	}
+}
+
 // TestArenaSharedByWorkers: goroutines taking from one arena at once get
 // disjoint slabs, and reset waits for every registered worker before it
 // recycles them. Run it under -race.
