@@ -19,6 +19,7 @@ package client
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -157,6 +158,11 @@ type frame struct {
 	payload []byte
 }
 
+// streamDepth frames fill a query's demux channel, so the read loop runs
+// up to that far ahead of a slow consumer and the free list of frame
+// buffers holds as many.
+const streamDepth = 64
+
 // Conn is one client connection. Safe for concurrent use: queries are
 // multiplexed by id and writes are serialized.
 type Conn struct {
@@ -174,6 +180,7 @@ type Conn struct {
 
 	closeOnce sync.Once
 	closing   chan struct{} // closed when Close begins
+	frameBufs chan []byte   // free RowBatch/XMLChunk buffers; see recycle
 }
 
 // Dial connects with no deadline. See DialContext.
@@ -190,11 +197,12 @@ func DialContext(ctx context.Context, addr string) (*Conn, error) {
 		return nil, err
 	}
 	c := &Conn{
-		conn:    nc,
-		bw:      bufio.NewWriterSize(nc, 64<<10),
-		pending: make(map[uint64]chan frame),
-		done:    make(chan struct{}),
-		closing: make(chan struct{}),
+		conn:      nc,
+		bw:        bufio.NewWriterSize(nc, 64<<10),
+		pending:   make(map[uint64]chan frame),
+		done:      make(chan struct{}),
+		closing:   make(chan struct{}),
+		frameBufs: make(chan []byte, streamDepth),
 	}
 	if deadline, ok := ctx.Deadline(); ok {
 		nc.SetDeadline(deadline)
@@ -257,12 +265,25 @@ func (c *Conn) writeFrame(t wire.Type, payload []byte) error {
 // framing error — the protocol has no resynchronization point.
 func (c *Conn) readLoop(br *bufio.Reader) {
 	var err error
+	var buf []byte // the free buffer the next frame is read into
 	for {
+		if buf == nil {
+			select {
+			case buf = <-c.frameBufs:
+			default:
+			}
+		}
 		var t wire.Type
 		var payload []byte
-		t, payload, err = wire.ReadFrame(br, wire.DefaultMaxFrame)
+		t, payload, err = wire.ReadFrameInto(br, wire.DefaultMaxFrame, buf)
 		if err != nil {
 			break
+		}
+		if t == wire.TypeRowBatch || t == wire.TypeXMLChunk {
+			buf = nil // handed on with the frame
+		} else if len(payload) > 0 && len(payload) <= cap(buf) {
+			// Other frames are never given back: copy them out, keep buf.
+			payload = bytes.Clone(payload)
 		}
 		id, derr := wire.DecodeID(payload[:min(len(payload), 8)])
 		if derr != nil {
@@ -301,10 +322,23 @@ func (c *Conn) readLoop(br *bufio.Reader) {
 	c.conn.Close()
 }
 
+// recycle gives back a RowBatch or XMLChunk buffer its consumer is done
+// with. Frames flush at 128 KiB (rows) or 32 KiB (XML); a larger buffer,
+// or one that finds the list full, is left to the collector.
+func (c *Conn) recycle(buf []byte) {
+	if cap(buf) > 256<<10 {
+		return
+	}
+	select {
+	case c.frameBufs <- buf:
+	default:
+	}
+}
+
 // register claims a fresh id and its demux channel.
 func (c *Conn) register() (uint64, chan frame, error) {
 	id := c.nextID.Add(1)
-	ch := make(chan frame, 64)
+	ch := make(chan frame, streamDepth)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.failErr != nil {
@@ -420,13 +454,15 @@ func (c *Conn) QueryXML(ctx context.Context, query string, plan *xmlpub.TagPlan,
 		}
 		switch f.t {
 		case wire.TypeXMLChunk:
-			// chunk aliases the frame's payload, which is this call's to
-			// hand on: an io.Writer may not retain it.
+			// chunk aliases the frame's buffer. An io.Writer may not
+			// retain it, so the buffer goes back once Write returns.
 			_, chunk, err := wire.DecodeChunk(f.payload)
 			if err != nil {
 				return Stats{}, err
 			}
-			if _, err := w.Write(chunk); err != nil {
+			_, err = w.Write(chunk)
+			c.recycle(f.payload)
+			if err != nil {
 				// Local sink failure: cancel the stream server-side and
 				// drain to the terminator so the id can be reused safely.
 				c.writeFrame(wire.TypeCancel, wire.EncodeID(id))
@@ -537,7 +573,9 @@ func (r *Rows) Next() ([]any, bool, error) {
 		}
 		switch f.t {
 		case wire.TypeRowBatch:
+			// DecodeRowBatch copies every cell out of the buffer.
 			_, rows, err := wire.DecodeRowBatch(f.payload)
+			r.conn.recycle(f.payload)
 			if err != nil {
 				r.settle(err)
 				return nil, false, r.err

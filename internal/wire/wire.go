@@ -104,28 +104,45 @@ func WriteFrame(w io.Writer, t Type, payload []byte) error {
 	return err
 }
 
-// ReadFrame reads one frame, rejecting payloads over maxPayload bytes
-// (0 means DefaultMaxFrame) before allocating anything for them.
+// ReadFrame reads one frame into a new payload: ReadFrameInto with
+// nothing to recycle.
 func ReadFrame(r io.Reader, maxPayload int) (Type, []byte, error) {
+	return ReadFrameInto(r, maxPayload, nil)
+}
+
+// ReadFrameInto reads one frame, rejecting payloads over maxPayload
+// bytes (0 means DefaultMaxFrame) before allocating anything for them.
+// A payload of n bytes is read into buf[:n] when cap(buf) >= n, else
+// into a new slice; an empty payload is nil.
+func ReadFrameInto(r io.Reader, maxPayload int, buf []byte) (Type, []byte, error) {
 	if maxPayload <= 0 {
 		maxPayload = DefaultMaxFrame
 	}
-	var hdr [headerLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	hdr := buf // not a local array, which would escape through r
+	if cap(hdr) < headerLen {
+		hdr = make([]byte, headerLen)
+	}
+	hdr = hdr[:headerLen]
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		return TypeInvalid, nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[1:])
+	t, n := Type(hdr[0]), binary.BigEndian.Uint32(hdr[1:])
 	if n > uint32(maxPayload) {
 		return TypeInvalid, nil, fmt.Errorf("%w: %d > %d", ErrFrameTooLarge, n, maxPayload)
 	}
 	if n == 0 {
-		return Type(hdr[0]), nil, nil
+		return t, nil, nil
 	}
-	payload := make([]byte, n)
+	payload := buf
+	if cap(payload) < int(n) {
+		// Capacity rounded up to a size class: room for a later frame.
+		payload = append([]byte(nil), make([]byte, n)...)
+	}
+	payload = payload[:n]
 	if _, err := io.ReadFull(r, payload); err != nil {
 		return TypeInvalid, nil, err
 	}
-	return Type(hdr[0]), payload, nil
+	return t, payload, nil
 }
 
 // Enc builds a payload. The zero value is ready to use; methods never
@@ -657,8 +674,8 @@ func (c *Chunk) Payload() []byte {
 }
 
 // DecodeChunk parses an id-tagged byte chunk. The document bytes alias
-// p: they are valid as long as p is, and a caller that keeps them past
-// p's reuse must copy them.
+// p and are valid until p is reused (on the client, until the consumer
+// gives the frame's buffer back); a caller keeping them must copy them.
 func DecodeChunk(p []byte) (uint64, []byte, error) {
 	d := Dec{B: p}
 	id := d.U64()

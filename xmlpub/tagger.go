@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"unicode/utf8"
 
@@ -200,7 +201,7 @@ func appendCell(dst []byte, v types.Value) []byte {
 	case types.KindInt, types.KindDate:
 		return strconv.AppendInt(dst, v.I, 10)
 	case types.KindFloat:
-		return strconv.AppendFloat(dst, v.F, 'g', -1, 64)
+		return appendFloat(dst, v.F)
 	case types.KindString:
 		return appendEscaped(dst, v.S)
 	case types.KindBool:
@@ -208,6 +209,29 @@ func appendCell(dst []byte, v types.Value) []byte {
 	default:
 		return dst
 	}
+}
+
+// appendFloat appends what strconv.AppendFloat(dst, f, 'g', -1, 64) does.
+// A whole number n = c of hundredths in [0.01, 1e6), as money is, skips
+// the shortest-digit search: c/100 is correctly rounded, so the decimal
+// n/100 parses to f; no two decimals of ≤ 15 digits parse to one float64,
+// so no shorter one does; and 'g' writes exponents −4 to 5 plainly.
+func appendFloat(dst []byte, f float64) []byte {
+	if a := math.Abs(f); a >= 0.01 && a < 1e6 {
+		if c := math.Round(f * 100); c/100 == f {
+			n := int64(c)
+			if n < 0 {
+				dst, n = append(dst, '-'), -n
+			}
+			dst = strconv.AppendInt(dst, n/100, 10)
+			if h := n % 100; h != 0 {
+				dst = append(dst, '.', byte('0'+h/10), byte('0'+h%10))
+				dst = bytes.TrimSuffix(dst, []byte{'0'})
+			}
+			return dst
+		}
+	}
+	return strconv.AppendFloat(dst, f, 'g', -1, 64)
 }
 
 // asciiEscape maps each ASCII byte to its replacement, "" for the bytes
