@@ -82,8 +82,8 @@ func TestCloseCancelsOpenStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok, err := s.Next(); err != nil || !ok {
-		t.Fatalf("first row: ok=%v err=%v", ok, err)
+	if _, ok, err := s.NextRows(); err != nil || !ok {
+		t.Fatalf("first batch: ok=%v err=%v", ok, err)
 	}
 
 	// Close blocks on the stream; drain it from another goroutine.
@@ -91,7 +91,7 @@ func TestCloseCancelsOpenStream(t *testing.T) {
 	go func() { closed <- db.Close() }()
 	var streamErr error
 	for {
-		_, ok, err := s.Next()
+		_, ok, err := s.NextRows()
 		if err != nil {
 			streamErr = err
 			break

@@ -513,9 +513,8 @@ type Result struct {
 	// recorder (Database.Traces); zero when the query was not traced.
 	TraceID TraceID
 
-	inner *exec.Result
-	text  string // rendered explanation, for EXPLAIN statements
-	prof  *exec.Profile
+	inner *exec.Result // the rows, owned: copied out of the execution's arena
+	text  string       // rendered explanation, for EXPLAIN statements
 }
 
 // ExecStats mirrors the executor's work counters.
@@ -548,7 +547,10 @@ func (r *Result) String() string {
 
 // Query parses, binds, optimizes and executes a statement. It is safe
 // for concurrent callers: every execution gets its own context, and the
-// loaded catalog is only read.
+// loaded catalog is only read. Query drains the Stream that
+// StreamContext would return, copying the rows out of the execution's
+// recycled storage before closing it: a Result's rows stay valid for as
+// long as the caller holds it.
 //
 // A statement prefixed with EXPLAIN [ANALYZE] is routed to the
 // corresponding explain path: the result has a single "QUERY PLAN"
@@ -564,36 +566,11 @@ func (db *Database) Query(query string, options ...QueryOption) (*Result, error)
 // row batch, returning context.Canceled or context.DeadlineExceeded.
 // Any Budget timeout set via options composes with ctx's own deadline.
 func (db *Database) QueryContext(ctx context.Context, query string, options ...QueryOption) (*Result, error) {
-	release, err := db.acquire()
+	s, err := db.start(ctx, query, options)
 	if err != nil {
 		return nil, err
 	}
-	defer release()
-	cfg := makeConfig(options)
-	tb := db.traceSetup(&cfg, query)
-	c, hit, err := db.compile(query, cfg)
-	if err != nil {
-		db.finishTrace(tb, err)
-		return nil, err
-	}
-	cfg.planCacheHit = hit
-	switch c.mode {
-	case sql.ExplainAnalyze:
-		e, err := db.explainCompiled(ctx, c, cfg, true)
-		if err != nil {
-			return nil, err
-		}
-		return e.planResult(), nil
-	case sql.ExplainPlan:
-		e, err := db.explainCompiled(ctx, c, cfg, false)
-		if err != nil {
-			db.finishTrace(tb, err)
-			return nil, err
-		}
-		db.finishTrace(tb, nil)
-		return e.planResult(), nil
-	}
-	return db.execute(ctx, c, cfg)
+	return s.result()
 }
 
 func makeConfig(options []QueryOption) queryConfig {
@@ -693,52 +670,8 @@ func (db *Database) compile(query string, cfg queryConfig) (*compiled, bool, err
 	return c, false, nil
 }
 
-// execute runs an optimized plan under the caller's context and budget.
-func (db *Database) execute(ctx context.Context, c *compiled, cfg queryConfig) (*Result, error) {
-	ctx, stop := db.lifecycleContext(ctx)
-	defer stop()
-	if cfg.budget.Timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, cfg.budget.Timeout)
-		defer cancel()
-	}
-	ectx := db.execContext(ctx, cfg)
-	tb := cfg.traceBuilder
-	execSpan := tb.StartSpan("execute", 0)
-	start := time.Now()
-	res, err := exec.Run(c.plan, ectx)
-	elapsed := time.Since(start)
-	tb.EndSpan(execSpan)
-	db.reg.Counter("queries").Inc()
-	db.reg.Histogram("execute_latency").Observe(elapsed)
-	if err != nil {
-		err = db.classifyExecError(err)
-		attachOperatorSpans(tb, execSpan, c.plan, ectx.Prof)
-		db.finishTrace(tb, err)
-		return nil, err
-	}
-	db.recordExecMetrics(ectx.Counters)
-	attachOperatorSpans(tb, execSpan, c.plan, ectx.Prof)
-	db.finishTrace(tb, nil)
-
-	out := &Result{
-		Columns: make([]string, res.Schema.Len()),
-		Rows:    boxRows(nil, res.Rows),
-		Elapsed: elapsed,
-		Stats:   statsOf(ectx.Counters),
-		Trace:   toTrace(c.trace),
-		TraceID: tb.ID(),
-		inner:   res,
-		prof:    ectx.Prof,
-	}
-	for i, c := range res.Schema.Cols {
-		out.Columns[i] = c.QualifiedName()
-	}
-	return out, nil
-}
-
 // execContext builds the executor context one configured query runs
-// under (shared by the materializing and streaming paths).
+// under.
 func (db *Database) execContext(ctx context.Context, cfg queryConfig) *exec.Context {
 	ectx := exec.NewContext(db.cat)
 	ectx.DOP = cfg.dop
@@ -795,39 +728,27 @@ func (db *Database) classifyExecError(err error) error {
 	return err
 }
 
-// boxRow converts one typed row into the public API's boxed form.
-func boxRow(r types.Row) []any {
-	out := make([]any, len(r))
-	for i, v := range r {
-		out[i] = v.Go()
-	}
-	return out
-}
-
-// boxRows is boxRow over a whole batch or result. All rows are carved
-// from one []any slab (three-index slices, so a row cannot grow into its
-// neighbour), which makes the row containers one allocation per call
-// instead of one per row; the cells themselves are boxed by the runtime
-// as usual. dst's backing array is reused when it is large enough.
-func boxRows(dst [][]any, rows []types.Row) [][]any {
+// boxRows converts typed rows into the public API's boxed form. All
+// rows are carved from one []any slab (three-index slices, so a row
+// cannot grow into its neighbour), which makes the row containers one
+// allocation per result instead of one per row; the cells themselves
+// are boxed by the runtime as usual.
+func boxRows(rows []types.Row) [][]any {
 	cells := 0
 	for _, r := range rows {
 		cells += len(r)
 	}
 	slab := make([]any, cells)
-	if cap(dst) < len(rows) {
-		dst = make([][]any, len(rows))
-	}
-	dst = dst[:len(rows)]
+	out := make([][]any, len(rows))
 	for i, r := range rows {
 		vals := slab[:len(r):len(r)]
 		slab = slab[len(r):]
 		for j, v := range r {
 			vals[j] = v.Go()
 		}
-		dst[i] = vals
+		out[i] = vals
 	}
-	return dst
+	return out
 }
 
 // Explain returns a textual report: the optimized plan tree and the

@@ -43,8 +43,10 @@ import (
 // are not cleared at all; its slot arrays, whose zeros mean empty, always
 // are.
 //
-// A nil *arena is the materializing paths' (Run, Query): every call is a
-// plain make, and the GC reclaims the rows once nothing points at them.
+// A nil *arena is what Run and direct BuildBatch tests execute with:
+// every call is a plain make, and the GC reclaims the rows once nothing
+// points at them. Every query the root package runs, Query included,
+// carries an arena.
 type arena struct {
 	mu   sync.Mutex
 	vals []*[]types.Value // Value slabs taken this execution

@@ -30,8 +30,10 @@ import (
 // a row it has emitted. They are not stable beyond it. A streamed
 // execution carves its rows from a pooled arena (arena.go) whose storage
 // goes to a later execution when the Stream is closed, so its rows are
-// valid until then and a consumer that keeps one longer must copy it; a
-// materialized one (Run) allocates its rows, which live while referenced.
+// valid until then and a consumer that keeps one longer must copy it
+// (Query copies every value into one slab it owns before the Close); an
+// execution without an arena (Run) allocates its rows, which live while
+// referenced.
 // The Batch container itself — the Rows and Sel slices — is transient:
 // it is valid only until the next NextBatch call on the producer, which
 // may reuse the backing arrays. An operator that keeps rows across pulls

@@ -240,36 +240,6 @@ func TestCursorBatchBudgetTruncation(t *testing.T) {
 	}
 }
 
-func TestCursorRowStepBudget(t *testing.T) {
-	ctx := fixture(t)
-	ctx.Budget = &Budget{MaxOutputRows: 3}
-	cur, err := Start(scan(ctx, "part"), ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cur.Close()
-	var got int
-	var rerr error
-	for {
-		_, ok, err := cur.Next()
-		if err != nil {
-			rerr = err
-			break
-		}
-		if !ok {
-			break
-		}
-		got++
-	}
-	if got != 3 {
-		t.Fatalf("delivered %d rows, want 3", got)
-	}
-	var re *ResourceError
-	if !errors.As(rerr, &re) {
-		t.Fatalf("error = %v, want *ResourceError", rerr)
-	}
-}
-
 func TestRunBatchCancellation(t *testing.T) {
 	ctx := fixture(t)
 	cctx, cancel := context.WithCancel(context.Background())

@@ -14,54 +14,29 @@ type Result struct {
 	Rows   []types.Row
 }
 
-// Run compiles and executes a logical plan, materializing the result.
-// Execution honors the Context's cancellation signal (ctx.Ctx) and
-// resource budget: cancellation surfaces as context.Canceled or
-// context.DeadlineExceeded within one row batch, and a blown budget as
-// a *ResourceError naming the offending operator. The output-row budget
-// error is raised once max+1 rows have been produced, with Used =
-// max+1, wherever in a batch the limit falls.
+// Run executes a logical plan to completion and materializes the
+// result: a drain of Start's Cursor, so cancellation, deadlines and the
+// resource budget behave exactly as they do for a streamed execution.
+// Without an arena on ctx the rows are plain allocations, valid for as
+// long as the caller holds them. The experiments' client simulation and
+// package tests run plans this way.
 func Run(n core.Node, ctx *Context) (*Result, error) {
-	it, err := BuildBatch(n, ctx)
+	cur, err := Start(n, ctx)
 	if err != nil {
 		return nil, err
 	}
-	if err := it.Open(); err != nil {
-		return nil, err
-	}
+	defer cur.Close()
 	var rows []types.Row
 	for {
-		b, err := it.NextBatch()
+		b, err := cur.NextBatch()
 		if err != nil {
-			it.Close()
 			return nil, err
 		}
 		if b == nil {
-			break
-		}
-		if err := ctx.tickN(b.Len()); err != nil {
-			it.Close()
-			return nil, err
-		}
-		if bud := ctx.Budget; bud != nil && bud.MaxOutputRows > 0 && int64(len(rows)+b.Len()) > bud.MaxOutputRows {
-			it.Close()
-			return nil, &ResourceError{
-				Limit: LimitOutputRows, Operator: core.Summary(n),
-				Max: bud.MaxOutputRows, Used: bud.MaxOutputRows + 1,
-			}
+			return &Result{Schema: cur.Schema, Rows: rows}, nil
 		}
 		rows = b.AppendRows(rows)
 	}
-	if err := it.Close(); err != nil {
-		return nil, err
-	}
-	// A cancel that lands after the last batch still cancels the query:
-	// callers must never mistake a result raced by cancellation for a
-	// committed success.
-	if err := ctx.checkCancel(); err != nil {
-		return nil, err
-	}
-	return &Result{Schema: n.Schema(), Rows: rows}, nil
 }
 
 // String renders the result as an aligned text table (the shell's output

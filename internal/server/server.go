@@ -89,6 +89,12 @@ type Server struct {
 	adm     *admission
 	sampler *trace.Sampler // head-sampling decisions for untagged queries
 	started time.Time      // process-visible uptime base for /healthz
+	// chunks holds the frame buffers of finished XML queries for the
+	// next ones, at most one per admission slot. A sync.Pool missed here:
+	// its Put lands in the running P's private slot, which a Get on the
+	// other P cannot reach, and a query's goroutine often resumes on
+	// another P after blocking on the socket.
+	chunks chan *wire.Chunk
 
 	mu       sync.Mutex
 	lis      net.Listener
@@ -110,6 +116,7 @@ func New(db *gapplydb.Database, cfg Config) *Server {
 		adm:     newAdmission(cfg.MaxConcurrent, cfg.MaxQueued, cfg.Registry),
 		sampler: trace.NewSampler(time.Now().UnixNano()),
 		started: time.Now(),
+		chunks:  make(chan *wire.Chunk, cfg.MaxConcurrent),
 
 		sessions: make(map[*session]struct{}),
 	}

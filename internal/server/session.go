@@ -528,7 +528,21 @@ func (s *session) streamXML(id uint64, stream *gapplydb.Stream, planJSON []byte,
 		s.writeErrorTraced(id, wire.CodeProtocol, "bad tag plan: "+err.Error(), tid)
 		return
 	}
-	cw := &chunkWriter{sess: s, id: id}
+	// The chunk's buffer grows to a frame's size; it goes back to the
+	// server for the next XML query (writeFrame keeps no payload).
+	var chunk *wire.Chunk
+	select {
+	case chunk = <-s.srv.chunks:
+	default:
+		chunk = new(wire.Chunk)
+	}
+	defer func() {
+		select {
+		case s.srv.chunks <- chunk:
+		default:
+		}
+	}()
+	cw := &chunkWriter{sess: s, id: id, chunk: chunk}
 	cw.chunk.Begin(id)
 	tagger := xmlpub.NewTagger(&plan, cw)
 	// tagFailed reports a tagger error — unless it is the chunk writer's
@@ -572,13 +586,13 @@ func (s *session) streamXML(id uint64, stream *gapplydb.Stream, planJSON []byte,
 }
 
 // chunkWriter collects tagger output behind an XMLChunk payload header
-// — in one buffer reused for every chunk of the query — and emits a
-// frame at the chunk threshold. written counts document bytes (not
-// frame overhead).
+// — in one buffer reused for every chunk of the query, and pooled across
+// queries — and emits a frame at the chunk threshold. written counts
+// document bytes (not frame overhead).
 type chunkWriter struct {
 	sess    *session
 	id      uint64
-	chunk   wire.Chunk
+	chunk   *wire.Chunk
 	written int64
 	err     error
 }

@@ -181,19 +181,21 @@ func (db *Database) ExplainAnalyzeContext(ctx context.Context, query string, opt
 // executing it first when analyze is set.
 func (db *Database) explainCompiled(ctx context.Context, c *compiled, cfg queryConfig, analyze bool) (*Explanation, error) {
 	var res *Result
+	var prof *exec.Profile
 	if analyze {
+		// The caller holds the database registration: the execution's
+		// own release is a no-op.
 		cfg.instrument = true
-		r, err := db.execute(ctx, c, cfg)
+		s, err := db.startPlan(ctx, c, cfg, func() {})
 		if err != nil {
 			return nil, err
 		}
-		res = r
+		if res, err = s.result(); err != nil {
+			return nil, err
+		}
+		prof = s.ectx.Prof
 	}
 	est := stats.NewEstimator(db.st).EstimateAll(c.plan)
-	var prof *exec.Profile
-	if res != nil {
-		prof = res.prof
-	}
 	annot := func(n core.Node) string {
 		e := est[n]
 		s := fmt.Sprintf("(rows=%.0f cost=%.0f)", e.Rows, e.Cost)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"reflect"
 	"runtime"
 	"runtime/debug"
 	"testing"
@@ -17,54 +18,67 @@ import (
 // A stream's rows are carved from pooled storage that its Close recycles
 // for later queries. With that storage poisoned on release, and the
 // poison left in place when it is reused, every document xmlpub.Publish
-// streams and every result read through db.Stream must still match the
-// materializing path byte for byte: nothing — the engine, the tagger,
-// Publish — may read a row after its stream is closed or a slot before
-// it is written, and two live executions may not share storage.
+// streams and every result read through db.Stream must still match its
+// reference byte for byte: nothing — the engine, the tagger, Publish —
+// may read a row after its stream is closed or a slot before it is
+// written, and two live executions may not share storage. db.Query
+// drains the same pooled stream, so the references are computed before
+// the poison is switched on, and a corpus query with a checked-in golden
+// is compared against the golden instead.
 // It runs in CI's -race step, which covers the parallel GApply workers
 // taking storage from their query's arena.
 func TestPoisonedStreamsMatchQuery(t *testing.T) {
-	gapplydb.PoisonReleasedRows(t)
 	t.Run("views", func(t *testing.T) {
 		db, err := gapplydb.OpenTPCH(0.002)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer db.Close()
-		type view struct {
+		type run struct {
+			name     string
+			q        *xmlpub.FLWR
+			strategy xmlpub.Strategy
+			dop      int
+			want     []byte
+		}
+		both := []xmlpub.Strategy{xmlpub.GApply, xmlpub.SortedOuterUnion}
+		views := []struct {
 			name       string
 			q          *xmlpub.FLWR
 			strategies []xmlpub.Strategy
-		}
-		both := []xmlpub.Strategy{xmlpub.GApply, xmlpub.SortedOuterUnion}
-		views := []view{
+		}{
 			{"Q1", xmlpub.Q1(), both},
 			{"Q2", xmlpub.Q2(), both},
 			{"Q3", xmlpub.Q3(0.9, 1.1), both},
 			{"orders", ordersView(400), []xmlpub.Strategy{xmlpub.GApply}},
 		}
+		var runs []run
 		for _, dop := range []int{1, 2, 8} {
 			for _, v := range views {
 				for _, s := range v.strategies {
-					t.Run(fmt.Sprintf("%s/%s/dop%d", v.name, s, dop), func(t *testing.T) {
-						opt := gapplydb.WithDOP(dop)
-						res, err := db.Query(v.q.SQL(s), opt)
-						if err != nil {
-							t.Fatal(err)
-						}
-						var want, got bytes.Buffer
-						if err := xmlpub.TagAll(v.q.TagPlan(), res.Rows, &want); err != nil {
-							t.Fatal(err)
-						}
-						if _, err := xmlpub.Publish(db, v.q, s, &got, opt); err != nil {
-							t.Fatal(err)
-						}
-						if !bytes.Equal(got.Bytes(), want.Bytes()) {
-							t.Fatalf("Publish wrote %d bytes, Query + TagAll %d, or they differ", got.Len(), want.Len())
-						}
-					})
+					res, err := db.Query(v.q.SQL(s), gapplydb.WithDOP(dop))
+					if err != nil {
+						t.Fatal(err)
+					}
+					var want bytes.Buffer
+					if err := xmlpub.TagAll(v.q.TagPlan(), res.Rows, &want); err != nil {
+						t.Fatal(err)
+					}
+					runs = append(runs, run{fmt.Sprintf("%s/%s/dop%d", v.name, s, dop), v.q, s, dop, want.Bytes()})
 				}
 			}
+		}
+		gapplydb.PoisonReleasedRows(t)
+		for _, r := range runs {
+			t.Run(r.name, func(t *testing.T) {
+				var got bytes.Buffer
+				if _, err := xmlpub.Publish(db, r.q, r.strategy, &got, gapplydb.WithDOP(r.dop)); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got.Bytes(), r.want) {
+					t.Fatalf("Publish wrote %d bytes, Query + TagAll %d, or they differ", got.Len(), len(r.want))
+				}
+			})
 		}
 	})
 	t.Run("corpus", func(t *testing.T) {
@@ -74,6 +88,12 @@ func TestPoisonedStreamsMatchQuery(t *testing.T) {
 		}
 		db := integDatabase(t)
 		ctx := context.Background()
+		type run struct {
+			q    *replay.Query
+			dop  int
+			want []byte
+		}
+		var runs []run
 		for _, q := range c.Queries {
 			if q.CancelAfterRows > 0 || q.Expect.Error != "" {
 				continue // no complete result to compare
@@ -82,47 +102,60 @@ func TestPoisonedStreamsMatchQuery(t *testing.T) {
 				if q.DOP > 0 && dop != 1 {
 					continue
 				}
-				t.Run(fmt.Sprintf("%s/dop%d", q.Name, dop), func(t *testing.T) {
-					opts := q.LocalOptions(dop)
-					want, err := replay.RunLocal(ctx, db, q, dop)
-					if err != nil || want.Code != "" {
-						t.Fatalf("Query: %v %v", err, want.Err)
-					}
-					// Two executions of the statement at once, pulled in
-					// turn, their rows all kept until both have ended.
-					a, err := db.StreamContext(ctx, q.SQL, opts...)
-					if err != nil {
+				var want []byte
+				if q.Expect.Golden {
+					if want, err = c.Golden(q); err != nil {
 						t.Fatal(err)
 					}
-					defer a.Close()
-					b, err := db.StreamContext(ctx, q.SQL, opts...)
-					if err != nil {
-						t.Fatal(err)
+				} else {
+					out, err := replay.RunLocal(ctx, db, q, dop)
+					if err != nil || out.Code != "" {
+						t.Fatalf("%s: Query: %v %v", q.Name, err, out.Err)
 					}
-					defer b.Close()
-					for i, rows := range drainTogether(t, a, b) {
-						var got []byte
-						if q.Kind == replay.KindXML {
-							var doc bytes.Buffer
-							tg := xmlpub.NewTagger(q.TagPlan, &doc)
-							for _, r := range rows {
-								if err := tg.TypedRow(r); err != nil {
-									t.Fatal(err)
-								}
-							}
-							if err := tg.Close(); err != nil {
+					want = out.Rendered
+				}
+				runs = append(runs, run{q, dop, want})
+			}
+		}
+		gapplydb.PoisonReleasedRows(t)
+		for _, r := range runs {
+			q := r.q
+			t.Run(fmt.Sprintf("%s/dop%d", q.Name, r.dop), func(t *testing.T) {
+				opts := q.LocalOptions(r.dop)
+				// Two executions of the statement at once, pulled in
+				// turn, their rows all kept until both have ended.
+				a, err := db.StreamContext(ctx, q.SQL, opts...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer a.Close()
+				b, err := db.StreamContext(ctx, q.SQL, opts...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer b.Close()
+				for i, rows := range drainTogether(t, a, b) {
+					var got []byte
+					if q.Kind == replay.KindXML {
+						var doc bytes.Buffer
+						tg := xmlpub.NewTagger(q.TagPlan, &doc)
+						for _, r := range rows {
+							if err := tg.TypedRow(r); err != nil {
 								t.Fatal(err)
 							}
-							got = doc.Bytes()
-						} else {
-							got = replay.RenderRows(a.Columns, boxed(rows))
 						}
-						if err := replay.DiffRendered(got, want.Rendered); err != nil {
-							t.Fatalf("stream %d vs Query: %v", i, err)
+						if err := tg.Close(); err != nil {
+							t.Fatal(err)
 						}
+						got = doc.Bytes()
+					} else {
+						got = replay.RenderRows(a.Columns, boxed(rows))
 					}
-				})
-			}
+					if err := replay.DiffRendered(got, r.want); err != nil {
+						t.Fatalf("stream %d vs reference: %v", i, err)
+					}
+				}
+			})
 		}
 	})
 }
@@ -198,6 +231,73 @@ func TestRowKeptPastCloseReadsAsPoison(t *testing.T) {
 	}
 }
 
+// Query's rows outlive the stream it drains: they are copied out of the
+// execution's arena before its Close recycles the storage. With released
+// storage poisoned, a Result reads — boxed, typed and rendered — as a
+// Result computed before the poison did, both when Query returns and
+// after later streams have reused the slabs it ran on.
+func TestQueryRowsOutliveRecycling(t *testing.T) {
+	db := integDatabase(t)
+	// A join's and a GApply's output rows are carved from the
+	// execution's storage, not the table's.
+	queries := []string{
+		"select p_partkey, p_name, ps_suppkey, ps_supplycost from part, partsupp where p_partkey = ps_partkey",
+		xmlpub.Q3(0.9, 1.1).SQL(xmlpub.GApply),
+	}
+	// The references are read out of their Results at once: a copy of
+	// every typed value, the boxed rows and the rendering.
+	type reading struct {
+		rows  [][]any
+		typed []types.Row
+		text  string
+	}
+	read := func(res *gapplydb.Result) reading {
+		r := reading{rows: res.Rows, text: res.String()}
+		for _, row := range gapplydb.TypedRows(res) {
+			r.typed = append(r.typed, append(types.Row(nil), row...))
+		}
+		return r
+	}
+	refs := make([]reading, len(queries))
+	for i, q := range queries {
+		res, err := db.Query(q, gapplydb.WithDOP(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Rows) == 0 {
+			t.Fatalf("%s: no rows", q)
+		}
+		refs[i] = read(res)
+	}
+	gapplydb.PoisonReleasedRows(t)
+	check := func(when string, ref reading, res *gapplydb.Result) {
+		t.Helper()
+		got := read(res)
+		if !reflect.DeepEqual(got.rows, ref.rows) {
+			t.Fatalf("%s: Result.Rows differ from the reference", when)
+		}
+		if !reflect.DeepEqual(got.typed, ref.typed) {
+			t.Fatalf("%s: TypedRows differ from the reference", when)
+		}
+		if got.text != ref.text {
+			t.Fatalf("%s: String() differs from the reference", when)
+		}
+	}
+	for i, q := range queries {
+		res, err := db.Query(q, gapplydb.WithDOP(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		check("at return", refs[i], res)
+		for range 4 {
+			for _, other := range queries {
+				drainStream(t, db, other, gapplydb.WithDOP(1))
+			}
+		}
+		check("after the storage was reused", refs[i], res)
+	}
+}
+
 // raceEnabled is set under the race detector, which makes sync.Pool drop
 // what it is handed at random: the allocation pins skip there.
 var raceEnabled bool
@@ -210,7 +310,9 @@ var raceEnabled bool
 // nor compile, nor hash tables, whose arrays are pooled with the rows.
 // The GApply query repeats in an eighth of its first run's bytes; the
 // sorted outer union keeps its sort-key buffers (types.OrderKeys), which
-// are not pooled, and repeats in a quarter.
+// are not pooled, and repeats in a quarter. db.Query runs the same
+// pooled stream and pays only for the rows it hands out, copied and
+// boxed: the GApply query repeats in under half.
 func TestStreamRecyclesRowStorage(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
@@ -223,10 +325,12 @@ func TestStreamRecyclesRowStorage(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
 		sql   string
+		query bool // through db.Query rather than db.Stream
 		share float64
 	}{
-		{"Q3/gapply", xmlpub.Q3(0.9, 1.1).SQL(xmlpub.GApply), 1.0 / 8},
-		{"Q1/sorted", xmlpub.Q1().SQL(xmlpub.SortedOuterUnion), 1.0 / 4},
+		{"Q3/gapply", xmlpub.Q3(0.9, 1.1).SQL(xmlpub.GApply), false, 1.0 / 8},
+		{"Q1/sorted", xmlpub.Q1().SQL(xmlpub.SortedOuterUnion), false, 1.0 / 4},
+		{"Query/Q3/gapply", xmlpub.Q3(0.9, 1.1).SQL(xmlpub.GApply), true, 1.0 / 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			// Two collections empty the pools: the first run starts cold.
@@ -236,9 +340,9 @@ func TestStreamRecyclesRowStorage(t *testing.T) {
 			runtime.GC()
 			defer debug.SetGCPercent(debug.SetGCPercent(-1))
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-			first := streamBytes(t, db, tc.sql)
-			streamBytes(t, db, tc.sql)
-			steady := streamBytes(t, db, tc.sql)
+			first := runBytes(t, db, tc.sql, tc.query)
+			runBytes(t, db, tc.sql, tc.query)
+			steady := runBytes(t, db, tc.sql, tc.query)
 			t.Logf("first run %d B, steady state %d B (%.2f)", first, steady, float64(steady)/float64(first))
 			if float64(steady) > tc.share*float64(first) {
 				t.Fatalf("steady-state run allocated %d B, over %.0f%% of the first run's %d B", steady, 100*tc.share, first)
@@ -247,14 +351,21 @@ func TestStreamRecyclesRowStorage(t *testing.T) {
 	}
 }
 
-// streamBytes drains a serial stream of sql and returns the bytes the
-// process allocated meanwhile.
-func streamBytes(t *testing.T, db *gapplydb.Database, sql string) uint64 {
+// runBytes runs sql serially to completion, through db.Query or by
+// draining db.Stream, and returns the bytes the process allocated
+// meanwhile.
+func runBytes(t *testing.T, db *gapplydb.Database, sql string, query bool) uint64 {
 	t.Helper()
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	before := ms.TotalAlloc
-	drainStream(t, db, sql, gapplydb.WithDOP(1))
+	if query {
+		if _, err := db.Query(sql, gapplydb.WithDOP(1)); err != nil {
+			t.Fatal(err)
+		}
+	} else {
+		drainStream(t, db, sql, gapplydb.WithDOP(1))
+	}
 	runtime.ReadMemStats(&ms)
 	return ms.TotalAlloc - before
 }

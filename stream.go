@@ -4,7 +4,6 @@ import (
 	"context"
 	"time"
 
-	"gapplydb/internal/core"
 	"gapplydb/internal/exec"
 	"gapplydb/internal/sql"
 	"gapplydb/internal/trace"
@@ -12,42 +11,39 @@ import (
 )
 
 // Stream is an incrementally consumed query result: the rows of Query,
-// delivered one at a time as execution produces them, without the
-// server-side materialization Result implies. The network server
-// streams every remote query through one of these, so a large result
-// only ever exists in full on the client.
+// delivered a batch at a time by NextRows as execution produces them,
+// without the materialization Result implies. It is the one way a
+// statement executes: the network server streams every remote query
+// through one of these, so a large result only ever exists in full on
+// the client, and Query drains one.
 //
 // A Stream belongs to a single goroutine. Close must always be called;
 // it is idempotent and releases the execution (its row storage, which
 // later queries reuse, and the database's in-flight registration, which
-// Database.Close waits on). Draining a
-// stream to completion yields exactly the rows, errors and statistics
-// the materializing path would have produced.
+// Database.Close waits on).
 type Stream struct {
 	// Columns are the output column names, in order.
 	Columns []string
 
-	db       *Database
-	cur      *exec.Cursor  // nil for pre-materialized (EXPLAIN) streams
-	ectx     *exec.Context // execution context, for counters at finish
-	rows     []types.Row   // pre-materialized rows (EXPLAIN statements)
-	ri       int
-	rowBuf   []types.Row        // NextRows' reused container for selected batches
-	batchBuf [][]any            // NextBatch's reused outer container
-	stop     context.CancelFunc // unwinds lifecycle/timeout contexts
-	release  func()             // db in-flight registration
-	start    time.Time
-	stats    ExecStats
-	elapsed  time.Duration
-	done     bool
-	err      error
+	db      *Database
+	c       *compiled          // the statement: its plan and optimizer trace
+	cur     *exec.Cursor       // nil for EXPLAIN streams
+	ectx    *exec.Context      // execution context, for counters at finish
+	report  *Result            // EXPLAIN statements: the report Query returns
+	rows    []types.Row        // the report's lines, replayed as the rows
+	rowBuf  []types.Row        // NextRows' reused container for selected batches
+	stop    context.CancelFunc // unwinds lifecycle/timeout contexts
+	release func()             // db in-flight registration
+	start   time.Time
+	stats   ExecStats
+	elapsed time.Duration
+	done    bool
+	err     error
 
-	// Tracing: the builder spanning this query (nil when untraced), the
-	// open execute span it finishes, and the plan operator spans are
-	// reconstructed from at finish.
+	// Tracing: the builder spanning this query (nil when untraced) and
+	// the open execute span it finishes.
 	tb       *trace.Builder
 	execSpan int
-	plan     core.Node
 }
 
 // Stream is StreamContext under context.Background().
@@ -63,6 +59,15 @@ func (db *Database) Stream(query string, options ...QueryOption) (*Stream, error
 // (which materializes) and its report lines are replayed as the stream's
 // rows, so remote shells need no special casing.
 func (db *Database) StreamContext(ctx context.Context, query string, options ...QueryOption) (*Stream, error) {
+	return db.start(ctx, query, options)
+}
+
+// start admits a statement against the database lifecycle, compiles it
+// and starts its plan; QueryContext drains the stream it returns and
+// StreamContext hands it to the caller. A statement with an EXPLAIN
+// [ANALYZE] prefix is answered by the explain path (ANALYZE runs the
+// plan to completion first) as a stream of the report's lines.
+func (db *Database) start(ctx context.Context, query string, options []QueryOption) (*Stream, error) {
 	release, err := db.acquire()
 	if err != nil {
 		return nil, err
@@ -76,27 +81,31 @@ func (db *Database) StreamContext(ctx context.Context, query string, options ...
 		return nil, err
 	}
 	cfg.planCacheHit = hit
-	if c.mode != sql.ExplainNone {
-		e, err := db.explainCompiled(ctx, c, cfg, c.mode == sql.ExplainAnalyze)
-		if err != nil {
-			db.finishTrace(tb, err) // no-op if the analyzed execution finished it
-			release()
-			return nil, err
-		}
-		db.finishTrace(tb, nil) // plain EXPLAIN never reaches execute
-		res := e.planResult()
-		release()
-		rows := make([]types.Row, len(res.Rows))
-		for i, r := range res.Rows {
-			rows[i] = types.Row{types.NewString(r[0].(string))} // one report line per row
-		}
-		return &Stream{
-			Columns: res.Columns, rows: rows,
-			stats: res.Stats, elapsed: res.Elapsed,
-			tb: tb,
-		}, nil
+	if c.mode == sql.ExplainNone {
+		return db.startPlan(ctx, c, cfg, release)
 	}
+	e, err := db.explainCompiled(ctx, c, cfg, c.mode == sql.ExplainAnalyze)
+	release()
+	db.finishTrace(tb, err) // a no-op once the analyzed execution finished it
+	if err != nil {
+		return nil, err
+	}
+	res := e.planResult()
+	rows := make([]types.Row, len(res.Rows))
+	for i, r := range res.Rows {
+		rows[i] = types.Row{types.NewString(r[0].(string))} // one report line per row
+	}
+	return &Stream{
+		Columns: res.Columns, report: res, rows: rows,
+		stats: res.Stats, elapsed: res.Elapsed, tb: tb,
+	}, nil
+}
 
+// startPlan starts a compiled plan on a pooled arena, under the caller's
+// context, the database lifecycle and the budget's timeout. The stream
+// takes over release; if the start fails, the execution is settled —
+// metrics, error classification, trace, release — before it returns.
+func (db *Database) startPlan(ctx context.Context, c *compiled, cfg queryConfig, release func()) (*Stream, error) {
 	ctx, stop := db.lifecycleContext(ctx)
 	if cfg.budget.Timeout > 0 {
 		inner, cancel := context.WithTimeout(ctx, cfg.budget.Timeout)
@@ -105,98 +114,46 @@ func (db *Database) StreamContext(ctx context.Context, query string, options ...
 	}
 	ectx := db.execContext(ctx, cfg)
 	ectx.AttachArena()
+	tb := cfg.traceBuilder
 	execSpan := tb.StartSpan("execute", 0)
 	// Start opens the plan, which for a blocking root (a sort, a GApply
 	// partition phase) is most of the execution: the clock covers it, as
 	// Result.Elapsed does.
 	start := time.Now()
 	cur, err := exec.Start(c.plan, ectx)
-	if err != nil {
-		stop()
-		ectx.ReleaseArena()
-		release()
-		db.reg.Counter("queries").Inc()
-		err = db.classifyExecError(err)
-		tb.EndSpan(execSpan)
-		attachOperatorSpans(tb, execSpan, c.plan, ectx.Prof)
-		db.finishTrace(tb, err)
-		return nil, err
-	}
 	s := &Stream{
-		Columns: make([]string, cur.Schema.Len()),
-		db:      db, cur: cur, ectx: ectx,
+		db: db, c: c, cur: cur, ectx: ectx,
 		stop: stop, release: release, start: start,
-		tb: tb, execSpan: execSpan, plan: c.plan,
+		tb: tb, execSpan: execSpan,
 	}
+	if err != nil {
+		s.finish(err)
+		return nil, s.Close()
+	}
+	s.Columns = make([]string, cur.Schema.Len())
 	for i, col := range cur.Schema.Cols {
 		s.Columns[i] = col.QualifiedName()
 	}
 	return s, nil
 }
 
-// Next returns the next row (values in the same Go representations
-// Result.Rows uses). ok=false with a nil error marks exhaustion; errors
-// are classified exactly as QueryContext classifies them and are final.
-func (s *Stream) Next() ([]any, bool, error) {
-	if s.done {
-		return nil, false, s.err
-	}
-	if s.cur == nil { // pre-materialized (EXPLAIN) stream
-		if s.ri >= len(s.rows) {
-			s.done = true
-			return nil, false, nil
-		}
-		r := s.rows[s.ri]
-		s.ri++
-		return boxRow(r), true, nil
-	}
-	row, ok, err := s.cur.Next()
-	if err != nil {
-		s.finish(err)
-		return nil, false, s.err
-	}
-	if !ok {
-		s.finish(nil)
-		return nil, false, nil
-	}
-	return boxRow(row), true, nil
-}
-
-// NextBatch returns the next rows in bulk — up to one engine batch (256
-// rows) per call — in the same Go representations Next uses. ok=false
-// with a nil error marks exhaustion. The returned outer slice is reused
-// by the following NextBatch call; the per-row slices are carved from
-// one fresh allocation per call and may be retained. Mixing Next and
-// NextBatch is allowed: no row is delivered twice.
-func (s *Stream) NextBatch() ([][]any, bool, error) {
-	rows, ok, err := s.NextRows()
-	if !ok {
-		return nil, false, err
-	}
-	s.batchBuf = boxRows(s.batchBuf, rows)
-	return s.batchBuf, true, nil
-}
-
-// NextRows is NextBatch without the boxing: the engine's own typed rows,
-// up to one engine batch per call. The rows are valid until the stream
+// NextRows returns the next rows, up to one engine batch (256 rows) per
+// call, as the engine's own typed rows; ok=false with a nil error marks
+// exhaustion, and errors are final. The rows are valid until the stream
 // is closed: Close recycles their storage for later queries, so a caller
 // that keeps rows past it must copy them (Values are plain structs, so
 // copying a row's cells copies everything it holds). The returned outer
-// slice is only valid until the next call on the stream. The network server and xmlpub.Publish tag and
-// encode results through this path, so a row's cells are never boxed
-// between the executor and the XML or wire bytes.
+// slice is only valid until the next call on the stream. The network
+// server and xmlpub.Publish tag and encode results through this path,
+// so a row's cells are never boxed between the executor and the XML or
+// wire bytes.
 func (s *Stream) NextRows() ([]types.Row, bool, error) {
 	if s.done {
 		return nil, false, s.err
 	}
-	if s.cur == nil { // pre-materialized (EXPLAIN) stream
-		if s.ri >= len(s.rows) {
-			s.done = true
-			return nil, false, nil
-		}
-		out := s.rows[s.ri:]
-		s.ri = len(s.rows)
-		return out, true, nil
+	if s.cur == nil { // EXPLAIN: the whole report in one call
+		s.done = true
+		return s.rows, true, nil
 	}
 	b, err := s.cur.NextBatch()
 	if err != nil {
@@ -214,14 +171,57 @@ func (s *Stream) NextRows() ([]types.Row, bool, error) {
 	return s.rowBuf, true, nil
 }
 
-// finish settles the stream exactly once: metrics, stats, error
-// classification, and the lifecycle registrations.
+// result drains the stream into a Result and closes it. The rows are
+// copied out of the execution's arena into one Value slab the Result
+// owns before Close recycles the arena, so Result.Rows, TypedRows and
+// String stay valid for as long as the caller holds the Result.
+func (s *Stream) result() (*Result, error) {
+	defer s.Close()
+	if s.report != nil {
+		return s.report, nil
+	}
+	var rows []types.Row
+	for {
+		batch, ok, err := s.NextRows()
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
+			break
+		}
+		rows = append(rows, batch...)
+	}
+	cells := 0
+	for _, r := range rows {
+		cells += len(r)
+	}
+	slab := make([]types.Value, cells)
+	for i, r := range rows {
+		n := copy(slab, r)
+		rows[i] = slab[:n:n]
+		slab = slab[n:]
+	}
+	return &Result{
+		Columns: s.Columns,
+		Rows:    boxRows(rows),
+		Elapsed: s.elapsed,
+		Stats:   s.stats,
+		Trace:   toTrace(s.c.trace),
+		TraceID: s.tb.ID(),
+		inner:   &exec.Result{Schema: s.cur.Schema, Rows: rows},
+	}, nil
+}
+
+// finish settles the execution exactly once: metrics, stats, error
+// classification, trace, and the lifecycle registrations.
 func (s *Stream) finish(err error) {
 	if s.done {
 		return
 	}
 	s.done = true
-	s.cur.Close()
+	if s.cur != nil {
+		s.cur.Close()
+	}
 	s.elapsed = time.Since(s.start)
 	s.db.reg.Counter("queries").Inc()
 	s.db.reg.Histogram("execute_latency").Observe(s.elapsed)
@@ -232,7 +232,7 @@ func (s *Stream) finish(err error) {
 		s.stats = statsOf(s.ectx.Counters)
 	}
 	s.tb.EndSpan(s.execSpan)
-	attachOperatorSpans(s.tb, s.execSpan, s.plan, s.ectx.Prof)
+	attachOperatorSpans(s.tb, s.execSpan, s.c.plan, s.ectx.Prof)
 	s.db.finishTrace(s.tb, s.err)
 	s.stop()
 	s.release()

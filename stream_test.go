@@ -4,13 +4,14 @@ import (
 	"errors"
 	"reflect"
 	"testing"
+
+	"gapplydb/internal/types"
 )
 
-// TestStreamPullsAgree: Next, NextBatch and NextRows are three views of
-// one cursor. Interleaved on a single stream they deliver every row
-// exactly once, in order, and boxed or typed the rows are the ones Query
-// materializes — over plain batches, selection-vector batches (the
-// filter) and GApply output.
+// TestStreamPullsAgree: the rows NextRows delivers, batch after batch,
+// are the ones Query materializes from the same stream path — over plain
+// batches, selection-vector batches (the filter), GApply output and an
+// EXPLAIN report.
 func TestStreamPullsAgree(t *testing.T) {
 	db, err := OpenTPCH(0.002)
 	if err != nil {
@@ -31,44 +32,28 @@ func TestStreamPullsAgree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var got [][]any
-		for pull := 0; ; pull++ {
-			var ok bool
-			switch pull % 3 {
-			case 0:
-				var row []any
-				if row, ok, err = s.Next(); ok {
-					got = append(got, row)
-				}
-			case 1:
-				var rows [][]any
-				if rows, ok, err = s.NextBatch(); ok {
-					got = append(got, rows...)
-				}
-			default:
-				rows, more, rerr := s.NextRows()
-				ok, err = more, rerr
-				for _, r := range rows {
-					got = append(got, boxRow(r))
-				}
-			}
+		var got []types.Row
+		for {
+			rows, ok, err := s.NextRows()
 			if err != nil {
-				t.Fatalf("%s: pull %d: %v", q, pull, err)
+				t.Fatalf("%s: %v", q, err)
 			}
 			if !ok {
 				break
 			}
+			got = append(got, rows...)
 		}
+		boxedGot := boxRows(got)
 		if err := s.Close(); err != nil {
 			t.Fatal(err)
 		}
-		if len(want.Rows) == 0 || !reflect.DeepEqual(got, want.Rows) {
-			t.Errorf("%s: stream delivered %d rows, Query %d, or they differ", q, len(got), len(want.Rows))
+		if len(want.Rows) == 0 || !reflect.DeepEqual(boxedGot, want.Rows) {
+			t.Errorf("%s: stream delivered %d rows, Query %d, or they differ", q, len(boxedGot), len(want.Rows))
 		}
 	}
 }
 
-// Boxed rows are carved from one slab per result or batch; growing one
+// Boxed rows are carved from one slab per result; growing one
 // must not write into its neighbour.
 func TestBoxedRowsDoNotShareCapacity(t *testing.T) {
 	db := fixture(t)
@@ -86,8 +71,8 @@ func TestBoxedRowsDoNotShareCapacity(t *testing.T) {
 	}
 }
 
-// The output-row budget cuts a typed batch short exactly as it cuts the
-// boxed pulls: the allowed rows arrive, then the resource error.
+// The output-row budget cuts a typed batch short: the allowed rows
+// arrive, then the resource error.
 func TestNextRowsHonoursOutputBudget(t *testing.T) {
 	db, err := OpenTPCH(0.002)
 	if err != nil {

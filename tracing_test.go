@@ -182,7 +182,7 @@ func TestStreamTraceRecorded(t *testing.T) {
 	}
 	// The trace is recorded at finish, not at start.
 	for {
-		_, ok, err := s.Next()
+		_, ok, err := s.NextRows()
 		if err != nil {
 			t.Fatal(err)
 		}
