@@ -104,6 +104,11 @@ func SimulateClientSide(db *gapplydb.Database) (int, error) {
 		return r, nil
 	}
 
+	// The per-group executions share one store, so each reuses the row
+	// storage the previous one released, as the server-side operator's
+	// executions reuse their database's.
+	store := new(exec.Store)
+	defer store.Close()
 	results := 0
 	flush := func() error {
 		if len(tmp.Rows) == 0 {
@@ -115,7 +120,7 @@ func SimulateClientSide(db *gapplydb.Database) (int, error) {
 		if err != nil {
 			return err
 		}
-		res, err := exec.Run(plan, exec.NewContext(scratch))
+		res, err := exec.Run(plan, exec.NewContext(scratch, store))
 		if err != nil {
 			return err
 		}

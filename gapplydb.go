@@ -71,12 +71,17 @@ type Database struct {
 	closeCtx    context.Context
 	closeCancel context.CancelFunc
 	inflight    sync.WaitGroup
+
+	// store is the row storage every execution takes its arena from;
+	// Close drops it.
+	store *exec.Store
 }
 
 // newDatabase wires the pieces every constructor shares.
 func newDatabase() *Database {
 	db := &Database{
 		cat: storage.NewCatalog(), reg: metrics.NewRegistry(), plans: newPlanCache(),
+		store:   new(exec.Store),
 		traces:  trace.NewRecorder(defaultTraceRecent, defaultTraceSlowest),
 		sampler: trace.NewSampler(time.Now().UnixNano()),
 	}
@@ -181,8 +186,11 @@ var ErrDatabaseClosed = errors.New("gapplydb: database is closed")
 // ErrDatabaseClosed, in-flight queries and open streams are cancelled
 // through their execution contexts, and Close blocks until all of them
 // have unwound. The statement plan cache is invalidated so a later
-// reopening of the same catalog cannot observe stale plans. Close is
-// idempotent; concurrent calls all block until teardown completes.
+// reopening of the same catalog cannot observe stale plans, and the row
+// storage the executions shared is dropped, so none of it keeps the
+// database's data reachable; a stream closed later hands its storage to
+// the GC. Close is idempotent; concurrent calls all block until teardown
+// completes.
 //
 // The network server calls this as the last step of its shutdown
 // sequence; embedded callers get deterministic teardown for free.
@@ -196,6 +204,7 @@ func (db *Database) Close() error {
 	}
 	db.inflight.Wait()
 	db.plans.clear()
+	db.store.Close()
 	return nil
 }
 
@@ -673,7 +682,7 @@ func (db *Database) compile(query string, cfg queryConfig) (*compiled, bool, err
 // execContext builds the executor context one configured query runs
 // under.
 func (db *Database) execContext(ctx context.Context, cfg queryConfig) *exec.Context {
-	ectx := exec.NewContext(db.cat)
+	ectx := exec.NewContext(db.cat, db.store)
 	ectx.DOP = cfg.dop
 	ectx.Ctx = ctx
 	ectx.NoSpool = cfg.noSpool

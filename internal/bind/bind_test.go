@@ -81,7 +81,7 @@ func fixtureCatalog(t *testing.T) *storage.Catalog {
 func run(t *testing.T, cat *storage.Catalog, q string) *exec.Result {
 	t.Helper()
 	plan := bindQuery(t, cat, q)
-	ctx := exec.NewContext(cat)
+	ctx := exec.NewContext(cat, new(exec.Store))
 	res, err := exec.Run(plan, ctx)
 	if err != nil {
 		t.Fatalf("exec %q: %v\nplan:\n%s", q, err, core.Format(plan))

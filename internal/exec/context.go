@@ -23,7 +23,7 @@ import (
 // goroutine. Parallel GApply gives every worker its own fork()ed
 // Context and its own per-group executor, then merges the workers'
 // Counters back deterministically. The only mutable state workers share
-// is synchronized: the Budget's atomic meters and the arena's mutex.
+// is synchronized: the Budget's atomic meters and the store's mutex.
 type Context struct {
 	Catalog *storage.Catalog
 
@@ -38,8 +38,10 @@ type Context struct {
 	// nil means "never cancelled" and costs nothing.
 	Ctx context.Context
 
-	// arena, when non-nil, is the pooled storage the execution's rows are
-	// carved from (arena.go); forked worker contexts share it.
+	// store is where the execution's arena comes from; arena is the
+	// storage its rows are carved from (arena.go), attached by BuildBatch
+	// and shared by forked worker contexts.
+	store *Store
 	arena *arena
 
 	// Budget, when non-nil, meters resource consumption (output rows,
@@ -110,9 +112,10 @@ type Counters struct {
 	PlanCacheHits      int64 // 1 when this execution ran a plan-cache hit
 }
 
-// NewContext returns a fresh execution context over a catalog.
-func NewContext(cat *storage.Catalog) *Context {
-	return &Context{Catalog: cat, groups: make(map[string][]types.Row)}
+// NewContext returns a fresh execution context over a catalog, whose
+// executions take their row storage from st.
+func NewContext(cat *storage.Catalog, st *Store) *Context {
+	return &Context{Catalog: cat, store: st, groups: make(map[string][]types.Row)}
 }
 
 // fork returns a child context for a GApply worker: the same catalog,

@@ -3,6 +3,7 @@ package exec
 import (
 	"gapplydb/internal/core"
 	"gapplydb/internal/schema"
+	"gapplydb/internal/types"
 )
 
 // Cursor is the one way a plan executes: Start builds and opens the
@@ -10,7 +11,8 @@ import (
 // polling the Context's cancellation signal and charging its output-row
 // budget. The root package's Stream drives one (Query drains that
 // Stream, the network server and xmlpub.Publish pull it), and Run
-// drains one into a materialized Result.
+// drains one into a materialized Result. Its rows live in the arena
+// BuildBatch attached until ReleaseArena; Drain copies them out.
 //
 // A Cursor, like the iterator tree it drives, belongs to a single
 // goroutine. Close is idempotent and must be called even after an error
@@ -97,6 +99,34 @@ func (c *Cursor) NextBatch() (*Batch, error) {
 		return &c.trunc, nil
 	}
 	return b, nil
+}
+
+// Drain pulls every remaining batch and returns the rows, their values
+// copied into one slab the caller owns, so they outlive the release of
+// the execution's arena. An error is final, as from NextBatch.
+func (c *Cursor) Drain() ([]types.Row, error) {
+	var rows []types.Row
+	for {
+		b, err := c.NextBatch()
+		if err != nil {
+			return nil, err
+		}
+		if b == nil {
+			break
+		}
+		rows = b.AppendRows(rows)
+	}
+	cells := 0
+	for _, r := range rows {
+		cells += len(r)
+	}
+	slab := make([]types.Value, cells)
+	for i, r := range rows {
+		n := copy(slab, r)
+		rows[i] = slab[:n:n]
+		slab = slab[n:]
+	}
+	return rows, nil
 }
 
 // Close releases the iterator tree. Safe to call more than once.

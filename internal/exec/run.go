@@ -17,26 +17,21 @@ type Result struct {
 // Run executes a logical plan to completion and materializes the
 // result: a drain of Start's Cursor, so cancellation, deadlines and the
 // resource budget behave exactly as they do for a streamed execution.
-// Without an arena on ctx the rows are plain allocations, valid for as
-// long as the caller holds them. The experiments' client simulation and
-// package tests run plans this way.
+// The rows are copied out of the execution's arena before its release,
+// so they stay valid for as long as the caller holds them. The
+// experiments' client simulation and package tests run plans this way.
 func Run(n core.Node, ctx *Context) (*Result, error) {
 	cur, err := Start(n, ctx)
+	defer ctx.ReleaseArena()
 	if err != nil {
 		return nil, err
 	}
 	defer cur.Close()
-	var rows []types.Row
-	for {
-		b, err := cur.NextBatch()
-		if err != nil {
-			return nil, err
-		}
-		if b == nil {
-			return &Result{Schema: cur.Schema, Rows: rows}, nil
-		}
-		rows = b.AppendRows(rows)
+	rows, err := cur.Drain()
+	if err != nil {
+		return nil, err
 	}
+	return &Result{Schema: cur.Schema, Rows: rows}, nil
 }
 
 // String renders the result as an aligned text table (the shell's output

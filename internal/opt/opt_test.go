@@ -38,7 +38,7 @@ func bindQ(t *testing.T, cat *storage.Catalog, q string) core.Node {
 
 func runP(t *testing.T, cat *storage.Catalog, plan core.Node) []types.Row {
 	t.Helper()
-	res, err := exec.Run(plan, exec.NewContext(cat))
+	res, err := exec.Run(plan, exec.NewContext(cat, new(exec.Store)))
 	if err != nil {
 		t.Fatalf("exec: %v\n%s", err, core.Format(plan))
 	}

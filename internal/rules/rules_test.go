@@ -89,7 +89,7 @@ func bindSQL(t *testing.T, cat *storage.Catalog, q string) core.Node {
 
 func runPlan(t *testing.T, cat *storage.Catalog, plan core.Node) []types.Row {
 	t.Helper()
-	res, err := exec.Run(plan, exec.NewContext(cat))
+	res, err := exec.Run(plan, exec.NewContext(cat, new(exec.Store)))
 	if err != nil {
 		t.Fatalf("exec: %v\nplan:\n%s", err, core.Format(plan))
 	}

@@ -112,10 +112,6 @@ func TestRecycledFramesXML(t *testing.T) {
 	}
 }
 
-// raceEnabled is set under the race detector, which makes sync.Pool drop
-// items at random.
-var raceEnabled bool
-
 // countingWriter keeps nothing of what it is given.
 type countingWriter struct{ n int }
 
@@ -128,9 +124,6 @@ func (w *countingWriter) Write(p []byte) (int, error) { w.n += len(p); return le
 // the free list holds, which scheduling allows now and then, so the
 // cheapest of a few requests is the one pinned.
 func TestRecycledFramesXMLAllocations(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector makes sync.Pool drop items, so the server's pools allocate")
-	}
 	srv := startServer(t, Config{})
 	conn := dial(t, srv)
 	ctx := context.Background()

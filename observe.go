@@ -190,10 +190,10 @@ func (db *Database) explainCompiled(ctx context.Context, c *compiled, cfg queryC
 		if err != nil {
 			return nil, err
 		}
+		prof = s.ectx.Prof
 		if res, err = s.result(); err != nil {
 			return nil, err
 		}
-		prof = s.ectx.Prof
 	}
 	est := stats.NewEstimator(db.st).EstimateAll(c.plan)
 	annot := func(n core.Node) string {

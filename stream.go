@@ -101,10 +101,11 @@ func (db *Database) start(ctx context.Context, query string, options []QueryOpti
 	}, nil
 }
 
-// startPlan starts a compiled plan on a pooled arena, under the caller's
-// context, the database lifecycle and the budget's timeout. The stream
-// takes over release; if the start fails, the execution is settled —
-// metrics, error classification, trace, release — before it returns.
+// startPlan starts a compiled plan on an arena of the database's store,
+// under the caller's context, the database lifecycle and the budget's
+// timeout. The stream takes over release; if the start fails, the
+// execution is settled — metrics, error classification, trace, release
+// — before it returns.
 func (db *Database) startPlan(ctx context.Context, c *compiled, cfg queryConfig, release func()) (*Stream, error) {
 	ctx, stop := db.lifecycleContext(ctx)
 	if cfg.budget.Timeout > 0 {
@@ -113,7 +114,6 @@ func (db *Database) startPlan(ctx context.Context, c *compiled, cfg queryConfig,
 		ctx, stop = inner, func() { cancel(); outerStop() }
 	}
 	ectx := db.execContext(ctx, cfg)
-	ectx.AttachArena()
 	tb := cfg.traceBuilder
 	execSpan := tb.StartSpan("execute", 0)
 	// Start opens the plan, which for a blocking root (a sort, a GApply
@@ -171,35 +171,19 @@ func (s *Stream) NextRows() ([]types.Row, bool, error) {
 	return s.rowBuf, true, nil
 }
 
-// result drains the stream into a Result and closes it. The rows are
-// copied out of the execution's arena into one Value slab the Result
-// owns before Close recycles the arena, so Result.Rows, TypedRows and
-// String stay valid for as long as the caller holds the Result.
+// result drains the stream into a Result and closes it. Cursor.Drain
+// copies the rows out of the execution's arena into one Value slab the
+// Result owns before Close releases the arena, so Result.Rows, TypedRows
+// and String stay valid for as long as the caller holds the Result.
 func (s *Stream) result() (*Result, error) {
 	defer s.Close()
 	if s.report != nil {
 		return s.report, nil
 	}
-	var rows []types.Row
-	for {
-		batch, ok, err := s.NextRows()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			break
-		}
-		rows = append(rows, batch...)
-	}
-	cells := 0
-	for _, r := range rows {
-		cells += len(r)
-	}
-	slab := make([]types.Value, cells)
-	for i, r := range rows {
-		n := copy(slab, r)
-		rows[i] = slab[:n:n]
-		slab = slab[n:]
+	rows, err := s.cur.Drain()
+	s.finish(err)
+	if s.err != nil {
+		return nil, s.err
 	}
 	return &Result{
 		Columns: s.Columns,
@@ -242,13 +226,14 @@ func (s *Stream) finish(err error) {
 // before exhaustion counts the query as executed and records the work
 // done up to that point. Always returns the stream's final error state.
 func (s *Stream) Close() error {
-	if !s.done && s.cur != nil {
-		s.finish(nil)
+	if s.ectx != nil { // a plan's stream, not yet closed
+		if !s.done {
+			s.finish(nil)
+		}
+		s.ectx.ReleaseArena()
+		s.ectx = nil
 	}
 	s.done = true
-	if s.ectx != nil {
-		s.ectx.ReleaseArena()
-	}
 	return s.err
 }
 
