@@ -14,19 +14,14 @@ import (
 // ordinals right: a join's narrowed emission (build_batch.go), or
 // GApply's grouping columns ahead of a per-group row. A nil ordinal
 // list stands for every column of that side, so the zero value
-// concatenates whole rows, as Apply does. Every emitted row is
-// a three-index slice of the slab (slab[start:end:end]), so the slab's
-// unused tail is never aliased — which lets one slab serve many batches:
-// reset only rewinds the rows container, and a fresh slab is taken from
-// the arena (geometrically, capped at one full batch's worth) only when
-// the current one fills. Tiny outputs — the per-group inners GApply
-// re-opens thousands of times — therefore cost a few small allocations
-// total instead of a 256-row slab per batch.
+// concatenates whole rows, as Apply does. Rows are carved from a
+// rowSlab, so reset only rewinds the rows container: tiny outputs — the
+// per-group inners GApply re-opens thousands of times — cost a few small
+// slabs in total instead of a 256-row slab per batch.
 type joinOut struct {
 	rows        []types.Row
-	slab        types.Row
+	slab        rowSlab
 	left, right []int
-	arena       *arena // where fresh slabs come from
 }
 
 func (o *joinOut) reset() {
@@ -49,23 +44,8 @@ func (o *joinOut) carve(a types.Row, rw int) types.Row {
 	if o.left == nil {
 		lw = len(a)
 	}
-	width := lw + rw
-	if o.slab == nil || len(o.slab)+width > cap(o.slab) {
-		// Rows already emitted keep pointing into the old slab; only new
-		// rows land in the fresh one. A zero-width emission still gets a
-		// (zero-capacity) slab, so its rows are empty but never nil.
-		c := 2 * cap(o.slab)
-		if c < 8*width {
-			c = 8 * width
-		}
-		if c > batchSize*width {
-			c = batchSize * width
-		}
-		o.slab = o.arena.values(c)
-	}
-	start := len(o.slab)
-	o.slab = o.slab[:start+width]
-	row := o.slab[start : start+width : start+width]
+	o.slab.width = lw + rw
+	row := o.slab.carve(o.slab.width)
 	gather(row[:lw], a, o.left)
 	o.rows = append(o.rows, row)
 	return row[lw:]

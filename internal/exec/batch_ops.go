@@ -23,10 +23,7 @@ func (s *bScan) NextBatch() (*Batch, error) {
 	if s.pos >= len(s.table.Rows) {
 		return nil, nil
 	}
-	end := s.pos + batchSize
-	if end > len(s.table.Rows) {
-		end = len(s.table.Rows)
-	}
+	end := min(s.pos+batchSize, len(s.table.Rows))
 	n := end - s.pos
 	// Leaf scans remain the engine's universal cancellation point, now
 	// at batch granularity.

@@ -70,10 +70,7 @@ func indexWindow(run *storage.IndexRun, p *core.IndexScan, scratch []byte) (int,
 			hi = run.SeekGE(k)
 		}
 	}
-	if hi < lo {
-		hi = lo
-	}
-	return lo, hi
+	return lo, max(hi, lo)
 }
 
 // indexCursor is the index scan's resolved window: the heap positions
@@ -140,10 +137,7 @@ func (s *bIndexScan) NextBatch() (*Batch, error) {
 	if s.next >= len(s.pos) {
 		return nil, nil
 	}
-	n := len(s.pos) - s.next
-	if n > batchSize {
-		n = batchSize
-	}
+	n := min(len(s.pos)-s.next, batchSize)
 	if err := s.ctx.tickN(n); err != nil {
 		return nil, err
 	}
