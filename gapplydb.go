@@ -25,6 +25,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -612,7 +613,16 @@ type compiled struct {
 // epoch the plan was produced under (so schema changes and RefreshStats
 // invalidate implicitly).
 func (db *Database) planCacheKey(query string, cfg queryConfig) string {
-	return fmt.Sprintf("v%d.e%d|%s|%s", db.cat.Version(), db.statsEpoch.Load(), cfg.optOpts.Fingerprint(), query)
+	var buf [128]byte
+	b := strconv.AppendUint(append(buf[:0], 'v'), db.cat.Version(), 10)
+	b = strconv.AppendUint(append(b, ".e"...), db.statsEpoch.Load(), 10)
+	b = cfg.optOpts.AppendFingerprint(append(b, '|'))
+	var k strings.Builder
+	k.Grow(len(b) + 1 + len(query))
+	k.Write(b)
+	k.WriteByte('|')
+	k.WriteString(query)
+	return k.String()
 }
 
 // compile parses, binds and optimizes a statement, consulting the

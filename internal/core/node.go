@@ -623,6 +623,9 @@ func (e *Exists) Describe() string {
 // --------------------------------------------------------------- GApply
 
 // PartitionHint selects the physical partitioning strategy for GApply.
+// The optimizer lowers PartitionSort into an enforcer sort of the outer
+// (LowerSortPartition), so the executor forms groups from the plan's
+// shape alone; the hint stays on the node as EXPLAIN's partition= label.
 type PartitionHint int
 
 const (

@@ -128,11 +128,12 @@ func ProvidedOrdering(n Node) []OrderedCol {
 	case *Project:
 		return projectOrdering(x)
 	case *GApply:
-		// Sort partitioning emits groups in group-key order with rows
-		// inside a group in outer-input order — exactly a stable sort of
-		// the outer by the group columns, restricted to the grouping
-		// prefix of the output schema.
-		if x.Partition != PartitionSort {
+		// A GApply over an outer in group-key order streams: it emits its
+		// groups in key order, each group's rows together — what a stable
+		// sort of its output by the grouping prefix would leave as it is.
+		// Hash partitioning of an unordered outer emits groups in
+		// first-appearance order, which claims nothing.
+		if !GApplyOuterOrdered(x) {
 			return nil
 		}
 		sch := x.Schema()
@@ -193,13 +194,15 @@ func projectOrdering(p *Project) []OrderedCol {
 
 // GApplyOuterOrdered reports whether g's outer input already provides
 // exactly the ascending group-column order a sort partitioning would
-// impose. Its groups then arrive as runs of equal keys, in key order,
+// impose — from an index, or from the enforcer sort LowerSortPartition
+// places. Its groups then arrive as runs of equal keys, in key order,
 // which is also their first-appearance order: sort partitioning's stable
 // sort and hash partitioning's first-appearance numbering would both
 // leave the outer exactly as it is. The executor therefore streams such
 // a GApply under either hint — it cuts each run as it closes and runs
-// its group at once — and EXPLAIN marks it "(streaming)". Shared by the
-// cost model, the executor and EXPLAIN so they agree on when it applies.
+// its group at once — and hashes every other GApply; EXPLAIN marks it
+// "(streaming)". Shared by the cost model, the executor and EXPLAIN so
+// they agree on when it applies.
 func GApplyOuterOrdered(g *GApply) bool {
 	if len(g.GroupCols) == 0 {
 		return false
@@ -218,6 +221,30 @@ func GApplyOuterOrdered(g *GApply) bool {
 		want = append(want, oc)
 	}
 	return OrderingEquals(have, want)
+}
+
+// LowerSortPartition expresses g's sort partitioning — §3's second
+// Partition-phase implementation — as an enforcer sort under a streaming
+// GApply. A sort-hinted g whose outer does not already provide the
+// ascending group-column order is returned as a copy over
+// OrderBy{group columns, ASC} of that outer. The sort is stable, so it
+// leaves each group a run of equal keys in outer-input order, the runs in
+// key order: the groups, and the group order, sort partitioning defines.
+// The executor then cuts the runs as they stream (GApplyOuterOrdered),
+// and the order pass elides the sort wherever an index provides the
+// order. Any other g is returned as it is. Shared by the optimizer, which
+// lowers every sort-hinted GApply it plans, and by plans built by hand.
+func LowerSortPartition(g *GApply) *GApply {
+	if g.Partition != PartitionSort || GApplyOuterOrdered(g) {
+		return g
+	}
+	keys := make([]OrderKey, len(g.GroupCols))
+	for i, c := range g.GroupCols {
+		keys[i] = OrderKey{Expr: c}
+	}
+	cp := *g
+	cp.Outer = &OrderBy{Input: g.Outer, Keys: keys}
+	return &cp
 }
 
 // FormatOrdering renders an ordering for EXPLAIN annotations.

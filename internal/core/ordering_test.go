@@ -48,3 +48,35 @@ func TestOrderingThroughJoinsAndSeeks(t *testing.T) {
 		}
 	}
 }
+
+// TestGApplyOrderingFollowsOuter: a GApply's output claims its grouping
+// prefix exactly when its outer arrives in group-key order, whatever its
+// hint: a hash-hinted GApply over an ordered outer claims it, one over
+// an unordered outer claims nothing, and a sort hint claims it once
+// LowerSortPartition has placed the enforcer sort.
+func TestGApplyOrderingFollowsOuter(t *testing.T) {
+	ordered := &IndexScan{Table: "partsupp", Def: partsuppDef(), Index: "ix_ps_supp", Cols: []string{"ps_suppkey"}, Ords: []int{1}}
+	unordered := &Scan{Table: "partsupp", Def: partsuppDef()}
+	want := []OrderedCol{{Table: "partsupp", Name: "ps_suppkey"}}
+	gapply := func(outer Node, hint PartitionHint) *GApply {
+		g := NewGApply(outer, []*ColRef{Col("ps_suppkey")}, "g", &GroupScan{Var: "g"})
+		g.Partition = hint
+		return g
+	}
+	if got := ProvidedOrdering(gapply(ordered, PartitionHash)); !OrderingEquals(got, want) {
+		t.Errorf("hash GApply over an ordered outer provides %v, want %v", got, want)
+	}
+	for _, hint := range []PartitionHint{PartitionHash, PartitionSort} {
+		if got := ProvidedOrdering(gapply(unordered, hint)); got != nil {
+			t.Errorf("%v GApply over an unordered outer provides %v", hint, got)
+		}
+	}
+	if got := ProvidedOrdering(LowerSortPartition(gapply(unordered, PartitionSort))); !OrderingEquals(got, want) {
+		t.Errorf("lowered sort GApply provides %v, want %v", got, want)
+	}
+	for _, g := range []*GApply{gapply(unordered, PartitionHash), gapply(ordered, PartitionSort)} {
+		if LowerSortPartition(g) != g {
+			t.Errorf("%s: lowered, want it as it is", g.Describe())
+		}
+	}
+}

@@ -14,13 +14,13 @@ import (
 )
 
 // bgapply is the paper's physical GApply (§3): a Partition phase that
-// consumes the outer and clusters its row headers by group (by hashing
-// or sorting the grouping columns), then an Execution phase
-// that evaluates the per-group query over each group's run and emits
-// its rows prefixed with the group's grouping columns. Both partition
-// strategies emit results clustered by group, which is what lets the
-// syntax drop the ORDER BY a sorted-outer-union query needs for a
-// constant-space tagger.
+// forms the outer's groups — by hashing, unless the outer arrives in
+// group-key order — then an Execution phase that evaluates the per-group
+// query over each group and emits its rows prefixed with the group's
+// grouping columns, clustered by group, which is what lets the syntax
+// drop the ORDER BY a sorted-outer-union query needs for a constant-space
+// tagger. §3's sort partitioning reaches here as an enforcer sort of the
+// outer (core.LowerSortPartition), so it streams.
 //
 // The per-group query runs as a segment program (segment.go) when its
 // shape lowers — one loop over many groups, nothing opened or allocated
@@ -36,18 +36,18 @@ import (
 // and profile once. Output is therefore identical to serial execution,
 // clustering included.
 //
-// When the outer already arrives in group-key order
-// (core.GApplyOuterOrdered: an index scan, or a heap-order seek over a
-// heap in key order, carried through filters, projections and join probe
-// sides) the two phases interleave instead — SQL Server's SegmentApply
-// over segmented input. Open only opens the outer; NextBatch cuts a group
-// wherever the encoded key changes (runCutter), runs it as soon as its
-// run closes and emits its rows at once, on the consumer at every dop.
-// Under either hint those are the same groups in the same order, because
-// on a key-ordered outer first-appearance order, key order and run order
-// coincide; memory is the open group plus one outer batch. The order is
-// a planner claim, checked once per group: a key that sorts below its
-// predecessor fails the query with an *OrderError.
+// When the outer arrives in group-key order (core.GApplyOuterOrdered: a
+// sort, an index scan, or a heap-order seek over a heap in key order,
+// carried through filters, projections and join probe sides) the two
+// phases interleave — SQL Server's SegmentApply over segmented input.
+// Open only opens the outer; NextBatch cuts a group wherever the encoded
+// key changes (runCutter), runs it as soon as its run closes and emits
+// its rows at once, on the consumer at every dop. Under either hint those
+// are the same groups in the same order, because on a key-ordered outer
+// first-appearance order, key order and run order coincide; memory is
+// the open group plus one outer batch. The order is a planner claim,
+// checked once per group: a key that sorts below its predecessor fails
+// the query with an *OrderError.
 //
 // Both phases are cancellation points: the partition phase polls the
 // query context per outer batch and charges the rows it takes in against
@@ -64,7 +64,6 @@ type bgapply struct {
 	ctx        *Context
 	ords       []int
 	groupVar   string
-	strategy   partStrategy
 	streaming  bool // the outer is in group-key order: cut groups as it arrives
 	correlated bool
 	spools     *spoolRegistry
@@ -205,7 +204,7 @@ func (g *bgapply) Open() error {
 		return g.cut.start()
 	}
 	var err error
-	if g.part, err = g.parts.run(g.outer, g.strategy, g.ords, g.ctx, g.plan); err != nil {
+	if g.part, err = g.parts.run(g.outer, g.ords, g.ctx, g.plan); err != nil {
 		return err
 	}
 	g.ctx.Counters.Groups += int64(g.part.groups())
@@ -328,13 +327,13 @@ func (g *bgapply) Close() error {
 // runCutter is the partition phase of a streaming GApply: it cuts an
 // outer that arrives in group-key order into its groups while the
 // outer's batches arrive. A group is a run of rows with equal encoded
-// keys (equal encodings are exactly SortCompare-equal keys, as for
-// partSort) and closes when the first row of the next run arrives, or
-// the outer ends. Only the open group's row headers are kept, so memory
-// is O(largest group + one batch), and once the buffers have grown
-// nothing is allocated per row.
+// keys (equal encodings are exactly SortCompare-equal keys) and closes
+// when the first row of the next run arrives, or the outer ends. Only the
+// open group's row headers are kept, so memory is O(largest group + one
+// batch), and once the buffers have grown nothing is allocated per row.
 type runCutter struct {
 	outer   BatchIterator
+	charged bool        // outer is an enforcer sort, which charges the budget
 	open    bool        // outer is open and not yet exhausted
 	cur     *Batch      // the outer batch being cut, valid until the next pull
 	pos     int         // the next row of cur to cut
@@ -371,9 +370,9 @@ func (c *runCutter) stop() error {
 // it has; the caller runs the group and empties rows before the next
 // call. The outer is read further only when pull is set, each batch
 // polled for cancellation once and charged to the budget row by row as
-// it arrives. A run whose key sorts below the open group's breaks the
-// order the plan claimed for the outer: that is an *OrderError, raised
-// before the open group runs.
+// it arrives, unless an enforcer sort charged it on intake. A run whose
+// key sorts below the open group's breaks the order the plan claimed for
+// the outer: that is an *OrderError, raised before the open group runs.
 func (c *runCutter) cutGroup(g *bgapply, pull bool) (bool, error) {
 	for {
 		for c.cur != nil && c.pos < c.cur.Len() {
@@ -415,7 +414,7 @@ func (c *runCutter) cutGroup(g *bgapply, pull bool) (bool, error) {
 		if err := g.ctx.tickN(n); err != nil {
 			return false, err
 		}
-		for i := 0; i < n; i++ {
+		for i := 0; i < n && !c.charged; i++ {
 			if err := chargePartition(g.ctx, g.plan, b.Row(i)); err != nil {
 				return false, err
 			}
@@ -505,122 +504,69 @@ func (p partition) tasks() []int {
 	return cuts
 }
 
-// partStrategy is how the partition phase forms groups.
-type partStrategy uint8
-
-const (
-	// partHash numbers groups by first appearance with the hash kernel
-	// (types.KeyTable, grouping mode, so NULLs form one group) and places
-	// rows by its counting sort: groups in first-appearance order, so
-	// output is deterministic. Rows whose keys merely collide are split
-	// into distinct groups, so hash- and sort-based partitioning always
-	// produce identical groups.
-	partHash partStrategy = iota
-	// partSort orders rows by their grouping columns with the sort kernel
-	// (types.OrderKeys: SortCompare order, ties in input order) and cuts
-	// a group wherever the encoded key changes.
-	partSort
-)
-
-// partitionStrategy is the strategy g's hint selects.
-func partitionStrategy(g *core.GApply) partStrategy {
-	if g.Partition == core.PartitionSort {
-		return partSort
-	}
-	return partHash
-}
-
-// partitioner is the partition phase's scratch, reused by every Open:
-// the outer's row headers in arrival order and, per row, its group id
-// (hash) or its encoded group key (sort).
+// partitioner is the hash partition phase's scratch, reused by every
+// Open: the outer's row headers in arrival order and, per row, its group
+// id — numbered by first appearance with the hash kernel (types.KeyTable,
+// grouping mode, so NULLs form one group), so output is deterministic.
+// Rows whose keys merely collide are split into distinct groups: hashing
+// forms exactly the groups a sort on the grouping columns would.
 type partitioner struct {
 	in     chunked[types.Row]
 	tab    types.KeyTable
 	firsts []types.Row // each group's first row: the hash kernel's key rows
 	gids   chunked[int32]
-	keys   types.OrderKeys
 }
 
 // run is the partition phase. It consumes outer batch by batch — one
 // cancellation poll per batch, one budget charge per row in arrival
-// order — keeping each row's header and its group id or key, then lays
-// the headers out group by group in one counting-sort or permutation
-// pass. Each group is a temporary relation (paper §3) of the outer's own
-// rows, so the phase's memory traffic is row headers, not row width; the
-// byte meter the partition budget is charged against still counts the
-// rows' footprint, r.Bytes(), which is what the group relations hold.
-func (p *partitioner) run(outer BatchIterator, how partStrategy, ords []int, ctx *Context, plan *core.GApply) (partition, error) {
+// order — keeping each row's header and its group id, then lays the
+// headers out group by group in one counting-sort pass. Each group is a
+// temporary relation (paper §3) of the outer's own rows, so the phase's
+// memory traffic is row headers, not row width; the byte meter the
+// partition budget is charged against still counts the rows' footprint,
+// r.Bytes(), which is what the group relations hold.
+func (p *partitioner) run(outer BatchIterator, ords []int, ctx *Context, plan *core.GApply) (part partition, err error) {
 	p.in.reset()
 	p.in.arena = ctx.arena
 	p.tab.Storage = ctx.arena
 	p.tab.Reset()
 	p.gids.reset()
 	p.firsts = p.firsts[:0]
-	p.keys.Reset()
 	if err := outer.Open(); err != nil {
 		return partition{}, err
 	}
-	if err := p.consume(outer, how, ords, ctx, plan); err != nil {
-		outer.Close()
-		return partition{}, err
-	}
-	if err := outer.Close(); err != nil {
-		return partition{}, err
-	}
-	if p.in.n == 0 {
-		return partition{}, nil
-	}
-	if how == partHash {
-		rows, bounds := types.Cluster(ctx.arena.headers(p.in.n), nil, p.tab.Len(), p.gids.chunks, p.in.chunks)
-		return partition{rows: rows, bounds: bounds}, nil
-	}
-	return p.clusterByKey(ctx.arena, p.keys.Sort()), nil
-}
-
-// consume drains the open outer into the scratch.
-func (p *partitioner) consume(outer BatchIterator, how partStrategy, ords []int, ctx *Context, plan *core.GApply) error {
+	defer func() {
+		if cerr := outer.Close(); err == nil {
+			err = cerr
+		}
+	}()
 	for {
 		b, err := outer.NextBatch()
-		if err != nil || b == nil {
-			return err
+		if err != nil {
+			return partition{}, err
+		}
+		if b == nil {
+			break
 		}
 		n := b.Len()
 		if err := ctx.tickN(n); err != nil {
-			return err
+			return partition{}, err
 		}
 		for i := 0; i < n; i++ {
 			r := b.Row(i)
 			p.in.add(r)
-			if how == partHash {
-				id, _ := p.tab.Add(&p.firsts, r, ords)
-				p.gids.add(int32(id))
-			} else {
-				for _, o := range ords {
-					p.keys.Append(r[o], false)
-				}
-				p.keys.EndRow()
-			}
+			id, _ := p.tab.Add(&p.firsts, r, ords)
+			p.gids.add(int32(id))
 			if err := chargePartition(ctx, plan, r); err != nil {
-				return err
+				return partition{}, err
 			}
 		}
 	}
-}
-
-// clusterByKey lays the headers out in perm order, cutting a group
-// wherever the encoded key changes. Equal encodings are exactly
-// SortCompare-equal keys.
-func (p *partitioner) clusterByKey(a *arena, perm []int32) partition {
-	n := p.in.n
-	rows := a.headers(n)[:n]
-	p.in.gather(rows, perm)
-	bounds := []int{0}
-	for j := 1; j < n; j++ {
-		if !bytes.Equal(p.keys.Key(int(perm[j-1])), p.keys.Key(int(perm[j]))) {
-			bounds = append(bounds, j)
-		}
+	if p.in.n == 0 {
+		return partition{}, nil
 	}
-	return partition{rows: rows, bounds: append(bounds, n)}
+	rows, bounds := types.Cluster(ctx.arena.headers(p.in.n), nil, p.tab.Len(), p.gids.chunks, p.in.chunks)
+	return partition{rows: rows, bounds: bounds}, nil
 }
 
 // chargePartition bills the budget for one outer row the partition phase

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"gapplydb/internal/core"
 	"gapplydb/internal/storage"
 	"gapplydb/internal/types"
 )
@@ -129,7 +130,8 @@ func (f *bFilter) Close() error { return f.input.Close() }
 // output rows out of shared slabs (rowSlab) — a handful of allocations
 // per query instead of one per row or even one per batch. The row
 // values are stable as the contract requires; only the rows container
-// is reused, which the contract permits (containers are transient).
+// is reused, which the contract permits (containers are transient): a
+// batch of headers from the arena, taken when the operator is built.
 type bProject struct {
 	input BatchIterator
 	exprs []evalFn
@@ -403,19 +405,25 @@ func (u *bUnionAll) Close() error {
 // store, and the sorted ones into a slice sized once. The key buffer and
 // both row buffers are reused across Opens.
 type bSort struct {
-	input BatchIterator
-	keys  []compiledKey
-	ctx   *Context
-	enc   types.OrderKeys
-	in    chunked[types.Row] // input rows, in arrival order
-	rows  []types.Row        // the same rows, sorted
-	win   rowWindow
+	input  BatchIterator
+	keys   []compiledKey
+	ctx    *Context
+	charge *core.GApply // non-nil: the sort-hinted GApply whose partition budget intake is charged to
+	enc    types.OrderKeys
+	in     chunked[types.Row] // input rows, in arrival order
+	rows   []types.Row        // the same rows, sorted
+	win    rowWindow
 }
 
-func (s *bSort) Open() error {
+func (s *bSort) Open() (err error) {
 	if err := s.input.Open(); err != nil {
 		return err
 	}
+	defer func() {
+		if cerr := s.input.Close(); err == nil {
+			err = cerr
+		}
+	}()
 	s.enc.Reset()
 	s.in.reset()
 	for {
@@ -441,10 +449,12 @@ func (s *bSort) Open() error {
 			}
 			s.enc.EndRow()
 			s.in.add(r)
+			if s.charge != nil {
+				if err := chargePartition(s.ctx, s.charge, r); err != nil {
+					return err
+				}
+			}
 		}
-	}
-	if err := s.input.Close(); err != nil {
-		return err
 	}
 	if cap(s.rows) < s.in.n {
 		s.rows = s.ctx.arena.headers(s.in.n)

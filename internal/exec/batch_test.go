@@ -141,7 +141,7 @@ func TestSelectOverJoinFusesAsPostFilter(t *testing.T) {
 }
 
 func TestJoinFusionGatedByProfile(t *testing.T) {
-	ctx := fixture(t)
+	ctx := attached(newTestCatalog(t))
 	ctx.Prof = NewProfile()
 	it, err := buildBatch(priceFilter(joined(ctx)), ctx, nil)
 	if err != nil {

@@ -14,15 +14,13 @@ type Budget struct {
 	// MaxOutputRows caps how many rows the root of the plan may emit.
 	MaxOutputRows int64
 	// MaxPartitionBytes caps the total footprint (types.Row.Bytes) of
-	// the outer rows GApply's partition phase takes in, under every
-	// partition strategy, charged row by row in arrival order. A group is
-	// a view of the outer's own rows rather than a copy, so for a hash or
-	// sort partition the meter counts the rows the phase keeps alive, the
-	// engine's dominant memory consumer on groupwise plans. A streaming
-	// GApply (over an outer already in group-key order) holds only its
-	// open group, yet is charged for every row on arrival all the same:
-	// the meter is cumulative, so one budget caps a query's outer volume
-	// whichever way the executor runs it.
+	// the outer rows a GApply takes in, charged once per row in arrival
+	// order: by the hash partition phase, by the enforcer sort of a
+	// sort-hinted GApply, which both keep the rows alive (the engine's
+	// dominant memory consumer on groupwise plans), or by the run cutter
+	// of a GApply streaming over an index-ordered outer, which holds only
+	// its open group: the meter is cumulative, so one budget caps a
+	// query's outer volume whichever way the executor runs it.
 	MaxPartitionBytes int64
 
 	partitionBytes atomic.Int64

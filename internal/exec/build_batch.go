@@ -281,7 +281,7 @@ func buildBatchNode(n core.Node, ctx *Context, env compileEnv) (BatchIterator, e
 				if err != nil {
 					return nil, err
 				}
-				fu := &bFused{input: in, pred: pred, ctx: ctx, slab: rowSlab{arena: ctx.arena}}
+				fu := &bFused{input: in, pred: pred, ctx: ctx, slab: rowSlab{arena: ctx.arena}, rows: ctx.arena.headers(batchSize)}
 				if kernels, ok := compileFilterKernels(sel.Cond, inSchema); ok {
 					fu.kernels = kernels
 				}
@@ -308,13 +308,13 @@ func buildBatchNode(n core.Node, ctx *Context, env compileEnv) (BatchIterator, e
 			if emit != nil && isIdentity(ords, len(emit)) {
 				return in, nil
 			}
-			return &bProjectCols{input: in, ords: ords, slab: rowSlab{arena: ctx.arena}}, nil
+			return &bProjectCols{input: in, ords: ords, slab: rowSlab{arena: ctx.arena}, rows: ctx.arena.headers(batchSize)}, nil
 		}
 		fns, err := compileAll(x.Exprs, inSchema, env)
 		if err != nil {
 			return nil, err
 		}
-		return &bProject{input: in, exprs: fns, ctx: ctx, slab: rowSlab{arena: ctx.arena}}, nil
+		return &bProject{input: in, exprs: fns, ctx: ctx, slab: rowSlab{arena: ctx.arena}, rows: ctx.arena.headers(batchSize)}, nil
 
 	case *core.Distinct:
 		in, err := buildBatch(x.Input, ctx, env)
@@ -603,12 +603,18 @@ func buildBatchGApply(g *core.GApply, ctx *Context, env compileEnv) (BatchIterat
 		ctx:        ctx,
 		ords:       ords,
 		groupVar:   g.GroupVar,
-		strategy:   partitionStrategy(g),
 		streaming:  core.GApplyOuterOrdered(g),
 		correlated: correlated,
 		out:        joinOut{left: ords, slab: rowSlab{arena: ctx.arena}},
 	}
 	ga.cut.outer = outer
+	if p, ok := outer.(*batchProbe); ok && ga.streaming {
+		outer = p.inner
+	}
+	if s, ok := outer.(*bSort); ok && ga.streaming {
+		// An enforcer sort materializes the outer: it charges the budget.
+		s.charge, ga.cut.charged = g, true
+	}
 	// A lowered inner has only GroupScan leaves, so nothing in it is
 	// invariant: no spools, and no iterator tree at all.
 	if !ga.lowered && !ctx.NoSpool {

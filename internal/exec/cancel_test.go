@@ -53,21 +53,38 @@ func waitNoExtraGoroutines(t *testing.T, base int) {
 	t.Fatalf("goroutine leak: %d at baseline, %d after\n%s", base, n, buf[:runtime.Stack(buf, true)])
 }
 
-// partitioners are the partition phase's materializing strategies, by
-// name.
-var partitioners = map[string]func([]types.Row, []int, *Context, *core.GApply) (partition, error){
-	"hash": partitionWith(partHash),
-	"sort": partitionWith(partSort),
+// partitioners are the two ways a GApply forms the groups of an
+// unordered outer, by name: the hash partition phase, and a sort-hinted
+// GApply's enforcer sort under the streaming cutter. Each forms the
+// groups of rows, delivered in batches, and visits them in the order
+// the GApply runs them.
+var partitioners = map[string]func(rows []types.Row, ords []int, ctx *Context, plan *core.GApply, visit func([]types.Row)) error{
+	"hash": hashGroups,
+	"sort": sortGroups,
 }
 
-// partitionWith runs the partition phase over rows, delivered in batches.
-func partitionWith(how partStrategy) func([]types.Row, []int, *Context, *core.GApply) (partition, error) {
-	return func(rows []types.Row, ords []int, ctx *Context, plan *core.GApply) (partition, error) {
-		src := &sliceSource{}
-		src.win.reset(rows)
-		var p partitioner
-		return p.run(src, how, ords, ctx, plan)
+// hashGroups runs the hash partition phase over rows.
+func hashGroups(rows []types.Row, ords []int, ctx *Context, plan *core.GApply, visit func([]types.Row)) error {
+	var p partitioner
+	part, err := p.run(rowSource(rows), ords, ctx, plan)
+	for i := 0; i < part.groups(); i++ {
+		visit(part.group(i))
 	}
+	return err
+}
+
+// sortGroups sorts rows on their grouping columns and cuts the sorted
+// runs, the sort charging the budget as it takes rows in: what a plan
+// core.LowerSortPartition built runs.
+func sortGroups(rows []types.Row, ords []int, ctx *Context, plan *core.GApply, visit func([]types.Row)) error {
+	keys := make([]compiledKey, len(ords))
+	for i, o := range ords {
+		keys[i].fn = func(r types.Row, _ *Context) (types.Value, error) { return r[o], nil }
+	}
+	s := &bSort{input: rowSource(rows), keys: keys, ctx: ctx, charge: plan, in: chunked[types.Row]{arena: ctx.arena}}
+	g := cutter(s, ords, ctx, plan)
+	g.cut.charged = plan != nil
+	return eachCut(g, visit)
 }
 
 // TestCancelDuringPartitionPhase drives the partition functions directly
@@ -85,7 +102,7 @@ func TestCancelDuringPartitionPhase(t *testing.T) {
 	for name, part := range partitioners {
 		ctx := NewContext(buildFixtureCatalog(), new(Store))
 		ctx.Ctx = cctx
-		if _, err := part(rows, []int{0}, ctx, nil); !errors.Is(err, context.Canceled) {
+		if err := part(rows, []int{0}, ctx, nil, func([]types.Row) {}); !errors.Is(err, context.Canceled) {
 			t.Errorf("%s partition with cancelled ctx: err = %v, want context.Canceled", name, err)
 		}
 		if ctx.ticks > cancelBatch {
@@ -123,6 +140,7 @@ func TestCancelBeforeExecution(t *testing.T) {
 			ctx.Ctx = cancelled
 			ga := heavySelfJoin(ctx)
 			ga.Partition = hint
+			ga = core.LowerSortPartition(ga)
 			if _, err := Run(ga, ctx); !errors.Is(err, context.Canceled) {
 				t.Errorf("dop=%d %v: err = %v, want context.Canceled", dop, hint, err)
 			}
@@ -132,6 +150,7 @@ func TestCancelBeforeExecution(t *testing.T) {
 			tctx.Ctx = expired
 			ga = heavySelfJoin(tctx)
 			ga.Partition = hint
+			ga = core.LowerSortPartition(ga)
 			if _, err := Run(ga, tctx); !errors.Is(err, context.DeadlineExceeded) {
 				t.Errorf("dop=%d %v: err = %v, want context.DeadlineExceeded", dop, hint, err)
 			}

@@ -24,7 +24,7 @@ func gapplyQ1(ctx *Context, hint core.PartitionHint) *core.GApply {
 	}}
 	ga := core.NewGApply(joined(ctx), []*core.ColRef{core.Col("ps_suppkey")}, "tmpSupp", pgq)
 	ga.Partition = hint
-	return ga
+	return core.LowerSortPartition(ga)
 }
 
 func TestGApplyQ1(t *testing.T) {
@@ -265,6 +265,7 @@ func TestGApplyFormalSemantics(t *testing.T) {
 			pgq := &core.AggOp{Input: gs, Aggs: []core.AggSpec{{Fn: "count", Star: true, As: "n"}}}
 			ga := core.NewGApply(scan(ctx, "partsupp"), []*core.ColRef{core.Col("ps_suppkey")}, "g", pgq)
 			ga.Partition = hint
+			ga = core.LowerSortPartition(ga)
 			res, err := Run(ga, ctx)
 			if err != nil {
 				return false

@@ -112,7 +112,7 @@ func TestProjectOfEmissionIsTheJoin(t *testing.T) {
 		{[]*core.ColRef{core.Col("p_name"), core.Col("ps_suppkey")}, false},
 		{[]*core.ColRef{core.Col("ps_suppkey"), core.Col("ps_suppkey")}, false},
 	} {
-		it, err := buildBatch(core.ProjectCols(joined(ctx), tc.cols), ctx, nil)
+		it, err := BuildBatch(core.ProjectCols(joined(ctx), tc.cols), ctx)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -28,17 +28,20 @@ func runAtDOP(t *testing.T, mk func(ctx *Context) *core.GApply, dop int) (*Resul
 }
 
 // TestGApplyParallelMatchesSerial pins the tentpole contract: for every
-// workload shape and partition strategy, executing the groups across a
-// worker pool produces exactly the rows serial execution produces, in
-// exactly the same order, with exactly the same counter totals.
+// workload shape and partition strategy, executing the groups at any
+// degree produces exactly the rows serial execution produces, in exactly
+// the same order, with exactly the same counter totals. A hash GApply
+// runs its groups across a worker pool; a sort-hinted one streams its
+// groups off the enforcer sort, serially at every degree.
 func TestGApplyParallelMatchesSerial(t *testing.T) {
 	shapes := []struct {
-		name string
-		mk   func(ctx *Context) *core.GApply
+		name     string
+		mk       func(ctx *Context) *core.GApply
+		parallel bool
 	}{
-		{"Q1Hash", func(ctx *Context) *core.GApply { return gapplyQ1(ctx, core.PartitionHash) }},
-		{"Q1Sort", func(ctx *Context) *core.GApply { return gapplyQ1(ctx, core.PartitionSort) }},
-		{"Q2", gapplyQ2},
+		{"Q1Hash", func(ctx *Context) *core.GApply { return gapplyQ1(ctx, core.PartitionHash) }, true},
+		{"Q1Sort", func(ctx *Context) *core.GApply { return gapplyQ1(ctx, core.PartitionSort) }, false},
+		{"Q2", gapplyQ2, true},
 	}
 	for _, s := range shapes {
 		serial, serialCounters := runAtDOP(t, s.mk, 1)
@@ -53,6 +56,12 @@ func TestGApplyParallelMatchesSerial(t *testing.T) {
 				if got[i] != want[i] {
 					t.Fatalf("%s dop=%d: row %d = %s, want %s", s.name, dop, i, got[i], want[i])
 				}
+			}
+			if !s.parallel {
+				if parCounters != serialCounters {
+					t.Errorf("%s dop=%d: counters %+v, want the serial run's %+v", s.name, dop, parCounters, serialCounters)
+				}
+				continue
 			}
 			// The serial/parallel split counters are the one intentional
 			// difference between the paths: every group must move from
@@ -102,7 +111,7 @@ func TestGApplyParallelRandomized(t *testing.T) {
 			ga := core.NewGApply(&core.Scan{Table: "partsupp", Def: tab.Def},
 				[]*core.ColRef{core.Col("ps_suppkey")}, "g", pgq)
 			ga.Partition = hint
-			return ga
+			return core.LowerSortPartition(ga)
 		}
 		var want []string
 		for _, dop := range []int{1, 2, 7} {
@@ -156,7 +165,7 @@ func TestGApplyParallelErrorPropagates(t *testing.T) {
 // cloned into workers, so GApply keeps the paper's serial execution for
 // it — and still computes the right answer at any requested DOP.
 func TestGApplyCorrelatedInnerFallsBackSerial(t *testing.T) {
-	ctx := fixture(t)
+	ctx := attached(newTestCatalog(t))
 	ctx.DOP = 8
 	// For each supplier s: GApply over partsupp grouped by ps_partkey,
 	// whose per-group query keeps the group's rows matching s — the

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -27,6 +28,7 @@ func countPerGroup(t *testing.T, cat *storage.Catalog, table string, hint core.P
 	ga := core.NewGApply(&core.Scan{Table: table, Def: tab.Def},
 		[]*core.ColRef{core.Col(tab.Def.Schema.Cols[0].Name)}, "g", pgq)
 	ga.Partition = hint
+	ga = core.LowerSortPartition(ga)
 	res := mustRun(t, ga, ctx)
 	if !clustered(res.Rows) {
 		t.Fatalf("[%v] output not clustered: %v", hint, res.Rows)
@@ -253,4 +255,67 @@ func TestBudgetMaxPartitionBytes(t *testing.T) {
 	ctx := fixture(t)
 	ctx.Budget = &Budget{MaxPartitionBytes: 1 << 20}
 	mustRun(t, gapplyQ1(ctx, core.PartitionHash), ctx)
+}
+
+// TestBudgetStopsSortPartitionOnIntake: a sort-hinted GApply over an
+// unordered outer is stopped by the partition budget while its enforcer
+// sort takes rows in — within one batch of the row that blew it — with
+// the error a hash partition raises at the same row, profiled (under
+// EXPLAIN ANALYZE's probes) or not; and each row is charged once, by the
+// sort, the cutter above it charging nothing.
+func TestBudgetStopsSortPartitionOnIntake(t *testing.T) {
+	const rows, fits = 4 * batchSize, batchSize + 17
+	keys := make([]types.Value, rows)
+	for i := range keys {
+		keys[i] = types.NewInt(int64(i*7919) % 97)
+	}
+	cat := keyTable(t, types.KindInt, keys)
+	tab, err := cat.Lookup("obs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rowBytes := int64(tab.Rows[0].Bytes())
+	run := func(hint core.PartitionHint, prof bool, max int64) (*core.GApply, *Context, error) {
+		ctx := NewContext(cat, new(Store))
+		ctx.Budget = &Budget{MaxPartitionBytes: max}
+		if prof {
+			ctx.Prof = NewProfile()
+		}
+		ga := core.NewGApply(scan(ctx, "obs"), []*core.ColRef{core.Col("k")}, "g", countInner())
+		ga.Partition = hint
+		ga = core.LowerSortPartition(ga)
+		if _, sorted := ga.Outer.(*core.OrderBy); sorted != (hint == core.PartitionSort) {
+			t.Fatalf("[%v] outer %s", hint, core.Summary(ga.Outer))
+		}
+		_, err := Run(ga, ctx)
+		return ga, ctx, err
+	}
+	for _, prof := range []bool{false, true} {
+		var errs []ResourceError
+		for _, hint := range []core.PartitionHint{core.PartitionHash, core.PartitionSort} {
+			what := fmt.Sprintf("%v/profiled %v", hint, prof)
+			ga, ctx, err := run(hint, prof, fits*rowBytes)
+			var re *ResourceError
+			if !errors.As(err, &re) {
+				t.Fatalf("[%s] err = %v, want *ResourceError", what, err)
+			}
+			if re.Limit != LimitPartitionBytes || re.Operator != gapplyOperator(ga) || re.Used != (fits+1)*rowBytes {
+				t.Errorf("[%s] ResourceError = %+v, want the GApply's, at row %d", what, re, fits+1)
+			}
+			if n := ctx.Counters.RowsScanned; n > fits+batchSize {
+				t.Errorf("[%s] %d rows scanned before the budget stopped the query, want ≤ %d", what, n, fits+batchSize)
+			}
+			errs = append(errs, *re)
+		}
+		if errs[0].Limit != errs[1].Limit || errs[0].Max != errs[1].Max || errs[0].Used != errs[1].Used {
+			t.Errorf("profiled %v: hash and sort stop differently: %+v vs %+v", prof, errs[0], errs[1])
+		}
+		_, ctx, err := run(core.PartitionSort, prof, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if used := ctx.Budget.partitionBytes.Load(); used != rows*rowBytes {
+			t.Errorf("profiled %v: sort partition charged %d B, want %d: each row once", prof, used, rows*rowBytes)
+		}
+	}
 }

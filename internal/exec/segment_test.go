@@ -20,7 +20,7 @@ import (
 // TestSegmentLowering states which per-group query shapes compile to a
 // segment program and which keep the iterator tree re-opened per group.
 func TestSegmentLowering(t *testing.T) {
-	ctx := fixture(t)
+	ctx := attached(newTestCatalog(t))
 	gs := func() core.Node { return &core.GroupScan{Var: "g"} }
 	avgOf := func(col string) core.Node {
 		return core.NewProject(
@@ -74,7 +74,7 @@ func TestSegmentLowering(t *testing.T) {
 	for _, c := range cases {
 		bctx := ctx
 		if c.name == "orders" {
-			bctx = NewContext(items, new(Store))
+			bctx = attached(items)
 		}
 		it, err := buildBatchGApply(c.ga, bctx, nil)
 		if err != nil {
@@ -422,7 +422,7 @@ func TestSegmentMatchesTree(t *testing.T) {
 				mk := func() *core.GApply {
 					ga := core.NewGApply(&core.Scan{Table: "edge", Def: tab.Def}, []*core.ColRef{core.Col("k")}, "g", inner())
 					ga.Partition = hint
-					return ga
+					return core.LowerSortPartition(ga)
 				}
 				if !c.fails {
 					plan := mk()
@@ -553,10 +553,10 @@ func TestSegmentOutputRowsTruncation(t *testing.T) {
 	}
 }
 
-// TestPartitionStrategiesAgree: hash and sort partitioning hold every
-// input row itself, not a copy, and form the same groups (hash in
-// first-appearance order, sort in key order), over hostile keys; so
-// does the streaming cutter over the rows in key order.
+// TestPartitionStrategiesAgree: hash partitioning and the sort-hinted
+// GApply's enforcer sort under the run cut hold every input row itself,
+// not a copy, and form the same groups (hash in first-appearance order,
+// sort in key order), over hostile keys.
 func TestPartitionStrategiesAgree(t *testing.T) {
 	cat := edgeCatalog(t)
 	tab, err := cat.Lookup("edge")
@@ -564,57 +564,32 @@ func TestPartitionStrategiesAgree(t *testing.T) {
 		t.Fatal(err)
 	}
 	in := tab.Rows
-	groupsOf := func(name string, rows []types.Row) map[string][]string {
-		ctx := attached(cat)
-		p, err := partitioners[name](rows, []int{0}, ctx, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+	groupsOf := func(name string) map[string][]string {
 		out := make(map[string][]string)
 		n := 0
-		for i := 0; i < p.groups(); i++ {
-			g := p.group(i)
+		err := partitioners[name](in, []int{0}, attached(cat), nil, func(g []types.Row) {
 			key := g[0].Key([]int{0})
 			if _, dup := out[key]; dup {
 				t.Fatalf("%s: key %v split into two groups", name, g[0][0])
 			}
 			out[key] = renderRows(g)
 			n += len(g)
-		}
-		if n != len(rows) {
-			t.Fatalf("%s: %d rows partitioned, want %d", name, n, len(rows))
-		}
-		for _, r := range p.rows {
-			if !aliases(r, rows) {
-				t.Fatalf("%s: partition holds a copy of row %v instead of the row itself", name, r)
+			for _, r := range g {
+				if !aliases(r, in) {
+					t.Fatalf("%s: partition holds a copy of row %v instead of the row itself", name, r)
+				}
 			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n != len(in) {
+			t.Fatalf("%s: %d rows partitioned, want %d", name, n, len(in))
 		}
 		return out
 	}
-	hash := groupsOf("hash", in)
-	if got := groupsOf("sort", in); !reflect.DeepEqual(got, hash) {
+	if !reflect.DeepEqual(groupsOf("sort"), groupsOf("hash")) {
 		t.Error("sort and hash partitioning form different groups")
-	}
-	ctx := attached(cat)
-	sorted, err := partitioners["sort"](in, []int{0}, ctx, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cut, err := cutGroups(sorted.rows, []int{0}, ctx, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	streamed := make(map[string][]string)
-	for _, g := range cut {
-		streamed[g[0].Key([]int{0})] = renderRows(g)
-		for _, r := range g {
-			if !aliases(r, in) {
-				t.Fatalf("stream holds a copy of row %v instead of the row itself", r)
-			}
-		}
-	}
-	if !reflect.DeepEqual(streamed, hash) {
-		t.Error("the stream over sorted input forms different groups than hash partitioning")
 	}
 }
 
@@ -928,11 +903,12 @@ func BenchmarkGApplyGroups(b *testing.B) {
 }
 
 // BenchmarkPartition partitions 40 000 interleaved rows into 10 000
-// groups by hashing and by sorting, and cuts a clustered copy of them
-// into the same groups as a streaming GApply does, per row, each run
-// with fresh scratch, as a query's first Open on a new database has: an
-// arena of a new store. The recycled arm hashes with an arena of one
-// store attached and released each run, as a request does.
+// groups by hashing, and by sorting then cutting the sorted runs, as a
+// sort-hinted GApply does, and cuts a clustered copy of them into the
+// same groups as a streaming GApply does, per row, each run with fresh
+// scratch, as a query's first Open on a new database has: an arena of a
+// new store. The recycled arm hashes with an arena of one store attached
+// and released each run, as a request does.
 func BenchmarkPartition(b *testing.B) {
 	cat := itemsCatalog(b, 10000, 4)
 	tab, err := cat.Lookup("items")
@@ -946,8 +922,8 @@ func BenchmarkPartition(b *testing.B) {
 			part := partitioners[strings.TrimSuffix(name, "/recycled")]
 			if name == "streamed" {
 				rows = clustered
-				part = func(rows []types.Row, ords []int, ctx *Context, plan *core.GApply) (partition, error) {
-					return partition{}, eachCut(cutter(rows, ords, ctx, plan), func([]types.Row) {})
+				part = func(rows []types.Row, ords []int, ctx *Context, plan *core.GApply, visit func([]types.Row)) error {
+					return eachCut(cutter(rowSource(rows), ords, ctx, plan), visit)
 				}
 			}
 			st := new(Store)
@@ -960,7 +936,7 @@ func BenchmarkPartition(b *testing.B) {
 				}
 				ctx := NewContext(cat, st)
 				ctx.attachArena()
-				if _, err := part(rows, []int{0}, ctx, nil); err != nil {
+				if err := part(rows, []int{0}, ctx, nil, func([]types.Row) {}); err != nil {
 					b.Fatal(err)
 				}
 				ctx.ReleaseArena()

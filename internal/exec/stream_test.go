@@ -14,14 +14,18 @@ import (
 	"gapplydb/internal/types"
 )
 
-// cutter returns a streaming GApply's partition phase over rows,
-// delivered in batches, ready to cut: nothing but the cutter and the
-// fields it reads.
-func cutter(rows []types.Row, ords []int, ctx *Context, plan *core.GApply) *bgapply {
+// rowSource delivers rows in batches.
+func rowSource(rows []types.Row) *sliceSource {
 	src := &sliceSource{}
 	src.win.reset(rows)
+	return src
+}
+
+// cutter returns a streaming GApply's partition phase over outer, ready
+// to cut: nothing but the cutter and the fields it reads.
+func cutter(outer BatchIterator, ords []int, ctx *Context, plan *core.GApply) *bgapply {
 	g := &bgapply{ctx: ctx, ords: ords, plan: plan}
-	g.cut.outer = src
+	g.cut.outer = outer
 	return g
 }
 
@@ -46,7 +50,7 @@ func eachCut(g *bgapply, visit func([]types.Row)) error {
 // its groups, in order.
 func cutGroups(rows []types.Row, ords []int, ctx *Context, plan *core.GApply) ([][]types.Row, error) {
 	var groups [][]types.Row
-	err := eachCut(cutter(rows, ords, ctx, plan), func(g []types.Row) {
+	err := eachCut(cutter(rowSource(rows), ords, ctx, plan), func(g []types.Row) {
 		groups = append(groups, slices.Clone(g))
 	})
 	return groups, err
@@ -104,6 +108,7 @@ func TestStreamFirstBatchAfterFirstGroup(t *testing.T) {
 			ctx.DOP = dop
 			ga := core.NewGApply(claimedOrder(ctx, "obs"), []*core.ColRef{core.Col("k")}, "g", countInner())
 			ga.Partition = hint
+			ga = core.LowerSortPartition(ga)
 			it, err := BuildBatch(ga, ctx)
 			if err != nil {
 				t.Fatal(err)
@@ -159,7 +164,7 @@ func TestStreamPartitionAllocsPerRow(t *testing.T) {
 	n := 0
 	bytes, count := allocated(func() {
 		n = 0
-		if err := eachCut(cutter(in, []int{0}, ctx, nil), func(g []types.Row) { n += len(g) }); err != nil {
+		if err := eachCut(cutter(rowSource(in), []int{0}, ctx, nil), func(g []types.Row) { n += len(g) }); err != nil {
 			t.Fatal(err)
 		}
 	})

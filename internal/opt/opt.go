@@ -13,8 +13,8 @@
 package opt
 
 import (
-	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"gapplydb/internal/core"
@@ -45,23 +45,28 @@ type Options struct {
 	DisableIndexes bool
 }
 
-// Fingerprint renders the options in a canonical textual form: equal
-// option sets — however the maps were populated — produce equal strings.
-// The statement plan cache keys on it, because every field here changes
-// what plan compilation produces.
-func (o Options) Fingerprint() string {
-	names := func(m map[string]bool) string {
-		on := make([]string, 0, len(m))
-		for n, v := range m {
-			if v {
-				on = append(on, n)
-			}
+// AppendFingerprint appends the options to dst in a canonical textual
+// form: equal option sets — however the maps were populated — append
+// equal bytes. The statement plan cache keys on it, because every field
+// here changes what plan compilation produces.
+func (o Options) AppendFingerprint(dst []byte) []byte {
+	dst = appendNames(append(dst, "disable="...), o.DisableRules)
+	dst = appendNames(append(dst, ";force="...), o.ForceRules)
+	dst = strconv.AppendInt(append(dst, ";partition="...), int64(o.Partition), 10)
+	dst = strconv.AppendBool(append(dst, ";skip="...), o.SkipOptimization)
+	return strconv.AppendBool(append(dst, ";noidx="...), o.DisableIndexes)
+}
+
+// appendNames appends the names m sets, sorted and comma-separated.
+func appendNames(dst []byte, m map[string]bool) []byte {
+	on := make([]string, 0, len(m))
+	for n, v := range m {
+		if v {
+			on = append(on, n)
 		}
-		sort.Strings(on)
-		return strings.Join(on, ",")
 	}
-	return fmt.Sprintf("disable=%s;force=%s;partition=%d;skip=%t;noidx=%t",
-		names(o.DisableRules), names(o.ForceRules), o.Partition, o.SkipOptimization, o.DisableIndexes)
+	sort.Strings(on)
+	return append(dst, strings.Join(on, ",")...)
 }
 
 // Optimizer rewrites logical plans.
@@ -160,34 +165,34 @@ func (o *Optimizer) OptimizeTraced(plan core.Node, opts Options) (core.Node, []R
 
 // physical assigns physical strategies: the GApply partitioning (hash vs
 // sort, §3's two Partition-phase implementations) and join methods, then
-// the order-placement and access-path passes. The ordering between the two halves is a
-// correctness property, not a convenience: partitioning and join-method
-// decisions are made over index-free plans, so enabling indexes can
-// never flip hash↔sort or change which rows flow where — it only swaps
-// access paths and removes sort work inside the shape already chosen.
-// That is what keeps indexes-on and indexes-off outputs byte-identical.
+// the order-placement and access-path passes. A sort partitioning is
+// lowered here, into an enforcer sort of the outer under a GApply that
+// streams its groups (core.LowerSortPartition); the auto choice prices
+// exactly that plan against the hash GApply. The ordering between the two
+// halves is a correctness property, not a convenience: partitioning and
+// join-method decisions are made over index-free plans, so enabling
+// indexes can never flip hash↔sort or change which rows flow where — it
+// only swaps access paths and removes sort work inside the shape already
+// chosen. That is what keeps indexes-on and indexes-off outputs
+// byte-identical.
 func (o *Optimizer) physical(plan core.Node, opts Options) core.Node {
 	plan = core.Transform(plan, func(n core.Node) core.Node {
 		switch x := n.(type) {
 		case *core.GApply:
-			if x.Partition != core.PartitionAuto {
-				return n
+			cp := *x
+			if cp.Partition == core.PartitionAuto {
+				cp.Partition = opts.Partition
 			}
-			hint := opts.Partition
-			if hint == core.PartitionAuto {
-				hash := *x
-				hash.Partition = core.PartitionHash
+			if cp.Partition == core.PartitionAuto {
+				// The cost model reads no hint: x prices the hash GApply.
 				srt := *x
 				srt.Partition = core.PartitionSort
-				if o.est.Estimate(&srt).Cost < o.est.Estimate(&hash).Cost {
-					hint = core.PartitionSort
-				} else {
-					hint = core.PartitionHash
+				cp.Partition = core.PartitionHash
+				if o.est.Estimate(core.LowerSortPartition(&srt)).Cost < o.est.Estimate(x).Cost {
+					cp.Partition = core.PartitionSort
 				}
 			}
-			cp := *x
-			cp.Partition = hint
-			return &cp
+			return core.LowerSortPartition(&cp)
 		case *core.Join:
 			if x.Method != core.JoinAuto {
 				return n
@@ -211,20 +216,20 @@ func (o *Optimizer) physical(plan core.Node, opts Options) core.Node {
 }
 
 // placeOrder is the order-placement pass: it finds the plan's
-// interesting orders — ORDER BY keys, a hash join's right equi-key, a
-// sort-partitioned GApply's group columns — and asks the rules substrate
-// (rules.ProvideOrdering) to rewrite the subtree below each into one
-// that delivers the order from an ordered index. Every rewrite is
-// output-preserving by construction (stable-sorted index runs equal the
-// stable sorts they replace), so acceptance is purely about cost:
+// interesting orders — ORDER BY keys, among them the enforcer sorts under
+// sort-partitioned GApplys, and a hash join's right equi-key — and asks
+// the rules substrate (rules.ProvideOrdering) to rewrite the subtree
+// below each into one that delivers the order from an ordered index.
+// Every rewrite is output-preserving by construction (stable-sorted index
+// runs equal the stable sorts they replace), so acceptance is purely
+// about cost:
 //   - OrderBy: elide the sort whenever the input can provide the exact
-//     ordering — strictly less work, no cost check needed.
+//     ordering — strictly less work, no cost check needed. Under a
+//     GApply that turns the sort before the run cut into a scan in key
+//     order; the hash-vs-sort choice itself happened before this pass and
+//     is never revisited.
 //   - Join: a merge alternative replaces hash only when the cost model
 //     prefers it (the emitted rows are identical either way).
-//   - GApply (sort partitioning, already chosen): an ordered outer turns
-//     the partitioning sort into a linear run cut — again strictly less
-//     work. The hash-vs-sort choice itself happened before this pass and
-//     is never revisited.
 func (o *Optimizer) placeOrder(plan core.Node) core.Node {
 	return core.Transform(plan, func(n core.Node) core.Node {
 		switch x := n.(type) {
@@ -264,26 +269,6 @@ func (o *Optimizer) placeOrder(plan core.Node) core.Node {
 				return merge
 			}
 			return n
-		case *core.GApply:
-			if x.Partition != core.PartitionSort || core.GApplyOuterOrdered(x) {
-				return n
-			}
-			sch := x.Outer.Schema()
-			want := make([]core.OrderedCol, 0, len(x.GroupCols))
-			for _, c := range x.GroupCols {
-				oc, ok := core.CanonOrderedCol(c, sch, false)
-				if !ok {
-					return n
-				}
-				want = append(want, oc)
-			}
-			outer, ok := rules.ProvideOrdering(x.Outer, want, o.cat)
-			if !ok {
-				return n
-			}
-			cp := *x
-			cp.Outer = outer
-			return &cp
 		default:
 			return n
 		}

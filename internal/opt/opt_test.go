@@ -1,6 +1,7 @@
 package opt
 
 import (
+	"fmt"
 	"testing"
 
 	"gapplydb/internal/bind"
@@ -360,5 +361,54 @@ func TestPlaceSeeks(t *testing.T) {
 				t.Fatalf("%s: row %d differs: %v vs %v", tc.sql, i, have[i], want[i])
 			}
 		}
+	}
+}
+
+// TestSortPartitionLowers: a sort hint becomes an enforcer sort of the
+// outer on the group columns under a GApply that streams its groups;
+// with an index on the group column the order pass elides that sort,
+// and both plans return the hash plan's rows.
+func TestSortPartitionLowers(t *testing.T) {
+	cat, o := setup(t)
+	const q = `select gapply(select 0, ps_partkey, ps_availqty from g
+	                         union all
+	                         select 1, null, sum(ps_availqty) from g)
+	           from partsupp group by ps_suppkey : g`
+	check := func(plan core.Node, elided bool) {
+		t.Helper()
+		var ga *core.GApply
+		core.Walk(plan, func(n core.Node) {
+			if g, ok := n.(*core.GApply); ok {
+				ga = g
+			}
+		})
+		if ga == nil {
+			t.Fatalf("GApply missing:\n%s", core.Format(plan))
+		}
+		sort, ok := ga.Outer.(*core.OrderBy)
+		if !ok || sort.Elided != elided || !core.GApplyOuterOrdered(ga) || ga.Partition != core.PartitionSort {
+			t.Fatalf("want a sort-hinted GApply (streaming) over a sort (elided %v):\n%s", elided, core.Format(plan))
+		}
+		if got := core.FormatOrdering(core.ProvidedOrdering(sort)); got != "partsupp.ps_suppkey ASC" {
+			t.Errorf("the sort provides %q, want the group column", got)
+		}
+	}
+	hash := runP(t, cat, o.Optimize(bindQ(t, cat, q), Options{Partition: core.PartitionHash}))
+	sorted := o.Optimize(bindQ(t, cat, q), Options{Partition: core.PartitionSort})
+	check(sorted, false)
+	sortedRows := runP(t, cat, sorted)
+	if !sameMultiset(sortedRows, hash) {
+		t.Error("the lowered sort partitioning changed results")
+	}
+	if _, err := cat.CreateIndex("ix_ps_suppkey", "partsupp", "ps_suppkey"); err != nil {
+		t.Fatal(err)
+	}
+	indexed := o.Optimize(bindQ(t, cat, q), Options{Partition: core.PartitionSort})
+	check(indexed, true)
+	if got := runP(t, cat, indexed); fmt.Sprint(got) != fmt.Sprint(sortedRows) {
+		t.Error("the elided sort changed the rows or their order")
+	}
+	if core.Format(o.Optimize(bindQ(t, cat, q), Options{Partition: core.PartitionSort, DisableIndexes: true})) != core.Format(sorted) {
+		t.Error("DisableIndexes does not plan the index-free lowering")
 	}
 }

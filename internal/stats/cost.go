@@ -231,16 +231,12 @@ func (e *Estimator) estimateGApply(g *core.GApply) Estimate {
 	sub.groupRows = avgGroup
 	perGroup := sub.Estimate(g.Inner)
 
-	var partition float64
-	switch {
-	case core.GApplyOuterOrdered(g):
-		// The outer streams in group order already: under either hint,
-		// partitioning is a single linear run-cutting pass.
+	// An outer in group order — from an index, or from the enforcer sort
+	// a sort partitioning lowers to, which the outer's cost already
+	// prices — is cut into runs in one linear pass; any other is hashed.
+	partition := outer.Rows * cHashRow
+	if core.GApplyOuterOrdered(g) {
 		partition = outer.Rows * cFilterRow
-	case g.Partition == core.PartitionSort:
-		partition = sortCost(outer.Rows)
-	default:
-		partition = outer.Rows * cHashRow
 	}
 	return Estimate{
 		Rows: groups * math.Max(perGroup.Rows, 1),

@@ -210,11 +210,18 @@ func TestEstimateGApplyUniformity(t *testing.T) {
 	if e.Cost <= outer.Cost {
 		t.Errorf("GApply cost %v must exceed outer cost %v", e.Cost, outer.Cost)
 	}
-	// Sort partitioning costs differently from hash partitioning.
+	// Sort partitioning lowers to an enforcer sort under a run cut: the
+	// plan costs the hash GApply's, with the hash pass replaced by the
+	// sort's n log n and the cut's linear pass.
 	gaSort := core.NewGApply(join, []*core.ColRef{core.QCol("partsupp", "ps_suppkey")}, "g", pgq)
 	gaSort.Partition = core.PartitionSort
-	if est.Estimate(gaSort).Cost == e.Cost {
-		t.Error("partition strategies must cost differently")
+	lowered := core.LowerSortPartition(gaSort)
+	if _, ok := lowered.Outer.(*core.OrderBy); !ok || !core.GApplyOuterOrdered(lowered) {
+		t.Fatalf("sort partitioning lowers to %s, want a GApply over a sort of its outer", core.Summary(lowered))
+	}
+	want := e.Cost + sortCost(outer.Rows) + outer.Rows*(cFilterRow-cHashRow)
+	if got := est.Estimate(lowered).Cost; math.Abs(got-want) > 1e-6*want {
+		t.Errorf("lowered sort partitioning costs %v, want %v (hash %v)", got, want, e.Cost)
 	}
 }
 
