@@ -35,7 +35,6 @@ import (
 type accessPathCase struct {
 	name, sql string
 	shape     []string // substrings the indexed EXPLAIN must contain
-	opts      []gapplydb.QueryOption
 }
 
 const heapSeek = "(heap order)"
@@ -76,13 +75,11 @@ func accessPathCases() []accessPathCase {
 			shape: []string{heapSeek, probe}},
 		{name: "probe-shuffled", sql: "select s_name, k, v from supplier, events where s_suppkey = k and s_suppkey <= 4",
 			shape: []string{heapSeek, probe}},
-		// GApply whose outer takes the seek; its per-group join probes
-		// part per group when the spool is off, and reads the spool when
-		// it is on.
+		// GApply whose outer takes the seek; its per-group join, planned
+		// as a probe of part's index, reads the materialization of the
+		// invariant part subtree instead.
 		{name: "gapply-outer-seek", sql: "select gapply(select p_name, ps_availqty from g, part where ps_partkey = p_partkey and ps_availqty > p_size) from partsupp where ps_suppkey < 4 group by ps_suppkey : g",
 			shape: []string{heapSeek, probe}},
-		{name: "gapply-outer-seek-nospool", sql: "select gapply(select p_name, ps_availqty from g, part where ps_partkey = p_partkey and ps_availqty > p_size) from partsupp where ps_suppkey < 4 group by ps_suppkey : g",
-			shape: []string{heapSeek, probe}, opts: []gapplydb.QueryOption{gapplydb.WithoutSpooling()}},
 		{name: "entity-gapply", sql: entityFLWR().SQL(xmlpub.GApply), shape: []string{heapSeek, probe}},
 		{name: "entity-sorted", sql: entityFLWR().SQL(xmlpub.SortedOuterUnion), shape: []string{heapSeek, probe}},
 	}
@@ -141,7 +138,7 @@ func TestAccessPathDifferential(t *testing.T) {
 	for _, tc := range accessPathCases() {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			e, err := db.ExplainPlan(tc.sql, tc.opts...)
+			e, err := db.ExplainPlan(tc.sql)
 			if err != nil {
 				t.Fatalf("explain: %v\n%s", err, tc.sql)
 			}
@@ -150,16 +147,14 @@ func TestAccessPathDifferential(t *testing.T) {
 					t.Fatalf("indexed plan lacks %q:\n%s", want, e.Plan)
 				}
 			}
-			ref := expectOracle(t, db, tc.sql, tc.opts...)
+			ref := expectOracle(t, db, tc.sql)
 			var indexed *gapplydb.ExecStats
 			for _, dop := range []int{1, 8} {
-				baseOpts := append([]gapplydb.QueryOption{gapplydb.WithDOP(dop), gapplydb.WithoutIndexes()}, tc.opts...)
-				base, err := db.Query(tc.sql, baseOpts...)
+				base, err := db.Query(tc.sql, gapplydb.WithDOP(dop), gapplydb.WithoutIndexes())
 				if err != nil {
 					t.Fatalf("no-index dop %d: %v\n%s", dop, err, tc.sql)
 				}
-				opts := append([]gapplydb.QueryOption{gapplydb.WithDOP(dop)}, tc.opts...)
-				res, err := db.Query(tc.sql, opts...)
+				res, err := db.Query(tc.sql, gapplydb.WithDOP(dop))
 				if err != nil {
 					t.Fatalf("dop %d: %v\n%s", dop, err, tc.sql)
 				}
@@ -218,33 +213,44 @@ func TestAccessPathXML(t *testing.T) {
 }
 
 // TestAccessPathExplainAnalyze: probed entries are credited to the
-// IndexScan node the probe replaced, identically at every degree, and
-// the seek's actual rows are its window.
+// IndexScan node the probe replaced, and the seek's actual rows are its
+// window, identically at every degree. Under a GApply the per-group join
+// planned as a probe reads the invariant part scan's materialization
+// instead: the IndexScan runs once and reports the one build and a hit
+// per other group.
 func TestAccessPathExplainAnalyze(t *testing.T) {
 	db := accessPathDatabase(t)
-	sql := "select gapply(select p_name, ps_availqty from g, part where ps_partkey = p_partkey and ps_availqty > p_size) from partsupp where ps_suppkey < 4 group by ps_suppkey : g"
-	var first string
-	for _, dop := range []int{1, 8} {
-		e, err := db.ExplainAnalyze(sql, gapplydb.WithDOP(dop), gapplydb.WithoutSpooling())
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := stripTimings(e.String())
-		if first == "" {
-			first = got
-		} else if got != first {
-			t.Fatalf("EXPLAIN ANALYZE differs across dop:\n--- dop 1 ---\n%s--- dop 8 ---\n%s", first, got)
-		}
-		for _, line := range strings.Split(e.Plan, "\n") {
-			if strings.Contains(line, "IndexScan part using") {
-				// 3 groups of 80 left rows, one part per key.
-				if !strings.Contains(line, "actual rows=240 loops=3") {
-					t.Errorf("probed IndexScan actuals: %s", line)
+	for _, c := range []struct {
+		sql, actuals string
+		scanned      int64
+	}{
+		// 80 seek rows, each probing one part.
+		{"select ps_partkey, p_name, p_retailprice from partsupp, part where ps_partkey = p_partkey and ps_suppkey = 3",
+			"(actual rows=80 loops=1)", 80 + 80},
+		// 3 groups of 80 seek rows; part's 200 rows materialized once.
+		{"select gapply(select p_name, ps_availqty from g, part where ps_partkey = p_partkey and ps_availqty > p_size) from partsupp where ps_suppkey < 4 group by ps_suppkey : g",
+			"(actual rows=200 loops=1) (spool builds=1 hits=2", 240 + 200},
+	} {
+		var first string
+		for _, dop := range []int{1, 8} {
+			e, err := db.ExplainAnalyze(c.sql, gapplydb.WithDOP(dop))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := stripTimings(e.String())
+			if first == "" {
+				first = got
+			} else if got != first {
+				t.Fatalf("EXPLAIN ANALYZE differs across dop:\n--- dop 1 ---\n%s--- dop 8 ---\n%s", first, got)
+			}
+			for _, line := range strings.Split(e.Plan, "\n") {
+				if strings.Contains(line, "IndexScan part using") && !strings.Contains(stripTimings(line), c.actuals) {
+					t.Errorf("IndexScan part actuals: %s, want %s", line, c.actuals)
 				}
 			}
-		}
-		if e.Result.Stats.RowsScanned != 240+240 {
-			t.Errorf("RowsScanned = %d, want 240 seek rows + 240 probed entries", e.Result.Stats.RowsScanned)
+			if e.Result.Stats.RowsScanned != c.scanned {
+				t.Errorf("RowsScanned = %d, want %d", e.Result.Stats.RowsScanned, c.scanned)
+			}
 		}
 	}
 }

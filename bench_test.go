@@ -178,15 +178,12 @@ func BenchmarkPartition(b *testing.B) {
 
 // --------------------------------------------- spool and plan cache
 
-// BenchmarkSpool pairs a join-heavy GApply query with the invariant-
-// subtree spool off and on at dop 1. Run with -benchmem: the spooled arm
-// also shows the allocation savings from the per-group key slab and the
-// hash-join probe scratch.
+// BenchmarkSpool runs a join-heavy GApply query at dop 1: its program
+// hosts the per-group join, whose build side replays the invariant
+// part subtree's materialization, built once per execution. Run with
+// -benchmem.
 func BenchmarkSpool(b *testing.B) {
 	q := experiments.SpoolQueries()[0].SQL
-	b.Run("Off", func(b *testing.B) {
-		runQuery(b, q, gapplydb.WithDOP(1), gapplydb.WithoutSpooling())
-	})
 	b.Run("On", func(b *testing.B) {
 		runQuery(b, q, gapplydb.WithDOP(1))
 	})

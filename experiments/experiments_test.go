@@ -5,6 +5,10 @@ import (
 	"time"
 
 	"gapplydb"
+	"gapplydb/internal/core"
+	"gapplydb/internal/exec"
+	"gapplydb/internal/storage"
+	"gapplydb/internal/tpch"
 )
 
 // The experiment suite runs at a very small scale factor in tests: the
@@ -150,4 +154,49 @@ func TestRatio(t *testing.T) {
 	if Ratio(100, 0) != 0 {
 		t.Error("Ratio zero divisor")
 	}
+}
+
+// TestTable1PathCoverage pins, off the compiled programs, that every
+// GApply in both arms of every Table 1 sweep runs its per-group query
+// natively: its program hosts no iterator tree. The rule-off arm of the
+// group-selection-exists sweep is where EXISTS group selection runs.
+func TestTable1PathCoverage(t *testing.T) {
+	db := testDB(t)
+	// The programs compile against a copy of db's catalog: the same
+	// generated tables and indexes.
+	cat := storage.NewCatalog()
+	if err := tpch.Load(cat, 0.001); err != nil {
+		t.Fatal(err)
+	}
+	for _, ix := range db.Indexes() {
+		if _, err := cat.CreateIndex(ix.Name, ix.Table, ix.Columns...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	checked := 0
+	for _, r := range Table1Sweeps() {
+		for _, pt := range r.points {
+			without, with := r.arms(pt)
+			for _, opts := range [][]gapplydb.QueryOption{without, with} {
+				plan, err := db.Plan(pt.query, opts...)
+				if err != nil {
+					t.Fatalf("%s/%s: %v", r.RuleName, pt.param, err)
+				}
+				hosted, err := exec.Hosted(plan, cat)
+				if err != nil {
+					t.Fatalf("%s/%s: %v", r.RuleName, pt.param, err)
+				}
+				for g, ns := range hosted {
+					if len(ns) > 0 {
+						t.Errorf("%s/%s: the program hosts %d subtrees:\n%s", r.RuleName, pt.param, len(ns), core.Format(g))
+					}
+					checked++
+				}
+			}
+		}
+	}
+	if checked < 20 {
+		t.Errorf("only %d GApplies checked", checked)
+	}
+	t.Logf("%d GApplies checked", checked)
 }

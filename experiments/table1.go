@@ -218,21 +218,28 @@ func noPrune() []gapplydb.QueryOption {
 	return []gapplydb.QueryOption{gapplydb.WithoutRule("projection-before-gapply")}
 }
 
+// arms returns the options of pt's two arms: the rule off, and on —
+// forced, when it is cost-based.
+func (r RuleSweep) arms(pt sweepQuery) (without, with []gapplydb.QueryOption) {
+	both := pt.extraOpts
+	if r.RuleName == "projection-before-gapply" {
+		// Keep the GApply alive in both arms: converting it to a
+		// groupby would short-circuit the projection measurement.
+		both = append(both[:len(both):len(both)], gapplydb.WithoutRule("gapply-to-groupby"))
+	}
+	without = append([]gapplydb.QueryOption{gapplydb.WithoutRule(r.RuleName)}, both...)
+	with = append([]gapplydb.QueryOption{}, both...)
+	if r.forced() {
+		with = append(with, gapplydb.ForceRule(r.RuleName))
+	}
+	return without, with
+}
+
 // Measure times every point of the sweep with the rule off and on.
 func (r RuleSweep) Measure(db *gapplydb.Database) (Table1Row, error) {
 	row := Table1Row{RuleClass: r.Class, Rule: r.Rule}
 	for _, pt := range r.points {
-		both := pt.extraOpts
-		if r.RuleName == "projection-before-gapply" {
-			// Keep the GApply alive in both arms: converting it to a
-			// groupby would short-circuit the projection measurement.
-			both = append(both[:len(both):len(both)], gapplydb.WithoutRule("gapply-to-groupby"))
-		}
-		withoutOpts := append([]gapplydb.QueryOption{gapplydb.WithoutRule(r.RuleName)}, both...)
-		withOpts := append([]gapplydb.QueryOption{}, both...)
-		if r.forced() {
-			withOpts = append(withOpts, gapplydb.ForceRule(r.RuleName))
-		}
+		withoutOpts, withOpts := r.arms(pt)
 		tw, _, err := timeQuery(db, pt.query, withoutOpts...)
 		if err != nil {
 			return Table1Row{}, err

@@ -362,7 +362,6 @@ type queryConfig struct {
 	instrument   bool
 	budget       Budget
 	noPlanCache  bool
-	noSpool      bool
 	planCacheHit bool // set after compile; not a user option
 
 	// Tracing (see tracing.go). traceBuilder is either supplied via
@@ -438,14 +437,6 @@ func WithInstrumentation() QueryOption {
 // plan is ever suspected stale.
 func WithoutPlanCache() QueryOption {
 	return func(c *queryConfig) { c.noPlanCache = true }
-}
-
-// WithoutSpooling disables GApply's invariant-subtree spooling for the
-// query: every per-group execution re-runs the whole inner tree, as the
-// engine did before the spool layer. Differential tests and the spool
-// benchmark use it; there is no reason to set it in production.
-func WithoutSpooling() QueryOption {
-	return func(c *queryConfig) { c.noSpool = true }
 }
 
 // WithoutIndexes plans the query as if no secondary indexes existed:
@@ -537,8 +528,8 @@ type ExecStats struct {
 	ApplyExecs         int64
 	ApplyCacheHits     int64
 	JoinProbes         int64
-	// SpoolBuilds/SpoolHits count GApply's invariant-subtree spool
-	// activity: materializations performed vs. re-Opens served by replay.
+	// SpoolBuilds/SpoolHits count GApply's invariant-subtree
+	// materializations: those built vs. group reads served by replay.
 	SpoolBuilds int64
 	SpoolHits   int64
 	// PlanCacheHits is 1 when this statement's plan came from the
@@ -695,7 +686,6 @@ func (db *Database) execContext(ctx context.Context, cfg queryConfig) *exec.Cont
 	ectx := exec.NewContext(db.cat, db.store)
 	ectx.DOP = cfg.dop
 	ectx.Ctx = ctx
-	ectx.NoSpool = cfg.noSpool
 	if cfg.planCacheHit {
 		ectx.Counters.PlanCacheHits = 1
 	}

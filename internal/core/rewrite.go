@@ -131,41 +131,44 @@ func ReferencedColumns(n Node) []*ColRef {
 // expressions — the correlation footprint of a subquery plan.
 func OuterRefsIn(n Node) []*OuterRef {
 	var out []*OuterRef
-	collect := func(e Expr) {
-		if e == nil {
-			return
+	see := func(x Expr) {
+		if o, ok := x.(*OuterRef); ok {
+			out = append(out, o)
 		}
-		e.Walk(func(x Expr) {
-			if o, ok := x.(*OuterRef); ok {
-				out = append(out, o)
-			}
-		})
 	}
-	Walk(n, func(m Node) {
-		switch x := m.(type) {
-		case *Select:
-			collect(x.Cond)
-		case *Project:
-			for _, e := range x.Exprs {
-				collect(e)
-			}
-		case *Join:
-			collect(x.Cond)
-		case *GroupBy:
-			for _, a := range x.Aggs {
-				collect(a.Arg)
-			}
-		case *AggOp:
-			for _, a := range x.Aggs {
-				collect(a.Arg)
-			}
-		case *OrderBy:
-			for _, k := range x.Keys {
-				collect(k.Expr)
-			}
-		}
-	})
+	Walk(n, func(m Node) { walkExprs(m, see) })
 	return out
+}
+
+// walkExprs walks every expression n itself holds, not its children's.
+func walkExprs(n Node, f func(Expr)) {
+	walk := func(e Expr) {
+		if e != nil {
+			e.Walk(f)
+		}
+	}
+	switch x := n.(type) {
+	case *Select:
+		walk(x.Cond)
+	case *Project:
+		for _, e := range x.Exprs {
+			walk(e)
+		}
+	case *Join:
+		walk(x.Cond)
+	case *GroupBy:
+		for _, a := range x.Aggs {
+			walk(a.Arg)
+		}
+	case *AggOp:
+		for _, a := range x.Aggs {
+			walk(a.Arg)
+		}
+	case *OrderBy:
+		for _, k := range x.Keys {
+			walk(k.Expr)
+		}
+	}
 }
 
 // GroupInvariant reports whether the subtree's result is independent of
@@ -173,46 +176,66 @@ func OuterRefsIn(n Node) []*OuterRef {
 // GroupScan (of any variable — conservative, so a nested GApply's inner
 // is never misclassified) and no OuterRef in any expression position.
 // Such a subtree produces the same rows on every re-Open within one
-// query, which is what licenses spooling it.
+// query, which is what licenses materializing it once.
 func GroupInvariant(n Node) bool {
-	invariant := true
-	Walk(n, func(m Node) {
-		if _, ok := m.(*GroupScan); ok {
-			invariant = false
-		}
-	})
-	if !invariant {
-		return false
-	}
-	return len(OuterRefsIn(n)) == 0
+	roots, _ := InvariantRoots(n)
+	return len(roots) == 1 && roots[0] == n
 }
 
 // InvariantRoots returns the maximal group-invariant subtrees of a
-// per-group plan, top-down: once a subtree qualifies, its descendants
-// are not reported separately. A nested GApply is treated as opaque on
-// its inner side — only its Outer input is searched — because the
-// nested operator spools its own inner independently.
-func InvariantRoots(n Node) []Node {
-	var out []Node
-	var visit func(Node)
-	visit = func(m Node) {
-		if m == nil {
-			return
-		}
-		if GroupInvariant(m) {
-			out = append(out, m)
-			return
-		}
-		if ga, ok := m.(*GApply); ok {
-			visit(ga.Outer)
-			return
-		}
-		for _, c := range m.Children() {
-			visit(c)
+// per-group plan, in pre-order: once a subtree qualifies, its
+// descendants are not reported separately. A nested GApply is treated
+// as opaque on its inner side — only its Outer input is searched —
+// because the nested operator materializes its own inner's. correlated
+// reports whether an expression anywhere in n holds an OuterRef, as
+// OuterRefsIn would. One pass decides every node, bottom-up.
+func InvariantRoots(n Node) (roots []Node, correlated bool) {
+	f := &invariantFinder{}
+	f.see = func(x Expr) {
+		if _, ok := x.(*OuterRef); ok {
+			f.ref = true
 		}
 	}
-	visit(n)
-	return out
+	if f.visit(n) {
+		return []Node{n}, false
+	}
+	return f.out, f.correlated
+}
+
+type invariantFinder struct {
+	out        []Node
+	see        func(Expr) // sets ref on an OuterRef
+	ref        bool       // the node being visited holds an OuterRef
+	correlated bool       // some node did
+}
+
+// visit reports whether m is invariant; when it is not, it leaves m's
+// maximal invariant subtrees appended to out.
+func (f *invariantFinder) visit(m Node) bool {
+	if _, ok := m.(*GroupScan); ok {
+		return false
+	}
+	f.ref = false
+	walkExprs(m, f.see)
+	f.correlated = f.correlated || f.ref
+	inv, mark := !f.ref, len(f.out)
+	ga, _ := m.(*GApply)
+	for _, c := range m.Children() {
+		switch {
+		case ga != nil && c == ga.Inner:
+			before := len(f.out)
+			inv = f.visit(c) && inv
+			f.out = f.out[:before]
+		case f.visit(c):
+			f.out = append(f.out, c)
+		default:
+			inv = false
+		}
+	}
+	if inv {
+		f.out = f.out[:mark]
+	}
+	return inv
 }
 
 // DedupCols returns the column list with duplicates (same qualified name,

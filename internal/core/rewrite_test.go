@@ -193,23 +193,37 @@ func TestInvariantRootsMaximal(t *testing.T) {
 		Right: sel,
 		Cond:  &Cmp{Op: "=", L: Col("ps_partkey"), R: Col("p_partkey")},
 	}
-	roots := InvariantRoots(join)
+	roots, _ := InvariantRoots(join)
 	// Maximality: the Select (not the Scan under it) is the single root.
 	if len(roots) != 1 || roots[0] != Node(sel) {
 		t.Errorf("InvariantRoots = %v, want the Select subtree", roots)
 	}
 	// A fully invariant tree reports itself.
-	if roots := InvariantRoots(sel); len(roots) != 1 || roots[0] != Node(sel) {
+	if roots, _ := InvariantRoots(sel); len(roots) != 1 || roots[0] != Node(sel) {
 		t.Errorf("InvariantRoots(invariant tree) = %v", roots)
 	}
 	// No invariant subtree at all.
-	if roots := InvariantRoots(&GroupScan{Var: "g"}); len(roots) != 0 {
+	if roots, _ := InvariantRoots(&GroupScan{Var: "g"}); len(roots) != 0 {
 		t.Errorf("InvariantRoots(GroupScan) = %v", roots)
+	}
+	// Roots come in pre-order, and correlation anywhere is reported as
+	// OuterRefsIn reports it.
+	other := &Scan{Table: "part", Def: partDef()}
+	corr := &Select{Input: &GroupScan{Var: "g", Sch: partsuppDef().Schema},
+		Cond: &Cmp{Op: "=", L: Col("ps_partkey"), R: &OuterRef{Name: "p_partkey"}}}
+	union := &UnionAll{Inputs: []Node{other, &Join{Left: corr, Right: sel}}}
+	roots, correlated := InvariantRoots(union)
+	if len(roots) != 2 || roots[0] != Node(other) || roots[1] != Node(sel) || !correlated {
+		t.Errorf("InvariantRoots = %v, correlated %v; want [Scan, Select], true", roots, correlated)
+	}
+	if _, correlated := InvariantRoots(join); correlated {
+		t.Error("an uncorrelated tree reported correlated")
 	}
 }
 
 func TestInvariantRootsNestedGApplyOpaque(t *testing.T) {
-	// A nested GApply spools its own inner independently; only its Outer
+	// A nested GApply materializes its own inner's invariant subtrees;
+	// only its Outer
 	// side is searched. The invariant scan inside the nested inner must
 	// NOT be reported.
 	innerInvariant := &Scan{Table: "part", Def: partDef()}
@@ -218,7 +232,7 @@ func TestInvariantRootsNestedGApplyOpaque(t *testing.T) {
 		GroupVar: "h",
 		Inner:    &Join{Left: &GroupScan{Var: "h"}, Right: innerInvariant},
 	}
-	roots := InvariantRoots(nested)
+	roots, _ := InvariantRoots(nested)
 	if len(roots) != 0 {
 		t.Errorf("InvariantRoots looked through a nested GApply: %v", roots)
 	}

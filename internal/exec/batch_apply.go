@@ -10,9 +10,9 @@ import (
 // batchSize. The outer row is pushed on the context's outer stack
 // around the inner drain, where compiled OuterRefs read it. When the
 // inner has no outer references its result cannot change across the
-// outer loop (it may still change when a group binding changes), so it
-// is materialized once per binding version — the standard
-// cached-subquery optimization.
+// outer loop, so it is materialized once per Open — the standard
+// cached-subquery optimization. (A GApply's program re-opens the Apply
+// for every group, so no group sees another group's cache.)
 type bApply struct {
 	outer, inner BatchIterator
 	ctx          *Context
@@ -21,9 +21,8 @@ type bApply struct {
 	width        int
 	uncorrelated bool
 
-	cache        []types.Row
-	cacheVersion uint64
-	cacheValid   bool
+	cache      []types.Row
+	cacheValid bool
 
 	ob      *Batch // current outer batch
 	oi      int    // next live index within ob
@@ -48,7 +47,7 @@ func (a *bApply) Open() error {
 
 func (a *bApply) innerRows() ([]types.Row, error) {
 	if a.uncorrelated {
-		if a.cacheValid && a.cacheVersion == a.ctx.version {
+		if a.cacheValid {
 			a.ctx.Counters.ApplyCacheHits++
 			return a.cache, nil
 		}
@@ -59,7 +58,7 @@ func (a *bApply) innerRows() ([]types.Row, error) {
 		return nil, err
 	}
 	if a.uncorrelated {
-		a.cache, a.cacheVersion, a.cacheValid = rows, a.ctx.version, true
+		a.cache, a.cacheValid = rows, true
 	}
 	return rows, nil
 }

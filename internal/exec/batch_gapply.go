@@ -22,19 +22,21 @@ import (
 // tagger. §3's sort partitioning reaches here as an enforcer sort of the
 // outer (core.LowerSortPartition), so it streams.
 //
-// The per-group query runs as a segment program (segment.go) when its
-// shape lowers — one loop over many groups, nothing opened or allocated
-// per group — and otherwise as an iterator tree re-opened per group
-// with $group bound (treeExec). Either way the execution phase fills an
-// output slab group after group and emits it in batch windows: serially
-// on the consumer, or — the groups being independent by construction —
-// across a bounded worker pool (parRun). Workers claim tasks, contiguous
+// The per-group query runs as a segment program (segment.go): one loop
+// over many groups, its native nodes allocating nothing per group, and
+// any operator it has no native node for hosted as the iterator tree
+// that is that operator's one implementation, re-opened per group. The
+// execution phase fills an output slab group after group, each group's
+// output whole, and emits it in batch windows: serially on the
+// consumer, or — the groups being independent by construction — across
+// a bounded worker pool (parRun). Workers claim tasks, contiguous
 // ranges of groups holding at least batchSize input rows (a larger group
 // is a task of its own); every worker owns a private Context, a private
-// program or tree and an output slab it keeps across its tasks, and the
+// program and an output slab it keeps across its tasks, and the
 // consumer emits the tasks in range order, merging each task's counters
 // and profile once. Output is therefore identical to serial execution,
-// clustering included.
+// clustering included. The inner's invariant subtrees are materialized
+// once per Open, before the workers start, and shared by them.
 //
 // When the outer arrives in group-key order (core.GApplyOuterOrdered: a
 // sort, an index scan, or a heap-order seek over a heap in key order,
@@ -56,104 +58,36 @@ import (
 // counter merges — when the query is cancelled or a group fails.
 type bgapply struct {
 	outer      BatchIterator
-	exec       groupExec // the per-group query on ctx
-	lowered    bool      // exec (and every worker's) is a segment program
-	innerPlan  core.Node
+	exec       *segProgram // the per-group query on ctx
 	plan       *core.GApply
 	env        compileEnv
 	ctx        *Context
 	ords       []int
-	groupVar   string
 	streaming  bool // the outer is in group-key order: cut groups as it arrives
 	correlated bool
-	spools     *spoolRegistry
+	invs       []*invariant // the inner's invariant subtrees
+
+	// compile, when set, builds the program in buildSegment's stead:
+	// the segment tests' reference hosts the whole inner as one node.
+	compile func(*bgapply, *Context) (*segProgram, error)
 
 	parts partitioner // the partition phase's scratch, kept across Opens
 	part  partition
-	cut   runCutter   // streaming: the outer's cursor and the open group
-	at    groupCursor // serial: the execution phase's position
-	task  int         // parallel: the next task to emit
+	cut   runCutter // streaming: the outer's cursor and the open group
+	at    int       // serial: the next group to run
+	task  int       // parallel: the next task to emit
 	par   *parRun
 
 	out joinOut   // serial output slab, rows prefixed with the grouping columns
 	win rowWindow // batch windows over the output being emitted
 }
 
-// groupExec evaluates the per-group query over one group, appending its
-// rows, prefixed with the group's grouping columns, to out. It may stop
-// once out holds limit rows and reports whether the group is finished;
-// a call with the same group resumes an unfinished one, and close
-// releases it.
-type groupExec interface {
-	run(group []types.Row, out *joinOut, limit int) (bool, error)
-	close() error
-}
-
-// groupCursor is a position in the execution phase: the group to run
-// next, and whether it is already under way.
-type groupCursor struct {
-	next    int
-	started bool
-}
-
-// buildExec compiles the per-group query against ctx: a segment program
-// when the inner lowers, else an iterator tree over ctx's spool registry.
-func (g *bgapply) buildExec(ctx *Context) (groupExec, error) {
-	if g.lowered {
-		return buildSegment(g.innerPlan, ctx)
+// buildExec compiles the per-group program against ctx.
+func (g *bgapply) buildExec(ctx *Context) (*segProgram, error) {
+	if g.compile != nil {
+		return g.compile(g, ctx)
 	}
-	it, err := buildBatch(g.innerPlan, ctx, g.env)
-	if err != nil {
-		return nil, err
-	}
-	return &treeExec{inner: it, ctx: ctx, groupVar: g.groupVar}, nil
-}
-
-// treeExec is the fallback per-group execution: the inner iterator tree,
-// re-opened once per group with $group bound to the group, and read a
-// batch at a time, so a group's output streams rather than piling up.
-type treeExec struct {
-	inner    BatchIterator
-	ctx      *Context
-	groupVar string
-	open     bool // the inner is open on an unfinished group
-}
-
-func (t *treeExec) run(group []types.Row, out *joinOut, limit int) (bool, error) {
-	if !t.open {
-		t.ctx.BindGroup(t.groupVar, group)
-		if err := t.inner.Open(); err != nil {
-			return true, err
-		}
-		t.open = true
-	}
-	for len(out.rows) < limit {
-		b, err := t.inner.NextBatch()
-		if err != nil {
-			t.close()
-			return true, err
-		}
-		if b == nil {
-			return true, t.close()
-		}
-		n := b.Len()
-		if err := t.ctx.tickN(n); err != nil {
-			t.close()
-			return true, err
-		}
-		for i := 0; i < n; i++ {
-			out.add(group[0], b.Row(i))
-		}
-	}
-	return false, nil
-}
-
-func (t *treeExec) close() error {
-	if !t.open {
-		return nil
-	}
-	t.open = false
-	return t.inner.Close()
+	return buildSegment(g, ctx)
 }
 
 // startGroup counts the start of one group's execution.
@@ -166,25 +100,17 @@ func startGroup(ctx *Context, parallel bool) {
 	}
 }
 
-// runGroups evaluates the groups of part from at up to to on ctx,
-// appending their output to out, until out holds limit rows; at is left
-// on the group to continue with.
-func runGroups(ex groupExec, ctx *Context, part partition, at *groupCursor, to, limit int, out *joinOut, parallel bool) error {
-	for at.next < to {
-		if !at.started {
-			startGroup(ctx, parallel)
-			at.started = true
-		}
-		done, err := ex.run(part.group(at.next), out, limit)
-		if done || err != nil {
-			at.next++
-			at.started = false
-		}
-		if err != nil || len(out.rows) >= limit {
-			return err
+// runGroups evaluates groups from, from+1, … of part on ctx, appending
+// their output to out, until group to or until out holds limit rows,
+// and returns the group to continue with.
+func runGroups(ex *segProgram, ctx *Context, part partition, from, to, limit int, out *joinOut, parallel bool) (int, error) {
+	for ; from < to && len(out.rows) < limit; from++ {
+		startGroup(ctx, parallel)
+		if err := ex.run(part.group(from), out); err != nil {
+			return from + 1, err
 		}
 	}
-	return nil
+	return from, nil
 }
 
 func (g *bgapply) Open() error {
@@ -195,10 +121,10 @@ func (g *bgapply) Open() error {
 	if err := g.exec.close(); err != nil {
 		return err
 	}
-	if g.spools != nil {
-		g.spools.reset()
+	for _, m := range g.invs {
+		m.reset(g.ctx)
 	}
-	g.at, g.task = groupCursor{}, 0
+	g.at, g.task = 0, 0
 	g.win.reset(nil)
 	if g.streaming {
 		return g.cut.start()
@@ -209,6 +135,9 @@ func (g *bgapply) Open() error {
 	}
 	g.ctx.Counters.Groups += int64(g.part.groups())
 	if dop := g.degree(); dop > 1 {
+		for _, m := range g.invs {
+			m.materialize()
+		}
 		g.par = g.startWorkers(dop)
 	}
 	return nil
@@ -266,11 +195,12 @@ func (g *bgapply) nextGroups() ([]types.Row, bool, error) {
 		return nil, false, err
 	}
 	n := g.part.groups()
-	if g.at.next >= n {
+	if g.at >= n {
 		return nil, false, nil
 	}
 	g.out.reset()
-	err := runGroups(g.exec, g.ctx, g.part, &g.at, n, batchSize, &g.out, false)
+	var err error
+	g.at, err = runGroups(g.exec, g.ctx, g.part, g.at, n, batchSize, &g.out, false)
 	return g.out.rows, true, err
 }
 
@@ -284,23 +214,17 @@ func (g *bgapply) nextStreamed() ([]types.Row, bool, error) {
 	}
 	g.out.reset()
 	for len(g.out.rows) < batchSize {
-		if !g.at.started {
-			closed, err := g.cut.cutGroup(g, len(g.out.rows) == 0)
-			if err != nil {
-				return nil, false, err
-			}
-			if !closed {
-				break
-			}
-			g.ctx.Counters.Groups++
-			startGroup(g.ctx, false)
-			g.at.started = true
+		closed, err := g.cut.cutGroup(g, len(g.out.rows) == 0)
+		if err != nil {
+			return nil, false, err
 		}
-		done, err := g.exec.run(g.cut.rows, &g.out, batchSize)
-		if done || err != nil {
-			g.at.started = false
-			g.cut.rows = g.cut.rows[:0]
+		if !closed {
+			break
 		}
+		g.ctx.Counters.Groups++
+		startGroup(g.ctx, false)
+		err = g.exec.run(g.cut.rows, &g.out)
+		g.cut.rows = g.cut.rows[:0]
 		if err != nil {
 			return nil, false, err
 		}
@@ -602,12 +526,11 @@ type parTask struct {
 // Close/Open must not yank state out from under workers that are still
 // winding down. Workers run under a context derived from the query's,
 // so cancelling the query (or shutting the pool down) interrupts a
-// worker even mid-task. Each worker compiles its private per-group query
-// — a segment program, or an inner tree over the GApply's spool
-// registry, whose spools share the holders (and materializations) of
-// every other tree — and keeps one output slab across its tasks. After
-// any task fails the outcome is decided (the consumer stops at the first
-// error in range order), so later tasks complete empty.
+// worker even mid-task. Each worker compiles its private program, which
+// replays the materializations Open made, keeps one output slab across
+// its tasks, and closes the program's hosted subtrees when it exits.
+// After any task fails the outcome is decided (the consumer stops at the
+// first error in range order), so later tasks complete empty.
 func (g *bgapply) startWorkers(dop int) *parRun {
 	part := g.part
 	cuts := part.tasks()
@@ -631,9 +554,13 @@ func (g *bgapply) startWorkers(dop int) *parRun {
 			defer a.workers.Done()
 			wctx := g.ctx.fork()
 			wctx.Ctx = wctxCtx
-			wctx.spools = g.spools
 			out := joinOut{left: g.ords, slab: rowSlab{arena: wctx.arena}}
-			var ex groupExec
+			var ex *segProgram
+			defer func() {
+				if ex != nil {
+					ex.close()
+				}
+			}()
 			for {
 				select {
 				case <-p.stop:
@@ -676,13 +603,13 @@ func (g *bgapply) startWorkers(dop int) *parRun {
 // runTask evaluates groups [from, to) on a worker's private context,
 // appending their rows to out, and returns them with the task's counters
 // and profile delta, which the consumer merges.
-func (g *bgapply) runTask(wctx *Context, ex groupExec, part partition, from, to int, out *joinOut) parTask {
+func (g *bgapply) runTask(wctx *Context, ex *segProgram, part partition, from, to int, out *joinOut) parTask {
 	wctx.Counters = Counters{}
 	var profBefore map[core.Node]NodeStats
 	if wctx.Prof != nil {
 		profBefore = wctx.Prof.snapshot()
 	}
-	err := runGroups(ex, wctx, part, &groupCursor{next: from}, to, math.MaxInt, out, true)
+	_, err := runGroups(ex, wctx, part, from, to, math.MaxInt, out, true)
 	res := parTask{rows: out.rows, err: err, delta: wctx.Counters}
 	if wctx.Prof != nil {
 		res.prof = wctx.Prof.since(profBefore)

@@ -63,8 +63,9 @@ func gather(dst, src types.Row, ords []int) {
 }
 
 // bHashJoin builds a hash table on the right input's equi-columns and
-// probes it with left batches, with a spool-backed rebuild skip via
-// contentVersioned, a residual predicate over the concatenated row, and
+// probes it with left batches — keeping the table across the groups of
+// one GApply Open when the right input replays an invariant subtree's
+// materialization — with a residual predicate over the concatenated row, and
 // left-outer NULL padding. The table is the hash kernel in join mode, so
 // a NULL key is neither built nor probed. A nil pred means the build
 // proved the condition residual-free (the hash key covers every
@@ -90,14 +91,13 @@ type bHashJoin struct {
 	// (ids; -1 for a NULL key), and the same rows laid out key by key
 	// (runs), key k's being runs[bounds[k]:bounds[k+1]]. Every buffer is
 	// reused across re-Opens.
-	keys     types.KeyTable
-	in       []types.Row
-	ids      []int32
-	runs     []types.Row
-	bounds   []int
-	built    bool
-	tableGen uint64
-	hasGen   bool
+	keys   types.KeyTable
+	in     []types.Row
+	ids    []int32
+	runs   []types.Row
+	bounds []int
+	built  bool
+	epoch  int // of the materialization the table was built from (keptTable)
 
 	lrows   []types.Row // the current left batch's live rows
 	lids    []int32     // per row of lrows: its key's id, or -1
@@ -123,19 +123,7 @@ func (h *bHashJoin) Open() error {
 	if err := h.right.Open(); err != nil {
 		return err
 	}
-	rebuild := true
-	if cv, ok := h.right.(contentVersioned); ok {
-		if gen, stable := cv.contentGen(); stable {
-			if h.hasGen && h.built && gen == h.tableGen {
-				rebuild = false
-			} else {
-				h.tableGen, h.hasGen = gen, true
-			}
-		} else {
-			h.hasGen = false
-		}
-	}
-	if rebuild {
+	if !keptTable(h.right, h.built, &h.epoch) {
 		h.built = false
 		var err error
 		if h.in, err = appendDrained(h.in[:0], h.right, h.ctx); err != nil {
@@ -276,9 +264,8 @@ func (h *bHashJoin) NextBatch() (*Batch, error) {
 }
 
 func (h *bHashJoin) Close() error {
-	// The build stays for the next Open: probed again when its input's
-	// generation is stable and unchanged (spool-fed rebuild skip), else
-	// its buffers are refilled.
+	// The build stays for the next Open: probed again when keptTable
+	// says it is current, else its buffers are refilled.
 	return h.left.Close()
 }
 
@@ -293,7 +280,8 @@ type bNLJoin struct {
 	rightArity  int
 	width       int
 
-	rightRows []types.Row
+	rightRows []types.Row // the right input, drained
+	epoch     int         // of the materialization rightRows was drained from (keptTable)
 	lb        *Batch
 	li        int
 	cur       types.Row
@@ -307,11 +295,20 @@ type bNLJoin struct {
 }
 
 func (n *bNLJoin) Open() error {
-	rows, err := drainBatchRows(n.right, n.ctx)
-	if err != nil {
+	if err := n.right.Open(); err != nil {
 		return err
 	}
-	n.rightRows = rows
+	if !keptTable(n.right, n.rightRows != nil, &n.epoch) {
+		var err error
+		if n.rightRows, err = appendDrained(n.rightRows[:0], n.right, n.ctx); err != nil {
+			n.rightRows = nil
+			n.right.Close()
+			return err
+		}
+	}
+	if err := n.right.Close(); err != nil {
+		return err
+	}
 	n.lb, n.li = nil, 0
 	n.cur, n.rpos = nil, 0
 	if n.nulls == nil {
@@ -402,8 +399,9 @@ func (n *bNLJoin) NextBatch() (*Batch, error) {
 	return &n.out, nil
 }
 
+// Close keeps the drained right input for the next Open, as bHashJoin
+// keeps its table.
 func (n *bNLJoin) Close() error {
-	n.rightRows = nil
 	n.lb = nil
 	return n.left.Close()
 }

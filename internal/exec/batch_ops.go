@@ -39,19 +39,17 @@ func (s *bScan) NextBatch() (*Batch, error) {
 
 func (s *bScan) Close() error { return nil }
 
-// bGroupScan produces the rows bound to a group variable in batches.
+// bGroupScan produces the group its variable is bound to, at compile
+// time, in batches: the group the enclosing GApply's program is
+// evaluating when the scan opens.
 type bGroupScan struct {
-	varName string
-	ctx     *Context
-	win     rowWindow
+	rows *[]types.Row
+	ctx  *Context
+	win  rowWindow
 }
 
 func (s *bGroupScan) Open() error {
-	rows, err := s.ctx.Group(s.varName)
-	if err != nil {
-		return err
-	}
-	s.win.reset(rows)
+	s.win.reset(*s.rows)
 	return nil
 }
 

@@ -115,7 +115,7 @@ func priceFilter(in core.Node) *core.Select {
 
 func TestSelectOverJoinFusesAsPostFilter(t *testing.T) {
 	ctx := attached(newTestCatalog(t))
-	it, err := buildBatch(priceFilter(joined(ctx)), ctx, nil)
+	it, err := buildBatch(priceFilter(joined(ctx)), ctx, compileEnv{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestSelectOverJoinFusesAsPostFilter(t *testing.T) {
 func TestJoinFusionGatedByProfile(t *testing.T) {
 	ctx := attached(newTestCatalog(t))
 	ctx.Prof = NewProfile()
-	it, err := buildBatch(priceFilter(joined(ctx)), ctx, nil)
+	it, err := buildBatch(priceFilter(joined(ctx)), ctx, compileEnv{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,15 +13,12 @@ import (
 // to ctx. Physical choices honor the hints the optimizer set on the
 // logical nodes (join method, GApply partition strategy), defaulting
 // sensibly. When the context carries a Profile every compiled iterator
-// is wrapped in an instrumented probe keyed by its plan node; a
-// registered invariant root of the enclosing GApply's inner plan is
-// additionally wrapped in a spool sharing the registry's holder. The
-// probe sits inside the spool, so replays bypass the subtree's
-// instrumentation and EXPLAIN ANALYZE actuals stay dop-invariant (rows
-// are counted, not batches). Rows come from an arena it attaches to ctx.
+// is wrapped in an instrumented probe keyed by its plan node (rows are
+// counted, not batches, so EXPLAIN ANALYZE actuals are dop-invariant).
+// Rows come from an arena it attaches to ctx.
 func BuildBatch(n core.Node, ctx *Context) (BatchIterator, error) {
 	ctx.attachArena()
-	return buildBatch(n, ctx, nil)
+	return buildBatch(n, ctx, compileEnv{})
 }
 
 func buildBatch(n core.Node, ctx *Context, env compileEnv) (BatchIterator, error) {
@@ -45,29 +42,27 @@ func buildBatch(n core.Node, ctx *Context, env compileEnv) (BatchIterator, error
 //     join's probe row, not its output.
 //   - A join adds its condition's and fused post-filter's columns and
 //     splits the union between its sides, so nested joins narrow too.
-//   - Every other consumer reads whole rows, and so does a spool holder:
-//     its materialization and byte accounting stay full-width.
+//   - Every other consumer reads whole rows, and so does an invariant
+//     subtree's materialization: it and its byte accounting stay
+//     full-width.
 //
 // A consumer compiles against its input's emitted schema, the full
 // schema projected to the emission. Needs resolve against the full
 // schema; a reference that does not resolve there (unknown or
 // ambiguous) turns narrowing off for that consumer, so compile errors
 // are exactly the unnarrowed build's, and a reference that does resolve
-// finds the same column in the projection. Probes and spools wrap
-// narrowed iterators like any other, so unlike Select fusion narrowing
-// does not depend on ctx.Prof: EXPLAIN ANALYZE measures the plan that
-// runs.
+// finds the same column in the projection. Probes wrap narrowed
+// iterators like any other, so unlike Select fusion narrowing does not
+// depend on ctx.Prof: EXPLAIN ANALYZE measures the plan that runs.
 
 // buildBatchNeed builds n for a consumer that reads only the columns
 // need of n's schema (nil: all of them). It returns the ordinals of n's
 // schema its rows carry: nil for full rows, otherwise a superset of
-// need.
+// need. An invariant subtree of an enclosing GApply's inner builds as a
+// replay of its materialization.
 func buildBatchNeed(n core.Node, need []int, ctx *Context, env compileEnv) (BatchIterator, []int, error) {
-	var h *spoolHolder
-	if ctx.spools != nil {
-		if h = ctx.spools.holders[n]; h != nil {
-			need = nil
-		}
+	if m := env.scope.invariant(n); m != nil {
+		return &bReplay{m: m, ctx: ctx}, nil, nil
 	}
 	var it BatchIterator
 	var emit []int
@@ -85,9 +80,6 @@ func buildBatchNeed(n core.Node, need []int, ctx *Context, env compileEnv) (Batc
 	}
 	if ctx.Prof != nil {
 		it = ctx.Prof.wrapBatch(n, it)
-	}
-	if h != nil {
-		it = &bspool{inner: it, node: n, h: h, ctx: ctx}
 	}
 	return it, emit, nil
 }
@@ -174,27 +166,18 @@ func emitted(s *schema.Schema, emit []int) *schema.Schema {
 // fusable reports whether a Select node may be fused into its parent
 // Project: fusion elides the Select as a distinct operator, so it is
 // only legal when nothing needs the node's identity — no per-operator
-// probe (EXPLAIN ANALYZE) and no spool holder (invariant-subtree
-// materialization is keyed by node).
-func fusable(sel *core.Select, ctx *Context) bool {
-	if ctx.Prof != nil {
-		return false
-	}
-	if ctx.spools != nil && ctx.spools.holders[sel] != nil {
-		return false
-	}
-	return true
+// probe (EXPLAIN ANALYZE) and no materialization of it as an invariant
+// subtree.
+func fusable(sel *core.Select, ctx *Context, env compileEnv) bool {
+	return ctx.Prof == nil && env.scope.invariant(sel) == nil
 }
 
 // fusedJoin returns the join a Select fuses into as a post-filter: its
 // input, when neither node's identity is observed (see fusable) — the
 // fused build bypasses the wrapping of both.
-func fusedJoin(sel *core.Select, ctx *Context) (*core.Join, bool) {
+func fusedJoin(sel *core.Select, ctx *Context, env compileEnv) (*core.Join, bool) {
 	j, ok := sel.Input.(*core.Join)
-	if !ok || !fusable(sel, ctx) {
-		return nil, false
-	}
-	if ctx.spools != nil && ctx.spools.holders[j] != nil {
+	if !ok || !fusable(sel, ctx, env) || env.scope.invariant(j) != nil {
 		return nil, false
 	}
 	return j, true
@@ -226,7 +209,7 @@ func pureColOrds(exprs []core.Expr, in interface {
 // High-reject filters directly over joins (the sorted-outer-union
 // shape) are where the copy-then-discard churn was worst.
 func buildBatchSelect(x *core.Select, need []int, ctx *Context, env compileEnv) (BatchIterator, []int, error) {
-	if j, ok := fusedJoin(x, ctx); ok {
+	if j, ok := fusedJoin(x, ctx, env); ok {
 		return buildBatchJoin(j, x.Cond, need, ctx, env)
 	}
 	in, emit, err := buildBatchNeed(x.Input, addNeed(need, x.Input, x.Cond), ctx, env)
@@ -261,7 +244,11 @@ func buildBatchNode(n core.Node, ctx *Context, env compileEnv) (BatchIterator, e
 		return &bIndexScan{indexCursor: indexCursor{plan: x, ctx: ctx}}, nil
 
 	case *core.GroupScan:
-		return &bGroupScan{varName: x.Var, ctx: ctx}, nil
+		rows, err := env.scope.bound(x.Var)
+		if err != nil {
+			return nil, err
+		}
+		return &bGroupScan{rows: rows, ctx: ctx}, nil
 
 	case *core.Project:
 		need := readNeed(x.Input, x.Exprs...)
@@ -269,8 +256,8 @@ func buildBatchNode(n core.Node, ctx *Context, env compileEnv) (BatchIterator, e
 		// identity nothing observes (and that does not fuse into a join
 		// below it instead), compile one operator that narrows the
 		// selection and gathers the survivors in a single pass.
-		if sel, ok := x.Input.(*core.Select); ok && fusable(sel, ctx) {
-			if _, intoJoin := fusedJoin(sel, ctx); !intoJoin {
+		if sel, ok := x.Input.(*core.Select); ok && fusable(sel, ctx, env) {
+			if _, intoJoin := fusedJoin(sel, ctx, env); !intoJoin {
 				in, emit, err := buildBatchNeed(sel.Input, addNeed(need, sel.Input, sel.Cond), ctx, env)
 				if err != nil {
 					return nil, err
@@ -453,7 +440,7 @@ func buildBatchJoin(j *core.Join, postCond core.Expr, need []int, ctx *Context, 
 	if err != nil {
 		return nil, nil, err
 	}
-	probe, err := probedRight(j, ctx)
+	probe, err := probedRight(j, ctx, env)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -593,19 +580,14 @@ func buildBatchGApply(g *core.GApply, ctx *Context, env compileEnv) (BatchIterat
 	if err != nil {
 		return nil, err
 	}
-	correlated := len(core.OuterRefsIn(g.Inner)) > 0
 	ga := &bgapply{
-		outer:      outer,
-		lowered:    !correlated && segLowerable(g.Inner, g.GroupVar),
-		innerPlan:  g.Inner,
-		plan:       g,
-		env:        env,
-		ctx:        ctx,
-		ords:       ords,
-		groupVar:   g.GroupVar,
-		streaming:  core.GApplyOuterOrdered(g),
-		correlated: correlated,
-		out:        joinOut{left: ords, slab: rowSlab{arena: ctx.arena}},
+		outer:     outer,
+		plan:      g,
+		env:       env,
+		ctx:       ctx,
+		ords:      ords,
+		streaming: core.GApplyOuterOrdered(g),
+		out:       joinOut{left: ords, slab: rowSlab{arena: ctx.arena}},
 	}
 	ga.cut.outer = outer
 	if p, ok := outer.(*batchProbe); ok && ga.streaming {
@@ -615,19 +597,21 @@ func buildBatchGApply(g *core.GApply, ctx *Context, env compileEnv) (BatchIterat
 		// An enforcer sort materializes the outer: it charges the budget.
 		s.charge, ga.cut.charged = g, true
 	}
-	// A lowered inner has only GroupScan leaves, so nothing in it is
-	// invariant: no spools, and no iterator tree at all.
-	if !ga.lowered && !ctx.NoSpool {
-		if roots := core.InvariantRoots(g.Inner); len(roots) > 0 {
-			ga.spools = newSpoolRegistry(roots)
+	var roots []core.Node
+	roots, ga.correlated = core.InvariantRoots(g.Inner)
+	for _, n := range roots {
+		ictx := ctx.fork()
+		it, err := buildBatch(n, ictx, env)
+		if err != nil {
+			return nil, err
 		}
+		ga.invs = append(ga.invs, &invariant{node: n, it: it, ctx: ictx})
 	}
-	prevSpools := ctx.spools
-	ctx.spools = ga.spools
-	ga.exec, err = ga.buildExec(ctx)
-	ctx.spools = prevSpools
-	if err != nil {
+	if ga.exec, err = ga.buildExec(ctx); err != nil {
 		return nil, err
+	}
+	if ctx.hosted != nil {
+		ctx.hosted[g] = ga.exec.hosted()
 	}
 	return ga, nil
 }

@@ -7,17 +7,17 @@ package exec
 
 import (
 	"context"
-	"fmt"
 	"reflect"
-	"strings"
 
+	"gapplydb/internal/core"
 	"gapplydb/internal/storage"
 	"gapplydb/internal/types"
 )
 
 // Context carries runtime state shared by an iterator tree: the catalog,
-// the current group bindings for relation-valued variables, and the
-// stack of outer rows pushed by Apply operators for correlated inners.
+// the arena, the budget and the stack of outer rows pushed by Apply
+// operators for correlated inners. Group variables are bound at compile
+// time (scope, segment.go), not here.
 //
 // A Context (and the iterator tree bound to it) belongs to a single
 // goroutine. Parallel GApply gives every worker its own fork()ed
@@ -55,20 +55,9 @@ type Context struct {
 	// and the cancellation latency to one row batch.
 	ticks uint64
 
-	// groups binds group variables to materialized partitions. GApply's
-	// execution phase sets the binding before each per-group evaluation
-	// of an inner iterator tree ("binding a relation-valued parameter
-	// $group to each group in succession", paper §3); a segment program
-	// reads the group's rows directly and binds nothing.
-	groups map[string][]types.Row
-
 	// outer is the stack of rows pushed by Apply; compiled OuterRefs
 	// index it by depth from the top.
 	outer []types.Row
-
-	// version increments whenever a binding changes; uncorrelated-inner
-	// caches are keyed on it.
-	version uint64
 
 	// Counters are execution statistics used by tests and the benchmark
 	// harness to verify plan shapes (e.g. "the baseline joins twice").
@@ -80,17 +69,9 @@ type Context struct {
 	// execution completely uninstrumented.
 	Prof *Profile
 
-	// NoSpool disables GApply's invariant-subtree spooling, forcing the
-	// pre-spool behavior of re-executing the whole inner tree per group.
-	// The differential tests and the spool benchmark flip it.
-	NoSpool bool
-
-	// spools is the spool registry of the GApply whose inner tree is
-	// currently being compiled: buildBatchNeed wraps every registered
-	// invariant root in a spool iterator sharing that registry's
-	// materializations. buildBatchGApply swaps it in around the inner
-	// compile; it is nil while any other part of the plan compiles.
-	spools *spoolRegistry
+	// hosted, when set, collects what the program of every GApply the
+	// build compiles on this context hosts (Hosted).
+	hosted map[*core.GApply][]core.Node
 }
 
 // Counters tallies work done during execution. Every field must be an
@@ -107,29 +88,24 @@ type Counters struct {
 	ApplyExecs         int64 // correlated inner executions by Apply
 	ApplyCacheHits     int64 // uncorrelated inners served from cache
 	JoinProbes         int64 // hash-join probe rows
-	SpoolBuilds        int64 // invariant subtrees materialized by a spool
-	SpoolHits          int64 // spool re-Opens served from the materialization
+	SpoolBuilds        int64 // invariant subtrees materialized by GApply
+	SpoolHits          int64 // group reads served from a materialization
 	PlanCacheHits      int64 // 1 when this execution ran a plan-cache hit
 }
 
 // NewContext returns a fresh execution context over a catalog, whose
 // executions take their row storage from st.
 func NewContext(cat *storage.Catalog, st *Store) *Context {
-	return &Context{Catalog: cat, store: st, groups: make(map[string][]types.Row)}
+	return &Context{Catalog: cat, store: st}
 }
 
 // fork returns a child context for a GApply worker: the same catalog,
-// DOP and arena, a snapshot of the current bindings (so inners
-// referencing an enclosing group variable keep resolving), and zeroed
-// Counters (plus a private Profile when the parent is instrumented) that
-// the spawning GApply merges back in partition order.
+// DOP and arena, a snapshot of the outer stack (so OuterRefs keep
+// resolving), and zeroed Counters (plus a private Profile when the
+// parent is instrumented) that the spawning GApply merges back in
+// partition order.
 func (c *Context) fork() *Context {
-	groups := make(map[string][]types.Row, len(c.groups))
-	for k, v := range c.groups {
-		groups[k] = v
-	}
-	child := &Context{Catalog: c.Catalog, DOP: c.DOP, groups: groups,
-		Ctx: c.Ctx, Budget: c.Budget, NoSpool: c.NoSpool, arena: c.arena}
+	child := &Context{Catalog: c.Catalog, DOP: c.DOP, Ctx: c.Ctx, Budget: c.Budget, arena: c.arena}
 	child.outer = append(child.outer, c.outer...)
 	if c.Prof != nil {
 		child.Prof = NewProfile()
@@ -196,24 +172,7 @@ func (c *Counters) Add(o *Counters) {
 	}
 }
 
-// BindGroup binds rows to a group variable and invalidates caches.
-func (c *Context) BindGroup(name string, rows []types.Row) {
-	c.groups[strings.ToLower(name)] = rows
-	c.version++
-}
-
-// Group returns the rows bound to a group variable.
-func (c *Context) Group(name string) ([]types.Row, error) {
-	rows, ok := c.groups[strings.ToLower(name)]
-	if !ok {
-		return nil, fmt.Errorf("exec: group variable %q is not bound", name)
-	}
-	return rows, nil
-}
-
-// pushOuter/popOuter do not bump version: an Apply inner without
-// OuterRefs is unaffected by the outer row, so its cache stays valid
-// across the outer loop — the point of the uncorrelated-inner cache.
+// pushOuter/popOuter keep the outer stack around an Apply's inner.
 func (c *Context) pushOuter(r types.Row) {
 	c.outer = append(c.outer, r)
 }

@@ -12,16 +12,19 @@ import (
 // evalFn evaluates a compiled expression against an input row.
 type evalFn func(row types.Row, ctx *Context) (types.Value, error)
 
-// compileEnv is the compile-time stack of enclosing Apply outer schemas,
-// innermost last; OuterRefs resolve against it to a (depth, ordinal).
-type compileEnv []*schema.Schema
+// compileEnv is what a plan compiles against besides its input schema:
+// the stack of enclosing Apply outer schemas, innermost last, against
+// which OuterRefs resolve to a (depth, ordinal), and the scope of the
+// innermost enclosing GApply, which binds group variables.
+type compileEnv struct {
+	outer []*schema.Schema
+	scope *scope
+}
 
 // push returns the env extended with one more outer schema.
 func (e compileEnv) push(s *schema.Schema) compileEnv {
-	out := make(compileEnv, len(e)+1)
-	copy(out, e)
-	out[len(e)] = s
-	return out
+	e.outer = append(e.outer[:len(e.outer):len(e.outer)], s)
+	return e
 }
 
 // compileExpr compiles a scalar expression against an input schema.
@@ -38,8 +41,8 @@ func compileExpr(e core.Expr, in *schema.Schema, env compileEnv) (evalFn, error)
 
 	case *core.OuterRef:
 		// Resolve from the innermost enclosing outer schema out.
-		for depth := 0; depth < len(env); depth++ {
-			sch := env[len(env)-1-depth]
+		for depth := 0; depth < len(env.outer); depth++ {
+			sch := env.outer[len(env.outer)-1-depth]
 			if ord, err := sch.Resolve(x.Table, x.Name); err == nil {
 				d := depth
 				return func(_ types.Row, ctx *Context) (types.Value, error) {

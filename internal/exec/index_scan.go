@@ -192,11 +192,12 @@ type indexProbe struct {
 // plan calls for one, deciding from the plan at build time — never from
 // the iterator built for the right input, which a Profile wraps — so
 // the path and its counters are identical with and without
-// instrumentation. A right side the GApply spool holds stays drained:
-// the spool already shares one materialization across groups.
-func probedRight(j *core.Join, ctx *Context) (*indexProbe, error) {
+// instrumentation. A right side that is an invariant subtree of an
+// enclosing GApply's inner stays drained: its materialization is shared
+// across groups already.
+func probedRight(j *core.Join, ctx *Context, env compileEnv) (*indexProbe, error) {
 	is, ok := j.ProbedIndex()
-	if !ok || (ctx.spools != nil && ctx.spools.holders[is] != nil) {
+	if !ok || env.scope.invariant(is) != nil {
 		return nil, nil
 	}
 	if err := checkIndexScan(is, ctx); err != nil {

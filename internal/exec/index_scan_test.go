@@ -173,7 +173,7 @@ func TestProbeDecidedFromPlan(t *testing.T) {
 		if prof {
 			ctx.Prof = NewProfile()
 		}
-		it, _, err := buildBatchJoin(j, nil, nil, ctx, nil)
+		it, _, err := buildBatchJoin(j, nil, nil, ctx, compileEnv{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -273,7 +273,7 @@ func TestProbeAllocsPerLeftRow(t *testing.T) {
 			Cond: &core.Cmp{Op: "=", L: core.QCol(tc.left, tc.left+"_k"), R: core.QCol("r", "r_k")},
 		}
 		ctx := attached(cat)
-		it, _, err := buildBatchJoin(j, nil, nil, ctx, nil)
+		it, _, err := buildBatchJoin(j, nil, nil, ctx, compileEnv{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -307,7 +307,7 @@ func TestHashJoinBuildAllocs(t *testing.T) {
 		Cond: &core.Cmp{Op: "=", L: core.QCol("l", "l_k"), R: core.QCol("r", "r_k")},
 	}
 	ctx := attached(cat)
-	it, _, err := buildBatchJoin(j, nil, nil, ctx, nil)
+	it, _, err := buildBatchJoin(j, nil, nil, ctx, compileEnv{})
 	if err != nil {
 		t.Fatal(err)
 	}

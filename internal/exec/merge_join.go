@@ -10,8 +10,9 @@ import (
 // table the join binary-searches a key-ordered run for the equal range
 // of each streaming left row. When the right input is a bare key-order
 // IndexScan the run is the index's own stored run, probed in place
-// (indexProbe); otherwise — a Select or Project over the scan, or a
-// spooled scan — the join drains the input and builds a run over it.
+// (indexProbe); otherwise — a Select or Project over the scan, or an
+// invariant subtree's materialization — the join drains the input and
+// builds a run over it.
 //
 // Output is byte-identical to the hash join by construction: the left
 // streams in its original order (never reordered), and within a left
@@ -47,27 +48,6 @@ func newMergeRun(rows []types.Row, ord int) mergeRun {
 // row returns the run's i-th row.
 func (m *mergeRun) row(i int) types.Row { return m.rows[m.run.Pos[i]] }
 
-// reuseRun reports whether a join's materialized right side is still
-// current: the right input is a stable materialization (a spool) whose
-// content generation matches the one the run was built from. It
-// records the generation for the rebuild that follows a false result.
-func reuseRun(right any, built bool, gen *uint64, hasGen *bool) bool {
-	cv, ok := right.(contentVersioned)
-	if !ok {
-		return false
-	}
-	g, stable := cv.contentGen()
-	if !stable {
-		*hasGen = false
-		return false
-	}
-	if *hasGen && built && g == *gen {
-		return true
-	}
-	*gen, *hasGen = g, true
-	return false
-}
-
 // equalRange brackets the run entries whose key is k — a left row's
 // encoded join key — counting them as scanned when probing.
 func equalRange(probe *indexProbe, run *mergeRun, k []byte, ctx *Context) (int, int) {
@@ -96,8 +76,7 @@ type bMergeJoin struct {
 	width       int
 
 	run    mergeRun
-	runGen uint64
-	hasGen bool
+	epoch  int // of the materialization the run was built from (keptTable)
 	keyBuf []byte
 
 	lb       *Batch
@@ -134,13 +113,14 @@ func (m *bMergeJoin) Open() error {
 	return m.left.Open()
 }
 
-// drainRight materializes the right input as a merge run, skipping the
-// rebuild when a spool reports the content the run was built from.
+// drainRight materializes the right input as a merge run, keeping the
+// run across the groups of one GApply Open when the right input replays
+// an invariant subtree's materialization.
 func (m *bMergeJoin) drainRight() error {
 	if err := m.right.Open(); err != nil {
 		return err
 	}
-	if !reuseRun(m.right, m.run.run != nil, &m.runGen, &m.hasGen) {
+	if !keptTable(m.right, m.run.run != nil, &m.epoch) {
 		var rows []types.Row
 		for {
 			b, err := m.right.NextBatch()
@@ -267,7 +247,7 @@ func (m *bMergeJoin) NextBatch() (*Batch, error) {
 }
 
 func (m *bMergeJoin) Close() error {
-	if !m.hasGen {
+	if _, kept := m.right.(*bReplay); !kept {
 		m.run = mergeRun{}
 	}
 	m.lb = nil

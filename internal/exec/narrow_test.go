@@ -85,7 +85,7 @@ func TestJoinEmitsItsNeed(t *testing.T) {
 func drainJoin(t testing.TB, j *core.Join, postCond core.Expr, need []int, cat *storage.Catalog) []types.Row {
 	t.Helper()
 	ctx := attached(cat)
-	it, emit, err := buildBatchJoin(j, postCond, need, ctx, nil)
+	it, emit, err := buildBatchJoin(j, postCond, need, ctx, compileEnv{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +320,7 @@ func BenchmarkJoinEmit(b *testing.B) {
 	}{{"full", nil}, {"narrow", []int{1, 6, 12}}} {
 		b.Run(tc.name, func(b *testing.B) {
 			ctx := NewContext(cat, new(Store))
-			it, _, err := buildBatchJoin(j, nil, tc.need, ctx, nil)
+			it, _, err := buildBatchJoin(j, nil, tc.need, ctx, compileEnv{})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -333,7 +333,7 @@ func BenchmarkJoinEmit(b *testing.B) {
 			ctx := NewContext(cat, st)
 			ctx.attachArena()
 			defer ctx.ReleaseArena()
-			it, _, err := buildBatchJoin(j, nil, nil, ctx, nil)
+			it, _, err := buildBatchJoin(j, nil, nil, ctx, compileEnv{})
 			if err != nil {
 				b.Fatal(err)
 			}

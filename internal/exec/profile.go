@@ -88,6 +88,13 @@ func (p *Profile) wrapBatch(n core.Node, it BatchIterator) BatchIterator {
 	return &batchProbe{inner: it, stats: p.node(n)}
 }
 
+// clear zeroes every cell, keeping the cells the probes point at.
+func (p *Profile) clear() {
+	for _, s := range p.stats {
+		*s = NodeStats{}
+	}
+}
+
 // snapshot copies the current values, for later delta computation.
 func (p *Profile) snapshot() map[core.Node]NodeStats {
 	snap := make(map[core.Node]NodeStats, len(p.stats))

@@ -3,113 +3,107 @@ package exec
 import (
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"gapplydb/internal/core"
 	"gapplydb/internal/schema"
+	"gapplydb/internal/storage"
 	"gapplydb/internal/types"
 )
 
 // Segmented GApply. The partition phase leaves every group as one
-// contiguous run of rows, and the per-group queries the publishing
-// workload writes are built from a handful of operators over that run:
-// projections of $group, filters, scalar aggregates of $group (DISTINCT
-// included), filters of $group against such an aggregate (a cross Apply
-// whose inner is a scalar aggregate), and UNION ALL of those. Re-opening
-// an iterator tree per group costs a dozen Open/Close calls, a drain, an
-// Apply cache fill and a key projection, which on groups of a few rows
-// is most of the work. A segment program evaluates the same operators
-// directly over the group's slice, a window of up to batchSize rows per
-// call: a filter narrows the window's selection vector, a scalar
-// aggregate folds whole windows (accum.fold), and a projection at the
-// root writes its rows, prefixed with the grouping columns, straight
-// into the GApply's output slab. An Apply binds its scalar's columns as
-// per-group parameters instead of widening every outer row; a filter
-// comparing a column with an expression over parameters and literals
-// evaluates that expression once per window and runs a
-// column-against-constant kernel. Rows are widened, parameters appended,
-// only where a consumer needs them whole: a union input, the root, or an
-// expression reading parameters row by row.
+// contiguous run of rows, and a GApply evaluates its per-group query
+// over each run as a segment program: one compiled loop over many
+// groups, a window of up to batchSize rows per call. The program has a
+// native node for the operators the publishing workload's inners are
+// built from — projections and filters of $group, scalar aggregates
+// (DISTINCT included), UNION ALL, Exists, and a cross Apply whose inner
+// is an uncorrelated scalar aggregate or Exists — so on groups of a few
+// rows nothing is opened or allocated per group. A filter narrows the
+// window's selection vector, a scalar aggregate folds whole windows
+// (accum.fold), and a projection at the root writes its rows, prefixed
+// with the grouping columns, straight into the GApply's output slab. An
+// Apply binds its scalar's columns as per-group parameters instead of
+// widening every outer row, and a filter comparing a column with an
+// expression over parameters and literals evaluates that expression
+// once per window and runs a column-against-constant kernel. Rows are
+// widened, parameters appended, only where a consumer needs them whole:
+// a union input, the root, or an expression reading parameters row by
+// row.
+//
+// Any other operator is hosted (segHost): buildBatch compiles it and
+// everything under it into the iterator tree that is its one
+// implementation, which the program re-opens per evaluation, its
+// GroupScans bound at compile time to the group the program evaluates
+// (scope). An invariant subtree — no GroupScan, no OuterRef — is
+// materialized once per GApply Open and replayed for every group
+// (invariant, bReplay).
 //
 // The iterator tree is itself window-at-a-time — a filter, projection or
 // Apply takes a whole batch before its parent sees a row, an Apply
 // evaluates its inner after its outer's first batch and regathers outer
-// rows into full batches, a scalar aggregate drains its input when
-// opened, a union opens each input when the previous one ends — and the
-// program makes the same windows in the same order. So it fails with the
-// tree's first error, and tallies the tree's counters (GroupScanRows per
-// row read, ApplyExecs once per Apply whose outer yields rows,
-// ApplyCacheHits for the rest); under a Profile every node is credited
-// the Rows and Opens its probe would record, and the program's wall time
-// is credited to the inner root. Nothing is allocated per group or per
-// window: node scratch comes from the execution's arena when first
-// needed and is rewritten per window.
-//
-// Any other shape — joins, GROUP BY, DISTINCT, ORDER BY, EXISTS, a
-// nested GApply, an OuterRef anywhere in the inner, or an Apply whose
-// inner is not a scalar aggregate — keeps the re-opened iterator tree
-// (treeExec in batch_gapply.go). Spooled invariant subtrees cannot
-// occur in a lowered inner: every lowered leaf is a GroupScan.
+// rows into full batches, a scalar aggregate drains its input and an
+// Exists reads its input's first batch when opened, a union opens each
+// input when the previous one ends — and the program makes the same
+// windows in the same order. So it fails with the tree's first error and
+// tallies the tree's counters; under a Profile every native node is
+// credited the Rows and Opens its probe would record, and the program's
+// wall time is credited to the inner root. Native nodes take their
+// scratch from the execution's arena when first needed and rewrite it
+// per window.
 
-// SegmentLowers reports whether g's per-group query runs as a segment
-// program rather than as an iterator tree re-opened per group. The
-// decision reads the plan shape only.
-func SegmentLowers(g *core.GApply) bool {
-	return len(core.OuterRefsIn(g.Inner)) == 0 && segLowerable(g.Inner, g.GroupVar)
+// scope is what a GApply binds for the plans compiled in its inner: its
+// group variable, read from the group the program being compiled
+// evaluates, and the materializations of its inner's invariant
+// subtrees; up is the enclosing GApply's scope.
+type scope struct {
+	groupVar string
+	group    *[]types.Row
+	invs     []*invariant
+	up       *scope
 }
 
-// segLowerable reports whether n is built only from node kinds a
-// segment program evaluates, over GroupScans of groupVar. It does not
-// look at OuterRefs; callers check those once for the whole inner.
-func segLowerable(n core.Node, groupVar string) bool {
-	switch x := n.(type) {
-	case *core.GroupScan:
-		return strings.EqualFold(x.Var, groupVar)
-	case *core.Project:
-		return segLowerable(x.Input, groupVar)
-	case *core.Select:
-		return segLowerable(x.Input, groupVar)
-	case *core.AggOp:
-		return segLowerable(x.Input, groupVar)
-	case *core.UnionAll:
-		for _, in := range x.Inputs {
-			if !segLowerable(in, groupVar) {
-				return false
+// bound returns the group a GroupScan of name reads.
+func (s *scope) bound(name string) (*[]types.Row, error) {
+	for ; s != nil; s = s.up {
+		if strings.EqualFold(s.groupVar, name) {
+			return s.group, nil
+		}
+	}
+	return nil, fmt.Errorf("exec: group variable %q is not bound", name)
+}
+
+// invariant returns n's materialization when n is an invariant subtree
+// of an enclosing GApply's inner, else nil.
+func (s *scope) invariant(n core.Node) *invariant {
+	for ; s != nil; s = s.up {
+		for _, m := range s.invs {
+			if m.node == n {
+				return m
 			}
 		}
-		return len(x.Inputs) > 0
-	case *core.Apply:
-		return x.Kind == core.CrossApply && segLowerable(x.Outer, groupVar) && segScalar(x.Inner, groupVar)
 	}
-	return false
+	return nil
 }
 
-// segScalar reports whether n yields exactly one row per evaluation:
-// projections over a scalar aggregate of a lowerable input.
-func segScalar(n core.Node, groupVar string) bool {
-	for {
-		switch x := n.(type) {
-		case *core.Project:
-			n = x.Input
-		case *core.AggOp:
-			return segLowerable(x.Input, groupVar)
-		default:
-			return false
-		}
-	}
-}
-
-// segProgram is a lowered per-group query bound to one Context: the
-// serial phase's, or a parallel worker's.
+// segProgram is a GApply's per-group query compiled to run over one
+// group at a time on one Context: the serial phase's, or a parallel
+// worker's.
 type segProgram struct {
 	root      segNode
 	rootStats *NodeStats // the inner root's profile cell; nil when not profiling
 	ctx       *Context
-	group     []types.Row // the group being evaluated, read by segScan
+	env       compileEnv  // the GApply's, its scope binding the group variable to group
+	group     []types.Row // the group being evaluated, read by its GroupScans
 	params    types.Row   // the Applies' scalars, one slot per column
+	hosts     []*segHost  // every hosted subtree, closed by close
+	// correlated is set when the inner holds OuterRefs: an Apply is then
+	// native only if its own inner holds none.
+	correlated bool
 }
 
-// segNode is one lowered operator. open prepares it for an evaluation
+// segNode is one native operator. open prepares it for an evaluation
 // over the program's current group, as Open prepares an iterator; next
 // returns its next window, with at least one live row, valid until the
 // following next call on the same node, or nil once it is exhausted.
@@ -142,8 +136,8 @@ func (b *segBase) emitted(n int) {
 // segShape describes a compiled node's windows to its consumer: the
 // node's schema (nil when no consumer reads it), how many leading columns
 // its rows hold — the rest are parameter slots — the most rows a window
-// holds, and whether rows outlive their window (group rows, or the one
-// row of an aggregate).
+// holds, and whether rows outlive their window (group rows, the one row
+// of an aggregate, and every row an iterator tree emits).
 type segShape struct {
 	sch    *schema.Schema
 	phys   int
@@ -152,18 +146,35 @@ type segShape struct {
 	stable bool
 }
 
-// buildSegment compiles a lowerable inner plan (segLowerable, and free
-// of OuterRefs) into a program over ctx. Compilation visits the nodes
-// in the order buildBatch would, so a plan that does not compile fails
-// with the error the iterator tree's build reports.
-func buildSegment(inner core.Node, ctx *Context) (*segProgram, error) {
-	p := &segProgram{ctx: ctx, rootStats: segStats(inner, ctx)}
-	root, sh, err := p.compile(inner, false)
+// buildSegment compiles g's per-group query into a program over ctx.
+// Compilation visits the nodes in the order buildBatch would, so a plan
+// that does not compile fails with the error the iterator tree's build
+// reports.
+func buildSegment(g *bgapply, ctx *Context) (*segProgram, error) {
+	p := newSegProgram(g, ctx)
+	root, sh, err := p.compile(g.plan.Inner, false, nil)
 	if err != nil {
 		return nil, err
 	}
+	return p.finish(root, sh), nil
+}
+
+// newSegProgram starts g's program over ctx, its scope binding g's
+// group variable to the group the program evaluates.
+func newSegProgram(g *bgapply, ctx *Context) *segProgram {
+	p := &segProgram{ctx: ctx, rootStats: segStats(g.plan.Inner, ctx), correlated: g.correlated}
+	p.env = compileEnv{outer: g.env.outer, scope: &scope{groupVar: g.plan.GroupVar, group: &p.group, invs: g.invs, up: g.env.scope}}
+	return p
+}
+
+// finish makes root, whose windows sh describes, the program's root. A
+// hosted root's own probe times it.
+func (p *segProgram) finish(root segNode, sh segShape) *segProgram {
+	if _, hosted := root.(*segHost); hosted {
+		p.rootStats = nil
+	}
 	p.root, _ = p.physical(root, sh, true)
-	return p, nil
+	return p
 }
 
 // segStats is n's profile cell under ctx, or nil when not profiling.
@@ -174,47 +185,49 @@ func segStats(n core.Node, ctx *Context) *NodeStats {
 	return ctx.Prof.node(n)
 }
 
-// compile lowers n, deriving its schema from its input's, and only when
-// want says n's consumer reads it.
-func (p *segProgram) compile(n core.Node, want bool) (segNode, segShape, error) {
+// compile compiles n for a consumer that reads the columns need of its
+// schema (nil: all of them), as buildBatch threads needs, deriving n's
+// schema from its input's only when want says the consumer reads it.
+// An invariant subtree, and a node the program has no native node for,
+// is hosted.
+func (p *segProgram) compile(n core.Node, want bool, need []int) (segNode, segShape, error) {
+	if p.env.scope.invariant(n) != nil {
+		return p.host(n, nil)
+	}
 	stats := segStats(n, p.ctx)
 	var in segNode
 	var sh segShape
 	var err error
 	switch x := n.(type) {
-	case *core.Select:
-		in, sh, err = p.compile(x.Input, true)
-	case *core.Project:
-		in, sh, err = p.compile(x.Input, true)
-	case *core.AggOp:
-		in, sh, err = p.compile(x.Input, true)
-	}
-	if err != nil {
-		return nil, sh, err
-	}
-	switch x := n.(type) {
 	case *core.GroupScan:
+		rows, err := p.env.scope.bound(x.Var)
 		sh := segShape{sch: x.Sch, rows: batchSize, stable: true}
 		if x.Sch != nil {
 			sh.phys = x.Sch.Len()
 		}
-		return &segScan{segBase: segBase{stats: stats}}, sh, nil
+		return &segScan{segBase: segBase{stats: stats}, rows: rows}, sh, err
 
 	case *core.Select:
+		if in, sh, err = p.compile(x.Input, true, addNeed(need, x.Input, x.Cond)); err != nil {
+			return nil, sh, err
+		}
 		s := &segSelect{segBase: segBase{in, stats}, rows: sh.rows}
-		if ok, err := s.compileConst(x.Cond, sh); ok || err != nil {
+		if ok, err := s.compileConst(x.Cond, sh, p.env); ok || err != nil {
 			return s, sh, err
 		}
 		_, params := segReads(x.Cond, sh)
 		s.in, sh = p.physical(in, sh, params)
 		if ks, ok := compileFilterKernels(x.Cond, sh.sch); ok && len(ks) > 0 {
 			s.kernels = ks
-		} else if s.pred, err = compilePredicate(x.Cond, sh.sch, nil); err != nil {
+		} else if s.pred, err = compilePredicate(x.Cond, sh.sch, p.env); err != nil {
 			return nil, sh, err
 		}
 		return s, sh, nil
 
 	case *core.Project:
+		if in, sh, err = p.compile(x.Input, true, readNeed(x.Input, x.Exprs...)); err != nil {
+			return nil, sh, err
+		}
 		params := false
 		for _, e := range x.Exprs {
 			if _, ok := e.(*core.ColRef); !ok {
@@ -232,7 +245,7 @@ func (p *segProgram) compile(n core.Node, want bool) (segNode, segShape, error) 
 			if c.slot = -1; c.ord >= sh.phys {
 				c.ord, c.slot = -1, sh.slots[c.ord-sh.phys]
 			} else if !ok {
-				if c.fn, err = compileExpr(e, sh.sch, nil); err != nil {
+				if c.fn, err = compileExpr(e, sh.sch, p.env); err != nil {
 					return nil, sh, err
 				}
 			}
@@ -244,6 +257,9 @@ func (p *segProgram) compile(n core.Node, want bool) (segNode, segShape, error) 
 		return s, out, nil
 
 	case *core.AggOp:
+		if in, sh, err = p.compile(x.Input, true, aggNeed(x.Input, nil, x.Aggs)); err != nil {
+			return nil, sh, err
+		}
 		a := &segAgg{segBase: segBase{in, stats}, ords: foldOrds(x.Aggs, sh), row: make(types.Row, len(x.Aggs))}
 		a.one[0] = a.row
 		a.out.Rows = a.one[:]
@@ -253,7 +269,7 @@ func (p *segProgram) compile(n core.Node, want bool) (segNode, segShape, error) 
 					a.in, sh = p.physical(in, sh, true)
 				}
 			}
-			if a.aggs, err = compileAggs(x.Aggs, sh.sch, nil); err != nil {
+			if a.aggs, err = compileAggs(x.Aggs, sh.sch, p.env); err != nil {
 				return nil, sh, err
 			}
 		}
@@ -271,6 +287,14 @@ func (p *segProgram) compile(n core.Node, want bool) (segNode, segShape, error) 
 		}
 		return a, out, nil
 
+	case *core.Exists:
+		if in, _, err = p.compile(x.Input, false, nil); err != nil {
+			return nil, sh, err
+		}
+		e := &segExists{segBase: segBase{in, stats}, negated: x.Negated}
+		e.out.Rows = e.empty[:]
+		return e, segShape{sch: x.Schema(), rows: 1, stable: true}, nil
+
 	case *core.UnionAll:
 		arity := segArity(x.Inputs[0])
 		u := &segUnion{segBase: segBase{stats: stats}, ins: make([]segNode, len(x.Inputs))}
@@ -279,7 +303,7 @@ func (p *segProgram) compile(n core.Node, want bool) (segNode, segShape, error) 
 			if w := segArity(c); w != arity {
 				return nil, out, fmt.Errorf("exec: union input %d has %d columns, want %d", i, w, arity)
 			}
-			if in, sh, err = p.compile(c, want && i == 0); err != nil {
+			if in, sh, err = p.compile(c, want && i == 0, nil); err != nil {
 				return nil, out, err
 			}
 			u.ins[i], sh = p.physical(in, sh, true)
@@ -291,10 +315,13 @@ func (p *segProgram) compile(n core.Node, want bool) (segNode, segShape, error) 
 		return u, out, nil
 
 	case *core.Apply:
-		if in, sh, err = p.compile(x.Outer, want); err != nil {
+		if x.Kind != core.CrossApply || !atMostOneRow(x.Inner) || p.correlated && len(core.OuterRefsIn(x.Inner)) > 0 {
+			break
+		}
+		if in, sh, err = p.compile(x.Outer, want, nil); err != nil {
 			return nil, sh, err
 		}
-		inner, ish, err := p.compile(x.Inner, want)
+		inner, ish, err := p.compile(x.Inner, want, nil)
 		if err != nil {
 			return nil, ish, err
 		}
@@ -311,7 +338,61 @@ func (p *segProgram) compile(n core.Node, want bool) (segNode, segShape, error) 
 		}
 		return a, out, nil
 	}
-	return nil, segShape{}, fmt.Errorf("exec: %T does not lower to a segment program", n)
+	return p.host(n, need)
+}
+
+// Hosted compiles plan over cat and returns, for every GApply in it,
+// the plan nodes its program hosts as iterator trees
+// (segProgram.hosted).
+func Hosted(plan core.Node, cat *storage.Catalog) (map[*core.GApply][]core.Node, error) {
+	ctx := NewContext(cat, new(Store))
+	ctx.hosted = make(map[*core.GApply][]core.Node)
+	_, err := BuildBatch(plan, ctx)
+	ctx.ReleaseArena()
+	return ctx.hosted, err
+}
+
+// atMostOneRow reports whether n yields at most one row per evaluation,
+// whatever its input: projections over a scalar aggregate, which yields
+// exactly one, or an Exists.
+func atMostOneRow(n core.Node) bool {
+	for {
+		switch x := n.(type) {
+		case *core.Project:
+			n = x.Input
+		case *core.AggOp, *core.Exists:
+			return true
+		default:
+			return false
+		}
+	}
+}
+
+// host compiles n into the iterator tree buildBatch builds for a
+// consumer reading need — or, for an invariant subtree, a replay of its
+// materialization — and hosts it as one node.
+func (p *segProgram) host(n core.Node, need []int) (segNode, segShape, error) {
+	it, emit, err := buildBatchNeed(n, need, p.ctx, p.env)
+	if err != nil {
+		return nil, segShape{}, err
+	}
+	h := &segHost{it: it, node: n}
+	p.hosts = append(p.hosts, h)
+	sch := emitted(n.Schema(), emit)
+	return h, segShape{sch: sch, phys: sch.Len(), rows: batchSize, stable: true}, nil
+}
+
+// hosted returns the plan nodes the program hosts as iterator trees, in
+// plan order: the nodes it has no native node for, invariant subtrees
+// aside.
+func (p *segProgram) hosted() []core.Node {
+	var out []core.Node
+	for _, h := range p.hosts {
+		if _, replay := h.it.(*bReplay); !replay {
+			out = append(out, h.node)
+		}
+	}
+	return out
 }
 
 // physical hands on in's windows with their rows at full width — their
@@ -411,20 +492,28 @@ func foldOrds(specs []core.AggSpec, sh segShape) []int {
 
 // run evaluates the program over one group, appending each output row,
 // prefixed with the group's grouping columns, to out (whose left
-// ordinals are the grouping columns). It always finishes the group,
-// whatever the limit: a lowered query's output grows with the group's
-// rows, which the partition holds already.
-func (p *segProgram) run(group []types.Row, out *joinOut, _ int) (bool, error) {
+// ordinals are the grouping columns). It always finishes the group: a
+// group's output is held whole before it is emitted.
+func (p *segProgram) run(group []types.Row, out *joinOut) error {
 	if p.rootStats == nil {
-		return true, p.eval(group, out)
+		return p.eval(group, out)
 	}
 	start := time.Now()
 	err := p.eval(group, out)
 	p.rootStats.Time += time.Since(start)
-	return true, err
+	return err
 }
 
-func (p *segProgram) close() error { return nil }
+// close closes the hosted subtrees left open.
+func (p *segProgram) close() error {
+	var err error
+	for _, h := range p.hosts {
+		if cerr := h.close(); err == nil {
+			err = cerr
+		}
+	}
+	return err
+}
 
 func (p *segProgram) eval(group []types.Row, out *joinOut) error {
 	p.group = group
@@ -504,11 +593,13 @@ func (s *segRows) add() types.Row {
 	return r
 }
 
-// segScan reads the group's run, the lowered GroupScan, a window of
+// segScan reads a group's run, the native GroupScan, a window of
 // batchSize rows at a time, polling cancellation per window as the
-// tree's GroupScan does per batch.
+// tree's GroupScan does per batch. rows is the group its variable is
+// bound to: the program's own, or an enclosing program's.
 type segScan struct {
 	segBase // no input
+	rows    *[]types.Row
 	pos     int
 	out     Batch
 }
@@ -522,15 +613,16 @@ func (s *segScan) open(*segProgram) error {
 }
 
 func (s *segScan) next(p *segProgram) (*Batch, error) {
-	if s.pos >= len(p.group) {
+	group := *s.rows
+	if s.pos >= len(group) {
 		return nil, nil
 	}
-	end := min(s.pos+batchSize, len(p.group))
+	end := min(s.pos+batchSize, len(group))
 	n := end - s.pos
 	if err := p.ctx.tickN(n); err != nil {
 		return nil, err
 	}
-	s.out.Rows = p.group[s.pos:end]
+	s.out.Rows = group[s.pos:end]
 	s.pos = end
 	p.ctx.Counters.GroupScanRows += int64(n)
 	s.emitted(n)
@@ -560,7 +652,7 @@ type segSelect struct {
 
 // compileConst compiles cond as a column-against-constant comparison,
 // if it is one, reporting whether it is.
-func (s *segSelect) compileConst(cond core.Expr, sh segShape) (bool, error) {
+func (s *segSelect) compileConst(cond core.Expr, sh segShape, env compileEnv) (bool, error) {
 	cmp, ok := cond.(*core.Cmp)
 	if !ok {
 		return false, nil
@@ -578,7 +670,7 @@ func (s *segSelect) compileConst(cond core.Expr, sh segShape) (bool, error) {
 	s.ord, s.mask = ord, outcomeMask(test, flip)
 	s.kwidth, s.kslots = sh.phys+len(sh.slots), sh.slots
 	var err error
-	s.konst, err = compileExpr(konst, sh.sch, nil)
+	s.konst, err = compileExpr(konst, sh.sch, env)
 	return true, err
 }
 
@@ -800,13 +892,16 @@ func (u *segUnion) next(p *segProgram) (*Batch, error) {
 	return nil, nil
 }
 
-// segApply is a cross Apply whose inner is an uncorrelated scalar. It
-// evaluates the inner once, after its outer's first window, into its
-// parameter slots — the Apply cache, valid for one evaluation of the
-// enclosing node — and hands on its outer's rows, regathered like the
-// tree's Apply into windows of batchSize: a full outer window, or a
-// scan's last, goes on as it is; others have their row headers gathered,
-// or their values copied when the outer's rows do not outlive its window.
+// segApply is a cross Apply whose inner is uncorrelated and yields at
+// most one row: a scalar, or an Exists. It evaluates the inner once,
+// after its outer's first window, into its parameter slots — the Apply
+// cache, valid for one evaluation of the enclosing node — and hands on
+// its outer's rows, regathered like the tree's Apply into windows of
+// batchSize: a full outer window, or a scan's last, goes on as it is;
+// others have their row headers gathered, or their values copied when
+// the outer's rows do not outlive its window. When the inner yields no
+// row it still reads its whole outer, as the tree's Apply does, and
+// hands on none.
 type segApply struct {
 	segBase
 	inner    segNode
@@ -815,6 +910,7 @@ type segApply struct {
 	cur      *Batch
 	ci       int  // cur's next live row
 	have     bool // the inner is bound for this open
+	none     bool // …and yielded no row
 	gathered []types.Row
 	copies   segRows
 	out      Batch
@@ -825,9 +921,9 @@ func (a *segApply) open(p *segProgram) error {
 	return a.segBase.open(p)
 }
 
-// bind evaluates the inner, which yields exactly one row (segScalar),
-// into the parameters, counting the outer row that asked for it as the
-// execution and every other row as a cache hit.
+// bind evaluates the inner into the parameters, counting the outer row
+// that asked for it as the execution and every other row as a cache
+// hit.
 func (a *segApply) bind(p *segProgram) error {
 	p.ctx.Counters.ApplyExecs++
 	p.ctx.Counters.ApplyCacheHits--
@@ -838,10 +934,10 @@ func (a *segApply) bind(p *segProgram) error {
 	if err != nil {
 		return err
 	}
+	a.have, a.none = true, b == nil
 	for i, s := range a.slots {
 		p.params[s] = b.Row(0)[i]
 	}
-	a.have = true
 	return nil
 }
 
@@ -861,8 +957,13 @@ func (a *segApply) next(p *segProgram) (*Batch, error) {
 					return nil, err
 				}
 			}
+			if a.none {
+				p.ctx.Counters.ApplyCacheHits += int64(b.Len())
+				a.ci = b.Len()
+				continue
+			}
 			// A full window, or the group's last, goes on as it stands.
-			if scan, ok := a.in.(*segScan); n == 0 && (b.Len() == batchSize || ok && scan.pos == len(p.group)) {
+			if scan, ok := a.in.(*segScan); n == 0 && (b.Len() == batchSize || ok && scan.pos == len(*scan.rows)) {
 				a.ci = b.Len()
 				return a.emit(p, b), nil
 			}
@@ -896,4 +997,216 @@ func (a *segApply) emit(p *segProgram, b *Batch) *Batch {
 	p.ctx.Counters.ApplyCacheHits += int64(b.Len())
 	a.emitted(b.Len())
 	return b
+}
+
+// segExists is an Exists: opening it reads its input's first window, as
+// the tree's Exists reads its input's first batch, and it then yields
+// one empty row if that found a row — if it found none, when negated.
+type segExists struct {
+	segBase
+	negated bool
+	emit    bool
+	empty   [1]types.Row // out's rows: one row of no columns
+	out     Batch
+}
+
+func (e *segExists) open(p *segProgram) error {
+	if err := e.segBase.open(p); err != nil {
+		return err
+	}
+	b, err := e.in.next(p)
+	e.emit = (b != nil) != e.negated
+	return err
+}
+
+func (e *segExists) next(*segProgram) (*Batch, error) {
+	if !e.emit {
+		return nil, nil
+	}
+	e.emit = false
+	e.emitted(1)
+	return &e.out, nil
+}
+
+// segHost is a hosted subtree: the iterator tree compiled from node,
+// opened per evaluation and closed once exhausted, or before it is
+// opened again.
+type segHost struct {
+	it     BatchIterator
+	node   core.Node
+	isOpen bool
+}
+
+func (h *segHost) open(*segProgram) error {
+	if err := h.close(); err != nil {
+		return err
+	}
+	if err := h.it.Open(); err != nil {
+		return err
+	}
+	h.isOpen = true
+	return nil
+}
+
+func (h *segHost) next(*segProgram) (*Batch, error) {
+	b, err := h.it.NextBatch()
+	if b == nil && err == nil {
+		err = h.close()
+	}
+	return b, err
+}
+
+func (h *segHost) close() error {
+	if !h.isOpen {
+		return nil
+	}
+	h.isOpen = false
+	return h.it.Close()
+}
+
+// invariant is one invariant subtree of a GApply's inner: its iterator
+// tree, compiled once on a context of its own, forked from the
+// GApply's, on which it is materialized at most once per GApply Open,
+// with the query's partition budget charged per row. The
+// materialization is written only by the GApply's own goroutine, before
+// any worker reads it; workers share it read-only. The build's counters
+// and profile stay on the private context until a group reads the
+// materialization, so a subtree built for workers that no group reads
+// tallies nothing, as serially.
+type invariant struct {
+	node    core.Node
+	it      BatchIterator
+	ctx     *Context
+	built   bool
+	rows    []types.Row
+	err     error
+	epoch   int         // counts the GApply's Opens: a join's table built from an earlier one is stale
+	claimed atomic.Bool // a group has read this Open's materialization
+}
+
+// reset forgets the materialization and its tally, at an Open of the
+// GApply running on ctx.
+func (m *invariant) reset(ctx *Context) {
+	m.built, m.err, m.rows = false, nil, m.rows[:0]
+	m.epoch++
+	m.claimed.Store(false)
+	m.ctx.Ctx, m.ctx.Counters = ctx.Ctx, Counters{}
+	if m.ctx.Prof != nil {
+		m.ctx.Prof.clear()
+	}
+}
+
+// materialize drains the subtree, keeping its rows' headers: everything
+// under it is group-independent, so the rows stay valid for the whole
+// Open. A failure is kept, and reported to every group that reads it.
+func (m *invariant) materialize() {
+	m.built = true
+	bytes, err := m.drain()
+	m.err = err
+	m.ctx.Counters.SpoolBuilds++
+	if m.ctx.Prof != nil {
+		ns := m.ctx.Prof.node(m.node)
+		ns.SpoolBuilds++
+		ns.SpoolBytes += bytes
+	}
+}
+
+// drain appends the subtree's rows to m.rows and returns their
+// footprint.
+func (m *invariant) drain() (bytes int64, err error) {
+	if err := m.it.Open(); err != nil {
+		return 0, err
+	}
+	defer func() {
+		if cerr := m.it.Close(); err == nil {
+			err = cerr
+		}
+	}()
+	operator := func() string { return "Spool: " + core.Summary(m.node) }
+	for {
+		b, err := m.it.NextBatch()
+		if err != nil || b == nil {
+			return bytes, err
+		}
+		if err := m.ctx.tickN(b.Len()); err != nil {
+			return bytes, err
+		}
+		for i := 0; i < b.Len(); i++ {
+			r := b.Row(i)
+			n := int64(r.Bytes())
+			if err := m.ctx.Budget.chargePartition(n, operator); err != nil {
+				return bytes, err
+			}
+			bytes += n
+			m.rows = append(m.rows, r)
+		}
+	}
+}
+
+// read makes the materialization current for a group evaluated on ctx,
+// building it if no group has, and counts the read: the first of an
+// Open takes over the build's tally, every other is a hit.
+func (m *invariant) read(ctx *Context) error {
+	if !m.built {
+		m.materialize()
+	}
+	if !m.claimed.Swap(true) {
+		ctx.Counters.Add(&m.ctx.Counters)
+		if ctx.Prof != nil {
+			ctx.Prof.merge(m.ctx.Prof.snapshot())
+		}
+		return m.err
+	}
+	ctx.Counters.SpoolHits++
+	if ctx.Prof != nil {
+		ctx.Prof.node(m.node).SpoolHits++
+	}
+	return m.err
+}
+
+// bReplay is an invariant subtree as the plans compiled in its GApply's
+// inner read it: its materialization, replayed in batch windows. It is
+// not probed under a Profile, so the subtree's actuals show its one
+// execution per Open.
+type bReplay struct {
+	m   *invariant
+	ctx *Context
+	win rowWindow
+}
+
+func (r *bReplay) Open() error {
+	if err := r.m.read(r.ctx); err != nil {
+		return err
+	}
+	r.win.reset(r.m.rows)
+	return nil
+}
+
+func (r *bReplay) NextBatch() (*Batch, error) {
+	b := r.win.next()
+	if b == nil {
+		return nil, nil
+	}
+	if err := r.ctx.tickN(b.Len()); err != nil {
+		return nil, err
+	}
+	return b, nil
+}
+
+func (r *bReplay) Close() error { return nil }
+
+// keptTable reports whether a join's table, built (built) from its
+// right input, is still current: right replays a materialization of the
+// same GApply Open as the table, whose epoch it records for the rebuild
+// that follows a false result.
+func keptTable(right BatchIterator, built bool, epoch *int) bool {
+	r, ok := right.(*bReplay)
+	if !ok {
+		return false
+	}
+	if built && *epoch == r.m.epoch {
+		return true
+	}
+	*epoch = r.m.epoch
+	return false
 }

@@ -17,8 +17,11 @@ import (
 	"gapplydb/internal/types"
 )
 
-// TestSegmentLowering states which per-group query shapes compile to a
-// segment program and which keep the iterator tree re-opened per group.
+// TestSegmentLowering states which subtrees of a per-group query the
+// compiled program hosts as iterator trees, read off the program: none
+// for the workload's shapes — EXISTS, an invariant scalar and a
+// correlated filter among them — and otherwise exactly the operator the
+// program has no native node for.
 func TestSegmentLowering(t *testing.T) {
 	ctx := attached(newTestCatalog(t))
 	gs := func() core.Node { return &core.GroupScan{Var: "g"} }
@@ -38,69 +41,78 @@ func TestSegmentLowering(t *testing.T) {
 		Cond: &core.Cmp{Op: ">", L: price, R: core.Col("ga")}}
 	items := itemsCatalog(t, 3, 2)
 	cases := []struct {
-		name  string
-		ga    *core.GApply
-		lower bool
+		name   string
+		ga     *core.GApply
+		hosted []string
 	}{
-		{"Q1", gapplyQ1(ctx, core.PartitionHash), true},
-		{"Q1 sort", gapplyQ1(ctx, core.PartitionSort), true},
-		{"Q2", gapplyQ2(ctx), true},
+		{"Q1", gapplyQ1(ctx, core.PartitionHash), nil},
+		{"Q1 sort", gapplyQ1(ctx, core.PartitionSort), nil},
+		{"Q2", gapplyQ2(ctx), nil},
 		{"Q3", onGroup(&core.UnionAll{Inputs: []core.Node{
 			core.NewProject(&core.Select{Input: &core.Apply{Outer: gs(), Inner: avgOf("p_retailprice")},
 				Cond: &core.Cmp{Op: ">=", L: price, R: &core.BinOp{Op: "*", L: core.LitFloat(0.9), R: core.Col("ga")}}},
 				[]core.Expr{core.LitInt(0), core.Col("p_name")}, []string{"tag", "name"}),
 			core.NewProject(gs(), []core.Expr{core.LitInt(1), core.Col("p_name")}, []string{"tag", "name"}),
-		}}), true},
-		{"Q4", onGroup(core.NewProject(aboveAvg, []core.Expr{core.Col("p_name"), price}, nil)), true},
-		{"orders", ordersGApply(items, nil), true},
-		{"count", onGroup(count(gs())), true},
+		}}), nil},
+		{"Q4", onGroup(core.NewProject(aboveAvg, []core.Expr{core.Col("p_name"), price}, nil)), nil},
+		{"orders", ordersGApply(items, nil), nil},
+		{"count", onGroup(count(gs())), nil},
 		{"distinct aggregate", onGroup(&core.AggOp{Input: gs(), Aggs: []core.AggSpec{
-			{Fn: "count", Arg: core.Col("p_brand"), Distinct: true, As: "n"}}}), true},
-		{"join", onGroup(count(&core.Join{Left: gs(), Right: scan(ctx, "supplier"),
-			Cond: &core.Cmp{Op: "=", L: core.Col("ps_suppkey"), R: core.Col("s_suppkey")}})), false},
-		{"group by", onGroup(&core.GroupBy{Input: gs(), GroupCols: []*core.ColRef{core.Col("p_brand")},
-			Aggs: []core.AggSpec{{Fn: "count", Star: true, As: "n"}}}), false},
-		{"distinct", onGroup(&core.Distinct{Input: core.NewProject(gs(), []core.Expr{core.Col("p_brand")}, nil)}), false},
+			{Fn: "count", Arg: core.Col("p_brand"), Distinct: true, As: "n"}}}), nil},
 		{"exists", onGroup(&core.Apply{Outer: gs(), Inner: &core.Exists{Input: &core.Select{Input: gs(),
-			Cond: &core.Cmp{Op: ">", L: price, R: core.LitFloat(35)}}}}), false},
-		{"order by", onGroup(&core.OrderBy{Input: gs(), Keys: []core.OrderKey{{Expr: price}}}), false},
-		{"spooled base table", onGroup(&core.Apply{Outer: gs(), Inner: count(scan(ctx, "supplier"))}), false},
+			Cond: &core.Cmp{Op: ">", L: price, R: core.LitFloat(35)}}}}), nil},
+		{"spooled base table", onGroup(&core.Apply{Outer: gs(), Inner: count(scan(ctx, "supplier"))}), nil},
+		{"join", onGroup(count(&core.Join{Left: gs(), Right: scan(ctx, "supplier"),
+			Cond: &core.Cmp{Op: "=", L: core.Col("ps_suppkey"), R: core.Col("s_suppkey")}})), []string{"Join"}},
+		{"group by", onGroup(&core.GroupBy{Input: gs(), GroupCols: []*core.ColRef{core.Col("p_brand")},
+			Aggs: []core.AggSpec{{Fn: "count", Star: true, As: "n"}}}), []string{"GroupBy"}},
+		{"distinct", onGroup(&core.Distinct{Input: core.NewProject(gs(), []core.Expr{core.Col("p_brand")}, nil)}), []string{"Distinct"}},
+		{"order by", onGroup(&core.OrderBy{Input: gs(), Keys: []core.OrderKey{{Expr: price}}}), []string{"OrderBy"}},
 		{"apply of rows", onGroup(&core.Apply{Outer: gs(),
-			Inner: core.NewProject(gs(), []core.Expr{core.Col("p_name")}, []string{"other"})}), false},
-		{"outer apply", onGroup(&core.Apply{Outer: gs(), Inner: avgOf("p_retailprice"), Kind: core.OuterApply}), false},
+			Inner: core.NewProject(gs(), []core.Expr{core.Col("p_name")}, []string{"other"})}), []string{"Apply"}},
+		{"outer apply", onGroup(&core.Apply{Outer: gs(), Inner: avgOf("p_retailprice"), Kind: core.OuterApply}), []string{"Apply"}},
 		{"nested gapply", onGroup(core.NewGApply(gs(), []*core.ColRef{core.Col("p_brand")}, "h",
-			count(&core.GroupScan{Var: "h"}))), false},
+			count(&core.GroupScan{Var: "h"}))), []string{"GApply"}},
 	}
+	invariants := map[string]int{"spooled base table": 1, "join": 1}
 	for _, c := range cases {
 		bctx := ctx
 		if c.name == "orders" {
 			bctx = attached(items)
 		}
-		it, err := buildBatchGApply(c.ga, bctx, nil)
+		it, err := buildBatchGApply(c.ga, bctx, compileEnv{})
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
 		g := it.(*bgapply)
-		_, isSeg := g.exec.(*segProgram)
-		if g.lowered != c.lower || isSeg != c.lower || SegmentLowers(c.ga) != c.lower {
-			t.Errorf("%s: lowered = %v (program %v, SegmentLowers %v), want %v",
-				c.name, g.lowered, isSeg, SegmentLowers(c.ga), c.lower)
+		if got := nodeKinds(g.exec.hosted()); !reflect.DeepEqual(got, c.hosted) {
+			t.Errorf("%s: hosts %v, want %v", c.name, got, c.hosted)
 		}
-		if c.name == "spooled base table" && g.spools == nil {
-			t.Errorf("%s: the fallback lost its spool", c.name)
+		if len(g.invs) != invariants[c.name] {
+			t.Errorf("%s: %d invariant subtrees, want %d", c.name, len(g.invs), invariants[c.name])
 		}
 	}
 
-	// An OuterRef anywhere in the inner keeps the tree, serially.
+	// An OuterRef in a filter compiles natively, and keeps the GApply
+	// serial.
 	corr := onGroup(&core.Select{Input: gs(),
 		Cond: &core.Cmp{Op: "=", L: core.Col("ps_suppkey"), R: &core.OuterRef{Name: "s_suppkey"}}})
 	it, err := buildBatchGApply(corr, ctx, compileEnv{}.push(scan(ctx, "supplier").Schema()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g := it.(*bgapply); g.lowered || SegmentLowers(corr) {
-		t.Error("an OuterRef-correlated inner must not lower")
+	if g := it.(*bgapply); len(g.exec.hosted()) > 0 || g.degree() != 1 {
+		t.Errorf("correlated filter: hosts %v, degree %d", nodeKinds(g.exec.hosted()), g.degree())
 	}
+}
+
+// nodeKinds names the kinds of plan nodes ns, in order.
+func nodeKinds(ns []core.Node) []string {
+	var out []string
+	for _, n := range ns {
+		out = append(out, strings.TrimPrefix(fmt.Sprintf("%T", n), "*core."))
+	}
+	return out
 }
 
 // edgeCatalog holds edge(k, v, s), its rows shuffled: a one-row group
@@ -108,7 +120,7 @@ func TestSegmentLowering(t *testing.T) {
 // group (k=1), a 600-row group (k=2) whose output spans several batches
 // and whose INT and FLOAT values collide under DISTINCT, and 41 groups
 // of one to three rows — 44 groups in all, not a multiple of any task
-// cut.
+// cut — and dim.
 func edgeCatalog(t testing.TB) *storage.Catalog {
 	t.Helper()
 	var rows []types.Row
@@ -134,19 +146,44 @@ func edgeCatalog(t testing.TB) *storage.Catalog {
 	}
 	rand.New(rand.NewSource(19)).Shuffle(len(rows), func(i, j int) { rows[i], rows[j] = rows[j], rows[i] })
 	cat := storage.NewCatalog()
-	tab, err := cat.Create(&schema.TableDef{Name: "edge", Schema: schema.New(
-		schema.Column{Name: "k", Type: types.KindInt},
-		schema.Column{Name: "v", Type: types.KindFloat},
-		schema.Column{Name: "s", Type: types.KindString},
-	)})
+	tab, err := cat.Create(edgeDef)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tab.Rows = rows
+	addDim(t, cat)
 	return cat
 }
 
-// edgeShapes are lowerable per-group queries over edge's $g.
+// edgeDef is edge(k, v, s).
+var edgeDef = &schema.TableDef{Name: "edge", Schema: schema.New(
+	schema.Column{Name: "k", Type: types.KindInt},
+	schema.Column{Name: "v", Type: types.KindFloat},
+	schema.Column{Name: "s", Type: types.KindString},
+)}
+
+// dimDef is dim(d, w), an invariant table the per-group queries over
+// edge join or aggregate: w is 1.5 d, and one row's d is NULL.
+var dimDef = &schema.TableDef{Name: "dim", Schema: schema.New(
+	schema.Column{Name: "d", Type: types.KindInt},
+	schema.Column{Name: "w", Type: types.KindFloat},
+)}
+
+func addDim(t testing.TB, cat *storage.Catalog) {
+	t.Helper()
+	tab, err := cat.Create(dimDef)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range []int64{0, 1, 2, 5, 30, 31, 100, 101, 130, 300, 420} {
+		tab.Rows = append(tab.Rows, types.Row{types.NewInt(d), types.NewFloat(1.5 * float64(d))})
+	}
+	tab.Rows = append(tab.Rows, types.Row{types.Null, types.NewFloat(7)})
+}
+
+func dimScan() core.Node { return &core.Scan{Table: "dim", Def: dimDef} }
+
+// edgeShapes are per-group queries over edge's $g.
 func edgeShapes() map[string]func() core.Node {
 	gs := func() core.Node { return &core.GroupScan{Var: "g"} }
 	v := core.Col("v")
@@ -252,10 +289,78 @@ func edgeShapes() map[string]func() core.Node {
 			return core.NewProject(against(outer, "max", "<", 1.5),
 				[]core.Expr{core.Col("s"), core.Col("x"), &core.BinOp{Op: "-", L: core.Col("x"), R: v}}, []string{"s", "x", "gap"})
 		},
+		// Group selection: a group's rows when it holds a row above 30, or
+		// none; and the complement.
+		"exists": func() core.Node {
+			return core.NewProject(&core.Apply{Outer: gs(), Inner: exists(gt(v, 30), false)}, []core.Expr{core.Col("s"), v}, nil)
+		},
+		"not exists": func() core.Node {
+			return core.NewProject(&core.Apply{Outer: gs(), Inner: exists(gt(v, 30), true)}, []core.Expr{core.Col("s")}, nil)
+		},
+		// An Exists whose filter empties its input: no group qualifies, yet
+		// every outer row is read; negated, every group does.
+		"exists of an empty filter": func() core.Node {
+			return core.NewProject(&core.Apply{Outer: gs(), Inner: exists(gt(v, 1000), false)}, []core.Expr{core.Col("s")}, nil)
+		},
+		"not exists of an empty filter": func() core.Node {
+			return &core.Apply{Outer: gs(), Inner: exists(gt(v, 1000), true)}
+		},
+		// An invariant scalar: dim's count, materialized once per Open.
+		"spooled base table": func() core.Node {
+			return core.NewProject(&core.Apply{Outer: gs(), Inner: count(dimScan())}, []core.Expr{core.Col("s"), core.Col("n")}, nil)
+		},
+		// Q4j: a native aggregate over a hosted join of $g with an
+		// invariant filter of dim; and Q3j, the join's rows projected.
+		"Q4j": func() core.Node {
+			return &core.AggOp{Input: dimJoin(gs(), &core.Select{Input: dimScan(), Cond: &core.Cmp{Op: "<", L: core.Col("w"), R: core.LitInt(200)}}),
+				Aggs: []core.AggSpec{{Fn: "min", Arg: core.Col("w"), As: "lo"}, {Fn: "count", Star: true, As: "n"}}}
+		},
+		"Q3j": func() core.Node {
+			return core.NewProject(dimJoin(gs(), dimScan()), []core.Expr{core.Col("s"), core.Col("w")}, nil)
+		},
+		// A nested-loops join, no equality to hash on, keeps its drain
+		// of the materialization across groups too.
+		"nested-loops join": func() core.Node {
+			return core.NewProject(&core.Join{Left: gs(), Right: dimScan(), Cond: &core.Cmp{Op: ">", L: v, R: core.Col("w")}},
+				[]core.Expr{core.Col("s"), core.Col("d")}, nil)
+		},
+		// A nested GApply, hosted, whose inner reads the enclosing group.
+		"nested gapply": func() core.Node {
+			inner := core.NewProject(&core.Apply{Outer: &core.GroupScan{Var: "h"}, Inner: count(gs())},
+				[]core.Expr{core.Col("s"), core.Col("n")}, nil)
+			return core.NewGApply(&core.GroupScan{Var: "g", Sch: edgeDef.Schema}, []*core.ColRef{v}, "h", inner)
+		},
 	}
 }
 
-// edgeErrorShapes are lowered per-group queries over edge's $g that
+// exists is EXISTS (or NOT EXISTS) over the rows of $g that pass cond.
+func exists(cond core.Expr, negated bool) core.Node {
+	return &core.Exists{Input: &core.Select{Input: &core.GroupScan{Var: "g"}, Cond: cond}, Negated: negated}
+}
+
+func gt(e core.Expr, i int64) core.Expr { return &core.Cmp{Op: ">", L: e, R: core.LitInt(i)} }
+
+// dimJoin joins in with right on v = d.
+func dimJoin(in, right core.Node) core.Node {
+	return &core.Join{Left: in, Right: right, Cond: &core.Cmp{Op: "=", L: core.Col("v"), R: core.Col("d")}}
+}
+
+// correlatedOverDim is GApply over edge under an Apply over dim, whose
+// per-group query keeps the group's rows whose v is the outer row's d.
+func correlatedOverDim(hint core.PartitionHint) core.Node {
+	inner := core.NewProject(&core.Select{Input: &core.GroupScan{Var: "g"},
+		Cond: &core.Cmp{Op: "=", L: core.Col("v"), R: &core.OuterRef{Name: "d"}}}, []core.Expr{core.Col("s")}, nil)
+	return &core.Apply{Outer: dimScan(), Inner: onEdge(inner, hint)}
+}
+
+// onEdge is a GApply of inner over edge grouped by k, under the hint.
+func onEdge(inner core.Node, hint core.PartitionHint) core.Node {
+	ga := core.NewGApply(&core.Scan{Table: "edge", Def: edgeDef}, []*core.ColRef{core.Col("k")}, "g", inner)
+	ga.Partition = hint
+	return core.LowerSortPartition(ga)
+}
+
+// edgeErrorShapes are per-group queries over edge's $g that
 // fail, some in more than one node of the same group, so the error
 // reported first shows the evaluation order.
 func edgeErrorShapes() map[string]func() core.Node {
@@ -289,11 +394,7 @@ func edgeErrorShapes() map[string]func() core.Node {
 func windowCatalog(t testing.TB) *storage.Catalog {
 	t.Helper()
 	cat := storage.NewCatalog()
-	tab, err := cat.Create(&schema.TableDef{Name: "edge", Schema: schema.New(
-		schema.Column{Name: "k", Type: types.KindInt},
-		schema.Column{Name: "v", Type: types.KindFloat},
-		schema.Column{Name: "s", Type: types.KindString},
-	)})
+	tab, err := cat.Create(edgeDef)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,6 +434,16 @@ func windowShapes(fail bool) map[string]func() core.Node {
 					Cond: &core.Cmp{Op: "<", L: v, R: &core.BinOp{Op: "*", L: core.LitFloat(1.2), R: core.Col("x")}}},
 					[]core.Expr{core.Col("s"), core.Col("x")}, []string{"s", "x"})
 			},
+			// The Exists finds its first row in its input's second window.
+			"regathered exists": func() core.Node {
+				return core.NewProject(&core.Apply{Outer: outer(), Inner: exists(gt(v, 500), false)}, []core.Expr{core.Col("s")}, nil)
+			},
+			"exists of an empty filter": func() core.Node {
+				return &core.Apply{Outer: outer(), Inner: exists(gt(v, 1000), false)}
+			},
+			"not exists of an empty filter": func() core.Node {
+				return core.NewProject(&core.Apply{Outer: outer(), Inner: exists(gt(v, 1000), true)}, []core.Expr{core.Col("s")}, nil)
+			},
 		}
 	}
 	return map[string]func() core.Node{
@@ -346,6 +457,21 @@ func windowShapes(fail bool) map[string]func() core.Node {
 		"inner fails before the outer": func() core.Node {
 			return core.NewProject(&core.Apply{Outer: outer(), Inner: scalar("sum", "s")}, []core.Expr{abs}, []string{"a"})
 		},
+		// EXISTS and NOT EXISTS read the outer's second window, and fail
+		// there, whether or not the inner yields a row.
+		"exists outer fails past its first window": func() core.Node {
+			return core.NewProject(&core.Apply{Outer: outer(), Inner: exists(gt(v, 1), false)}, []core.Expr{abs}, []string{"a"})
+		},
+		"not exists outer fails past its first window": func() core.Node {
+			return core.NewProject(&core.Apply{Outer: outer(), Inner: exists(gt(v, 1), true)}, []core.Expr{abs}, []string{"a"})
+		},
+		// The Exists' input has no row in its first window and fails in
+		// its second.
+		"exists input fails in a later window": func() core.Node {
+			return core.NewProject(&core.Apply{Outer: gs(), Inner: exists(&core.And{Ops: []core.Expr{gt(v, 280),
+				&core.Cmp{Op: "<>", L: &core.BinOp{Op: "/", L: core.LitFloat(1), R: &core.BinOp{Op: "-", L: v, R: core.LitInt(300)}}, R: core.LitInt(0)}}}, false)},
+				[]core.Expr{core.Col("s")}, nil)
+		},
 	}
 }
 
@@ -358,25 +484,23 @@ type segRun struct {
 	err      string
 }
 
-// runGApply executes ga at dop, with its inner forced onto the iterator
-// tree when tree is set — the reference a segment program must match.
-func runGApply(t *testing.T, cat *storage.Catalog, ga *core.GApply, dop int, tree, prof bool) segRun {
+// runGApply executes plan at dop, with its GApply's whole inner hosted
+// as one node when tree is set — the iterator tree re-opened per group,
+// the reference a program must match.
+func runGApply(t *testing.T, cat *storage.Catalog, plan core.Node, dop int, tree, prof bool) segRun {
 	t.Helper()
 	ctx := attached(cat)
 	ctx.DOP = dop
 	if prof {
 		ctx.Prof = NewProfile()
 	}
-	it, err := buildBatchGApply(ga, ctx, nil)
+	it, err := buildBatch(plan, ctx, compileEnv{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := it.(*bgapply)
-	if !g.lowered {
-		t.Fatalf("inner does not lower:\n%s", core.Format(ga.Inner))
-	}
 	if tree {
-		g.lowered = false
+		g := gapplyIn(it)
+		g.compile = hostWhole
 		if g.exec, err = g.buildExec(ctx); err != nil {
 			t.Fatal(err)
 		}
@@ -387,7 +511,7 @@ func runGApply(t *testing.T, cat *storage.Catalog, ga *core.GApply, dop int, tre
 	}
 	out := segRun{rows: renderRows(rows), counters: ctx.Counters}
 	if prof {
-		core.Walk(ga.Inner, func(n core.Node) {
+		core.Walk(plan, func(n core.Node) {
 			s := ctx.Prof.Stats(n)
 			out.nodes = append(out.nodes, fmt.Sprintf("%s rows=%d opens=%d", n.Describe(), s.Rows, s.Opens))
 		})
@@ -395,62 +519,121 @@ func runGApply(t *testing.T, cat *storage.Catalog, ga *core.GApply, dop int, tre
 	return out
 }
 
+// gapplyIn is the GApply an iterator tree runs: the root, or an Apply's
+// inner.
+func gapplyIn(it BatchIterator) *bgapply {
+	for {
+		switch x := it.(type) {
+		case *batchProbe:
+			it = x.inner
+		case *bApply:
+			it = x.inner
+		default:
+			return it.(*bgapply)
+		}
+	}
+}
+
+// hostWhole compiles g's program with the whole inner hosted as one
+// node: the inner's iterator tree, re-opened per group.
+func hostWhole(g *bgapply, ctx *Context) (*segProgram, error) {
+	p := newSegProgram(g, ctx)
+	root, sh, err := p.host(g.plan.Inner, nil)
+	if err != nil {
+		return nil, err
+	}
+	return p.finish(root, sh), nil
+}
+
 // TestSegmentMatchesTree is the segment program's differential: over
 // the edge cases, at dop 1, 2 and 8 under both partition strategies, it
-// produces the iterator tree's rows in the same order, the same
-// counters, and — profiled — the same per-operator rows and loops, or
-// fails with the tree's error; and the rows match the reference
-// interpreter.
+// produces the rows of the same inner hosted whole as one iterator tree
+// in the same order, the same counters, and — profiled — the same
+// per-operator rows and loops, or fails with the tree's error; and the
+// rows match the reference interpreter.
 func TestSegmentMatchesTree(t *testing.T) {
 	edge, window := edgeCatalog(t), windowCatalog(t)
+	type shape struct {
+		cat   *storage.Catalog
+		plan  func(core.PartitionHint) core.Node
+		fails bool
+	}
+	shapes := map[string]shape{"edge/correlated": {edge, correlatedOverDim, false}}
 	for _, c := range []struct {
+		name   string
 		cat    *storage.Catalog
-		shapes map[string]func() core.Node
+		inners map[string]func() core.Node
 		fails  bool
 	}{
-		{edge, edgeShapes(), false},
-		{edge, edgeErrorShapes(), true},
-		{window, windowShapes(false), false},
-		{window, windowShapes(true), true},
+		{"edge", edge, edgeShapes(), false},
+		{"edge", edge, edgeErrorShapes(), true},
+		{"window", window, windowShapes(false), false},
+		{"window", window, windowShapes(true), true},
 	} {
-		tab, err := c.cat.Lookup("edge")
-		if err != nil {
-			t.Fatal(err)
+		for name, inner := range c.inners {
+			shapes[c.name+"/"+name] = shape{c.cat, func(hint core.PartitionHint) core.Node { return onEdge(inner(), hint) }, c.fails}
 		}
-		for name, inner := range c.shapes {
-			for _, hint := range []core.PartitionHint{core.PartitionHash, core.PartitionSort} {
-				mk := func() *core.GApply {
-					ga := core.NewGApply(&core.Scan{Table: "edge", Def: tab.Def}, []*core.ColRef{core.Col("k")}, "g", inner())
-					ga.Partition = hint
-					return core.LowerSortPartition(ga)
-				}
-				if !c.fails {
-					plan := mk()
-					checkOracle(t, plan, c.cat, mustRun(t, plan, NewContext(c.cat, new(Store))).Rows)
-				}
-				for _, dop := range []int{1, 2, 8} {
-					for _, prof := range []bool{false, true} {
-						seg := runGApply(t, c.cat, mk(), dop, false, prof)
-						tree := runGApply(t, c.cat, mk(), dop, true, prof)
-						what := fmt.Sprintf("%s/%v/dop %d/profiled %v", name, hint, dop, prof)
-						if seg.err != tree.err {
-							t.Fatalf("%s: errors differ:\nsegment %q\ntree    %q", what, seg.err, tree.err)
-						}
-						if (seg.err != "") != c.fails {
-							t.Fatalf("%s: error %q, want failure %v", what, seg.err, c.fails)
-						}
-						if !reflect.DeepEqual(seg.rows, tree.rows) {
-							t.Fatalf("%s: rows differ:\nsegment %v\ntree    %v", what, seg.rows, tree.rows)
-						}
-						if seg.counters != tree.counters {
-							t.Errorf("%s: counters differ:\nsegment %+v\ntree    %+v", what, seg.counters, tree.counters)
-						}
-						if !reflect.DeepEqual(seg.nodes, tree.nodes) {
-							t.Errorf("%s: profiles differ:\nsegment %v\ntree    %v", what, seg.nodes, tree.nodes)
-						}
+	}
+	for name, c := range shapes {
+		for _, hint := range []core.PartitionHint{core.PartitionHash, core.PartitionSort} {
+			if !c.fails {
+				plan := c.plan(hint)
+				checkOracle(t, plan, c.cat, mustRun(t, plan, NewContext(c.cat, new(Store))).Rows)
+			}
+			for _, dop := range []int{1, 2, 8} {
+				for _, prof := range []bool{false, true} {
+					seg := runGApply(t, c.cat, c.plan(hint), dop, false, prof)
+					tree := runGApply(t, c.cat, c.plan(hint), dop, true, prof)
+					what := fmt.Sprintf("%s/%v/dop %d/profiled %v", name, hint, dop, prof)
+					if seg.err != tree.err {
+						t.Fatalf("%s: errors differ:\nsegment %q\ntree    %q", what, seg.err, tree.err)
+					}
+					if (seg.err != "") != c.fails {
+						t.Fatalf("%s: error %q, want failure %v", what, seg.err, c.fails)
+					}
+					if !reflect.DeepEqual(seg.rows, tree.rows) {
+						t.Fatalf("%s: rows differ:\nsegment %v\ntree    %v", what, seg.rows, tree.rows)
+					}
+					if seg.counters != tree.counters {
+						t.Errorf("%s: counters differ:\nsegment %+v\ntree    %+v", what, seg.counters, tree.counters)
+					}
+					if !reflect.DeepEqual(seg.nodes, tree.nodes) {
+						t.Errorf("%s: profiles differ:\nsegment %v\ntree    %v", what, seg.nodes, tree.nodes)
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestUnreadInvariantTalliesNothing: an invariant subtree no group
+// reads — its Apply's outer is empty in every group — tallies no build,
+// no scan and no profile at any dop, though the parallel phase
+// materializes it before its workers start.
+func TestUnreadInvariantTalliesNothing(t *testing.T) {
+	cat := edgeCatalog(t)
+	count := &core.AggOp{Input: dimScan(), Aggs: []core.AggSpec{{Fn: "count", Star: true, As: "n"}}}
+	inner := &core.Apply{Outer: &core.Select{Input: &core.GroupScan{Var: "g"}, Cond: gt(core.Col("v"), 100000)}, Inner: count}
+	var serial Counters
+	for _, dop := range []int{1, 8} {
+		ctx := NewContext(cat, new(Store))
+		ctx.DOP = dop
+		ctx.Prof = NewProfile()
+		if res := mustRun(t, onEdge(inner, core.PartitionHash), ctx); len(res.Rows) != 0 {
+			t.Fatalf("dop %d: %d rows, want none", dop, len(res.Rows))
+		}
+		got := ctx.Counters
+		if dop > 1 && got.ParallelGroupExecs == 0 {
+			t.Fatalf("dop %d ran serially", dop)
+		}
+		got.SerialGroupExecs, got.ParallelGroupExecs = 0, 0
+		if dop == 1 {
+			serial = got
+		} else if got != serial {
+			t.Errorf("dop %d: counters %+v, serially %+v", dop, got, serial)
+		}
+		if got.SpoolBuilds != 0 || ctx.Prof.Stats(count) != (NodeStats{}) {
+			t.Errorf("dop %d: %d builds, profile %+v", dop, got.SpoolBuilds, ctx.Prof.Stats(count))
 		}
 	}
 }
@@ -486,7 +669,7 @@ func TestSegmentOrdersCounters(t *testing.T) {
 }
 
 // TestSegmentPartitionBudget: the partition phase's byte meter kills a
-// lowered GApply on the row that crosses the limit, at every dop.
+// GApply on the row that crosses the limit, at every dop.
 func TestSegmentPartitionBudget(t *testing.T) {
 	cat := itemsCatalog(t, 200, 4)
 	tab, err := cat.Lookup("items")
@@ -505,9 +688,6 @@ func TestSegmentPartitionBudget(t *testing.T) {
 		ctx.DOP = dop
 		ctx.Budget = &Budget{MaxPartitionBytes: limit}
 		ga := ordersGApply(cat, nil)
-		if !SegmentLowers(ga) {
-			t.Fatal("orders shape does not lower")
-		}
 		_, err := Run(ga, ctx)
 		var re *ResourceError
 		if !errors.As(err, &re) || re.Limit != LimitPartitionBytes || re.Used != used {
@@ -516,7 +696,7 @@ func TestSegmentPartitionBudget(t *testing.T) {
 	}
 }
 
-// TestSegmentOutputRowsTruncation: a cursor over a lowered GApply
+// TestSegmentOutputRowsTruncation: a cursor over a GApply
 // delivers exactly MaxOutputRows rows — the unbudgeted run's first ones,
 // the last batch truncated — then the budget error.
 func TestSegmentOutputRowsTruncation(t *testing.T) {
@@ -754,7 +934,7 @@ func aliases(r types.Row, rows []types.Row) bool {
 
 // itemsCatalog holds items(k, name, price): groups keys of perGroup rows
 // each, the keys interleaved the way a join delivers them, plus a
-// one-row table unit(u) for inners that must not lower.
+// one-row table unit(u) for inners that host a join.
 func itemsCatalog(tb testing.TB, groups, perGroup int) *storage.Catalog {
 	tb.Helper()
 	cat := storage.NewCatalog()
@@ -787,8 +967,8 @@ func itemsCatalog(tb testing.TB, groups, perGroup int) *storage.Catalog {
 // ordersGApply is the benchmark's orders view over items: per key, how
 // many of the group's items cost at least, and less than, the group's
 // average price — Q2's shape over small groups. A non-nil extra is
-// joined into each branch's Apply outer, which keeps the rows but stops
-// the inner lowering.
+// joined into each branch's Apply outer, which keeps the rows but makes
+// the program host the join.
 func ordersGApply(cat *storage.Catalog, extra func() core.Node) *core.GApply {
 	tab, err := cat.Lookup("items")
 	if err != nil {
@@ -833,39 +1013,46 @@ func unitScan(cat *storage.Catalog) func() core.Node {
 	}
 }
 
-// BenchmarkGApplyGroups runs the orders shape over 10 000 groups of 4
-// rows — scan, partition and execution phase — with the inner lowered to
-// a segment program, at dop 1 and on two workers, and, joined to a
-// one-row table, as the iterator tree re-opened per group at dop 1; and
-// the same shape over 500 groups of 80 rows (wide), Q2's groups at sf
-// 0.05, lowered at dop 1. Per group: ns end to end, and exec-ns the
-// execution phase alone, the drain after Open has partitioned the outer.
+// BenchmarkGApplyGroups runs per-group queries over 10 000 groups of 4
+// rows — scan, partition and execution phase: the orders shape, whose
+// program is all native nodes, at dop 1 and on two workers; the same
+// joined to a one-row table, whose program hosts the join (hosted); and
+// xml_suppliers' group selection, a projection of the group's rows if
+// it holds one above a price (exists); all at dop 1 — and the orders
+// shape over 500 groups of 80 rows (wide), Q2's groups at sf 0.05, at
+// dop 1. Per group: ns end to end, and exec-ns the execution phase
+// alone, the drain after Open has partitioned the outer.
 func BenchmarkGApplyGroups(b *testing.B) {
 	for _, tc := range []struct {
 		name        string
 		groups, per int
-		fallback    bool
+		hosted      bool
 		dop         int
 	}{
 		{"lowered", 10000, 4, false, 1},
 		{"dop2", 10000, 4, false, 2},
-		{"fallback", 10000, 4, true, 1},
+		{"hosted", 10000, 4, true, 1},
+		{"exists", 10000, 4, false, 1},
 		{"wide", 500, 80, false, 1},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			cat := itemsCatalog(b, tc.groups, tc.per)
 			var extra func() core.Node
-			if tc.fallback {
+			if tc.hosted {
 				extra = unitScan(cat)
+			}
+			ga := ordersGApply(cat, extra)
+			if tc.name == "exists" {
+				ga = core.NewGApply(ga.Outer, ga.GroupCols, "g", suppliersInner())
 			}
 			ctx := NewContext(cat, new(Store))
 			ctx.DOP = tc.dop
-			it, err := BuildBatch(ordersGApply(cat, extra), ctx)
+			it, err := BuildBatch(ga, ctx)
 			if err != nil {
 				b.Fatal(err)
 			}
-			if lowered := it.(*bgapply).lowered; lowered == tc.fallback {
-				b.Fatalf("lowered = %v", lowered)
+			if hosted := it.(*bgapply).exec.hosted(); (len(hosted) > 0) != tc.hosted {
+				b.Fatalf("hosts %v", nodeKinds(hosted))
 			}
 			drainCount(b, it)
 			var exec time.Duration
@@ -900,6 +1087,16 @@ func BenchmarkGApplyGroups(b *testing.B) {
 			b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/total, "B/group")
 		})
 	}
+}
+
+// suppliersInner is xml_suppliers' per-group query over items: the
+// group's rows, tagged, when the group holds an item priced above 500.
+func suppliersInner() core.Node {
+	gs := func() core.Node { return &core.GroupScan{Var: "g"} }
+	qualifies := &core.Exists{Input: core.NewProject(&core.Select{Input: gs(),
+		Cond: &core.Cmp{Op: ">", L: core.Col("price"), R: core.LitInt(500)}}, []core.Expr{core.Col("k")}, nil)}
+	return core.NewProject(&core.Apply{Outer: gs(), Inner: qualifies},
+		[]core.Expr{core.LitInt(0), core.Col("name"), core.Col("price")}, nil)
 }
 
 // BenchmarkPartition partitions 40 000 interleaved rows into 10 000

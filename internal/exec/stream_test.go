@@ -275,8 +275,8 @@ func streamCatalog(t *testing.T) *storage.Catalog {
 
 // TestStreamMatchesOracle is the streaming differential: a GApply over
 // a heap-order seek on a heap in key order, joined inner or left outer,
-// by hash or by merge probe, with a segment-lowered and a tree inner,
-// matches the reference interpreter at dop 1, 2 and 8 — and rows,
+// by hash or by merge probe, with an inner the program runs natively and
+// one ("tree") that hosts a join, matches the reference interpreter at dop 1, 2 and 8 — and rows,
 // counters and every operator's actual rows and opens are the same at
 // every dop.
 func TestStreamMatchesOracle(t *testing.T) {
@@ -322,8 +322,8 @@ func TestStreamMatchesOracle(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if g := it.(*bgapply); !g.streaming || g.lowered != (inner.extra == nil) {
-						t.Fatalf("streaming %v, lowered %v", g.streaming, g.lowered)
+					if g := it.(*bgapply); !g.streaming || (len(g.exec.hosted()) == 0) != (inner.extra == nil) {
+						t.Fatalf("streaming %v, hosted %v", g.streaming, nodeKinds(g.exec.hosted()))
 					}
 					want, err := oracle.Expect(plan, cat)
 					if err != nil {

@@ -34,7 +34,7 @@ func TestInstrumentationNeutral(t *testing.T) {
 	// whose probe path is decided from the plan so a Profile cannot
 	// change it (or RowsScanned).
 	for _, c := range accessPathCases() {
-		stmts = append(stmts, stmt{accessPathDatabase(t), "access/" + c.name, c.sql, c.opts})
+		stmts = append(stmts, stmt{accessPathDatabase(t), "access/" + c.name, c.sql, nil})
 	}
 	// The narrowing shapes: joins emit only what their consumer reads
 	// whether or not a Profile wraps them, so the rows, counters and

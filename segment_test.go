@@ -1,13 +1,18 @@
 package gapplydb_test
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 
 	"gapplydb"
+	"gapplydb/experiments"
 	"gapplydb/internal/core"
 	"gapplydb/internal/exec"
+	"gapplydb/replay"
 )
 
 // corpusSQL reads a replay-corpus statement.
@@ -31,45 +36,77 @@ func gapplysIn(plan core.Node) []*core.GApply {
 	return out
 }
 
-// TestSegmentPathCoverage pins which of the workload's per-group
-// queries run as segment programs: the GApply inners of Q1–Q4, the
-// one-supplier entity document and the small-group orders view do; the
-// spool queries, whose inners join a base table, and an inner correlated
-// with an enclosing query keep the re-opened iterator tree.
+// TestSegmentPathCoverage pins, off the compiled programs, which
+// subtrees of the workload's per-group queries run hosted as iterator
+// trees: none, for every GApply of the replay corpus and of the
+// evaluation suite (Figure 8 and the spool queries) — EXISTS group
+// selection and an inner correlated with an enclosing query included —
+// except the per-group join of $g with part in the spool queries.
+// experiments' TestTable1PathCoverage covers the Table 1 sweeps.
 func TestSegmentPathCoverage(t *testing.T) {
 	db := integDatabase(t)
-	cases := []struct {
+	corpus, err := replay.Load(filepath.Join("testdata", "corpus"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	type stmt struct {
 		name, sql string
-		lowers    bool
-	}{
-		{"Q1", figure8Query(t, "figure8/Q1/with"), true},
-		{"Q2", figure8Query(t, "figure8/Q2/with"), true},
-		{"Q3", figure8Query(t, "figure8/Q3/with"), true},
-		{"Q4", figure8Query(t, "figure8/Q4/with"), true},
-		{"entity", corpusSQL(t, "entity_q1_gapply"), true},
-		{"orders", corpusSQL(t, "orders_small_groups"), true},
-		{"Q2j", corpusSQL(t, "spool_q2j"), false},
-		{"Q3j", corpusSQL(t, "spool_q3j"), false},
-		{"Q4j", corpusSQL(t, "spool_q4j"), false},
-		{"correlated", `select s_suppkey from supplier where exists (
-			select gapply(select ps_suppkey from g where ps_suppkey = s_suppkey)
-			from partsupp group by ps_partkey : g)`, false},
+		opts      []gapplydb.QueryOption
 	}
-	for _, c := range cases {
-		plan, err := db.Plan(c.sql)
+	var stmts []stmt
+	for _, q := range corpus.Queries {
+		var opts []gapplydb.QueryOption
+		if q.Partition != "" {
+			opts = append(opts, gapplydb.WithPartition(q.Partition))
+		}
+		stmts = append(stmts, stmt{"corpus/" + q.Name, q.SQL, opts})
+	}
+	for _, q := range experiments.SuiteQueries() {
+		stmts = append(stmts, stmt{q.Name, q.SQL, nil})
+	}
+	stmts = append(stmts, stmt{"correlated", `select s_suppkey from supplier where exists (
+		select gapply(select ps_suppkey from g where ps_suppkey = s_suppkey)
+		from partsupp group by ps_partkey : g)`, nil})
+	hostsJoin := map[string]bool{
+		"corpus/spool_q2j": true, "corpus/spool_q3j": true, "corpus/spool_q4j": true,
+		"spool/Q2j": true, "spool/Q3j": true, "spool/Q4j": true,
+	}
+	checked := 0
+	for _, s := range stmts {
+		plan, err := db.Plan(s.sql, s.opts...)
 		if err != nil {
-			t.Fatalf("%s: %v", c.name, err)
+			t.Fatalf("%s: %v", s.name, err)
 		}
-		gs := gapplysIn(plan)
-		if len(gs) == 0 {
-			t.Fatalf("%s: no GApply in the plan:\n%s", c.name, core.Format(plan))
+		hosted, err := exec.Hosted(plan, gapplydb.CatalogOf(db))
+		if err != nil {
+			t.Fatalf("%s: %v", s.name, err)
 		}
-		for _, g := range gs {
-			if got := exec.SegmentLowers(g); got != c.lowers {
-				t.Errorf("%s: segment program = %v, want %v:\n%s", c.name, got, c.lowers, core.Format(g.Inner))
+		if len(hosted) != len(gapplysIn(plan)) {
+			t.Fatalf("%s: %d programs for %d GApplies", s.name, len(hosted), len(gapplysIn(plan)))
+		}
+		var want []string
+		if hostsJoin[s.name] {
+			want = []string{"Join"}
+		}
+		for g, ns := range hosted {
+			if got := nodeKinds(ns); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: hosts %v, want %v:\n%s", s.name, got, want, core.Format(g.Inner))
 			}
+			checked++
 		}
 	}
+	if checked < len(hostsJoin)+10 {
+		t.Errorf("only %d GApplies checked", checked)
+	}
+}
+
+// nodeKinds names the kinds of plan nodes ns, in order.
+func nodeKinds(ns []core.Node) []string {
+	var out []string
+	for _, n := range ns {
+		out = append(out, strings.TrimPrefix(fmt.Sprintf("%T", n), "*core."))
+	}
+	return out
 }
 
 // segmentEdgeDatabase holds edge(k, v, s): a one-row group, a NULL-keyed
@@ -112,7 +149,7 @@ func segmentEdgeDatabase(t *testing.T) *gapplydb.Database {
 	return db
 }
 
-// TestSegmentEdgeDifferential checks lowered per-group queries over the
+// TestSegmentEdgeDifferential checks native per-group queries over the
 // edge cases against the reference interpreter at dop 1, 2 and 8: the
 // orders shape (the all-NULL group's average is NULL, its filters
 // UNKNOWN, and both counts still emitted as 0), Q1's rows-and-average,
@@ -143,9 +180,14 @@ func TestSegmentEdgeDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", s.name, err)
 		}
-		gs := gapplysIn(plan)
-		if len(gs) != 1 || !exec.SegmentLowers(gs[0]) {
-			t.Fatalf("%s: want one lowered GApply:\n%s", s.name, core.Format(plan))
+		hosted, err := exec.Hosted(plan, gapplydb.CatalogOf(db))
+		if err != nil {
+			t.Fatalf("%s: %v", s.name, err)
+		}
+		for g, ns := range hosted {
+			if len(hosted) != 1 || len(ns) > 0 {
+				t.Fatalf("%s: want one GApply run natively, not %d hosting %v:\n%s", s.name, len(hosted), nodeKinds(ns), core.Format(g))
+			}
 		}
 		want := expectOracle(t, db, s.sql, noRewrite)
 		var base gapplydb.ExecStats

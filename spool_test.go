@@ -2,6 +2,7 @@ package gapplydb_test
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -10,54 +11,44 @@ import (
 	"gapplydb/xmlpub"
 )
 
-// The spool battery covers the invariant-subtree spool: per-group plans
+// The spool battery covers GApply's invariant subtrees: per-group plans
 // that join the group variable against base tables have a group-invariant
-// side that is materialized once per GApply and replayed for every other
-// group, at any parallel degree. Spooling is an execution-layer rewrite,
-// so it must be invisible in the output: rows byte-identical (order
-// included) with the spool on and off, serial and parallel.
+// side that is materialized once per GApply execution and replayed for
+// every other group, at any parallel degree. It must be invisible in the
+// output: rows match the reference interpreter, byte-identical (order
+// included) serial and parallel.
 
 // spoolQueries are the spooling experiment's join-heavy statements:
-// per-group plans whose inner trees carry a group-invariant subtree (a
+// per-group plans whose inners carry a group-invariant subtree (a
 // base-table scan, optionally under a selection, on the build side of
 // the per-group join).
 func spoolQueries() []experiments.SuiteQuery {
 	return experiments.SpoolQueries()
 }
 
-// TestSpoolDifferential: spool on vs off at dop 1, 2 and 8 produce
-// byte-identical ordered rows, and the counters confirm the spool really
-// engaged (builds > 0 on, == 0 off).
+// TestSpoolDifferential: at dop 1, 2 and 8 the rows match the reference
+// interpreter and are byte-identical across degrees, and the counters
+// confirm the materialization engaged.
 func TestSpoolDifferential(t *testing.T) {
 	db := integDatabase(t)
 	for _, q := range spoolQueries() {
 		q := q
 		t.Run(q.Name, func(t *testing.T) {
-			base, err := db.Query(q.SQL, gapplydb.WithDOP(1), gapplydb.WithoutSpooling())
-			if err != nil {
-				t.Fatalf("spool off: %v", err)
-			}
-			if base.Stats.SpoolBuilds != 0 || base.Stats.SpoolHits != 0 {
-				t.Fatalf("WithoutSpooling still spooled: %+v", base.Stats)
-			}
-			want := ordered(base)
+			ref := expectOracle(t, db, q.SQL)
+			var want []string
 			for _, dop := range []int{1, 2, 8} {
-				off, err := db.Query(q.SQL, gapplydb.WithDOP(dop), gapplydb.WithoutSpooling())
+				res, err := db.Query(q.SQL, gapplydb.WithDOP(dop))
 				if err != nil {
-					t.Fatalf("dop %d spool off: %v", dop, err)
+					t.Fatalf("dop %d: %v", dop, err)
 				}
-				if d := firstDiff(want, ordered(off)); d != "" {
-					t.Fatalf("dop %d spool off diverged: %s", dop, d)
+				checkOracle(t, ref, res, fmt.Sprintf("dop %d", dop))
+				if res.Stats.SpoolBuilds != 1 {
+					t.Fatalf("dop %d: the invariant subtree was not materialized once: %+v", dop, res.Stats)
 				}
-				on, err := db.Query(q.SQL, gapplydb.WithDOP(dop))
-				if err != nil {
-					t.Fatalf("dop %d spool on: %v", dop, err)
-				}
-				if on.Stats.SpoolBuilds == 0 {
-					t.Fatalf("dop %d: no spool engaged on a join-heavy inner: %+v", dop, on.Stats)
-				}
-				if d := firstDiff(want, ordered(on)); d != "" {
-					t.Fatalf("dop %d spool on diverged: %s", dop, d)
+				if want == nil {
+					want = ordered(res)
+				} else if d := firstDiff(want, ordered(res)); d != "" {
+					t.Fatalf("dop %d diverged from dop 1: %s", dop, d)
 				}
 			}
 		})
@@ -66,11 +57,20 @@ func TestSpoolDifferential(t *testing.T) {
 
 // TestSpoolBuildOnce pins the sharing contract: one GApply execution
 // materializes each invariant subtree exactly once — even with eight
-// workers re-Opening the per-group plan — and every other group replays
-// it. RowsScanned confirms the base table under the spool was read once.
+// workers — and every other group replays it. RowsScanned confirms that
+// each table was read once: partsupp for the outer, part for the single
+// materialization.
 func TestSpoolBuildOnce(t *testing.T) {
 	db := integDatabase(t)
 	sql := spoolQueries()[0].SQL
+	var tables int64
+	for _, tab := range []string{"partsupp", "part"} {
+		res, err := db.Query("select count(*) from " + tab)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tables += res.Rows[0][0].(int64)
+	}
 	for _, dop := range []int{1, 8} {
 		res, err := db.Query(sql, gapplydb.WithDOP(dop))
 		if err != nil {
@@ -82,15 +82,8 @@ func TestSpoolBuildOnce(t *testing.T) {
 		if want := res.Stats.Groups - 1; res.Stats.SpoolHits != want {
 			t.Errorf("dop %d: SpoolHits = %d, want groups-1 = %d", dop, res.Stats.SpoolHits, want)
 		}
-		// partsupp once for the outer + part once for the single build:
-		// without the spool the part scan repeats per group.
-		off, err := db.Query(sql, gapplydb.WithDOP(dop), gapplydb.WithoutSpooling())
-		if err != nil {
-			t.Fatalf("dop %d off: %v", dop, err)
-		}
-		if res.Stats.RowsScanned >= off.Stats.RowsScanned {
-			t.Errorf("dop %d: spool did not reduce scanning: on=%d off=%d",
-				dop, res.Stats.RowsScanned, off.Stats.RowsScanned)
+		if res.Stats.RowsScanned != tables {
+			t.Errorf("dop %d: RowsScanned = %d, want |partsupp| + |part| = %d", dop, res.Stats.RowsScanned, tables)
 		}
 	}
 }
@@ -112,9 +105,10 @@ func TestSpoolExplainAnalyze(t *testing.T) {
 	}
 }
 
-// TestSpoolXMLDifferential locks in the end product: published documents
-// are byte-identical with spooling disabled, across strategies and
-// degrees (the Figure 8 views exercise the whole publishing stack).
+// TestSpoolXMLDifferential locks in the end product: the GApply
+// translation's documents, at dop 1 and 8, are byte-identical to the
+// sorted outer union's, which runs no GApply (the Figure 8 views
+// exercise the whole publishing stack).
 func TestSpoolXMLDifferential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential battery skipped in -short mode")
@@ -126,29 +120,22 @@ func TestSpoolXMLDifferential(t *testing.T) {
 	}{{"Q1", xmlpub.Q1()}, {"Q2", xmlpub.Q2()}} {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			var want string
-			for _, spool := range []bool{true, false} {
-				for _, dop := range []int{1, 8} {
-					opts := []gapplydb.QueryOption{gapplydb.WithDOP(dop)}
-					if !spool {
-						opts = append(opts, gapplydb.WithoutSpooling())
-					}
-					var buf stringsBuilder
-					if _, err := xmlpub.Publish(db, tc.q, xmlpub.GApply, &buf, opts...); err != nil {
-						t.Fatalf("spool=%t dop %d: %v", spool, dop, err)
-					}
-					doc := buf.String()
-					if want == "" {
-						want = doc
-						continue
-					}
-					if doc != want {
-						t.Fatalf("spool=%t dop %d produced a different document", spool, dop)
-					}
-				}
+			var ref stringsBuilder
+			if _, err := xmlpub.Publish(db, tc.q, xmlpub.SortedOuterUnion, &ref); err != nil {
+				t.Fatal(err)
 			}
+			want := ref.String()
 			if want == "" {
 				t.Fatal("empty document")
+			}
+			for _, dop := range []int{1, 8} {
+				var buf stringsBuilder
+				if _, err := xmlpub.Publish(db, tc.q, xmlpub.GApply, &buf, gapplydb.WithDOP(dop)); err != nil {
+					t.Fatalf("dop %d: %v", dop, err)
+				}
+				if buf.String() != want {
+					t.Fatalf("dop %d: the GApply document differs from the sorted outer union's", dop)
+				}
 			}
 		})
 	}
