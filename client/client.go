@@ -79,62 +79,18 @@ func (e *ServerError) Is(target error) bool {
 // around the underlying transport error).
 var ErrConnClosed = errors.New("client: connection closed")
 
-// queryOpts is the per-query option accumulator.
-type queryOpts struct {
-	w     wire.QueryOptions
-	trace gapplydb.TraceID
-}
-
-// QueryOption tunes one remote query.
-type QueryOption func(*queryOpts)
-
-// WithTimeout sets the query's wall-clock budget (enforced server-side
-// through the engine's deadline machinery; it overrides any session
-// timeout set via Set).
-func WithTimeout(d time.Duration) QueryOption {
-	return func(o *queryOpts) { o.w.Timeout = d }
-}
-
-// WithMaxOutputRows caps the rows the query may return.
-func WithMaxOutputRows(n int64) QueryOption {
-	return func(o *queryOpts) { o.w.MaxOutputRows = n }
-}
-
-// WithMaxPartitionBytes caps GApply's materialized partition bytes.
-func WithMaxPartitionBytes(n int64) QueryOption {
-	return func(o *queryOpts) { o.w.MaxPartitionBytes = n }
-}
-
-// WithDOP caps GApply's parallel degree for the query. n >= 1 sets the
-// degree (1 = serial); n <= 0 explicitly requests the engine default,
-// overriding any session-level dop.
-func WithDOP(n int) QueryOption {
-	return func(o *queryOpts) {
-		if n <= 0 {
-			o.w.DOP = -1
-		} else {
-			o.w.DOP = int32(n)
-		}
-	}
-}
-
-// WithTraceID attaches a client-issued trace ID to the query. The
-// server traces the whole request path under it — admission wait,
-// compile, execution — echoes it in the terminating frame, and retains
-// the trace in its flight recorder, where /debug/traces/<id> (or the
-// shell's \trace <id>) finds it. A zero ID is ignored.
-func WithTraceID(id gapplydb.TraceID) QueryOption {
-	return func(o *queryOpts) { o.trace = id }
-}
-
-// WithTracing attaches a fresh trace ID (client-issued tracing without
-// choosing the ID yourself; read it back from Stats.TraceID).
-func WithTracing() QueryOption {
-	return func(o *queryOpts) { o.trace = gapplydb.NewTraceID() }
-}
-
-// NewTraceID mints a random trace ID for WithTraceID.
-func NewTraceID() gapplydb.TraceID { return gapplydb.NewTraceID() }
+// QueryOption tunes one remote query: the embedded API's options
+// (gapplydb.WithDOP, WithTimeout, WithPartition, WithTraceID, …). The
+// settings they make (gapplydb.OptionsOf) travel in the Query frame and
+// override the session's (Set) field by field: a setting the query
+// leaves at its default keeps the session's, so a query cannot undo a
+// session's partition, rule sets or on/off settings (WithPartition("auto")
+// keeps the session's sort), while WithDOP(0) and WithTraceSampling(0)
+// do override it. WithTraceBuilder, which is engine-side state, and
+// WithInstrumentation, whose profile stays on the server, do not travel.
+// A traced query's ID comes back in Stats.TraceID, whether the client
+// chose it or the server minted it.
+type QueryOption = gapplydb.QueryOption
 
 // Stats summarizes one completed remote query.
 type Stats struct {
@@ -413,15 +369,11 @@ func (c *Conn) watchCancel(ctx context.Context, id uint64) func() {
 // The caller must Close the Rows (idempotent; exhaustion makes it a
 // no-op) or the query's frames would stall the connection's demux loop.
 func (c *Conn) Query(ctx context.Context, query string, opts ...QueryOption) (*Rows, error) {
-	var o queryOpts
-	for _, f := range opts {
-		f(&o)
-	}
 	id, ch, err := c.register()
 	if err != nil {
 		return nil, err
 	}
-	msg := wire.QueryMsg{ID: id, SQL: query, Opts: o.w, Trace: o.trace}
+	msg := wire.QueryMsg{ID: id, SQL: query, Opts: gapplydb.OptionsOf(opts...)}
 	if err := c.writeFrame(wire.TypeQuery, msg.Encode()); err != nil {
 		c.unregister(id)
 		return nil, err
@@ -457,22 +409,16 @@ func (c *Conn) Query(ctx context.Context, query string, opts ...QueryOption) (*R
 // plan, and streams the document, which is written to w chunk by
 // chunk. Returns the final stats (Rows = document bytes).
 func (c *Conn) QueryXML(ctx context.Context, query string, plan *xmlpub.TagPlan, w io.Writer, opts ...QueryOption) (Stats, error) {
-	var o queryOpts
-	for _, f := range opts {
-		f(&o)
-	}
 	planJSON, err := json.Marshal(plan)
 	if err != nil {
 		return Stats{}, err
 	}
-	o.w.XML = true
-	o.w.TagPlan = planJSON
 	id, ch, err := c.register()
 	if err != nil {
 		return Stats{}, err
 	}
 	defer c.unregister(id)
-	msg := wire.QueryMsg{ID: id, SQL: query, Opts: o.w, Trace: o.trace}
+	msg := wire.QueryMsg{ID: id, SQL: query, Opts: gapplydb.OptionsOf(opts...), XML: true, TagPlan: planJSON}
 	if err := c.writeFrame(wire.TypeQuery, msg.Encode()); err != nil {
 		return Stats{}, err
 	}
@@ -514,11 +460,10 @@ func (c *Conn) QueryXML(ctx context.Context, query string, plan *xmlpub.TagPlan,
 	}
 }
 
-// Set assigns a session-scoped default on the server: "timeout",
-// "max_output_rows", "max_partition_bytes", "dop", "explain"
-// (off|plan|analyze), or "trace_sampling" (0..1, or "default" for the
-// server's configured probability). Subsequent queries on this
-// connection inherit it unless their own options override.
+// Set assigns one of the session's settings on the server, by the name
+// and in the text form gapplydb.Options.Set parses ("timeout", "dop",
+// "partition", "disable_rules", "trace_sampling", …). Subsequent queries
+// on this connection inherit it unless their own options override.
 func (c *Conn) Set(name, value string) error {
 	id, ch, err := c.register()
 	if err != nil {

@@ -227,7 +227,7 @@ func TestCancelDuringStream(t *testing.T) {
 
 func TestTimeoutMapsToDeadline(t *testing.T) {
 	conn := dialErr(t, startErrServer(t, server.Config{}).Addr().String())
-	rows, err := conn.Query(context.Background(), slowQuery, client.WithTimeout(time.Millisecond))
+	rows, err := conn.Query(context.Background(), slowQuery, gapplydb.WithTimeout(time.Millisecond))
 	if err == nil {
 		err = drainUntilError(t, rows)
 	}
@@ -242,7 +242,7 @@ func TestTimeoutMapsToDeadline(t *testing.T) {
 
 func TestBudgetExceeded(t *testing.T) {
 	conn := dialErr(t, startErrServer(t, server.Config{}).Addr().String())
-	rows, err := conn.Query(context.Background(), wideStream, client.WithMaxOutputRows(10))
+	rows, err := conn.Query(context.Background(), wideStream, gapplydb.WithOptions(gapplydb.Options{MaxOutputRows: 10}))
 	if err == nil {
 		err = drainUntilError(t, rows)
 	}

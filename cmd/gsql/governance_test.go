@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"gapplydb"
 	"gapplydb/internal/sql"
 )
 
@@ -18,8 +19,8 @@ func TestShellTimeoutMeta(t *testing.T) {
 	}
 	b.Reset()
 	sh.meta(`\timeout 500ms`, &b)
-	if sh.timeout != 500*time.Millisecond || !strings.Contains(b.String(), "timeout: 500ms") {
-		t.Errorf("set timeout = %v, output:\n%s", sh.timeout, b.String())
+	if sh.opts.Timeout != 500*time.Millisecond || !strings.Contains(b.String(), "timeout: 500ms") {
+		t.Errorf("set timeout = %v, output:\n%s", sh.opts.Timeout, b.String())
 	}
 	b.Reset()
 	sh.meta(`\timeout`, &b)
@@ -28,26 +29,26 @@ func TestShellTimeoutMeta(t *testing.T) {
 	}
 	b.Reset()
 	sh.meta(`\timeout off`, &b)
-	if sh.timeout != 0 || !strings.Contains(b.String(), "timeout: off") {
-		t.Errorf("clear timeout = %v, output:\n%s", sh.timeout, b.String())
+	if sh.opts.Timeout != 0 || !strings.Contains(b.String(), "timeout: off") {
+		t.Errorf("clear timeout = %v, output:\n%s", sh.opts.Timeout, b.String())
 	}
 	b.Reset()
 	sh.meta(`\timeout banana`, &b)
-	if sh.timeout != 0 || !strings.Contains(b.String(), "usage:") {
+	if sh.opts.Timeout != 0 || !strings.Contains(b.String(), "usage:") {
 		t.Errorf("bad duration must print usage:\n%s", b.String())
 	}
 }
 
 func TestShellTimeoutCancelsStatement(t *testing.T) {
 	db := shellDB(t)
-	sh := &shell{db: db, timeout: time.Nanosecond}
+	sh := &shell{db: db, opts: gapplydb.Options{Timeout: time.Nanosecond}}
 	var b strings.Builder
 	sh.run("select count(*) from supplier;", &b)
 	if !strings.Contains(b.String(), "timed out after") {
 		t.Errorf("expired timeout must be reported:\n%s", b.String())
 	}
 	// The session survives and works once the limit is lifted.
-	sh.timeout = 0
+	sh.opts.Timeout = 0
 	b.Reset()
 	sh.run("select count(*) from supplier;", &b)
 	if !strings.Contains(b.String(), "1 rows") {

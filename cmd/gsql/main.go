@@ -10,11 +10,14 @@
 // every operator with actual rows, loop counts and wall time.
 //
 // Meta commands: \dt lists tables, \explain <query> explains a
-// one-line query, \metrics dumps the session's metrics, \timeout <dur>
-// sets a per-statement wall-clock limit (\timeout off clears it),
-// \trace last|slow|<id> inspects the flight recorder (the last trace,
-// the slowest retained traces, or one full trace by ID), \q quits.
-// Ctrl-C while a statement runs cancels just that statement.
+// one-line query, \metrics dumps the session's metrics, \set <name>
+// <value> changes a setting every later statement runs under (the names
+// gapplydb.Options.Set parses: timeout, dop, partition, disable_rules,
+// no_indexes, …), \timeout <dur> is \set timeout <dur> (\timeout off
+// clears it; bare \timeout shows it), \trace last|slow|<id> inspects
+// the flight recorder (the last trace, the slowest retained traces, or
+// one full trace by ID), \q quits. Ctrl-C while a statement runs
+// cancels just that statement.
 //
 // Usage:
 //
@@ -26,8 +29,8 @@
 //	                         # carry a trace ID and plan hash and the slowest
 //	                         # statements stay inspectable via \trace slow
 //	gsql -connect host:7744  # run statements against a gapplyd server
-//	                         # instead of an embedded database; \timeout and
-//	                         # \set adjust the server-side session options
+//	                         # instead of an embedded database; \set and
+//	                         # \timeout set the server session's settings
 package main
 
 import (
@@ -120,20 +123,33 @@ type shell struct {
 	remote  *client.Conn
 	stats   bool
 	slowlog time.Duration
-	timeout time.Duration // per-statement wall-clock limit; 0 = none
+	opts    gapplydb.Options // the settings \set made; connected, the session's too
 }
 
 // meta handles a backslash command (or bare quit/exit/blank line);
 // it returns false when the shell should terminate.
 func (s *shell) meta(cmd string, w io.Writer) bool {
-	if s.remote != nil {
-		return s.metaRemote(cmd, w)
-	}
 	switch {
 	case cmd == `\q` || cmd == "quit" || cmd == "exit":
 		return false
 	case cmd == "":
-		return true
+	case cmd == `\timeout`:
+		if s.opts.Timeout == 0 {
+			fmt.Fprintln(w, "timeout: off")
+		} else {
+			fmt.Fprintf(w, "timeout: %v\n", s.opts.Timeout)
+		}
+	case strings.HasPrefix(cmd, `\timeout `):
+		s.set("timeout", strings.TrimSpace(cmd[len(`\timeout `):]), w)
+	case strings.HasPrefix(cmd, `\set `):
+		fields := strings.Fields(cmd[len(`\set `):])
+		if len(fields) != 2 {
+			fmt.Fprintln(w, `usage: \set <name> <value>`)
+			break
+		}
+		s.set(fields[0], fields[1], w)
+	case s.remote != nil:
+		s.metaRemote(cmd, w)
 	case cmd == `\dt`:
 		for _, t := range s.db.Tables() {
 			fmt.Fprintln(w, " ", t)
@@ -149,29 +165,9 @@ func (s *shell) meta(cmd string, w io.Writer) bool {
 		}
 	case cmd == `\metrics`:
 		fmt.Fprint(w, s.db.Metrics().String())
-	case cmd == `\timeout`:
-		if s.timeout == 0 {
-			fmt.Fprintln(w, "timeout: off")
-		} else {
-			fmt.Fprintf(w, "timeout: %v\n", s.timeout)
-		}
-	case strings.HasPrefix(cmd, `\timeout `):
-		arg := strings.TrimSpace(cmd[len(`\timeout `):])
-		if arg == "off" || arg == "0" {
-			s.timeout = 0
-			fmt.Fprintln(w, "timeout: off")
-			break
-		}
-		d, err := time.ParseDuration(arg)
-		if err != nil || d < 0 {
-			fmt.Fprintf(w, "usage: \\timeout <duration|off>  (e.g. \\timeout 500ms)\n")
-			break
-		}
-		s.timeout = d
-		fmt.Fprintf(w, "timeout: %v\n", s.timeout)
 	case strings.HasPrefix(cmd, `\explain `):
 		q := strings.TrimSuffix(strings.TrimSpace(cmd[len(`\explain `):]), ";")
-		e, err := s.db.ExplainPlan(q)
+		e, err := s.db.ExplainPlan(q, gapplydb.WithOptions(s.opts))
 		if err != nil {
 			printError(w, q, err)
 			return true
@@ -182,6 +178,24 @@ func (s *shell) meta(cmd string, w io.Writer) bool {
 	default:
 		fmt.Fprintf(w, "unknown command %s\n", cmd)
 	}
+	return true
+}
+
+// set applies one setting to the shell's options, which every embedded
+// statement runs under, and — connected — to the server session, which
+// parses it with the same parser. It reports whether the setting took.
+func (s *shell) set(name, value string, w io.Writer) bool {
+	o := s.opts
+	err := o.Set(name, value)
+	if err == nil && s.remote != nil {
+		err = s.remote.Set(name, value)
+	}
+	if err != nil {
+		fmt.Fprintf(w, "error: %v (usage: \\set <name> <value>)\n", err)
+		return false
+	}
+	s.opts = o
+	fmt.Fprintf(w, "%s: %s\n", name, value)
 	return true
 }
 
@@ -236,10 +250,7 @@ func (s *shell) run(stmt string, w io.Writer) {
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-	var opts []gapplydb.QueryOption
-	if s.timeout > 0 {
-		opts = append(opts, gapplydb.WithTimeout(s.timeout))
-	}
+	opts := []gapplydb.QueryOption{gapplydb.WithOptions(s.opts)}
 	if s.slowlog > 0 {
 		// Trace every statement so a slow one's timeline is already in
 		// the flight recorder when the threshold trips — the slowlog line
@@ -253,7 +264,7 @@ func (s *shell) run(stmt string, w io.Writer) {
 		case errors.Is(err, context.Canceled):
 			fmt.Fprintf(w, "cancelled after %v\n", time.Since(start).Round(time.Microsecond))
 		case errors.Is(err, context.DeadlineExceeded):
-			fmt.Fprintf(w, "timed out after %v (\\timeout %v)\n", time.Since(start).Round(time.Microsecond), s.timeout)
+			fmt.Fprintf(w, "timed out after %v (\\timeout %v)\n", time.Since(start).Round(time.Microsecond), s.opts.Timeout)
 		default:
 			printError(w, query, err)
 		}
@@ -263,14 +274,10 @@ func (s *shell) run(stmt string, w io.Writer) {
 	fmt.Fprintf(w, "(%d rows in %v; exec %v)\n",
 		len(res.Rows), time.Since(start).Round(time.Microsecond), res.Elapsed.Round(time.Microsecond))
 	if s.stats {
-		st := res.Stats
-		fmt.Fprintf(w, "stats: scanned=%d groups=%d inner=%d serial=%d parallel=%d apply=%d cachehits=%d probes=%d spoolbuilds=%d spoolhits=%d plancache=%d\n",
-			st.RowsScanned, st.Groups, st.InnerExecs, st.SerialGroupExecs,
-			st.ParallelGroupExecs, st.ApplyExecs, st.ApplyCacheHits, st.JoinProbes,
-			st.SpoolBuilds, st.SpoolHits, st.PlanCacheHits)
+		printStats(w, res.Stats)
 	}
 	if s.slowlog > 0 && res.Elapsed >= s.slowlog {
-		e, err := s.db.ExplainAnalyze(query)
+		e, err := s.db.ExplainAnalyze(query, gapplydb.WithOptions(s.opts))
 		if err != nil {
 			fmt.Fprintln(w, "slowlog: explain analyze failed:", err)
 			return
@@ -282,6 +289,15 @@ func (s *shell) run(stmt string, w io.Writer) {
 		fmt.Fprintf(w, "-- slow statement (%v >= %v) trace=%s plan=%s, explain analyze:\n%s",
 			res.Elapsed.Round(time.Microsecond), s.slowlog, res.TraceID, planHash, e.String())
 	}
+}
+
+// printStats prints the executor's counters, as -stats shows them after
+// every statement.
+func printStats(w io.Writer, st gapplydb.ExecStats) {
+	fmt.Fprintf(w, "stats: scanned=%d groups=%d inner=%d serial=%d parallel=%d apply=%d cachehits=%d probes=%d spoolbuilds=%d spoolhits=%d plancache=%d\n",
+		st.RowsScanned, st.Groups, st.InnerExecs, st.SerialGroupExecs,
+		st.ParallelGroupExecs, st.ApplyExecs, st.ApplyCacheHits, st.JoinProbes,
+		st.SpoolBuilds, st.SpoolHits, st.PlanCacheHits)
 }
 
 // runStatement keeps the original one-shot entry point (used by tests):

@@ -14,85 +14,33 @@ import (
 	"gapplydb/client"
 )
 
-// metaRemote handles backslash commands when the shell is connected to
-// a gapplyd server instead of an embedded database. Session state
-// (timeout, dop, explain mode) lives server-side, set through the wire
-// Set message; catalog and metrics introspection are served by the
-// server's HTTP listener, not the query protocol.
-func (s *shell) metaRemote(cmd string, w io.Writer) bool {
+// metaRemote handles the backslash commands that differ when the shell
+// is connected to a gapplyd server instead of an embedded database.
+// Catalog and metrics introspection are served by the server's HTTP
+// listener, not the query protocol.
+func (s *shell) metaRemote(cmd string, w io.Writer) {
 	switch {
-	case cmd == `\q` || cmd == "quit" || cmd == "exit":
-		return false
-	case cmd == "":
-		return true
 	case cmd == `\dt`, cmd == `\metrics`:
 		fmt.Fprintf(w, "%s is unavailable over -connect; use the server's -http endpoint\n", cmd)
-	case cmd == `\timeout`:
-		if s.timeout == 0 {
-			fmt.Fprintln(w, "timeout: off")
-		} else {
-			fmt.Fprintf(w, "timeout: %v\n", s.timeout)
-		}
-	case strings.HasPrefix(cmd, `\timeout `):
-		arg := strings.TrimSpace(cmd[len(`\timeout `):])
-		if arg == "0" {
-			arg = "off"
-		}
-		if err := s.remote.Set("timeout", arg); err != nil {
-			fmt.Fprintln(w, "error:", err)
-			break
-		}
-		if arg == "off" {
-			s.timeout = 0
-			fmt.Fprintln(w, "timeout: off")
-		} else {
-			s.timeout, _ = time.ParseDuration(arg)
-			fmt.Fprintf(w, "timeout: %v\n", s.timeout)
-		}
-	case cmd == `\trace` || strings.HasPrefix(cmd, `\trace `):
+	case cmd == `\trace on`, cmd == `\trace off`:
 		// Remote tracing toggles server-side head sampling for this
 		// session; completed traces live in the server's flight recorder
 		// (its -http listener serves them at /debug/traces).
-		arg := strings.TrimSpace(strings.TrimPrefix(cmd, `\trace`))
-		var p string
-		switch arg {
-		case "on":
+		p := "0"
+		if cmd == `\trace on` {
 			p = "1"
-		case "off":
-			p = "0"
-		default:
-			fmt.Fprintln(w, `usage: \trace on|off  (view traces at the server's /debug/traces)`)
-			break
 		}
-		if p == "" {
-			break
+		if s.set("trace_sampling", p, w) {
+			fmt.Fprintln(w, "(the server retains traces at /debug/traces)")
 		}
-		if err := s.remote.Set("trace_sampling", p); err != nil {
-			fmt.Fprintln(w, "error:", err)
-			break
-		}
-		fmt.Fprintf(w, "trace: %s (server retains traces at /debug/traces)\n", arg)
-	case strings.HasPrefix(cmd, `\set `):
-		// \set <name> <value> — raw access to the session options
-		// (timeout, max_output_rows, max_partition_bytes, dop, explain,
-		// trace_sampling).
-		fields := strings.Fields(cmd[len(`\set `):])
-		if len(fields) != 2 {
-			fmt.Fprintln(w, `usage: \set <name> <value>`)
-			break
-		}
-		if err := s.remote.Set(fields[0], fields[1]); err != nil {
-			fmt.Fprintln(w, "error:", err)
-			break
-		}
-		fmt.Fprintf(w, "%s = %s\n", fields[0], fields[1])
+	case cmd == `\trace` || strings.HasPrefix(cmd, `\trace `):
+		fmt.Fprintln(w, `usage: \trace on|off  (view traces at the server's /debug/traces)`)
 	case strings.HasPrefix(cmd, `\explain `):
 		q := strings.TrimSuffix(strings.TrimSpace(cmd[len(`\explain `):]), ";")
 		s.runRemote("explain "+q, w)
 	default:
 		fmt.Fprintf(w, "unknown command %s\n", cmd)
 	}
-	return true
 }
 
 // runRemote executes one statement over the wire and prints its result
@@ -105,7 +53,7 @@ func (s *shell) runRemote(query string, w io.Writer) {
 	start := time.Now()
 	rows, err := s.remote.Query(ctx, query)
 	if err != nil {
-		printRemoteError(w, err, start, s.timeout)
+		printRemoteError(w, err, start, s.opts.Timeout)
 		return
 	}
 	defer rows.Close()
@@ -113,7 +61,7 @@ func (s *shell) runRemote(query string, w io.Writer) {
 	for {
 		row, ok, err := rows.Next()
 		if err != nil {
-			printRemoteError(w, err, start, s.timeout)
+			printRemoteError(w, err, start, s.opts.Timeout)
 			return
 		}
 		if !ok {
@@ -126,11 +74,7 @@ func (s *shell) runRemote(query string, w io.Writer) {
 	fmt.Fprintf(w, "(%d rows in %v; exec %v)\n",
 		len(all), time.Since(start).Round(time.Microsecond), st.Elapsed.Round(time.Microsecond))
 	if s.stats {
-		x := st.Exec
-		fmt.Fprintf(w, "stats: scanned=%d groups=%d inner=%d serial=%d parallel=%d apply=%d cachehits=%d probes=%d spoolbuilds=%d spoolhits=%d plancache=%d\n",
-			x.RowsScanned, x.Groups, x.InnerExecs, x.SerialGroupExecs,
-			x.ParallelGroupExecs, x.ApplyExecs, x.ApplyCacheHits, x.JoinProbes,
-			x.SpoolBuilds, x.SpoolHits, x.PlanCacheHits)
+		printStats(w, st.Exec)
 	}
 	if !st.TraceID.IsZero() {
 		fmt.Fprintf(w, "trace: %s\n", st.TraceID)

@@ -97,7 +97,7 @@ func TestEngineDifferentialCorpus(t *testing.T) {
 				if got.Code != "" {
 					t.Fatalf("failed: %s: %v", got.Code, got.Err)
 				}
-				res, err := db.QueryContext(ctx, q.SQL, q.LocalOptions(dop)...)
+				res, err := db.QueryContext(ctx, q.SQL, gapplydb.WithOptions(q.Options(dop)))
 				if err != nil {
 					t.Fatal(err)
 				}

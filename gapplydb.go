@@ -36,6 +36,8 @@ import (
 	"gapplydb/internal/exec"
 	"gapplydb/internal/metrics"
 	"gapplydb/internal/opt"
+	"gapplydb/internal/options"
+	"gapplydb/internal/rules"
 	"gapplydb/internal/schema"
 	"gapplydb/internal/sql"
 	"gapplydb/internal/stats"
@@ -353,55 +355,51 @@ func (db *Database) RefreshStats() {
 	db.statsEpoch.Add(1)
 }
 
-// QueryOption tunes a single query's planning and execution.
+// Options are a query's settings, one struct from the embedded API
+// through the network server, its wire protocol, the client, gsql and
+// the replay harness: Options.Set parses one from text by name (the
+// names a server session's Set takes), and a zero field is unset. The
+// With* options below each set fields of it.
+type Options = options.Options
+
+// QueryOption tunes a single query's planning and execution. Options
+// apply in order; a remote client sends the settings they make
+// (OptionsOf).
 type QueryOption func(*queryConfig)
 
+// queryConfig is one call's settings and the state the call derives.
 type queryConfig struct {
-	optOpts      opt.Options
-	dop          int
-	instrument   bool
-	budget       Budget
-	noPlanCache  bool
-	planCacheHit bool // set after compile; not a user option
-
-	// Tracing (see tracing.go). traceBuilder is either supplied via
-	// WithTraceBuilder (the network server, which opens the trace before
-	// the engine so admission wait is a span) or created by traceSetup.
-	traceID      trace.ID
-	forceTrace   bool
-	traceProb    float64
+	Options
+	planCacheHit bool // set after compile
+	// traceBuilder is either supplied via WithTraceBuilder (the network
+	// server, which opens the trace before the engine so admission wait
+	// is a span) or created by traceSetup (see tracing.go).
 	traceBuilder *trace.Builder
 }
 
-// Budget caps one query's resource consumption. Every limit defaults to
-// unlimited (zero); exceeding a set limit kills the query with a
-// *ResourceError, and exceeding the timeout kills it with
-// context.DeadlineExceeded. A server fronting untrusted queries should
-// set all three.
-type Budget struct {
-	// MaxOutputRows caps how many rows the query may return.
-	MaxOutputRows int64
-	// MaxPartitionBytes caps the bytes GApply may materialize into
-	// per-group partitions — the engine's dominant memory consumer.
-	MaxPartitionBytes int64
-	// Timeout is the query's wall-clock deadline, enforced through the
-	// execution context (it composes with any deadline already on the
-	// caller's context: the earlier one wins).
-	Timeout time.Duration
+// WithOptions applies every setting o sets — its non-zero fields — over
+// those of the options before it (Options.Overlay).
+func WithOptions(o Options) QueryOption {
+	return func(c *queryConfig) { c.Overlay(o) }
 }
 
-// WithBudget applies a resource budget to the query.
-func WithBudget(b Budget) QueryOption {
-	return func(c *queryConfig) { c.budget = b }
+// OptionsOf returns the settings the options make, without the per-call
+// state (WithTraceBuilder) that only an embedded call can use.
+func OptionsOf(options ...QueryOption) Options {
+	if len(options) == 0 {
+		return Options{}
+	}
+	return makeConfig(options).Options
 }
 
-// WithTimeout is shorthand for WithBudget(Budget{Timeout: d}) composed
-// with any other limits already set: it caps only the wall clock.
+// WithTimeout sets the query's wall-clock deadline (Options.Timeout),
+// leaving any other limit already set.
 func WithTimeout(d time.Duration) QueryOption {
-	return func(c *queryConfig) { c.budget.Timeout = d }
+	return func(c *queryConfig) { c.Timeout = d }
 }
 
-// ResourceError reports a query killed for exceeding its Budget.
+// ResourceError reports a query killed for exceeding its budget
+// (Options.MaxOutputRows or MaxPartitionBytes).
 // Inspect it with errors.As:
 //
 //	var re *gapplydb.ResourceError
@@ -428,7 +426,7 @@ func (e *ResourceError) Error() string {
 // Without this option (and outside EXPLAIN ANALYZE) execution carries no
 // probes at all, so the default path pays nothing for the feature.
 func WithInstrumentation() QueryOption {
-	return func(c *queryConfig) { c.instrument = true }
+	return func(c *queryConfig) { c.Instrument = true }
 }
 
 // WithoutPlanCache compiles the statement from scratch, neither reading
@@ -436,7 +434,7 @@ func WithInstrumentation() QueryOption {
 // to measure cold compilation; it is also the escape hatch if a cached
 // plan is ever suspected stale.
 func WithoutPlanCache() QueryOption {
-	return func(c *queryConfig) { c.noPlanCache = true }
+	return func(c *queryConfig) { c.NoPlanCache = true }
 }
 
 // WithoutIndexes plans the query as if no secondary indexes existed:
@@ -445,56 +443,47 @@ func WithoutPlanCache() QueryOption {
 // what the differential tests assert — so the option exists for them
 // and for before/after benchmarking, not for production use.
 func WithoutIndexes() QueryOption {
-	return func(c *queryConfig) { c.optOpts.DisableIndexes = true }
+	return func(c *queryConfig) { c.DisableIndexes = true }
 }
 
 // WithoutRule disables one optimizer rule (see RuleNames) for the query.
 func WithoutRule(name string) QueryOption {
-	return func(c *queryConfig) {
-		if c.optOpts.DisableRules == nil {
-			c.optOpts.DisableRules = map[string]bool{}
-		}
-		c.optOpts.DisableRules[name] = true
-	}
+	return func(c *queryConfig) { c.DisableRules = options.WithRule(c.DisableRules, name) }
 }
 
 // ForceRule makes a cost-based rule fire regardless of estimated cost.
 func ForceRule(name string) QueryOption {
-	return func(c *queryConfig) {
-		if c.optOpts.ForceRules == nil {
-			c.optOpts.ForceRules = map[string]bool{}
-		}
-		c.optOpts.ForceRules[name] = true
-	}
+	return func(c *queryConfig) { c.ForceRules = options.WithRule(c.ForceRules, name) }
 }
 
 // WithoutOptimizer executes the bound plan as written, skipping every
 // logical rewrite (physical strategies are still assigned).
 func WithoutOptimizer() QueryOption {
-	return func(c *queryConfig) { c.optOpts.SkipOptimization = true }
+	return func(c *queryConfig) { c.SkipOptimization = true }
 }
 
 // WithDOP caps the degree of parallelism of GApply's execution phase:
 // how many groups may be evaluated concurrently by the worker pool.
 // n = 1 forces the paper's serial execution; n <= 0 restores the
-// default, runtime.GOMAXPROCS(0). Output is byte-identical at every
-// degree — results stay clustered in partition order — so the knob
-// trades only memory (up to ~2×dop buffered groups) for speed.
+// default, runtime.GOMAXPROCS(0), over a server session's degree too.
+// Output is byte-identical at every degree — results stay clustered in
+// partition order — so the knob trades only memory (up to ~2×dop
+// buffered groups) for speed.
 func WithDOP(n int) QueryOption {
-	return func(c *queryConfig) { c.dop = n }
+	if n <= 0 {
+		n = -1 // the default, which a zero field cannot say over a session's degree
+	}
+	return func(c *queryConfig) { c.DOP = n }
 }
 
 // WithPartition selects the GApply partitioning strategy: "hash",
-// "sort", or "auto" (cost-based; the default).
+// "sort", or "auto" (cost-based; the default, and what any other value
+// selects). "auto" is the unset setting, so over a server session whose
+// partition is hash or sort it keeps the session's strategy.
 func WithPartition(strategy string) QueryOption {
 	return func(c *queryConfig) {
-		switch strings.ToLower(strategy) {
-		case "hash":
-			c.optOpts.Partition = core.PartitionHash
-		case "sort":
-			c.optOpts.Partition = core.PartitionSort
-		default:
-			c.optOpts.Partition = core.PartitionAuto
+		if c.Set("partition", strategy) != nil {
+			c.Partition = core.PartitionAuto
 		}
 	}
 }
@@ -565,7 +554,7 @@ func (db *Database) Query(query string, options ...QueryOption) (*Result, error)
 // (or passing its deadline) stops the statement — partitioning, sorts,
 // joins, aggregation and parallel GApply workers included — within one
 // row batch, returning context.Canceled or context.DeadlineExceeded.
-// Any Budget timeout set via options composes with ctx's own deadline.
+// A timeout set via options composes with ctx's own deadline.
 func (db *Database) QueryContext(ctx context.Context, query string, options ...QueryOption) (*Result, error) {
 	s, err := db.start(ctx, query, options)
 	if err != nil {
@@ -607,7 +596,7 @@ func (db *Database) planCacheKey(query string, cfg queryConfig) string {
 	var buf [128]byte
 	b := strconv.AppendUint(append(buf[:0], 'v'), db.cat.Version(), 10)
 	b = strconv.AppendUint(append(b, ".e"...), db.statsEpoch.Load(), 10)
-	b = cfg.optOpts.AppendFingerprint(append(b, '|'))
+	b = cfg.AppendFingerprint(append(b, '|'))
 	var k strings.Builder
 	k.Grow(len(b) + 1 + len(query))
 	k.Write(b)
@@ -623,7 +612,7 @@ func (db *Database) planCacheKey(query string, cfg queryConfig) string {
 func (db *Database) compile(query string, cfg queryConfig) (*compiled, bool, error) {
 	tb := cfg.traceBuilder // nil for untraced queries; every call below no-ops
 	var key string
-	if !cfg.noPlanCache {
+	if !cfg.NoPlanCache {
 		key = db.planCacheKey(query, cfg)
 		lookup := tb.StartSpan("plan-cache", 0)
 		c, ok := db.plans.get(key)
@@ -657,7 +646,7 @@ func (db *Database) compile(query string, cfg queryConfig) (*compiled, bool, err
 		return nil, false, err
 	}
 	optSpan := tb.StartSpan("optimize", 0)
-	plan, ruleTrace := db.opt.OptimizeTraced(bound, cfg.optOpts)
+	plan, ruleTrace := db.opt.OptimizeTraced(bound, cfg.Options.Options)
 	tb.EndSpan(optSpan)
 	if tb != nil {
 		accepted := 0
@@ -674,7 +663,7 @@ func (db *Database) compile(query string, cfg queryConfig) (*compiled, bool, err
 	}
 	db.reg.Histogram("optimize_latency").Observe(time.Since(start))
 	c := &compiled{plan: plan, trace: ruleTrace, mode: mode}
-	if !cfg.noPlanCache {
+	if !cfg.NoPlanCache {
 		db.plans.put(key, c)
 	}
 	return c, false, nil
@@ -684,19 +673,16 @@ func (db *Database) compile(query string, cfg queryConfig) (*compiled, bool, err
 // under.
 func (db *Database) execContext(ctx context.Context, cfg queryConfig) *exec.Context {
 	ectx := exec.NewContext(db.cat, db.store)
-	ectx.DOP = cfg.dop
+	ectx.DOP = cfg.DOP
 	ectx.Ctx = ctx
 	if cfg.planCacheHit {
 		ectx.Counters.PlanCacheHits = 1
 	}
-	if cfg.instrument {
+	if cfg.Instrument {
 		ectx.Prof = exec.NewProfile()
 	}
-	if cfg.budget.MaxOutputRows > 0 || cfg.budget.MaxPartitionBytes > 0 {
-		ectx.Budget = &exec.Budget{
-			MaxOutputRows:     cfg.budget.MaxOutputRows,
-			MaxPartitionBytes: cfg.budget.MaxPartitionBytes,
-		}
+	if cfg.MaxOutputRows > 0 || cfg.MaxPartitionBytes > 0 {
+		ectx.Budget = &exec.Budget{MaxOutputRows: cfg.MaxOutputRows, MaxPartitionBytes: cfg.MaxPartitionBytes}
 	}
 	return ectx
 }
@@ -775,18 +761,11 @@ func (db *Database) Explain(query string, options ...QueryOption) (string, error
 }
 
 // RuleNames returns the optimizer's rule identifiers, usable with
-// WithoutRule and ForceRule.
+// WithoutRule and ForceRule, in the order the optimizer applies them.
 func RuleNames() []string {
-	return []string{
-		"push-down-selections",
-		"decorrelate-scalar-agg",
-		"push-select-into-gapply",
-		"push-project-into-gapply",
-		"selection-before-gapply",
-		"projection-before-gapply",
-		"gapply-to-groupby",
-		"group-selection-exists",
-		"group-selection-aggregate",
-		"invariant-grouping",
+	var names []string
+	for _, r := range rules.All() {
+		names = append(names, r.Name())
 	}
+	return names
 }

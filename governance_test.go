@@ -75,7 +75,7 @@ func TestQueryContextDeadlineComposesWithTimeout(t *testing.T) {
 // in the budget-killed tally.
 func TestQueryBudgetOutputRows(t *testing.T) {
 	db := fixture(t)
-	_, err := db.Query("select p_name from part", WithBudget(Budget{MaxOutputRows: 2}))
+	_, err := db.Query("select p_name from part", WithOptions(Options{MaxOutputRows: 2}))
 	var re *ResourceError
 	if !errors.As(err, &re) {
 		t.Fatalf("err = %v (%T), want *gapplydb.ResourceError", err, err)
@@ -93,7 +93,7 @@ func TestQueryBudgetOutputRows(t *testing.T) {
 		t.Errorf("queries_budget_killed = %d, want 1", got)
 	}
 	// Within budget, the query succeeds.
-	if _, err := db.Query("select p_name from part", WithBudget(Budget{MaxOutputRows: 10})); err != nil {
+	if _, err := db.Query("select p_name from part", WithOptions(Options{MaxOutputRows: 10})); err != nil {
 		t.Fatalf("roomy budget: %v", err)
 	}
 }
@@ -114,7 +114,7 @@ const gapplyUnionQ = `select gapply(select count(*), null from g
 // GApply materialization and reports the GApply as the offender.
 func TestQueryBudgetPartitionBytes(t *testing.T) {
 	db := fixture(t)
-	_, err := db.Query(gapplyUnionQ, WithBudget(Budget{MaxPartitionBytes: 32}))
+	_, err := db.Query(gapplyUnionQ, WithOptions(Options{MaxPartitionBytes: 32}))
 	var re *ResourceError
 	if !errors.As(err, &re) {
 		t.Fatalf("err = %v, want *gapplydb.ResourceError", err)
@@ -122,7 +122,7 @@ func TestQueryBudgetPartitionBytes(t *testing.T) {
 	if re.Limit != "max-partition-bytes" || !strings.Contains(re.Operator, "GApply") {
 		t.Errorf("ResourceError = %+v", re)
 	}
-	if _, err := db.Query(gapplyUnionQ, WithBudget(Budget{MaxPartitionBytes: 1 << 20})); err != nil {
+	if _, err := db.Query(gapplyUnionQ, WithOptions(Options{MaxPartitionBytes: 1 << 20})); err != nil {
 		t.Fatalf("roomy budget: %v", err)
 	}
 }

@@ -36,7 +36,7 @@ import (
 // consumer emits the tasks in range order, merging each task's counters
 // and profile once. Output is therefore identical to serial execution,
 // clustering included. The inner's invariant subtrees are materialized
-// once per Open, before the workers start, and shared by them.
+// once per Open, by the first group that reads them, and shared by all.
 //
 // When the outer arrives in group-key order (core.GApplyOuterOrdered: a
 // sort, an index scan, or a heap-order seek over a heap in key order,
@@ -135,9 +135,6 @@ func (g *bgapply) Open() error {
 	}
 	g.ctx.Counters.Groups += int64(g.part.groups())
 	if dop := g.degree(); dop > 1 {
-		for _, m := range g.invs {
-			m.materialize()
-		}
 		g.par = g.startWorkers(dop)
 	}
 	return nil
@@ -526,9 +523,12 @@ type parTask struct {
 // Close/Open must not yank state out from under workers that are still
 // winding down. Workers run under a context derived from the query's,
 // so cancelling the query (or shutting the pool down) interrupts a
-// worker even mid-task. Each worker compiles its private program, which
-// replays the materializations Open made, keeps one output slab across
-// its tasks, and closes the program's hosted subtrees when it exits.
+// worker even mid-task. An invariant subtree is built under the same
+// derived context, by the first worker that reads it, so shutting the
+// pool down interrupts a build too. Each worker compiles its private
+// program, which replays the materializations, keeps one output slab
+// across its tasks, and closes the program's hosted subtrees when it
+// exits.
 // After any task fails the outcome is decided (the consumer stops at the
 // first error in range order), so later tasks complete empty.
 func (g *bgapply) startWorkers(dop int) *parRun {
@@ -543,6 +543,9 @@ func (g *bgapply) startWorkers(dop int) *parRun {
 	}
 	wctxCtx, cancel := context.WithCancel(parent)
 	p.cancel = cancel
+	for _, m := range g.invs {
+		m.ctx.Ctx = wctxCtx
+	}
 	var next atomic.Int64
 	var failed atomic.Bool
 	p.wg.Add(dop)

@@ -3,6 +3,7 @@ package exec
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -1066,18 +1067,19 @@ func (h *segHost) close() error {
 
 // invariant is one invariant subtree of a GApply's inner: its iterator
 // tree, compiled once on a context of its own, forked from the
-// GApply's, on which it is materialized at most once per GApply Open,
-// with the query's partition budget charged per row. The
-// materialization is written only by the GApply's own goroutine, before
-// any worker reads it; workers share it read-only. The build's counters
+// GApply's, on which it is materialized at most once per GApply Open —
+// by the first group that reads it, on whichever goroutine runs that
+// group — with the query's partition budget charged per row. The
+// materialization is written once, under built; every other reader
+// waits for it there and then shares it read-only. The build's counters
 // and profile stay on the private context until a group reads the
-// materialization, so a subtree built for workers that no group reads
-// tallies nothing, as serially.
+// materialization, so a subtree no group reads is never built and
+// tallies nothing, at any dop.
 type invariant struct {
 	node    core.Node
 	it      BatchIterator
 	ctx     *Context
-	built   bool
+	built   sync.Once
 	rows    []types.Row
 	err     error
 	epoch   int         // counts the GApply's Opens: a join's table built from an earlier one is stale
@@ -1085,9 +1087,10 @@ type invariant struct {
 }
 
 // reset forgets the materialization and its tally, at an Open of the
-// GApply running on ctx.
+// GApply running on ctx (no worker is running then).
 func (m *invariant) reset(ctx *Context) {
-	m.built, m.err, m.rows = false, nil, m.rows[:0]
+	m.built = sync.Once{}
+	m.err, m.rows = nil, m.rows[:0]
 	m.epoch++
 	m.claimed.Store(false)
 	m.ctx.Ctx, m.ctx.Counters = ctx.Ctx, Counters{}
@@ -1100,7 +1103,6 @@ func (m *invariant) reset(ctx *Context) {
 // under it is group-independent, so the rows stay valid for the whole
 // Open. A failure is kept, and reported to every group that reads it.
 func (m *invariant) materialize() {
-	m.built = true
 	bytes, err := m.drain()
 	m.err = err
 	m.ctx.Counters.SpoolBuilds++
@@ -1147,9 +1149,7 @@ func (m *invariant) drain() (bytes int64, err error) {
 // building it if no group has, and counts the read: the first of an
 // Open takes over the build's tally, every other is a hit.
 func (m *invariant) read(ctx *Context) error {
-	if !m.built {
-		m.materialize()
-	}
+	m.built.Do(m.materialize)
 	if !m.claimed.Swap(true) {
 		ctx.Counters.Add(&m.ctx.Counters)
 		if ctx.Prof != nil {

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -607,34 +608,74 @@ func TestSegmentMatchesTree(t *testing.T) {
 }
 
 // TestUnreadInvariantTalliesNothing: an invariant subtree no group
-// reads — its Apply's outer is empty in every group — tallies no build,
-// no scan and no profile at any dop, though the parallel phase
-// materializes it before its workers start.
+// reads — its Apply's outer is empty in every group — is never built:
+// it tallies no build, no scan and no profile, and charges the
+// partition budget nothing beyond the partition phase's own rows, at
+// every dop alike.
 func TestUnreadInvariantTalliesNothing(t *testing.T) {
 	cat := edgeCatalog(t)
 	count := &core.AggOp{Input: dimScan(), Aggs: []core.AggSpec{{Fn: "count", Star: true, As: "n"}}}
 	inner := &core.Apply{Outer: &core.Select{Input: &core.GroupScan{Var: "g"}, Cond: gt(core.Col("v"), 100000)}, Inner: count}
 	var serial Counters
+	var serialBytes int64
 	for _, dop := range []int{1, 8} {
 		ctx := NewContext(cat, new(Store))
 		ctx.DOP = dop
 		ctx.Prof = NewProfile()
+		// The partition meter counts only under a budget.
+		ctx.Budget = &Budget{MaxPartitionBytes: 1 << 40}
 		if res := mustRun(t, onEdge(inner, core.PartitionHash), ctx); len(res.Rows) != 0 {
 			t.Fatalf("dop %d: %d rows, want none", dop, len(res.Rows))
 		}
-		got := ctx.Counters
+		got, bytes := ctx.Counters, ctx.Budget.partitionBytes.Load()
 		if dop > 1 && got.ParallelGroupExecs == 0 {
 			t.Fatalf("dop %d ran serially", dop)
 		}
 		got.SerialGroupExecs, got.ParallelGroupExecs = 0, 0
 		if dop == 1 {
-			serial = got
-		} else if got != serial {
-			t.Errorf("dop %d: counters %+v, serially %+v", dop, got, serial)
+			serial, serialBytes = got, bytes
+		} else if got != serial || bytes != serialBytes {
+			t.Errorf("dop %d: counters %+v, %d partition bytes; serially %+v, %d bytes", dop, got, bytes, serial, serialBytes)
 		}
 		if got.SpoolBuilds != 0 || ctx.Prof.Stats(count) != (NodeStats{}) {
 			t.Errorf("dop %d: %d builds, profile %+v", dop, got.SpoolBuilds, ctx.Prof.Stats(count))
 		}
+	}
+}
+
+// TestInvariantBuildUnderPool: at dop > 1 an invariant subtree is
+// built by whichever worker reads it first, under the pool's derived
+// context, so shutting the pool down (a Close from an early-stopping
+// parent) interrupts a build in progress instead of waiting for it.
+func TestInvariantBuildUnderPool(t *testing.T) {
+	cat := edgeCatalog(t)
+	count := &core.AggOp{Input: dimScan(), Aggs: []core.AggSpec{{Fn: "count", Star: true, As: "n"}}}
+	inner := &core.Apply{Outer: &core.GroupScan{Var: "g"}, Inner: count}
+	ctx := NewContext(cat, new(Store))
+	ctx.Ctx, ctx.DOP = context.Background(), 8
+	it, err := BuildBatch(onEdge(inner, core.PartitionHash), ctx)
+	defer ctx.ReleaseArena()
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, ok := it.(*bgapply)
+	if !ok || len(g.invs) != 1 {
+		t.Fatalf("built %T, want a GApply with one invariant subtree", it)
+	}
+	if err := g.Open(); err != nil {
+		t.Fatal(err)
+	}
+	if g.par == nil {
+		t.Fatal("ran serially")
+	}
+	build := g.invs[0].ctx.Ctx
+	if err := g.Close(); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-build.Done():
+	default:
+		t.Fatal("the pool's shutdown does not reach the invariant's build context")
 	}
 }
 

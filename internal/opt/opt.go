@@ -50,23 +50,24 @@ type Options struct {
 // equal bytes. The statement plan cache keys on it, because every field
 // here changes what plan compilation produces.
 func (o Options) AppendFingerprint(dst []byte) []byte {
-	dst = appendNames(append(dst, "disable="...), o.DisableRules)
-	dst = appendNames(append(dst, ";force="...), o.ForceRules)
+	dst = append(append(dst, "disable="...), strings.Join(SortedNames(o.DisableRules), ",")...)
+	dst = append(append(dst, ";force="...), strings.Join(SortedNames(o.ForceRules), ",")...)
 	dst = strconv.AppendInt(append(dst, ";partition="...), int64(o.Partition), 10)
 	dst = strconv.AppendBool(append(dst, ";skip="...), o.SkipOptimization)
 	return strconv.AppendBool(append(dst, ";noidx="...), o.DisableIndexes)
 }
 
-// appendNames appends the names m sets, sorted and comma-separated.
-func appendNames(dst []byte, m map[string]bool) []byte {
-	on := make([]string, 0, len(m))
-	for n, v := range m {
+// SortedNames returns the names a rule set holds, sorted: its
+// canonical form, however the map was populated.
+func SortedNames(set map[string]bool) []string {
+	on := make([]string, 0, len(set))
+	for n, v := range set {
 		if v {
 			on = append(on, n)
 		}
 	}
 	sort.Strings(on)
-	return append(dst, strings.Join(on, ",")...)
+	return on
 }
 
 // Optimizer rewrites logical plans.

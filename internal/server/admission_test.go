@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"gapplydb"
 	"gapplydb/client"
 	"gapplydb/internal/wire"
 )
@@ -44,7 +45,7 @@ func TestAdmissionBurstMetrics(t *testing.T) {
 			defer wg.Done()
 			// The timeout bounds the slot holders; the queue and the
 			// rejections are decided long before it fires.
-			rows, err := conn.Query(context.Background(), heavyQ, client.WithTimeout(500*time.Millisecond))
+			rows, err := conn.Query(context.Background(), heavyQ, gapplydb.WithTimeout(500*time.Millisecond))
 			if err == nil {
 				err = drainRows(rows)
 			}
@@ -108,7 +109,7 @@ func TestSessionInFlightCap(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			rows, err := conn.Query(context.Background(), heavyQ, client.WithTimeout(300*time.Millisecond))
+			rows, err := conn.Query(context.Background(), heavyQ, gapplydb.WithTimeout(300*time.Millisecond))
 			if err == nil {
 				err = drainRows(rows)
 			}

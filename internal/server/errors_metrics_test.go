@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"gapplydb"
 	"gapplydb/client"
 )
 
@@ -25,7 +26,7 @@ func TestPerCodeErrorCounters(t *testing.T) {
 	}
 
 	_, err := conn.Query(ctx, "select count(*) from partsupp, part, supplier",
-		client.WithTimeout(time.Millisecond))
+		gapplydb.WithTimeout(time.Millisecond))
 	if err == nil {
 		t.Fatal("timeout expected")
 	}

@@ -179,7 +179,7 @@ func TestRemoteDifferentialSuite(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s (dop %d): local: %v", q.Name, dop, err)
 			}
-			rows, err := conn.Query(ctx, q.SQL, client.WithDOP(dop))
+			rows, err := conn.Query(ctx, q.SQL, gapplydb.WithDOP(dop))
 			if err != nil {
 				t.Fatalf("%s (dop %d): remote: %v", q.Name, dop, err)
 			}
@@ -206,7 +206,7 @@ func TestRemoteDifferentialSuite(t *testing.T) {
 			if _, err := xmlpub.Publish(db, v.q, xmlpub.GApply, &localXML, gapplydb.WithDOP(dop)); err != nil {
 				t.Fatalf("xml %s: local: %v", v.name, err)
 			}
-			st, err := conn.QueryXML(ctx, v.q.GApplySQL(), v.q.TagPlan(), &remoteXML, client.WithDOP(dop))
+			st, err := conn.QueryXML(ctx, v.q.GApplySQL(), v.q.TagPlan(), &remoteXML, gapplydb.WithDOP(dop))
 			if err != nil {
 				t.Fatalf("xml %s: remote: %v", v.name, err)
 			}
@@ -310,34 +310,16 @@ func TestSessionOptions(t *testing.T) {
 	conn := dial(t, srv)
 	ctx := context.Background()
 
-	// A session explain mode turns plain statements into reports.
-	if err := conn.Set("explain", "plan"); err != nil {
-		t.Fatal(err)
-	}
-	rows, err := conn.Query(ctx, "select count(*) from part")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows.Columns) != 1 || rows.Columns[0] != "QUERY PLAN" {
-		t.Fatalf("explain mode columns = %v", rows.Columns)
-	}
-	if got := fetchAll(t, rows); len(got) == 0 {
-		t.Fatal("explain mode returned no plan lines")
-	}
-	if err := conn.Set("explain", "off"); err != nil {
-		t.Fatal(err)
-	}
-
 	// A session timeout kills slow statements...
 	if err := conn.Set("timeout", "1ns"); err != nil {
 		t.Fatal(err)
 	}
-	_, err = conn.Query(ctx, "select count(*) from partsupp")
+	_, err := conn.Query(ctx, "select count(*) from partsupp")
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("session timeout: err = %v, want deadline", err)
 	}
 	// ...and the per-query option overrides it.
-	rows, err = conn.Query(ctx, "select count(*) from part", client.WithTimeout(time.Minute))
+	rows, err := conn.Query(ctx, "select count(*) from part", gapplydb.WithTimeout(time.Minute))
 	if err != nil {
 		t.Fatalf("per-query override: %v", err)
 	}
@@ -378,6 +360,77 @@ func TestSessionOptions(t *testing.T) {
 	}
 }
 
+// TestPlanSettingsOverTheWire: a plan-affecting setting, sent with the
+// query or set on the session, yields over the wire the EXPLAIN that
+// the same setting yields in-process — and one that differs from the
+// default plan's, so the setting did reach the planner.
+func TestPlanSettingsOverTheWire(t *testing.T) {
+	srv := startServer(t, Config{})
+	ctx := context.Background()
+	explain := func(rows *client.Rows, err error) string {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b strings.Builder
+		for _, r := range fetchAll(t, rows) {
+			fmt.Fprintln(&b, r[0])
+		}
+		return b.String()
+	}
+	local := func(sql string, opts ...gapplydb.QueryOption) string {
+		t.Helper()
+		res, err := srv.db.Query("explain "+sql, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b strings.Builder
+		for _, r := range res.Rows {
+			fmt.Fprintln(&b, r[0])
+		}
+		return b.String()
+	}
+	for _, c := range []struct{ name, value, sql string }{
+		{"partition", "sort", "select gapply(select s_name from g) as (n) from supplier group by s_nationkey : g"},
+		{"disable_rules", "gapply-to-groupby", "select gapply(select count(*) from g) as (n) from partsupp group by ps_partkey : g"},
+		{"no_indexes", "on", "select s_name from supplier where s_suppkey = 7"},
+	} {
+		var o gapplydb.Options
+		if err := o.Set(c.name, c.value); err != nil {
+			t.Fatal(err)
+		}
+		want := local(c.sql, gapplydb.WithOptions(o))
+		if want == local(c.sql) {
+			t.Fatalf("%s=%s does not change the plan of %s", c.name, c.value, c.sql)
+		}
+		perQuery := explain(dial(t, srv).Query(ctx, "explain "+c.sql, gapplydb.WithOptions(o)))
+		if perQuery != want {
+			t.Errorf("%s=%s per query:\n%s\nin-process:\n%s", c.name, c.value, perQuery, want)
+		}
+		conn := dial(t, srv)
+		if err := conn.Set(c.name, c.value); err != nil {
+			t.Fatal(err)
+		}
+		if bySet := explain(conn.Query(ctx, "explain "+c.sql)); bySet != want {
+			t.Errorf("%s=%s by Set:\n%s\nin-process:\n%s", c.name, c.value, bySet, want)
+		}
+	}
+
+	// A query's partition replaces a session's, but "auto" is the unset
+	// setting, so it keeps the session's (as WithPartition documents).
+	sql := "select gapply(select s_name from g) as (n) from supplier group by s_nationkey : g"
+	conn := dial(t, srv)
+	if err := conn.Set("partition", "sort"); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ query, want string }{{"auto", "sort"}, {"hash", "hash"}} {
+		got := explain(conn.Query(ctx, "explain "+sql, gapplydb.WithPartition(c.query)))
+		if want := local(sql, gapplydb.WithPartition(c.want)); got != want {
+			t.Errorf("session sort, query %s:\n%s\nwant the %s plan:\n%s", c.query, got, c.want, want)
+		}
+	}
+}
+
 // TestQueryErrorCodes: server-side failures arrive as typed codes, and
 // a failed statement leaves the connection usable.
 func TestQueryErrorCodes(t *testing.T) {
@@ -391,7 +444,7 @@ func TestQueryErrorCodes(t *testing.T) {
 		t.Fatalf("parse failure: %v", err)
 	}
 
-	_, err = conn.Query(ctx, "select count(*) from partsupp", client.WithTimeout(time.Nanosecond))
+	_, err = conn.Query(ctx, "select count(*) from partsupp", gapplydb.WithTimeout(time.Nanosecond))
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("timeout: err = %v, want DeadlineExceeded", err)
 	}
@@ -472,7 +525,7 @@ func TestGracefulShutdownDrains(t *testing.T) {
 	errc := make(chan error, 1)
 	go func() {
 		rows, err := conn.Query(context.Background(), "select count(*) from lineitem l1, lineitem l2",
-			client.WithTimeout(500*time.Millisecond))
+			gapplydb.WithTimeout(500*time.Millisecond))
 		if err == nil {
 			err = drainRows(rows)
 		}
@@ -582,5 +635,27 @@ func TestHTTPHandler(t *testing.T) {
 	}
 	if code, body := get("/metrics/db"); code != 200 || !strings.Contains(body, "queries") {
 		t.Fatalf("metrics/db = %d %q", code, body)
+	}
+}
+
+// TestOptionsOverlayAllocs: resolving a query's settings over its
+// session's allocates nothing, set or not.
+func TestOptionsOverlayAllocs(t *testing.T) {
+	s := new(session)
+	var query gapplydb.Options
+	for _, set := range []bool{false, true} {
+		if set {
+			if err := s.opts.Set("disable_rules", "gapply-to-groupby"); err != nil {
+				t.Fatal(err)
+			}
+			query.DOP = 2
+		}
+		if n := testing.AllocsPerRun(100, func() {
+			if o := s.options(&query); o.DOP < 0 {
+				t.Fatal("negative degree")
+			}
+		}); n != 0 {
+			t.Errorf("set=%v: %v allocations per overlay, want 0", set, n)
+		}
 	}
 }

@@ -7,8 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -17,21 +15,6 @@ import (
 	"gapplydb/internal/wire"
 	"gapplydb/xmlpub"
 )
-
-// sessionOptions are the session-scoped execution defaults a client
-// sets with TypeSet frames; a query's own options override them field
-// by field.
-type sessionOptions struct {
-	timeout           time.Duration
-	maxOutputRows     int64
-	maxPartitionBytes int64
-	dop               int
-	explain           string // "", "plan", "analyze"
-	// traceSampling is the session's head-sampling probability for
-	// queries that do not carry their own trace ID; -1 means "use the
-	// server's configured default".
-	traceSampling float64
-}
 
 // session is one client connection: a read loop dispatching frames,
 // any number of concurrently running query goroutines streaming
@@ -49,7 +32,7 @@ type session struct {
 	cancel context.CancelFunc
 
 	mu       sync.Mutex
-	opts     sessionOptions
+	opts     gapplydb.Options // the session's settings, under every query's own
 	inflight map[uint64]context.CancelFunc
 	wgQ      sync.WaitGroup
 	draining bool
@@ -57,7 +40,7 @@ type session struct {
 
 func newSession(s *Server, conn net.Conn) *session {
 	ctx, cancel := context.WithCancel(context.Background())
-	sess := &session{
+	return &session{
 		srv: s, conn: conn,
 		br: bufio.NewReaderSize(conn, 64<<10),
 		bw: bufio.NewWriterSize(conn, 64<<10),
@@ -65,8 +48,6 @@ func newSession(s *Server, conn net.Conn) *session {
 		ctx: ctx, cancel: cancel,
 		inflight: make(map[uint64]context.CancelFunc),
 	}
-	sess.opts.traceSampling = -1 // inherit the server default
-	return sess
 }
 
 // writeFrame serializes one frame to the connection. Frames from
@@ -189,73 +170,16 @@ func (s *session) dispatch(t wire.Type, payload []byte) error {
 		if err != nil {
 			return err
 		}
-		if err := s.setOption(m.Name, m.Value); err != nil {
+		s.mu.Lock()
+		err = s.opts.Set(m.Name, m.Value)
+		s.mu.Unlock()
+		if err != nil {
 			return s.writeError(m.ID, wire.CodeProtocol, err.Error())
 		}
 		return s.writeFrame(wire.TypeOK, wire.EncodeID(m.ID))
 	default:
 		return fmt.Errorf("unexpected frame %v", t)
 	}
-}
-
-// setOption applies one session-scoped default.
-func (s *session) setOption(name, value string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	switch strings.ToLower(name) {
-	case "timeout":
-		if value == "off" || value == "0" {
-			s.opts.timeout = 0
-			return nil
-		}
-		d, err := time.ParseDuration(value)
-		if err != nil || d < 0 {
-			return fmt.Errorf("bad timeout %q", value)
-		}
-		s.opts.timeout = d
-	case "max_output_rows":
-		n, err := strconv.ParseInt(value, 10, 64)
-		if err != nil || n < 0 {
-			return fmt.Errorf("bad max_output_rows %q", value)
-		}
-		s.opts.maxOutputRows = n
-	case "max_partition_bytes":
-		n, err := strconv.ParseInt(value, 10, 64)
-		if err != nil || n < 0 {
-			return fmt.Errorf("bad max_partition_bytes %q", value)
-		}
-		s.opts.maxPartitionBytes = n
-	case "dop":
-		n, err := strconv.Atoi(value)
-		if err != nil {
-			return fmt.Errorf("bad dop %q", value)
-		}
-		s.opts.dop = n
-	case "explain":
-		switch strings.ToLower(value) {
-		case "off", "":
-			s.opts.explain = ""
-		case "plan":
-			s.opts.explain = "plan"
-		case "analyze":
-			s.opts.explain = "analyze"
-		default:
-			return fmt.Errorf("bad explain mode %q (off|plan|analyze)", value)
-		}
-	case "trace_sampling":
-		if strings.EqualFold(value, "default") {
-			s.opts.traceSampling = -1
-			return nil
-		}
-		p, err := strconv.ParseFloat(value, 64)
-		if err != nil || p < 0 || p > 1 {
-			return fmt.Errorf("bad trace_sampling %q (0..1 or \"default\")", value)
-		}
-		s.opts.traceSampling = p
-	default:
-		return fmt.Errorf("unknown session option %q", name)
-	}
-	return nil
 }
 
 // startQuery admits one query submission at the session level (drain
@@ -316,72 +240,14 @@ func (s *session) drain() {
 	s.conn.Close() // unblocks the read loop; serve() finishes teardown
 }
 
-// effOpts are one query's fully resolved execution options: session
-// defaults folded under the query's own.
-type effOpts struct {
-	timeout           time.Duration
-	maxOutputRows     int64
-	maxPartitionBytes int64
-	dop               int
-}
-
-// engineOptions renders the resolved options for the embedded engine.
-func (e *effOpts) engineOptions() []gapplydb.QueryOption {
-	var opts []gapplydb.QueryOption
-	if e.timeout > 0 || e.maxOutputRows > 0 || e.maxPartitionBytes > 0 {
-		opts = append(opts, gapplydb.WithBudget(gapplydb.Budget{
-			Timeout: e.timeout, MaxOutputRows: e.maxOutputRows, MaxPartitionBytes: e.maxPartitionBytes,
-		}))
-	}
-	if e.dop != 0 {
-		opts = append(opts, gapplydb.WithDOP(e.dop))
-	}
-	return opts
-}
-
-// effectiveOptions folds session defaults under the query's own
-// options, returning the effective statement text (the session explain
-// mode may prefix it) and the resolved options.
-func (s *session) effectiveOptions(m *wire.QueryMsg) (string, effOpts) {
+// options resolves one query's settings: the session's, with the
+// query's own over them field by field.
+func (s *session) options(query *gapplydb.Options) gapplydb.Options {
 	s.mu.Lock()
-	so := s.opts
+	o := s.opts
 	s.mu.Unlock()
-
-	eff := effOpts{
-		timeout:           so.timeout,
-		maxOutputRows:     so.maxOutputRows,
-		maxPartitionBytes: so.maxPartitionBytes,
-		dop:               so.dop,
-	}
-	if m.Opts.Timeout > 0 {
-		eff.timeout = m.Opts.Timeout
-	}
-	if m.Opts.MaxOutputRows > 0 {
-		eff.maxOutputRows = m.Opts.MaxOutputRows
-	}
-	if m.Opts.MaxPartitionBytes > 0 {
-		eff.maxPartitionBytes = m.Opts.MaxPartitionBytes
-	}
-	switch {
-	case m.Opts.DOP > 0:
-		eff.dop = int(m.Opts.DOP)
-	case m.Opts.DOP < 0: // explicit engine default, overriding session dop
-		eff.dop = 0
-	}
-
-	query := m.SQL
-	if so.explain != "" && !hasExplainPrefix(query) {
-		if so.explain == "analyze" {
-			query = "explain analyze " + query
-		} else {
-			query = "explain " + query
-		}
-	}
-	return query, eff
-}
-
-func hasExplainPrefix(q string) bool {
-	return strings.HasPrefix(strings.ToLower(strings.TrimSpace(q)), "explain")
+	o.Overlay(*query)
+	return o
 }
 
 // Streaming shape: batches flush at either bound, so small results
@@ -392,32 +258,32 @@ const (
 	xmlChunkBytes = 32 << 10
 )
 
-// traceBuilder decides whether this submission is traced and, if so,
-// opens the trace before admission so the queue wait is a span. A
-// client-issued trace ID always traces; otherwise the session's (or
-// server's) head-sampling probability draws on the server's sampler.
-func (s *session) traceBuilder(m *wire.QueryMsg) *trace.Builder {
-	id := m.Trace
+// traceBuilder decides whether a query running under o is traced and,
+// if so, opens the trace before admission so the queue wait is a span.
+// A trace ID or a forced trace always traces; otherwise the sampling
+// probability (the server's, when o sets none) draws on the server's
+// sampler.
+func (s *session) traceBuilder(o *gapplydb.Options, query string) *trace.Builder {
+	id := o.Trace
 	if id.IsZero() {
-		s.mu.Lock()
-		p := s.opts.traceSampling
-		s.mu.Unlock()
-		if p < 0 {
+		p := o.TraceSampling
+		if p == 0 {
 			p = s.srv.cfg.TraceSampling
 		}
-		if !s.srv.sampler.Sample(p) {
+		if !o.ForceTrace && !s.srv.sampler.Sample(p) {
 			return nil
 		}
 		id = trace.NewID()
 	}
-	return trace.NewBuilder(id, m.SQL)
+	return trace.NewBuilder(id, query)
 }
 
 // runQuery executes one admitted submission end to end: global
 // admission, engine stream, row-batch or XML streaming, completion or
 // error frame. It owns the query's admission slot.
 func (s *session) runQuery(ctx context.Context, m *wire.QueryMsg) {
-	tb := s.traceBuilder(m) // nil for untraced; all span calls no-op
+	opts := s.options(&m.Opts)
+	tb := s.traceBuilder(&opts, m.SQL) // nil for untraced; all span calls no-op
 	tid := tb.ID()
 	admSpan := tb.StartSpan("admission", 0)
 	if err := s.srv.adm.acquire(ctx); err != nil {
@@ -440,14 +306,9 @@ func (s *session) runQuery(ctx context.Context, m *wire.QueryMsg) {
 	s.srv.reg.Counter("server_queries_active").Inc()
 	defer s.srv.reg.Counter("server_queries_active").Add(-1)
 
-	query, eff := s.effectiveOptions(m)
-
-	opts := eff.engineOptions()
-	if tb != nil {
-		tb.SetQuery(query) // session explain mode may have prefixed it
-		opts = append(opts, gapplydb.WithTraceBuilder(tb))
-	}
-	stream, err := s.srv.db.StreamContext(ctx, query, opts...)
+	// tb is the tracing decision: the engine must not sample again.
+	opts.Trace, opts.ForceTrace, opts.TraceSampling = trace.ID{}, false, 0
+	stream, err := s.srv.db.StreamContext(ctx, m.SQL, gapplydb.WithOptions(opts), gapplydb.WithTraceBuilder(tb))
 	if err != nil {
 		s.srv.reg.Counter("server_query_errors").Inc()
 		s.writeErrorTraced(m.ID, errorCode(err), err.Error(), tid)
@@ -455,8 +316,8 @@ func (s *session) runQuery(ctx context.Context, m *wire.QueryMsg) {
 	}
 	defer stream.Close()
 
-	if m.Opts.XML {
-		s.streamXML(m.ID, stream, m.Opts.TagPlan, tid)
+	if m.XML {
+		s.streamXML(m.ID, stream, m.TagPlan, tid)
 		return
 	}
 	s.streamRows(m.ID, stream, tid)

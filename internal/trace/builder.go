@@ -41,17 +41,6 @@ func (b *Builder) ID() ID {
 	return b.id
 }
 
-// SetQuery replaces the query text (used when the builder is opened
-// before the statement is read).
-func (b *Builder) SetQuery(q string) {
-	if b == nil {
-		return
-	}
-	b.mu.Lock()
-	b.query = q
-	b.mu.Unlock()
-}
-
 // SetPlanHash records the compiled plan's hash on the trace.
 func (b *Builder) SetPlanHash(h string) {
 	if b == nil {

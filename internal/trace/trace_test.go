@@ -66,7 +66,6 @@ func TestNilBuilderIsSafe(t *testing.T) {
 	b.AddSynthetic("x", 0, 0, 0, nil)
 	b.Annotate(0, Attr{Key: "k", Value: "v"})
 	b.SetPlanHash("h")
-	b.SetQuery("q")
 	if b.SpanStart(0) != 0 {
 		t.Fatal("nil SpanStart non-zero")
 	}

@@ -32,6 +32,9 @@ import (
 	"math"
 	"time"
 
+	"gapplydb/internal/core"
+	"gapplydb/internal/opt"
+	"gapplydb/internal/options"
 	"gapplydb/internal/trace"
 	"gapplydb/internal/types"
 )
@@ -360,36 +363,22 @@ func (d *Dec) Value() any {
 	}
 }
 
-// QueryOptions are the per-query knobs a Query frame carries; zero
-// values mean "session default" (and the session's defaults in turn
-// fall back to the engine's).
-type QueryOptions struct {
-	// Timeout is the wall-clock budget (0 = session default).
-	Timeout time.Duration
-	// MaxOutputRows / MaxPartitionBytes cap the resource budget.
-	MaxOutputRows     int64
-	MaxPartitionBytes int64
-	// DOP caps GApply's parallel degree (0 = session default,
-	// -1 = engine default explicitly, overriding a session DOP).
-	DOP int32
-	// XML switches the reply from row batches to a streamed XML
-	// document tagged with TagPlan.
-	XML bool
-	// TagPlan is the JSON-encoded xmlpub.TagPlan for XML mode.
-	TagPlan []byte
-}
+// Opts are the settings a Query frame carries, under the name QueryMsg
+// embeds them by: a message's settings are m.Opts, and each reads as
+// m.DOP, m.Trace and so on. A zero field means the session's setting
+// (and the session's zero, the engine's). Instrument does not travel:
+// a profile never leaves the server.
+type Opts = options.Options
 
 // QueryMsg is one query submission.
 type QueryMsg struct {
-	ID   uint64
-	SQL  string
-	Opts QueryOptions
-	// Trace is the client-issued trace ID (zero = untraced / let the
-	// server decide). It travels as an optional trailing field: old
-	// clients simply omit it and old servers ignore it, in both
-	// directions, because decoders never require the payload to be
-	// fully consumed.
-	Trace trace.ID
+	ID  uint64
+	SQL string
+	Opts
+	// XML switches the reply from row batches to a streamed XML
+	// document tagged with TagPlan, the JSON-encoded xmlpub.TagPlan.
+	XML     bool
+	TagPlan []byte
 }
 
 // putTraceID appends the optional trailing trace-ID field: a presence
@@ -416,39 +405,128 @@ func (d *Dec) traceID() trace.ID {
 	return id
 }
 
+// The Query frame's layout: the id, the SQL text, the budget and the
+// degree, the reply mode, then two optional trailing fields, which a
+// decoder reads only when the payload goes on — the trace ID (see
+// putTraceID) and the settings block: a presence byte, the partition,
+// the forced and the disabled rules, then a flags byte and the sampling
+// probability. The block's head is the plan-pin block older peers sent,
+// so their frames decode into the same fields. A frame that sets
+// neither ends before them, byte-identical to one from a peer that
+// predates both.
+
+// flags lists the settings the block's flags byte carries, bit 0 first;
+// a frame with any other bit set is malformed.
+func flags(o *Opts) [4]*bool {
+	return [...]*bool{&o.DisableIndexes, &o.SkipOptimization, &o.NoPlanCache, &o.ForceTrace}
+}
+
 // Encode serializes the message as a TypeQuery payload.
 func (m *QueryMsg) Encode() []byte {
 	var e Enc
 	e.U64(m.ID)
 	e.Str(m.SQL)
-	e.I64(int64(m.Opts.Timeout))
-	e.I64(m.Opts.MaxOutputRows)
-	e.I64(m.Opts.MaxPartitionBytes)
-	e.U32(uint32(m.Opts.DOP))
-	if m.Opts.XML {
+	e.I64(int64(m.Timeout))
+	e.I64(m.MaxOutputRows)
+	e.I64(m.MaxPartitionBytes)
+	e.U32(uint32(m.DOP))
+	if m.XML {
 		e.U8(1)
 	} else {
 		e.U8(0)
 	}
-	e.Bytes(m.Opts.TagPlan)
+	e.Bytes(m.TagPlan)
+	var bits byte
+	for i, f := range flags(&m.Opts) {
+		if *f {
+			bits |= 1 << i
+		}
+	}
+	block := bits != 0 || m.Partition != core.PartitionAuto || len(m.ForceRules) > 0 ||
+		len(m.DisableRules) > 0 || m.TraceSampling != 0
+	if block && m.Trace.IsZero() {
+		e.U8(0) // the trace field, held open for the block
+	}
 	putTraceID(&e, m.Trace)
+	if block {
+		e.U8(1)
+		e.Str(m.Partition.String())
+		e.names(m.ForceRules)
+		e.names(m.DisableRules)
+		e.U8(bits)
+		e.F64(m.TraceSampling)
+	}
 	return e.B
 }
 
-// DecodeQuery parses a TypeQuery payload.
+// DecodeQuery parses a TypeQuery payload. Settings no Set could have
+// made (an unknown rule, a sampling probability out of range, a flag
+// bit no setting owns) are a protocol error.
 func DecodeQuery(p []byte) (*QueryMsg, error) {
 	d := Dec{B: p}
 	m := &QueryMsg{ID: d.U64(), SQL: d.Str()}
-	m.Opts.Timeout = time.Duration(d.I64())
-	m.Opts.MaxOutputRows = d.I64()
-	m.Opts.MaxPartitionBytes = d.I64()
-	m.Opts.DOP = int32(d.U32())
-	m.Opts.XML = d.U8() == 1
+	m.Timeout = time.Duration(d.I64())
+	m.MaxOutputRows = d.I64()
+	m.MaxPartitionBytes = d.I64()
+	m.DOP = int(int32(d.U32()))
+	m.XML = d.U8() == 1
 	if b := d.BytesRef(); len(b) > 0 {
-		m.Opts.TagPlan = append([]byte(nil), b...)
+		m.TagPlan = append([]byte(nil), b...)
 	}
 	m.Trace = d.traceID()
-	return m, d.Err()
+	if d.Remaining() == 0 || d.U8() != 1 {
+		return m, d.Err()
+	}
+	if err := m.Set("partition", d.Str()); err != nil {
+		return nil, err
+	}
+	m.ForceRules = d.names()
+	m.DisableRules = d.names()
+	if d.Remaining() > 0 { // a block that pinned plans ends before the flags
+		bits := d.U8()
+		fs := flags(&m.Opts)
+		for i, f := range fs {
+			*f = bits&(1<<i) != 0
+		}
+		m.TraceSampling = d.F64()
+		if bits>>len(fs) != 0 {
+			return nil, fmt.Errorf("wire: unknown query flags %#x", bits)
+		}
+	}
+	if err := d.Err(); err != nil {
+		return nil, err
+	}
+	return m, m.Check()
+}
+
+// names appends the names a set holds, sorted, as a counted list.
+func (e *Enc) names(set map[string]bool) {
+	on := opt.SortedNames(set)
+	e.U32(uint32(len(on)))
+	for _, n := range on {
+		e.Str(n)
+	}
+}
+
+// names reads a counted list of names as a set (nil when empty). Every
+// name takes at least its 4-byte length, so a count the payload cannot
+// hold is rejected before anything is sized by it.
+func (d *Dec) names() map[string]bool {
+	n := d.U32()
+	if uint64(n)*4 > uint64(d.Remaining()) {
+		if d.err == nil {
+			d.err = ErrShortPayload
+		}
+		return nil
+	}
+	if n == 0 {
+		return nil
+	}
+	set := make(map[string]bool, n)
+	for i := uint32(0); i < n; i++ {
+		set[d.Str()] = true
+	}
+	return set
 }
 
 // EncodeHello builds the client's opening frame payload.

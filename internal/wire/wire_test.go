@@ -8,6 +8,9 @@ import (
 	"reflect"
 	"testing"
 	"time"
+
+	"gapplydb/internal/core"
+	"gapplydb/internal/opt"
 )
 
 func TestFrameRoundTrip(t *testing.T) {
@@ -91,10 +94,10 @@ func TestQueryMsgRoundTrip(t *testing.T) {
 	m := &QueryMsg{
 		ID:  42,
 		SQL: "select gapply(select * from g) from t group by k : g",
-		Opts: QueryOptions{
-			Timeout: 250 * time.Millisecond, MaxOutputRows: 10, MaxPartitionBytes: 1 << 20,
-			DOP: 8, XML: true, TagPlan: []byte(`{"RootTag":"r"}`),
+		Opts: Opts{
+			Timeout: 250 * time.Millisecond, MaxOutputRows: 10, MaxPartitionBytes: 1 << 20, DOP: 8,
 		},
+		XML: true, TagPlan: []byte(`{"RootTag":"r"}`),
 	}
 	got, err := DecodeQuery(m.Encode())
 	if err != nil {
@@ -172,8 +175,8 @@ func TestHelloWelcomeByteCompat(t *testing.T) {
 
 // TestQueryOptionsExtension hand-builds the Query frame that older
 // peers put on the wire — a Query followed by a block of plan pins
-// (partition, forced and disabled rule lists) — and checks that it
-// decodes to the same message with the pins ignored.
+// (partition, forced and disabled rule lists) — and checks that the
+// pins decode into the same settings the block carries today.
 func TestQueryOptionsExtension(t *testing.T) {
 	strList := func(e *Enc, ss ...string) {
 		e.U32(uint32(len(ss)))
@@ -184,19 +187,18 @@ func TestQueryOptionsExtension(t *testing.T) {
 	var tid [16]byte
 	tid[0], tid[15] = 0xaa, 0x55
 	for _, traced := range []bool{false, true} {
-		want := &QueryMsg{ID: 9, SQL: "select * from partsupp", Opts: QueryOptions{
-			Timeout: time.Second, MaxOutputRows: 10, MaxPartitionBytes: 1 << 20,
-			DOP: 2, XML: true, TagPlan: []byte(`{"root":"r"}`),
-		}}
+		want := &QueryMsg{ID: 9, SQL: "select * from partsupp", Opts: Opts{
+			Timeout: time.Second, MaxOutputRows: 10, MaxPartitionBytes: 1 << 20, DOP: 2,
+		}, XML: true, TagPlan: []byte(`{"root":"r"}`)}
 		var e Enc
 		e.U64(want.ID)
 		e.Str(want.SQL)
-		e.I64(int64(want.Opts.Timeout))
-		e.I64(want.Opts.MaxOutputRows)
-		e.I64(want.Opts.MaxPartitionBytes)
-		e.U32(uint32(want.Opts.DOP))
+		e.I64(int64(want.Timeout))
+		e.I64(want.MaxOutputRows)
+		e.I64(want.MaxPartitionBytes)
+		e.U32(uint32(want.DOP))
 		e.U8(1)
-		e.Bytes(want.Opts.TagPlan)
+		e.Bytes(want.TagPlan)
 		if traced {
 			want.Trace = tid
 			e.U8(1)
@@ -208,9 +210,17 @@ func TestQueryOptionsExtension(t *testing.T) {
 		e.Str("sort")
 		strList(&e, "gapply-to-groupby")
 		strList(&e, "invariant-grouping", "push-down-selections")
+		want.Partition = core.PartitionSort
+		want.ForceRules = map[string]bool{"gapply-to-groupby": true}
+		want.DisableRules = map[string]bool{"invariant-grouping": true, "push-down-selections": true}
 		got, err := DecodeQuery(e.B)
 		if err != nil || !reflect.DeepEqual(got, want) {
 			t.Fatalf("query with pins (traced=%v): %+v err=%v, want %+v", traced, got, err, want)
+		}
+		// Today's encoder writes the same block, with the flags and the
+		// sampling probability after it.
+		if enc := want.Encode(); !bytes.Equal(enc[:len(e.B)], e.B) || len(enc) != len(e.B)+9 {
+			t.Fatalf("encoded block (traced=%v) differs from the pins: %x, want %x + 9 bytes", traced, enc, e.B)
 		}
 	}
 }
@@ -292,4 +302,160 @@ func TestTruncatedPayloadsLatchError(t *testing.T) {
 	if _, _, err := DecodeRowBatch([]byte{1, 2}); !errors.Is(err, ErrShortPayload) {
 		t.Fatalf("short batch err = %v", err)
 	}
+}
+
+// TestQueryOptionsEveryField sets each setting by its text name, sends
+// it through a Query frame and back, and checks that the plan-cache
+// fingerprint tells exactly the plan-affecting ones from the zero
+// settings. The table must cover every field of the struct but
+// Instrument, which has no name and does not travel.
+func TestQueryOptionsEveryField(t *testing.T) {
+	cases := []struct {
+		name, value string
+		plan        bool // changes the plan-cache fingerprint
+	}{
+		{"dop", "4", false},
+		{"timeout", "250ms", false},
+		{"max_output_rows", "10", false},
+		{"max_partition_bytes", "1048576", false},
+		{"partition", "sort", true},
+		{"disable_rules", "gapply-to-groupby,invariant-grouping", true},
+		{"force_rules", "invariant-grouping", true},
+		{"no_indexes", "on", true},
+		{"skip_optimizer", "true", true},
+		{"no_plan_cache", "1", false},
+		{"trace_id", "0102030405060708090a0b0c0d0e0f10", false},
+		{"force_trace", "on", false},
+		{"trace_sampling", "0.25", false},
+	}
+	zeroPrint := string(Opts{}.AppendFingerprint(nil))
+	covered := map[string]bool{}
+	var all Opts
+	for _, c := range cases {
+		var o Opts
+		if err := o.Set(c.name, c.value); err != nil {
+			t.Fatalf("Set(%s, %s): %v", c.name, c.value, err)
+		}
+		if err := all.Set(c.name, c.value); err != nil {
+			t.Fatal(err)
+		}
+		changed := setFields(o)
+		if len(changed) == 0 {
+			t.Fatalf("Set(%s, %s) changed no field", c.name, c.value)
+		}
+		for _, f := range changed {
+			covered[f] = true
+		}
+		m := &QueryMsg{ID: 5, SQL: "select 1", Opts: o}
+		got, err := DecodeQuery(m.Encode())
+		if err != nil || !reflect.DeepEqual(got, m) {
+			t.Errorf("%s: round trip %+v err=%v, want %+v", c.name, got, err, m)
+		}
+		if differs := string(o.AppendFingerprint(nil)) != zeroPrint; differs != c.plan {
+			t.Errorf("%s: fingerprint differs from the zero settings' = %v, want %v", c.name, differs, c.plan)
+		}
+	}
+	if err := all.Set("instrument", "on"); err == nil {
+		t.Error(`Set("instrument", "on") succeeded; the profile never leaves the process`)
+	}
+	covered["Instrument"] = true
+	for _, f := range allFields(reflect.TypeOf(Opts{})) {
+		if !covered[f] {
+			t.Errorf("field %s is set by no case", f)
+		}
+	}
+	m := &QueryMsg{ID: 6, SQL: "select 2", Opts: all, XML: true, TagPlan: []byte("{}")}
+	if got, err := DecodeQuery(m.Encode()); err != nil || !reflect.DeepEqual(got, m) {
+		t.Errorf("every setting at once: %+v err=%v, want %+v", got, err, m)
+	}
+	instrumented := *m
+	instrumented.Instrument = true
+	if got := instrumented.Encode(); !bytes.Equal(got, m.Encode()) {
+		t.Errorf("Instrument travels: %x, without it %x", got, m.Encode())
+	}
+}
+
+// TestDecodeQueryRejects: a Query frame whose settings no Set could
+// have made — as a peer may send — is a protocol error, so the network
+// checks a setting as strictly as a session's Set does.
+func TestDecodeQueryRejects(t *testing.T) {
+	frame := func(o Opts) []byte { return (&QueryMsg{ID: 3, SQL: "select 1", Opts: o}).Encode() }
+	unknownFlag := frame(Opts{ForceTrace: true})
+	unknownFlag[len(unknownFlag)-9] |= 0x80 // the flags byte precedes the 8-byte sampling probability
+	for name, p := range map[string][]byte{
+		"unknown disabled rule": frame(Opts{Options: opt.Options{DisableRules: map[string]bool{"no-such-rule": true}}}),
+		"unknown forced rule":   frame(Opts{Options: opt.Options{ForceRules: map[string]bool{"gapply-to-groupby": true, "": true}}}),
+		"NaN sampling":          frame(Opts{TraceSampling: math.NaN()}),
+		"negative sampling":     frame(Opts{TraceSampling: -0.5}),
+		"sampling above one":    frame(Opts{TraceSampling: 2}),
+		"unknown flag":          unknownFlag,
+	} {
+		if m, err := DecodeQuery(p); err == nil {
+			t.Errorf("%s: decoded %+v", name, m)
+		}
+	}
+	for _, p := range []float64{-1, 0.5, 1} {
+		if _, err := DecodeQuery(frame(Opts{TraceSampling: p})); err != nil {
+			t.Errorf("sampling %v: %v", p, err)
+		}
+	}
+}
+
+// allFields lists a struct's field names, embedded structs flattened.
+func allFields(typ reflect.Type) []string {
+	var out []string
+	for i := 0; i < typ.NumField(); i++ {
+		if f := typ.Field(i); f.Anonymous {
+			out = append(out, allFields(f.Type)...)
+		} else {
+			out = append(out, f.Name)
+		}
+	}
+	return out
+}
+
+// setFields lists the fields of o that are not zero.
+func setFields(o Opts) []string {
+	var out []string
+	v := reflect.ValueOf(o)
+	for _, f := range allFields(v.Type()) {
+		if !v.FieldByName(f).IsZero() {
+			out = append(out, f)
+		}
+	}
+	return out
+}
+
+// FuzzDecodeQuery feeds the Query-frame decoder arbitrary payloads: it
+// must never panic, and whatever decodes must re-encode to a frame that
+// decodes to the same message and encodes to the same bytes again.
+func FuzzDecodeQuery(f *testing.F) {
+	var all Opts
+	for _, kv := range [][2]string{
+		{"dop", "-1"}, {"timeout", "1s"}, {"partition", "hash"}, {"disable_rules", "gapply-to-groupby"},
+		{"force_rules", "invariant-grouping"}, {"no_indexes", "on"}, {"force_trace", "on"}, {"trace_sampling", "0"},
+	} {
+		if err := all.Set(kv[0], kv[1]); err != nil {
+			f.Fatal(err)
+		}
+	}
+	f.Add((&QueryMsg{ID: 1, SQL: "select 1", Opts: all, XML: true, TagPlan: []byte("{}")}).Encode())
+	f.Add((&QueryMsg{ID: 2, SQL: "select 2", Opts: Opts{DOP: 8}}).Encode())
+	f.Add([]byte{})
+	bad := (&QueryMsg{ID: 3, SQL: "select 3", Opts: Opts{Options: opt.Options{DisableRules: map[string]bool{"no-such-rule": true}}}}).Encode()
+	f.Add(bad)
+	f.Fuzz(func(t *testing.T, p []byte) {
+		m, err := DecodeQuery(p)
+		if err != nil {
+			return
+		}
+		enc := m.Encode()
+		m2, err := DecodeQuery(enc)
+		if err != nil {
+			t.Fatalf("re-decode of %x: %v", enc, err)
+		}
+		if enc2 := m2.Encode(); !bytes.Equal(enc2, enc) {
+			t.Fatalf("re-encode differs: %x, then %x", enc, enc2)
+		}
+	})
 }

@@ -18,7 +18,7 @@ func testTraceID() trace.ID {
 }
 
 func TestQueryMsgTraceRoundTrip(t *testing.T) {
-	m := &QueryMsg{ID: 7, SQL: "select 1", Trace: testTraceID()}
+	m := &QueryMsg{ID: 7, SQL: "select 1", Opts: Opts{Trace: testTraceID()}}
 	got, err := DecodeQuery(m.Encode())
 	if err != nil {
 		t.Fatal(err)
@@ -65,7 +65,7 @@ func TestTraceFieldAbsentCompat(t *testing.T) {
 	oldQuery := e.B
 
 	m := &QueryMsg{ID: 42, SQL: "select 1",
-		Opts: QueryOptions{Timeout: time.Second, MaxOutputRows: 10, MaxPartitionBytes: 1 << 20, DOP: 8}}
+		Opts: Opts{Timeout: time.Second, MaxOutputRows: 10, MaxPartitionBytes: 1 << 20, DOP: 8}}
 	if !bytes.Equal(m.Encode(), oldQuery) {
 		t.Fatal("zero-trace Query encode differs from pre-tracing format")
 	}
@@ -107,7 +107,7 @@ func TestTraceFieldAbsentCompat(t *testing.T) {
 }
 
 func TestTraceFieldTruncationRejected(t *testing.T) {
-	m := &QueryMsg{ID: 1, SQL: "q", Trace: testTraceID()}
+	m := &QueryMsg{ID: 1, SQL: "q", Opts: Opts{Trace: testTraceID()}}
 	full := m.Encode()
 	base := len(full) - 17 // presence byte + 16 ID bytes
 	for cut := base + 1; cut < len(full); cut++ {
@@ -130,7 +130,7 @@ func TestTraceFieldTruncationRejected(t *testing.T) {
 // payloads — they must never panic, and whatever decodes must re-encode
 // to something that decodes identically.
 func FuzzDecodeTraced(f *testing.F) {
-	f.Add((&QueryMsg{ID: 1, SQL: "select 1", Trace: testTraceID()}).Encode())
+	f.Add((&QueryMsg{ID: 1, SQL: "select 1", Opts: Opts{Trace: testTraceID()}}).Encode())
 	f.Add((&EndMsg{ID: 2, Rows: 5, Trace: testTraceID()}).Encode())
 	f.Add((&ErrorMsg{ID: 3, Code: CodeInternal, Message: "x", Trace: testTraceID()}).Encode())
 	f.Add([]byte{})

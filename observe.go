@@ -185,7 +185,7 @@ func (db *Database) explainCompiled(ctx context.Context, c *compiled, cfg queryC
 	if analyze {
 		// The caller holds the database registration: the execution's
 		// own release is a no-op.
-		cfg.instrument = true
+		cfg.Instrument = true
 		s, err := db.startPlan(ctx, c, cfg, func() {})
 		if err != nil {
 			return nil, err

@@ -84,7 +84,7 @@ func TestOrderDifferentialCorpus(t *testing.T) {
 				if err := replay.DiffRendered(got.Rendered, base.Rendered); err != nil {
 					t.Fatalf("indexed plan diverged from no-index baseline: %v", err)
 				}
-				res, err := db.QueryContext(ctx, q.SQL, q.LocalOptions(dop)...)
+				res, err := db.QueryContext(ctx, q.SQL, gapplydb.WithOptions(q.Options(dop)))
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -121,15 +121,15 @@ func TestPoisonedStreamsMatchQuery(t *testing.T) {
 		for _, r := range runs {
 			q := r.q
 			t.Run(fmt.Sprintf("%s/dop%d", q.Name, r.dop), func(t *testing.T) {
-				opts := q.LocalOptions(r.dop)
+				opts := gapplydb.WithOptions(q.Options(r.dop))
 				// Two executions of the statement at once, pulled in
 				// turn, their rows all kept until both have ended.
-				a, err := db.StreamContext(ctx, q.SQL, opts...)
+				a, err := db.StreamContext(ctx, q.SQL, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
 				defer a.Close()
-				b, err := db.StreamContext(ctx, q.SQL, opts...)
+				b, err := db.StreamContext(ctx, q.SQL, opts)
 				if err != nil {
 					t.Fatal(err)
 				}

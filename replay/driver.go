@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"gapplydb"
 	"gapplydb/client"
 )
 
@@ -119,7 +120,7 @@ func runConformance(ctx context.Context, conn *client.Conn, c *Corpus, cfg *Driv
 				var out *Outcome
 				var err error
 				if cfg.Trace {
-					id := client.NewTraceID()
+					id := gapplydb.NewTraceID()
 					out, err = RunRemoteTraced(ctx, conn, q, dop, id)
 					if err == nil {
 						// The round-trip criterion: whatever frame terminates the

@@ -83,6 +83,15 @@ func (q *Query) effectiveDOP(dop int) int {
 	return dop
 }
 
+// Options are the settings an execution of q at the given degree runs
+// under, embedded or remote alike: the corpus's own DOP, timeout, row
+// budget and partitioning.
+func (q *Query) Options(dop int) gapplydb.Options {
+	o := gapplydb.Options{DOP: q.effectiveDOP(dop), Timeout: q.Timeout(), MaxOutputRows: q.MaxOutputRows}
+	_ = o.Set("partition", q.Partition) // checked by Load
+	return o
+}
+
 // RunLocal executes the query embedded (Database.Query) at the given
 // degree of parallelism. Cancel-type queries are not locally runnable —
 // their whole point is a wire-level cancel mid-stream.
@@ -90,34 +99,15 @@ func RunLocal(ctx context.Context, db *gapplydb.Database, q *Query, dop int) (*O
 	return RunLocalOpts(ctx, db, q, dop)
 }
 
-// LocalOptions are the query options an embedded run of q at the given
-// degree uses: the corpus's own DOP, timeout, budget and partitioning.
-func (q *Query) LocalOptions(dop int) []gapplydb.QueryOption {
-	var opts []gapplydb.QueryOption
-	if d := q.effectiveDOP(dop); d > 0 {
-		opts = append(opts, gapplydb.WithDOP(d))
-	}
-	if q.TimeoutMS > 0 {
-		opts = append(opts, gapplydb.WithTimeout(q.Timeout()))
-	}
-	if q.MaxOutputRows > 0 {
-		opts = append(opts, gapplydb.WithBudget(gapplydb.Budget{MaxOutputRows: q.MaxOutputRows}))
-	}
-	if q.Partition != "" {
-		opts = append(opts, gapplydb.WithPartition(q.Partition))
-	}
-	return opts
-}
-
-// RunLocalOpts is RunLocal with extra query options appended after the
-// corpus-derived ones (LocalOptions) — the differentials use it to plan
+// RunLocalOpts is RunLocal with extra query options applied after the
+// corpus's settings (Options) — the differentials use it to plan
 // without indexes while keeping the corpus's own DOP/timeout/budget
 // semantics intact.
 func RunLocalOpts(ctx context.Context, db *gapplydb.Database, q *Query, dop int, extra ...gapplydb.QueryOption) (*Outcome, error) {
 	if q.CancelAfterRows > 0 {
 		return nil, fmt.Errorf("replay: %s: cancel-after-rows queries only run remotely", q.Name)
 	}
-	opts := append(q.LocalOptions(dop), extra...)
+	opts := append([]gapplydb.QueryOption{gapplydb.WithOptions(q.Options(dop))}, extra...)
 	res, err := db.QueryContext(ctx, q.SQL, opts...)
 	if err != nil {
 		return &Outcome{Code: localCode(err), Err: err}, nil
@@ -141,7 +131,7 @@ func RunLocalOpts(ctx context.Context, db *gapplydb.Database, q *Query, dop int,
 // connection at the given degree of parallelism, honoring the query's
 // timeout/budget options and its cancel-after-rows protocol.
 func RunRemote(ctx context.Context, conn *client.Conn, q *Query, dop int) (*Outcome, error) {
-	return runRemote(ctx, conn, q, dop, nil)
+	return runRemote(ctx, conn, q, dop)
 }
 
 // RunRemoteTraced is RunRemote with a client-issued trace ID: the
@@ -150,20 +140,11 @@ func RunRemote(ctx context.Context, conn *client.Conn, q *Query, dop int) (*Outc
 // run can assert the wire round-trip and then pull the full trace from
 // the server's /debug/traces.
 func RunRemoteTraced(ctx context.Context, conn *client.Conn, q *Query, dop int, id gapplydb.TraceID) (*Outcome, error) {
-	return runRemote(ctx, conn, q, dop, []client.QueryOption{client.WithTraceID(id)})
+	return runRemote(ctx, conn, q, dop, gapplydb.WithTraceID(id))
 }
 
-func runRemote(ctx context.Context, conn *client.Conn, q *Query, dop int, opts []client.QueryOption) (*Outcome, error) {
-	if d := q.effectiveDOP(dop); d > 0 {
-		opts = append(opts, client.WithDOP(d))
-	}
-	if q.TimeoutMS > 0 {
-		opts = append(opts, client.WithTimeout(q.Timeout()))
-	}
-	if q.MaxOutputRows > 0 {
-		opts = append(opts, client.WithMaxOutputRows(q.MaxOutputRows))
-	}
-
+func runRemote(ctx context.Context, conn *client.Conn, q *Query, dop int, opts ...client.QueryOption) (*Outcome, error) {
+	opts = append(opts, gapplydb.WithOptions(q.Options(dop)))
 	if q.Kind == KindXML {
 		var doc bytes.Buffer
 		st, err := conn.QueryXML(ctx, q.SQL, q.TagPlan, &doc, opts...)

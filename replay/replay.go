@@ -30,6 +30,7 @@ import (
 	"strings"
 	"time"
 
+	"gapplydb"
 	"gapplydb/xmlpub"
 )
 
@@ -79,12 +80,9 @@ type Query struct {
 	// statement must produce far more output than the transport can
 	// buffer, or the cancel races stream completion.
 	CancelAfterRows int64 `json:"cancel_after_rows,omitempty"`
-	// Partition pins the GApply partitioning strategy ("hash" or "sort")
-	// for local executions. The wire protocol carries no partition knob,
-	// so remote runs use the planner's default — a corpus query that sets
-	// this must be partition-invariant (byte-identical output under either
-	// strategy), which the conformance matrix's local-vs-remote comparison
-	// then enforces rather than assumes.
+	// Partition pins the GApply partitioning strategy ("hash" or "sort"),
+	// in local and remote executions alike (Options): the golden is the
+	// output under that strategy.
 	Partition string `json:"partition,omitempty"`
 
 	Expect Expect `json:"expect"`
@@ -160,8 +158,8 @@ func Load(dir string) (*Corpus, error) {
 		if q.Expect.Error != "" && q.Expect.Golden {
 			return nil, fmt.Errorf("replay: %s: an error-expecting query cannot also expect a golden", q.Name)
 		}
-		if q.Partition != "" && q.Partition != "hash" && q.Partition != "sort" {
-			return nil, fmt.Errorf("replay: %s: bad partition %q (want hash or sort)", q.Name, q.Partition)
+		if err := new(gapplydb.Options).Set("partition", q.Partition); err != nil {
+			return nil, fmt.Errorf("replay: %s: %w", q.Name, err)
 		}
 		sqlBytes, err := os.ReadFile(filepath.Join(dir, "sql", q.Name+".sql"))
 		if err != nil {

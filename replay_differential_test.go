@@ -7,7 +7,9 @@ import (
 	"testing"
 	"time"
 
+	"gapplydb"
 	"gapplydb/client"
+	"gapplydb/internal/core"
 	"gapplydb/internal/server"
 	"gapplydb/replay"
 )
@@ -143,7 +145,7 @@ func TestReplayTracedConformance(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			id := client.NewTraceID()
+			id := gapplydb.NewTraceID()
 			traced, err := replay.RunRemoteTraced(ctx, conn, q, dop, id)
 			if err != nil {
 				t.Fatal(err)
@@ -177,5 +179,58 @@ func TestReplayTracedConformance(t *testing.T) {
 		if cr.TraceID == "" {
 			t.Fatalf("conformance run %s@dop=%d run %d has no trace id", cr.Query, cr.DOP, cr.Run)
 		}
+	}
+}
+
+// TestReplayPartitionAppliesRemotely: a corpus query's partition reaches
+// the server. Its traced remote run records the plan the same settings
+// compile in-process — not the planner's default, which differs — and
+// its output still matches the golden, at every degree of the matrix.
+func TestReplayPartitionAppliesRemotely(t *testing.T) {
+	c, err := replay.Load("testdata/corpus")
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := integDatabase(t)
+	_, conn := startCorpusServer(t)
+	ctx := context.Background()
+	planHash := func(sql string, opts ...gapplydb.QueryOption) string {
+		plan, err := db.Plan(sql, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return core.PlanHash(plan)
+	}
+	pinned := 0
+	for _, q := range c.Queries {
+		if q.Partition == "" {
+			continue
+		}
+		pinned++
+		for _, dop := range c.Workload.Dops {
+			want := planHash(q.SQL, gapplydb.WithOptions(q.Options(dop)))
+			if want == planHash(q.SQL) {
+				t.Fatalf("%s: partition %s plans as the default does", q.Name, q.Partition)
+			}
+			id := gapplydb.NewTraceID()
+			out, err := replay.RunRemoteTraced(ctx, conn, q, dop, id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tr := db.Traces().Get(id)
+			if tr == nil || tr.PlanHash != want {
+				t.Fatalf("%s@dop=%d: remote plan %v, want the %s-partitioned plan %s", q.Name, dop, tr, q.Partition, want)
+			}
+			golden, err := c.Golden(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := replay.DiffRendered(out.Rendered, golden); err != nil {
+				t.Fatalf("%s@dop=%d: remote output vs golden: %v", q.Name, dop, err)
+			}
+		}
+	}
+	if pinned == 0 {
+		t.Fatal("no corpus query sets a partition")
 	}
 }

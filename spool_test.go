@@ -147,7 +147,7 @@ func TestSpoolXMLDifferential(t *testing.T) {
 func TestSpoolBudget(t *testing.T) {
 	db := integDatabase(t)
 	_, err := db.Query(spoolQueries()[1].SQL,
-		gapplydb.WithBudget(gapplydb.Budget{MaxPartitionBytes: 64}))
+		gapplydb.WithOptions(gapplydb.Options{MaxPartitionBytes: 64}))
 	if err == nil {
 		t.Fatal("expected a resource error from the spool materialization")
 	}

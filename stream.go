@@ -108,8 +108,8 @@ func (db *Database) start(ctx context.Context, query string, options []QueryOpti
 // — before it returns.
 func (db *Database) startPlan(ctx context.Context, c *compiled, cfg queryConfig, release func()) (*Stream, error) {
 	ctx, stop := db.lifecycleContext(ctx)
-	if cfg.budget.Timeout > 0 {
-		inner, cancel := context.WithTimeout(ctx, cfg.budget.Timeout)
+	if cfg.Timeout > 0 {
+		inner, cancel := context.WithTimeout(ctx, cfg.Timeout)
 		outerStop := stop
 		ctx, stop = inner, func() { cancel(); outerStop() }
 	}

@@ -79,7 +79,7 @@ func TestNextRowsHonoursOutputBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	s, err := db.Stream("select l_orderkey from lineitem", WithBudget(Budget{MaxOutputRows: 300}))
+	s, err := db.Stream("select l_orderkey from lineitem", WithOptions(Options{MaxOutputRows: 300}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,27 +37,27 @@ const (
 // collected, and the completed trace lands in the flight recorder.
 // Tracing implies per-operator instrumentation for the query.
 func WithTracing() QueryOption {
-	return func(c *queryConfig) { c.forceTrace = true }
+	return func(c *queryConfig) { c.ForceTrace = true }
 }
 
 // WithTraceID traces the query under a caller-chosen ID (a zero ID is
 // ignored). Remote clients use this so the ID they hold matches the
 // server's flight recorder.
 func WithTraceID(id TraceID) QueryOption {
-	return func(c *queryConfig) {
-		c.traceID = id
-		if !id.IsZero() {
-			c.forceTrace = true
-		}
-	}
+	return func(c *queryConfig) { c.Trace = id }
 }
 
 // WithTraceSampling traces the query with probability p (head sampling:
 // the decision is made once, before compilation). p <= 0 never samples,
-// p >= 1 always does. The decision stream is the database's seeded
-// sampler, so tests can pin it with SeedTraceSampler.
+// over a server session's sampling too; p >= 1 always does. The
+// decision stream is the database's seeded sampler, so tests can pin it
+// with SeedTraceSampler.
 func WithTraceSampling(p float64) QueryOption {
-	return func(c *queryConfig) { c.traceProb = p }
+	if !(p > 0) {
+		p = -1 // never, which a zero field cannot say
+	}
+	p = min(p, 1)
+	return func(c *queryConfig) { c.TraceSampling = p }
 }
 
 // WithTraceBuilder attaches an externally created trace builder — the
@@ -85,24 +85,21 @@ func (db *Database) SeedTraceSampler(seed int64) { db.sampler.Reseed(seed) }
 // every downstream trace call is a nil-receiver no-op.
 func (db *Database) traceSetup(cfg *queryConfig, query string) *trace.Builder {
 	if cfg.traceBuilder != nil {
-		cfg.instrument = true
+		cfg.Instrument = true
 		db.reg.Counter("queries_traced").Inc()
 		return cfg.traceBuilder
 	}
-	traced := cfg.forceTrace || !cfg.traceID.IsZero()
-	if !traced && cfg.traceProb > 0 {
-		traced = db.sampler.Sample(cfg.traceProb)
-	}
+	traced := cfg.ForceTrace || !cfg.Trace.IsZero() || db.sampler.Sample(cfg.TraceSampling)
 	if !traced {
 		return nil
 	}
-	id := cfg.traceID
+	id := cfg.Trace
 	if id.IsZero() {
 		id = trace.NewID()
 	}
 	tb := trace.NewBuilder(id, query)
 	cfg.traceBuilder = tb
-	cfg.instrument = true
+	cfg.Instrument = true
 	db.reg.Counter("queries_traced").Inc()
 	return tb
 }
