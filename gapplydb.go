@@ -565,10 +565,15 @@ func (db *Database) QueryContext(ctx context.Context, query string, options ...Q
 
 func makeConfig(options []QueryOption) queryConfig {
 	var cfg queryConfig
-	for _, o := range options {
-		o(&cfg)
-	}
+	cfg.apply(options)
 	return cfg
+}
+
+// apply applies options, in order, to c.
+func (c *queryConfig) apply(options []QueryOption) {
+	for _, o := range options {
+		o(c)
+	}
 }
 
 // Plan compiles a statement to its optimized logical plan.

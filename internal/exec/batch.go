@@ -27,7 +27,10 @@ import (
 // Ownership contract. Row values (types.Row headers and the Values they
 // point at) are immutable and stable for the whole execution: holding
 // one past the next pull is always safe, and no operator ever overwrites
-// a row it has emitted. They are not stable beyond it: every execution
+// a row it has emitted — except a scalar aggregate, whose one result row
+// (scalarAgg) is rewritten when it is re-opened, after whatever re-opens
+// it has copied or bound the previous one. They are not stable beyond
+// the execution: every execution
 // carves its rows from an arena (arena.go) whose storage goes to a later
 // execution at ReleaseArena, so a consumer that keeps a row longer must
 // copy it (Cursor.Drain, behind Run and Query, copies every value into

@@ -370,30 +370,136 @@ func (h *bHashGroupBy) NextBatch() (*Batch, error) {
 // Close keeps the table and slabs for the next Open.
 func (h *bHashGroupBy) Close() error { return nil }
 
+// scalarAgg is a scalar aggregate's fold, shared by the iterator tree's
+// bScalarAgg and the segment program's segAgg: its accumulators, reset,
+// not reallocated, per evaluation, and its one result row, allocated
+// once and rewritten per evaluation (a consumer that re-opens the
+// aggregate — an Apply, a program — has copied or bound the previous
+// row by then). Aggregates of bare row columns fold a window a column at
+// a time (accum.fold); any other set is fed row by row. Rows go in
+// input order either way, so float sums and averages are bit-identical.
+type scalarAgg struct {
+	aggs   []compiledAgg // compiled when ords is nil
+	ords   []int         // per aggregate, the column it folds; nil: feed rows
+	states []accum
+	err    error // accumulator creation failed; reported by reset
+	row    types.Row
+	one    [1]types.Row // out's rows: row
+	done   bool
+	out    Batch
+}
+
+// compileScalarAgg compiles specs over the schema of rows holding its
+// first phys columns (the rest are a segment program's parameters,
+// which only compiled arguments read). Accumulators are created here,
+// but one that cannot be created fails the evaluation, not the build.
+func compileScalarAgg(specs []core.AggSpec, sch *schema.Schema, phys int, env compileEnv) (scalarAgg, error) {
+	a := scalarAgg{ords: foldOrds(specs, sch, phys), states: make([]accum, len(specs)), row: make(types.Row, len(specs))}
+	if a.ords == nil { // bare columns that resolve need no compiling
+		var err error
+		if a.aggs, err = compileAggs(specs, sch, env); err != nil {
+			return a, err
+		}
+	}
+	for i, g := range specs {
+		if a.states[i], a.err = newAccum(g); a.err != nil {
+			break
+		}
+	}
+	a.one[0] = a.row
+	return a, nil
+}
+
+// foldOrds is, per aggregate, the row column it folds (-1 for
+// count(*)), or nil when any aggregate is fed row by row: DISTINCT, or
+// an argument other than a bare column of the first phys.
+func foldOrds(specs []core.AggSpec, sch *schema.Schema, phys int) []int {
+	ords := make([]int, len(specs))
+	for i, g := range specs {
+		ords[i] = -1
+		c, isCol := g.Arg.(*core.ColRef)
+		switch {
+		case g.Distinct:
+			return nil
+		case g.Star:
+			continue
+		case !isCol:
+			return nil
+		}
+		ord, err := sch.Resolve(c.Table, c.Name)
+		if err != nil || ord >= phys {
+			return nil
+		}
+		ords[i] = ord
+	}
+	return ords
+}
+
+// reset starts an evaluation.
+func (a *scalarAgg) reset() error {
+	if a.err != nil {
+		return a.err
+	}
+	for i := range a.states {
+		a.states[i].reset()
+	}
+	return nil
+}
+
+// add accumulates one window. Folding a column at a time changes no
+// result, only which error is met first: each fold stops at its first
+// bad value, and the window's error is the one row by row order meets
+// first — the earliest row, and on it the first aggregate.
+func (a *scalarAgg) add(b *Batch, ctx *Context) error {
+	if a.ords == nil {
+		for i := 0; i < b.Len(); i++ {
+			if err := feed(a.aggs, a.states, b.Row(i), ctx); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	first, firstErr := b.Len(), error(nil)
+	for j, ord := range a.ords {
+		if i, err := a.states[j].fold(b, ord); err != nil && i < first {
+			first, firstErr = i, err
+		}
+	}
+	return firstErr
+}
+
+// finish writes the result row, for emit to hand on.
+func (a *scalarAgg) finish() {
+	for i := range a.states {
+		a.row[i] = a.states[i].result()
+	}
+	a.done = false
+}
+
+// emit returns the result row's window once per evaluation, then nil.
+func (a *scalarAgg) emit() *Batch {
+	if a.done {
+		return nil
+	}
+	a.done = true
+	a.out.Rows = a.one[:]
+	return &a.out
+}
+
 // bScalarAgg aggregates the whole input into exactly one row —
 // including on empty input (count(*)=0, other aggregates NULL).
 type bScalarAgg struct {
-	input  BatchIterator
-	aggs   []compiledAgg
-	ctx    *Context
-	states []accum // reset, not reallocated, per Open
-	done   bool
-	outR   types.Row
-	out    Batch
+	input BatchIterator
+	ctx   *Context
+	scalarAgg
 }
 
 func (s *bScalarAgg) Open() error {
 	if err := s.input.Open(); err != nil {
 		return err
 	}
-	if len(s.states) == 0 {
-		var err error
-		if s.states, err = appendStates(nil, s.aggs); err != nil {
-			return err
-		}
-	}
-	for i := range s.states {
-		s.states[i].reset()
+	if err := s.reset(); err != nil {
+		return err
 	}
 	for {
 		b, err := s.input.NextBatch()
@@ -403,34 +509,20 @@ func (s *bScalarAgg) Open() error {
 		if b == nil {
 			break
 		}
-		n := b.Len()
-		if err := s.ctx.tickN(n); err != nil {
+		if err := s.ctx.tickN(b.Len()); err != nil {
 			return err
 		}
-		for i := 0; i < n; i++ {
-			if err := feed(s.aggs, s.states, b.Row(i), s.ctx); err != nil {
-				return err
-			}
+		if err := s.add(b, s.ctx); err != nil {
+			return err
 		}
 	}
 	if err := s.input.Close(); err != nil {
 		return err
 	}
-	s.outR = make(types.Row, len(s.states))
-	for i := range s.states {
-		s.outR[i] = s.states[i].result()
-	}
-	s.done = false
+	s.finish()
 	return nil
 }
 
-func (s *bScalarAgg) NextBatch() (*Batch, error) {
-	if s.done {
-		return nil, nil
-	}
-	s.done = true
-	s.out = Batch{Rows: []types.Row{s.outR}}
-	return &s.out, nil
-}
+func (s *bScalarAgg) NextBatch() (*Batch, error) { return s.emit(), nil }
 
 func (s *bScalarAgg) Close() error { return nil }

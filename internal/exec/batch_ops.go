@@ -2,6 +2,7 @@ package exec
 
 import (
 	"gapplydb/internal/core"
+	"gapplydb/internal/schema"
 	"gapplydb/internal/storage"
 	"gapplydb/internal/types"
 )
@@ -67,17 +68,12 @@ func (s *bGroupScan) NextBatch() (*Batch, error) {
 
 func (s *bGroupScan) Close() error { return nil }
 
-// bFilter narrows each input batch's selection. When the predicate
-// kernelized (vector.go) the narrowing is a column-at-a-time tight
-// loop; otherwise the compiled row closure runs over the live rows —
-// still one interface call and one cancellation poll per batch.
+// bFilter narrows each input batch's selection (filter.narrow): one
+// interface call and one pass over the live rows per batch.
 type bFilter struct {
-	input   BatchIterator
-	kernels []selKernel // non-nil: the vectorized path
-	pred    func(types.Row, *Context) (bool, error)
-	ctx     *Context
-
-	sel []int // scratch selection, reused per batch
+	input BatchIterator
+	ctx   *Context
+	filter
 	out Batch
 }
 
@@ -86,53 +82,30 @@ func (f *bFilter) Open() error { return f.input.Open() }
 func (f *bFilter) NextBatch() (*Batch, error) {
 	for {
 		b, err := f.input.NextBatch()
-		if err != nil {
+		if err != nil || b == nil {
 			return nil, err
 		}
-		if b == nil {
-			return nil, nil
+		if err := f.narrow(b, f.ctx); err != nil {
+			return nil, err
 		}
-		// Start from the input's selection, copied into scratch we own:
-		// kernels narrow in place.
-		if b.Sel != nil {
-			f.sel = append(f.sel[:0], b.Sel...)
-		} else {
-			f.sel = identitySel(f.sel, len(b.Rows))
+		if len(f.sel) > 0 {
+			f.out = Batch{Rows: b.Rows, Sel: f.sel}
+			return &f.out, nil
 		}
-		if f.kernels != nil {
-			f.sel = runKernels(f.kernels, b.Rows, f.sel)
-		} else {
-			out := f.sel[:0]
-			for _, i := range f.sel {
-				pass, err := f.pred(b.Rows[i], f.ctx)
-				if err != nil {
-					return nil, err
-				}
-				if pass {
-					out = append(out, i)
-				}
-			}
-			f.sel = out
-		}
-		if len(f.sel) == 0 {
-			continue
-		}
-		f.out = Batch{Rows: b.Rows, Sel: f.sel}
-		return &f.out, nil
 	}
 }
 
 func (f *bFilter) Close() error { return f.input.Close() }
 
-// bProject computes output expressions for every live row, carving the
-// output rows out of shared slabs (rowSlab) — a handful of allocations
-// per query instead of one per row or even one per batch. The row
-// values are stable as the contract requires; only the rows container
-// is reused, which the contract permits (containers are transient): a
+// bProject computes its columns for every live row, carving the output
+// rows out of shared slabs (rowSlab) — a handful of allocations per
+// query instead of one per row or even one per batch. The row values
+// are stable as the contract requires; only the rows container is
+// reused, which the contract permits (containers are transient): a
 // batch of headers from the arena, taken when the operator is built.
 type bProject struct {
 	input BatchIterator
-	exprs []evalFn
+	cols  []projCol
 	ctx   *Context
 
 	slab rowSlab
@@ -141,7 +114,7 @@ type bProject struct {
 }
 
 func (p *bProject) Open() error {
-	p.slab.width = len(p.exprs)
+	p.slab.width = len(p.cols)
 	return p.input.Open()
 }
 
@@ -150,20 +123,13 @@ func (p *bProject) NextBatch() (*Batch, error) {
 	if err != nil || b == nil {
 		return nil, err
 	}
-	n := b.Len()
-	width := len(p.exprs)
 	p.rows = p.rows[:0]
-	for i := 0; i < n; i++ {
-		r := b.Row(i)
-		dst := p.slab.carve(width)
-		for j, f := range p.exprs {
-			v, err := f(r, p.ctx)
-			if err != nil {
-				return nil, err
-			}
-			dst[j] = v
-		}
-		p.rows = append(p.rows, dst)
+	if err := fill(p.cols, b, nil, p.ctx, func() types.Row {
+		row := p.slab.carve(len(p.cols))
+		p.rows = append(p.rows, row)
+		return row
+	}); err != nil {
+		return nil, err
 	}
 	p.out = Batch{Rows: p.rows}
 	return &p.out, nil
@@ -171,136 +137,59 @@ func (p *bProject) NextBatch() (*Batch, error) {
 
 func (p *bProject) Close() error { return p.input.Close() }
 
-// bProjectCols is the pure-column projection fast path: an ordinal
-// gather into slab-carved rows.
-type bProjectCols struct {
-	input BatchIterator
-	ords  []int
-
-	slab rowSlab
-	rows []types.Row
-	out  Batch
+// projCol is one projected column: a column of the input row (ord ≥ 0),
+// a parameter of a segment program (slot ≥ 0), a literal, or any other
+// expression, compiled (fn).
+type projCol struct {
+	ord, slot int
+	lit       types.Value
+	fn        evalFn
 }
 
-func (p *bProjectCols) Open() error {
-	p.slab.width = len(p.ords)
-	return p.input.Open()
-}
-
-func (p *bProjectCols) NextBatch() (*Batch, error) {
-	b, err := p.input.NextBatch()
-	if err != nil || b == nil {
-		return nil, err
-	}
-	p.rows = projectBatch(b, p.ords, &p.slab, p.rows[:0])
-	p.out = Batch{Rows: p.rows}
-	return &p.out, nil
-}
-
-func (p *bProjectCols) Close() error { return p.input.Close() }
-
-// projectBatch gathers the ordinals of every live row into slab-carved
-// rows appended to dst (reused across batches by the caller).
-func projectBatch(b *Batch, ords []int, slab *rowSlab, dst []types.Row) []types.Row {
-	n := b.Len()
-	width := len(ords)
-	for i := 0; i < n; i++ {
-		r := b.Row(i)
-		out := slab.carve(width)
-		for j, o := range ords {
-			out[j] = r[o]
-		}
-		dst = append(dst, out)
-	}
-	return dst
-}
-
-// bFused is filter+project fused into one pass: narrow the selection,
-// then gather only the survivors. build inserts it for Project-over-
-// Select when neither node needs its own probe or spool identity, so
-// the fusion is invisible to EXPLAIN ANALYZE and the spool counters.
-type bFused struct {
-	input   BatchIterator
-	kernels []selKernel
-	pred    func(types.Row, *Context) (bool, error)
-	ords    []int    // pure-column projection…
-	exprs   []evalFn // …or general expressions (exactly one is set)
-	ctx     *Context
-
-	sel  []int
-	slab rowSlab
-	rows []types.Row
-	out  Batch
-}
-
-func (f *bFused) Open() error {
-	if f.ords != nil {
-		f.slab.width = len(f.ords)
-	} else {
-		f.slab.width = len(f.exprs)
-	}
-	return f.input.Open()
-}
-
-func (f *bFused) NextBatch() (*Batch, error) {
-	for {
-		b, err := f.input.NextBatch()
-		if err != nil {
-			return nil, err
-		}
-		if b == nil {
-			return nil, nil
-		}
-		if b.Sel != nil {
-			f.sel = append(f.sel[:0], b.Sel...)
-		} else {
-			f.sel = identitySel(f.sel, len(b.Rows))
-		}
-		if f.kernels != nil {
-			f.sel = runKernels(f.kernels, b.Rows, f.sel)
-		} else {
-			out := f.sel[:0]
-			for _, i := range f.sel {
-				pass, err := f.pred(b.Rows[i], f.ctx)
-				if err != nil {
-					return nil, err
-				}
-				if pass {
-					out = append(out, i)
-				}
+// compileCols compiles a projection's exprs over the schema of rows
+// holding its first phys columns; a column past them is the parameter
+// slot slots[ord-phys]. A column or literal needs no compiling, so a
+// compile error is the first failing expression's.
+func compileCols(exprs []core.Expr, sch *schema.Schema, phys int, slots []int, env compileEnv) ([]projCol, error) {
+	cols := make([]projCol, len(exprs))
+	for i, e := range exprs {
+		c := &cols[i]
+		var ok bool
+		c.ord, c.lit, ok = kernelOperand(e, sch)
+		if c.slot = -1; c.ord >= phys {
+			c.ord, c.slot = -1, slots[c.ord-phys]
+		} else if !ok {
+			var err error
+			if c.fn, err = compileExpr(e, sch, env); err != nil {
+				return nil, err
 			}
-			f.sel = out
 		}
-		if len(f.sel) == 0 {
-			continue
-		}
-		narrowed := Batch{Rows: b.Rows, Sel: f.sel}
-		if f.ords != nil {
-			f.rows = projectBatch(&narrowed, f.ords, &f.slab, f.rows[:0])
-			f.out = Batch{Rows: f.rows}
-			return &f.out, nil
-		}
-		n := narrowed.Len()
-		width := len(f.exprs)
-		f.rows = f.rows[:0]
-		for i := 0; i < n; i++ {
-			r := narrowed.Row(i)
-			dst := f.slab.carve(width)
-			for j, fn := range f.exprs {
-				v, err := fn(r, f.ctx)
-				if err != nil {
-					return nil, err
-				}
-				dst[j] = v
-			}
-			f.rows = append(f.rows, dst)
-		}
-		f.out = Batch{Rows: f.rows}
-		return &f.out, nil
 	}
+	return cols, nil
 }
 
-func (f *bFused) Close() error { return f.input.Close() }
+// fill computes the projection of each live row of b, in order, into
+// the row dst returns for it, reading parameter slots from params.
+func fill(cols []projCol, b *Batch, params types.Row, ctx *Context, dst func() types.Row) (err error) {
+	for i := 0; i < b.Len(); i++ {
+		r, row := b.Row(i), dst()
+		for j := range cols {
+			switch c := &cols[j]; {
+			case c.ord >= 0:
+				row[j] = r[c.ord]
+			case c.fn != nil:
+				if row[j], err = c.fn(r, ctx); err != nil {
+					return err
+				}
+			case c.slot >= 0:
+				row[j] = params[c.slot]
+			default:
+				row[j] = c.lit
+			}
+		}
+	}
+	return nil
+}
 
 // bDistinct narrows each batch to first-seen rows: the hash kernel
 // (grouping mode) keys every column, and a row is kept only when its key

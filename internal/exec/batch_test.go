@@ -3,11 +3,14 @@ package exec
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
 
 	"gapplydb/internal/core"
+	"gapplydb/internal/oracle"
+	"gapplydb/internal/storage"
 	"gapplydb/internal/types"
 )
 
@@ -155,6 +158,92 @@ func TestJoinFusionGatedByProfile(t *testing.T) {
 	}
 }
 
+// TestProjectOverSelectSameOperators: a Project over a Select builds a
+// bProject over a bFilter whether or not a profile is attached, so
+// EXPLAIN ANALYZE times the operators the plain run executes. Over
+// column, literal, NULL and computed cells, under a kernelized and a
+// row-predicate filter, the rows match the reference interpreter and
+// the counters agree; where an expression fails on a later row, both
+// runs and the reference fail, with the same first error.
+func TestProjectOverSelectSameOperators(t *testing.T) {
+	cat := newTestCatalog(t)
+	price, key := core.Col("p_retailprice"), core.Col("p_partkey")
+	// 1/(p_partkey-4) divides by zero on part 4, the filter's last row.
+	failing := &core.BinOp{Op: "/", L: core.LitInt(1), R: &core.BinOp{Op: "-", L: key, R: core.LitInt(4)}}
+	cells := []core.Expr{core.Col("p_name"), core.LitInt(7), &core.Lit{V: types.Null}, &core.BinOp{Op: "*", L: price, R: core.LitInt(2)}}
+	kernel := &core.Cmp{Op: ">", L: price, R: core.LitFloat(15)}
+	row := &core.Cmp{Op: ">", L: &core.BinOp{Op: "*", L: price, R: core.LitInt(1)}, R: core.LitFloat(15)}
+	for _, c := range []struct {
+		name  string
+		cond  core.Expr
+		exprs []core.Expr
+		fails bool
+	}{
+		{"kernel filter", kernel, cells, false},
+		{"row filter", row, cells, false},
+		{"projection fails on a later row", kernel, append(cells[:2:2], failing), true},
+		{"filter fails on a later row", &core.Cmp{Op: "<>", L: failing, R: core.LitInt(0)}, cells, true},
+	} {
+		plan := core.NewProject(&core.Select{Input: heapScan(t, cat, "part"), Cond: c.cond}, c.exprs, nil)
+		var kinds [2][]string
+		var errs [2]string
+		var counters [2]Counters
+		for i, prof := range []bool{false, true} {
+			ctx := attached(cat)
+			if prof {
+				ctx.Prof = NewProfile()
+			}
+			it, err := buildBatch(plan, ctx, compileEnv{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			kinds[i] = operatorKinds(it)
+			rows, err := drainBatchRows(it, ctx)
+			if err != nil {
+				errs[i] = err.Error()
+			} else {
+				checkOracle(t, plan, cat, rows)
+			}
+			counters[i] = ctx.Counters
+			ctx.ReleaseArena()
+		}
+		if want := []string{"*exec.bProject", "*exec.bFilter", "*exec.bScan"}; !reflect.DeepEqual(kinds[0], want) || !reflect.DeepEqual(kinds[1], want) {
+			t.Errorf("%s: built %v unprofiled and %v profiled, want %v", c.name, kinds[0], kinds[1], want)
+		}
+		if errs[0] != errs[1] || (errs[0] != "") != c.fails {
+			t.Errorf("%s: errors %q unprofiled and %q profiled, want failure %v", c.name, errs[0], errs[1], c.fails)
+		}
+		if _, oerr := oracle.Eval(plan, cat); (oerr != nil) != c.fails {
+			t.Errorf("%s: reference error %v, want failure %v", c.name, oerr, c.fails)
+		}
+		if counters[0] != counters[1] {
+			t.Errorf("%s: counters %+v unprofiled and %+v profiled", c.name, counters[0], counters[1])
+		}
+	}
+}
+
+// operatorKinds lists the operators of a chain of single-input
+// iterators, root first, looking through profile probes.
+func operatorKinds(it BatchIterator) []string {
+	var out []string
+	for it != nil {
+		if p, ok := it.(*batchProbe); ok {
+			it = p.inner
+			continue
+		}
+		out = append(out, fmt.Sprintf("%T", it))
+		switch x := it.(type) {
+		case *bProject:
+			it = x.input
+		case *bFilter:
+			it = x.input
+		default:
+			it = nil
+		}
+	}
+	return out
+}
+
 // TestBatchEngineParityOnJoinFusionShapes checks the Select-over-Join
 // shapes, fused (no profile) and unfused (profiled), against the
 // reference interpreter.
@@ -282,6 +371,38 @@ func TestSelectCmpConstMatchesCompare(t *testing.T) {
 					t.Errorf("%v %s %v (flipped %v): kept %v, want %v", vals, op, c, flip, got, want)
 				}
 			}
+		}
+	}
+}
+
+// BenchmarkProject: projections of a 40 000-row, 5-column heap scan, per
+// output row, each request building on an arena of one store: pure
+// columns, the sorted outer union's branch shape (an INT tag, a column
+// and NULL padding), and a computed column; then each over a Select
+// keeping a tenth of the rows.
+func BenchmarkProject(b *testing.B) {
+	cat := storage.NewCatalog()
+	wideTable(b, cat, "w", 40000, 5, func(i int) int { return (i * 7919) % 10000 })
+	col := func(c int) core.Expr { return core.Col(fmt.Sprintf("w_c%d", c)) }
+	null := &core.Lit{V: types.Null}
+	arms := []struct {
+		name  string
+		exprs []core.Expr
+	}{
+		{"cols", []core.Expr{col(0), col(2), col(4)}},
+		{"padded", []core.Expr{core.LitInt(2), col(0), null, null, col(3), null}},
+		{"expr", []core.Expr{col(0), &core.BinOp{Op: "*", L: col(2), R: core.LitFloat(0.9)}}},
+	}
+	for _, sel := range []bool{false, true} {
+		for _, arm := range arms {
+			var in core.Node = heapScan(b, cat, "w")
+			name := arm.name
+			if sel {
+				in = &core.Select{Input: in, Cond: &core.Cmp{Op: "<", L: col(0), R: core.LitInt(1000)}}
+				name = "select/" + name
+			}
+			plan := core.NewProject(in, arm.exprs, nil)
+			b.Run(name, func(b *testing.B) { benchRun(b, cat, plan, 0, true) })
 		}
 	}
 }

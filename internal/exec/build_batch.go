@@ -163,44 +163,17 @@ func emitted(s *schema.Schema, emit []int) *schema.Schema {
 	return s.Project(emit)
 }
 
-// fusable reports whether a Select node may be fused into its parent
-// Project: fusion elides the Select as a distinct operator, so it is
-// only legal when nothing needs the node's identity — no per-operator
-// probe (EXPLAIN ANALYZE) and no materialization of it as an invariant
-// subtree.
-func fusable(sel *core.Select, ctx *Context, env compileEnv) bool {
-	return ctx.Prof == nil && env.scope.invariant(sel) == nil
-}
-
 // fusedJoin returns the join a Select fuses into as a post-filter: its
-// input, when neither node's identity is observed (see fusable) — the
-// fused build bypasses the wrapping of both.
+// input, when nothing observes either node's identity — no
+// per-operator probe (EXPLAIN ANALYZE) and no materialization of either
+// as an invariant subtree — since the fused build bypasses the wrapping
+// of both.
 func fusedJoin(sel *core.Select, ctx *Context, env compileEnv) (*core.Join, bool) {
 	j, ok := sel.Input.(*core.Join)
-	if !ok || !fusable(sel, ctx, env) || env.scope.invariant(j) != nil {
+	if !ok || ctx.Prof != nil || env.scope.invariant(sel) != nil || env.scope.invariant(j) != nil {
 		return nil, false
 	}
 	return j, true
-}
-
-// pureColOrds resolves a projection list that is purely column refs to
-// their input ordinals; ok=false for anything else.
-func pureColOrds(exprs []core.Expr, in interface {
-	Resolve(table, name string) (int, error)
-}) ([]int, bool) {
-	ords := make([]int, 0, len(exprs))
-	for _, e := range exprs {
-		c, ok := e.(*core.ColRef)
-		if !ok {
-			return nil, false
-		}
-		ord, err := in.Resolve(c.Table, c.Name)
-		if err != nil {
-			return nil, false
-		}
-		ords = append(ords, ord)
-	}
-	return ords, true
 }
 
 // buildBatchSelect compiles a filter. Select-over-Join fuses the filter
@@ -216,16 +189,11 @@ func buildBatchSelect(x *core.Select, need []int, ctx *Context, env compileEnv) 
 	if err != nil {
 		return nil, nil, err
 	}
-	inSchema := emitted(x.Input.Schema(), emit)
-	pred, err := compilePredicate(x.Cond, inSchema, env)
+	f, err := compileFilter(x.Cond, emitted(x.Input.Schema(), emit), env, batchSize)
 	if err != nil {
 		return nil, nil, err
 	}
-	f := &bFilter{input: in, pred: pred, ctx: ctx}
-	if kernels, ok := compileFilterKernels(x.Cond, inSchema); ok {
-		f.kernels = kernels
-	}
-	return f, emit, nil
+	return &bFilter{input: in, ctx: ctx, filter: f}, emit, nil
 }
 
 func buildBatchNode(n core.Node, ctx *Context, env compileEnv) (BatchIterator, error) {
@@ -251,57 +219,21 @@ func buildBatchNode(n core.Node, ctx *Context, env compileEnv) (BatchIterator, e
 		return &bGroupScan{rows: rows, ctx: ctx}, nil
 
 	case *core.Project:
-		need := readNeed(x.Input, x.Exprs...)
-		// Fused filter+project: when the input is a Select whose node
-		// identity nothing observes (and that does not fuse into a join
-		// below it instead), compile one operator that narrows the
-		// selection and gathers the survivors in a single pass.
-		if sel, ok := x.Input.(*core.Select); ok && fusable(sel, ctx, env) {
-			if _, intoJoin := fusedJoin(sel, ctx, env); !intoJoin {
-				in, emit, err := buildBatchNeed(sel.Input, addNeed(need, sel.Input, sel.Cond), ctx, env)
-				if err != nil {
-					return nil, err
-				}
-				// The Select's output schema is its input's, row for row.
-				inSchema := emitted(sel.Input.Schema(), emit)
-				pred, err := compilePredicate(sel.Cond, inSchema, env)
-				if err != nil {
-					return nil, err
-				}
-				fu := &bFused{input: in, pred: pred, ctx: ctx, slab: rowSlab{arena: ctx.arena}, rows: ctx.arena.headers(batchSize)}
-				if kernels, ok := compileFilterKernels(sel.Cond, inSchema); ok {
-					fu.kernels = kernels
-				}
-				if ords, ok := pureColOrds(x.Exprs, inSchema); ok {
-					fu.ords = ords
-					return fu, nil
-				}
-				fns, err := compileAll(x.Exprs, inSchema, env)
-				if err != nil {
-					return nil, err
-				}
-				fu.exprs = fns
-				return fu, nil
-			}
-		}
-		in, emit, err := buildBatchNeed(x.Input, need, ctx, env)
+		in, emit, err := buildBatchNeed(x.Input, readNeed(x.Input, x.Exprs...), ctx, env)
 		if err != nil {
 			return nil, err
 		}
 		inSchema := emitted(x.Input.Schema(), emit)
-		if ords, ok := pureColOrds(x.Exprs, inSchema); ok {
-			// A narrowed input that emits exactly this column list, in
-			// this order, already is the projection.
-			if emit != nil && isIdentity(ords, len(emit)) {
-				return in, nil
-			}
-			return &bProjectCols{input: in, ords: ords, slab: rowSlab{arena: ctx.arena}, rows: ctx.arena.headers(batchSize)}, nil
-		}
-		fns, err := compileAll(x.Exprs, inSchema, env)
+		cols, err := compileCols(x.Exprs, inSchema, inSchema.Len(), nil, env)
 		if err != nil {
 			return nil, err
 		}
-		return &bProject{input: in, exprs: fns, ctx: ctx, slab: rowSlab{arena: ctx.arena}, rows: ctx.arena.headers(batchSize)}, nil
+		// A narrowed input that emits exactly this column list, in this
+		// order, already is the projection.
+		if emit != nil && isIdentity(cols, len(emit)) {
+			return in, nil
+		}
+		return &bProject{input: in, cols: cols, ctx: ctx, slab: rowSlab{arena: ctx.arena}, rows: ctx.arena.headers(batchSize)}, nil
 
 	case *core.Distinct:
 		in, err := buildBatch(x.Input, ctx, env)
@@ -335,11 +267,12 @@ func buildBatchNode(n core.Node, ctx *Context, env compileEnv) (BatchIterator, e
 		if err != nil {
 			return nil, err
 		}
-		aggs, err := compileAggs(x.Aggs, emitted(x.Input.Schema(), emit), env)
+		inSchema := emitted(x.Input.Schema(), emit)
+		a, err := compileScalarAgg(x.Aggs, inSchema, inSchema.Len(), env)
 		if err != nil {
 			return nil, err
 		}
-		return &bScalarAgg{input: in, aggs: aggs, ctx: ctx}, nil
+		return &bScalarAgg{input: in, ctx: ctx, scalarAgg: a}, nil
 
 	case *core.OrderBy:
 		if x.Elided {
@@ -558,13 +491,13 @@ func emittedOrd(emit []int, o int) int {
 	return i
 }
 
-// isIdentity reports whether ords is 0, 1, …, n-1.
-func isIdentity(ords []int, n int) bool {
-	if len(ords) != n {
+// isIdentity reports whether cols are the input columns 0, 1, …, n-1.
+func isIdentity(cols []projCol, n int) bool {
+	if len(cols) != n {
 		return false
 	}
-	for i, o := range ords {
-		if o != i {
+	for i, c := range cols {
+		if c.ord != i {
 			return false
 		}
 	}

@@ -212,18 +212,14 @@ func (p *segProgram) compile(n core.Node, want bool, need []int) (segNode, segSh
 		if in, sh, err = p.compile(x.Input, true, addNeed(need, x.Input, x.Cond)); err != nil {
 			return nil, sh, err
 		}
-		s := &segSelect{segBase: segBase{in, stats}, rows: sh.rows}
+		s := &segSelect{segBase: segBase{in, stats}, filter: filter{rows: sh.rows}}
 		if ok, err := s.compileConst(x.Cond, sh, p.env); ok || err != nil {
 			return s, sh, err
 		}
 		_, params := segReads(x.Cond, sh)
 		s.in, sh = p.physical(in, sh, params)
-		if ks, ok := compileFilterKernels(x.Cond, sh.sch); ok && len(ks) > 0 {
-			s.kernels = ks
-		} else if s.pred, err = compilePredicate(x.Cond, sh.sch, p.env); err != nil {
-			return nil, sh, err
-		}
-		return s, sh, nil
+		s.filter, err = compileFilter(x.Cond, sh.sch, p.env, sh.rows)
+		return s, sh, err
 
 	case *core.Project:
 		if in, sh, err = p.compile(x.Input, true, readNeed(x.Input, x.Exprs...)); err != nil {
@@ -237,19 +233,9 @@ func (p *segProgram) compile(n core.Node, want bool, need []int) (segNode, segSh
 			}
 		}
 		in, sh = p.physical(in, sh, params)
-		s := &segProject{segBase: segBase{in, stats}, cols: make([]segCol, len(x.Exprs))}
-		s.scratch = segRows{width: len(x.Exprs), rows: sh.rows}
-		for i, e := range x.Exprs {
-			c := &s.cols[i]
-			var ok bool
-			c.ord, c.lit, ok = kernelOperand(e, sh.sch)
-			if c.slot = -1; c.ord >= sh.phys {
-				c.ord, c.slot = -1, sh.slots[c.ord-sh.phys]
-			} else if !ok {
-				if c.fn, err = compileExpr(e, sh.sch, p.env); err != nil {
-					return nil, sh, err
-				}
-			}
+		s := &segProject{segBase: segBase{in, stats}, scratch: segRows{width: len(x.Exprs), rows: sh.rows}}
+		if s.cols, err = compileCols(x.Exprs, sh.sch, sh.phys, sh.slots, p.env); err != nil {
+			return nil, sh, err
 		}
 		out := segShape{phys: len(x.Exprs), rows: sh.rows}
 		if want {
@@ -261,25 +247,15 @@ func (p *segProgram) compile(n core.Node, want bool, need []int) (segNode, segSh
 		if in, sh, err = p.compile(x.Input, true, aggNeed(x.Input, nil, x.Aggs)); err != nil {
 			return nil, sh, err
 		}
-		a := &segAgg{segBase: segBase{in, stats}, ords: foldOrds(x.Aggs, sh), row: make(types.Row, len(x.Aggs))}
-		a.one[0] = a.row
-		a.out.Rows = a.one[:]
-		if a.ords == nil { // bare columns that resolve need no compiling
+		a := &segAgg{segBase: segBase{in, stats}}
+		if a.scalarAgg, err = compileScalarAgg(x.Aggs, sh.sch, sh.phys, p.env); err != nil {
+			return nil, sh, err
+		}
+		if a.ords == nil { // compiled arguments that read parameters read whole rows
 			for _, g := range x.Aggs {
 				if _, params := segReads(g.Arg, sh); params {
 					a.in, sh = p.physical(in, sh, true)
 				}
-			}
-			if a.aggs, err = compileAggs(x.Aggs, sh.sch, p.env); err != nil {
-				return nil, sh, err
-			}
-		}
-		// The iterator tree creates its accumulators when it opens, so an
-		// aggregate it cannot create fails at run time, not at build.
-		a.states = make([]accum, len(x.Aggs))
-		for i, g := range x.Aggs {
-			if a.states[i], a.err = newAccum(g); a.err != nil {
-				break
 			}
 		}
 		out := segShape{phys: len(x.Aggs), rows: 1, stable: true}
@@ -404,11 +380,11 @@ func (p *segProgram) physical(in segNode, sh segShape, reads bool) (segNode, seg
 		return in, sh
 	}
 	width := sh.phys + len(sh.slots)
-	w := &segProject{segBase: segBase{in: in}, cols: make([]segCol, width), scratch: segRows{width: width, rows: sh.rows}}
+	w := &segProject{segBase: segBase{in: in}, cols: make([]projCol, width), scratch: segRows{width: width, rows: sh.rows}}
 	for i := range w.cols {
-		w.cols[i] = segCol{ord: i, slot: -1}
+		w.cols[i] = projCol{ord: i, slot: -1}
 		if i >= sh.phys {
-			w.cols[i] = segCol{ord: -1, slot: sh.slots[i-sh.phys]}
+			w.cols[i] = projCol{ord: -1, slot: sh.slots[i-sh.phys]}
 		}
 	}
 	return w, segShape{sch: sh.sch, phys: width, rows: sh.rows}
@@ -464,31 +440,6 @@ func segReads(e core.Expr, sh segShape) (rows, params bool) {
 		rows, params = rows || r, params || p
 	}
 	return rows, params
-}
-
-// foldOrds is, per aggregate, the row column it folds (-1 for
-// count(*)), or nil when any aggregate is fed row by row: DISTINCT, or
-// an argument other than a bare row column.
-func foldOrds(specs []core.AggSpec, sh segShape) []int {
-	ords := make([]int, len(specs))
-	for i, g := range specs {
-		ords[i] = -1
-		c, isCol := g.Arg.(*core.ColRef)
-		switch {
-		case g.Distinct:
-			return nil
-		case g.Star:
-			continue
-		case !isCol:
-			return nil
-		}
-		ord, err := sh.sch.Resolve(c.Table, c.Name)
-		if err != nil || ord >= sh.phys {
-			return nil
-		}
-		ords[i] = ord
-	}
-	return ords
 }
 
 // run evaluates the program over one group, appending each output row,
@@ -633,22 +584,18 @@ func (s *segScan) next(p *segProgram) (*Batch, error) {
 // segSelect narrows its input windows' selection and passes on those
 // with a row left. Its predicate runs as a column-against-constant
 // kernel when it compares a row column with an expression over
-// parameters and literals, evaluated once per window; as vector kernels
-// when it kernelizes; and otherwise as the compiled predicate, row by
-// row in order.
+// parameters and literals, evaluated once per window; otherwise it
+// narrows as the tree's filter does (filter.narrow).
 type segSelect struct {
 	segBase
-	ord     int    // the constant comparison's row column…
-	mask    uint8  // …its accepted outcomes (outcomeMask)…
-	konst   evalFn // …and its constant, over krow: kwidth wide, its tail the parameters kslots
-	krow    types.Row
-	kwidth  int
-	kslots  []int
-	kernels []selKernel
-	pred    func(types.Row, *Context) (bool, error)
-	rows    int
-	sel     []int
-	out     Batch
+	filter
+	ord    int    // the constant comparison's row column…
+	mask   uint8  // …its accepted outcomes (outcomeMask)…
+	konst  evalFn // …and its constant, over krow: kwidth wide, its tail the parameters kslots
+	krow   types.Row
+	kwidth int
+	kslots []int
+	out    Batch
 }
 
 // compileConst compiles cond as a column-against-constant comparison,
@@ -681,18 +628,8 @@ func (s *segSelect) next(p *segProgram) (*Batch, error) {
 		if err != nil || b == nil {
 			return nil, err
 		}
-		if s.sel == nil {
-			s.sel = p.ctx.arena.sel(s.rows)
-		}
-		// Start from the input's selection, copied into scratch we own:
-		// the kernels narrow in place.
-		if b.Sel != nil {
-			s.sel = append(s.sel[:0], b.Sel...)
-		} else {
-			s.sel = identitySel(s.sel, len(b.Rows))
-		}
-		switch {
-		case s.konst != nil:
+		if s.konst != nil {
+			sel := s.live(b, p.ctx.arena)
 			if s.krow == nil {
 				s.krow = p.ctx.arena.values(s.kwidth)[:s.kwidth]
 			}
@@ -704,21 +641,9 @@ func (s *segSelect) next(p *segProgram) (*Batch, error) {
 			if err != nil {
 				return nil, err
 			}
-			s.sel = selectCmpConst(b.Rows, s.sel, s.ord, c, s.mask)
-		case s.kernels != nil:
-			s.sel = runKernels(s.kernels, b.Rows, s.sel)
-		default:
-			kept := s.sel[:0]
-			for _, i := range s.sel {
-				pass, err := s.pred(b.Rows[i], p.ctx)
-				if err != nil {
-					return nil, err
-				}
-				if pass {
-					kept = append(kept, i)
-				}
-			}
-			s.sel = kept
+			s.sel = selectCmpConst(b.Rows, sel, s.ord, c, s.mask)
+		} else if err := s.narrow(b, p.ctx); err != nil {
+			return nil, err
 		}
 		if len(s.sel) > 0 {
 			s.emitted(len(s.sel))
@@ -732,18 +657,9 @@ func (s *segSelect) next(p *segProgram) (*Batch, error) {
 // the root, straight into the GApply's output slab.
 type segProject struct {
 	segBase
-	cols    []segCol
+	cols    []projCol
 	scratch segRows
 	out     Batch
-}
-
-// segCol is one projected column: a column of the input row (ord ≥ 0),
-// a parameter (slot ≥ 0), a literal, or any other expression, compiled
-// (fn).
-type segCol struct {
-	ord, slot int
-	lit       types.Value
-	fn        evalFn
 }
 
 // project computes each live row of the input's next window into the
@@ -754,22 +670,8 @@ func (s *segProject) project(p *segProgram, dst func() types.Row) (int, error) {
 	if err != nil || b == nil {
 		return 0, err
 	}
-	for i := 0; i < b.Len(); i++ {
-		r, row := b.Row(i), dst()
-		for j := range s.cols {
-			switch c := &s.cols[j]; {
-			case c.fn != nil:
-				if row[j], err = c.fn(r, p.ctx); err != nil {
-					return 0, err
-				}
-			case c.ord >= 0:
-				row[j] = r[c.ord]
-			case c.slot >= 0:
-				row[j] = p.params[c.slot]
-			default:
-				row[j] = c.lit
-			}
-		}
+	if err := fill(s.cols, b, p.params, p.ctx, dst); err != nil {
+		return 0, err
 	}
 	s.emitted(b.Len())
 	return b.Len(), nil
@@ -784,33 +686,19 @@ func (s *segProject) next(p *segProgram) (*Batch, error) {
 	return &s.out, nil
 }
 
-// segAgg is a scalar aggregate: opening it folds its whole input into
-// the accumulators, which are reset, not reallocated, per evaluation.
-// Aggregates of bare row columns fold a window a column at a time
-// (accum.fold); any other set is fed row by row. Rows go in the group's
-// order either way, so float sums and averages are bit-identical to the
-// iterator tree's.
+// segAgg is a scalar aggregate: opening it folds its whole input
+// (scalarAgg).
 type segAgg struct {
 	segBase
-	aggs   []compiledAgg
-	ords   []int // per aggregate, the column it folds; nil: feed rows
-	states []accum
-	err    error // accumulator creation failed; reported on open
-	row    types.Row
-	one    [1]types.Row // out's rows: row
-	done   bool
-	out    Batch
+	scalarAgg
 }
 
 func (a *segAgg) open(p *segProgram) error {
 	if err := a.segBase.open(p); err != nil {
 		return err
 	}
-	if a.err != nil {
-		return a.err
-	}
-	for i := range a.states {
-		a.states[i].reset()
+	if err := a.reset(); err != nil {
+		return err
 	}
 	for {
 		b, err := a.in.next(p)
@@ -820,46 +708,18 @@ func (a *segAgg) open(p *segProgram) error {
 		if b == nil {
 			break
 		}
-		if err := a.add(p, b); err != nil {
+		if err := a.add(b, p.ctx); err != nil {
 			return err
 		}
 	}
-	for i := range a.states {
-		a.row[i] = a.states[i].result()
-	}
-	a.done = false
+	a.finish()
 	return nil
 }
 
-// add accumulates one window. Folding a column at a time changes no
-// result, only which error is met first: each fold stops at its first
-// bad value, and the window's error is the one row by row order meets
-// first — the earliest row, and on it the first aggregate.
-func (a *segAgg) add(p *segProgram, b *Batch) error {
-	if a.ords == nil {
-		for i := 0; i < b.Len(); i++ {
-			if err := feed(a.aggs, a.states, b.Row(i), p.ctx); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	first, firstErr := b.Len(), error(nil)
-	for j, ord := range a.ords {
-		if i, err := a.states[j].fold(b, ord); err != nil && i < first {
-			first, firstErr = i, err
-		}
-	}
-	return firstErr
-}
-
 func (a *segAgg) next(*segProgram) (*Batch, error) {
-	if a.done {
-		return nil, nil
-	}
-	a.done = true
-	a.emitted(1)
-	return &a.out, nil
+	b := a.emit()
+	a.emitted(b.Len())
+	return b, nil
 }
 
 // segUnion concatenates its inputs, opening each when the previous one

@@ -13,6 +13,7 @@ import (
 	"unsafe"
 
 	"gapplydb/internal/core"
+	"gapplydb/internal/oracle"
 	"gapplydb/internal/schema"
 	"gapplydb/internal/storage"
 	"gapplydb/internal/types"
@@ -551,7 +552,7 @@ func hostWhole(g *bgapply, ctx *Context) (*segProgram, error) {
 // produces the rows of the same inner hosted whole as one iterator tree
 // in the same order, the same counters, and — profiled — the same
 // per-operator rows and loops, or fails with the tree's error; and the
-// rows match the reference interpreter.
+// rows match the reference interpreter, which fails where they fail.
 func TestSegmentMatchesTree(t *testing.T) {
 	edge, window := edgeCatalog(t), windowCatalog(t)
 	type shape struct {
@@ -577,9 +578,12 @@ func TestSegmentMatchesTree(t *testing.T) {
 	}
 	for name, c := range shapes {
 		for _, hint := range []core.PartitionHint{core.PartitionHash, core.PartitionSort} {
-			if !c.fails {
-				plan := c.plan(hint)
+			// The tree and the program share their kernels, so the reference
+			// interpreter is the independent check of a failure too.
+			if plan := c.plan(hint); !c.fails {
 				checkOracle(t, plan, c.cat, mustRun(t, plan, NewContext(c.cat, new(Store))).Rows)
+			} else if _, err := oracle.Eval(plan, c.cat); err == nil {
+				t.Fatalf("%s/%v: the reference interpreter does not fail", name, hint)
 			}
 			for _, dop := range []int{1, 2, 8} {
 				for _, prof := range []bool{false, true} {

@@ -23,8 +23,8 @@ import (
 // have produced an error in a later one, and a WHERE passes a row only
 // when every conjunct is True — NULL (Unknown) and false both reject —
 // which is exactly "survives every kernel". Anything outside this
-// shape (OuterRefs, arithmetic, functions, OR, NOT) falls back to the
-// row-closure loop in bFilter, still batch-driven.
+// shape (OuterRefs, arithmetic, functions, OR, NOT) compiles to the row
+// predicate instead, still run a batch at a time (filter.narrow).
 
 // selKernel narrows a selection vector: it returns the indexes in sel
 // (in order) whose rows pass one conjunct. It may write the result into
@@ -55,6 +55,65 @@ func compileFilterKernels(e core.Expr, in *schema.Schema) ([]selKernel, bool) {
 	default:
 		return nil, false
 	}
+}
+
+// filter is a compiled WHERE and the selection it narrows: vector
+// kernels when the condition kernelizes, the compiled row predicate
+// otherwise, and a scratch selection vector taken from the execution's
+// arena on first use and rewritten per window. The iterator tree's
+// bFilter and the segment program's Select both narrow through it.
+type filter struct {
+	kernels []selKernel
+	pred    func(types.Row, *Context) (bool, error)
+	sel     []int
+	rows    int // the most rows a window holds: the scratch's size
+}
+
+// compileFilter compiles cond over in, for windows of up to rows rows.
+// The row predicate is compiled only when the condition does not
+// kernelize; a kernelizable condition always compiles, so any compile
+// error is the predicate's.
+func compileFilter(cond core.Expr, in *schema.Schema, env compileEnv, rows int) (filter, error) {
+	if ks, ok := compileFilterKernels(cond, in); ok && len(ks) > 0 {
+		return filter{kernels: ks, rows: rows}, nil
+	}
+	pred, err := compilePredicate(cond, in, env)
+	return filter{pred: pred, rows: rows}, err
+}
+
+// live returns the indexes of b's live rows, copied into the scratch,
+// which the kernels narrow in place.
+func (f *filter) live(b *Batch, a *arena) []int {
+	if f.sel == nil {
+		f.sel = a.sel(f.rows)
+	}
+	if b.Sel != nil {
+		return append(f.sel[:0], b.Sel...)
+	}
+	return identitySel(f.sel, len(b.Rows))
+}
+
+// narrow leaves in f.sel the live rows of b that pass the condition, in
+// order. The row predicate runs row by row, so its error is the first
+// failing row's.
+func (f *filter) narrow(b *Batch, ctx *Context) error {
+	sel := f.live(b, ctx.arena)
+	if f.kernels != nil {
+		f.sel = runKernels(f.kernels, b.Rows, sel)
+		return nil
+	}
+	kept := sel[:0]
+	for _, i := range sel {
+		pass, err := f.pred(b.Rows[i], ctx)
+		if err != nil {
+			return err
+		}
+		if pass {
+			kept = append(kept, i)
+		}
+	}
+	f.sel = kept
+	return nil
 }
 
 // cmpTest returns the comparison-outcome test for an operator.

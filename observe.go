@@ -186,7 +186,7 @@ func (db *Database) explainCompiled(ctx context.Context, c *compiled, cfg queryC
 		// The caller holds the database registration: the execution's
 		// own release is a no-op.
 		cfg.Instrument = true
-		s, err := db.startPlan(ctx, c, cfg, func() {})
+		s, err := db.startPlan(ctx, &Stream{cfg: cfg}, c, func() {})
 		if err != nil {
 			return nil, err
 		}

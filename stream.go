@@ -26,6 +26,7 @@ type Stream struct {
 	Columns []string
 
 	db      *Database
+	cfg     queryConfig        // the call's settings
 	c       *compiled          // the statement: its plan and optimizer trace
 	cur     *exec.Cursor       // nil for EXPLAIN streams
 	ectx    *exec.Context      // execution context, for counters at finish
@@ -72,19 +73,23 @@ func (db *Database) start(ctx context.Context, query string, options []QueryOpti
 	if err != nil {
 		return nil, err
 	}
-	cfg := makeConfig(options)
-	tb := db.traceSetup(&cfg, query)
-	c, hit, err := db.compile(query, cfg)
+	// The options apply into the stream, which the call allocates anyway:
+	// a config of its own would escape through the options' indirect
+	// calls, one more allocation per query.
+	s := &Stream{db: db}
+	s.cfg.apply(options)
+	tb := db.traceSetup(&s.cfg, query)
+	c, hit, err := db.compile(query, s.cfg)
 	if err != nil {
 		db.finishTrace(tb, err)
 		release()
 		return nil, err
 	}
-	cfg.planCacheHit = hit
+	s.cfg.planCacheHit = hit
 	if c.mode == sql.ExplainNone {
-		return db.startPlan(ctx, c, cfg, release)
+		return db.startPlan(ctx, s, c, release)
 	}
-	e, err := db.explainCompiled(ctx, c, cfg, c.mode == sql.ExplainAnalyze)
+	e, err := db.explainCompiled(ctx, c, s.cfg, c.mode == sql.ExplainAnalyze)
 	release()
 	db.finishTrace(tb, err) // a no-op once the analyzed execution finished it
 	if err != nil {
@@ -95,25 +100,26 @@ func (db *Database) start(ctx context.Context, query string, options []QueryOpti
 	for i, r := range res.Rows {
 		rows[i] = types.Row{types.NewString(r[0].(string))} // one report line per row
 	}
-	return &Stream{
-		Columns: res.Columns, report: res, rows: rows,
-		stats: res.Stats, elapsed: res.Elapsed, tb: tb,
-	}, nil
+	s.Columns, s.report, s.rows = res.Columns, res, rows
+	s.stats, s.elapsed, s.tb = res.Stats, res.Elapsed, tb
+	return s, nil
 }
 
-// startPlan starts a compiled plan on an arena of the database's store,
-// under the caller's context, the database lifecycle and the budget's
-// timeout. The stream takes over release; if the start fails, the
+// startPlan starts a compiled plan, under the settings s.cfg, on an
+// arena of the database's store, under the caller's context, the
+// database lifecycle and the budget's timeout, and returns s streaming
+// its rows. The stream takes over release; if the start fails, the
 // execution is settled — metrics, error classification, trace, release
 // — before it returns.
-func (db *Database) startPlan(ctx context.Context, c *compiled, cfg queryConfig, release func()) (*Stream, error) {
+func (db *Database) startPlan(ctx context.Context, s *Stream, c *compiled, release func()) (*Stream, error) {
+	cfg := &s.cfg
 	ctx, stop := db.lifecycleContext(ctx)
 	if cfg.Timeout > 0 {
 		inner, cancel := context.WithTimeout(ctx, cfg.Timeout)
 		outerStop := stop
 		ctx, stop = inner, func() { cancel(); outerStop() }
 	}
-	ectx := db.execContext(ctx, cfg)
+	ectx := db.execContext(ctx, *cfg)
 	tb := cfg.traceBuilder
 	execSpan := tb.StartSpan("execute", 0)
 	// Start opens the plan, which for a blocking root (a sort, a GApply
@@ -121,11 +127,9 @@ func (db *Database) startPlan(ctx context.Context, c *compiled, cfg queryConfig,
 	// Result.Elapsed does.
 	start := time.Now()
 	cur, err := exec.Start(c.plan, ectx)
-	s := &Stream{
-		db: db, c: c, cur: cur, ectx: ectx,
-		stop: stop, release: release, start: start,
-		tb: tb, execSpan: execSpan,
-	}
+	s.db, s.c, s.cur, s.ectx = db, c, cur, ectx
+	s.stop, s.release, s.start = stop, release, start
+	s.tb, s.execSpan = tb, execSpan
 	if err != nil {
 		s.finish(err)
 		return nil, s.Close()
