@@ -28,7 +28,7 @@ import (
 // point at) are immutable and stable for the whole execution: holding
 // one past the next pull is always safe, and no operator ever overwrites
 // a row it has emitted — except a scalar aggregate, whose one result row
-// (scalarAgg) is rewritten when it is re-opened, after whatever re-opens
+// (segAgg) is rewritten when it is re-opened, after whatever re-opens
 // it has copied or bound the previous one. They are not stable beyond
 // the execution: every execution
 // carves its rows from an arena (arena.go) whose storage goes to a later
@@ -43,8 +43,8 @@ import (
 
 // batchSize is the target number of rows per batch. It matches
 // cancelBatch, so one batch of work is also one cancellation window:
-// batch-grained polling has the same worst-case cancellation latency as
-// a per-row tick amortized over cancelBatch rows.
+// polling once per batch bounds the cancellation latency to one
+// window of rows.
 const batchSize = 256
 
 // Batch is a set of rows flowing between batch operators.
@@ -73,37 +73,6 @@ func (b *Batch) Row(i int) types.Row {
 		return b.Rows[b.Sel[i]]
 	}
 	return b.Rows[i]
-}
-
-// Gather appends column ord of every live row to dst and returns it —
-// the column-slice view a vectorized kernel iterates.
-func (b *Batch) Gather(ord int, dst []types.Value) []types.Value {
-	if b.Sel != nil {
-		for _, i := range b.Sel {
-			dst = append(dst, b.Rows[i][ord])
-		}
-		return dst
-	}
-	for i := range b.Rows {
-		dst = append(dst, b.Rows[i][ord])
-	}
-	return dst
-}
-
-// NullMask appends one bool per live row to dst — true when column ord
-// is NULL in that row — and returns it. Join and aggregate paths use it
-// to split NULL handling out of their inner loops.
-func (b *Batch) NullMask(ord int, dst []bool) []bool {
-	if b.Sel != nil {
-		for _, i := range b.Sel {
-			dst = append(dst, b.Rows[i][ord].IsNull())
-		}
-		return dst
-	}
-	for i := range b.Rows {
-		dst = append(dst, b.Rows[i][ord].IsNull())
-	}
-	return dst
 }
 
 // AppendRows appends the live rows' headers to dst and returns it — the

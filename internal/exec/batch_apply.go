@@ -4,7 +4,9 @@ import (
 	"gapplydb/internal/types"
 )
 
-// bApply re-executes the inner tree once per outer row — the correlated
+// bApply is an Apply a segment program does not run natively — an outer
+// Apply, or one whose inner may yield several rows or reads OuterRefs.
+// It re-executes the inner tree once per outer row — the correlated
 // subquery execution model the paper builds GApply's physical
 // implementation on — emitting concatenated rows in batches capped at
 // batchSize. The outer row is pushed on the context's outer stack

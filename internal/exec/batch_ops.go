@@ -2,13 +2,13 @@ package exec
 
 import (
 	"gapplydb/internal/core"
-	"gapplydb/internal/schema"
 	"gapplydb/internal/storage"
 	"gapplydb/internal/types"
 )
 
-// The basic operators: scans, filter, projections, distinct, sort,
-// union and exists. Each moves up to batchSize rows per interface call.
+// The basic operators the iterator tree runs itself: scans, distinct
+// and sort (the operators a segment program runs natively are in
+// segment.go). Each moves up to batchSize rows per interface call.
 
 // bScan produces a base table in zero-copy batches: each batch aliases
 // a window of the table's row slice.
@@ -68,129 +68,6 @@ func (s *bGroupScan) NextBatch() (*Batch, error) {
 
 func (s *bGroupScan) Close() error { return nil }
 
-// bFilter narrows each input batch's selection (filter.narrow): one
-// interface call and one pass over the live rows per batch.
-type bFilter struct {
-	input BatchIterator
-	ctx   *Context
-	filter
-	out Batch
-}
-
-func (f *bFilter) Open() error { return f.input.Open() }
-
-func (f *bFilter) NextBatch() (*Batch, error) {
-	for {
-		b, err := f.input.NextBatch()
-		if err != nil || b == nil {
-			return nil, err
-		}
-		if err := f.narrow(b, f.ctx); err != nil {
-			return nil, err
-		}
-		if len(f.sel) > 0 {
-			f.out = Batch{Rows: b.Rows, Sel: f.sel}
-			return &f.out, nil
-		}
-	}
-}
-
-func (f *bFilter) Close() error { return f.input.Close() }
-
-// bProject computes its columns for every live row, carving the output
-// rows out of shared slabs (rowSlab) — a handful of allocations per
-// query instead of one per row or even one per batch. The row values
-// are stable as the contract requires; only the rows container is
-// reused, which the contract permits (containers are transient): a
-// batch of headers from the arena, taken when the operator is built.
-type bProject struct {
-	input BatchIterator
-	cols  []projCol
-	ctx   *Context
-
-	slab rowSlab
-	rows []types.Row
-	out  Batch
-}
-
-func (p *bProject) Open() error {
-	p.slab.width = len(p.cols)
-	return p.input.Open()
-}
-
-func (p *bProject) NextBatch() (*Batch, error) {
-	b, err := p.input.NextBatch()
-	if err != nil || b == nil {
-		return nil, err
-	}
-	p.rows = p.rows[:0]
-	if err := fill(p.cols, b, nil, p.ctx, func() types.Row {
-		row := p.slab.carve(len(p.cols))
-		p.rows = append(p.rows, row)
-		return row
-	}); err != nil {
-		return nil, err
-	}
-	p.out = Batch{Rows: p.rows}
-	return &p.out, nil
-}
-
-func (p *bProject) Close() error { return p.input.Close() }
-
-// projCol is one projected column: a column of the input row (ord ≥ 0),
-// a parameter of a segment program (slot ≥ 0), a literal, or any other
-// expression, compiled (fn).
-type projCol struct {
-	ord, slot int
-	lit       types.Value
-	fn        evalFn
-}
-
-// compileCols compiles a projection's exprs over the schema of rows
-// holding its first phys columns; a column past them is the parameter
-// slot slots[ord-phys]. A column or literal needs no compiling, so a
-// compile error is the first failing expression's.
-func compileCols(exprs []core.Expr, sch *schema.Schema, phys int, slots []int, env compileEnv) ([]projCol, error) {
-	cols := make([]projCol, len(exprs))
-	for i, e := range exprs {
-		c := &cols[i]
-		var ok bool
-		c.ord, c.lit, ok = kernelOperand(e, sch)
-		if c.slot = -1; c.ord >= phys {
-			c.ord, c.slot = -1, slots[c.ord-phys]
-		} else if !ok {
-			var err error
-			if c.fn, err = compileExpr(e, sch, env); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return cols, nil
-}
-
-// fill computes the projection of each live row of b, in order, into
-// the row dst returns for it, reading parameter slots from params.
-func fill(cols []projCol, b *Batch, params types.Row, ctx *Context, dst func() types.Row) (err error) {
-	for i := 0; i < b.Len(); i++ {
-		r, row := b.Row(i), dst()
-		for j := range cols {
-			switch c := &cols[j]; {
-			case c.ord >= 0:
-				row[j] = r[c.ord]
-			case c.fn != nil:
-				if row[j], err = c.fn(r, ctx); err != nil {
-					return err
-				}
-			case c.slot >= 0:
-				row[j] = params[c.slot]
-			default:
-				row[j] = c.lit
-			}
-		}
-	}
-	return nil
-}
-
 // bDistinct narrows each batch to first-seen rows: the hash kernel
 // (grouping mode) keys every column, and a row is kept only when its key
 // is new.
@@ -239,51 +116,6 @@ func (d *bDistinct) NextBatch() (*Batch, error) {
 }
 
 func (d *bDistinct) Close() error { return d.input.Close() }
-
-// bUnionAll concatenates its inputs, forwarding their batches. Inputs
-// past the first are opened lazily during NextBatch and closed as they
-// exhaust.
-type bUnionAll struct {
-	inputs []BatchIterator
-	cur    int
-}
-
-func (u *bUnionAll) Open() error {
-	u.cur = 0
-	if len(u.inputs) == 0 {
-		return nil
-	}
-	return u.inputs[0].Open()
-}
-
-func (u *bUnionAll) NextBatch() (*Batch, error) {
-	for u.cur < len(u.inputs) {
-		b, err := u.inputs[u.cur].NextBatch()
-		if err != nil {
-			return nil, err
-		}
-		if b != nil {
-			return b, nil
-		}
-		if err := u.inputs[u.cur].Close(); err != nil {
-			return nil, err
-		}
-		u.cur++
-		if u.cur < len(u.inputs) {
-			if err := u.inputs[u.cur].Open(); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return nil, nil
-}
-
-func (u *bUnionAll) Close() error {
-	if u.cur < len(u.inputs) {
-		return u.inputs[u.cur].Close()
-	}
-	return nil
-}
 
 // bSort materializes its input, sorts stably by the compiled keys, and
 // emits the sorted rows in aliased windows. Each row's keys are encoded
@@ -362,43 +194,3 @@ func (s *bSort) Close() error {
 	s.win.reset(nil)
 	return nil
 }
-
-// bExists consumes its input and emits a single zero-column row when
-// the input is nonempty (or empty, when negated). It pulls one batch to
-// decide, so the upstream may do up to one batch more work than the
-// answer needs — counters fed by that work (RowsScanned, JoinProbes)
-// can run ahead by part of a batch.
-type bExists struct {
-	input   BatchIterator
-	negated bool
-	done    bool
-	emit    bool
-	out     Batch
-}
-
-func (e *bExists) Open() error {
-	e.done = false
-	if err := e.input.Open(); err != nil {
-		return err
-	}
-	b, err := e.input.NextBatch()
-	if err != nil {
-		return err
-	}
-	if err := e.input.Close(); err != nil {
-		return err
-	}
-	e.emit = (b.Len() > 0) != e.negated
-	return nil
-}
-
-func (e *bExists) NextBatch() (*Batch, error) {
-	if e.done || !e.emit {
-		return nil, nil
-	}
-	e.done = true
-	e.out = Batch{Rows: []types.Row{{}}}
-	return &e.out, nil
-}
-
-func (e *bExists) Close() error { return nil }

@@ -158,9 +158,10 @@ func TestJoinFusionGatedByProfile(t *testing.T) {
 	}
 }
 
-// TestProjectOverSelectSameOperators: a Project over a Select builds a
-// bProject over a bFilter whether or not a profile is attached, so
-// EXPLAIN ANALYZE times the operators the plain run executes. Over
+// TestProjectOverSelectSameOperators: a Project over a Select builds
+// one program, a projection over a filter over the hosted scan, whether
+// or not a profile is attached, so EXPLAIN ANALYZE times the operators
+// the plain run executes. Over
 // column, literal, NULL and computed cells, under a kernelized and a
 // row-predicate filter, the rows match the reference interpreter and
 // the counters agree; where an expression fails on a later row, both
@@ -207,7 +208,7 @@ func TestProjectOverSelectSameOperators(t *testing.T) {
 			counters[i] = ctx.Counters
 			ctx.ReleaseArena()
 		}
-		if want := []string{"*exec.bProject", "*exec.bFilter", "*exec.bScan"}; !reflect.DeepEqual(kinds[0], want) || !reflect.DeepEqual(kinds[1], want) {
+		if want := []string{"*exec.bProgram", "*exec.segProject", "*exec.segSelect", "*exec.segHost", "*exec.bScan"}; !reflect.DeepEqual(kinds[0], want) || !reflect.DeepEqual(kinds[1], want) {
 			t.Errorf("%s: built %v unprofiled and %v profiled, want %v", c.name, kinds[0], kinds[1], want)
 		}
 		if errs[0] != errs[1] || (errs[0] != "") != c.fails {
@@ -223,7 +224,8 @@ func TestProjectOverSelectSameOperators(t *testing.T) {
 }
 
 // operatorKinds lists the operators of a chain of single-input
-// iterators, root first, looking through profile probes.
+// iterators and program nodes, root first, looking through profile
+// probes.
 func operatorKinds(it BatchIterator) []string {
 	var out []string
 	for it != nil {
@@ -232,13 +234,22 @@ func operatorKinds(it BatchIterator) []string {
 			continue
 		}
 		out = append(out, fmt.Sprintf("%T", it))
-		switch x := it.(type) {
-		case *bProject:
-			it = x.input
-		case *bFilter:
-			it = x.input
-		default:
-			it = nil
+		a, ok := it.(*bProgram)
+		if it = nil; !ok {
+			break
+		}
+		for n := a.root; n != nil; {
+			out = append(out, fmt.Sprintf("%T", n))
+			switch x := n.(type) {
+			case *segProject:
+				n = x.in
+			case *segSelect:
+				n = x.in
+			case *segHost:
+				n, it = nil, x.it
+			default:
+				n = nil
+			}
 		}
 	}
 	return out

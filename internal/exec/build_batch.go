@@ -10,12 +10,15 @@ import (
 )
 
 // BuildBatch compiles a logical plan into a batch-iterator tree bound
-// to ctx. Physical choices honor the hints the optimizer set on the
-// logical nodes (join method, GApply partition strategy), defaulting
-// sensibly. When the context carries a Profile every compiled iterator
-// is wrapped in an instrumented probe keyed by its plan node (rows are
-// counted, not batches, so EXPLAIN ANALYZE actuals are dop-invariant).
-// Rows come from an arena it attaches to ctx.
+// to ctx: each maximal chain of the operators segment programs run
+// natively is one program (bProgram), and every other operator is an
+// iterator of its own. Physical choices honor the hints the optimizer
+// set on the logical nodes (join method, GApply partition strategy),
+// defaulting sensibly. When the context carries a Profile every compiled
+// iterator is wrapped in an instrumented probe keyed by its plan node —
+// a program's by its chain root — counting rows, not batches, so
+// EXPLAIN ANALYZE actuals are dop-invariant. Rows come from an arena it
+// attaches to ctx.
 func BuildBatch(n core.Node, ctx *Context) (BatchIterator, error) {
 	ctx.attachArena()
 	return buildBatch(n, ctx, compileEnv{})
@@ -70,10 +73,12 @@ func buildBatchNeed(n core.Node, need []int, ctx *Context, env compileEnv) (Batc
 	switch x := n.(type) {
 	case *core.Join:
 		it, emit, err = buildBatchJoin(x, nil, need, ctx, env)
-	case *core.Select:
-		it, emit, err = buildBatchSelect(x, need, ctx, env)
 	default:
-		it, err = buildBatchNode(n, ctx, env)
+		if native(n) {
+			it, emit, err = buildProgram(n, need, ctx, env)
+		} else {
+			it, err = buildBatchNode(n, ctx, env)
+		}
 	}
 	if err != nil {
 		return nil, nil, err
@@ -176,26 +181,6 @@ func fusedJoin(sel *core.Select, ctx *Context, env compileEnv) (*core.Join, bool
 	return j, true
 }
 
-// buildBatchSelect compiles a filter. Select-over-Join fuses the filter
-// into the join as a post predicate: candidates are rejected on the
-// reused probe row before they are ever copied into the output slab.
-// High-reject filters directly over joins (the sorted-outer-union
-// shape) are where the copy-then-discard churn was worst.
-func buildBatchSelect(x *core.Select, need []int, ctx *Context, env compileEnv) (BatchIterator, []int, error) {
-	if j, ok := fusedJoin(x, ctx, env); ok {
-		return buildBatchJoin(j, x.Cond, need, ctx, env)
-	}
-	in, emit, err := buildBatchNeed(x.Input, addNeed(need, x.Input, x.Cond), ctx, env)
-	if err != nil {
-		return nil, nil, err
-	}
-	f, err := compileFilter(x.Cond, emitted(x.Input.Schema(), emit), env, batchSize)
-	if err != nil {
-		return nil, nil, err
-	}
-	return &bFilter{input: in, ctx: ctx, filter: f}, emit, nil
-}
-
 func buildBatchNode(n core.Node, ctx *Context, env compileEnv) (BatchIterator, error) {
 	switch x := n.(type) {
 	case *core.Scan:
@@ -217,23 +202,6 @@ func buildBatchNode(n core.Node, ctx *Context, env compileEnv) (BatchIterator, e
 			return nil, err
 		}
 		return &bGroupScan{rows: rows, ctx: ctx}, nil
-
-	case *core.Project:
-		in, emit, err := buildBatchNeed(x.Input, readNeed(x.Input, x.Exprs...), ctx, env)
-		if err != nil {
-			return nil, err
-		}
-		inSchema := emitted(x.Input.Schema(), emit)
-		cols, err := compileCols(x.Exprs, inSchema, inSchema.Len(), nil, env)
-		if err != nil {
-			return nil, err
-		}
-		// A narrowed input that emits exactly this column list, in this
-		// order, already is the projection.
-		if emit != nil && isIdentity(cols, len(emit)) {
-			return in, nil
-		}
-		return &bProject{input: in, cols: cols, ctx: ctx, slab: rowSlab{arena: ctx.arena}, rows: ctx.arena.headers(batchSize)}, nil
 
 	case *core.Distinct:
 		in, err := buildBatch(x.Input, ctx, env)
@@ -262,18 +230,6 @@ func buildBatchNode(n core.Node, ctx *Context, env compileEnv) (BatchIterator, e
 		}
 		return &bHashGroupBy{input: in, ords: ords, aggs: aggs, ctx: ctx, keys: types.KeyTable{Storage: ctx.arena}}, nil
 
-	case *core.AggOp:
-		in, emit, err := buildBatchNeed(x.Input, aggNeed(x.Input, nil, x.Aggs), ctx, env)
-		if err != nil {
-			return nil, err
-		}
-		inSchema := emitted(x.Input.Schema(), emit)
-		a, err := compileScalarAgg(x.Aggs, inSchema, inSchema.Len(), env)
-		if err != nil {
-			return nil, err
-		}
-		return &bScalarAgg{input: in, ctx: ctx, scalarAgg: a}, nil
-
 	case *core.OrderBy:
 		if x.Elided {
 			// The optimizer proved the input provides exactly this
@@ -291,21 +247,6 @@ func buildBatchNode(n core.Node, ctx *Context, env compileEnv) (BatchIterator, e
 			return nil, err
 		}
 		return &bSort{input: in, keys: keys, ctx: ctx, in: chunked[types.Row]{arena: ctx.arena}}, nil
-
-	case *core.UnionAll:
-		arity := x.Inputs[0].Schema().Len()
-		ins := make([]BatchIterator, len(x.Inputs))
-		for i, c := range x.Inputs {
-			if c.Schema().Len() != arity {
-				return nil, fmt.Errorf("exec: union input %d has %d columns, want %d", i, c.Schema().Len(), arity)
-			}
-			it, err := buildBatch(c, ctx, env)
-			if err != nil {
-				return nil, err
-			}
-			ins[i] = it
-		}
-		return &bUnionAll{inputs: ins}, nil
 
 	case *core.Apply:
 		outer, err := buildBatch(x.Outer, ctx, env)
@@ -328,13 +269,6 @@ func buildBatchNode(n core.Node, ctx *Context, env compileEnv) (BatchIterator, e
 			uncorrelated: len(core.OuterRefsIn(x.Inner)) == 0,
 			outBuf:       joinOut{slab: rowSlab{arena: ctx.arena}},
 		}, nil
-
-	case *core.Exists:
-		in, err := buildBatch(x.Input, ctx, env)
-		if err != nil {
-			return nil, err
-		}
-		return &bExists{input: in, negated: x.Negated}, nil
 
 	case *core.GApply:
 		return buildBatchGApply(x, ctx, env)
@@ -489,19 +423,6 @@ func emittedOrd(emit []int, o int) int {
 	}
 	i, _ := slices.BinarySearch(emit, o)
 	return i
-}
-
-// isIdentity reports whether cols are the input columns 0, 1, …, n-1.
-func isIdentity(cols []projCol, n int) bool {
-	if len(cols) != n {
-		return false
-	}
-	for i, c := range cols {
-		if c.ord != i {
-			return false
-		}
-	}
-	return true
 }
 
 func buildBatchGApply(g *core.GApply, ctx *Context, env compileEnv) (BatchIterator, error) {

@@ -34,7 +34,7 @@ type Context struct {
 
 	// Ctx carries the query's cancellation signal and deadline. Every
 	// blocking operator (sort, partitioning, join builds, aggregation)
-	// and every leaf scan polls it at row-batch granularity via tick;
+	// and every leaf scan polls it at row-batch granularity via tickN;
 	// nil means "never cancelled" and costs nothing.
 	Ctx context.Context
 
@@ -50,9 +50,9 @@ type Context struct {
 	// land on the same meters.
 	Budget *Budget
 
-	// ticks counts cancellation-poll calls; the context is actually
-	// checked once per cancelBatch ticks, bounding both the poll cost
-	// and the cancellation latency to one row batch.
+	// ticks counts the rows of work tickN was told of; the context is
+	// actually checked once per cancelBatch of them, bounding both the
+	// poll cost and the cancellation latency to one row batch.
 	ticks uint64
 
 	// outer is the stack of rows pushed by Apply; compiled OuterRefs
@@ -114,25 +114,15 @@ func (c *Context) fork() *Context {
 }
 
 // cancelBatch is the row-batch granularity of cancellation polling: a
-// power of two so tick's hot path is one increment and one mask.
+// power of two, so tickN finds a crossed window boundary with one xor
+// and one mask.
 const cancelBatch = 256
 
-// tick is the engine's cancellation point. Operators call it once per
-// row of work; every cancelBatch calls it polls Ctx and returns its
-// error (context.Canceled or context.DeadlineExceeded) once the query
-// is cancelled or past its deadline.
-func (c *Context) tick() error {
-	c.ticks++
-	if c.ticks&(cancelBatch-1) != 0 || c.Ctx == nil {
-		return nil
-	}
-	return context.Cause(c.Ctx)
-}
-
-// tickN advances the tick counter by n rows of work at once — the batch
-// engine's cancellation point. It polls the context whenever the n rows
-// crossed a cancelBatch window boundary, so batch-grained polling keeps
-// the same worst-case cancellation latency as n per-row ticks.
+// tickN advances the tick counter by n rows of work — the engine's
+// cancellation point, called once per batch. It polls the context
+// whenever the n rows crossed a cancelBatch window boundary, so the
+// worst-case cancellation latency is one window of rows however the
+// work is batched.
 func (c *Context) tickN(n int) error {
 	if n <= 0 {
 		return nil

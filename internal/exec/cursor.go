@@ -26,7 +26,6 @@ type Cursor struct {
 	ctx     *Context
 	n       int64
 	closed  bool
-	trunc   Batch // the allowed head of a batch the output budget cuts short
 	pendErr error // error to deliver on the NextBatch after a truncated batch
 }
 
@@ -92,11 +91,9 @@ func (c *Cursor) NextBatch() (*Batch, error) {
 		}
 		c.pendErr = err
 		if b.Sel != nil {
-			c.trunc = Batch{Rows: b.Rows, Sel: b.Sel[:keep]}
-		} else {
-			c.trunc = Batch{Rows: b.Rows[:keep]}
+			return &Batch{Rows: b.Rows, Sel: b.Sel[:keep]}, nil
 		}
-		return &c.trunc, nil
+		return &Batch{Rows: b.Rows[:keep]}, nil
 	}
 	return b, nil
 }

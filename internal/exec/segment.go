@@ -13,63 +13,75 @@ import (
 	"gapplydb/internal/types"
 )
 
-// Segmented GApply. The partition phase leaves every group as one
-// contiguous run of rows, and a GApply evaluates its per-group query
-// over each run as a segment program: one compiled loop over many
-// groups, a window of up to batchSize rows per call. The program has a
-// native node for the operators the publishing workload's inners are
-// built from — projections and filters of $group, scalar aggregates
-// (DISTINCT included), UNION ALL, Exists, and a cross Apply whose inner
-// is an uncorrelated scalar aggregate or Exists — so on groups of a few
-// rows nothing is opened or allocated per group. A filter narrows the
-// window's selection vector, a scalar aggregate folds whole windows
-// (accum.fold), and a projection at the root writes its rows, prefixed
-// with the grouping columns, straight into the GApply's output slab. An
-// Apply binds its scalar's columns as per-group parameters instead of
-// widening every outer row, and a filter comparing a column with an
-// expression over parameters and literals evaluates that expression
-// once per window and runs a column-against-constant kernel. Rows are
-// widened, parameters appended, only where a consumer needs them whole:
-// a union input, the root, or an expression reading parameters row by
-// row.
+// Segment programs. A segment program is the one implementation of the
+// operators the publishing workload's queries are built from —
+// projections, filters, scalar aggregates (DISTINCT included), UNION
+// ALL, Exists, and a cross Apply whose inner yields at most one row and
+// holds no OuterRef — compiled from a chain of them into one loop that
+// moves a window of up to batchSize rows per call. One compiler
+// (segProgram.compile) builds it, and it has two sinks:
 //
-// Any other operator is hosted (segHost): buildBatch compiles it and
-// everything under it into the iterator tree that is its one
-// implementation, which the program re-opens per evaluation, its
-// GroupScans bound at compile time to the group the program evaluates
-// (scope). An invariant subtree — no GroupScan, no OuterRef — is
-// materialized once per GApply Open and replayed for every group
-// (invariant, bReplay).
+//   - A GApply's per-group query is a program over the group's run. The
+//     partition phase leaves every group as one contiguous run of rows,
+//     and the GApply pushes each group through the program whole (eval),
+//     its output prefixed with the grouping columns and written into the
+//     GApply's output slab, so on groups of a few rows nothing is opened
+//     or allocated per group.
+//   - Anywhere else in the iterator tree a maximal chain of these
+//     operators is a program run by bProgram, a BatchIterator that pulls
+//     the program's root a window at a time.
 //
-// The iterator tree is itself window-at-a-time — a filter, projection or
-// Apply takes a whole batch before its parent sees a row, an Apply
-// evaluates its inner after its outer's first batch and regathers outer
-// rows into full batches, a scalar aggregate drains its input and an
-// Exists reads its input's first batch when opened, a union opens each
-// input when the previous one ends — and the program makes the same
-// windows in the same order. So it fails with the tree's first error and
-// tallies the tree's counters; under a Profile every native node is
-// credited the Rows and Opens its probe would record, and the program's
-// wall time is credited to the inner root. Native nodes take their
-// scratch from the execution's arena when first needed and rewrite it
-// per window.
+// A filter narrows the window's selection vector, a scalar aggregate
+// folds whole windows (accum.fold), and a projection at the root writes
+// its rows straight into the sink's storage. An Apply binds its
+// scalar's columns as parameters — per evaluation, for a GApply per
+// group — instead of widening every outer row, and a filter comparing a
+// column with a literal, or an expression over parameters and literals,
+// evaluates it once per window and runs a column-against-constant
+// kernel. Rows are widened, parameters appended, only where a consumer
+// needs them whole: a union input, the root, or an expression reading
+// parameters row by row.
+//
+// Any other operator is hosted (segHost): buildBatch compiles it, and
+// everything under it, into the iterator tree, which the program
+// re-opens per evaluation, its GroupScans bound at compile time to the
+// group the enclosing program evaluates (scope). An invariant subtree of
+// a GApply's inner — no GroupScan, no OuterRef — is materialized once
+// per GApply Open and replayed for every group (invariant, bReplay).
+//
+// The windows are fixed by the plan alone — a filter, projection or
+// Apply takes a whole window before its consumer sees a row, an Apply
+// evaluates its inner after its outer's first window and regathers outer
+// rows into full windows, a scalar aggregate drains its input and an
+// Exists reads its input's first window when opened, a union opens each
+// input when the previous one ends — so the first error, the counters
+// and EXPLAIN ANALYZE's rows and opens do not depend on the sink or the
+// dop (TestSegmentCountersGolden). Under a Profile every native node is
+// credited the Rows and Opens a probe would record and no time of its
+// own: a bProgram's probe times the chain as its root's, and a GApply's
+// inner root is credited the program's wall time (run). Native nodes
+// take their scratch from the execution's arena when first needed and
+// rewrite it per window.
 
-// scope is what a GApply binds for the plans compiled in its inner: its
-// group variable, read from the group the program being compiled
+// scope is what a GApply's program binds for the plans compiled in its
+// inner: its group variable, read from group, the group the program
 // evaluates, and the materializations of its inner's invariant
-// subtrees; up is the enclosing GApply's scope.
+// subtrees; up is the enclosing GApply's scope. rootStats is the inner
+// root's profile cell, which run times (nil when not profiling, or when
+// a hosted root's own probe times it).
 type scope struct {
-	groupVar string
-	group    *[]types.Row
-	invs     []*invariant
-	up       *scope
+	groupVar  string
+	group     []types.Row
+	invs      []*invariant
+	up        *scope
+	rootStats *NodeStats
 }
 
 // bound returns the group a GroupScan of name reads.
 func (s *scope) bound(name string) (*[]types.Row, error) {
 	for ; s != nil; s = s.up {
 		if strings.EqualFold(s.groupVar, name) {
-			return s.group, nil
+			return &s.group, nil
 		}
 	}
 	return nil, fmt.Errorf("exec: group variable %q is not bound", name)
@@ -88,19 +100,25 @@ func (s *scope) invariant(n core.Node) *invariant {
 	return nil
 }
 
-// segProgram is a GApply's per-group query compiled to run over one
-// group at a time on one Context: the serial phase's, or a parallel
-// worker's.
+// segProgram is a compiled chain of native operators on one Context: a
+// GApply's per-group query, on the serial phase's Context or a parallel
+// worker's, or a chain bProgram runs.
 type segProgram struct {
-	root      segNode
-	rootStats *NodeStats // the inner root's profile cell; nil when not profiling
-	ctx       *Context
-	env       compileEnv  // the GApply's, its scope binding the group variable to group
-	group     []types.Row // the group being evaluated, read by its GroupScans
-	params    types.Row   // the Applies' scalars, one slot per column
-	hosts     []*segHost  // every hosted subtree, closed by close
-	// correlated is set when the inner holds OuterRefs: an Apply is then
-	// native only if its own inner holds none.
+	root   segNode
+	ctx    *Context
+	params types.Row // the Applies' scalars, one slot per column
+	scope  *scope    // a GApply's: it holds the group being evaluated
+	hosts  segHost   // the hosted subtrees, in plan order, linked through sib
+}
+
+// segCompiler is a program being compiled: the env its plans compile
+// in, the chain root a bProgram's probe counts — which gets no profile
+// cell of its own — and whether the plan may hold OuterRefs, so that an
+// Apply is native only if its own inner holds none.
+type segCompiler struct {
+	*segProgram
+	env        compileEnv
+	probed     core.Node
 	correlated bool
 }
 
@@ -137,45 +155,46 @@ func (b *segBase) emitted(n int) {
 // segShape describes a compiled node's windows to its consumer: the
 // node's schema (nil when no consumer reads it), how many leading columns
 // its rows hold — the rest are parameter slots — the most rows a window
-// holds, and whether rows outlive their window (group rows, the one row
-// of an aggregate, and every row an iterator tree emits).
+// holds, whether rows outlive their window (group rows, the one row of
+// an aggregate, and every row an iterator tree emits), and which
+// ordinals of the plan node's schema the rows carry, as buildBatchNeed
+// returns them (nil: every column; only a hosted join, or a filter of
+// one, narrows).
 type segShape struct {
 	sch    *schema.Schema
 	phys   int
 	slots  []int
 	rows   int
 	stable bool
+	emit   []int
 }
 
 // buildSegment compiles g's per-group query into a program over ctx.
-// Compilation visits the nodes in the order buildBatch would, so a plan
-// that does not compile fails with the error the iterator tree's build
-// reports.
 func buildSegment(g *bgapply, ctx *Context) (*segProgram, error) {
-	p := newSegProgram(g, ctx)
-	root, sh, err := p.compile(g.plan.Inner, false, nil)
+	c := newSegCompiler(g, ctx)
+	root, sh, err := c.compile(g.plan.Inner, false, nil)
 	if err != nil {
 		return nil, err
 	}
-	return p.finish(root, sh), nil
+	return c.finish(root, sh), nil
 }
 
-// newSegProgram starts g's program over ctx, its scope binding g's
+// newSegCompiler starts g's program over ctx, its scope binding g's
 // group variable to the group the program evaluates.
-func newSegProgram(g *bgapply, ctx *Context) *segProgram {
-	p := &segProgram{ctx: ctx, rootStats: segStats(g.plan.Inner, ctx), correlated: g.correlated}
-	p.env = compileEnv{outer: g.env.outer, scope: &scope{groupVar: g.plan.GroupVar, group: &p.group, invs: g.invs, up: g.env.scope}}
-	return p
+func newSegCompiler(g *bgapply, ctx *Context) segCompiler {
+	sc := &scope{groupVar: g.plan.GroupVar, invs: g.invs, up: g.env.scope, rootStats: segStats(g.plan.Inner, ctx)}
+	p := &segProgram{ctx: ctx, scope: sc}
+	return segCompiler{segProgram: p, env: compileEnv{outer: g.env.outer, scope: sc}, correlated: g.correlated}
 }
 
 // finish makes root, whose windows sh describes, the program's root. A
 // hosted root's own probe times it.
-func (p *segProgram) finish(root segNode, sh segShape) *segProgram {
+func (c *segCompiler) finish(root segNode, sh segShape) *segProgram {
 	if _, hosted := root.(*segHost); hosted {
-		p.rootStats = nil
+		c.scope.rootStats = nil
 	}
-	p.root, _ = p.physical(root, sh, true)
-	return p
+	c.root, _ = c.whole(root, sh)
+	return c.segProgram
 }
 
 // segStats is n's profile cell under ctx, or nil when not profiling.
@@ -186,22 +205,45 @@ func segStats(n core.Node, ctx *Context) *NodeStats {
 	return ctx.Prof.node(n)
 }
 
-// compile compiles n for a consumer that reads the columns need of its
-// schema (nil: all of them), as buildBatch threads needs, deriving n's
-// schema from its input's only when want says the consumer reads it.
-// An invariant subtree, and a node the program has no native node for,
-// is hosted.
-func (p *segProgram) compile(n core.Node, want bool, need []int) (segNode, segShape, error) {
-	if p.env.scope.invariant(n) != nil {
-		return p.host(n, nil)
+// native reports whether n is one of the operators programs run
+// natively, so buildBatch compiles it, and the chain under it, as a
+// program.
+func native(n core.Node) bool {
+	switch x := n.(type) {
+	case *core.Select, *core.Project, *core.AggOp, *core.UnionAll, *core.Exists:
+		return true
+	case *core.Apply:
+		return nativeApply(x, true)
 	}
-	stats := segStats(n, p.ctx)
+	return false
+}
+
+// nativeApply reports whether a program runs x natively: a cross Apply
+// whose inner yields at most one row and, when the plan compiled may be
+// correlated, holds no OuterRef. Any other Apply is hosted as bApply.
+func nativeApply(x *core.Apply, correlated bool) bool {
+	return x.Kind == core.CrossApply && atMostOneRow(x.Inner) && !(correlated && len(core.OuterRefsIn(x.Inner)) > 0)
+}
+
+// compile compiles n for a consumer that reads the columns need of its
+// schema (nil: all of them), as buildBatchNeed threads needs, deriving
+// n's schema from its input's only when want says the consumer reads
+// it. An invariant subtree, and a node the program has no native node
+// for, is hosted.
+func (c *segCompiler) compile(n core.Node, want bool, need []int) (segNode, segShape, error) {
+	if c.env.scope.invariant(n) != nil {
+		return c.host(n, nil)
+	}
+	stats := segStats(n, c.ctx)
+	if n == c.probed {
+		stats = nil
+	}
 	var in segNode
 	var sh segShape
 	var err error
 	switch x := n.(type) {
 	case *core.GroupScan:
-		rows, err := p.env.scope.bound(x.Var)
+		rows, err := c.env.scope.bound(x.Var)
 		sh := segShape{sch: x.Sch, rows: batchSize, stable: true}
 		if x.Sch != nil {
 			sh.phys = x.Sch.Len()
@@ -209,21 +251,55 @@ func (p *segProgram) compile(n core.Node, want bool, need []int) (segNode, segSh
 		return &segScan{segBase: segBase{stats: stats}, rows: rows}, sh, err
 
 	case *core.Select:
-		if in, sh, err = p.compile(x.Input, true, addNeed(need, x.Input, x.Cond)); err != nil {
+		// Select-over-Join fuses the filter into the join as a post
+		// predicate: candidates are rejected on the reused probe row before
+		// they are ever copied into the join's output slab.
+		if j, ok := fusedJoin(x, c.ctx, c.env); ok {
+			it, emit, err := buildBatchJoin(j, x.Cond, need, c.ctx, c.env)
+			if err != nil {
+				return nil, sh, err
+			}
+			return c.hostIt(it, j, emitted(x.Schema(), emit), emit)
+		}
+		if in, sh, err = c.compile(x.Input, true, addNeed(need, x.Input, x.Cond)); err != nil {
 			return nil, sh, err
 		}
-		s := &segSelect{segBase: segBase{in, stats}, filter: filter{rows: sh.rows}}
-		if ok, err := s.compileConst(x.Cond, sh, p.env); ok || err != nil {
+		s := &segSelect{segBase: segBase{in, stats}, rows: int32(sh.rows)}
+		pulled(in, sh.rows)
+		if ok, err := s.compileConst(x.Cond, sh, c.env); ok || err != nil {
 			return s, sh, err
 		}
 		_, params := segReads(x.Cond, sh)
-		s.in, sh = p.physical(in, sh, params)
-		s.filter, err = compileFilter(x.Cond, sh.sch, p.env, sh.rows)
+		s.in, sh = c.physical(in, sh, params)
+		// The row predicate is compiled only when the condition does not
+		// kernelize; a kernelizable condition always compiles.
+		if ks, ok := compileFilterKernels(x.Cond, sh.sch); ok && len(ks) > 0 {
+			s.kernel = ks[0]
+			if len(ks) > 1 {
+				s.kernel = func(rows []types.Row, sel []int) []int { return runKernels(ks, rows, sel) }
+			}
+		} else {
+			s.pred, err = compilePredicate(x.Cond, sh.sch, c.env)
+		}
 		return s, sh, err
 
 	case *core.Project:
-		if in, sh, err = p.compile(x.Input, true, readNeed(x.Input, x.Exprs...)); err != nil {
+		if in, sh, err = c.compile(x.Input, true, readNeed(x.Input, x.Exprs...)); err != nil {
 			return nil, sh, err
+		}
+		out := segShape{phys: len(x.Exprs), rows: sh.rows}
+		if want {
+			out.sch = x.SchemaOver(sh.sch)
+		}
+		// A narrowed hosted input that emits exactly this column list, in
+		// this order, already is the projection, probed as it under a
+		// Profile.
+		if h, ok := in.(*segHost); ok && sh.emit != nil && isIdentity(x.Exprs, sh.sch, len(sh.emit)) {
+			if stats != nil {
+				h.it = c.ctx.Prof.wrapBatch(x, h.it)
+			}
+			out.stable = true
+			return in, out, nil
 		}
 		params := false
 		for _, e := range x.Exprs {
@@ -232,32 +308,41 @@ func (p *segProgram) compile(n core.Node, want bool, need []int) (segNode, segSh
 				params = params || pe
 			}
 		}
-		in, sh = p.physical(in, sh, params)
-		s := &segProject{segBase: segBase{in, stats}, scratch: segRows{width: len(x.Exprs), rows: sh.rows}}
-		if s.cols, err = compileCols(x.Exprs, sh.sch, sh.phys, sh.slots, p.env); err != nil {
+		in, sh = c.physical(in, sh, params)
+		pulled(in, sh.rows)
+		s := &segProject{segBase: segBase{in, stats}}
+		if s.cols, s.lits, err = compileCols(x.Exprs, sh.sch, sh.phys, sh.slots, c.env); err != nil {
 			return nil, sh, err
-		}
-		out := segShape{phys: len(x.Exprs), rows: sh.rows}
-		if want {
-			out.sch = x.SchemaOver(sh.sch)
 		}
 		return s, out, nil
 
 	case *core.AggOp:
-		if in, sh, err = p.compile(x.Input, true, aggNeed(x.Input, nil, x.Aggs)); err != nil {
+		if in, sh, err = c.compile(x.Input, true, aggNeed(x.Input, nil, x.Aggs)); err != nil {
 			return nil, sh, err
 		}
-		a := &segAgg{segBase: segBase{in, stats}}
-		if a.scalarAgg, err = compileScalarAgg(x.Aggs, sh.sch, sh.phys, p.env); err != nil {
-			return nil, sh, err
-		}
+		a := &segAgg{segBase: segBase{in, stats}, ords: foldOrds(x.Aggs, sh.sch, sh.phys)}
 		if a.ords == nil { // compiled arguments that read parameters read whole rows
 			for _, g := range x.Aggs {
 				if _, params := segReads(g.Arg, sh); params {
-					a.in, sh = p.physical(in, sh, true)
+					a.in, sh = c.physical(in, sh, true)
+					break
 				}
 			}
+			if a.aggs, err = compileAggs(x.Aggs, sh.sch, c.env); err != nil {
+				return nil, sh, err
+			}
 		}
+		pulled(a.in, sh.rows)
+		// An accumulator that cannot be created fails the evaluation, not
+		// the build.
+		a.states, a.row = make([]accum, len(x.Aggs)), make(types.Row, len(x.Aggs))
+		for i, g := range x.Aggs {
+			if a.states[i], a.err = newAccum(g); a.err != nil {
+				break
+			}
+		}
+		a.one[0] = a.row
+		a.out.Rows = a.one[:]
 		out := segShape{phys: len(x.Aggs), rows: 1, stable: true}
 		if want {
 			out.sch = x.SchemaOver(sh.sch)
@@ -265,9 +350,10 @@ func (p *segProgram) compile(n core.Node, want bool, need []int) (segNode, segSh
 		return a, out, nil
 
 	case *core.Exists:
-		if in, _, err = p.compile(x.Input, false, nil); err != nil {
+		if in, sh, err = c.compile(x.Input, false, nil); err != nil {
 			return nil, sh, err
 		}
+		pulled(in, sh.rows)
 		e := &segExists{segBase: segBase{in, stats}, negated: x.Negated}
 		e.out.Rows = e.empty[:]
 		return e, segShape{sch: x.Schema(), rows: 1, stable: true}, nil
@@ -276,14 +362,14 @@ func (p *segProgram) compile(n core.Node, want bool, need []int) (segNode, segSh
 		arity := segArity(x.Inputs[0])
 		u := &segUnion{segBase: segBase{stats: stats}, ins: make([]segNode, len(x.Inputs))}
 		out := segShape{phys: arity, stable: true}
-		for i, c := range x.Inputs {
-			if w := segArity(c); w != arity {
+		for i, input := range x.Inputs {
+			if w := segArity(input); w != arity {
 				return nil, out, fmt.Errorf("exec: union input %d has %d columns, want %d", i, w, arity)
 			}
-			if in, sh, err = p.compile(c, want && i == 0, nil); err != nil {
+			if in, sh, err = c.compile(input, want && i == 0, nil); err != nil {
 				return nil, out, err
 			}
-			u.ins[i], sh = p.physical(in, sh, true)
+			u.ins[i], sh = c.whole(in, sh)
 			if i == 0 {
 				out.sch = sh.sch
 			}
@@ -292,30 +378,30 @@ func (p *segProgram) compile(n core.Node, want bool, need []int) (segNode, segSh
 		return u, out, nil
 
 	case *core.Apply:
-		if x.Kind != core.CrossApply || !atMostOneRow(x.Inner) || p.correlated && len(core.OuterRefsIn(x.Inner)) > 0 {
+		if !nativeApply(x, c.correlated) {
 			break
 		}
-		if in, sh, err = p.compile(x.Outer, want, nil); err != nil {
+		if in, sh, err = c.compile(x.Outer, want, nil); err != nil {
 			return nil, sh, err
 		}
-		inner, ish, err := p.compile(x.Inner, want, nil)
+		inner, ish, err := c.compile(x.Inner, want, nil)
 		if err != nil {
 			return nil, ish, err
 		}
-		a := &segApply{segBase: segBase{in, stats}, inner: inner, stable: sh.stable}
+		pulled(in, sh.rows)
+		a := &segApply{segBase: segBase{in, stats}, inner: inner, stable: sh.stable, base: len(c.params), width: ish.phys}
 		a.copies = segRows{width: sh.phys, rows: batchSize}
 		out := segShape{phys: sh.phys, slots: sh.slots[:len(sh.slots):len(sh.slots)], rows: batchSize, stable: sh.stable}
 		for range ish.phys {
-			out.slots = append(out.slots, len(p.params))
-			p.params = append(p.params, types.Null)
+			out.slots = append(out.slots, len(c.params))
+			c.params = append(c.params, types.Null)
 		}
-		a.slots = out.slots[len(sh.slots):]
 		if want {
 			out.sch = sh.sch.Concat(ish.sch)
 		}
 		return a, out, nil
 	}
-	return p.host(n, need)
+	return c.host(n, need)
 }
 
 // Hosted compiles plan over cat and returns, for every GApply in it,
@@ -345,18 +431,47 @@ func atMostOneRow(n core.Node) bool {
 	}
 }
 
-// host compiles n into the iterator tree buildBatch builds for a
+// isIdentity reports whether exprs are the columns 0, 1, …, n-1 of sch.
+func isIdentity(exprs []core.Expr, sch *schema.Schema, n int) bool {
+	if len(exprs) != n {
+		return false
+	}
+	for i, e := range exprs {
+		c, ok := e.(*core.ColRef)
+		if !ok {
+			return false
+		}
+		if ord, err := sch.Resolve(c.Table, c.Name); err != nil || ord != i {
+			return false
+		}
+	}
+	return true
+}
+
+// host compiles n into the iterator tree buildBatchNeed builds for a
 // consumer reading need — or, for an invariant subtree, a replay of its
 // materialization — and hosts it as one node.
-func (p *segProgram) host(n core.Node, need []int) (segNode, segShape, error) {
-	it, emit, err := buildBatchNeed(n, need, p.ctx, p.env)
+func (c *segCompiler) host(n core.Node, need []int) (segNode, segShape, error) {
+	it, emit, err := buildBatchNeed(n, need, c.ctx, c.env)
 	if err != nil {
 		return nil, segShape{}, err
 	}
-	h := &segHost{it: it, node: n}
-	p.hosts = append(p.hosts, h)
-	sch := emitted(n.Schema(), emit)
-	return h, segShape{sch: sch, phys: sch.Len(), rows: batchSize, stable: true}, nil
+	return c.hostIt(it, n, emitted(n.Schema(), emit), emit)
+}
+
+// hostIt hosts it, compiled from node, whose rows carry the columns
+// emit of node's schema, sch.
+func (c *segCompiler) hostIt(it BatchIterator, node core.Node, sch *schema.Schema, emit []int) (segNode, segShape, error) {
+	h := &c.hosts
+	if h.it != nil {
+		for h.sib != nil {
+			h = h.sib
+		}
+		h.sib = new(segHost)
+		h = h.sib
+	}
+	*h = segHost{it: it, node: node}
+	return h, segShape{sch: sch, phys: sch.Len(), rows: batchSize, stable: true, emit: emit}, nil
 }
 
 // hosted returns the plan nodes the program hosts as iterator trees, in
@@ -364,7 +479,7 @@ func (p *segProgram) host(n core.Node, need []int) (segNode, segShape, error) {
 // aside.
 func (p *segProgram) hosted() []core.Node {
 	var out []core.Node
-	for _, h := range p.hosts {
+	for h := &p.hosts; h != nil && h.it != nil; h = h.sib {
 		if _, replay := h.it.(*bReplay); !replay {
 			out = append(out, h.node)
 		}
@@ -374,20 +489,60 @@ func (p *segProgram) hosted() []core.Node {
 
 // physical hands on in's windows with their rows at full width — their
 // columns, then the parameters — when reads says a consumer reads them
-// whole and sh has parameters: a projection of every column.
-func (p *segProgram) physical(in segNode, sh segShape, reads bool) (segNode, segShape) {
+// whole and sh has parameters.
+func (c *segCompiler) physical(in segNode, sh segShape, reads bool) (segNode, segShape) {
 	if !reads || len(sh.slots) == 0 {
 		return in, sh
 	}
+	w, wsh := c.widen(in, sh)
+	pulled(w, wsh.rows)
+	return w, wsh
+}
+
+// whole hands on in's windows for a sink (eval, bProgram) or a union:
+// a projection computes its rows into the sink's storage and a union
+// pulls its inputs, whole themselves; any other node's rows must be at
+// full width and outlive their window, else a projection of every
+// column copies them.
+func (c *segCompiler) whole(in segNode, sh segShape) (segNode, segShape) {
+	switch in.(type) {
+	case *segProject, *segUnion:
+		return in, sh
+	}
+	if sh.stable && len(sh.slots) == 0 {
+		return in, sh
+	}
+	return c.widen(in, sh)
+}
+
+// widen is a projection of in's every column, then its parameters.
+func (c *segCompiler) widen(in segNode, sh segShape) (segNode, segShape) {
 	width := sh.phys + len(sh.slots)
-	w := &segProject{segBase: segBase{in: in}, cols: make([]projCol, width), scratch: segRows{width: width, rows: sh.rows}}
+	w := &segProject{segBase: segBase{in: in}, cols: make([]projCol, width)}
 	for i := range w.cols {
-		w.cols[i] = projCol{ord: i, slot: -1}
+		w.cols[i] = projCol{from: fromRow, i: int32(i)}
 		if i >= sh.phys {
-			w.cols[i] = projCol{ord: -1, slot: sh.slots[i-sh.phys]}
+			w.cols[i] = projCol{from: fromParam, i: int32(sh.slots[i-sh.phys])}
 		}
 	}
 	return w, segShape{sch: sh.sch, phys: width, rows: sh.rows}
+}
+
+// pulled readies in for a consumer that pulls its windows (next) rather
+// than taking its rows at a sink: a projection computes them into
+// scratch of its own, of windows of up to rows rows, and so does each
+// projection input of a union.
+func pulled(in segNode, rows int) {
+	switch x := in.(type) {
+	case *segProject:
+		if x.scratch == nil {
+			x.scratch = &segRows{width: len(x.cols), rows: rows}
+		}
+	case *segUnion:
+		for _, in := range x.ins {
+			pulled(in, rows)
+		}
+	}
 }
 
 // segArity is n's output width, read off the plan without deriving its
@@ -447,19 +602,20 @@ func segReads(e core.Expr, sh segShape) (rows, params bool) {
 // ordinals are the grouping columns). It always finishes the group: a
 // group's output is held whole before it is emitted.
 func (p *segProgram) run(group []types.Row, out *joinOut) error {
-	if p.rootStats == nil {
+	stats := p.scope.rootStats
+	if stats == nil {
 		return p.eval(group, out)
 	}
 	start := time.Now()
 	err := p.eval(group, out)
-	p.rootStats.Time += time.Since(start)
+	stats.Time += time.Since(start)
 	return err
 }
 
 // close closes the hosted subtrees left open.
 func (p *segProgram) close() error {
 	var err error
-	for _, h := range p.hosts {
+	for h := &p.hosts; h != nil && h.it != nil; h = h.sib {
 		if cerr := h.close(); err == nil {
 			err = cerr
 		}
@@ -468,55 +624,113 @@ func (p *segProgram) close() error {
 }
 
 func (p *segProgram) eval(group []types.Row, out *joinOut) error {
-	p.group = group
+	p.scope.group = group
 	if err := p.root.open(p); err != nil {
 		return err
 	}
-	_, err := p.emit(p.root, out)
-	return err
-}
-
-// emit drains the open node n into out and returns how many rows it
-// wrote: a projection computes its rows there, and a union has its
-// inputs write theirs in turn.
-func (p *segProgram) emit(n segNode, out *joinOut) (int, error) {
-	total := 0
-	switch x := n.(type) {
-	case *segProject:
-		dst := func() types.Row { return out.carve(p.group[0], len(x.cols)) }
-		for {
-			k, err := x.project(p, dst)
-			if total += k; k == 0 {
-				return total, err
-			}
-		}
-	case *segUnion:
-		for i, in := range x.ins {
-			if i > 0 {
-				if err := in.open(p); err != nil {
-					return total, err
-				}
-			}
-			k, err := p.emit(in, out)
-			if total += k; err != nil {
-				return total, err
-			}
-		}
-		x.emitted(total)
-		return total, nil
-	}
+	key := group[0]
+	carve := func(width int) types.Row { return out.carve(key, width) }
 	for {
-		b, err := n.next(p)
-		if err != nil || b == nil {
-			return total, err
+		k, b, err := p.pull(p.root, carve)
+		if err != nil || k == 0 && b == nil {
+			return err
 		}
 		for i := 0; i < b.Len(); i++ {
 			r := b.Row(i)
-			copy(out.carve(p.group[0], len(r)), r)
+			copy(carve(len(r)), r)
 		}
-		total += b.Len()
 	}
 }
+
+// pull is the open node n's next window for a sink that takes rows
+// width wide from carve: a projection computes its rows there and
+// reports how many, a union pulls its inputs in turn, and any other node
+// returns its window. 0 and nil: n is exhausted. With a nil carve every
+// node returns its window, a projection's in its own scratch (pulled).
+func (p *segProgram) pull(n segNode, carve func(width int) types.Row) (int, *Batch, error) {
+	switch x := n.(type) {
+	case *segProject:
+		if carve != nil {
+			k, err := x.project(p, carve)
+			return k, nil, err
+		}
+	case *segUnion:
+		for x.cur < len(x.ins) {
+			k, b, err := p.pull(x.ins[x.cur], carve)
+			if err != nil {
+				return 0, nil, err
+			}
+			if k > 0 || b != nil {
+				x.emitted(k + b.Len())
+				return k, b, nil
+			}
+			if x.cur++; x.cur < len(x.ins) {
+				if err := x.ins[x.cur].open(p); err != nil {
+					return 0, nil, err
+				}
+			}
+		}
+		return 0, nil, nil
+	}
+	b, err := n.next(p)
+	return 0, b, err
+}
+
+// bProgram runs a program outside any GApply as one iterator: the
+// program's sink made resumable. Each NextBatch pulls the root's next
+// window: a projection root, or a projection input of a union root,
+// writes its rows into the iterator's own slab, and any other window's
+// rows outlive it (segProgram.whole) and pass through. Close closes the
+// program's hosted subtrees.
+type bProgram struct {
+	segProgram
+	slab rowSlab // a projection's rows…
+	out  Batch   // …and the window of them
+}
+
+// buildProgram compiles n, a native operator, and the chain of them
+// under it into a program for a consumer that reads need, returning
+// what buildBatchNeed does. A chain that compiles to one hosted subtree
+// (a filter fused into its join, a projection its narrowed input
+// already is) is that subtree's iterator.
+func buildProgram(n core.Node, need []int, ctx *Context, env compileEnv) (BatchIterator, []int, error) {
+	a := &bProgram{segProgram: segProgram{ctx: ctx}}
+	c := segCompiler{segProgram: &a.segProgram, env: env, probed: n, correlated: true}
+	root, sh, err := c.compile(n, false, need)
+	if err != nil {
+		return nil, nil, err
+	}
+	if h, ok := root.(*segHost); ok {
+		return h.it, sh.emit, nil
+	}
+	emit := sh.emit
+	a.root, sh = c.whole(root, sh)
+	a.slab = rowSlab{width: sh.phys, arena: ctx.arena}
+	return a, emit, nil
+}
+
+func (a *bProgram) Open() error { return a.root.open(&a.segProgram) }
+
+func (a *bProgram) NextBatch() (*Batch, error) {
+	if a.out.Rows == nil {
+		a.out.Rows = a.ctx.arena.headers(batchSize)
+	}
+	a.out.Rows = a.out.Rows[:0]
+	k, b, err := a.pull(a.root, a.carve)
+	if k == 0 {
+		return b, err
+	}
+	return &a.out, nil
+}
+
+// carve takes a row of the projection being written.
+func (a *bProgram) carve(width int) types.Row {
+	r := a.slab.carve(width)
+	a.out.Rows = append(a.out.Rows, r)
+	return r
+}
+
+func (a *bProgram) Close() error { return a.close() }
 
 // segRows is a node's scratch for the rows it computes: one window of
 // width-wide rows, taken from the execution's arena when the node first
@@ -524,31 +738,31 @@ func (p *segProgram) emit(n segNode, out *joinOut) (int, error) {
 type segRows struct {
 	width, rows int
 	slab        types.Row
-	hdrs        []types.Row
+	out         Batch // the window
 }
 
 // reset starts a window.
 func (s *segRows) reset(a *arena) {
-	if s.hdrs == nil {
+	if s.out.Rows == nil {
 		s.slab = a.values(s.width * s.rows)[:s.width*s.rows]
-		s.hdrs = a.headers(s.rows)
+		s.out.Rows = a.headers(s.rows)
 	}
-	s.hdrs = s.hdrs[:0]
+	s.out.Rows = s.out.Rows[:0]
 }
 
 // add appends a row to the window and returns it, for the caller to
 // fill.
 func (s *segRows) add() types.Row {
-	start := len(s.hdrs) * s.width
+	start := len(s.out.Rows) * s.width
 	r := s.slab[start : start+s.width : start+s.width]
-	s.hdrs = append(s.hdrs, r)
+	s.out.Rows = append(s.out.Rows, r)
 	return r
 }
 
 // segScan reads a group's run, the native GroupScan, a window of
-// batchSize rows at a time, polling cancellation per window as the
-// tree's GroupScan does per batch. rows is the group its variable is
-// bound to: the program's own, or an enclosing program's.
+// batchSize rows at a time, polling cancellation per window. rows is
+// the group its variable is bound to: the program's own, or an
+// enclosing program's.
 type segScan struct {
 	segBase // no input
 	rows    *[]types.Row
@@ -581,21 +795,38 @@ func (s *segScan) next(p *segProgram) (*Batch, error) {
 	return &s.out, nil
 }
 
-// segSelect narrows its input windows' selection and passes on those
-// with a row left. Its predicate runs as a column-against-constant
-// kernel when it compares a row column with an expression over
-// parameters and literals, evaluated once per window; otherwise it
-// narrows as the tree's filter does (filter.narrow).
+// segSelect narrows its input windows' selection, in a scratch
+// selection vector taken from the arena, and passes on those with a row
+// left. A comparison of a row column with a literal, or with an
+// expression over parameters and literals evaluated once per window,
+// runs the column-against-constant kernel; any other condition runs its
+// vector kernels (vector.go) when it kernelizes, else its row predicate
+// row by row, so its error is the first failing row's.
 type segSelect struct {
 	segBase
-	filter
-	ord    int    // the constant comparison's row column…
-	mask   uint8  // …its accepted outcomes (outcomeMask)…
-	konst  evalFn // …and its constant, over krow: kwidth wide, its tail the parameters kslots
-	krow   types.Row
-	kwidth int
-	kslots []int
-	out    Batch
+	kernel selKernel                               // the condition's kernels, run in turn…
+	pred   func(types.Row, *Context) (bool, error) // …or its row predicate
+	out    Batch                                   // out.Sel is the scratch
+	rows   int32                                   // the most rows a window holds: the scratch's size
+	// A constant comparison (kfrom is fromRow otherwise): its row column,
+	// its accepted outcomes (outcomeMask) and its constant — a literal, a
+	// parameter slot (ki), or an expression.
+	ord   int32
+	ki    int32
+	mask  uint8
+	kfrom colSource
+	lit   *types.Value
+	kexpr *constExpr
+}
+
+// constExpr is a constant comparison's expression over parameters and
+// literals, compiled over row: width columns, its tail the parameters
+// slots.
+type constExpr struct {
+	fn    evalFn
+	row   types.Row
+	width int
+	slots []int
 }
 
 // compileConst compiles cond as a column-against-constant comparison,
@@ -611,15 +842,25 @@ func (s *segSelect) compileConst(cond core.Expr, sh segShape, env compileEnv) (b
 		col, konst, flip = konst, col, true
 	}
 	ord, _, isCol := kernelOperand(col, sh.sch)
+	kord, _, isOperand := kernelOperand(konst, sh.sch)
 	kr, kp := segReads(konst, sh)
-	if !ok || !isCol || ord < 0 || ord >= sh.phys || kr || !kp {
+	if !ok || !isCol || ord < 0 || ord >= sh.phys || kr || !kp && !isOperand {
 		return false, nil
 	}
-	s.ord, s.mask = ord, outcomeMask(test, flip)
-	s.kwidth, s.kslots = sh.phys+len(sh.slots), sh.slots
-	var err error
-	s.konst, err = compileExpr(konst, sh.sch, env)
-	return true, err
+	s.ord, s.mask = int32(ord), outcomeMask(test, flip)
+	switch {
+	case kord >= 0:
+		s.kfrom, s.ki = fromParam, int32(sh.slots[kord-sh.phys])
+	case isOperand:
+		s.kfrom, s.lit = fromLit, &konst.(*core.Lit).V
+	default:
+		s.kfrom = fromExpr
+		s.kexpr = &constExpr{width: sh.phys + len(sh.slots), slots: sh.slots}
+		var err error
+		s.kexpr.fn, err = compileExpr(konst, sh.sch, env)
+		return true, err
+	}
+	return true, nil
 }
 
 func (s *segSelect) next(p *segProgram) (*Batch, error) {
@@ -628,77 +869,214 @@ func (s *segSelect) next(p *segProgram) (*Batch, error) {
 		if err != nil || b == nil {
 			return nil, err
 		}
-		if s.konst != nil {
-			sel := s.live(b, p.ctx.arena)
-			if s.krow == nil {
-				s.krow = p.ctx.arena.values(s.kwidth)[:s.kwidth]
+		if s.out.Sel == nil {
+			s.out.Sel = p.ctx.arena.sel(int(s.rows))
+		}
+		sel := s.out.Sel[:0]
+		if b.Sel != nil {
+			sel = append(sel, b.Sel...)
+		} else {
+			sel = identitySel(sel, len(b.Rows))
+		}
+		switch s.kfrom {
+		case fromLit:
+			sel = selectCmpConst(b.Rows, sel, int(s.ord), *s.lit, s.mask)
+		case fromParam:
+			sel = selectCmpConst(b.Rows, sel, int(s.ord), p.params[s.ki], s.mask)
+		case fromExpr:
+			k := s.kexpr
+			if k.row == nil {
+				k.row = p.ctx.arena.values(k.width)[:k.width]
 			}
-			tail := s.krow[s.kwidth-len(s.kslots):]
-			for j, slot := range s.kslots {
+			tail := k.row[k.width-len(k.slots):]
+			for j, slot := range k.slots {
 				tail[j] = p.params[slot]
 			}
-			c, err := s.konst(s.krow, p.ctx)
+			c, err := k.fn(k.row, p.ctx)
 			if err != nil {
 				return nil, err
 			}
-			s.sel = selectCmpConst(b.Rows, sel, s.ord, c, s.mask)
-		} else if err := s.narrow(b, p.ctx); err != nil {
-			return nil, err
+			sel = selectCmpConst(b.Rows, sel, int(s.ord), c, s.mask)
+		default: // fromRow: not a constant comparison
+			if s.kernel != nil {
+				sel = s.kernel(b.Rows, sel)
+				break
+			}
+			kept := sel[:0]
+			for _, i := range sel {
+				pass, err := s.pred(b.Rows[i], p.ctx)
+				if err != nil {
+					return nil, err
+				}
+				if pass {
+					kept = append(kept, i)
+				}
+			}
+			sel = kept
 		}
-		if len(s.sel) > 0 {
-			s.emitted(len(s.sel))
-			s.out.Rows, s.out.Sel = b.Rows, s.sel
+		if len(sel) > 0 {
+			s.emitted(len(sel))
+			s.out.Rows, s.out.Sel = b.Rows, sel
 			return &s.out, nil
 		}
 	}
 }
 
 // segProject computes its rows a window at a time into scratch, or, at
-// the root, straight into the GApply's output slab.
+// a sink, straight into the sink's storage.
 type segProject struct {
 	segBase
 	cols    []projCol
-	scratch segRows
-	out     Batch
+	lits    types.Row // the literal columns' values, at their columns
+	scratch *segRows  // nil when only sinks take its rows (pulled)
+}
+
+// projCol is one projected column: a column of the input row, a
+// parameter slot, a literal of the projection, or any other expression,
+// compiled.
+type projCol struct {
+	i    int32 // the row column or parameter slot
+	from colSource
+	fn   evalFn // fromExpr
+}
+
+type colSource uint8
+
+const (
+	fromRow colSource = iota
+	fromParam
+	fromLit
+	fromExpr
+)
+
+// compileCols compiles a projection's exprs over the schema of rows
+// holding its first phys columns; a column past them is the parameter
+// slot slots[ord-phys]. It returns the columns and, when any is a
+// literal, one side row as wide as the projection holding each
+// literal's value at its column. A column or literal needs no
+// compiling, so a compile error is the first failing expression's.
+func compileCols(exprs []core.Expr, sch *schema.Schema, phys int, slots []int, env compileEnv) ([]projCol, types.Row, error) {
+	cols := make([]projCol, len(exprs))
+	var lits types.Row
+	for i, e := range exprs {
+		c := &cols[i]
+		switch ord, lit, ok := kernelOperand(e, sch); {
+		case ord >= phys:
+			c.from, c.i = fromParam, int32(slots[ord-phys])
+		case ord >= 0:
+			c.from, c.i = fromRow, int32(ord)
+		case ok:
+			if lits == nil {
+				lits = make(types.Row, len(exprs))
+			}
+			c.from, lits[i] = fromLit, lit
+		default:
+			var err error
+			if c.fn, err = compileExpr(e, sch, env); err != nil {
+				return nil, nil, err
+			}
+			c.from = fromExpr
+		}
+	}
+	return cols, lits, nil
 }
 
 // project computes each live row of the input's next window into the
-// row dst returns for it, and reports how many it computed: 0 once the
-// input is exhausted.
-func (s *segProject) project(p *segProgram, dst func() types.Row) (int, error) {
+// row carve returns for it, and reports how many it computed: 0 once
+// the input is exhausted.
+func (s *segProject) project(p *segProgram, carve func(width int) types.Row) (int, error) {
 	b, err := s.in.next(p)
 	if err != nil || b == nil {
 		return 0, err
 	}
-	if err := fill(s.cols, b, p.params, p.ctx, dst); err != nil {
-		return 0, err
+	cols, lits, params, n := s.cols, s.lits, p.params, b.Len()
+	for i := 0; i < n; i++ {
+		r, row := b.Row(i), carve(len(cols))[:len(cols)]
+		for j := range cols {
+			switch c := &cols[j]; c.from {
+			case fromRow:
+				row[j] = r[c.i]
+			case fromParam:
+				row[j] = params[c.i]
+			case fromLit:
+				row[j] = lits[j]
+			default:
+				if row[j], err = c.fn(r, p.ctx); err != nil {
+					return 0, err
+				}
+			}
+		}
 	}
-	s.emitted(b.Len())
-	return b.Len(), nil
+	s.emitted(n)
+	return n, nil
 }
 
 func (s *segProject) next(p *segProgram) (*Batch, error) {
-	s.scratch.reset(p.ctx.arena)
-	if n, err := s.project(p, s.scratch.add); n == 0 {
+	sc := s.scratch
+	sc.reset(p.ctx.arena)
+	if n, err := s.project(p, func(int) types.Row { return sc.add() }); n == 0 {
 		return nil, err
 	}
-	s.out.Rows = s.scratch.hdrs
-	return &s.out, nil
+	return &sc.out, nil
 }
 
-// segAgg is a scalar aggregate: opening it folds its whole input
-// (scalarAgg).
+// segAgg is a scalar aggregate: opening it folds its whole input into
+// its one result row — on empty input too (count(*)=0, other aggregates
+// NULL) — which it yields once and rewrites when it is opened again.
+// Aggregates over bare columns, without DISTINCT, fold a column of a
+// whole window at a time (accum.fold); otherwise every row is fed to
+// every aggregate. Either way values are added in input order, so float
+// sums and averages are bit-identical.
 type segAgg struct {
 	segBase
-	scalarAgg
+	aggs   []compiledAgg // compiled when ords is nil
+	ords   []int         // per aggregate, the column it folds; nil: feed rows
+	states []accum
+	err    error // accumulator creation failed; reported by open
+	row    types.Row
+	one    [1]types.Row // out's rows: row
+	done   bool
+	out    Batch
 }
 
+// foldOrds is, per aggregate, the row column it folds (-1 for
+// count(*)), or nil when any aggregate is fed row by row: DISTINCT, or
+// an argument other than a bare column of the first phys.
+func foldOrds(specs []core.AggSpec, sch *schema.Schema, phys int) []int {
+	ords := make([]int, len(specs))
+	for i, g := range specs {
+		ords[i] = -1
+		c, isCol := g.Arg.(*core.ColRef)
+		switch {
+		case g.Distinct:
+			return nil
+		case g.Star:
+			continue
+		case !isCol:
+			return nil
+		}
+		ord, err := sch.Resolve(c.Table, c.Name)
+		if err != nil || ord >= phys {
+			return nil
+		}
+		ords[i] = ord
+	}
+	return ords
+}
+
+// open folds the input. Folding a column at a time changes no result,
+// only which error is met first: each fold stops at its first bad
+// value, and a window's error is the one row by row order meets first —
+// the earliest row, and on it the first aggregate.
 func (a *segAgg) open(p *segProgram) error {
 	if err := a.segBase.open(p); err != nil {
 		return err
 	}
-	if err := a.reset(); err != nil {
-		return err
+	if a.err != nil {
+		return a.err
+	}
+	for i := range a.states {
+		a.states[i].reset()
 	}
 	for {
 		b, err := a.in.next(p)
@@ -708,24 +1086,44 @@ func (a *segAgg) open(p *segProgram) error {
 		if b == nil {
 			break
 		}
-		if err := a.add(b, p.ctx); err != nil {
-			return err
+		if a.ords == nil {
+			for i := 0; i < b.Len(); i++ {
+				if err := feed(a.aggs, a.states, b.Row(i), p.ctx); err != nil {
+					return err
+				}
+			}
+			continue
+		}
+		first, firstErr := b.Len(), error(nil)
+		for j, ord := range a.ords {
+			if i, err := a.states[j].fold(b, ord); err != nil && i < first {
+				first, firstErr = i, err
+			}
+		}
+		if firstErr != nil {
+			return firstErr
 		}
 	}
-	a.finish()
+	for i := range a.states {
+		a.row[i] = a.states[i].result()
+	}
+	a.done = false
 	return nil
 }
 
 func (a *segAgg) next(*segProgram) (*Batch, error) {
-	b := a.emit()
-	a.emitted(b.Len())
-	return b, nil
+	if a.done {
+		return nil, nil
+	}
+	a.done = true
+	a.emitted(1)
+	return &a.out, nil
 }
 
 // segUnion concatenates its inputs, opening each when the previous one
-// is exhausted.
+// is exhausted (segProgram.pull).
 type segUnion struct {
-	segBase // in is the input open
+	segBase // in is the first input
 	ins     []segNode
 	cur     int
 }
@@ -736,38 +1134,25 @@ func (u *segUnion) open(p *segProgram) error {
 }
 
 func (u *segUnion) next(p *segProgram) (*Batch, error) {
-	for u.cur < len(u.ins) {
-		b, err := u.ins[u.cur].next(p)
-		if err != nil || b != nil {
-			if b != nil {
-				u.emitted(b.Len())
-			}
-			return b, err
-		}
-		if u.cur++; u.cur < len(u.ins) {
-			if err := u.ins[u.cur].open(p); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return nil, nil
+	_, b, err := p.pull(u, nil)
+	return b, err
 }
 
-// segApply is a cross Apply whose inner is uncorrelated and yields at
+// segApply is a cross Apply whose inner holds no OuterRef and yields at
 // most one row: a scalar, or an Exists. It evaluates the inner once,
 // after its outer's first window, into its parameter slots — the Apply
 // cache, valid for one evaluation of the enclosing node — and hands on
-// its outer's rows, regathered like the tree's Apply into windows of
-// batchSize: a full outer window, or a scan's last, goes on as it is;
-// others have their row headers gathered, or their values copied when
-// the outer's rows do not outlive its window. When the inner yields no
-// row it still reads its whole outer, as the tree's Apply does, and
-// hands on none.
+// its outer's rows, regathered into windows of batchSize: a full outer
+// window, or a group's last, goes on as it is; others have their row
+// headers gathered, or their values copied when the outer's rows do not
+// outlive its window. When the inner yields no row it still reads its
+// whole outer, and hands on none.
 type segApply struct {
 	segBase
 	inner    segNode
-	slots    []int // the parameters the inner's row binds
-	stable   bool  // the outer's rows outlive its window
+	base     int // the parameters the inner's row binds: width of them from base
+	width    int
+	stable   bool // the outer's rows outlive its window
 	cur      *Batch
 	ci       int  // cur's next live row
 	have     bool // the inner is bound for this open
@@ -791,13 +1176,14 @@ func (a *segApply) bind(p *segProgram) error {
 	if err := a.inner.open(p); err != nil {
 		return err
 	}
-	b, err := a.inner.next(p)
+	dst := p.params[a.base : a.base+a.width]
+	k, b, err := p.pull(a.inner, func(int) types.Row { return dst })
 	if err != nil {
 		return err
 	}
-	a.have, a.none = true, b == nil
-	for i, s := range a.slots {
-		p.params[s] = b.Row(0)[i]
+	a.have, a.none = true, k == 0 && b == nil
+	if b != nil {
+		copy(dst, b.Row(0))
 	}
 	return nil
 }
@@ -860,9 +1246,11 @@ func (a *segApply) emit(p *segProgram, b *Batch) *Batch {
 	return b
 }
 
-// segExists is an Exists: opening it reads its input's first window, as
-// the tree's Exists reads its input's first batch, and it then yields
-// one empty row if that found a row — if it found none, when negated.
+// segExists is an Exists: opening it reads its input's first window,
+// and it then yields one empty row if that found a row — if it found
+// none, when negated. Reading a window ahead, the input may do up to
+// one window more work than the answer needs, which counters fed by
+// that work (RowsScanned, JoinProbes) show.
 type segExists struct {
 	segBase
 	negated bool
@@ -896,6 +1284,7 @@ type segHost struct {
 	it     BatchIterator
 	node   core.Node
 	isOpen bool
+	sib    *segHost // the program's next hosted subtree
 }
 
 func (h *segHost) open(*segProgram) error {

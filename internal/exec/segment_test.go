@@ -3,10 +3,14 @@ package exec
 import (
 	"context"
 	"errors"
+	"flag"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -326,6 +330,27 @@ func edgeShapes() map[string]func() core.Node {
 			return core.NewProject(&core.Join{Left: gs(), Right: dimScan(), Cond: &core.Cmp{Op: ">", L: v, R: core.Col("w")}},
 				[]core.Expr{core.Col("s"), core.Col("d")}, nil)
 		},
+		// A union read by a consumer rather than emitted: a filter and an
+		// aggregate over the union of the group's small and large rows,
+		// and an Exists over a union whose first input is empty.
+		"select over union": func() core.Node {
+			return &core.Select{Input: &core.UnionAll{Inputs: []core.Node{
+				core.NewProject(gs(), []core.Expr{lit(0), core.Col("s"), v}, []string{"t", "s", "v"}),
+				core.NewProject(&core.Select{Input: gs(), Cond: gt(v, 3)}, []core.Expr{lit(1), core.Col("s"), v}, []string{"t", "s", "v"}),
+			}}, Cond: gt(v, 2)}
+		},
+		"aggregate over union": func() core.Node {
+			return &core.AggOp{Input: &core.UnionAll{Inputs: []core.Node{
+				&core.Select{Input: gs(), Cond: gt(v, 4)},
+				gs(),
+			}}, Aggs: []core.AggSpec{{Fn: "count", Star: true, As: "n"}, {Fn: "sum", Arg: v, As: "sv"}, {Fn: "max", Arg: core.Col("s"), As: "hi"}}}
+		},
+		"exists over union": func() core.Node {
+			return core.NewProject(&core.Apply{Outer: gs(), Inner: &core.Exists{Input: &core.UnionAll{Inputs: []core.Node{
+				&core.Select{Input: gs(), Cond: gt(v, 1000)},
+				&core.Select{Input: gs(), Cond: gt(v, 30)},
+			}}}}, []core.Expr{core.Col("s")}, nil)
+		},
 		// A nested GApply, hosted, whose inner reads the enclosing group.
 		"nested gapply": func() core.Node {
 			inner := core.NewProject(&core.Apply{Outer: &core.GroupScan{Var: "h"}, Inner: count(gs())},
@@ -353,6 +378,18 @@ func correlatedOverDim(hint core.PartitionHint) core.Node {
 	inner := core.NewProject(&core.Select{Input: &core.GroupScan{Var: "g"},
 		Cond: &core.Cmp{Op: "=", L: core.Col("v"), R: &core.OuterRef{Name: "d"}}}, []core.Expr{core.Col("s")}, nil)
 	return &core.Apply{Outer: dimScan(), Inner: onEdge(inner, hint)}
+}
+
+// sortedOuterUnion is the sorted outer union's shape outside any
+// GApply: a filter over the union of two projections of edge joined
+// with dim.
+func sortedOuterUnion(core.PartitionHint) core.Node {
+	branch := func(tag int64, col string) core.Node {
+		return core.NewProject(dimJoin(&core.Scan{Table: "edge", Def: edgeDef}, dimScan()),
+			[]core.Expr{core.LitInt(tag), core.Col("k"), core.Col(col)}, []string{"t", "k", "x"})
+	}
+	return &core.Select{Input: &core.UnionAll{Inputs: []core.Node{branch(0, "w"), branch(1, "v")}},
+		Cond: gt(core.Col("x"), 4)}
 }
 
 // onEdge is a GApply of inner over edge grouped by k, under the hint.
@@ -487,8 +524,9 @@ type segRun struct {
 }
 
 // runGApply executes plan at dop, with its GApply's whole inner hosted
-// as one node when tree is set — the iterator tree re-opened per group,
-// the reference a program must match.
+// as one node when tree is set: built by buildBatch, re-opened per group
+// and pulled through bProgram, rather than pushed through the GApply's
+// own program.
 func runGApply(t *testing.T, cat *storage.Catalog, plan core.Node, dop int, tree, prof bool) segRun {
 	t.Helper()
 	ctx := attached(cat)
@@ -500,8 +538,7 @@ func runGApply(t *testing.T, cat *storage.Catalog, plan core.Node, dop int, tree
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tree {
-		g := gapplyIn(it)
+	if g := gapplyIn(it); tree && g != nil {
 		g.compile = hostWhole
 		if g.exec, err = g.buildExec(ctx); err != nil {
 			t.Fatal(err)
@@ -522,7 +559,7 @@ func runGApply(t *testing.T, cat *storage.Catalog, plan core.Node, dop int, tree
 }
 
 // gapplyIn is the GApply an iterator tree runs: the root, or an Apply's
-// inner.
+// inner; nil when it runs none.
 func gapplyIn(it BatchIterator) *bgapply {
 	for {
 		switch x := it.(type) {
@@ -531,36 +568,38 @@ func gapplyIn(it BatchIterator) *bgapply {
 		case *bApply:
 			it = x.inner
 		default:
-			return it.(*bgapply)
+			g, _ := it.(*bgapply)
+			return g
 		}
 	}
 }
 
 // hostWhole compiles g's program with the whole inner hosted as one
-// node: the inner's iterator tree, re-opened per group.
+// node: the iterator buildBatch builds for it, re-opened per group.
 func hostWhole(g *bgapply, ctx *Context) (*segProgram, error) {
-	p := newSegProgram(g, ctx)
-	root, sh, err := p.host(g.plan.Inner, nil)
+	c := newSegCompiler(g, ctx)
+	root, sh, err := c.host(g.plan.Inner, nil)
 	if err != nil {
 		return nil, err
 	}
-	return p.finish(root, sh), nil
+	return c.finish(root, sh), nil
 }
 
-// TestSegmentMatchesTree is the segment program's differential: over
-// the edge cases, at dop 1, 2 and 8 under both partition strategies, it
-// produces the rows of the same inner hosted whole as one iterator tree
-// in the same order, the same counters, and — profiled — the same
-// per-operator rows and loops, or fails with the tree's error; and the
-// rows match the reference interpreter, which fails where they fail.
-func TestSegmentMatchesTree(t *testing.T) {
+// segShapeCase is one plan of the segment differentials: a GApply of
+// a per-group query, but for the top-level sorted outer union.
+type segShapeCase struct {
+	cat   *storage.Catalog
+	plan  func(core.PartitionHint) core.Node
+	fails bool
+}
+
+// segmentShapes are the segment differentials' plans, by name.
+func segmentShapes(t testing.TB) map[string]segShapeCase {
 	edge, window := edgeCatalog(t), windowCatalog(t)
-	type shape struct {
-		cat   *storage.Catalog
-		plan  func(core.PartitionHint) core.Node
-		fails bool
+	shapes := map[string]segShapeCase{
+		"edge/correlated":         {edge, correlatedOverDim, false},
+		"edge/sorted outer union": {edge, sortedOuterUnion, false},
 	}
-	shapes := map[string]shape{"edge/correlated": {edge, correlatedOverDim, false}}
 	for _, c := range []struct {
 		name   string
 		cat    *storage.Catalog
@@ -573,13 +612,95 @@ func TestSegmentMatchesTree(t *testing.T) {
 		{"window", window, windowShapes(true), true},
 	} {
 		for name, inner := range c.inners {
-			shapes[c.name+"/"+name] = shape{c.cat, func(hint core.PartitionHint) core.Node { return onEdge(inner(), hint) }, c.fails}
+			shapes[c.name+"/"+name] = segShapeCase{c.cat, func(hint core.PartitionHint) core.Node { return onEdge(inner(), hint) }, c.fails}
 		}
 	}
+	return shapes
+}
+
+var updateCounters = flag.Bool("update", false, "rewrite testdata/segment_counters.golden")
+
+// TestSegmentCountersGolden pins, for every segment differential shape
+// at dop 1, 2 and 8 under both partition hints, the counters and the
+// per-node rows and opens of a profiled run, or its error, to a golden
+// recorded from the iterator tree's own Select, Project, scalar
+// aggregate, UNION ALL, Exists and Apply before programs replaced them.
+// Regenerate it with -update only for a change that means to move a
+// counter.
+func TestSegmentCountersGolden(t *testing.T) {
+	shapes := segmentShapes(t)
+	names := make([]string, 0, len(shapes))
+	for name := range shapes {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	var b strings.Builder
+	for _, name := range names {
+		c := shapes[name]
+		for _, hint := range []core.PartitionHint{core.PartitionHash, core.PartitionSort} {
+			for _, dop := range []int{1, 2, 8} {
+				fmt.Fprintf(&b, "%s %v dop %d\n", name, hint, dop)
+				plain := runGApply(t, c.cat, c.plan(hint), dop, false, false)
+				prof := runGApply(t, c.cat, c.plan(hint), dop, false, true)
+				if plain.err != prof.err || plain.counters != prof.counters {
+					t.Errorf("%s/%v/dop %d: a profile changes the run: %q %+v, profiled %q %+v",
+						name, hint, dop, plain.err, plain.counters, prof.err, prof.counters)
+				}
+				if prof.err != "" {
+					fmt.Fprintf(&b, "  error: %s\n", prof.err)
+					continue
+				}
+				fmt.Fprintf(&b, "  %+v\n", prof.counters)
+				for _, n := range prof.nodes {
+					fmt.Fprintf(&b, "  %s\n", n)
+				}
+			}
+		}
+	}
+	path := filepath.Join("testdata", "segment_counters.golden")
+	if *updateCounters {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, wantLines := strings.Split(b.String(), "\n"), strings.Split(string(want), "\n")
+	for i := range max(len(got), len(wantLines)) {
+		var g, w string
+		if i < len(got) {
+			g = got[i]
+		}
+		if i < len(wantLines) {
+			w = wantLines[i]
+		}
+		if g != w {
+			t.Fatalf("line %d differs from %s:\ngot  %q\nwant %q", i+1, path, g, w)
+		}
+	}
+}
+
+// TestSegmentMatchesTree is the segment program's differential: over
+// the edge cases, at dop 1, 2 and 8 under both partition strategies, a
+// GApply's program pushing each group through its sink produces the
+// rows of the same inner hosted whole and pulled (hostWhole) in the same
+// order, the same counters, and — profiled — the same per-operator rows
+// and loops, or fails with the same error. Both run the one
+// implementation of each operator, so the independent references are
+// the reference interpreter, whose rows they match and which fails
+// where they fail, and the counter golden (TestSegmentCountersGolden).
+func TestSegmentMatchesTree(t *testing.T) {
+	shapes := segmentShapes(t)
 	for name, c := range shapes {
 		for _, hint := range []core.PartitionHint{core.PartitionHash, core.PartitionSort} {
-			// The tree and the program share their kernels, so the reference
-			// interpreter is the independent check of a failure too.
+			// Both arms run the same operators, so the reference interpreter
+			// is the independent check of a failure too.
 			if plan := c.plan(hint); !c.fails {
 				checkOracle(t, plan, c.cat, mustRun(t, plan, NewContext(c.cat, new(Store))).Rows)
 			} else if _, err := oracle.Eval(plan, c.cat); err == nil {
