@@ -588,9 +588,11 @@ func (db *Database) Plan(query string, options ...QueryOption) (core.Node, error
 // compiled is a statement after parse/bind/optimize: the plan, the
 // optimizer's rule trace, and the EXPLAIN mode of the statement prefix.
 type compiled struct {
-	plan  core.Node
-	trace []opt.RuleApplication
-	mode  sql.ExplainMode
+	plan    core.Node
+	trace   []opt.RuleApplication
+	mode    sql.ExplainMode
+	schema  *schema.Schema // the plan's output schema…
+	columns []string       // …and its columns' qualified names, never handed out
 }
 
 // planCacheKey identifies one compilation: the statement text, the
@@ -667,7 +669,11 @@ func (db *Database) compile(query string, cfg queryConfig) (*compiled, bool, err
 		tb.SetPlanHash(core.PlanHash(plan))
 	}
 	db.reg.Histogram("optimize_latency").Observe(time.Since(start))
-	c := &compiled{plan: plan, trace: ruleTrace, mode: mode}
+	c := &compiled{plan: plan, trace: ruleTrace, mode: mode, schema: plan.Schema()}
+	c.columns = make([]string, c.schema.Len())
+	for i, col := range c.schema.Cols {
+		c.columns[i] = col.QualifiedName()
+	}
 	if !cfg.NoPlanCache {
 		db.plans.put(key, c)
 	}

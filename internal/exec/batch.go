@@ -134,28 +134,11 @@ type BatchIterator interface {
 	Close() error
 }
 
-// drainBatchRows opens the iterator, copies every live row's header
-// out, and closes it, polling cancellation once per batch — the engine's
-// internal materializations (apply inners, nested-loops join builds) use
-// it so a blocking materialization stops within one row batch of the
-// query being cancelled.
-func drainBatchRows(it BatchIterator, c *Context) ([]types.Row, error) {
-	if err := it.Open(); err != nil {
-		return nil, err
-	}
-	rows, err := appendDrained(nil, it, c)
-	if err != nil {
-		it.Close()
-		return nil, err
-	}
-	if err := it.Close(); err != nil {
-		return nil, err
-	}
-	return rows, nil
-}
-
 // appendDrained appends the header of every live row an open iterator
-// has left to dst, polling cancellation once per batch.
+// has left to dst, polling cancellation once per batch — the engine's
+// internal materializations (join builds and Apply inners) use it, so a
+// blocking materialization stops within one row batch of the query
+// being cancelled.
 func appendDrained(dst []types.Row, it BatchIterator, c *Context) ([]types.Row, error) {
 	for {
 		b, err := it.NextBatch()

@@ -122,9 +122,9 @@ func TestSelectOverJoinFusesAsPostFilter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hj, ok := it.(*bHashJoin)
-	if !ok {
-		t.Fatalf("Select over equi-join built %T, want *bHashJoin (fused post-filter)", it)
+	hj, ok := it.(*bJoin)
+	if !ok || hj.method != joinHash {
+		t.Fatalf("Select over equi-join built %T, want a hash *bJoin (fused post-filter)", it)
 	}
 	if hj.pred != nil {
 		t.Error("join condition is exactly its equi-pair, pred should be dropped (residual-free)")
@@ -153,7 +153,7 @@ func TestJoinFusionGatedByProfile(t *testing.T) {
 	// Under EXPLAIN ANALYZE every operator keeps its identity: the Select
 	// must stay a distinct (probe-wrapped) operator, not vanish into the
 	// join, or per-operator actuals change shape.
-	if _, fused := it.(*bHashJoin); fused {
+	if _, fused := it.(*bJoin); fused {
 		t.Fatal("Select fused into join despite active profile")
 	}
 }

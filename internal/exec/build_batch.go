@@ -259,15 +259,11 @@ func buildBatchNode(n core.Node, ctx *Context, env compileEnv) (BatchIterator, e
 			return nil, err
 		}
 		innerArity := x.Inner.Schema().Len()
-		return &bApply{
-			outer:        outer,
-			inner:        inner,
-			ctx:          ctx,
-			outerApply:   x.Kind == core.OuterApply,
-			innerArity:   innerArity,
-			width:        outerSchema.Len() + innerArity,
-			uncorrelated: len(core.OuterRefsIn(x.Inner)) == 0,
-			outBuf:       joinOut{slab: rowSlab{arena: ctx.arena}},
+		return &bJoin{
+			method: joinApply, left: outer, right: inner, ctx: ctx,
+			outer: x.Kind == core.OuterApply, rightArity: innerArity,
+			width: outerSchema.Len() + innerArity, uncorrelated: len(core.OuterRefsIn(x.Inner)) == 0,
+			outBuf: joinOut{slab: rowSlab{arena: ctx.arena}},
 		}, nil
 
 	case *core.GApply:
@@ -281,7 +277,7 @@ func buildBatchNode(n core.Node, ctx *Context, env compileEnv) (BatchIterator, e
 // buildBatchJoin compiles a join that emits need (ordinals of j's
 // schema; nil for all of them) and returns its emission, as
 // buildBatchNeed does. postCond, when non-nil, is a parent Select's
-// condition fused in as a post-filter (see bHashJoin.post). Predicates
+// condition fused in as a post-filter (see bJoin.post). Predicates
 // evaluate over the concatenation of the two input rows as built, which
 // carry the emission plus the columns the condition and post-filter
 // read.
@@ -313,7 +309,7 @@ func buildBatchJoin(j *core.Join, postCond core.Expr, need []int, ctx *Context, 
 	}
 	var right BatchIterator
 	var remit []int
-	if probe == nil {
+	if probe.plan == nil {
 		if right, remit, err = buildBatchNeed(j.Right, rneed, ctx, env); err != nil {
 			return nil, nil, err
 		}
@@ -331,7 +327,11 @@ func buildBatchJoin(j *core.Join, postCond core.Expr, need []int, ctx *Context, 
 			return nil, nil, err
 		}
 	}
-	out := joinOut{slab: rowSlab{arena: ctx.arena}}
+	b := &bJoin{
+		method: joinLoops, left: left, right: right, pred: pred, post: post, ctx: ctx,
+		outer: j.Kind == core.LeftOuterJoin, rightArity: rs.Len(), width: inSchema.Len(),
+		outBuf: joinOut{slab: rowSlab{arena: ctx.arena}},
+	}
 	if need != nil {
 		ords := make([]int, len(need))
 		split, _ := slices.BinarySearch(need, leftArity)
@@ -342,77 +342,53 @@ func buildBatchJoin(j *core.Join, postCond core.Expr, need []int, ctx *Context, 
 				ords[i] = emittedOrd(remit, o-leftArity)
 			}
 		}
-		out.left, out.right = ords[:split:split], ords[split:]
+		b.outBuf.left, b.outBuf.right = ords[:split:split], ords[split:]
 	}
 	pairs := j.EquiPairs()
 	method := j.Method
 	if method == core.JoinAuto {
-		if len(pairs) > 0 {
-			method = core.JoinHash
-		} else {
-			method = core.JoinNestedLoops
-		}
+		method = core.JoinHash
 	}
-	outerJoin := j.Kind == core.LeftOuterJoin
+	if len(pairs) == 0 || method == core.JoinNestedLoops {
+		return b, need, nil
+	}
+	resolve := func(p core.EquiPair) (int, int, error) {
+		lo, err := ls.Resolve(p.Left.Table, p.Left.Name)
+		if err != nil {
+			return 0, 0, err
+		}
+		ro, err := rs.Resolve(p.Right.Table, p.Right.Name)
+		return lo, ro, err
+	}
+	// When every conjunct of the join condition is one of the extracted
+	// equi-pairs, a hash or merge match already guarantees the whole
+	// predicate. The hash kernel confirms every hit column by column
+	// with Identical, which on non-NULL values is exactly Compare
+	// equality (cross-type numerics, -0.0 and NaN included), and join
+	// mode never matches a NULL; the order-key encoding an equal range
+	// compares is canonical over value equality. A match cannot fail the
+	// condition, so drop the residual and let the probe emit whole
+	// matches in a tight loop.
+	if len(core.ConjunctsOf(j.Cond)) == len(pairs) {
+		b.pred = nil
+	}
 	if method == core.JoinMerge && len(pairs) == 1 {
-		lo, err := ls.Resolve(pairs[0].Left.Table, pairs[0].Left.Name)
-		if err != nil {
+		b.method = joinMerge
+		b.merge.probe = probe
+		if b.merge.leftOrd, b.merge.rightOrd, err = resolve(pairs[0]); err != nil {
 			return nil, nil, err
 		}
-		ro, err := rs.Resolve(pairs[0].Right.Table, pairs[0].Right.Name)
-		if err != nil {
+		return b, need, nil
+	}
+	b.method = joinHash
+	b.hash.keys = types.KeyTable{Join: true, Storage: ctx.arena}
+	b.hash.leftOrds, b.hash.rightOrds = make([]int, len(pairs)), make([]int, len(pairs))
+	for i, p := range pairs {
+		if b.hash.leftOrds[i], b.hash.rightOrds[i], err = resolve(p); err != nil {
 			return nil, nil, err
 		}
-		// Same residual-free proof as the hash path below: the order-key
-		// encoding is canonical over value equality, so an equal-range hit
-		// cannot fail a condition the equi-pair fully covers.
-		if len(core.ConjunctsOf(j.Cond)) == len(pairs) {
-			pred = nil
-		}
-		return &bMergeJoin{
-			left: left, right: right, probe: probe, pred: pred, post: post, ctx: ctx,
-			leftOrd: lo, rightOrd: ro,
-			outerJoin: outerJoin, rightArity: rs.Len(),
-			width: inSchema.Len(), outBuf: out,
-		}, need, nil
 	}
-	if (method == core.JoinHash || method == core.JoinMerge) && len(pairs) > 0 {
-		leftOrds := make([]int, len(pairs))
-		rightOrds := make([]int, len(pairs))
-		for i, p := range pairs {
-			lo, err := ls.Resolve(p.Left.Table, p.Left.Name)
-			if err != nil {
-				return nil, nil, err
-			}
-			ro, err := rs.Resolve(p.Right.Table, p.Right.Name)
-			if err != nil {
-				return nil, nil, err
-			}
-			leftOrds[i], rightOrds[i] = lo, ro
-		}
-		// When every conjunct of the join condition is one of the
-		// extracted equi-pairs, the hash probe already guarantees the
-		// whole predicate: the kernel confirms every hit column by column
-		// with Identical, which on non-NULL values is exactly Compare
-		// equality (cross-type numerics, -0.0 and NaN included), and join
-		// mode never matches a NULL. A bucket hit cannot fail the
-		// condition, so drop the residual and let the probe emit whole
-		// buckets in a tight loop.
-		if len(core.ConjunctsOf(j.Cond)) == len(pairs) {
-			pred = nil
-		}
-		return &bHashJoin{
-			left: left, right: right, pred: pred, post: post, ctx: ctx,
-			keys: types.KeyTable{Join: true, Storage: ctx.arena}, leftOrds: leftOrds, rightOrds: rightOrds,
-			outerJoin: outerJoin, rightArity: rs.Len(),
-			width: inSchema.Len(), outBuf: out,
-		}, need, nil
-	}
-	return &bNLJoin{
-		left: left, right: right, pred: pred, post: post, ctx: ctx,
-		outerJoin: outerJoin, rightArity: rs.Len(),
-		width: inSchema.Len(), outBuf: out,
-	}, need, nil
+	return b, need, nil
 }
 
 // emittedOrd maps ordinal o of a node's full schema to its position in

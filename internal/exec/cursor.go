@@ -2,7 +2,6 @@ package exec
 
 import (
 	"gapplydb/internal/core"
-	"gapplydb/internal/schema"
 	"gapplydb/internal/types"
 )
 
@@ -19,8 +18,6 @@ import (
 // (NextBatch errors leave the tree closed already; the extra Close is a
 // no-op).
 type Cursor struct {
-	Schema *schema.Schema
-
 	node    core.Node
 	bit     BatchIterator
 	ctx     *Context
@@ -30,7 +27,8 @@ type Cursor struct {
 }
 
 // Start compiles the plan and opens the iterator tree, returning a
-// cursor positioned before the first row.
+// cursor positioned before the first row. Its rows have the plan's
+// schema, which the caller derives (once per plan, where it caches one).
 func Start(n core.Node, ctx *Context) (*Cursor, error) {
 	bit, err := BuildBatch(n, ctx)
 	if err != nil {
@@ -40,7 +38,7 @@ func Start(n core.Node, ctx *Context) (*Cursor, error) {
 		bit.Close()
 		return nil, err
 	}
-	return &Cursor{Schema: n.Schema(), node: n, bit: bit, ctx: ctx}, nil
+	return &Cursor{node: n, bit: bit, ctx: ctx}, nil
 }
 
 // NextBatch returns the next batch of output rows; nil with a nil error

@@ -189,52 +189,53 @@ type indexProbe struct {
 }
 
 // probedRight returns the join's right side as an index probe when the
-// plan calls for one, deciding from the plan at build time — never from
-// the iterator built for the right input, which a Profile wraps — so
-// the path and its counters are identical with and without
-// instrumentation. A right side that is an invariant subtree of an
-// enclosing GApply's inner stays drained: its materialization is shared
-// across groups already.
-func probedRight(j *core.Join, ctx *Context, env compileEnv) (*indexProbe, error) {
+// plan calls for one (a zero probe, whose plan is nil, when it does
+// not), deciding from the plan at build time — never from the iterator
+// built for the right input, which a Profile wraps — so the path and
+// its counters are identical with and without instrumentation. A right
+// side that is an invariant subtree of an enclosing GApply's inner
+// stays drained: its materialization is shared across groups already.
+func probedRight(j *core.Join, ctx *Context, env compileEnv) (indexProbe, error) {
 	is, ok := j.ProbedIndex()
 	if !ok || env.scope.invariant(is) != nil {
-		return nil, nil
+		return indexProbe{}, nil
 	}
 	if err := checkIndexScan(is, ctx); err != nil {
-		return nil, err
+		return indexProbe{}, err
 	}
-	p := &indexProbe{plan: is}
+	p := indexProbe{plan: is}
 	if ctx.Prof != nil {
 		p.stats = ctx.Prof.node(is)
 	}
 	return p, nil
 }
 
-// open resolves the index's current run as the join's merge run.
-func (p *indexProbe) open(ctx *Context) (mergeRun, error) {
+// open resolves the index's current run, and the heap its positions
+// index, as the join's merge run.
+func (p *indexProbe) open(ctx *Context) (*storage.IndexRun, []types.Row, error) {
 	var start time.Time
 	if p.stats != nil {
 		start = time.Now()
 	}
 	tab, run, err := openIndexRun(p.plan, ctx)
 	if err != nil {
-		return mergeRun{}, err
+		return nil, nil, err
 	}
 	if p.stats != nil {
 		p.stats.Opens++
 		p.stats.Time += time.Since(start)
 	}
-	return mergeRun{run: run, rows: tab.Rows}, nil
+	return run, tab.Rows, nil
 }
 
 // seek returns the run window of entries whose key is k, counting them
 // as scanned.
-func (p *indexProbe) seek(m *mergeRun, k []byte, ctx *Context) (int, int) {
+func (p *indexProbe) seek(run *storage.IndexRun, k []byte, ctx *Context) (int, int) {
 	var start time.Time
 	if p.stats != nil {
 		start = time.Now()
 	}
-	lo, hi := m.run.EqualRange(k)
+	lo, hi := run.EqualRange(k)
 	ctx.Counters.RowsScanned += int64(hi - lo)
 	if p.stats != nil {
 		p.stats.Rows += int64(hi - lo)

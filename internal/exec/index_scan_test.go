@@ -89,77 +89,6 @@ func probeCatalog(t testing.TB) *storage.Catalog {
 	return cat
 }
 
-func TestProbedMergeJoinMatchesHashJoin(t *testing.T) {
-	eq := &core.Cmp{Op: "=", L: core.QCol("l", "l_k"), R: core.QCol("r", "r_k")}
-	residual := core.AndAll([]core.Expr{eq, &core.Cmp{Op: "<", L: core.QCol("l", "l_v"), R: core.QCol("r", "r_v")}})
-	post := &core.Cmp{Op: ">", L: core.QCol("r", "r_v"), R: core.LitInt(30)}
-	postPad := &core.Cmp{Op: ">", L: core.QCol("l", "l_v"), R: core.LitInt(10)}
-	cases := []struct {
-		name string
-		kind core.JoinKind
-		cond core.Expr
-		post core.Expr // a Select over the join, fused into it by the batch engine
-	}{
-		{"inner", core.InnerJoin, eq, nil},
-		{"inner-residual", core.InnerJoin, residual, nil},
-		{"inner-post", core.InnerJoin, residual, post},
-		{"left-outer", core.LeftOuterJoin, eq, nil},
-		{"left-outer-residual", core.LeftOuterJoin, residual, nil},
-		// The post-filter sees NULL-padded rows: r_v > 30 rejects them,
-		// l_v > 10 lets them through.
-		{"left-outer-post-rejects-pads", core.LeftOuterJoin, residual, post},
-		{"left-outer-post-keeps-pads", core.LeftOuterJoin, eq, postPad},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			plan := func(cat *storage.Catalog, probe bool) core.Node {
-				j := &core.Join{Left: heapScan(t, cat, "l"), Right: heapScan(t, cat, "r"), Kind: tc.kind, Cond: tc.cond, Method: core.JoinHash}
-				if probe {
-					j.Right, j.Method = keyIndexScan(t, cat, "r"), core.JoinMerge
-					if _, ok := j.ProbedIndex(); !ok {
-						t.Fatal("plan is not a probed merge join")
-					}
-				}
-				if tc.post == nil {
-					return j
-				}
-				return &core.Select{Input: j, Cond: tc.post}
-			}
-			cat := probeCatalog(t)
-			want := mustRun(t, plan(cat, false), NewContext(cat, new(Store))).Rows
-			checkOracle(t, plan(cat, true), cat, want)
-			var scanned []int64
-			for _, prof := range []bool{false, true} {
-				ctx := NewContext(cat, new(Store))
-				if prof {
-					ctx.Prof = NewProfile()
-				}
-				p := plan(cat, true)
-				got := mustRun(t, p, ctx).Rows
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("prof=%t: probed join diverged from the hash join:\ngot  %v\nwant %v", prof, got, want)
-				}
-				scanned = append(scanned, ctx.Counters.RowsScanned)
-				if prof {
-					var j *core.Join
-					core.Walk(p, func(n core.Node) {
-						if x, ok := n.(*core.Join); ok {
-							j = x
-						}
-					})
-					st := ctx.Prof.Stats(j.Right)
-					if st.Opens != 1 || st.Rows != ctx.Counters.RowsScanned-60 {
-						t.Errorf("probed IndexScan stats %+v, want 1 loop and %d rows", st, ctx.Counters.RowsScanned-60)
-					}
-				}
-			}
-			if scanned[1] != scanned[0] {
-				t.Fatalf("RowsScanned differs with instrumentation: %v", scanned)
-			}
-		})
-	}
-}
-
 // TestProbeDecidedFromPlan: the probe path is chosen from the plan, so
 // a Profile (which wraps every built iterator) does not turn it off.
 func TestProbeDecidedFromPlan(t *testing.T) {
@@ -177,7 +106,7 @@ func TestProbeDecidedFromPlan(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if m, ok := it.(*bMergeJoin); !ok || m.probe == nil || m.right != nil {
+		if m, ok := it.(*bJoin); !ok || m.method != joinMerge || m.merge.probe.plan == nil || m.right != nil {
 			t.Fatalf("prof=%t: built %T without an index probe", prof, it)
 		}
 	}

@@ -116,7 +116,7 @@ func TestProjectOfEmissionIsTheJoin(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, isJoin := it.(*bHashJoin); isJoin != tc.join {
+		if j, isJoin := it.(*bJoin); isJoin != tc.join || isJoin && j.method != joinHash {
 			t.Errorf("Project %v built %T", tc.cols, it)
 		}
 	}
@@ -319,7 +319,7 @@ func BenchmarkJoinEmit(b *testing.B) {
 		need []int
 	}{{"full", nil}, {"narrow", []int{1, 6, 12}}} {
 		b.Run(tc.name, func(b *testing.B) {
-			ctx := NewContext(cat, new(Store))
+			ctx := attached(cat)
 			it, _, err := buildBatchJoin(j, nil, tc.need, ctx, compileEnv{})
 			if err != nil {
 				b.Fatal(err)

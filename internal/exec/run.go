@@ -31,7 +31,7 @@ func Run(n core.Node, ctx *Context) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Result{Schema: cur.Schema, Rows: rows}, nil
+	return &Result{Schema: n.Schema(), Rows: rows}, nil
 }
 
 // String renders the result as an aligned text table (the shell's output

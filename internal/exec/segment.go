@@ -120,6 +120,17 @@ type segCompiler struct {
 	env        compileEnv
 	probed     core.Node
 	correlated bool
+	pre        segPre
+}
+
+// segPre is a subtree buildProgram built before compiling its chain,
+// hosted where the chain reaches it: its iterator, whose rows carry
+// the columns emit of the subtree's schema, sch being their schema.
+type segPre struct {
+	node core.Node
+	it   BatchIterator
+	sch  *schema.Schema
+	emit []int
 }
 
 // segNode is one native operator. open prepares it for an evaluation
@@ -220,7 +231,8 @@ func native(n core.Node) bool {
 
 // nativeApply reports whether a program runs x natively: a cross Apply
 // whose inner yields at most one row and, when the plan compiled may be
-// correlated, holds no OuterRef. Any other Apply is hosted as bApply.
+// correlated, holds no OuterRef. Any other Apply is hosted: a bJoin
+// of the apply method.
 func nativeApply(x *core.Apply, correlated bool) bool {
 	return x.Kind == core.CrossApply && atMostOneRow(x.Inner) && !(correlated && len(core.OuterRefsIn(x.Inner)) > 0)
 }
@@ -233,6 +245,9 @@ func nativeApply(x *core.Apply, correlated bool) bool {
 func (c *segCompiler) compile(n core.Node, want bool, need []int) (segNode, segShape, error) {
 	if c.env.scope.invariant(n) != nil {
 		return c.host(n, nil)
+	}
+	if n == c.pre.node {
+		return c.hostIt(c.pre.it, n, c.pre.sch, c.pre.emit)
 	}
 	stats := segStats(n, c.ctx)
 	if n == c.probed {
@@ -294,7 +309,7 @@ func (c *segCompiler) compile(n core.Node, want bool, need []int) (segNode, segS
 		// A narrowed hosted input that emits exactly this column list, in
 		// this order, already is the projection, probed as it under a
 		// Profile.
-		if h, ok := in.(*segHost); ok && sh.emit != nil && isIdentity(x.Exprs, sh.sch, len(sh.emit)) {
+		if h, ok := in.(*segHost); ok && sh.emit != nil && len(x.Exprs) == len(sh.emit) && isColumns(x.Exprs, sh.sch, nil) {
 			if stats != nil {
 				h.it = c.ctx.Prof.wrapBatch(x, h.it)
 			}
@@ -431,17 +446,19 @@ func atMostOneRow(n core.Node) bool {
 	}
 }
 
-// isIdentity reports whether exprs are the columns 0, 1, …, n-1 of sch.
-func isIdentity(exprs []core.Expr, sch *schema.Schema, n int) bool {
-	if len(exprs) != n {
-		return false
-	}
+// isColumns reports whether exprs are the columns ords of sch, in
+// order; nil ords stands for 0, 1, …, len(exprs)-1.
+func isColumns(exprs []core.Expr, sch *schema.Schema, ords []int) bool {
 	for i, e := range exprs {
 		c, ok := e.(*core.ColRef)
 		if !ok {
 			return false
 		}
-		if ord, err := sch.Resolve(c.Table, c.Name); err != nil || ord != i {
+		want := i
+		if ords != nil {
+			want = ords[i]
+		}
+		if ord, err := sch.Resolve(c.Table, c.Name); err != nil || ord != want {
 			return false
 		}
 	}
@@ -690,23 +707,56 @@ type bProgram struct {
 
 // buildProgram compiles n, a native operator, and the chain of them
 // under it into a program for a consumer that reads need, returning
-// what buildBatchNeed does. A chain that compiles to one hosted subtree
-// (a filter fused into its join, a projection its narrowed input
-// already is) is that subtree's iterator.
+// what buildBatchNeed does. A chain that compiles to one hosted join —
+// a filter fused into it, or a projection its narrowed emission already
+// is — is the join's iterator, built before any program is allocated.
 func buildProgram(n core.Node, need []int, ctx *Context, env compileEnv) (BatchIterator, []int, error) {
+	var pre segPre
+	switch x := n.(type) {
+	case *core.Select:
+		if j, ok := fusedJoin(x, ctx, env); ok {
+			return buildBatchJoin(j, x.Cond, need, ctx, env)
+		}
+	case *core.Project:
+		if !hostsJoin(x.Input, ctx, env) {
+			break
+		}
+		it, emit, err := buildBatchNeed(x.Input, readNeed(x.Input, x.Exprs...), ctx, env)
+		if err != nil {
+			return nil, nil, err
+		}
+		full := x.Input.Schema()
+		if emit != nil && len(x.Exprs) == len(emit) && isColumns(x.Exprs, full, emit) {
+			return it, nil, nil
+		}
+		pre = segPre{node: x.Input, it: it, sch: emitted(full, emit), emit: emit}
+	}
 	a := &bProgram{segProgram: segProgram{ctx: ctx}}
-	c := segCompiler{segProgram: &a.segProgram, env: env, probed: n, correlated: true}
+	c := segCompiler{segProgram: &a.segProgram, env: env, probed: n, correlated: true, pre: pre}
 	root, sh, err := c.compile(n, false, need)
 	if err != nil {
 		return nil, nil, err
-	}
-	if h, ok := root.(*segHost); ok {
-		return h.it, sh.emit, nil
 	}
 	emit := sh.emit
 	a.root, sh = c.whole(root, sh)
 	a.slab = rowSlab{width: sh.phys, arena: ctx.arena}
 	return a, emit, nil
+}
+
+// hostsJoin reports whether a program compiles n to a hosted join: n is
+// a join, or a Select fused into one, and no invariant subtree.
+func hostsJoin(n core.Node, ctx *Context, env compileEnv) bool {
+	if env.scope.invariant(n) != nil {
+		return false
+	}
+	switch x := n.(type) {
+	case *core.Join:
+		return true
+	case *core.Select:
+		_, ok := fusedJoin(x, ctx, env)
+		return ok
+	}
+	return false
 }
 
 func (a *bProgram) Open() error { return a.root.open(&a.segProgram) }

@@ -6,8 +6,6 @@ import (
 	"flag"
 	"fmt"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"reflect"
 	"runtime"
 	"slices"
@@ -565,8 +563,11 @@ func gapplyIn(it BatchIterator) *bgapply {
 		switch x := it.(type) {
 		case *batchProbe:
 			it = x.inner
-		case *bApply:
-			it = x.inner
+		case *bJoin:
+			if x.method != joinApply {
+				return nil
+			}
+			it = x.right
 		default:
 			g, _ := it.(*bgapply)
 			return g
@@ -618,7 +619,7 @@ func segmentShapes(t testing.TB) map[string]segShapeCase {
 	return shapes
 }
 
-var updateCounters = flag.Bool("update", false, "rewrite testdata/segment_counters.golden")
+var updateCounters = flag.Bool("update", false, "rewrite the counter goldens in testdata")
 
 // TestSegmentCountersGolden pins, for every segment differential shape
 // at dop 1, 2 and 8 under both partition hints, the counters and the
@@ -657,33 +658,7 @@ func TestSegmentCountersGolden(t *testing.T) {
 			}
 		}
 	}
-	path := filepath.Join("testdata", "segment_counters.golden")
-	if *updateCounters {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, wantLines := strings.Split(b.String(), "\n"), strings.Split(string(want), "\n")
-	for i := range max(len(got), len(wantLines)) {
-		var g, w string
-		if i < len(got) {
-			g = got[i]
-		}
-		if i < len(wantLines) {
-			w = wantLines[i]
-		}
-		if g != w {
-			t.Fatalf("line %d differs from %s:\ngot  %q\nwant %q", i+1, path, g, w)
-		}
-	}
+	checkGolden(t, "segment_counters.golden", b.String())
 }
 
 // TestSegmentMatchesTree is the segment program's differential: over

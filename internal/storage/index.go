@@ -145,12 +145,21 @@ func (ix *Index) Run(t *Table) *IndexRun {
 // row Pos[i]. The run takes ownership of keys' buffers; keys must not be
 // reused.
 func NewIndexRun(keys *types.OrderKeys) *IndexRun {
+	r := new(IndexRun)
+	r.Fill(keys)
+	return r
+}
+
+// Fill makes r the sorted run of keys, as NewIndexRun does, reusing r's
+// key array: a run its owner rebuilds in place, valid until keys is
+// reset.
+func (r *IndexRun) Fill(keys *types.OrderKeys) {
 	pos := keys.Sort()
-	sorted := make([][]byte, len(pos))
-	for i, p := range pos {
-		sorted[i] = keys.Key(int(p))
+	sorted := r.Keys[:0]
+	for _, p := range pos {
+		sorted = append(sorted, keys.Key(int(p)))
 	}
-	return &IndexRun{Keys: sorted, Pos: pos}
+	r.Keys, r.Pos = sorted, pos
 }
 
 // Insert appends a row to t, as Table.Append does, and keeps the

@@ -447,13 +447,15 @@ func drainStream(t testing.TB, db *gapplydb.Database, sql string, opts ...gapply
 	}
 }
 
-// A point lookup's stream makes 21 allocations, under the race detector
+// A point lookup's stream makes 17 allocations, under the race detector
 // too: its row storage, the projection's row headers and the filter's
 // selection included, is taken from and returned to the database's
 // store, the plan-cache key is built in one exact-size buffer without
-// fmt, the options are applied into the stream itself, and the filter
-// and projection are one program whose filter compares the column with
-// the plan's literal in place.
+// fmt, the options are applied into the stream itself, the output
+// schema and column names come derived from the plan-cache entry (the
+// stream's names in one copy), and the filter and projection are one
+// program whose filter compares the column with the plan's literal in
+// place.
 func TestPointLookupStreamAllocs(t *testing.T) {
 	db, err := gapplydb.OpenTPCH(0.01)
 	if err != nil {
@@ -462,7 +464,7 @@ func TestPointLookupStreamAllocs(t *testing.T) {
 	defer db.Close()
 	const point = "select s_name, s_acctbal from supplier where s_suppkey = 7"
 	drainStream(t, db, point) // compile and cache the plan
-	if n := testing.AllocsPerRun(100, func() { drainStream(t, db, point) }); n > 21 {
-		t.Fatalf("point lookup stream: %.1f allocations, want ≤ 21", n)
+	if n := testing.AllocsPerRun(100, func() { drainStream(t, db, point) }); n > 17 {
+		t.Fatalf("point lookup stream: %.1f allocations, want ≤ 17", n)
 	}
 }

@@ -2,6 +2,7 @@ package gapplydb
 
 import (
 	"context"
+	"slices"
 	"time"
 
 	"gapplydb/internal/exec"
@@ -134,10 +135,8 @@ func (db *Database) startPlan(ctx context.Context, s *Stream, c *compiled, relea
 		s.finish(err)
 		return nil, s.Close()
 	}
-	s.Columns = make([]string, cur.Schema.Len())
-	for i, col := range cur.Schema.Cols {
-		s.Columns[i] = col.QualifiedName()
-	}
+	// Columns is public and mutable: each stream gets its own copy.
+	s.Columns = slices.Clone(c.columns)
 	return s, nil
 }
 
@@ -196,7 +195,7 @@ func (s *Stream) result() (*Result, error) {
 		Stats:   s.stats,
 		Trace:   toTrace(s.c.trace),
 		TraceID: s.tb.ID(),
-		inner:   &exec.Result{Schema: s.cur.Schema, Rows: rows},
+		inner:   &exec.Result{Schema: s.c.schema, Rows: rows},
 	}, nil
 }
 
