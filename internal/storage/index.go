@@ -123,7 +123,9 @@ func (ix *Index) Run(t *Table) *IndexRun {
 		}
 		keys.EndRow()
 	}
-	ix.run = NewIndexRun(&keys)
+	// A fresh run: queries may still read the one it replaces.
+	ix.run = new(IndexRun)
+	ix.run.Fill(&keys)
 	ix.built = n
 	sorted := true
 	for i, p := range ix.run.Pos {
@@ -140,26 +142,21 @@ func (ix *Index) Run(t *Table) *IndexRun {
 	return ix.run
 }
 
-// NewIndexRun sorts encoded keys (all ascending) into a run: Pos is the
+// Fill makes r the sorted run of keys (all ascending): Pos is the
 // stable key order of the rows keys encodes, and Keys[i] is the key of
-// row Pos[i]. The run takes ownership of keys' buffers; keys must not be
-// reused.
-func NewIndexRun(keys *types.OrderKeys) *IndexRun {
-	r := new(IndexRun)
-	r.Fill(keys)
-	return r
-}
-
-// Fill makes r the sorted run of keys, as NewIndexRun does, reusing r's
-// key array: a run its owner rebuilds in place, valid until keys is
-// reset.
+// row Pos[i]. The run shares keys' buffers, so it is valid until keys is
+// reset; r's key array is reused when it is large enough, so an owner
+// can rebuild one run in place.
 func (r *IndexRun) Fill(keys *types.OrderKeys) {
 	pos := keys.Sort()
-	sorted := r.Keys[:0]
-	for _, p := range pos {
-		sorted = append(sorted, keys.Key(int(p)))
+	if cap(r.Keys) < len(pos) {
+		r.Keys = make([][]byte, len(pos))
 	}
-	r.Keys, r.Pos = sorted, pos
+	r.Keys = r.Keys[:len(pos)]
+	for i, p := range pos {
+		r.Keys[i] = keys.Key(int(p))
+	}
+	r.Pos = pos
 }
 
 // Insert appends a row to t, as Table.Append does, and keeps the
